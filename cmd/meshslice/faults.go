@@ -88,6 +88,9 @@ func cmdFaults(args []string) {
 
 // faultScenario builds the named deterministic fault plan.
 func faultScenario(name string, chips int, seed int64, factor float64) (*fault.Plan, error) {
+	if factor < 1 {
+		return nil, fmt.Errorf("bad -factor %g: want >= 1 (a smaller factor would speed the fabric up)", factor)
+	}
 	switch name {
 	case "col-degrade":
 		p := &fault.Plan{}

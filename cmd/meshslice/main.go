@@ -125,6 +125,16 @@ func modelByName(name string) model.Config {
 	panic("unreachable")
 }
 
+// torusFromFlags builds the -rows x -cols mesh, rejecting a non-positive
+// side as a flag error before topology.NewTorus would panic on it.
+func torusFromFlags(rows, cols int) topology.Torus {
+	if rows < 1 || cols < 1 {
+		fmt.Fprintf(os.Stderr, "bad mesh %dx%d: want -rows >= 1 and -cols >= 1\n", rows, cols)
+		os.Exit(2)
+	}
+	return topology.NewTorus(rows, cols)
+}
+
 func algoByName(name string) (train.Algo, bool) {
 	for _, a := range train.Algos {
 		if strings.EqualFold(a.String(), name) {

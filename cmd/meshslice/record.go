@@ -14,7 +14,6 @@ import (
 	"meshslice/internal/mesh"
 	"meshslice/internal/obs/recorder"
 	"meshslice/internal/tensor"
-	"meshslice/internal/topology"
 )
 
 // cmdRecord runs one distributed GeMM functionally with the flight
@@ -58,7 +57,7 @@ func cmdRecord(args []string) {
 		os.Exit(2)
 	}
 	p := gemm.Problem{M: *m, N: *n, K: *k, Dataflow: df}
-	tor := topology.NewTorus(*rows, *cols)
+	tor := torusFromFlags(*rows, *cols)
 	opts := gemm.AlgOptions{S: *s, Block: *block, Pipelined: *pipelined}
 	if err := alg.Validate(p, tor, opts); err != nil {
 		fmt.Fprintln(os.Stderr, err)

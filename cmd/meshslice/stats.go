@@ -45,7 +45,11 @@ func cmdStats(args []string) {
 			os.Exit(1)
 		}
 	}
-	tor := topology.NewTorus(*rows, *cols)
+	tor := torusFromFlags(*rows, *cols)
+	if *s < 0 {
+		fmt.Fprintf(os.Stderr, "bad -s %d: want >= 1, or 0 to autotune\n", *s)
+		os.Exit(2)
+	}
 	prob := gemm.Problem{M: *m, N: *n, K: *k, Dataflow: gemm.OS}
 	reg := obs.NewRegistry()
 

@@ -11,7 +11,6 @@ import (
 	"meshslice/internal/hw"
 	"meshslice/internal/netsim"
 	"meshslice/internal/sched"
-	"meshslice/internal/topology"
 )
 
 // cmdTimeline renders the paper's Fig. 4 timelines as ASCII charts: one
@@ -30,7 +29,11 @@ func cmdTimeline(args []string) {
 	chrome := fs.String("chrome", "", "also write whole-cluster Chrome trace-event JSON files to this directory")
 	fs.Parse(args)
 
-	tor := topology.NewTorus(*rows, *cols)
+	tor := torusFromFlags(*rows, *cols)
+	if *s < 1 {
+		fmt.Fprintf(os.Stderr, "bad -s %d: want >= 1\n", *s)
+		os.Exit(2)
+	}
 	prob := gemm.Problem{M: *m, N: *n, K: *k, Dataflow: gemm.OS}
 	chip := hw.TPUv4()
 

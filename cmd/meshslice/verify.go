@@ -9,7 +9,6 @@ import (
 	"meshslice/internal/gemm"
 	"meshslice/internal/mesh"
 	"meshslice/internal/obs/recorder"
-	"meshslice/internal/topology"
 )
 
 // cmdVerify runs every distributed GeMM algorithm functionally — real data
@@ -42,7 +41,7 @@ func cmdVerify(args []string) {
 		os.Exit(2)
 	}
 	p := gemm.Problem{M: *m, N: *n, K: *k, Dataflow: df}
-	tor := topology.NewTorus(*rows, *cols)
+	tor := torusFromFlags(*rows, *cols)
 	opts := gemm.AlgOptions{S: *s, Block: *block}
 	mh := mesh.New(tor)
 	var rec *recorder.Recorder

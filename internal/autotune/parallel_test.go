@@ -119,22 +119,3 @@ func TestExhaustiveDataflowDeterministicWithMemo(t *testing.T) {
 		t.Errorf("two identical exhaustive searches disagree")
 	}
 }
-
-func benchTune(b *testing.B, workers int) {
-	cfg, ok := model.ByName("gpt3")
-	if !ok {
-		b.Fatal("gpt3 builtin missing")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Tune(cfg, 1<<15, 64, testHW, Options{OptimizeDataflow: true, Workers: workers}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTuneSerial vs BenchmarkTuneParallel: the serial baseline pins
-// the single-worker cost (already sped up by the O(√g) divisor walk); the
-// parallel variant adds the worker-pool fan-out across candidate shapes.
-func BenchmarkTuneSerial(b *testing.B)   { benchTune(b, 1) }
-func BenchmarkTuneParallel(b *testing.B) { benchTune(b, 0) }

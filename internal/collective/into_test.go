@@ -241,30 +241,3 @@ func runSteadyStateAllocGate(t *testing.T, record bool) {
 		})
 	}
 }
-
-func benchAllGatherRows(b *testing.B, into bool) {
-	const p = 8
-	m := mesh.New(topology.NewTorus(1, p))
-	locals := make([]*tensor.Matrix, p)
-	dsts := make([]*tensor.Matrix, p)
-	for r := range locals {
-		locals[r] = patterned(64, 64, r)
-		dsts[r] = tensor.New(64*p, 64)
-	}
-	b.ResetTimer()
-	m.Run(func(c *mesh.Chip) {
-		cm := c.RowComm()
-		for i := 0; i < b.N; i++ {
-			if into {
-				AllGatherRowsInto(cm, locals[c.Rank], dsts[c.Rank])
-			} else {
-				dsts[c.Rank] = AllGatherRows(cm, locals[c.Rank])
-			}
-		}
-	})
-}
-
-// BenchmarkAllGatherInto vs BenchmarkAllGather measures what the arena
-// buys: the Into path holds allocs/op at zero regardless of ring size.
-func BenchmarkAllGather(b *testing.B)     { benchAllGatherRows(b, false) }
-func BenchmarkAllGatherInto(b *testing.B) { benchAllGatherRows(b, true) }

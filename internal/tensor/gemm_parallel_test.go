@@ -74,22 +74,3 @@ func TestMatMulTNParallelMatchesSerial(t *testing.T) {
 		t.Errorf("parallel result differs from serial: max diff %g", got.MaxAbsDiff(want))
 	}
 }
-
-// benchMatMul times one GeMM variant at 512³ — the shape the acceptance
-// numbers in BENCH_kernels.json are quoted at.
-func benchMatMul(b *testing.B, run func(c, x, y *Matrix)) {
-	rng := rand.New(rand.NewSource(11))
-	const n = 512
-	x := Random(n, n, rng)
-	y := Random(n, n, rng)
-	c := New(n, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Zero()
-		run(c, x, y)
-	}
-}
-
-func BenchmarkMatMulAdd(b *testing.B)   { benchMatMul(b, MatMulAdd) }
-func BenchmarkMatMulAddNT(b *testing.B) { benchMatMul(b, MatMulAddNT) }
-func BenchmarkMatMulAddTN(b *testing.B) { benchMatMul(b, MatMulAddTN) }
