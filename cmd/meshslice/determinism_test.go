@@ -82,8 +82,10 @@ func TestCanonicalOutputsDeterministic(t *testing.T) {
 		args  string
 		procs []string
 	}{
-		{args: "record"},
+		{args: "record", procs: anyProcs},
 		{args: "record -pipelined -s 4", procs: anyProcs},
+		{args: "record -algo wang -pipelined", procs: anyProcs},
+		{args: "record -dataflow ls -pipelined -s 4", procs: anyProcs},
 		{args: "stats -profile ../../profiles/tpuv4.json"},
 		{args: "faults -chips 16 -scenario seeded -seed 7"},
 		{args: "ckpt -rows 2 -cols 2 -steps 8 -every 2"},

@@ -5,8 +5,13 @@
 //   - Collective 2D GeMM (Fig. 2b) in all three dataflows,
 //   - SUMMA (Fig. 2a) in all three dataflows,
 //   - Cannon's algorithm (square meshes),
-//   - Wang's algorithm (one overlapped direction),
+//   - Wang's algorithm (one overlapped direction) in all three dataflows,
 //   - the 1D baselines: 1D tensor parallelism and FSDP.
+//
+// MeshSlice and Wang each have one schedule per dataflow that runs at two
+// prefetch depths: 0 completes every partial collective inline on the chip
+// goroutine, 1 (the Pipelined option) issues the same collectives on
+// background comm lanes underneath the MatMuls. The two are bit-identical.
 //
 // Every algorithm is verified against a single-node reference
 // multiplication; the timing behaviour of the same algorithms is modelled

@@ -470,21 +470,3 @@ func TestWang25DAgreeOnSquare(t *testing.T) {
 		t.Errorf("Wang and 2.5D disagree: %g", wang.MaxAbsDiff(g25))
 	}
 }
-
-func TestMeshSliceBidirEqualsMeshSlice(t *testing.T) {
-	for _, tor := range []topology.Torus{
-		topology.NewTorus(2, 2), topology.NewTorus(3, 4), topology.NewTorus(4, 2),
-	} {
-		p := Problem{M: 48, N: 48, K: 48, Dataflow: OS}
-		a, b, want := makeProblem(p, 777)
-		cfg := MeshSliceConfig{S: 2, Block: 2}
-		uni := Multiply(tor, MeshSlice(OS, cfg), a, b)
-		bi := Multiply(tor, MeshSliceBidir(cfg), a, b)
-		if !bi.Equal(want, tol) {
-			t.Errorf("%v: bidirectional MeshSlice wrong by %g", tor, bi.MaxAbsDiff(want))
-		}
-		if !bi.Equal(uni, tol) {
-			t.Errorf("%v: bidirectional diverges from unidirectional by %g", tor, bi.MaxAbsDiff(uni))
-		}
-	}
-}

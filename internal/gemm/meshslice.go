@@ -11,12 +11,38 @@ import (
 )
 
 // This file implements the MeshSlice 2D GeMM algorithm (paper §3.1,
-// Fig. 5): the collective AG/RdS operations are partitioned into S partial
-// collectives over sliced sub-shards, so that (on real hardware) the
-// communication of one iteration overlaps the computation of another. The
-// functional implementation here establishes that the sliced computation is
-// exactly the full GeMM; the overlap itself is a timing property modelled
-// by package netsim.
+// Fig. 5–6): the collective AG/RdS operations are partitioned into S partial
+// collectives over sliced sub-shards, so that the communication of one slice
+// can overlap the computation of another.
+//
+// Each dataflow has ONE schedule function serving both prefetch depths. The
+// buffers, the slicing, the kernel span and the accumulation order are
+// written once; MeshSliceConfig.Pipelined only decides how slice s's partial
+// collectives are issued:
+//
+//   - depth 0: each runs to completion on the chip goroutine through the
+//     synchronous arena forms (collective.*Into) into one reused buffer per
+//     stream, immediately before the MatMul that consumes it;
+//   - depth 1: slice s+1's AllGather is issued on the background comm lanes
+//     (collective.Start*Into) before the MatMul of slice s runs, and slice
+//     s−1's ReduceScatter drains underneath it.
+//
+// Every MatMul runs on the chip's own goroutine in ascending slice order and
+// the async collectives execute the exact ring loops of the synchronous
+// forms, so the two depths are bit-identical: depth changes WHEN messages
+// move, never what they contain (oracle_test.go replays the accumulation
+// order without a mesh and pins both).
+//
+// Depth-1 double-buffer protocol (two buffers per stream): buffer k%2 is
+// written by the op issued at slice k and read by the compute (or unslice) of
+// slice k, which happens before slice k+2 re-issues into it — Wait(k) is
+// ordered before Issue(k+2) on the chip goroutine, so the worker never
+// writes a buffer the chip still reads. Compute spans (recorder.OpCompute)
+// bracket each MatMul so the flight recorder can attribute overlap: an async
+// op whose issue→wait window contains a compute span start ran underneath
+// compute. The depth-1 loops peel the final slice into an epilogue so that
+// every Start has an unconditional matching Wait — the shape meshlint's
+// buf-ownership rule can prove handle-leak-free (see the bufown fixtures).
 //
 // Following the paper's subscript convention (Fig. 2 caption): AG_col and
 // RdS_col are inter-column communications within the same mesh row (the
@@ -32,10 +58,10 @@ type MeshSliceConfig struct {
 	// algorithm (paper Algorithm 2); 8 on TPUs. Use 1 for the strided
 	// slicing of the mathematical description (§3.1.1).
 	Block int
-	// Pipelined selects the double-buffered software-pipelined schedule
-	// (pipeline.go): partial collectives run on background comm lanes
-	// underneath the MatMuls. Results are bit-identical to the serial
-	// schedule, which remains the reference.
+	// Pipelined selects prefetch depth 1 of the one schedule: partial
+	// collectives run on background comm lanes underneath the MatMuls.
+	// False is depth 0, the same schedule with every collective completed
+	// inline. Results are bit-identical at both depths.
 	Pipelined bool
 }
 
@@ -66,19 +92,10 @@ func (cfg MeshSliceConfig) Validate(p Problem, t topology.Torus) error {
 }
 
 // MeshSlice returns the ChipFunc for the MeshSlice algorithm in the given
-// dataflow.
+// dataflow, at the prefetch depth cfg.Pipelined selects.
 func MeshSlice(df Dataflow, cfg MeshSliceConfig) ChipFunc {
-	if cfg.Pipelined {
-		switch df {
-		case OS:
-			return meshSliceOSPipelined(cfg)
-		case LS:
-			return meshSliceLSPipelined(cfg)
-		case RS:
-			return meshSliceRSPipelined(cfg)
-		default:
-			panic(fmt.Sprintf("gemm: unknown dataflow %d", int(df))) // lint:invariant exhaustive switch guard
-		}
+	if cfg.S < 1 || cfg.Block < 1 {
+		panic(fmt.Sprintf("gemm: MeshSlice S=%d Block=%d must be positive", cfg.S, cfg.Block)) // lint:invariant config precondition; Validate reports it as an error
 	}
 	switch df {
 	case OS:
@@ -92,43 +109,61 @@ func MeshSlice(df Dataflow, cfg MeshSliceConfig) ChipFunc {
 	}
 }
 
+// streamBufs returns the reused destinations of one partial-collective
+// stream: prefetch depth + 1 zeroed rows×cols matrices.
+func (cfg MeshSliceConfig) streamBufs(rows, cols int) []*tensor.Matrix {
+	n := 1
+	if cfg.Pipelined {
+		n = 2
+	}
+	bufs := make([]*tensor.Matrix, n)
+	for i := range bufs {
+		bufs[i] = tensor.New(rows, cols)
+	}
+	return bufs
+}
+
 // meshSliceOS: for each s, slice A along its local K columns and B along
 // its local K rows, all-gather both sub-shards, and accumulate the partial
-// product (Fig. 5 left).
+// product (Fig. 5 left). At depth 1 both gathers of slice s+1 prefetch under
+// the MatMul of slice s (Fig. 6).
 func meshSliceOS(cfg MeshSliceConfig) ChipFunc {
 	return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
 		row, col := c.RowComm(), c.ColComm()
+		S, B := cfg.S, cfg.Block
 		cij := tensor.New(aij.Rows, bij.Cols)
-		for s := 0; s < cfg.S; s++ {
-			c.SpanStart(recorder.OpGemmStep, s)
-			as := tensor.SliceCol(aij, cfg.S, s, cfg.Block)
-			bs := tensor.SliceRow(bij, cfg.S, s, cfg.Block)
-			aPrime := collective.AllGatherCols(row, as) // AG_col: gather along the row
-			bPrime := collective.AllGatherRows(col, bs) // AG_row: gather down the column
-			tensor.MatMulAdd(cij, aPrime, bPrime)
-			c.SpanEnd(recorder.OpGemmStep)
+		aBuf := cfg.streamBufs(aij.Rows, row.Size*(aij.Cols/S)) // gathered A'
+		bBuf := cfg.streamBufs(col.Size*(bij.Rows/S), bij.Cols) // gathered B'
+		n := len(aBuf)
+		compute := func(s int) {
+			c.SpanStart(recorder.OpCompute, s)
+			tensor.MatMulAdd(cij, aBuf[s%n], bBuf[s%n])
+			c.SpanEnd(recorder.OpCompute)
 		}
-		return cij
-	}
-}
-
-// MeshSliceBidir is the OS MeshSlice algorithm with the partial collectives
-// running over BOTH ring directions (collective.AllGatherBidir): identical
-// data movement volume, half the synchronised steps — the variant current
-// TPU runtimes cannot drive (§5.3.1). The result is exactly MeshSlice's.
-func MeshSliceBidir(cfg MeshSliceConfig) ChipFunc {
-	return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
-		row, col := c.RowComm(), c.ColComm()
-		cij := tensor.New(aij.Rows, bij.Cols)
-		for s := 0; s < cfg.S; s++ {
-			c.SpanStart(recorder.OpGemmStep, s)
-			as := tensor.SliceCol(aij, cfg.S, s, cfg.Block)
-			bs := tensor.SliceRow(bij, cfg.S, s, cfg.Block)
-			aPrime := tensor.ConcatCols(collective.AllGatherBidir(row, as))
-			bPrime := collective.AllGatherRowsBidir(col, bs)
-			tensor.MatMulAdd(cij, aPrime, bPrime)
-			c.SpanEnd(recorder.OpGemmStep)
+		if !cfg.Pipelined {
+			for s := 0; s < S; s++ {
+				collective.AllGatherColsInto(row, tensor.SliceCol(aij, S, s, B), aBuf[0]) // AG_col: gather along the row
+				collective.AllGatherRowsInto(col, tensor.SliceRow(bij, S, s, B), bBuf[0]) // AG_row: gather down the column
+				compute(s)
+			}
+			return cij
 		}
+		// Prolog: issue slice 0's gathers before entering the loop.
+		ha := collective.StartAllGatherColsInto(row, tensor.SliceCol(aij, S, 0, B), aBuf[0])
+		hb := collective.StartAllGatherRowsInto(col, tensor.SliceRow(bij, S, 0, B), bBuf[0])
+		for s := 0; s < S-1; s++ {
+			// Prefetch: slice s+1's gathers run underneath slice s's MatMul.
+			haN := collective.StartAllGatherColsInto(row, tensor.SliceCol(aij, S, s+1, B), aBuf[(s+1)%n])
+			hbN := collective.StartAllGatherRowsInto(col, tensor.SliceRow(bij, S, s+1, B), bBuf[(s+1)%n])
+			ha.Wait()
+			hb.Wait()
+			compute(s)
+			ha, hb = haN, hbN
+		}
+		// Epilogue: the last slice has nothing left to prefetch.
+		ha.Wait()
+		hb.Wait()
+		compute(S - 1)
 		return cij
 	}
 }
@@ -136,43 +171,115 @@ func MeshSliceBidir(cfg MeshSliceConfig) ChipFunc {
 // meshSliceLS: A stays local; for each s, slice B along its local N rows,
 // all-gather down the column, compute C' = A·B'ᵀ, reduce-scatter C' along
 // the row, and write the result into the s-th column sub-shard of C
-// (Fig. 5 centre).
+// (Fig. 5 centre). At depth 1 it is a three-stage pipeline: slice s+1's
+// AllGather prefetches and slice s−1's ReduceScatter drains underneath slice
+// s's MatMul. The partial product accumulates into a reused buffer (Zero +
+// MatMulAddNT ≡ MatMulNT bitwise: tensor.New zeroes and 0+x == x).
 func meshSliceLS(cfg MeshSliceConfig) ChipFunc {
 	return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
 		row, col := c.RowComm(), c.ColComm()
-		n := bij.Rows * col.Size // global N
-		cij := tensor.New(aij.Rows, n/row.Size)
-		for s := 0; s < cfg.S; s++ {
-			c.SpanStart(recorder.OpGemmStep, s)
-			bs := tensor.SliceRow(bij, cfg.S, s, cfg.Block)
-			bPrime := collective.AllGatherRows(col, bs)     // (N/S) × K/Pc
-			cPrime := tensor.MatMulNT(aij, bPrime)          // M/Pr × N/S partial
-			cs := collective.ReduceScatterCols(row, cPrime) // M/Pr × N/(S·Pc)
-			tensor.UnsliceColInto(cij, cs, cfg.S, s, cfg.Block)
-			c.SpanEnd(recorder.OpGemmStep)
+		S, B := cfg.S, cfg.Block
+		nSlice := col.Size * (bij.Rows / S) // N/S
+		cij := tensor.New(aij.Rows, S*nSlice/row.Size)
+		bBuf := cfg.streamBufs(nSlice, bij.Cols)           // (N/S) × K/Pc gathered B'
+		cpBuf := cfg.streamBufs(aij.Rows, nSlice)          // M/Pr × N/S partial C'
+		csBuf := cfg.streamBufs(aij.Rows, nSlice/row.Size) // M/Pr × N/(S·Pc) scattered
+		n := len(bBuf)
+		compute := func(s int) {
+			c.SpanStart(recorder.OpCompute, s)
+			cpBuf[s%n].Zero()
+			tensor.MatMulAddNT(cpBuf[s%n], aij, bBuf[s%n])
+			c.SpanEnd(recorder.OpCompute)
 		}
+		if !cfg.Pipelined {
+			for s := 0; s < S; s++ {
+				collective.AllGatherRowsInto(col, tensor.SliceRow(bij, S, s, B), bBuf[0])
+				compute(s)
+				collective.ReduceScatterColsInto(row, cpBuf[0], csBuf[0])
+				tensor.UnsliceColInto(cij, csBuf[0], S, s, B)
+			}
+			return cij
+		}
+		hb := collective.StartAllGatherRowsInto(col, tensor.SliceRow(bij, S, 0, B), bBuf[0])
+		var hr *collective.Handle // the one in-flight ReduceScatter
+		for s := 0; s < S-1; s++ {
+			hbN := collective.StartAllGatherRowsInto(col, tensor.SliceRow(bij, S, s+1, B), bBuf[(s+1)%n])
+			hb.Wait()
+			compute(s)
+			if s > 0 {
+				// Drain slice s−1's ReduceScatter, which ran underneath
+				// this slice's MatMul.
+				hr.Wait()
+				tensor.UnsliceColInto(cij, csBuf[(s-1)%n], S, s-1, B)
+			}
+			hr = collective.StartReduceScatterColsInto(row, cpBuf[s%n], csBuf[s%n])
+			hb = hbN
+		}
+		// Epilogue: last slice's compute, drain its predecessor, then its own
+		// ReduceScatter has nothing left to hide under.
+		hb.Wait()
+		compute(S - 1)
+		if S > 1 {
+			hr.Wait()
+			tensor.UnsliceColInto(cij, csBuf[(S-2)%n], S, S-2, B)
+		}
+		hr = collective.StartReduceScatterColsInto(row, cpBuf[(S-1)%n], csBuf[(S-1)%n])
+		hr.Wait()
+		tensor.UnsliceColInto(cij, csBuf[(S-1)%n], S, S-1, B)
 		return cij
 	}
 }
 
-// meshSliceRS: B stays local; for each s, slice A along its local M
-// columns, all-gather along the row, compute C' = A'ᵀ·B, reduce-scatter C'
-// down the column, and write the result into the s-th row sub-shard of C
-// (Fig. 5 right).
+// meshSliceRS is the RS mirror of meshSliceLS (Fig. 5 right): B stays local,
+// A's M-column slices gather along the row, C' = A'ᵀ·B, and the partial
+// products reduce-scatter down the column into the s-th row sub-shard of C.
 func meshSliceRS(cfg MeshSliceConfig) ChipFunc {
 	return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
 		row, col := c.RowComm(), c.ColComm()
-		m := aij.Cols * row.Size // global M
-		cij := tensor.New(m/col.Size, bij.Cols)
-		for s := 0; s < cfg.S; s++ {
-			c.SpanStart(recorder.OpGemmStep, s)
-			as := tensor.SliceCol(aij, cfg.S, s, cfg.Block)
-			aPrime := collective.AllGatherCols(row, as)     // K/Pr × M/S
-			cPrime := tensor.MatMulTN(aPrime, bij)          // M/S × N/Pc partial
-			cs := collective.ReduceScatterRows(col, cPrime) // M/(S·Pr) × N/Pc
-			tensor.UnsliceRowInto(cij, cs, cfg.S, s, cfg.Block)
-			c.SpanEnd(recorder.OpGemmStep)
+		S, B := cfg.S, cfg.Block
+		mSlice := row.Size * (aij.Cols / S) // M/S
+		cij := tensor.New(S*mSlice/col.Size, bij.Cols)
+		aBuf := cfg.streamBufs(aij.Rows, mSlice)           // K/Pr × M/S gathered A'
+		cpBuf := cfg.streamBufs(mSlice, bij.Cols)          // M/S × N/Pc partial C'
+		csBuf := cfg.streamBufs(mSlice/col.Size, bij.Cols) // M/(S·Pr) × N/Pc scattered
+		n := len(aBuf)
+		compute := func(s int) {
+			c.SpanStart(recorder.OpCompute, s)
+			cpBuf[s%n].Zero()
+			tensor.MatMulAddTN(cpBuf[s%n], aBuf[s%n], bij)
+			c.SpanEnd(recorder.OpCompute)
 		}
+		if !cfg.Pipelined {
+			for s := 0; s < S; s++ {
+				collective.AllGatherColsInto(row, tensor.SliceCol(aij, S, s, B), aBuf[0])
+				compute(s)
+				collective.ReduceScatterRowsInto(col, cpBuf[0], csBuf[0])
+				tensor.UnsliceRowInto(cij, csBuf[0], S, s, B)
+			}
+			return cij
+		}
+		ha := collective.StartAllGatherColsInto(row, tensor.SliceCol(aij, S, 0, B), aBuf[0])
+		var hr *collective.Handle
+		for s := 0; s < S-1; s++ {
+			haN := collective.StartAllGatherColsInto(row, tensor.SliceCol(aij, S, s+1, B), aBuf[(s+1)%n])
+			ha.Wait()
+			compute(s)
+			if s > 0 {
+				hr.Wait()
+				tensor.UnsliceRowInto(cij, csBuf[(s-1)%n], S, s-1, B)
+			}
+			hr = collective.StartReduceScatterRowsInto(col, cpBuf[s%n], csBuf[s%n])
+			ha = haN
+		}
+		ha.Wait()
+		compute(S - 1)
+		if S > 1 {
+			hr.Wait()
+			tensor.UnsliceRowInto(cij, csBuf[(S-2)%n], S, S-2, B)
+		}
+		hr = collective.StartReduceScatterRowsInto(col, cpBuf[(S-1)%n], csBuf[(S-1)%n])
+		hr.Wait()
+		tensor.UnsliceRowInto(cij, csBuf[(S-1)%n], S, S-1, B)
 		return cij
 	}
 }

@@ -41,9 +41,9 @@ type AlgOptions struct {
 	Block int
 	// Iterations overrides SUMMA's panel count.
 	Iterations int
-	// Pipelined selects the double-buffered overlapped schedules where
-	// the algorithm has one (MeshSlice, Wang); algorithms without an
-	// overlapped variant ignore it and run serially. Results are
+	// Pipelined selects prefetch depth 1 (collectives on background comm
+	// lanes underneath the MatMuls) of the algorithms whose schedule has
+	// one (MeshSlice, Wang); the others ignore it. Results are
 	// bit-identical either way.
 	Pipelined bool
 }

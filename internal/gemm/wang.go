@@ -10,41 +10,21 @@ import (
 	"meshslice/internal/topology"
 )
 
-// Wang returns the ChipFunc for Wang et al.'s algorithm (paper §2.3.4,
-// [34]): the collective communication in ONE direction is decomposed into
-// multiple SendRecv operations that (on real hardware) overlap with partial
-// GeMMs, while the collective in the other direction remains monolithic and
-// non-overlapped.
+// This file implements Wang et al.'s algorithm (paper §2.3.4, [34]): the
+// collective communication in ONE direction is decomposed into multiple
+// SendRecv operations that overlap with partial GeMMs, while the collective
+// in the other direction remains monolithic and non-overlapped. Decomposing
+// both directions would require Cannon (and its square-mesh limitation),
+// which is exactly the gap MeshSlice closes.
 //
-// This implementation computes the OS product C = A·B: B is all-gathered
-// down the columns in a single collective; A circulates around each row via
-// Pc SendRecv steps, one partial product per step. Decomposing both
-// directions would require Cannon (and its square-mesh limitation), which
-// is exactly the gap MeshSlice closes.
-func Wang() ChipFunc {
-	return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
-		row, col := c.RowComm(), c.ColComm()
-		// Non-overlapped direction: one monolithic AllGather of B.
-		bFull := collective.AllGatherRows(col, bij) // K × N/Pc
+// One loop (circulate) walks the ring for all three dataflows and both
+// prefetch depths; the dataflows differ only in which shard circulates, on
+// which ring, and what one step computes.
 
-		// Overlapped direction: A shards circulate via SendRecv.
-		pc := row.Size
-		kLocal := aij.Cols // K/Pc columns per shard
-		cij := tensor.New(aij.Rows, bij.Cols)
-		a := aij
-		for t := 0; t < pc; t++ {
-			c.SpanStart(recorder.OpGemmStep, t)
-			src := (row.Pos + t) % pc // column whose A shard we now hold
-			bPanel := bFull.SubMatrix(src*kLocal, 0, kLocal, bFull.Cols)
-			tensor.MatMulAdd(cij, a, bPanel)
-			if t < pc-1 {
-				a = row.Shift(-1, a) // pull the next shard from the right
-			}
-			c.SpanEnd(recorder.OpGemmStep)
-		}
-		return cij
-	}
-}
+// Wang is WangDataflow(OS): B is all-gathered down the columns in a single
+// collective; A circulates around each row via Pc SendRecv steps, one
+// partial product per step.
+func Wang() ChipFunc { return WangDataflow(OS) }
 
 // WangValidate reports whether Wang's algorithm can run the problem on the
 // torus.
@@ -68,62 +48,84 @@ func WangValidate(p Problem, t topology.Torus) error {
 	return nil
 }
 
-// WangDataflow returns Wang's algorithm for any dataflow: the flowing
-// input's AllGather is decomposed into SendRecv shifts (one partial GeMM
-// per arriving shard); for LS/RS the trailing output ReduceScatter stays
-// monolithic, mirroring the timing schedule in package sched.
-func WangDataflow(df Dataflow) ChipFunc {
+// WangDataflow returns Wang's algorithm for any dataflow at prefetch depth
+// 0: the flowing input's AllGather is decomposed into SendRecv shifts (one
+// partial GeMM per arriving shard), each completed inline after the step's
+// MatMul; for LS/RS the trailing output ReduceScatter stays monolithic,
+// mirroring the timing schedule in package sched.
+func WangDataflow(df Dataflow) ChipFunc { return wang(df, false) }
+
+// WangPipelined is the same schedule at prefetch depth 1: the shift of shard
+// t+1 is issued on the background comm lane before the partial GeMM on shard
+// t and waited after it. Results are bit-identical to WangDataflow.
+func WangPipelined(df Dataflow) ChipFunc { return wang(df, true) }
+
+func wang(df Dataflow, pipelined bool) ChipFunc {
 	switch df {
 	case OS:
-		return Wang()
+		return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
+			row, col := c.RowComm(), c.ColComm()
+			bFull := collective.AllGatherRows(col, bij) // non-overlapped direction: K × N/Pc
+			kLocal := aij.Cols                          // K/Pc columns per shard
+			cij := tensor.New(aij.Rows, bij.Cols)
+			circulate(c, row, pipelined, aij, func(src int, a *tensor.Matrix) {
+				tensor.MatMulAdd(cij, a, bFull.SubMatrix(src*kLocal, 0, kLocal, bFull.Cols))
+			})
+			return cij
+		}
 	case LS:
-		return wangLS
+		// B's shards stream down the column; each fills the matching column
+		// block of the partial product, and the RdS along the row trails.
+		return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
+			row, col := c.RowComm(), c.ColComm()
+			cPrime := tensor.New(aij.Rows, bij.Rows*col.Size)
+			circulate(c, col, pipelined, bij, func(src int, b *tensor.Matrix) {
+				cPrime.SetSubMatrix(0, src*bij.Rows, tensor.MatMulNT(aij, b)) // M/Pr × N/Pr, partial over K/Pc
+			})
+			return collective.ReduceScatterCols(row, cPrime)
+		}
 	case RS:
-		return wangRS
+		// A's shards stream along the row; the RdS down the column trails.
+		return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
+			row, col := c.RowComm(), c.ColComm()
+			cPrime := tensor.New(aij.Cols*row.Size, bij.Cols)
+			circulate(c, row, pipelined, aij, func(src int, a *tensor.Matrix) {
+				cPrime.SetSubMatrix(src*aij.Cols, 0, tensor.MatMulTN(a, bij)) // M/Pc × N/Pc, partial over K/Pr
+			})
+			return collective.ReduceScatterRows(col, cPrime)
+		}
 	default:
-		panic(fmt.Sprintf("gemm: unknown dataflow %d", int(df)))
+		panic(fmt.Sprintf("gemm: unknown dataflow %d", int(df))) // lint:invariant exhaustive switch guard
 	}
 }
 
-// wangLS streams B's shards down the column: at step t the chip holds the
-// shard originating from mesh row (i+t) mod Pr and fills the matching
-// column block of the partial product; the RdS along the row runs once at
-// the end.
-func wangLS(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
-	row, col := c.RowComm(), c.ColComm()
-	pr := col.Size
-	n := bij.Rows * pr
-	cPrime := tensor.New(aij.Rows, n)
-	b := bij
-	for t := 0; t < pr; t++ {
-		c.SpanStart(recorder.OpGemmStep, t)
-		src := (col.Pos + t) % pr
-		block := tensor.MatMulNT(aij, b) // M/Pr × N/Pr, partial over K/Pc
-		cPrime.SetSubMatrix(0, src*bij.Rows, block)
-		if t < pr-1 {
-			b = col.Shift(-1, b)
-		}
-		c.SpanEnd(recorder.OpGemmStep)
+// circulate is Wang's decomposed direction: the chip's shard travels once
+// around ring cm, and step t calls compute (inside a kernel span) with the
+// shard now held and the ring position src it originated from. At depth 0
+// the next shard is pulled from the right after the step's compute; at depth
+// 1 its shift is already in flight underneath it — StartShiftInto's send
+// clones, so the chip may keep reading the current shard while it moves.
+func circulate(c *mesh.Chip, cm *mesh.Comm, pipelined bool, shard *tensor.Matrix, compute func(src int, cur *tensor.Matrix)) {
+	step := func(t int, cur *tensor.Matrix) {
+		c.SpanStart(recorder.OpCompute, t)
+		compute((cm.Pos+t)%cm.Size, cur)
+		c.SpanEnd(recorder.OpCompute)
 	}
-	return collective.ReduceScatterCols(row, cPrime)
-}
-
-// wangRS streams A's shards along the row; the RdS down the column trails.
-func wangRS(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
-	row, col := c.RowComm(), c.ColComm()
-	pc := row.Size
-	m := aij.Cols * pc
-	cPrime := tensor.New(m, bij.Cols)
-	a := aij
-	for t := 0; t < pc; t++ {
-		c.SpanStart(recorder.OpGemmStep, t)
-		src := (row.Pos + t) % pc
-		block := tensor.MatMulTN(a, bij) // M/Pc × N/Pc, partial over K/Pr
-		cPrime.SetSubMatrix(src*aij.Cols, 0, block)
-		if t < pc-1 {
-			a = row.Shift(-1, a)
-		}
-		c.SpanEnd(recorder.OpGemmStep)
+	var bufs [2]*tensor.Matrix // depth-1 landing buffers, alternating per step
+	if pipelined {
+		bufs[0], bufs[1] = tensor.New(shard.Rows, shard.Cols), tensor.New(shard.Rows, shard.Cols)
 	}
-	return collective.ReduceScatterRows(col, cPrime)
+	cur := shard
+	for t := 0; t < cm.Size-1; t++ {
+		if pipelined {
+			h := collective.StartShiftInto(cm, -1, cur, bufs[t%2])
+			step(t, cur)
+			h.Wait()
+			cur = bufs[t%2]
+		} else {
+			step(t, cur)
+			cur = cm.Shift(-1, cur)
+		}
+	}
+	step(cm.Size-1, cur) // final shard: nothing left to circulate
 }

@@ -26,6 +26,111 @@ func PipelinedIdiom(cm *Comm, local *Matrix, dst [2]*Matrix, iters int) {
 	h.Wait()
 }
 
+// AllGatherRowsInto mimics the synchronous collective.AllGatherRowsInto.
+func (cm *Comm) AllGatherRowsInto(local, dst *Matrix) {}
+
+// DepthSelectedIdiom is the shape of the merged MeshSlice schedules: one
+// function serves both prefetch depths. Depth 0 completes every collective
+// inline and returns before any Start; depth 1 is PipelinedIdiom. The
+// selection is a top-level branch because a handle that crosses iterations
+// cannot also be conditional on the depth (ConditionalPrefetch). No findings.
+func DepthSelectedIdiom(cm *Comm, local *Matrix, dst [2]*Matrix, iters int, pipelined bool) {
+	if !pipelined {
+		for i := 0; i < iters; i++ {
+			cm.AllGatherRowsInto(local, dst[0])
+		}
+		return
+	}
+	h := cm.StartAllGatherRowsInto(local, dst[0])
+	for i := 0; i < iters-1; i++ {
+		hN := cm.StartAllGatherRowsInto(local, dst[(i+1)%2])
+		h.Wait()
+		h = hN
+	}
+	h.Wait()
+}
+
+// DepthSelectedDroppedWait is DepthSelectedIdiom without the epilogue Wait:
+// the last rotated-in handle is never discharged.
+func DepthSelectedDroppedWait(cm *Comm, local *Matrix, dst [2]*Matrix, iters int, pipelined bool) {
+	if !pipelined {
+		for i := 0; i < iters; i++ {
+			cm.AllGatherRowsInto(local, dst[0])
+		}
+		return
+	}
+	h := cm.StartAllGatherRowsInto(local, dst[0]) // want "async handle may leak"
+	for i := 0; i < iters-1; i++ {
+		hN := cm.StartAllGatherRowsInto(local, dst[(i+1)%2])
+		h.Wait()
+		h = hN
+	}
+}
+
+// DepthSelectedStep is the shape of Wang's circulate loop: both depths share
+// ONE loop, which works because the handle lives entirely inside the depth-1
+// arm of a single iteration. No findings.
+func DepthSelectedStep(cm *Comm, local *Matrix, dst [2]*Matrix, iters int, pipelined bool) {
+	for i := 0; i < iters-1; i++ {
+		if pipelined {
+			h := cm.StartAllGatherRowsInto(local, dst[i%2])
+			local.Add(local) // the step's compute runs underneath the op
+			h.Wait()
+		} else {
+			local.Add(local)
+			cm.AllGatherRowsInto(local, dst[0])
+		}
+	}
+}
+
+// DepthSelectedStepDroppedWait forgets the Wait inside the depth-1 arm.
+func DepthSelectedStepDroppedWait(cm *Comm, local *Matrix, dst [2]*Matrix, iters int, pipelined bool) {
+	for i := 0; i < iters-1; i++ {
+		if pipelined {
+			h := cm.StartAllGatherRowsInto(local, dst[i%2]) // want "async handle may leak"
+			local.Add(local)
+			_ = h
+		} else {
+			local.Add(local)
+			cm.AllGatherRowsInto(local, dst[0])
+		}
+	}
+}
+
+// DrainIdiom is the ReduceScatter stream of the three-stage LS/RS pipelines:
+// one named handle, waited at the top of the next iteration (the op drains
+// underneath that iteration's compute) and re-issued at its bottom, with the
+// final issue drained straight after the loop. No findings.
+func DrainIdiom(cm *Comm, wide *Matrix, dst [2]*Matrix, iters int) {
+	var h *Handle
+	for i := 0; i < iters-1; i++ {
+		if i > 0 {
+			h.Wait()
+		}
+		h = cm.StartReduceScatterColsInto(wide, dst[i%2])
+	}
+	if iters > 1 {
+		h.Wait()
+	}
+	h = cm.StartReduceScatterColsInto(wide, dst[(iters-1)%2])
+	h.Wait()
+}
+
+// DrainDroppedWait is DrainIdiom without the final Wait.
+func DrainDroppedWait(cm *Comm, wide *Matrix, dst [2]*Matrix, iters int) {
+	var h *Handle
+	for i := 0; i < iters-1; i++ {
+		if i > 0 {
+			h.Wait()
+		}
+		h = cm.StartReduceScatterColsInto(wide, dst[i%2])
+	}
+	if iters > 1 {
+		h.Wait()
+	}
+	h = cm.StartReduceScatterColsInto(wide, dst[(iters-1)%2]) // want "async handle may leak"
+}
+
 // ConditionalPrefetch guards the issue and the wait by conditions the
 // path-insensitive analyzer cannot correlate, so it reports a maybe-leak
 // (the rotation moves the branch-issued handle's obligation into h, which

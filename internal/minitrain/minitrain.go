@@ -33,10 +33,10 @@ type Config struct {
 	// S and Block parameterise the MeshSlice GeMMs of the distributed run.
 	S     int
 	Block int
-	// Pipelined runs every MeshSlice GeMM of the step on the overlapped
-	// double-buffered schedule. Training results are bit-identical either
-	// way (the pipelined schedules are bitwise equal to serial), so this
-	// is purely a wall-clock knob — the elastic trainer keeps it across
+	// Pipelined runs every MeshSlice GeMM of the step at prefetch depth 1
+	// (gemm.MeshSliceConfig.Pipelined). Training results are bit-identical
+	// either way (depth only changes when messages move), so this is
+	// purely a wall-clock knob — the elastic trainer keeps it across
 	// retune-resume cycles.
 	Pipelined bool
 }

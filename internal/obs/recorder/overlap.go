@@ -4,12 +4,14 @@ package recorder
 // so "overlap" cannot mean intersecting timestamps; instead it is a
 // causality property visible in each chip's merged event stream: an
 // asynchronous collective counts as overlapped iff the chip opened a
-// compute span (a GeMM step or a pipelined kernel span, lane 0) between the
+// compute span (a GeMM step or a kernel span, lane 0) between the
 // op's KindAsyncIssue and its KindAsyncWait. Because Wait merges the op's
 // events at a deterministic program point, the metric is itself
-// deterministic — serial programs (which Wait immediately after issuing, or
-// never issue at all) score exactly 0, and a correctly pipelined schedule
-// with S >= 2 slices scores > 0 on every chip.
+// deterministic — a run that issues no async op scores exactly 0 (SUMMA,
+// Cannon and Collective 2D always; MeshSlice and Wang at prefetch depth 0,
+// where every collective completes inline on the chip goroutine), and
+// MeshSlice or Wang at depth 1 with at least two slices (ring steps) scores
+// > 0 on every chip.
 
 // ChipOverlap is one chip's async-op tally.
 type ChipOverlap struct {
@@ -32,7 +34,8 @@ type OverlapStats struct {
 }
 
 // isComputeEvidence reports whether a lane-0 span-start event proves the
-// chip was computing: a GeMM algorithm step or a pipelined kernel span.
+// chip was computing: a whole-step span (SUMMA, Cannon, Collective 2D) or a
+// kernel span (MeshSlice, Wang).
 func isComputeEvidence(e Event) bool {
 	return e.Kind == KindSpanStart && e.Lane == 0 && (e.Op == OpGemmStep || e.Op == OpCompute)
 }

@@ -45,9 +45,10 @@ const (
 	OpAllGatherBidir
 	// OpReduceScatterBidir covers the bidirectional ReduceScatter variant.
 	OpReduceScatterBidir
-	// OpGemmStep is one step of a distributed GeMM algorithm: a MeshSlice
-	// slice, a SUMMA panel, a Cannon or Wang shift iteration, or the single
-	// step of Collective 2D. The span's Step field carries the index.
+	// OpGemmStep is one whole step — communication and kernel together — of
+	// the algorithms with no overlapped schedule: a SUMMA panel, a Cannon
+	// shift iteration, or the single step of Collective 2D. The span's Step
+	// field carries the index. MeshSlice and Wang emit OpCompute instead.
 	OpGemmStep
 	// OpSnapshot covers the encoding of one chip's checkpoint record. The
 	// span's Step field carries the checkpoint epoch.
@@ -55,10 +56,11 @@ const (
 	// OpRestore covers checkpoint restore on a chip, including the restore
 	// digest broadcast that fences all chips on the same snapshot.
 	OpRestore
-	// OpCompute is a kernel-only span: the pipelined GeMM paths wrap each
-	// MatMul call in one, so the overlap metric (and the Chrome trace) can
+	// OpCompute is a kernel-only span: MeshSlice and Wang wrap each MatMul
+	// call in one at both prefetch depths (their collectives record their
+	// own spans beside it), so the overlap metric (and the Chrome trace) can
 	// tell compute apart from the async collectives draining underneath it.
-	// The span's Step field carries the slice index.
+	// The span's Step field carries the slice (or ring-walk step) index.
 	OpCompute
 	// OpShift is an asynchronous SendRecv shift (Wang's overlapped
 	// direction, run on a background comm lane).
