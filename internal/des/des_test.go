@@ -2,7 +2,9 @@ package des
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"meshslice/internal/obs"
@@ -180,82 +182,6 @@ func TestRunEmptyReturnsZero(t *testing.T) {
 	}
 }
 
-func TestResourceSerialisesFIFO(t *testing.T) {
-	s := New()
-	r := NewResource(s)
-	var starts []float64
-	use := func(d float64) {
-		r.Use(d, func(at float64) { starts = append(starts, at) })
-	}
-	s.Schedule(0, func() {
-		use(2) // [0,2)
-		use(3) // [2,5)
-		use(1) // [5,6)
-	})
-	end := s.Run()
-	if !reflect.DeepEqual(starts, []float64{0, 2, 5}) {
-		t.Errorf("starts = %v", starts)
-	}
-	if end != 6 {
-		t.Errorf("end = %v, want 6", end)
-	}
-}
-
-func TestResourceInterleavedRequests(t *testing.T) {
-	s := New()
-	r := NewResource(s)
-	var starts []float64
-	s.Schedule(0, func() {
-		r.Use(5, func(at float64) { starts = append(starts, at) })
-	})
-	s.Schedule(1, func() {
-		// Requested mid-hold: must wait until 5.
-		r.Use(2, func(at float64) { starts = append(starts, at) })
-		if !r.Busy() {
-			t.Errorf("resource should be busy at t=1")
-		}
-		if r.QueueLen() != 1 {
-			t.Errorf("queue length = %d", r.QueueLen())
-		}
-	})
-	s.Run()
-	if !reflect.DeepEqual(starts, []float64{0, 5}) {
-		t.Errorf("starts = %v", starts)
-	}
-}
-
-func TestResourceIdleGrantIsImmediate(t *testing.T) {
-	s := New()
-	r := NewResource(s)
-	granted := false
-	s.Schedule(3, func() {
-		r.Use(1, func(at float64) {
-			granted = true
-			if at != 3 {
-				t.Errorf("granted at %v, want 3", at)
-			}
-		})
-	})
-	s.Run()
-	if !granted {
-		t.Errorf("idle resource never granted")
-	}
-	if r.Busy() || r.QueueLen() != 0 {
-		t.Errorf("resource not released: busy=%v queue=%d", r.Busy(), r.QueueLen())
-	}
-}
-
-func TestResourceNegativeDurationPanics(t *testing.T) {
-	s := New()
-	r := NewResource(s)
-	defer func() {
-		if recover() == nil {
-			t.Errorf("negative duration should panic")
-		}
-	}()
-	r.Use(-1, nil)
-}
-
 func TestKernelStats(t *testing.T) {
 	s := New()
 	for i := 0; i < 5; i++ {
@@ -300,4 +226,142 @@ func TestPublishMetrics(t *testing.T) {
 		t.Errorf("des_queue_high_water = %v, want 2", got)
 	}
 	s.PublishMetrics(nil) // must be a no-op, not a crash
+}
+
+func TestAfterCallRunsHandlerWithArg(t *testing.T) {
+	// The handler+arg form shares the (time, seq) order with the closure
+	// form: same-instant events of both kinds run in scheduling order.
+	s := New()
+	var order []int
+	note := func(arg int) { order = append(order, arg) }
+	s.AfterCall(2, note, 20)
+	s.After(1, func() { order = append(order, 10) })
+	s.AfterCall(1, note, 11)
+	s.After(1, func() { order = append(order, 12) })
+	if end := s.Run(); end != 2 {
+		t.Errorf("end = %v, want 2", end)
+	}
+	if want := []int{10, 11, 12, 20}; !reflect.DeepEqual(order, want) {
+		t.Errorf("order = %v, want %v", order, want)
+	}
+}
+
+func TestAfterCallPreconditions(t *testing.T) {
+	for name, delay := range map[string]float64{"negative": -1, "NaN": math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AfterCall with %s delay should panic", name)
+				}
+			}()
+			New().AfterCall(delay, func(int) {}, 0)
+		}()
+	}
+}
+
+// TestHeapPopsInStableTimeOrder is the heap's contract: 10k events with
+// random times — most drawn from 40 distinct instants, so same-time bursts
+// are over a hundred deep — pop in exactly the order a stable sort by time
+// gives, i.e. FIFO within an instant. Half go through each event form, and
+// a third are scheduled from inside running events.
+func TestHeapPopsInStableTimeOrder(t *testing.T) {
+	const n = 10000
+	rng := rand.New(rand.NewSource(17))
+	type stamp struct {
+		at  float64
+		idx int
+	}
+	var scheduled, popped []stamp
+	s := New()
+	note := func(idx int) { popped = append(popped, stamp{s.Now(), idx}) }
+	add := func(at float64) {
+		idx := len(scheduled)
+		scheduled = append(scheduled, stamp{at, idx})
+		if idx%2 == 0 {
+			s.AfterCall(at-s.Now(), note, idx)
+		} else {
+			s.Schedule(at, func() { note(idx) })
+		}
+	}
+	for i := 0; i < 2*n/3; i++ {
+		at := float64(rng.Intn(40))
+		if i%5 == 0 {
+			at = rng.Float64() * 40
+		}
+		add(at)
+	}
+	// A driver event at every integer instant schedules more work at or
+	// after its own time (a zero delay lands behind the instant's queue).
+	for tick := 0; tick < 40; tick++ {
+		tick := tick
+		s.Schedule(float64(tick), func() {
+			for i := 0; i < n/3/40; i++ {
+				add(float64(tick + rng.Intn(40-tick)))
+			}
+		})
+	}
+	s.Run()
+	if s.Pending() != 0 || len(popped) != len(scheduled) {
+		t.Fatalf("popped %d of %d events, %d pending", len(popped), len(scheduled), s.Pending())
+	}
+	// add appends in call order, so idx order is scheduling order and a
+	// stable sort by time is the (at, seq) order.
+	sort.SliceStable(scheduled, func(i, j int) bool { return scheduled[i].at < scheduled[j].at })
+	for i := range scheduled {
+		if popped[i] != scheduled[i] {
+			t.Fatalf("pop %d = %+v, stable time order wants %+v", i, popped[i], scheduled[i])
+		}
+	}
+}
+
+// TestDispatchAllocatesNothing is the kernel's allocation gate: once the
+// queue slice has reached its high-water capacity, scheduling and running
+// events costs 0 allocations through a pre-built func() and through the
+// handler+arg form.
+func TestDispatchAllocatesNothing(t *testing.T) {
+	const events, depth = 4096, 256
+	s := New()
+	remaining := 0
+	var tick func()
+	tick = func() {
+		if remaining > 0 {
+			remaining--
+			s.After(1e-6*float64(1+remaining%7), tick)
+		}
+	}
+	var tickArg func(int)
+	tickArg = func(arg int) {
+		if remaining > 0 {
+			remaining--
+			s.AfterCall(1e-6*float64(1+arg%7), tickArg, arg+1)
+		}
+	}
+	forms := []struct {
+		name string
+		seed func(i int)
+	}{
+		{"func()", func(i int) { s.After(1e-6*float64(1+i%5), tick) }},
+		{"handler+arg", func(i int) { s.AfterCall(1e-6*float64(1+i%5), tickArg, i) }},
+	}
+	for _, form := range forms {
+		name := form.name
+		run := func() {
+			remaining = events - depth
+			for i := 0; i < depth; i++ {
+				form.seed(i)
+			}
+			s.Run()
+		}
+		run() // reach the high-water capacity
+		before := s.EventsRun()
+		allocs := testing.AllocsPerRun(5, run)
+		perRun := (s.EventsRun() - before) / 6 // AllocsPerRun adds one warm-up run
+		t.Logf("%s: %d events per run, queue high water %d, %.0f allocs per run", name, perRun, s.QueueHighWater(), allocs)
+		if perRun != events {
+			t.Errorf("%s: ran %d events per run, want %d", name, perRun, events)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %.0f allocations per %d events, want 0", name, allocs, events)
+		}
+	}
 }

@@ -78,7 +78,7 @@ func (s *sim) criticalPath() CriticalPath {
 	var cp CriticalPath
 	for id := last; id >= 0; id = s.causeOf[id] {
 		chip, opIdx := id/n, id%n
-		op := s.prog.Ops[opIdx]
+		op := &s.prog.Ops[opIdx]
 		start, end := s.startAt[id], s.endAt[id]
 		s.attribute(op, end-start, &cp.Attribution)
 		cp.Steps = append(cp.Steps, PathStep{
@@ -107,7 +107,7 @@ func (s *sim) criticalPath() CriticalPath {
 // latency, per-step wire time — scaled to the actual (contention- and
 // skew-stretched) duration, so barrier skew and HBM interference inflate
 // the parts proportionally rather than vanishing from the total.
-func (s *sim) attribute(op sched.Op, dur float64, a *Attribution) {
+func (s *sim) attribute(op *sched.Op, dur float64, a *Attribution) {
 	if !op.Kind.IsComm() {
 		a.Compute += dur
 		return

@@ -66,7 +66,7 @@ func (f *Failure) Error() string {
 
 // recordFailure keeps the first failure observed; events run in time
 // order, so the first call is the earliest fault the program hits.
-func (s *sim) recordFailure(kind FailureKind, chip int, dir topology.Direction, opIdx int, op sched.Op) {
+func (s *sim) recordFailure(kind FailureKind, chip int, dir topology.Direction, opIdx int, op *sched.Op) {
 	if s.failure != nil {
 		return
 	}
@@ -94,7 +94,7 @@ func (s *sim) faultComputeStretch(chip int, dur float64) float64 {
 // starting now: the worst active degradation among the members' link
 // controllers in the op's direction, times the (P-1)× detour cost when a
 // single dead link is being re-routed around.
-func (s *sim) faultCommStretch(members []int, op sched.Op, dur float64) float64 {
+func (s *sim) faultCommStretch(members []int, op *sched.Op, dur float64) float64 {
 	if s.flt == nil {
 		return 1
 	}
@@ -122,7 +122,7 @@ func (s *sim) faultCommStretch(members []int, op sched.Op, dur float64) float64 
 // every member chip must be alive and the ring's links intact (or a single
 // dead link re-routable). It returns the failure to record and true when
 // the collective must halt.
-func (s *sim) faultHalt(members []int, op sched.Op) (FailureKind, int, bool) {
+func (s *sim) faultHalt(members []int, op *sched.Op) (FailureKind, int, bool) {
 	if s.flt == nil || len(members) < 2 || op.Steps == 0 {
 		return 0, 0, false
 	}

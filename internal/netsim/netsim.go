@@ -172,16 +172,28 @@ type sim struct {
 	core chipsim.Core
 	opts Options
 	des  *des.Simulator
-	tor  topology.Torus
 
-	nChips     int
-	dependents [][]int // op -> ops depending on it
-	depsLeft   [][]int // [chip][op]
-	done       [][]bool
+	nChips, nOps int
 
-	queues [][numRes]*resQueue // [chip][resource]
+	// order[r] lists the ops that occupy resource r in program order, the
+	// same on every chip.
+	order [numRes][]int
 
-	barriers map[barrierKey]*barrier
+	// Per-(chip, op) slabs, indexed by instID. An instance is granted once
+	// and is in flight at most once, so one slot per instance suffices:
+	// dur carries the granted duration from grant to the completion event,
+	// and arrived counts a ring barrier's arrivals in the slot of the
+	// ring's first member.
+	granted []bool
+	done    []bool
+	dur     []float64
+	arrived []int
+
+	queues []resQueue // [chip*numRes + resource]
+	// rings[lane][chip] is the chip's ring in that direction (lane as in
+	// commDirIndex), one slice shared by all members of the ring.
+	rings      [numCommDirs][][]int
+	completeFn func(int) // completeInst bound once: the handler of every completion event
 
 	hbmDemand []float64 // active HBM demand per chip (bytes/s)
 
@@ -224,51 +236,30 @@ type sim struct {
 // (topology.InterRow, InterCol, InterDepth).
 const numCommDirs = 3
 
+// resQueue is one chip's cursor into order[r]: every entry before head has
+// been granted, so tryGrant resumes there instead of rescanning.
 type resQueue struct {
-	order   []int // op indices in program order
-	granted []bool
-	busy    bool
-}
-
-type barrierKey struct {
-	op   int
-	ring int // ring identity: the rank of the ring's first member
-}
-
-type barrier struct {
-	arrived int
-	members int
+	head int
+	busy bool
 }
 
 type interval struct{ start, end float64 }
 
 func newSim(p *sched.Program, c hw.Chip, opts Options) *sim {
-	n := p.Chips()
+	n, nOps := p.Chips(), len(p.Ops)
 	s := &sim{
-		prog:     p,
-		hw:       c,
-		core:     chipsim.FromChip(c),
-		opts:     opts,
-		des:      des.New(),
-		tor:      p.Torus,
-		nChips:   n,
-		barriers: make(map[barrierKey]*barrier),
+		prog:   p,
+		hw:     c,
+		core:   chipsim.FromChip(c),
+		opts:   opts,
+		des:    des.New(),
+		nChips: n,
+		nOps:   nOps,
 	}
-	s.dependents = make([][]int, len(p.Ops))
-	for i, op := range p.Ops {
-		for _, d := range op.Deps {
-			s.dependents[d] = append(s.dependents[d], i)
-		}
-	}
-	s.depsLeft = make([][]int, n)
-	s.done = make([][]bool, n)
-	s.queues = make([][numRes]*resQueue, n)
+	s.completeFn = s.completeInst
 	s.hbmDemand = make([]float64, n)
 	s.computeBusyBy = make([]float64, n)
 	s.linkBusyBy = make([][numCommDirs]float64, n)
-	if opts.TraceAllChips {
-		s.traces = make([]Trace, n)
-	}
 	if !opts.Faults.Empty() {
 		if err := opts.Faults.Validate(n); err != nil {
 			panic(fmt.Sprintf("netsim: %v", err)) // lint:invariant fault-plan precondition
@@ -277,31 +268,78 @@ func newSim(p *sched.Program, c hw.Chip, opts Options) *sim {
 	}
 	s.curCause = -1
 	if opts.CriticalPath {
-		s.startAt = make([]float64, n*len(p.Ops))
-		s.endAt = make([]float64, n*len(p.Ops))
-		s.causeOf = make([]int, n*len(p.Ops))
+		s.startAt = make([]float64, n*nOps)
+		s.endAt = make([]float64, n*nOps)
+		s.causeOf = make([]int, n*nOps)
 		for i := range s.causeOf {
 			s.causeOf[i] = -1
 		}
 	}
-	for chip := 0; chip < n; chip++ {
-		s.depsLeft[chip] = make([]int, len(p.Ops))
-		s.done[chip] = make([]bool, len(p.Ops))
-		for r := 0; r < numRes; r++ {
-			s.queues[chip][r] = &resQueue{}
+
+	// Per-op tables: the per-resource program order, carved from one slab,
+	// and the ring table of each direction the program uses.
+	var perRes [numRes]int
+	nComm := 0
+	for i := range p.Ops {
+		op := &p.Ops[i]
+		perRes[s.resourceOf(op)]++
+		if op.Kind.IsComm() {
+			nComm++
+			if lane := commDirIndex(op.Dir); s.rings[lane] == nil {
+				s.rings[lane] = ringTable(p, op.Dir)
+			}
 		}
-		for i, op := range p.Ops {
-			s.depsLeft[chip][i] = len(op.Deps)
-			q := s.queues[chip][s.resourceOf(op)]
-			q.order = append(q.order, i)
-			q.granted = append(q.granted, false)
+	}
+	orderSlab := make([]int, nOps)
+	for r, off := 0, 0; r < numRes; r++ {
+		s.order[r] = orderSlab[off : off : off+perRes[r]]
+		off += perRes[r]
+	}
+	for i := range p.Ops {
+		r := s.resourceOf(&p.Ops[i])
+		s.order[r] = append(s.order[r], i) // within the capacity carved above
+	}
+
+	s.granted = make([]bool, n*nOps)
+	s.done = make([]bool, n*nOps)
+	s.dur = make([]float64, n*nOps)
+	s.arrived = make([]int, n*nOps)
+	s.queues = make([]resQueue, n*numRes)
+
+	// Chip 0 runs each op once, so its interval lists — and, when tracing,
+	// every chip's trace — have a known final length.
+	s.commIntervals = make([]interval, 0, nComm)
+	s.compIntervals = make([]interval, 0, nOps-nComm)
+	if opts.CollectTrace {
+		s.trace = make(Trace, 0, nOps)
+	}
+	if opts.TraceAllChips {
+		s.traces = make([]Trace, n)
+		slab := make([]TraceEvent, n*nOps)
+		for chip := range s.traces {
+			s.traces[chip] = slab[chip*nOps : chip*nOps : (chip+1)*nOps]
 		}
 	}
 	return s
 }
 
+// ringTable maps every chip to its ring in direction d: one RingMembers
+// call per ring, the slice shared by all of the ring's members.
+func ringTable(p *sched.Program, d topology.Direction) [][]int {
+	table := make([][]int, p.Chips())
+	for chip := range table {
+		if table[chip] == nil {
+			members := p.RingMembers(chip, d)
+			for _, m := range members {
+				table[m] = members
+			}
+		}
+	}
+	return table
+}
+
 // resourceOf maps an op to the chip resource it occupies.
-func (s *sim) resourceOf(op sched.Op) int {
+func (s *sim) resourceOf(op *sched.Op) int {
 	if s.opts.NoOverlap {
 		return resCompute // everything serialises on one engine
 	}
@@ -330,11 +368,10 @@ func (s *sim) run() {
 		return
 	}
 	// A stuck simulation (ops never completed) indicates a model bug.
-	for chip := 0; chip < s.nChips; chip++ {
-		for i := range s.prog.Ops {
-			if !s.done[chip][i] {
-				panic(fmt.Sprintf("netsim: deadlock — chip %d op %d (%s) never completed", chip, i, s.prog.Ops[i].Name)) // lint:invariant deadlock detector
-			}
+	for id, done := range s.done {
+		if !done {
+			chip, i := id/s.nOps, id%s.nOps
+			panic(fmt.Sprintf("netsim: deadlock — chip %d op %d (%s) never completed", chip, i, s.prog.Ops[i].Name)) // lint:invariant deadlock detector
 		}
 	}
 }
@@ -348,17 +385,22 @@ func (s *sim) run() {
 // barriers, so it may issue any ready op (earliest in program order first),
 // which lets cheap slicing ops and partial GeMMs pipeline freely.
 func (s *sim) tryGrant(chip int) {
+	base := chip * s.nOps
 	for r := 0; r < numRes; r++ {
-		q := s.queues[chip][r]
+		q := &s.queues[chip*numRes+r]
+		order := s.order[r]
 		strict := r != resCompute || s.opts.NoOverlap
 		for !q.busy {
+			for q.head < len(order) && s.granted[base+order[q.head]] {
+				q.head++
+			}
 			op := -1
-			for i, cand := range q.order {
-				if q.granted[i] {
+			for _, cand := range order[q.head:] {
+				if s.granted[base+cand] {
 					continue
 				}
-				if s.depsLeft[chip][cand] == 0 {
-					op = i
+				if s.ready(base, cand) {
+					op = cand
 				}
 				if strict || op >= 0 {
 					break
@@ -367,17 +409,28 @@ func (s *sim) tryGrant(chip int) {
 			if op < 0 {
 				break
 			}
-			q.granted[op] = true
+			s.granted[base+op] = true
 			q.busy = true
-			s.grant(chip, q.order[op])
+			s.grant(chip, op)
 		}
 	}
+}
+
+// ready reports whether every dependency of the chip's op has completed
+// (base is the chip's first instID).
+func (s *sim) ready(base, opIdx int) bool {
+	for _, d := range s.prog.Ops[opIdx].Deps {
+		if !s.done[base+d] {
+			return false
+		}
+	}
+	return true
 }
 
 // grant starts op on its resource: compute ops run immediately; comm ops
 // arrive at their ring barrier and start when the whole ring has arrived.
 func (s *sim) grant(chip, opIdx int) {
-	op := s.prog.Ops[opIdx]
+	op := &s.prog.Ops[opIdx]
 	if s.flt != nil && s.flt.ChipFailedBy(chip, s.des.Now()) {
 		// A fail-stopped chip strands the op: the resource stays busy and
 		// nothing downstream of it ever runs.
@@ -385,24 +438,16 @@ func (s *sim) grant(chip, opIdx int) {
 		return
 	}
 	if !op.Kind.IsComm() {
-		dur := s.computeDuration(chip, op)
-		s.startAccounting(chip, opIdx, op, dur)
-		s.des.After(dur, func() { s.complete(chip, opIdx, op, dur) })
+		s.start(chip, opIdx, op, s.computeDuration(chip, op))
 		return
 	}
-	members := s.prog.RingMembers(chip, op.Dir)
-	key := barrierKey{op: opIdx, ring: members[0]}
-	b := s.barriers[key]
-	if b == nil {
-		b = &barrier{members: len(members)}
-		s.barriers[key] = b
-	}
-	b.arrived++
-	if b.arrived < b.members {
+	members := s.rings[commDirIndex(op.Dir)][chip]
+	barrier := s.instID(members[0], opIdx)
+	s.arrived[barrier]++
+	if s.arrived[barrier] < len(members) {
 		return
 	}
 	// Last arrival: the collective starts now on every member.
-	delete(s.barriers, key)
 	if kind, failedChip, halt := s.faultHalt(members, op); halt {
 		// The ring cannot complete a step: every member's link controller
 		// stays busy and the collective never finishes.
@@ -415,10 +460,23 @@ func (s *sim) grant(chip, opIdx int) {
 	}
 	dur := s.commDuration(members, op)
 	for _, m := range members {
-		m := m
-		s.startAccounting(m, opIdx, op, dur)
-		s.des.After(dur, func() { s.complete(m, opIdx, op, dur) })
+		s.start(m, opIdx, op, dur)
 	}
+}
+
+// start accounts the instance's start and schedules its completion: the
+// duration waits in the instance's slot for completeInst to read back.
+func (s *sim) start(chip, opIdx int, op *sched.Op, dur float64) {
+	s.startAccounting(chip, opIdx, op, dur)
+	id := s.instID(chip, opIdx)
+	s.dur[id] = dur
+	s.des.AfterCall(dur, s.completeFn, id)
+}
+
+// completeInst is the completion event of instance id.
+func (s *sim) completeInst(id int) {
+	opIdx := id % s.nOps
+	s.complete(id/s.nOps, opIdx, &s.prog.Ops[opIdx], s.dur[id])
 }
 
 // stepwiseKind reports whether the op decomposes into uniform synchronised
@@ -438,7 +496,7 @@ func stepwiseKind(k sched.OpKind) bool {
 // rather than once for the whole operation. All ring members stay in
 // lockstep — the defining property of ring AG/RdS on a torus (Fig. 3
 // right) — so the steps form a chain of simultaneous events.
-func (s *sim) runCollectiveSteps(members []int, opIdx int, op sched.Op) {
+func (s *sim) runCollectiveSteps(members []int, opIdx int, op *sched.Op) {
 	start := s.des.Now()
 	// Register HBM demand for the whole span using the nominal rate.
 	nominal := s.nominalCommDuration(op)
@@ -503,7 +561,7 @@ func (s *sim) runCollectiveSteps(members []int, opIdx int, op sched.Op) {
 // stepAccounting is startAccounting's step-level counterpart, invoked at
 // completion when the actual span is known (demand registration and start
 // recording already happened at the collective's start).
-func (s *sim) stepAccounting(chip, opIdx int, op sched.Op, start, span float64) {
+func (s *sim) stepAccounting(chip, opIdx int, op *sched.Op, start, span float64) {
 	s.noteBusy(chip, op, span)
 	if s.opts.TraceAllChips {
 		s.traces[chip] = append(s.traces[chip], TraceEvent{
@@ -527,24 +585,21 @@ func (s *sim) stepAccounting(chip, opIdx int, op sched.Op, start, span float64) 
 	s.commIntervals = append(s.commIntervals, interval{start, start + span})
 }
 
-func (s *sim) complete(chip, opIdx int, op sched.Op, dur float64) {
+func (s *sim) complete(chip, opIdx int, op *sched.Op, dur float64) {
 	s.events++
 	s.hbmDemand[chip] -= s.opHBMDemand(op, dur)
 	if s.hbmDemand[chip] < 0 {
 		s.hbmDemand[chip] = 0 // guard against float drift
 	}
-	s.queues[chip][s.resourceOf(op)].busy = false
-	s.done[chip][opIdx] = true
-	for _, dep := range s.dependents[opIdx] {
-		s.depsLeft[chip][dep]--
-	}
+	s.queues[chip*numRes+s.resourceOf(op)].busy = false
+	id := s.instID(chip, opIdx)
+	s.done[id] = true
 	// Everything granted while this completion unwinds — same-chip ops
 	// whose deps or resource just freed, and ring collectives whose last
 	// member just arrived — starts at this instant because of this
 	// instance; record it as their critical-path cause.
 	prevCause := s.curCause
 	if s.opts.CriticalPath {
-		id := s.instID(chip, opIdx)
 		s.endAt[id] = s.des.Now()
 		s.curCause = id
 	}
@@ -562,7 +617,7 @@ var durationBuckets = []float64{1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 
 // observeDuration records a completed op's duration in the per-kind
 // histogram (all chips contribute; counts are integers, so the totals are
 // deterministic).
-func (s *sim) observeDuration(op sched.Op, dur float64) {
+func (s *sim) observeDuration(op *sched.Op, dur float64) {
 	if s.opts.Metrics == nil {
 		return
 	}
@@ -580,7 +635,7 @@ func (s *sim) observeDuration(op sched.Op, dur float64) {
 // computeDuration applies the compute model — the flat roofline (FLOPS vs
 // HBM) or, in tiled mode, the chip-level tile/prefetch pipeline — and the
 // contention model to a compute or slice op.
-func (s *sim) computeDuration(chip int, op sched.Op) float64 {
+func (s *sim) computeDuration(chip int, op *sched.Op) float64 {
 	var dur float64
 	if s.opts.TiledCompute && op.M > 0 && op.N > 0 && op.K > 0 {
 		r, err := s.core.GeMM(op.M, op.N, op.K)
@@ -601,7 +656,7 @@ func (s *sim) computeDuration(chip int, op sched.Op) float64 {
 // commDuration computes a collective/shift duration: nominal, stretched by
 // the worst HBM contention among ring members and — on logical meshes — by
 // fabric contention when the other direction is concurrently active.
-func (s *sim) commDuration(members []int, op sched.Op) float64 {
+func (s *sim) commDuration(members []int, op *sched.Op) float64 {
 	dur := s.nominalCommDuration(op)
 	worst := 1.0
 	for _, m := range members {
@@ -620,14 +675,14 @@ func (s *sim) commDuration(members []int, op sched.Op) float64 {
 // fabricFactor returns the logical-mesh contention stretch: the configured
 // factor when any ring member's opposite-direction link is busy at op
 // start, 1 otherwise (and always 1 on physical meshes).
-func (s *sim) fabricFactor(members []int, op sched.Op) float64 {
+func (s *sim) fabricFactor(members []int, op *sched.Op) float64 {
 	if s.opts.FabricContention <= 1 || s.opts.NoOverlap {
 		return 1
 	}
 	mine := s.resourceOf(op)
 	for _, m := range members {
 		for r := resRowLink; r < numRes; r++ {
-			if r != mine && s.queues[m][r].busy {
+			if r != mine && s.queues[m*numRes+r].busy {
 				return s.opts.FabricContention
 			}
 		}
@@ -641,7 +696,7 @@ func (s *sim) fabricFactor(members []int, op sched.Op) float64 {
 //	Bcast/Reduce: t_launch + Steps·(t_sync + Bytes/(Packets·bw))
 //
 // where Steps already encodes P-1 ring steps or the P+D-2 pipeline stages.
-func (s *sim) nominalCommDuration(op sched.Op) float64 {
+func (s *sim) nominalCommDuration(op *sched.Op) float64 {
 	per := op.Bytes / s.hw.LinkBandwidth
 	if op.Kind == sched.Broadcast || op.Kind == sched.Reduce {
 		per = op.Bytes / float64(op.Packets) / s.hw.LinkBandwidth
@@ -651,7 +706,7 @@ func (s *sim) nominalCommDuration(op sched.Op) float64 {
 
 // effSteps returns the synchronised step count actually executed: halved
 // for ring AG/RdS when both link directions are driven.
-func (s *sim) effSteps(op sched.Op) int {
+func (s *sim) effSteps(op *sched.Op) int {
 	if s.opts.BidirectionalRings &&
 		(op.Kind == sched.AllGather || op.Kind == sched.ReduceScatter) {
 		return (op.Steps + 1) / 2
@@ -661,7 +716,7 @@ func (s *sim) effSteps(op sched.Op) int {
 
 // opHBMDemand is the op's HBM bandwidth draw while active: compute streams
 // its operands; the NIC reads outgoing and writes incoming data.
-func (s *sim) opHBMDemand(op sched.Op, dur float64) float64 {
+func (s *sim) opHBMDemand(op *sched.Op, dur float64) float64 {
 	if dur <= 0 {
 		return 0
 	}
@@ -680,7 +735,7 @@ func (s *sim) opHBMDemand(op sched.Op, dur float64) float64 {
 // sampled at op start — a deliberate first-order approximation of
 // processor-sharing, registered with the op so it is withdrawn at
 // completion.
-func (s *sim) contentionFactor(chip int, op sched.Op, nominalDur float64) float64 {
+func (s *sim) contentionFactor(chip int, op *sched.Op, nominalDur float64) float64 {
 	if s.opts.NoHBMContention || s.opts.NoOverlap {
 		return 1
 	}
@@ -694,7 +749,7 @@ func (s *sim) contentionFactor(chip int, op sched.Op, nominalDur float64) float6
 
 // startAccounting registers HBM demand, the per-chip busy times and traces,
 // and — on chip 0 — the time intervals and breakdown categories.
-func (s *sim) startAccounting(chip, opIdx int, op sched.Op, dur float64) {
+func (s *sim) startAccounting(chip, opIdx int, op *sched.Op, dur float64) {
 	s.hbmDemand[chip] += s.opHBMDemand(op, dur)
 	now := s.des.Now()
 	s.noteStart(chip, opIdx)
@@ -730,9 +785,9 @@ func (s *sim) startAccounting(chip, opIdx int, op sched.Op, dur float64) {
 	}
 }
 
-// instID packs a (chip, op) pair into the flat instance index used by the
-// critical-path arrays.
-func (s *sim) instID(chip, opIdx int) int { return chip*len(s.prog.Ops) + opIdx }
+// instID packs a (chip, op) pair into the flat instance index of the
+// per-instance slabs and the critical-path arrays.
+func (s *sim) instID(chip, opIdx int) int { return chip*s.nOps + opIdx }
 
 // noteStart records an op instance's start time and its cause — the
 // instance whose completion event triggered this start — when the
@@ -749,7 +804,7 @@ func (s *sim) noteStart(chip, opIdx int) {
 }
 
 // noteBusy accrues the op's duration on the chip's busy-time accumulators.
-func (s *sim) noteBusy(chip int, op sched.Op, dur float64) {
+func (s *sim) noteBusy(chip int, op *sched.Op, dur float64) {
 	if op.Kind.IsComm() {
 		s.linkBusyBy[chip][commDirIndex(op.Dir)] += dur
 	} else {
@@ -913,7 +968,7 @@ func merge(ivs []interval) []interval {
 	}
 	sorted := append([]interval(nil), ivs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].start < sorted[j].start })
-	out := []interval{sorted[0]}
+	out := sorted[:1] // merged in place: out never overtakes the read position
 	for _, iv := range sorted[1:] {
 		last := &out[len(out)-1]
 		if iv.start <= last.end {

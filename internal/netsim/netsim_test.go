@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"meshslice/internal/costmodel"
@@ -206,6 +207,27 @@ func TestBroadcastPipelineBubbles(t *testing.T) {
 	ra := Simulate(ag, testHW, idealOpts())
 	if ra.Makespan >= r.Makespan {
 		t.Errorf("AG (%v) should beat bcast (%v) for the same data", ra.Makespan, r.Makespan)
+	}
+}
+
+func TestPacketlessBroadcastIsAProgramPrecondition(t *testing.T) {
+	// Packets divides the payload; zero used to surface as an infinite
+	// makespan (Bytes > 0) or a NaN event time (Bytes == 0). It now stops
+	// at the program-precondition check, naming the op.
+	for _, bytes := range []float64{0, 8e6} {
+		prog := &sched.Program{
+			Torus: topology.NewTorus(1, 4),
+			Ops:   []sched.Op{{Kind: sched.Broadcast, Name: "bcast X", Dir: topology.InterCol, Bytes: bytes, Steps: 4}},
+		}
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "netsim: sched:") || !strings.Contains(msg, "bcast X") {
+					t.Errorf("bytes=%g: panic %q, want the program-precondition panic naming the op", bytes, msg)
+				}
+			}()
+			Simulate(prog, testHW, Options{})
+		}()
 	}
 }
 
@@ -605,5 +627,27 @@ func TestBidirectionalSpeedsUpMeshSlice(t *testing.T) {
 	bi := Simulate(prog, testHW, Options{NoHBMContention: true, BidirectionalRings: true})
 	if bi.Makespan >= uni.Makespan {
 		t.Errorf("bidirectional (%v) not faster than unidirectional (%v)", bi.Makespan, uni.Makespan)
+	}
+}
+
+// TestSimulateAllocationGate holds the simulator to "nothing is allocated
+// per event": a whole 8×8 MeshSlice simulation fits in a fixed set of
+// slabs, and quadrupling the slice count (4× the ops and events) may only
+// add the few extra growth steps of the event queue and interval merge.
+func TestSimulateAllocationGate(t *testing.T) {
+	tor := topology.NewTorus(8, 8)
+	measure := func(S int) float64 {
+		prog := sched.MeshSliceProgram(scaleProb, tor, testHW, S)
+		events := Simulate(prog, testHW, Options{}).Events
+		allocs := testing.AllocsPerRun(5, func() { Simulate(prog, testHW, Options{}) })
+		t.Logf("S=%d: %d ops, %d events, %.0f allocs per Simulate", S, len(prog.Ops), events, allocs)
+		return allocs
+	}
+	s8, s32 := measure(8), measure(32)
+	if s8 > 256 {
+		t.Errorf("Simulate(8x8 MeshSlice, S=8) allocates %.0f objects, want <= 256", s8)
+	}
+	if s32-s8 > 16 {
+		t.Errorf("allocations grow by %.0f from S=8 to S=32, want <= 16 (something allocates per event)", s32-s8)
 	}
 }

@@ -31,7 +31,9 @@ func MeshSliceProgram(p gemm.Problem, t topology.Torus, c hw.Chip, S int) *Progr
 	}
 	aR, aC, bR, bC, cR, cC := shardDims(p, t)
 	bpe := c.BytesPerElement
-	b := &builder{}
+	// At most five ops per slice (two slice copies, two collectives and the
+	// partial GeMM), plus MeshSliceDPProgram's two gradient collectives.
+	b := newBuilder(5*S + 2)
 	fS := float64(S)
 
 	for s := 0; s < S; s++ {
@@ -176,7 +178,7 @@ func SUMMAProgram(p gemm.Problem, t topology.Torus, c hw.Chip, iters int) *Progr
 	aR, aC, bR, bC, cR, cC := shardDims(p, t)
 	bpe := c.BytesPerElement
 	d := c.BcastPackets
-	b := &builder{}
+	b := newBuilder(3 * iters) // two pipelined transfers and the partial GeMM
 	fI := float64(iters)
 
 	for it := 0; it < iters; it++ {

@@ -28,7 +28,7 @@ func CannonProgram(p gemm.Problem, t topology.Torus, c hw.Chip) *Program {
 	bpe := c.BytesPerElement
 	aBytes := float64(aR*aC) * bpe
 	bBytes := float64(bR*bC) * bpe
-	b := &builder{}
+	b := newBuilder(2 + 3*n) // the skew pair, then a GeMM and a shift pair per iteration
 
 	var skewDeps []int
 	if n > 1 {
@@ -82,7 +82,17 @@ func depsOfShift(prev []int, which int) []int {
 func WangProgram(p gemm.Problem, t topology.Torus, c hw.Chip, unroll int) *Program {
 	aR, aC, bR, bC, cR, cC := shardDims(p, t)
 	bpe := c.BytesPerElement
-	b := &builder{}
+	// The loop runs at most maxIters times (the streamed ring is one of the
+	// two mesh dimensions): a shift and a GeMM each, plus the monolithic
+	// collective before or after it.
+	maxIters := t.Rows
+	if t.Cols > maxIters {
+		maxIters = t.Cols
+	}
+	if unroll > 0 && unroll < maxIters {
+		maxIters = unroll
+	}
+	b := newBuilder(2*maxIters + 1)
 	flopsTotal := 2 * float64(cR) * float64(cC) * float64(p.K)
 
 	// Per dataflow: which operand streams around which ring, what runs
@@ -238,7 +248,7 @@ func oneDProgram(label string, m, n, k, chips int, flowElems float64, gm, gn, gk
 	t := topology.NewTorus(1, chips)
 	bpe := c.BytesPerElement
 	flopsPerShard := 2 * float64(m) * float64(n) * float64(k) / (float64(chips) * float64(chips))
-	b := &builder{}
+	b := newBuilder(2 * chips) // a shift and a GeMM per iteration
 	var prevShift []int
 	for it := 0; it < chips; it++ {
 		deps := append([]int{}, prevShift...)

@@ -26,7 +26,8 @@ func TwoPointFiveDProgram(m, n, k int, g gemm.Grid3D, c hw.Chip) *Program {
 	aShard := float64(m/p) * float64(k/p)
 	bShard := float64(k/p) * float64(n/p)
 	cShard := float64(m/p) * float64(n/p)
-	b := &builder{}
+	// Replicate, skew and shift pairs, one GeMM per iteration, the reduce.
+	b := newBuilder(5 + 3*(p/g.C))
 
 	// Replicate the front layer's shards down the depth rings.
 	var repDeps []int

@@ -156,6 +156,9 @@ func (p *Program) Validate() error {
 			if op.Bytes < 0 {
 				return fmt.Errorf("sched: comm op %d (%s) has negative bytes", i, op.Name)
 			}
+			if (op.Kind == Broadcast || op.Kind == Reduce) && op.Packets <= 0 {
+				return fmt.Errorf("sched: comm op %d (%s) streams %d packets", i, op.Name, op.Packets)
+			}
 			if op.Dir == topology.InterDepth && p.Grid3 == nil {
 				return fmt.Errorf("sched: comm op %d (%s) uses the depth direction on a 2D mesh", i, op.Name)
 			}
@@ -199,6 +202,13 @@ func (p *Program) CommBytesOnWire(d topology.Direction) float64 {
 // builder accumulates ops with a fluent chip-program API.
 type builder struct {
 	ops []Op
+}
+
+// newBuilder returns a builder with room for maxOps ops — each schedule
+// knows an upper bound on its op count from its slice or iteration count —
+// so the op list is allocated once instead of regrown as it fills.
+func newBuilder(maxOps int) *builder {
+	return &builder{ops: make([]Op, 0, maxOps)}
 }
 
 // add appends op and returns its index.

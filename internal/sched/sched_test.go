@@ -270,6 +270,35 @@ func TestValidateCatchesBadPrograms(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsPacketlessPipelines: netsim divides a Broadcast or
+// Reduce payload by its packet count, so a count of zero (or less) must
+// stop at Validate, with an error that names the op; the ring kinds never
+// read Packets and may leave it zero.
+func TestValidateRejectsPacketlessPipelines(t *testing.T) {
+	for _, kind := range []OpKind{Broadcast, Reduce} {
+		for _, packets := range []int{0, -3} {
+			for _, bytes := range []float64{0, 1 << 20} {
+				p := &Program{Torus: topology.NewTorus(1, 2), Ops: []Op{
+					{Kind: kind, Name: "bcast A t=0", Steps: 3, Bytes: bytes, Packets: packets}}}
+				err := p.Validate()
+				if err == nil {
+					t.Errorf("%v with %d packets, %g bytes accepted", kind, packets, bytes)
+				} else if !strings.Contains(err.Error(), "bcast A t=0") || !strings.Contains(err.Error(), "packets") {
+					t.Errorf("%v with %d packets: error %q does not name the op and the field", kind, packets, err)
+				}
+			}
+		}
+		ok := &Program{Torus: topology.NewTorus(1, 2), Ops: []Op{{Kind: kind, Steps: 3, Bytes: 8, Packets: 1}}}
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%v with one packet rejected: %v", kind, err)
+		}
+	}
+	ring := &Program{Torus: topology.NewTorus(1, 2), Ops: []Op{{Kind: AllGather, Steps: 1, Bytes: 8}}}
+	if err := ring.Validate(); err != nil {
+		t.Errorf("AllGather without packets rejected: %v", err)
+	}
+}
+
 func TestOpKindStrings(t *testing.T) {
 	kinds := []OpKind{Compute, Slice, AllGather, ReduceScatter, Broadcast, Reduce, Shift}
 	for _, k := range kinds {
@@ -279,5 +308,36 @@ func TestOpKindStrings(t *testing.T) {
 	}
 	if !AllGather.IsComm() || Compute.IsComm() || Slice.IsComm() {
 		t.Errorf("IsComm misclassifies")
+	}
+}
+
+// TestBuildersAllocateTheOpListOnce: every schedule reserves its op list
+// up front. cap(Ops) is the reserved bound only if append never regrew the
+// list (a regrown list has a larger, runtime-chosen capacity), so pinning
+// the capacity pins both the bound and the fact that it held.
+func TestBuildersAllocateTheOpListOnce(t *testing.T) {
+	tor := topology.NewTorus(4, 8)
+	sq := topology.NewTorus(4, 4)
+	osProb := gemm.Problem{M: 1024, N: 512, K: 2048, Dataflow: gemm.OS}
+	lsProb := gemm.Problem{M: 1024, N: 512, K: 2048, Dataflow: gemm.LS}
+	for _, c := range []struct {
+		prog     *Program
+		ops, cap int
+	}{
+		{MeshSliceProgram(osProb, tor, testHW, 8), 40, 42},
+		{MeshSliceProgram(lsProb, tor, testHW, 8), 40, 42},
+		{CollectiveProgram(osProb, tor, testHW), 3, 7},
+		{MeshSliceDPProgram(osProb, sq, 2, testHW, 4), 22, 22},
+		{SUMMAProgram(osProb, tor, testHW, 8), 24, 24},
+		{CannonProgram(osProb, sq, testHW), 12, 14},
+		{WangProgram(osProb, tor, testHW, 0), 16, 17},
+		{WangProgram(lsProb, tor, testHW, 2), 5, 5},
+		{OneDTPProgram(1024, 512, 2048, 8, testHW), 15, 16},
+		{TwoPointFiveDProgram(1024, 512, 2048, gemm.Grid3D{P: 4, C: 2}, testHW), 9, 11},
+	} {
+		if len(c.prog.Ops) != c.ops || cap(c.prog.Ops) != c.cap {
+			t.Errorf("%s: %d ops in a list of capacity %d, want %d in %d",
+				c.prog.Label, len(c.prog.Ops), cap(c.prog.Ops), c.ops, c.cap)
+		}
 	}
 }
