@@ -74,12 +74,15 @@ func readTree(t *testing.T, root string) map[string][]byte {
 
 // TestCanonicalOutputsDeterministic is the run-twice-and-compare gate for
 // every subcommand that writes a canonical artifact: identical flags must
-// give byte-identical -o output, for the rows that run the worker pool or
-// the async comm workers also at GOMAXPROCS 1, 2 and 8.
+// give byte-identical output at the row's output flag (-o unless the row
+// names another, such as a Perfetto trace's -chrome), for the rows that
+// run the worker pool or the async comm workers also at GOMAXPROCS 1, 2
+// and 8.
 func TestCanonicalOutputsDeterministic(t *testing.T) {
 	anyProcs := []string{"1", "2", "8"}
 	for _, tc := range []struct {
 		args  string
+		out   string // the flag taking the output path; "" means -o
 		procs []string
 	}{
 		{args: "record", procs: anyProcs},
@@ -90,21 +93,28 @@ func TestCanonicalOutputsDeterministic(t *testing.T) {
 		{args: "faults -chips 16 -scenario seeded -seed 7"},
 		{args: "ckpt -rows 2 -cols 2 -steps 8 -every 2"},
 		{args: "serve -chips 16 -requests 32", procs: anyProcs},
+		{args: "timeline -rows 4 -cols 4", out: "-chrome"},
+		{args: "faults -chips 16 -scenario seeded -seed 7", out: "-chrome"},
+		{args: "record -pipelined -s 4", out: "-chrome", procs: anyProcs},
 	} {
-		t.Run(tc.args, func(t *testing.T) {
+		name, outFlag := tc.args, "-o"
+		if tc.out != "" {
+			name, outFlag = tc.args+" "+tc.out, tc.out
+		}
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
 			var want map[string][]byte
 			// Two runs in the inherited environment, then one per GOMAXPROCS.
 			for i, procs := range append([]string{"", ""}, tc.procs...) {
 				out := filepath.Join(dir, fmt.Sprintf("out-%d", i))
-				args := append(strings.Fields(tc.args), "-o", out)
+				args := append(strings.Fields(tc.args), outFlag, out)
 				if stderr, exit := runCLI(t, procs, args...); exit != 0 {
 					t.Fatalf("run %d (GOMAXPROCS=%q) exited %d: %s", i, procs, exit, stderr)
 				}
 				got := readTree(t, out)
 				if len(got) == 0 {
-					t.Fatalf("run %d wrote nothing to -o", i)
+					t.Fatalf("run %d wrote nothing to %s", i, outFlag)
 				}
 				if want == nil {
 					want = got
@@ -115,7 +125,7 @@ func TestCanonicalOutputsDeterministic(t *testing.T) {
 				}
 				for name, b := range want {
 					if !bytes.Equal(got[name], b) {
-						t.Errorf("run %d (GOMAXPROCS=%q): %s differs from the first run", i, procs, filepath.Join("-o", name))
+						t.Errorf("run %d (GOMAXPROCS=%q): %s differs from the first run", i, procs, filepath.Join(outFlag, name))
 					}
 				}
 			}

@@ -1,90 +1,42 @@
 package netsim
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
+	"strconv"
 
 	"meshslice/internal/fault"
-	"meshslice/internal/topology"
+	"meshslice/internal/obs"
 )
 
-// Chrome trace-event export: simulated executions render in any
-// Perfetto/chrome://tracing viewer, with one process per chip and one track
-// per resource (compute, inter-row, inter-col, inter-depth) — the
-// interactive counterpart of the ASCII timelines.
-
-// chromeEvent is one complete ("X" phase) trace event.
-type chromeEvent struct {
-	Name string            `json:"name"`
-	Cat  string            `json:"cat"`
-	Ph   string            `json:"ph"`
-	TS   float64           `json:"ts"`  // microseconds
-	Dur  float64           `json:"dur"` // microseconds
-	PID  int               `json:"pid"`
-	TID  int               `json:"tid"`
-	Args map[string]string `json:"args,omitempty"`
-}
-
-// chromeMeta labels a process or a track.
-type chromeMeta struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args map[string]any `json:"args"`
-}
-
 // trackNames indexes viewer tracks by chromeTrack id.
-var trackNames = [numLanes]string{
-	"compute engine",
-	"inter-row links",
-	"inter-col links",
-	"inter-depth links",
-}
+var trackNames = [numLanes]string{"compute engine", "inter-row links", "inter-col links", "inter-depth links"}
 
-// appendChipEvents emits one chip's process metadata, per-resource track
-// metadata (for tracks the chip actually used, in fixed tid order), and its
-// events, all under the given pid. Output order is fully deterministic.
-func appendChipEvents(out []any, t Trace, pid int, process string) []any {
+// appendChipEvents emits one chip's process name, the names of the tracks
+// it used in tid order, and its events, all under the given pid.
+func appendChipEvents(c *obs.ChromeTrace, t Trace, pid int, label string) {
 	var used [numLanes]bool
-	var events []any
 	for _, e := range t {
-		tid := chromeTrack(e)
-		used[tid] = true
-		events = append(events, chromeEvent{
-			Name: e.Name,
-			Cat:  e.Kind.String(),
-			Ph:   "X",
-			TS:   e.Start * 1e6,
-			Dur:  (e.End - e.Start) * 1e6,
-			PID:  pid,
-			TID:  tid,
-			Args: map[string]string{"kind": e.Kind.String()},
-		})
+		used[chromeTrack(e)] = true
 	}
-	out = append(out, chromeMeta{
-		Name: "process_name", Ph: "M", PID: pid,
-		Args: map[string]any{"name": process},
-	})
-	for tid := 0; tid < numLanes; tid++ {
-		if !used[tid] {
-			continue
+	c.Meta("process_name", pid, 0).Str("chip ").Int(pid).Str(" — ").Str(label)
+	for tid, name := range trackNames {
+		if used[tid] {
+			c.Meta("thread_name", pid, tid).Str(name)
 		}
-		out = append(out, chromeMeta{
-			Name: "thread_name", Ph: "M", PID: pid, TID: tid,
-			Args: map[string]any{"name": trackNames[tid]},
-		})
 	}
-	return append(out, events...)
+	for _, e := range t {
+		kind := e.Kind.String()
+		c.Event(obs.ChromeFields{Cat: kind, Ph: "X", TS: e.Start * 1e6, Dur: (e.End - e.Start) * 1e6, PID: pid, TID: chromeTrack(e)}).
+			Str(e.Name).Arg("kind").Str(kind)
+	}
 }
 
 // WriteChromeTrace serialises one chip's trace as a Chrome trace-event JSON
-// array (loadable in Perfetto / chrome://tracing). Tracks: 0 compute, 1
-// inter-row, 2 inter-col, 3 inter-depth.
+// array (loadable in Perfetto / chrome://tracing), the interactive
+// counterpart of the ASCII timelines. Tracks: 0 compute, 1 inter-row, 2
+// inter-col, 3 inter-depth.
 func (t Trace) WriteChromeTrace(w io.Writer, label string) error {
-	out := appendChipEvents(nil, t, 0, fmt.Sprintf("chip 0 — %s", label))
-	return json.NewEncoder(w).Encode(out)
+	return WriteClusterChromeTrace(w, []Trace{t}, label)
 }
 
 // WriteClusterChromeTrace serialises a whole cluster's traces (as produced
@@ -93,69 +45,46 @@ func (t Trace) WriteChromeTrace(w io.Writer, label string) error {
 // viewer then shows cross-chip skew — ragged barrier arrivals, straggler
 // chips — that no single-chip trace can.
 func WriteClusterChromeTrace(w io.Writer, traces []Trace, label string) error {
-	var out []any
-	for chip, t := range traces {
-		out = appendChipEvents(out, t, chip, fmt.Sprintf("chip %d — %s", chip, label))
-	}
-	return json.NewEncoder(w).Encode(out)
+	return WriteFaultyClusterChromeTrace(w, traces, nil, label)
 }
 
 // WriteFaultyClusterChromeTrace is WriteClusterChromeTrace plus a final
-// "faults" process whose tracks carry the fault plan's intervals (as
-// clipped by Result.FaultSpans): the viewer shows degraded windows,
-// straggler windows and failure onsets aligned under the chip timelines
-// that they stretch or strand.
+// "faults" process carrying the fault plan's intervals (Result.FaultSpans):
+// degraded windows, straggler windows and failure onsets show aligned
+// under the chip timelines they stretch or strand.
 func WriteFaultyClusterChromeTrace(w io.Writer, traces []Trace, spans []fault.Span, label string) error {
-	var out []any
+	n := len(spans) + 2
+	for _, t := range traces {
+		n += len(t) + 1 + numLanes // events, process and track names
+	}
+	c := obs.NewChromeTrace(n)
 	for chip, t := range traces {
-		out = appendChipEvents(out, t, chip, fmt.Sprintf("chip %d — %s", chip, label))
+		appendChipEvents(c, t, chip, label)
 	}
 	if len(spans) > 0 {
 		pid := len(traces)
-		out = append(out, chromeMeta{
-			Name: "process_name", Ph: "M", PID: pid,
-			Args: map[string]any{"name": fmt.Sprintf("faults — %s", label)},
-		})
-		out = append(out, chromeMeta{
-			Name: "thread_name", Ph: "M", PID: pid, TID: 0,
-			Args: map[string]any{"name": "fault intervals"},
-		})
+		c.Meta("process_name", pid, 0).Str("faults — ").Str(label)
+		c.Meta("thread_name", pid, 0).Str("fault intervals")
 		for _, sp := range spans {
-			name := fmt.Sprintf("%s chip %d", sp.Kind, sp.Chip)
-			args := map[string]string{"kind": sp.Kind, "chip": fmt.Sprint(sp.Chip)}
-			if sp.Kind == "link-degrade" || sp.Kind == "link-fail" {
-				name = fmt.Sprintf("%s chip %d %v", sp.Kind, sp.Chip, sp.Dir)
-				args["dir"] = sp.Dir.String()
+			link := sp.Kind == "link-degrade" || sp.Kind == "link-fail"
+			c.Event(obs.ChromeFields{Cat: "fault", Ph: "X", TS: sp.Start * 1e6, Dur: (sp.End - sp.Start) * 1e6, PID: pid}).
+				Str(sp.Kind).Str(" chip ").Int(sp.Chip)
+			if link {
+				c.Str(" ").Str(sp.Dir.String())
+			}
+			// Arg keys in sorted order: chip, dir, factor, kind.
+			c.Arg("chip").Int(sp.Chip)
+			if link {
+				c.Arg("dir").Str(sp.Dir.String())
 			}
 			if sp.Factor > 0 {
-				args["factor"] = fmt.Sprintf("%g", sp.Factor)
+				c.Arg("factor").Str(strconv.FormatFloat(sp.Factor, 'g', -1, 64))
 			}
-			out = append(out, chromeEvent{
-				Name: name,
-				Cat:  "fault",
-				Ph:   "X",
-				TS:   sp.Start * 1e6,
-				Dur:  (sp.End - sp.Start) * 1e6,
-				PID:  pid,
-				TID:  0,
-				Args: args,
-			})
+			c.Arg("kind").Str(sp.Kind)
 		}
 	}
-	return json.NewEncoder(w).Encode(out)
+	return c.Encode(w)
 }
 
 // chromeTrack maps an event onto its viewer track.
-func chromeTrack(e TraceEvent) int {
-	if !e.Kind.IsComm() {
-		return 0
-	}
-	switch e.Dir {
-	case topology.InterRow:
-		return 1
-	case topology.InterDepth:
-		return 3
-	default:
-		return 2
-	}
-}
+func chromeTrack(e TraceEvent) int { return e.lane() }

@@ -1,8 +1,9 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"meshslice/internal/sched"
@@ -137,12 +138,13 @@ func (t Trace) BusyTime(lane int) float64 {
 	return total
 }
 
-// sortTrace orders events by start time (stable on op index).
+// sortTrace orders events by start time, then op index (unique per chip,
+// so the order is total).
 func sortTrace(t Trace) {
-	sort.SliceStable(t, func(i, j int) bool {
-		if t[i].Start != t[j].Start { // lint:float-exact sort tie-break must be exact for a deterministic trace order
-			return t[i].Start < t[j].Start
+	slices.SortStableFunc(t, func(a, b TraceEvent) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		return t[i].Op < t[j].Op
+		return cmp.Compare(a.Op, b.Op)
 	})
 }

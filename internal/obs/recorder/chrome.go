@@ -1,42 +1,13 @@
 package recorder
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
+
+	"meshslice/internal/obs"
 )
 
-// Chrome trace-event export for the functional runtime: one Perfetto
-// process per chip (pid = rank), spans as B/E pairs, sends and receives as
-// instants, and message flows as s/f arrows keyed by the Lamport edge
-// (directed edge + send clock == recv msg_clock). The timestamp axis is the
-// Lamport clock in "microseconds" — logical time, not wall time, so the
-// export stays deterministic and inside the no-wallclock invariant.
-
-// meshChromeEvent is one trace event; the same struct covers span phases
-// ("B"/"E"), instants ("i") and flow endpoints ("s"/"f"). Field order is
-// the canonical JSON key order.
-type meshChromeEvent struct {
-	Name string            `json:"name"`
-	Cat  string            `json:"cat"`
-	Ph   string            `json:"ph"`
-	TS   float64           `json:"ts"`
-	PID  int               `json:"pid"`
-	TID  int               `json:"tid"`
-	ID   int               `json:"id,omitempty"`
-	BP   string            `json:"bp,omitempty"`
-	S    string            `json:"s,omitempty"`
-	Args map[string]string `json:"args,omitempty"`
-}
-
-// meshChromeMeta labels a process or a track.
-type meshChromeMeta struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args map[string]any `json:"args"`
-}
+// laneNames labels comm lanes (1 + topology direction) on their tracks.
+var laneNames = [...]string{1: "row", 2: "col", 3: "depth"}
 
 // flowKey identifies one message for arrow matching: the Lamport edge.
 type flowKey struct {
@@ -45,137 +16,83 @@ type flowKey struct {
 }
 
 // WriteMeshChromeTrace serialises a recorder snapshot as a Chrome
-// trace-event JSON array: one process per chip, collective/GeMM spans as
-// nested slices on track 0, message instants on the same track, and flow
-// arrows connecting each send to its matched receive. Output is fully
-// deterministic for identical runs.
+// trace-event JSON array: one Perfetto process per chip (pid = rank), GeMM
+// and collective spans as nested B/E slices, sends and receives as
+// instants, and s/f flow arrows from each send to its receive, matched by
+// Lamport edge (directed edge + send clock == recv msg_clock). Timestamps
+// are Lamport clocks, not wall time, so identical runs export identical bytes.
 func WriteMeshChromeTrace(w io.Writer, s *Snapshot, label string) error {
-	// First pass: assign one flow id per matched (edge, clock) pair,
-	// numbered in (chip, seq) order of the send so ids are deterministic.
-	flows := make(map[flowKey]int)
+	// First pass: flow ids numbered in (chip, seq) order of the sends, and
+	// the received messages; an arrow needs both ends.
+	flows, received := make(map[flowKey]int), make(map[flowKey]bool)
+	events := 0
 	for _, cs := range s.Logs {
+		events += len(cs.Events) + 2
 		for _, e := range cs.Events {
-			if e.Kind == "send" {
-				k := flowKey{from: cs.Chip, to: e.Peer, clock: e.Clock}
-				if _, ok := flows[k]; !ok {
+			switch e.Kind {
+			case "send":
+				if k := (flowKey{cs.Chip, e.Peer, e.Clock}); flows[k] == 0 {
 					flows[k] = len(flows) + 1
 				}
-			}
-		}
-	}
-	matched := make(map[flowKey]bool)
-	for _, cs := range s.Logs {
-		for _, e := range cs.Events {
-			if e.Kind == "recv" {
-				k := flowKey{from: e.Peer, to: cs.Chip, clock: e.MsgClock}
-				if _, ok := flows[k]; ok {
-					matched[k] = true
-				}
+			case "recv":
+				received[flowKey{e.Peer, cs.Chip, e.MsgClock}] = true
 			}
 		}
 	}
 
-	var out []any
+	c := obs.NewChromeTrace(events + len(flows) + len(received))
 	for _, cs := range s.Logs {
-		out = append(out, meshChromeMeta{
-			Name: "process_name", Ph: "M", PID: cs.Chip,
-			Args: map[string]any{"name": fmt.Sprintf("chip %d — %s", cs.Chip, label)},
-		})
-		out = append(out, meshChromeMeta{
-			Name: "thread_name", Ph: "M", PID: cs.Chip, TID: 0,
-			Args: map[string]any{"name": "mesh runtime"},
-		})
-		// Async collective events carry a lane (1 + mesh direction); give
-		// each lane present its own named track so the overlapped comm spans
-		// render under the chip's compute track with sound B/E nesting per
-		// tid. Ascending-lane scan keeps the meta order deterministic.
+		c.Meta("process_name", cs.Chip, 0).Str("chip ").Int(cs.Chip).Str(" — ").Str(label)
+		c.Meta("thread_name", cs.Chip, 0).Str("mesh runtime")
+		// Async collective events carry a lane (1 + mesh direction): one
+		// named track per lane, in ascending order, renders overlapped comm
+		// spans under the compute track with sound B/E nesting per tid.
 		maxLane := 0
 		for _, e := range cs.Events {
-			if e.Lane > maxLane {
-				maxLane = e.Lane
-			}
+			maxLane = max(maxLane, e.Lane)
 		}
 		for lane := 1; lane <= maxLane; lane++ {
-			out = append(out, meshChromeMeta{
-				Name: "thread_name", Ph: "M", PID: cs.Chip, TID: lane,
-				Args: map[string]any{"name": "comm lane " + laneName(lane)},
-			})
+			c.Meta("thread_name", cs.Chip, lane).Str("comm lane ")
+			if lane < len(laneNames) {
+				c.Str(laneNames[lane])
+			} else {
+				c.Int(lane)
+			}
 		}
 		for _, e := range cs.Events {
-			ts := float64(e.Clock)
+			f := obs.ChromeFields{TS: float64(e.Clock), PID: cs.Chip, TID: e.Lane}
 			switch e.Kind {
 			case "span-start":
-				name := e.Op
+				f.Cat, f.Ph = "span", "B"
+				c.Event(f).Str(e.Op)
 				if e.Step >= 0 {
-					name = fmt.Sprintf("%s #%d", e.Op, e.Step)
+					c.Str(" #").Int(e.Step)
 				}
-				out = append(out, meshChromeEvent{
-					Name: name, Cat: "span", Ph: "B", TS: ts, PID: cs.Chip, TID: e.Lane,
-				})
 			case "span-end":
-				out = append(out, meshChromeEvent{
-					Name: e.Op, Cat: "span", Ph: "E", TS: ts, PID: cs.Chip, TID: e.Lane,
-				})
-			case "send":
-				args := map[string]string{
-					"to":    fmt.Sprint(e.Peer),
-					"shape": fmt.Sprintf("%dx%d", e.Rows, e.Cols),
-					"step":  fmt.Sprint(e.Step),
-				}
-				out = append(out, meshChromeEvent{
-					Name: fmt.Sprintf("send→%d", e.Peer), Cat: "msg", Ph: "i",
-					TS: ts, PID: cs.Chip, TID: e.Lane, S: "t", Args: args,
-				})
-				k := flowKey{from: cs.Chip, to: e.Peer, clock: e.Clock}
-				if matched[k] {
-					out = append(out, meshChromeEvent{
-						Name: "msg", Cat: "flow", Ph: "s", TS: ts,
-						PID: cs.Chip, TID: e.Lane, ID: flows[k],
-					})
+				f.Cat, f.Ph = "span", "E"
+				c.Event(f).Str(e.Op)
+			case "send": // args in encoding/json's sorted key order
+				f.Cat, f.Ph, f.S = "msg", "i", "t"
+				c.Event(f).Str("send→").Int(e.Peer).
+					Arg("shape").Int(e.Rows).Str("x").Int(e.Cols).Arg("step").Int(e.Step).Arg("to").Int(e.Peer)
+				if k := (flowKey{cs.Chip, e.Peer, e.Clock}); received[k] {
+					c.Event(obs.ChromeFields{Cat: "flow", Ph: "s", TS: f.TS, PID: f.PID, TID: f.TID, ID: flows[k]}).Str("msg")
 				}
 			case "recv":
-				args := map[string]string{
-					"from":  fmt.Sprint(e.Peer),
-					"shape": fmt.Sprintf("%dx%d", e.Rows, e.Cols),
-					"step":  fmt.Sprint(e.Step),
-				}
-				out = append(out, meshChromeEvent{
-					Name: fmt.Sprintf("recv←%d", e.Peer), Cat: "msg", Ph: "i",
-					TS: ts, PID: cs.Chip, TID: e.Lane, S: "t", Args: args,
-				})
-				k := flowKey{from: e.Peer, to: cs.Chip, clock: e.MsgClock}
-				if matched[k] {
-					out = append(out, meshChromeEvent{
-						Name: "msg", Cat: "flow", Ph: "f", TS: ts,
-						PID: cs.Chip, TID: e.Lane, ID: flows[k], BP: "e",
-					})
+				f.Cat, f.Ph, f.S = "msg", "i", "t"
+				c.Event(f).Str("recv←").Int(e.Peer).
+					Arg("from").Int(e.Peer).Arg("shape").Int(e.Rows).Str("x").Int(e.Cols).Arg("step").Int(e.Step)
+				if id := flows[flowKey{e.Peer, cs.Chip, e.MsgClock}]; id != 0 {
+					c.Event(obs.ChromeFields{Cat: "flow", Ph: "f", TS: f.TS, PID: f.PID, TID: f.TID, ID: id, BP: "e"}).Str("msg")
 				}
 			case "async-issue", "async-wait":
-				out = append(out, meshChromeEvent{
-					Name: fmt.Sprintf("%s %s#%d", e.Kind, e.Op, e.Step), Cat: "async", Ph: "i",
-					TS: ts, PID: cs.Chip, TID: e.Lane, S: "t",
-				})
+				f.Cat, f.Ph, f.S = "async", "i", "t"
+				c.Event(f).Str(e.Kind).Str(" ").Str(e.Op).Str("#").Int(e.Step)
 			case "fault-delay", "fault-drop", "chip-fail":
-				out = append(out, meshChromeEvent{
-					Name: e.Kind, Cat: "fault", Ph: "i", TS: ts,
-					PID: cs.Chip, TID: e.Lane, S: "t",
-					Args: map[string]string{"peer": fmt.Sprint(e.Peer)},
-				})
+				f.Cat, f.Ph, f.S = "fault", "i", "t"
+				c.Event(f).Str(e.Kind).Arg("peer").Int(e.Peer)
 			}
 		}
 	}
-	return json.NewEncoder(w).Encode(out)
-}
-
-// laneName maps a comm lane (1 + topology direction) to its track label.
-func laneName(lane int) string {
-	switch lane {
-	case 1:
-		return "row"
-	case 2:
-		return "col"
-	case 3:
-		return "depth"
-	}
-	return fmt.Sprint(lane)
+	return c.Encode(w)
 }
