@@ -148,6 +148,15 @@ func TestBadFlagsExitTwoWithoutPanic(t *testing.T) {
 		"faults -factor 0",
 		"faults -scenario stragglers -factor 0.5",
 		"serve -faults col-degrade -factor 0",
+		"serve -rate NaN",
+		"serve -rate Inf",
+		"serve -rate -Inf",
+		"serve -hbm-gb NaN",
+		"serve -hbm-gb +Inf",
+		"serve -slo NaN",
+		"serve -slo -Inf",
+		"serve -slo-token NaN",
+		"serve -slo-token Inf",
 	} {
 		t.Run(args, func(t *testing.T) {
 			t.Parallel()

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"meshslice/internal/autotune"
@@ -37,6 +38,15 @@ func cmdServe(args []string) {
 	factor := fs.Float64("factor", 6, "degrade/slowdown factor for the fault scenario")
 	out := fs.String("o", "", "write the canonical JSON serving report to this path")
 	fs.Parse(args)
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"rate", *rate}, {"hbm-gb", *hbmGB}, {"slo", *sloTTFT}, {"slo-token", *sloTok}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			fmt.Fprintf(os.Stderr, "bad -%s %g: want a finite number\n", f.name, f.v)
+			os.Exit(2)
+		}
+	}
 
 	cfg := modelByName(*modelName)
 	chip := hw.TPUv4()

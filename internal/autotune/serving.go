@@ -114,6 +114,9 @@ func tuneServing(cfg model.Config, chips int, chip hw.Chip, slo serve.SLO, workl
 	if len(workload) == 0 {
 		return ServingChoice{}, fmt.Errorf("autotune: empty serving workload")
 	}
+	if err := serve.ValidateTrace(workload); err != nil {
+		return ServingChoice{}, err
+	}
 	opts = opts.withDefaults(chips)
 	cands := servingGrid(opts)
 	if len(cands) == 0 {

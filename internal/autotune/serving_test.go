@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"meshslice/internal/fault"
@@ -130,6 +131,21 @@ func TestTuneServingUnderColDegradeNeverWorse(t *testing.T) {
 	}
 	if !res.Retuned.Report.Feasible {
 		t.Fatalf("retuned infeasible: %s", res.Retuned.Report.Reason)
+	}
+}
+
+// TestTuneServingReportsTraceError: a malformed trace is the caller's
+// error, not "no feasible serving configuration".
+func TestTuneServingReportsTraceError(t *testing.T) {
+	cfg, chip, slo, wl, opts := servingTestInputs()
+	wl[3].Arrival = math.NaN()
+	want := serve.ValidateTrace(wl)
+	if want == nil {
+		t.Fatal("test premise broken: NaN arrival validates")
+	}
+	_, err := TuneServing(cfg, 16, chip, slo, wl, opts)
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("TuneServing error %v, want the trace's %v", err, want)
 	}
 }
 

@@ -271,13 +271,23 @@ type Histogram struct {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records the value v n times under one lock; n <= 0 records
+// nothing. The sum adds v once per observation rather than n·v, so the
+// result is bit-identical to n Observe(v) calls.
+func (h *Histogram) ObserveN(v float64, n int) {
+	if n <= 0 {
+		return
+	}
 	// Binary search for the first bound >= v.
 	idx := sort.SearchFloat64s(h.bounds, v)
 	h.mu.Lock()
-	h.counts[idx]++
-	h.sum += v
-	h.n++
+	h.counts[idx] += int64(n)
+	for i := 0; i < n; i++ {
+		h.sum += v
+	}
+	h.n += int64(n)
 	h.mu.Unlock()
 }
 

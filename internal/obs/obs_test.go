@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -71,6 +73,42 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if hp.Sum != 1053.5 {
 		t.Errorf("sum = %v, want 1053.5", hp.Sum)
+	}
+}
+
+// TestObserveNMatchesRepeatedObserve holds ObserveN(v, n) to n Observe(v)
+// calls bit for bit: values whose repeated sum differs from n·v (0.1; 1 and
+// 1e-17 on top of 1e16), a subnormal, values on bucket bounds, and the
+// overflow bucket.
+func TestObserveNMatchesRepeatedObserve(t *testing.T) {
+	bounds := []float64{0.1, 1, 10}
+	for _, c := range []struct{ base, v float64 }{
+		{0, 0.1}, {1e16, 1}, {1e16, 1e-17}, {0, 5e-324}, {0, 1}, {0, 10}, {0, 0.3}, {0, 11},
+	} {
+		for _, n := range []int{1, 2, 1000} {
+			r := NewRegistry()
+			bulk, single := r.Histogram("bulk", bounds), r.Histogram("single", bounds)
+			if c.base != 0 {
+				bulk.Observe(c.base)
+				single.Observe(c.base)
+			}
+			bulk.ObserveN(c.v, n)
+			for i := 0; i < n; i++ {
+				single.Observe(c.v)
+			}
+			if math.Float64bits(bulk.Sum()) != math.Float64bits(single.Sum()) {
+				t.Errorf("%g+%g×%d: sum %v, want %v", c.base, c.v, n, bulk.Sum(), single.Sum())
+			}
+			if bulk.Count() != single.Count() || !slices.Equal(bulk.counts, single.counts) {
+				t.Errorf("%g+%g×%d: counts %v (n=%d), want %v (n=%d)", c.base, c.v, n, bulk.counts, bulk.Count(), single.counts, single.Count())
+			}
+		}
+	}
+	h := NewRegistry().Histogram("h", bounds)
+	h.ObserveN(1, 0)
+	h.ObserveN(1, -3)
+	if h.Count() != 0 || h.Sum() != 0 || slices.ContainsFunc(h.counts, func(c int64) bool { return c != 0 }) {
+		t.Errorf("n <= 0 recorded something: count %d, sum %v, buckets %v", h.Count(), h.Sum(), h.counts)
 	}
 }
 

@@ -94,6 +94,9 @@ func (c Config) Validate() error {
 	if c.Mesh.Rows <= 0 || c.Mesh.Cols <= 0 {
 		return fmt.Errorf("serve: mesh %dx%d", c.Mesh.Rows, c.Mesh.Cols)
 	}
+	if math.IsNaN(c.HBMBytes) || math.IsInf(c.HBMBytes, 0) {
+		return fmt.Errorf("serve: HBM capacity %v bytes", c.HBMBytes)
+	}
 	if c.ClusterChips != 0 && c.ClusterChips < c.Mesh.Size() {
 		return fmt.Errorf("serve: mesh %dx%d needs %d chips, cluster has %d",
 			c.Mesh.Rows, c.Mesh.Cols, c.Mesh.Size(), c.ClusterChips)
@@ -130,6 +133,39 @@ type reqState struct {
 	preempts   int
 }
 
+// reqDeque is the scheduler's FIFO queue: a ring over one slab sized to the
+// workload. It cannot overflow, since every request sits in at most one of
+// the queue and the running batch, or has left the scheduler. Arrivals
+// push back, preempted requests push front, admission pops the front.
+type reqDeque struct {
+	buf     []*reqState
+	head, n int
+}
+
+// lint:hotpath once per arrival
+func (d *reqDeque) pushBack(r *reqState) {
+	d.buf[(d.head+d.n)%len(d.buf)] = r
+	d.n++
+}
+
+// lint:hotpath once per preemption
+func (d *reqDeque) pushFront(r *reqState) {
+	d.head = (d.head + len(d.buf) - 1) % len(d.buf)
+	d.buf[d.head] = r
+	d.n++
+}
+
+// lint:hotpath once per admission attempt; the deque must be non-empty
+func (d *reqDeque) front() *reqState { return d.buf[d.head] }
+
+// lint:hotpath once per admission or rejection
+func (d *reqDeque) popFront() *reqState {
+	r := d.buf[d.head]
+	d.head = (d.head + 1) % len(d.buf)
+	d.n--
+	return r
+}
+
 // Run simulates serving the workload under the configuration and returns
 // the canonical report. The scheduler is single-threaded and reads only
 // simulated time, so the same (config, workload) pair produces a
@@ -150,11 +186,13 @@ type reqState struct {
 //
 // The admission guarantee (prompt+output ≤ budget or rejected) plus
 // oldest-never-preempted means the oldest running request always finishes,
-// so the loop terminates. The loop body allocates (batch assembly, queue
-// reshuffling) and is deliberately NOT a lint:hotpath root: it runs once
-// per simulated step, thousands of times per run, not per-microsecond —
-// the per-step pricing kernels it calls (costModel.fcStack, costModel.attn)
-// carry the hotpath contract instead.
+// so the loop terminates.
+//
+// The loop allocates nothing per step or preemption (TestRunAllocationGate):
+// the queue is a reqDeque over one slab, the FC-stack price is memoised per
+// batched token count, and counters are published once after the loop.
+// Run itself allocates its per-run slabs, so it is not a lint:hotpath root;
+// the pricing kernels and deque methods carry that contract.
 func Run(cfg Config, workload []Request) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -212,7 +250,7 @@ func Run(cfg Config, workload []Request) (*Report, error) {
 		return nil, err
 	}
 	kvPerTok := cfg.Model.KVCacheBytesPerToken(bpe) / float64(cfg.Mesh.Size())
-	maxKV := int((cfg.HBMBytes - base.Total()) / kvPerTok)
+	maxKV := int(min((cfg.HBMBytes-base.Total())/kvPerTok, maxTokens))
 	rep.KVBudgetTokens = maxKV
 	if maxKV <= 0 {
 		rep.Feasible = false
@@ -224,27 +262,26 @@ func Run(cfg Config, workload []Request) (*Report, error) {
 
 	cm := newCostModel(cfg.Model, fab, cfg.Mesh, cfg.Policy.SliceCount)
 
-	admitted := reg.Counter("serve_admissions_total")
-	preempted := reg.Counter("serve_preemptions_total")
-	rejectedC := reg.Counter("serve_rejected_total")
-	completedC := reg.Counter("serve_completed_total")
-	tokensC := reg.Counter("serve_tokens_generated_total")
-	stepsC := reg.Counter("serve_steps_total")
-	kvPeak := reg.Gauge("serve_kv_tokens_peak")
-	batchPeak := reg.Gauge("serve_batch_peak")
 	ttftH := reg.Histogram("serve_ttft_seconds", []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10})
 	perTokH := reg.Histogram("serve_per_token_seconds", []float64{0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5})
 	e2eH := reg.Histogram("serve_e2e_seconds", []float64{0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 50, 100})
 
 	states := make([]reqState, len(workload))
+	longest := 0
 	for i, r := range workload {
 		states[i] = reqState{req: r, prefillLen: r.PromptTokens}
+		longest = max(longest, r.PromptTokens+r.OutputTokens)
 	}
+	slots := min(cfg.Policy.MaxBatch, len(workload))
+	// fcPrice memoises cm.fcStack by batched token count: at most `slots`
+	// decodes plus one prefill chunk, which never exceeds the chunk size or
+	// a request's prompt+output. An unpriced count reads 0; fcStack of a
+	// positive count is positive.
+	fcPrice := make([]float64, slots+min(cfg.Policy.ChunkTokens, longest)+1)
+	queue := reqDeque{buf: make([]*reqState, len(workload))}
+	running := make([]*reqState, 0, slots)
 
 	var (
-		queue    []*reqState
-		running  []*reqState
-		done     []*reqState
 		now      float64
 		resident int
 		next     int // index of the next un-arrived request
@@ -254,36 +291,33 @@ func Run(cfg Config, workload []Request) (*Report, error) {
 	for rep.Completed+rep.Rejected < len(workload) {
 		// 1. Arrivals up to the current instant join the queue.
 		for next < len(workload) && states[next].req.Arrival <= now {
-			queue = append(queue, &states[next])
+			queue.pushBack(&states[next])
 			next++
 		}
 
 		// 2. Admission control against the KV-token budget.
-		for len(queue) > 0 && len(running) < cfg.Policy.MaxBatch {
-			h := queue[0]
+		for queue.n > 0 && len(running) < cfg.Policy.MaxBatch {
+			h := queue.front()
 			if h.prefillLen+(h.req.OutputTokens-h.generated) > maxKV {
 				// Can never fit even alone: reject.
-				queue = queue[1:]
+				queue.popFront()
 				rep.Rejected++
-				rejectedC.Inc()
-				done = append(done, h)
 				continue
 			}
 			if resident+h.prefillLen > maxKV {
 				break // wait for running requests to retire
 			}
-			queue = queue[1:]
+			queue.popFront()
 			h.admitSeq = admitSeq
 			admitSeq++
 			h.prefilled = 0
 			h.kv = 0
 			running = append(running, h)
 			rep.Admissions++
-			admitted.Inc()
 		}
 
 		if len(running) == 0 {
-			if len(queue) == 0 {
+			if queue.n == 0 {
 				if next >= len(workload) {
 					break // everything accounted for
 				}
@@ -324,13 +358,17 @@ func Run(cfg Config, workload []Request) (*Report, error) {
 			}
 			stepTime += cm.attn(float64(prefillChunk), float64(prefillReq.kv+prefillChunk))
 		}
-		stepTime += cm.fcStack(float64(decodeCount + prefillChunk))
+		tokens := decodeCount + prefillChunk
+		if !(fcPrice[tokens] > 0) {
+			fcPrice[tokens] = cm.fcStack(float64(tokens))
+		}
+		stepTime += fcPrice[tokens]
 		if !(stepTime > 0) {
 			return nil, fmt.Errorf("serve: step with %d decode + %d prefill tokens priced at %v — scheduler would not advance", decodeCount, prefillChunk, stepTime)
 		}
 		now += stepTime
 		rep.Steps++
-		stepsC.Inc()
+		perTokH.ObserveN(stepTime, decodeCount)
 
 		// 4. Apply progress; collect completions.
 		keep := running[:0]
@@ -347,7 +385,6 @@ func Run(cfg Config, workload []Request) (*Report, error) {
 						r.hasTTFT = true
 						r.generated++
 						rep.TokensGenerated++
-						tokensC.Inc()
 						ttftH.Observe(r.ttft)
 						finished = r.generated >= r.req.OutputTokens
 					}
@@ -357,8 +394,6 @@ func Run(cfg Config, workload []Request) (*Report, error) {
 				r.kv++
 				resident++
 				rep.TokensGenerated++
-				tokensC.Inc()
-				perTokH.Observe(stepTime)
 				finished = r.generated >= r.req.OutputTokens
 			}
 			if finished {
@@ -366,9 +401,7 @@ func Run(cfg Config, workload []Request) (*Report, error) {
 				r.kv = 0
 				r.finishTime = now
 				rep.Completed++
-				completedC.Inc()
 				e2eH.Observe(now - r.req.Arrival)
-				done = append(done, r)
 			} else {
 				keep = append(keep, r)
 			}
@@ -393,34 +426,43 @@ func Run(cfg Config, workload []Request) (*Report, error) {
 			v.prefillLen = v.req.PromptTokens + v.generated
 			v.preempts++
 			rep.Preemptions++
-			preempted.Inc()
-			queue = append([]*reqState{v}, queue...)
+			queue.pushFront(v)
 		}
 
-		if resident > rep.PeakKVTokens {
-			rep.PeakKVTokens = resident
-			kvPeak.SetMax(float64(resident))
-		}
+		rep.PeakKVTokens = max(rep.PeakKVTokens, resident)
 		batch := decodeCount
 		if prefillReq != nil {
 			batch++
 		}
-		if batch > rep.PeakBatch {
-			rep.PeakBatch = batch
-			batchPeak.SetMax(float64(batch))
-		}
+		rep.PeakBatch = max(rep.PeakBatch, batch)
 	}
 
+	// Publish the run's counts once. Each Report field counts exactly the
+	// events the metric names, and integer-valued float sums are exact, so
+	// the registry — fresh or not — ends bit-identical to per-event updates.
+	reg.Counter("serve_admissions_total").AddInt(int64(rep.Admissions))
+	reg.Counter("serve_preemptions_total").AddInt(int64(rep.Preemptions))
+	reg.Counter("serve_rejected_total").AddInt(int64(rep.Rejected))
+	reg.Counter("serve_completed_total").AddInt(int64(rep.Completed))
+	reg.Counter("serve_tokens_generated_total").AddInt(int64(rep.TokensGenerated))
+	reg.Counter("serve_steps_total").AddInt(int64(rep.Steps))
+	reg.Gauge("serve_kv_tokens_peak").SetMax(float64(rep.PeakKVTokens))
+	reg.Gauge("serve_batch_peak").SetMax(float64(rep.PeakBatch))
+
 	rep.MakespanS = now
-	rep.finish(reg, done)
+	rep.finish(reg, states)
 	return rep, nil
 }
 
 // finish computes the latency quantiles, goodput and metric snapshot from
-// the terminal per-request states.
-func (rep *Report) finish(reg *obs.Registry, done []*reqState) {
-	var ttfts, perToks, e2es []float64
-	for _, r := range done {
+// the terminal per-request states: every request has completed or been
+// rejected by the time it runs.
+func (rep *Report) finish(reg *obs.Registry, states []reqState) {
+	n := len(states)
+	buf := make([]float64, 3*n)
+	ttfts, perToks, e2es := buf[:0:n], buf[n:n:2*n], buf[2*n:2*n]
+	for i := range states {
+		r := &states[i]
 		if r.generated < r.req.OutputTokens {
 			continue // rejected
 		}
@@ -450,14 +492,13 @@ func (rep *Report) finish(reg *obs.Registry, done []*reqState) {
 func (r *reqState) e2e() float64 { return r.finishTime - r.req.Arrival }
 
 // quantiles computes exact nearest-rank quantiles over the sample set:
-// the k-th order statistic with k = ⌈p·n⌉. Deterministic (sorted copy) and
-// exact, unlike the obs.Histogram bucket interpolation that feeds the
-// metric snapshot.
-func quantiles(xs []float64) Quantiles {
-	if len(xs) == 0 {
+// the k-th order statistic with k = ⌈p·n⌉. Deterministic (it sorts s in
+// place) and exact, unlike the obs.Histogram bucket interpolation that
+// feeds the metric snapshot.
+func quantiles(s []float64) Quantiles {
+	if len(s) == 0 {
 		return Quantiles{}
 	}
-	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
 	rank := func(p float64) float64 {
 		k := int(math.Ceil(p*float64(len(s)))) - 1

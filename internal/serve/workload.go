@@ -120,18 +120,27 @@ func (s WorkloadSpec) Generate() []Request {
 	return reqs
 }
 
-// ValidateTrace checks a replayable fixed trace: arrivals must be
-// non-decreasing and every request needs a positive prompt and output
-// length. Run accepts any valid trace in place of a generated workload.
+// maxTokens bounds every token count the scheduler handles: the KV budget
+// saturates at it (a huge HBM capacity cannot wrap the conversion to int),
+// and trace lengths may not exceed it, so sums of token counts never
+// overflow. It sits far above any real KV budget.
+const maxTokens = math.MaxInt32
+
+// ValidateTrace checks a replayable fixed trace: arrivals must be finite
+// and non-decreasing, and every request needs a prompt and output length
+// in [1, 2^31). Run accepts any valid trace in place of a generated
+// workload.
 func ValidateTrace(reqs []Request) error {
 	prev := 0.0
 	for i, r := range reqs {
 		switch {
+		case math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 0):
+			return fmt.Errorf("serve: trace request %d arrives at %v", i, r.Arrival)
 		case r.Arrival < prev:
 			return fmt.Errorf("serve: trace request %d arrives at %v, before its predecessor at %v", i, r.Arrival, prev)
-		case r.PromptTokens <= 0:
+		case r.PromptTokens <= 0 || r.PromptTokens > maxTokens:
 			return fmt.Errorf("serve: trace request %d has prompt length %d", i, r.PromptTokens)
-		case r.OutputTokens <= 0:
+		case r.OutputTokens <= 0 || r.OutputTokens > maxTokens:
 			return fmt.Errorf("serve: trace request %d has output length %d", i, r.OutputTokens)
 		}
 		prev = r.Arrival
