@@ -93,6 +93,7 @@ func TestCanonicalOutputsDeterministic(t *testing.T) {
 		{args: "faults -chips 16 -scenario seeded -seed 7"},
 		{args: "ckpt -rows 2 -cols 2 -steps 8 -every 2"},
 		{args: "serve -chips 16 -requests 32", procs: anyProcs},
+		{args: "serve -chips 32 -rows 4 -cols 8 -slices 3 -faults col-degrade -requests 32", procs: anyProcs},
 		{args: "timeline -rows 4 -cols 4", out: "-chrome"},
 		{args: "faults -chips 16 -scenario seeded -seed 7", out: "-chrome"},
 		{args: "record -pipelined -s 4", out: "-chrome", procs: anyProcs},
@@ -157,6 +158,11 @@ func TestBadFlagsExitTwoWithoutPanic(t *testing.T) {
 		"serve -slo -Inf",
 		"serve -slo-token NaN",
 		"serve -slo-token Inf",
+		"serve -chips 16 -rows 4 -requests 8",
+		"serve -chips 16 -cols 4 -requests 8",
+		"serve -rows 4 -cols 4 -slices -2",
+		"serve -rows 4 -cols 4 -max-batch -1",
+		"serve -rows 4 -cols 4 -chunk -7",
 	} {
 		t.Run(args, func(t *testing.T) {
 			t.Parallel()

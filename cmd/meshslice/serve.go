@@ -47,6 +47,19 @@ func cmdServe(args []string) {
 			os.Exit(2)
 		}
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"slices", *slices}, {"max-batch", *maxBatch}, {"chunk", *chunk}} {
+		if f.v < 0 {
+			fmt.Fprintf(os.Stderr, "bad -%s %d: want a positive count, or 0 for the default\n", f.name, f.v)
+			os.Exit(2)
+		}
+	}
+	if (*rows > 0) != (*cols > 0) {
+		fmt.Fprintf(os.Stderr, "bad -rows %d -cols %d: set both to fix the mesh, or neither to autotune\n", *rows, *cols)
+		os.Exit(2)
+	}
 
 	cfg := modelByName(*modelName)
 	chip := hw.TPUv4()

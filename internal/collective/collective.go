@@ -153,35 +153,6 @@ func Reduce(cm *mesh.Comm, root int, m *tensor.Matrix) *tensor.Matrix {
 	return nil
 }
 
-// AllToAll performs the personalised exchange of expert parallelism
-// (paper §6: MoE adds expert parallelism, whose dispatch/combine steps are
-// all-to-alls): blocks[d] is this chip's payload for ring position d; the
-// result holds, at index s, the block sent to this chip by position s.
-// Blocks may have heterogeneous shapes (real MoE routing is uneven).
-func AllToAll(cm *mesh.Comm, blocks []*tensor.Matrix) []*tensor.Matrix {
-	if err := checkBlocks("alltoall", blocks, cm.Size); err != nil {
-		panic(err) // lint:invariant block-count precondition; AllToAllE returns it as a value
-	}
-	return allToAll(cm, blocks)
-}
-
-func allToAll(cm *mesh.Comm, blocks []*tensor.Matrix) []*tensor.Matrix {
-	cm.CountCollective("alltoall")
-	cm.SpanStart(recorder.OpAllToAll, -1)
-	defer cm.SpanEnd(recorder.OpAllToAll)
-	p := cm.Size
-	out := make([]*tensor.Matrix, p)
-	out[cm.Pos] = blocks[cm.Pos].Clone()
-	// Shifted exchange order avoids head-of-line blocking: at round t,
-	// talk to the peer t positions away in both directions of the rank
-	// space (classic pairwise exchange).
-	for t := 1; t < p; t++ {
-		cm.SendTo(cm.Pos+t, blocks[mod(cm.Pos+t, p)])
-		out[mod(cm.Pos-t, p)] = cm.RecvFrom(cm.Pos - t)
-	}
-	return out
-}
-
 // AllReduce returns the element-wise sum of every ring member's matrix on
 // all members, implemented as Reduce to position 0 followed by Broadcast —
 // the composition property the tests verify against ReduceScatter+AllGather.

@@ -280,50 +280,3 @@ func TestCollectivesOn2DMesh(t *testing.T) {
 
 // ringTopo builds the 1×p torus used by ring-level tests.
 func ringTopo(p int) topology.Torus { return topology.NewTorus(1, p) }
-
-func TestAllToAllTransposeProperty(t *testing.T) {
-	// The defining property: chip i's out[j] equals chip j's blocks[i].
-	for _, p := range []int{1, 2, 3, 5, 8} {
-		runRow(p, func(c *mesh.Chip, cm *mesh.Comm) {
-			blocks := make([]*tensor.Matrix, p)
-			for d := 0; d < p; d++ {
-				blocks[d] = tensor.FromSlice(1, 2, []float64{float64(cm.Pos), float64(d)})
-			}
-			got := AllToAll(cm, blocks)
-			for s, m := range got {
-				if m.At(0, 0) != float64(s) || m.At(0, 1) != float64(cm.Pos) {
-					t.Errorf("p=%d pos=%d: out[%d] = (%v,%v), want (%d,%d)",
-						p, cm.Pos, s, m.At(0, 0), m.At(0, 1), s, cm.Pos)
-				}
-			}
-		})
-	}
-}
-
-func TestAllToAllHeterogeneousShapes(t *testing.T) {
-	// MoE routing is uneven: destination d receives d+1 rows from everyone.
-	const p = 4
-	runRow(p, func(c *mesh.Chip, cm *mesh.Comm) {
-		blocks := make([]*tensor.Matrix, p)
-		for d := 0; d < p; d++ {
-			blocks[d] = tensor.New(d+1, 2)
-		}
-		got := AllToAll(cm, blocks)
-		for s, m := range got {
-			if m.Rows != cm.Pos+1 {
-				t.Errorf("pos %d: block from %d has %d rows, want %d", cm.Pos, s, m.Rows, cm.Pos+1)
-			}
-		}
-	})
-}
-
-func TestAllToAllWrongCountPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("expected panic")
-		}
-	}()
-	runRow(2, func(c *mesh.Chip, cm *mesh.Comm) {
-		AllToAll(cm, make([]*tensor.Matrix, 1))
-	})
-}

@@ -9,7 +9,7 @@ import (
 
 // Typed errors for the public API boundary. The ring primitives historically
 // panicked on caller mistakes; the error-returning variants (ReduceScatterE,
-// AllToAllE, ReduceScatterBidirE, BroadcastE, ReduceE) surface the same
+// ReduceScatterBidirE, BroadcastE, ReduceE) surface the same
 // conditions as values so resilience-aware callers — fault-injection
 // harnesses, schedulers probing degraded rings — can handle them without
 // recover. The panic variants remain as thin wrappers preserving SPMD
@@ -17,7 +17,7 @@ import (
 
 // RingSizeError reports a block slice whose length does not match the ring.
 type RingSizeError struct {
-	Op     string // "reducescatter", "alltoall", ...
+	Op     string // "reducescatter", "allgather", ...
 	Blocks int    // blocks supplied by the caller
 	Ring   int    // ring size expected
 }
@@ -60,15 +60,6 @@ func ReduceScatterE(cm *mesh.Comm, blocks []*tensor.Matrix) (*tensor.Matrix, err
 		return nil, err
 	}
 	return reduceScatter(cm, blocks), nil
-}
-
-// AllToAllE is AllToAll returning a *RingSizeError instead of panicking
-// when blocks does not hold one block per ring position.
-func AllToAllE(cm *mesh.Comm, blocks []*tensor.Matrix) ([]*tensor.Matrix, error) {
-	if err := checkBlocks("alltoall", blocks, cm.Size); err != nil {
-		return nil, err
-	}
-	return allToAll(cm, blocks), nil
 }
 
 // ReduceScatterBidirE is ReduceScatterBidir returning a *RingSizeError

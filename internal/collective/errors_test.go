@@ -45,19 +45,6 @@ func TestRingSizeErrorValue(t *testing.T) {
 	}
 }
 
-func TestAllToAllEWrongBlocks(t *testing.T) {
-	_, err := runOnRing(t, func(cm *mesh.Comm) (any, error) {
-		return AllToAllE(cm, []*tensor.Matrix{unit(1)})
-	})
-	var rse *RingSizeError
-	if !errors.As(err, &rse) {
-		t.Fatalf("got %T (%v), want *RingSizeError", err, err)
-	}
-	if rse.Op != "alltoall" {
-		t.Errorf("op = %q", rse.Op)
-	}
-}
-
 func TestReduceScatterBidirEWrongBlocks(t *testing.T) {
 	_, err := runOnRing(t, func(cm *mesh.Comm) (any, error) {
 		return ReduceScatterBidirE(cm, nil)

@@ -44,20 +44,6 @@ func RingCollectiveBidir(c hw.Chip, ringSize int, shardBytes float64) float64 {
 	return c.LaunchOverhead + float64(steps)*(c.SyncLatency+shardBytes/c.LinkBandwidth)
 }
 
-// RingAllToAll returns the modelled time of a personalised all-to-all on a
-// unidirectional ring of ringSize chips where every ordered pair exchanges
-// pairBytes: each of the ringSize-1 rounds is synchronised, and the busiest
-// link carries P·(P-1)/2 pair-payloads in total (every payload crosses its
-// hop distance). Expert parallelism's dispatch/combine steps (§6) use this.
-func RingAllToAll(c hw.Chip, ringSize int, pairBytes float64) float64 {
-	if ringSize <= 1 {
-		return 0
-	}
-	p := float64(ringSize)
-	wire := pairBytes * p * (p - 1) / 2 / c.LinkBandwidth
-	return c.LaunchOverhead + (p-1)*c.SyncLatency + wire
-}
-
 // Estimate is the cost model's decomposition of one distributed GeMM.
 type Estimate struct {
 	// Prologue is the non-overlapped head (the first iteration's
@@ -82,6 +68,80 @@ func (e Estimate) Total() float64 {
 	return e.Prologue + float64(e.Iterations)*e.SteadyState + e.Epilogue
 }
 
+// Fabric is the cost model's view of a 2D mesh whose two ring directions
+// may be calibrated differently: collectives over a ring of Rows ride
+// InterRow (vertical) links and use Row's link calibration, collectives over
+// a ring of Cols ride InterCol (horizontal) links and use Col's, and the
+// local GeMMs use Compute's throughput, HBM bandwidth and element size.
+// Serving fills it from a fault plan, so a sick column direction slows only
+// the collectives whose rings cross it; training prices on Uniform.
+type Fabric struct {
+	Row, Col, Compute hw.Chip
+}
+
+// Uniform returns the fabric of a healthy mesh of identical chips c.
+func Uniform(c hw.Chip) Fabric {
+	return Fabric{Row: c, Col: c, Compute: c}
+}
+
+// Iteration is one MeshSlice iteration's cost in one dataflow (§3.2.2).
+type Iteration struct {
+	// Comm1 and Comm2 are the iteration's two partial collectives, Compute
+	// its roofline local GeMM.
+	Comm1, Comm2, Compute float64
+	// First is the non-overlapped head of the pipeline (the first
+	// iteration's communication); Tail is what the last iteration still
+	// runs after its compute (the last reduction of LS and RS, zero for OS).
+	First, Tail float64
+}
+
+// Iterations prices one iteration of an m×n×k GeMM with slice count S on
+// torus t in every dataflow at once, indexed by gemm.Dataflow. Per-iteration
+// compute uses the roofline: FLOPs at effective throughput against operand
+// streaming at HBM bandwidth. Training GeMMs are compute-bound so this
+// matches the paper's pure-FLOPs model; inference-decode GeMMs become
+// memory-bound (§6).
+//
+// The result is named so the terms are written in place: a local array
+// copied out on return made serving's fcStack ~6 % slower.
+//
+// lint:hotpath serving prices every FC layer with it per scheduler step
+func (f *Fabric) Iterations(m, n, k float64, t topology.Torus, S int) (it [3]Iteration) {
+	if S <= 0 {
+		panic(fmt.Sprintf("costmodel: S=%d", S)) // lint:invariant slice-count precondition
+	}
+	fS := float64(S)
+	bpe := f.Compute.BytesPerElement
+	pr, pc := float64(t.Rows), float64(t.Cols)
+
+	// OS: C stationary; A slices gather over columns, B slices over rows.
+	os := &it[gemm.OS]
+	os.Comm1 = RingCollective(f.Col, t.Cols, m/pr*k/pc/fS*bpe) // AG_col A_s
+	os.Comm2 = RingCollective(f.Row, t.Rows, k/pr*n/pc/fS*bpe) // AG_row B_s
+	hbm := (m/pr*k/fS + k/fS*n/pc + 2*m/pr*n/pc) * bpe
+	os.Compute = f.Compute.RooflineTime(2*m/pr*n/pc*k/fS, hbm)
+	os.First = maxf(os.Comm1, os.Comm2)
+
+	// LS: A stationary; B slices gather over rows, C slices reduce over
+	// columns.
+	ls := &it[gemm.LS]
+	ls.Comm1 = RingCollective(f.Row, t.Rows, n/pr*k/pc/fS*bpe)   // AG_row B_s
+	ls.Comm2 = RingCollective(f.Col, t.Cols, m/pr*(n/fS)/pc*bpe) // RdS_col C_s
+	hbm = (m/pr*k/pc + (n/fS)*k/pc + 2*m/pr*(n/fS)) * bpe
+	ls.Compute = f.Compute.RooflineTime(2*m/pr*(n/fS)*k/pc, hbm)
+	ls.First, ls.Tail = ls.Comm1, ls.Comm2
+
+	// RS: B stationary; A slices gather over columns, C slices reduce over
+	// rows.
+	rs := &it[gemm.RS]
+	rs.Comm1 = RingCollective(f.Col, t.Cols, k/pr*m/pc/fS*bpe)   // AG_col A_s
+	rs.Comm2 = RingCollective(f.Row, t.Rows, (m/fS)/pr*n/pc*bpe) // RdS_row C_s
+	hbm = (k/pr*(m/fS) + k/pr*n/pc + 2*(m/fS)*n/pc) * bpe
+	rs.Compute = f.Compute.RooflineTime(2*(m/fS)*n/pc*k/pr, hbm)
+	rs.First, rs.Tail = rs.Comm1, rs.Comm2
+	return it
+}
+
 // MeshSlice estimates the execution time of the MeshSlice algorithm for
 // problem p on torus t with slice count S (paper §3.2.2): the prologue is
 // the longest first-iteration communication, the steady state is the
@@ -89,54 +149,19 @@ func (e Estimate) Total() float64 {
 // directions run in parallel with the computation), and the epilogue is
 // the remainder of the last iteration.
 func MeshSlice(p gemm.Problem, t topology.Torus, c hw.Chip, S int) Estimate {
-	if S <= 0 {
-		panic(fmt.Sprintf("costmodel: S=%d", S)) // lint:invariant slice-count precondition
+	if p.Dataflow < gemm.OS || p.Dataflow > gemm.RS {
+		panic(fmt.Sprintf("costmodel: unknown dataflow %d", int(p.Dataflow))) // lint:invariant exhaustive dataflow guard
 	}
+	f := Uniform(c)
+	it := f.Iterations(float64(p.M), float64(p.N), float64(p.K), t, S)[p.Dataflow]
 	fS := float64(S)
-	bpe := c.BytesPerElement
-	pr, pc := float64(t.Rows), float64(t.Cols)
-	m, n, k := float64(p.M), float64(p.N), float64(p.K)
-
-	// Per-iteration compute uses the roofline: FLOPs at effective
-	// throughput against operand streaming at HBM bandwidth. Training
-	// GeMMs are compute-bound so this matches the paper's pure-FLOPs
-	// model; inference-decode GeMMs become memory-bound (§6).
-	var comm1, comm2, compute float64 // per-iteration costs
-	var commFirst, tailAfterCompute float64
-	switch p.Dataflow {
-	case gemm.OS:
-		comm1 = RingCollective(c, t.Cols, m/pr*k/pc/fS*bpe) // AG_col A_s
-		comm2 = RingCollective(c, t.Rows, k/pr*n/pc/fS*bpe) // AG_row B_s
-		hbm := (m/pr*k/fS + k/fS*n/pc + 2*m/pr*n/pc) * bpe
-		compute = c.RooflineTime(2*m/pr*n/pc*k/fS, hbm)
-		commFirst = maxf(comm1, comm2)
-		tailAfterCompute = 0
-	case gemm.LS:
-		comm1 = RingCollective(c, t.Rows, n/pr*k/pc/fS*bpe)   // AG_row B_s
-		comm2 = RingCollective(c, t.Cols, m/pr*(n/fS)/pc*bpe) // RdS_col C_s
-		hbm := (m/pr*k/pc + (n/fS)*k/pc + 2*m/pr*(n/fS)) * bpe
-		compute = c.RooflineTime(2*m/pr*(n/fS)*k/pc, hbm)
-		commFirst = comm1
-		tailAfterCompute = comm2
-	case gemm.RS:
-		comm1 = RingCollective(c, t.Cols, k/pr*m/pc/fS*bpe)   // AG_col A_s
-		comm2 = RingCollective(c, t.Rows, (m/fS)/pr*n/pc*bpe) // RdS_row C_s
-		hbm := (k/pr*(m/fS) + k/pr*n/pc + 2*(m/fS)*n/pc) * bpe
-		compute = c.RooflineTime(2*(m/fS)*n/pc*k/pr, hbm)
-		commFirst = comm1
-		tailAfterCompute = comm2
-	default:
-		panic(fmt.Sprintf("costmodel: unknown dataflow %d", int(p.Dataflow))) // lint:invariant exhaustive switch guard
-	}
-
-	steady := maxf(maxf(comm1, comm2), compute)
 	return Estimate{
-		Prologue:    commFirst,
-		SteadyState: steady,
+		Prologue:    it.First,
+		SteadyState: maxf(maxf(it.Comm1, it.Comm2), it.Compute),
 		Iterations:  S - 1,
-		Epilogue:    compute + tailAfterCompute,
-		CommTime:    fS * (comm1 + comm2),
-		ComputeTime: fS * compute,
+		Epilogue:    it.Compute + it.Tail,
+		CommTime:    fS * (it.Comm1 + it.Comm2),
+		ComputeTime: fS * it.Compute,
 	}
 }
 

@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -225,19 +226,61 @@ func TestRingCollectiveBidirHalvesSteps(t *testing.T) {
 	}
 }
 
-func TestRingAllToAll(t *testing.T) {
+// TestFabricIterationsDirections pins which ring direction each dataflow's
+// collectives ride. On a fabric whose Col links are 4× slower, exactly the
+// collectives over a ring of Cols (OS's AG_col A_s, LS's RdS_col C_s, RS's
+// AG_col A_s) must be priced on the degraded chip; every other term must
+// stay bit-identical to the healthy fabric. The healthy fabric in turn must
+// reproduce MeshSliceEval, whose formula is independent of Iterations.
+func TestFabricIterationsDirections(t *testing.T) {
 	c := testHW
-	got := RingAllToAll(c, 4, 1e6)
-	want := c.LaunchOverhead + 3*c.SyncLatency + 1e6*4*3/2/c.LinkBandwidth
-	if math.Abs(got-want) > 1e-15 {
-		t.Errorf("RingAllToAll = %v, want %v", got, want)
-	}
-	if RingAllToAll(c, 1, 1e6) != 0 {
-		t.Errorf("single chip all-to-all must cost nothing")
-	}
-	// All-to-all grows quadratically with ring size per §6's warning about
-	// expert parallelism cost.
-	if RingAllToAll(c, 16, 1e6) < 10*RingAllToAll(c, 4, 1e6) {
-		t.Errorf("all-to-all not superlinear in ring size")
+	slow := c
+	slow.LinkBandwidth /= 4
+	healthy := Uniform(c)
+	colSick := Fabric{Row: c, Col: slow, Compute: c}
+	allSick := Fabric{Row: slow, Col: slow, Compute: c}
+	const m, n, k = 1 << 12, 3 << 11, 5 << 10
+	for _, tor := range []topology.Torus{topology.NewTorus(2, 8), topology.NewTorus(8, 2), topology.NewTorus(4, 4)} {
+		for _, s := range []int{1, 2, 3, 8} {
+			u := healthy.Iterations(m, n, k, tor, s)
+			d := colSick.Iterations(m, n, k, tor, s)
+			a := allSick.Iterations(m, n, k, tor, s)
+			for _, df := range []gemm.Dataflow{gemm.OS, gemm.LS, gemm.RS} {
+				name := fmt.Sprintf("%v %dx%d S=%d", df, tor.Rows, tor.Cols, s)
+				p := gemm.Problem{M: m, N: n, K: k, Dataflow: df}
+				ev := NewMeshSliceEval(p, tor, c)
+				c1, c2, comp, first, tail := ev.terms(s)
+				if got := u[df]; got != (Iteration{c1, c2, comp, first, tail}) {
+					t.Errorf("%s: Uniform %+v, MeshSliceEval %+v", name, got, Iteration{c1, c2, comp, first, tail})
+				}
+				e := MeshSlice(p, tor, c, s)
+				if e != ev.Estimate(s) {
+					t.Errorf("%s: MeshSlice %+v, MeshSliceEval %+v", name, e, ev.Estimate(s))
+				}
+
+				// OS and RS gather A over a ring of Cols first; LS reduces
+				// C over it second. The other collective rides InterRow.
+				col, row := [3]float64{d[df].Comm1, a[df].Comm1, u[df].Comm1}, [2]float64{d[df].Comm2, u[df].Comm2}
+				if df == gemm.LS {
+					col, row = [3]float64{d[df].Comm2, a[df].Comm2, u[df].Comm2}, [2]float64{d[df].Comm1, u[df].Comm1}
+				}
+				if col[0] != col[1] || !(col[0] > col[2]) {
+					t.Errorf("%s: InterCol collective %v, want %v on the degraded chip (healthy %v)", name, col[0], col[1], col[2])
+				}
+				if row[0] != row[1] {
+					t.Errorf("%s: InterRow collective %v, want healthy %v", name, row[0], row[1])
+				}
+				if d[df].Compute != u[df].Compute {
+					t.Errorf("%s: compute %v moved off healthy %v", name, d[df].Compute, u[df].Compute)
+				}
+				wantFirst, wantTail := d[df].Comm1, d[df].Comm2
+				if df == gemm.OS {
+					wantFirst, wantTail = max(d[df].Comm1, d[df].Comm2), 0
+				}
+				if d[df].First != wantFirst || d[df].Tail != wantTail {
+					t.Errorf("%s: first/tail %v/%v, want %v/%v", name, d[df].First, d[df].Tail, wantFirst, wantTail)
+				}
+			}
+		}
 	}
 }

@@ -39,8 +39,6 @@ const (
 	// OpAllReduce covers AllReduce and AllReduceInto (its nested Reduce and
 	// Broadcast phases open their own child spans).
 	OpAllReduce
-	// OpAllToAll covers the personalised exchange.
-	OpAllToAll
 	// OpAllGatherBidir covers the bidirectional AllGather variants.
 	OpAllGatherBidir
 	// OpReduceScatterBidir covers the bidirectional ReduceScatter variant.
@@ -75,7 +73,6 @@ var opNames = [numOps]string{
 	"broadcast",
 	"reduce",
 	"allreduce",
-	"alltoall",
 	"allgather-bidir",
 	"reducescatter-bidir",
 	"gemm-step",

@@ -16,14 +16,11 @@ import (
 // serving autotuner prefer a taller-than-wide mesh on a fabric whose
 // horizontal links are sick.
 type fabric struct {
-	// rowChip / colChip carry the link calibration for ring collectives
-	// crossing InterRow (vertical) and InterCol (horizontal) links,
-	// bandwidth divided by that direction's worst degradation.
-	rowChip hw.Chip
-	colChip hw.Chip
-	// cmpChip carries the compute calibration, effective FLOPS divided by
-	// the worst straggler slowdown.
-	cmpChip hw.Chip
+	// Row / Col carry the link calibration for ring collectives crossing
+	// InterRow (vertical) and InterCol (horizontal) links, bandwidth divided
+	// by that direction's worst degradation; Compute carries effective
+	// FLOPS divided by the worst straggler slowdown.
+	costmodel.Fabric
 	// survivors is the chip count still alive under the plan's chip
 	// failures; a mesh needing more chips than survive is infeasible.
 	survivors int
@@ -55,10 +52,10 @@ func directionFactor(p *fault.Plan, dir topology.Direction) float64 {
 // newFabric builds the direction-aware degraded view of chip c on a cluster
 // of the given size under plan p (nil or empty plan: healthy fabric).
 func newFabric(c hw.Chip, clusterChips int, p *fault.Plan) fabric {
-	f := fabric{rowChip: c, colChip: c, cmpChip: c, survivors: clusterChips}
-	f.rowChip.LinkBandwidth /= directionFactor(p, topology.InterRow)
-	f.colChip.LinkBandwidth /= directionFactor(p, topology.InterCol)
-	f.cmpChip.EffFLOPS /= p.WorstComputeFactor()
+	f := fabric{Fabric: costmodel.Uniform(c), survivors: clusterChips}
+	f.Row.LinkBandwidth /= directionFactor(p, topology.InterRow)
+	f.Col.LinkBandwidth /= directionFactor(p, topology.InterCol)
+	f.Compute.EffFLOPS /= p.WorstComputeFactor()
 	if p != nil {
 		failed := map[int]bool{}
 		for _, cf := range p.ChipFails {
@@ -77,12 +74,9 @@ func newFabric(c hw.Chip, clusterChips int, p *fault.Plan) fabric {
 // once per simulated step inside the scheduler loop, the subsystem's hot
 // path.
 type costModel struct {
-	fab    fabric
-	rows   float64
-	cols   float64
-	slice  float64 // MeshSlice slice count S
-	slices int
-	bpe    float64
+	fab    costmodel.Fabric
+	mesh   topology.Torus
+	slices int // MeshSlice slice count S
 	layers float64
 	hidden float64
 	// fc holds the {InDim, OutDim} of the four FC layers of one block
@@ -97,12 +91,9 @@ type costModel struct {
 
 func newCostModel(cfg model.Config, fab fabric, t topology.Torus, sliceCount int) costModel {
 	cm := costModel{
-		fab:      fab,
-		rows:     float64(t.Rows),
-		cols:     float64(t.Cols),
-		slice:    float64(sliceCount),
+		fab:      fab.Fabric,
+		mesh:     t,
 		slices:   sliceCount,
-		bpe:      fab.cmpChip.BytesPerElement,
 		layers:   float64(cfg.Layers),
 		hidden:   float64(cfg.Hidden),
 		meshSize: float64(t.Size()),
@@ -110,72 +101,35 @@ func newCostModel(cfg model.Config, fab fabric, t topology.Torus, sliceCount int
 	for i, fc := range cfg.FCLayers() {
 		cm.fc[i] = [2]float64{float64(fc.InDim), float64(fc.OutDim)}
 	}
-	cm.kvPerTokLayer = cfg.KVCacheBytesPerToken(cm.bpe) / cm.layers
+	cm.kvPerTokLayer = cfg.KVCacheBytesPerToken(fab.Compute.BytesPerElement) / cm.layers
 	return cm
 }
 
-// compose prices one MeshSlice GeMM from its per-iteration costs the way
-// costmodel.MeshSlice does: prologue, S−1 overlapped steady-state
-// iterations, epilogue. overlapPrologue selects the OS shape (both gathers
-// head the pipeline, compute tails it); the LS/RS shapes instead pay comm1
-// up front and comm2 after the last compute.
-//
-// lint:hotpath called for each (dataflow, slice count) candidate per FC layer per step
-func (cm *costModel) compose(comm1, comm2, compute, fS float64, overlapPrologue bool) float64 {
-	steady := compute
-	if comm1 > steady {
-		steady = comm1
-	}
-	if comm2 > steady {
-		steady = comm2
-	}
-	if overlapPrologue {
-		head := comm1
-		if comm2 > head {
-			head = comm2
-		}
-		return head + (fS-1)*steady + compute
-	}
-	return comm1 + (fS-1)*steady + compute + comm2
-}
-
-// fcGeMM prices one m×n×k FC GeMM with slice count fS: each of the three
-// dataflows — OS, LS, RS — is composed exactly like costmodel.MeshSlice,
-// and the cheapest wins, mirroring the autotuner's per-GeMM dataflow
-// choice. The fabric supplies per-direction link calibrations —
-// ring-of-Cols collectives ride InterCol links, ring-of-Rows collectives
-// InterRow links — and compute uses the roofline.
+// fcGeMM prices one m×n×k FC GeMM with slice count S in each of the three
+// dataflows — OS, LS, RS — on the direction-aware fabric, and returns the
+// cheapest, mirroring the autotuner's per-GeMM dataflow choice. Each is
+// composed like costmodel.Estimate: prologue, S−1 overlapped steady-state
+// iterations, epilogue. It does not call Estimate.Total, which adds the
+// epilogue's compute and tail before the prologue and steady state: that
+// rounds differently, and serving reports are pinned to this order.
 //
 // lint:hotpath priced per FC layer per scheduler step; must not allocate
-func (cm *costModel) fcGeMM(m, k, n, fS float64) float64 {
-	pr, pc := cm.rows, cm.cols
-	ringRow, ringCol := int(pr), int(pc)
-
-	// OS: C stationary; A slices gather over columns, B slices over rows.
-	c1 := costmodel.RingCollective(cm.fab.colChip, ringCol, m/pr*k/pc/fS*cm.bpe)
-	c2 := costmodel.RingCollective(cm.fab.rowChip, ringRow, k/pr*n/pc/fS*cm.bpe)
-	hbm := (m/pr*k/fS + k/fS*n/pc + 2*m/pr*n/pc) * cm.bpe
-	comp := cm.fab.cmpChip.RooflineTime(2*m/pr*n/pc*k/fS, hbm)
-	best := cm.compose(c1, c2, comp, fS, true)
-
-	// LS: A stationary; B slices gather over rows, C slices reduce over
-	// columns.
-	c1 = costmodel.RingCollective(cm.fab.rowChip, ringRow, n/pr*k/pc/fS*cm.bpe)
-	c2 = costmodel.RingCollective(cm.fab.colChip, ringCol, m/pr*(n/fS)/pc*cm.bpe)
-	hbm = (m/pr*k/pc + (n/fS)*k/pc + 2*m/pr*(n/fS)) * cm.bpe
-	comp = cm.fab.cmpChip.RooflineTime(2*m/pr*(n/fS)*k/pc, hbm)
-	if t := cm.compose(c1, c2, comp, fS, false); t < best {
-		best = t
-	}
-
-	// RS: B (the weight) stationary; A slices gather over columns, C
-	// slices reduce over rows.
-	c1 = costmodel.RingCollective(cm.fab.colChip, ringCol, k/pr*m/pc/fS*cm.bpe)
-	c2 = costmodel.RingCollective(cm.fab.rowChip, ringRow, (m/fS)/pr*n/pc*cm.bpe)
-	hbm = (k/pr*(m/fS) + k/pr*n/pc + 2*(m/fS)*n/pc) * cm.bpe
-	comp = cm.fab.cmpChip.RooflineTime(2*(m/fS)*n/pc*k/pr, hbm)
-	if t := cm.compose(c1, c2, comp, fS, false); t < best {
-		best = t
+func (cm *costModel) fcGeMM(m, k, n float64, S int) float64 {
+	its := cm.fab.Iterations(m, n, k, cm.mesh, S)
+	fS := float64(S)
+	best := 0.0
+	for df := range its {
+		it := &its[df]
+		steady := it.Compute
+		if it.Comm1 > steady {
+			steady = it.Comm1
+		}
+		if it.Comm2 > steady {
+			steady = it.Comm2
+		}
+		if t := it.First + (fS-1)*steady + it.Compute + it.Tail; df == 0 || t < best {
+			best = t
+		}
 	}
 	return best
 }
@@ -200,7 +154,7 @@ func (cm *costModel) fcStack(tokens float64) float64 {
 		k, n := cm.fc[i][0], cm.fc[i][1]
 		best := cm.fcGeMM(tokens, k, n, 1)
 		if cm.slices > 1 {
-			if t := cm.fcGeMM(tokens, k, n, cm.slice); t < best {
+			if t := cm.fcGeMM(tokens, k, n, cm.slices); t < best {
 				best = t
 			}
 		}
@@ -223,5 +177,5 @@ func (cm *costModel) attn(newTokens, ctxTokens float64) float64 {
 	flops := 4 * newTokens * ctxTokens * cm.hidden * cm.layers / cm.meshSize
 	kvRead := ctxTokens * cm.kvPerTokLayer * cm.layers / cm.meshSize
 	kvWrite := newTokens * cm.kvPerTokLayer * cm.layers / cm.meshSize
-	return cm.fab.cmpChip.RooflineTime(flops, kvRead+kvWrite)
+	return cm.fab.Compute.RooflineTime(flops, kvRead+kvWrite)
 }

@@ -152,6 +152,30 @@ var goldenFaults = map[string][3]uint64{
 	"chip-fail":   {0xff096000fca2264, 0x658872c01f89948d, 0x9a96427d17a4aac6},
 }
 
+// goldenFabrics pins fixed 32-chip deployments on 4×8 and 8×4 at S = 3 and
+// S = 8 under four fabrics, captured while serve still carried its own copy
+// of the three-dataflow formula. A swapped row/col link assignment or a
+// reordered summation (fS·x/fS is not exact for S = 3) moves at least one
+// of these reports.
+var goldenFabrics = map[string]uint64{
+	"healthy 4x8 s3":     0x951d557c0601266c,
+	"healthy 4x8 s8":     0x6259e16cd34ed97a,
+	"healthy 8x4 s3":     0x987983c0a389d0c0,
+	"healthy 8x4 s8":     0xd834cf82c8ae7ccb,
+	"col-degrade 4x8 s3": 0xf20e6f382cce24d8,
+	"col-degrade 4x8 s8": 0x691ddeb23f0b1145,
+	"col-degrade 8x4 s3": 0x77bf724404b59b83,
+	"col-degrade 8x4 s8": 0x39852d6b8f9113c3,
+	"stragglers 4x8 s3":  0xf75b24c240e024bd,
+	"stragglers 4x8 s8":  0x404b5d4ce172bdb,
+	"stragglers 8x4 s3":  0x5de4935f00489a77,
+	"stragglers 8x4 s8":  0xe6068194b40551dc,
+	"link-fail 4x8 s3":   0x66a8a3c37ffc1b07,
+	"link-fail 4x8 s8":   0x4d558afc3161f015,
+	"link-fail 8x4 s3":   0xf37db4d65f55e8c7,
+	"link-fail 8x4 s8":   0x7465d608843ae28,
+}
+
 // goldenSharedRegistry pins two consecutive Runs publishing into one
 // caller-supplied registry: the second report's snapshot carries both runs.
 var goldenSharedRegistry = [2]uint64{0xca233542a66cd56a, 0x502ff6c57e1e5ea0}
@@ -272,6 +296,54 @@ func TestGoldenServingUnderFaults(t *testing.T) {
 			t.Errorf("%s: report bytes drifted: got {%#x, %#x, %#x}, want {%#x, %#x, %#x}",
 				name, got[0], got[1], got[2], want[0], want[1], want[2])
 		}
+	}
+}
+
+// fabricPlans are the 32-chip fabrics of goldenFabrics: every horizontal link
+// 6× slower; two stragglers; and a vertical link failure beside a milder
+// vertical degrade, so directionFactor lifts the InterRow factor to 2.
+func fabricPlans() map[string]*fault.Plan {
+	const chips = 32
+	deg := &fault.Plan{}
+	for c := 0; c < chips; c++ {
+		deg.Degrades = append(deg.Degrades, fault.LinkDegrade{
+			Link: fault.Link{Chip: c, Dir: topology.InterCol}, Factor: 6,
+		})
+	}
+	return map[string]*fault.Plan{
+		"healthy":     nil,
+		"col-degrade": deg,
+		"stragglers": {Stragglers: []fault.Straggler{
+			{Chip: 3, Slowdown: 1.7}, {Chip: 20, Slowdown: 2.3, Start: 0.5, End: 4},
+		}},
+		"link-fail": {
+			Degrades:  []fault.LinkDegrade{{Link: fault.Link{Chip: 5, Dir: topology.InterRow}, Factor: 1.5}},
+			LinkFails: []fault.LinkFail{{Link: fault.Link{Chip: 11, Dir: topology.InterRow}, At: 0.25}},
+		},
+	}
+}
+
+func TestGoldenServingFabrics(t *testing.T) {
+	wl := serve.WorkloadSpec{Seed: 7, Rate: 20, Requests: 64}.Generate()
+	rows := 0
+	for name, plan := range fabricPlans() {
+		for _, shape := range []topology.Torus{topology.NewTorus(4, 8), topology.NewTorus(8, 4)} {
+			for _, s := range []int{3, 8} {
+				key := fmt.Sprintf("%s %dx%d s%d", name, shape.Rows, shape.Cols, s)
+				rows++
+				rep, err := serve.Run(serve.Config{
+					Model: model.GPT3(), Chip: hw.TPUv4(), Mesh: shape, Policy: serve.Policy{SliceCount: s},
+					SLO: goldenSLO, HBMBytes: 16 << 30, ClusterChips: 32, Faults: plan,
+				}, wl)
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				checkGolden(t, key, reportDigest(t, rep), goldenFabrics)
+			}
+		}
+	}
+	if len(goldenFabrics) != rows {
+		t.Errorf("fabric table has %d rows, the sweep has %d", len(goldenFabrics), rows)
 	}
 }
 
