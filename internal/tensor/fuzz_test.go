@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -56,6 +57,71 @@ func FuzzSlicedGeMMIdentity(f *testing.F) {
 		}
 		if !c.Equal(MatMul(a, b), 1e-9) {
 			t.Errorf("sliced GeMM identity failed for m=%d n=%d k=%d S=%d B=%d", m, n, k, S, B)
+		}
+	})
+}
+
+// FuzzMatMulKernels is the differential target behind the kernel spec test:
+// bytes become a shape (m, n ≤ 40, k ≤ 300), a row-strip split and operand
+// values that include ±0, ±Inf and NaN, and every GeMM variant — public
+// kernel and row kernel on the strips — must match its spec loop bit for
+// bit, NaN matched as NaN.
+//
+// Layout: data[0..3] give m, n and k (two bytes); data[4] marks which rows
+// (i mod 8) of the reduced operand hold no exact zero, so the NN
+// micro-kernel gets rows to take; data[5] sets how often a value is special;
+// data[6] places the strip split. The rest, cycled, are the values.
+func FuzzMatMulKernels(f *testing.F) {
+	f.Add([]byte{16, 16, 1, 0, 0xff, 0, 5, 1, 2, 3, 250, 9, 77})
+	f.Add([]byte{7, 5, 0, 129, 0x0f, 40, 3, 0, 128, 200, 17, 33, 4, 90})
+	f.Add([]byte{40, 9, 1, 44, 0xaa, 255, 20, 3, 1, 4, 1, 5, 9, 2, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 8 {
+			t.Skip()
+		}
+		m, n := 1+int(data[0])%40, 1+int(data[1])%40
+		k := 1 + (int(data[2])<<8|int(data[3]))%300
+		zeroFree, specialRate, split := data[4], data[5], int(data[6])%m
+		vals := data[7:]
+		next := 0
+		value := func() float64 {
+			x := vals[next%len(vals)] + byte(next/len(vals)*37)
+			next++
+			if x < specialRate/4 {
+				return specialValues[int(x)%len(specialValues)]
+			}
+			// Inexact magnitudes over a few binades, so a reordered sum
+			// rounds differently.
+			v := math.Ldexp(1+float64(x)/257, int(x%7)-3)
+			if x&1 == 1 {
+				v = -v
+			}
+			return v
+		}
+		fill := func(rows, cols int, reduced bool) *Matrix {
+			mat := New(rows, cols)
+			for i := range mat.Data {
+				mat.Data[i] = value()
+			}
+			if reduced { // the NN/NT row operand: honour the zero-free mask
+				for r := 0; r < rows; r++ {
+					if zeroFree>>(r%8)&1 == 1 {
+						for j, v := range mat.Row(r) {
+							if v == 0 {
+								mat.Row(r)[j] = 1.5
+							}
+						}
+					}
+				}
+			}
+			return mat
+		}
+		for _, v := range kernelVariants {
+			aR, aC, bR, bC := v.shape(m, n, k)
+			a := fill(aR, aC, v.name != "TN")
+			b := fill(bR, bC, false)
+			c := fill(m, n, false)
+			checkAgainstSpec(t, v, c, a, b, []int{split})
 		}
 	})
 }

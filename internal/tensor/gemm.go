@@ -11,25 +11,28 @@ import (
 const parallelFLOPThreshold = 1 << 22
 
 // Cache-blocking parameters shared by the three GeMM variants. A tileK×tileJ
-// panel of B (512 KiB at float64) stays resident in L2 while a strip of A
+// block of B (512 KiB at float64) stays resident in L2 while a strip of A
 // streams past it; tileBR plays the same role for the NT kernel, where the
-// panel is tileBR rows of B.
+// panel is tileBR rows of B. The NN kernel classifies its rows tileI at a
+// time, and packs microW columns of B into a panel its micro-kernel sweeps.
 const (
 	tileK  = 128
 	tileJ  = 512
 	tileBR = 64
+	tileI  = 128
+	microW = 4
 )
 
 // parallelRows partitions rows [0, rows) into one contiguous strip per
 // worker and runs kernel on each strip concurrently. Strips are disjoint, so
 // as long as the kernel's per-element reduction order does not depend on the
 // strip boundaries the fan-out is race-free and bitwise identical to
-// kernel(0, rows). Small problems (work below parallelFLOPThreshold) run
-// serially.
-func parallelRows(rows int, work int64, kernel func(lo, hi int)) {
+// kernel(c, a, b, 0, rows). Small problems (work below
+// parallelFLOPThreshold) run serially, and allocate nothing.
+func parallelRows(c, a, b *Matrix, rows int, work int64, kernel func(c, a, b *Matrix, lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if work < parallelFLOPThreshold || workers < 2 || rows < 2*workers {
-		kernel(0, rows)
+		kernel(c, a, b, 0, rows)
 		return
 	}
 	var wg sync.WaitGroup
@@ -42,7 +45,7 @@ func parallelRows(rows int, work int64, kernel func(lo, hi int)) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			kernel(lo, hi)
+			kernel(c, a, b, lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()
@@ -58,13 +61,12 @@ func MatMul(a, b *Matrix) *Matrix {
 
 // MatMulAdd accumulates C += A·B in place. A is m×k, B is k×n, C is m×n.
 //
-// The kernel streams B and C rows contiguously and is cache-blocked: the k
-// and j loops are tiled so a tileK×tileJ panel of B is reused across every
-// row of the strip before the next panel is touched. Large products are
-// partitioned by output rows across cores — each goroutine owns a disjoint
-// strip of C, and each element's reduction runs over k in ascending order
-// regardless of tile or strip boundaries, so the parallel path is race-free
-// and bitwise identical to the serial one.
+// Every output element starts from its C value and adds a_ik·b_kj for k in
+// ascending order, skipping the k whose a_ik is exactly zero. The kernel is
+// cache-blocked and register-tiled (see matMulAddRows), and large products
+// are partitioned by output rows across cores — each goroutine owns a
+// disjoint strip of C. None of that changes any element's sequence of
+// operations, so serial, tiled and row-parallel paths are bitwise identical.
 func MatMulAdd(c, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulAdd inner dim mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)) // lint:invariant shape precondition
@@ -73,37 +75,125 @@ func MatMulAdd(c, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMulAdd output %dx%d for %dx%d · %dx%d", c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols)) // lint:invariant shape precondition
 	}
 	work := int64(a.Rows) * int64(a.Cols) * int64(b.Cols)
-	parallelRows(a.Rows, work, func(lo, hi int) {
-		matMulAddRows(c, a, b, lo, hi)
-	})
+	parallelRows(c, a, b, a.Rows, work, matMulAddRows)
 }
 
 // matMulAddRows accumulates rows [lo, hi) of C += A·B.
 //
-// Loop order is kb → jb → i → k → j: a tileK×tileJ panel of B is held hot
-// while the whole row strip sweeps it. For a fixed output element the k
-// blocks are visited in ascending order and k ascends within each block, so
-// the element's reduction order is plain ascending k — identical to an
-// untiled ikj kernel and independent of lo/hi.
+// Loop order is kb → row block → jb → panel → row. For each tileK block of
+// k, the rows of a tileI row block are split once: a row whose k block of A
+// holds no exact zero is dense, any other row is sparse. For every microW
+// columns of B, the dense rows then sweep one packed panel of B, each
+// holding its 1×microW tile of C in registers across the whole k block
+// (microKernel), so a C element is loaded and stored once per block rather
+// than once per k. Sparse rows, and the columns of a tileJ block past its
+// last whole panel, stay on the plain i→k→j loop (axpyRows).
+//
+// Both paths give an element the same sequence: start from C, add a_ik·b_kj
+// for ascending k, skip an exactly-zero a_ik. The micro-kernel has no zero
+// test because a dense row has no zero to skip. The k blocks ascend in the
+// outer loop, so the element's reduction order is plain ascending k —
+// independent of the tiles, the row split and lo/hi.
 // lint:hotpath tile kernel: the per-row inner loops must stay allocation-free
 func matMulAddRows(c, a, b *Matrix, lo, hi int) {
+	var panel [microW * tileK]float64
+	var dense, sparse [tileI]int32
 	for kb := 0; kb < a.Cols; kb += tileK {
 		ke := min(kb+tileK, a.Cols)
-		for jb := 0; jb < b.Cols; jb += tileJ {
-			je := min(jb+tileJ, b.Cols)
-			for i := lo; i < hi; i++ {
-				arow := a.Row(i)
-				crow := c.Row(i)[jb:je]
-				for k := kb; k < ke; k++ {
-					aik := arow[k]
-					if aik == 0 { // lint:float-exact sparsity fast path skips exact zeros only
-						continue
-					}
-					brow := b.Row(k)[jb:je]
-					for j, bv := range brow {
-						crow[j] += aik * bv
+		for ib := lo; ib < hi; ib += tileI {
+			nd, ns := 0, 0
+			for i := ib; i < min(ib+tileI, hi); i++ {
+				if zeroFree(a.Row(i)[kb:ke]) {
+					dense[nd] = int32(i)
+					nd++
+				} else {
+					sparse[ns] = int32(i)
+					ns++
+				}
+			}
+			for jb := 0; jb < b.Cols; jb += tileJ {
+				je := min(jb+tileJ, b.Cols)
+				jt := je - (je-jb)%microW
+				if nd > 0 {
+					for jp := jb; jp < jt; jp += microW {
+						packPanel(&panel, b, kb, ke, jp)
+						for _, i := range dense[:nd] {
+							microKernel(c.Row(int(i))[jp:jp+microW], a.Row(int(i))[kb:ke], &panel)
+						}
 					}
 				}
+				axpyRows(c, a, b, dense[:nd], kb, ke, jt, je)
+				axpyRows(c, a, b, sparse[:ns], kb, ke, jb, je)
+			}
+		}
+	}
+}
+
+// zeroFree reports whether x holds no exact zero (±0).
+func zeroFree(x []float64) bool {
+	for _, v := range x {
+		if v == 0 { // lint:float-exact the micro-kernel may only take rows with no exact zero to skip
+			return false
+		}
+	}
+	return true
+}
+
+// packPanel copies columns [jp, jp+microW) of rows [kb, ke) of B into p,
+// column after column: column w occupies p[w*tileK : w*tileK+ke-kb].
+// lint:hotpath pack loop of the NN micro-kernel
+func packPanel(p *[microW * tileK]float64, b *Matrix, kb, ke, jp int) {
+	kl := ke - kb
+	p0 := p[0*tileK : 0*tileK+kl]
+	p1 := p[1*tileK : 1*tileK+kl]
+	p2 := p[2*tileK : 2*tileK+kl]
+	p3 := p[3*tileK : 3*tileK+kl]
+	for k := range p0 {
+		q := (*[microW]float64)(b.Data[(kb+k)*b.Cols+jp:])
+		p0[k], p1[k], p2[k], p3[k] = q[0], q[1], q[2], q[3]
+	}
+}
+
+// microKernel accumulates crow[w] += Σ_k arow[k]·p_w[k] for the microW
+// columns of a packed panel, in ascending k, holding the four sums in
+// registers: four independent chains, each loading its C element once.
+// arow must hold no exact zero.
+// lint:hotpath register micro-kernel of MatMulAdd
+func microKernel(crow, arow []float64, p *[microW * tileK]float64) {
+	kl := len(arow)
+	b0 := p[0*tileK : 0*tileK+kl]
+	b1 := p[1*tileK : 1*tileK+kl]
+	b2 := p[2*tileK : 2*tileK+kl]
+	b3 := p[3*tileK : 3*tileK+kl]
+	c := (*[microW]float64)(crow)
+	s0, s1, s2, s3 := c[0], c[1], c[2], c[3]
+	for k, av := range arow {
+		s0 += av * b0[k]
+		s1 += av * b1[k]
+		s2 += av * b2[k]
+		s3 += av * b3[k]
+	}
+	c[0], c[1], c[2], c[3] = s0, s1, s2, s3
+}
+
+// axpyRows accumulates columns [jb, je) of the listed rows of C += A·B over
+// k in [kb, ke) with the plain i→k→j loop, skipping exactly-zero a_ik.
+// lint:hotpath fallback of the NN micro-kernel
+func axpyRows(c, a, b *Matrix, rows []int32, kb, ke, jb, je int) {
+	if jb == je {
+		return
+	}
+	for _, i := range rows {
+		arow := a.Row(int(i))
+		crow := c.Row(int(i))[jb:je]
+		for k := kb; k < ke; k++ {
+			aik := arow[k]
+			if aik == 0 { // lint:float-exact sparsity fast path skips exact zeros only
+				continue
+			}
+			brow := b.Row(k)[jb:je]
+			for j, bv := range brow {
+				crow[j] += aik * bv
 			}
 		}
 	}
@@ -133,9 +223,7 @@ func MatMulAddNT(c, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMulAddNT output %dx%d for %dx%d · (%dx%d)ᵀ", c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols)) // lint:invariant shape precondition
 	}
 	work := int64(a.Rows) * int64(a.Cols) * int64(b.Rows)
-	parallelRows(a.Rows, work, func(lo, hi int) {
-		matMulAddNTRows(c, a, b, lo, hi)
-	})
+	parallelRows(c, a, b, a.Rows, work, matMulAddNTRows)
 }
 
 // matMulAddNTRows accumulates rows [lo, hi) of C += A·Bᵀ.
@@ -202,9 +290,7 @@ func MatMulAddTN(c, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMulAddTN output %dx%d for (%dx%d)ᵀ · %dx%d", c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols)) // lint:invariant shape precondition
 	}
 	work := int64(a.Rows) * int64(a.Cols) * int64(b.Cols)
-	parallelRows(a.Cols, work, func(lo, hi int) {
-		matMulAddTNRows(c, a, b, lo, hi)
-	})
+	parallelRows(c, a, b, a.Cols, work, matMulAddTNRows)
 }
 
 // matMulAddTNRows accumulates rows [lo, hi) of C += Aᵀ·B; rows of C

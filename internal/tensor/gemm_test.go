@@ -176,3 +176,27 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 		t.Errorf("parallel result differs from serial: max diff %g", got.MaxAbsDiff(want))
 	}
 }
+
+// TestMatMulKernelsAllocateNothing gates the serial kernels at zero heap
+// allocations per call: the packed panel and the row lists live on the
+// stack, and the serial path builds no closure. Both shapes — the 128³ tile
+// of gemm_compute and the 16×16×256 tile of fine slicing — are below
+// parallelFLOPThreshold, so no worker goroutine is spawned.
+func TestMatMulKernelsAllocateNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, s := range [][3]int{{128, 128, 128}, {16, 16, 256}} {
+		m, n, k := s[0], s[1], s[2]
+		if work := int64(m) * int64(n) * int64(k); work >= parallelFLOPThreshold {
+			t.Fatalf("%dx%dx%d is not on the serial path", m, n, k)
+		}
+		for _, v := range kernelVariants {
+			aR, aC, bR, bC := v.shape(m, n, k)
+			a, b, c := Random(aR, aC, rng), Random(bR, bC, rng), New(m, n)
+			allocs := testing.AllocsPerRun(20, func() { v.add(c, a, b) })
+			t.Logf("%s %dx%dx%d: %v allocs/call", v.name, m, n, k, allocs)
+			if allocs != 0 {
+				t.Errorf("%s %dx%dx%d allocates %v objects per call, want 0", v.name, m, n, k, allocs)
+			}
+		}
+	}
+}

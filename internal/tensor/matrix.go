@@ -166,17 +166,32 @@ func (m *Matrix) Scale(alpha float64) {
 }
 
 // Equal reports whether m and other have the same shape and every pair of
-// elements differs by at most tol in absolute value.
+// elements differs by at most tol in absolute value, as absDiff measures it:
+// two NaNs agree, and a NaN against anything else never fits a finite tol.
 func (m *Matrix) Equal(other *Matrix, tol float64) bool {
 	if m.Rows != other.Rows || m.Cols != other.Cols {
 		return false
 	}
 	for i, v := range m.Data {
-		if math.Abs(v-other.Data[i]) > tol {
+		if absDiff(v, other.Data[i]) > tol {
 			return false
 		}
 	}
 	return true
+}
+
+// absDiff is |x−y| with NaN made visible. A pair with identical bits, or two
+// NaNs, differs by 0; any other pair whose difference is NaN (a NaN against
+// a number) differs by +Inf, so both `<= tol` and `> tol` checks see it.
+func absDiff(x, y float64) float64 {
+	d := math.Abs(x - y)
+	if !math.IsNaN(d) {
+		return d
+	}
+	if math.IsNaN(x) && math.IsNaN(y) || math.Float64bits(x) == math.Float64bits(y) {
+		return 0
+	}
+	return math.Inf(1)
 }
 
 // BitEqual reports whether m and other have the same shape and every pair
@@ -197,14 +212,15 @@ func (m *Matrix) BitEqual(other *Matrix) bool {
 }
 
 // MaxAbsDiff returns the largest absolute element-wise difference between m
-// and other. Shapes must match.
+// and other, as absDiff measures it: +Inf when a NaN meets a number, so a
+// NaN result never passes a tolerance check. Shapes must match.
 func (m *Matrix) MaxAbsDiff(other *Matrix) float64 {
 	if m.Rows != other.Rows || m.Cols != other.Cols {
 		panic(fmt.Sprintf("tensor: MaxAbsDiff shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, other.Rows, other.Cols)) // lint:invariant shape precondition
 	}
 	max := 0.0
 	for i, v := range m.Data {
-		if d := math.Abs(v - other.Data[i]); d > max {
+		if d := absDiff(v, other.Data[i]); d > max {
 			max = d
 		}
 	}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -128,6 +129,43 @@ func TestMaxAbsDiff(t *testing.T) {
 	b := FromSlice(1, 3, []float64{1, 2.5, 2})
 	if got := a.MaxAbsDiff(b); got != 1 {
 		t.Errorf("MaxAbsDiff = %v, want 1", got)
+	}
+}
+
+// Equal and MaxAbsDiff must not be NaN-blind: a NaN against a number is an
+// infinite difference, so both `<= tol` and `> tol` checks see the failure,
+// while two NaNs, or two identical infinities, agree.
+func TestEqualAndMaxAbsDiffSeeNaN(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name      string
+		x, y      float64
+		diff      float64
+		equalTol1 bool // Equal(·, 1)
+	}{
+		{"numbers", 1, 2.5, 1.5, false},
+		{"signed zeros", 0, math.Copysign(0, -1), 0, true},
+		{"NaN vs number", 2, nan, inf, false},
+		{"number vs NaN", nan, 2, inf, false},
+		{"NaN vs NaN", nan, nan, 0, true},
+		{"NaN payloads", nan, math.Float64frombits(0x7ff8000000000001), 0, true},
+		{"NaN vs Inf", nan, inf, inf, false},
+		{"Inf vs Inf", inf, inf, 0, true},
+		{"Inf vs -Inf", inf, -inf, inf, false},
+		{"Inf vs number", inf, 1, inf, false},
+	}
+	for _, tc := range cases {
+		a := FromSlice(1, 2, []float64{1, tc.x})
+		b := FromSlice(1, 2, []float64{1, tc.y})
+		if got := a.MaxAbsDiff(b); math.Float64bits(got) != math.Float64bits(tc.diff) {
+			t.Errorf("%s: MaxAbsDiff = %v, want %v", tc.name, got, tc.diff)
+		}
+		if got := a.Equal(b, 1); got != tc.equalTol1 {
+			t.Errorf("%s: Equal(tol 1) = %v, want %v", tc.name, got, tc.equalTol1)
+		}
+		if got := a.Equal(b, 0); got != (tc.diff == 0) {
+			t.Errorf("%s: Equal(tol 0) = %v, want %v", tc.name, got, tc.diff == 0)
+		}
 	}
 }
 
