@@ -70,7 +70,9 @@ func TestPoolOwnershipRoundTrip(t *testing.T) {
 
 // TestChipReleaseAfterSendPanics exercises the guard through the public
 // chip API: sending ownership away and then releasing must fail loudly
-// on the offending chip, not corrupt the receiver's data.
+// on the offending chip, not corrupt the receiver's data. Rank 1 never
+// receives: a delivery would clear the buffer's in-flight tag, and whether
+// the guard fired would then depend on which chip's goroutine ran first.
 func TestChipReleaseAfterSendPanics(t *testing.T) {
 	m := New(topology.Torus{Rows: 1, Cols: 2})
 	mustPanic(t, "after SendOwned", func() {
@@ -79,8 +81,6 @@ func TestChipReleaseAfterSendPanics(t *testing.T) {
 				buf := c.AcquireBuf(2, 2)
 				c.SendOwned(1, buf)
 				c.ReleaseBuf(buf) // the bug under test
-			} else {
-				c.Recv(0)
 			}
 		})
 	})

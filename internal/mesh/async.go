@@ -98,6 +98,11 @@ type Handle struct {
 // the chip as a pointer so WithRings views share it: handles issued through
 // any view of the chip drain through the one teardown path.
 type asyncState struct {
+	// cond parks the chip goroutine in Handle.Wait (L is the exchanger
+	// mutex, set when the chip starts). A comm lane signals it when it
+	// completes a handle the chip is waiting on; stall and poison wake it
+	// through the exchanger's awaitList.
+	cond    sync.Cond
 	workers [3]*asyncWorker
 	// outstanding lists issued-but-not-waited handles in issue order.
 	outstanding []*Handle
@@ -119,9 +124,10 @@ type asyncWorker struct {
 	// the exchanger and the arena route accounting to the right context.
 	wchip *Chip
 
-	// cond parks the worker when its queue is empty. It shares the
-	// exchanger mutex but is per-worker, so mesh-wide broadcasts on the
-	// exchanger's own cond don't thundering-herd idle lanes.
+	// cond parks the worker when its queue is empty. Like every cond in
+	// the runtime it is bound to the exchanger mutex, and only this lane's
+	// enqueues (StartAsync) and teardown (closeWorkers) signal it: message
+	// traffic wakes edge conds, op completions the issuing chip's cond.
 	cond *sync.Cond
 	// queue/head form a deque of pending handles (exchanger-mutex-guarded;
 	// popped storage is reused like the exchanger mailboxes).
@@ -342,7 +348,9 @@ func (w *asyncWorker) run() {
 			w.exec(h)
 			e.mu.Lock()
 			h.state = hDone
-			e.cond.Broadcast()
+			if h.awaited {
+				h.chip.async.cond.Signal()
+			}
 		}
 	})
 }
@@ -400,7 +408,7 @@ func (e *exchanger) waitHandle(h *Handle, strict bool) {
 		e.awaitList = h
 		e.awaiting++
 		e.maybeStall()
-		e.cond.Wait()
+		h.chip.async.cond.Wait()
 		e.awaiting--
 		e.removeAwait(h)
 	}

@@ -2,7 +2,6 @@ package mesh
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 
 	"meshslice/internal/fault"
@@ -16,23 +15,29 @@ import (
 // send-then-receive patterns of ring algorithms deadlock-free without
 // requiring chips to agree on call ordering.
 //
+// Every directed edge owns one slot of a slab allocated with the mesh,
+// edges[from·n + to]: its FIFO, its traffic counters and the condition
+// variable its receivers park on. A send touches only its own slot and
+// signals only that slot's cond, so it wakes one receiver parked on that
+// edge and nobody else; a comm-lane completion signals only the issuing
+// chip (asyncState.cond). Every cond is bound to the one exchanger mutex,
+// which also guards the quiescence counters below: one lock, one lock order.
+//
 // The exchanger doubles as the fault-injection interposer (SetFaults):
 // delayed edges yield the receiving goroutine to the scheduler, dropped
 // messages vanish at send, and fail-stopped chips abort at a configured
 // send count. A quiescence detector turns the resulting permanent stalls
 // into typed panics: when every alive chip is blocked in recv on an empty
 // mailbox, no message can ever arrive again — only chip goroutines send —
-// so the stall is provable, not a timeout heuristic.
+// so the stall is provable, not a timeout heuristic. Targeted wake-ups keep
+// it a proof: parking, waking and counting all happen under the mutex, and
+// declaring a stall or poisoning a failed run wakes every parked edge and
+// every waiting chip.
 type exchanger struct {
 	mu       sync.Mutex
-	cond     *sync.Cond
-	queues   map[pair]*mailbox
+	n        int    // chips in the mesh; edge (from, to) is slot from·n + to
+	edges    []edge // n² slots, allocated once by newExchanger
 	poisoned bool
-
-	// Traffic accounting (elements, not bytes — the runtime is precision
-	// agnostic): per ordered chip pair, and totals.
-	pairElems map[pair]int64
-	messages  int64
 
 	// Fault injection (configured by setFaults before a run; read-only
 	// while chips execute). delays is keyed by directed edge and counted
@@ -42,25 +47,27 @@ type exchanger struct {
 	drops     map[pair]map[int]bool
 	chipFails map[int]int
 
-	// Per-run fault progress, reset by beginRun: messages sent per edge
-	// (for drop matching) and per chip (for failure matching).
+	// Per-run fault progress, cleared by beginRun (nil without a fault
+	// plan): messages sent per edge (for drop matching) and per chip (for
+	// failure matching).
 	edgeSends map[pair]int
 	chipSends map[int]int
 
 	// Quiescence detection: alive counts chip goroutines still running,
 	// waiting counts those blocked in recv, awaiting those parked in
-	// Handle.Wait, waitEdges the edges blocked receives (chip or worker)
-	// are parked on. stalled flips once every alive chip and every live
-	// background comm worker is provably parked; stallEdges snapshots the
-	// blocked edges for the typed error, stallWaits the same edges enriched
-	// with each blocked receiver's open span (recorder only), captured at
-	// park time so an overlapped op names itself rather than whatever span
-	// its issuing chip has open.
+	// Handle.Wait, parked the slots blocked receives (chip or worker) are
+	// parked on, ascending — which is (from, to) order. stalled flips once
+	// every alive chip and every live background comm worker is provably
+	// parked; stallEdges snapshots the blocked edges for the typed error,
+	// stallWaits the same edges enriched with each blocked receiver's open
+	// span (recorder only, from waitSpans), captured at park time so an
+	// overlapped op names itself rather than whatever span its issuing chip
+	// has open.
 	alive      int
 	waiting    int
 	awaiting   int
-	waitEdges  map[pair]int
-	waitSpans  map[pair]recorder.SpanState
+	parked     []int
+	waitSpans  map[int]recorder.SpanState
 	stalled    bool
 	stallEdges []Edge
 	stallWaits []EdgeWait
@@ -91,37 +98,44 @@ type envelope struct {
 	clock uint64
 }
 
-// mailbox is one ordered (sender, receiver) FIFO. It is a deque over a
-// reusable slice: popping advances head instead of reslicing the front away,
-// and pushing onto a drained mailbox rewinds to the slice start — so
-// steady-state ring traffic reuses one small backing array per edge instead
-// of leaking capacity and reallocating.
-type mailbox struct {
-	buf  []envelope
-	head int
+// edge is one directed (sender, receiver) slot. Its mailbox is a deque over
+// a reusable slice: popping advances head instead of reslicing the front
+// away, and pushing onto a drained mailbox rewinds to the slice start — so
+// steady-state ring traffic reuses one small backing array per edge, run
+// after run. elems and msgs count the edge's traffic since the last
+// resetStats; waiters counts receivers parked on cond, which is created at
+// the edge's first park.
+type edge struct {
+	buf     []envelope
+	head    int32
+	waiters int32
+	elems   int64
+	msgs    int64
+	cond    *sync.Cond
 }
 
-// pending returns the number of undelivered messages; safe on nil.
-func (mb *mailbox) pending() int {
-	if mb == nil {
-		return 0
+// pending returns the number of undelivered messages.
+func (ed *edge) pending() int { return len(ed.buf) - int(ed.head) }
+
+func (ed *edge) push(env envelope) {
+	if ed.head > 0 && int(ed.head) == len(ed.buf) {
+		ed.buf = ed.buf[:0]
+		ed.head = 0
 	}
-	return len(mb.buf) - mb.head
+	ed.buf = append(ed.buf, env) // lint:allow hotpath-alloc deque growth: capacity is reused after pops and across runs
 }
 
-func (mb *mailbox) push(env envelope) {
-	if mb.head > 0 && mb.head == len(mb.buf) {
-		mb.buf = mb.buf[:0]
-		mb.head = 0
-	}
-	mb.buf = append(mb.buf, env) // lint:allow hotpath-alloc deque growth: capacity is reused after pops
-}
-
-func (mb *mailbox) pop() envelope {
-	env := mb.buf[mb.head]
-	mb.buf[mb.head] = envelope{}
-	mb.head++
+func (ed *edge) pop() envelope {
+	env := ed.buf[ed.head]
+	ed.buf[ed.head] = envelope{}
+	ed.head++
 	return env
+}
+
+// rewind drops undelivered messages, keeping the backing array.
+func (ed *edge) rewind() {
+	clear(ed.buf[ed.head:])
+	ed.buf, ed.head = ed.buf[:0], 0
 }
 
 // errPeerFailed is the sentinel panic value raised by receives that were
@@ -129,14 +143,8 @@ func (mb *mailbox) pop() envelope {
 // carries an original failure.
 const errPeerFailed = "mesh: receive aborted because a peer chip failed"
 
-func newExchanger() *exchanger {
-	e := &exchanger{
-		queues:    make(map[pair]*mailbox),
-		pairElems: make(map[pair]int64),
-		waitEdges: make(map[pair]int),
-	}
-	e.cond = sync.NewCond(&e.mu)
-	return e
+func newExchanger(n int) *exchanger {
+	return &exchanger{n: n, edges: make([]edge, n*n)}
 }
 
 // setFaults installs (or, with an empty plan, removes) the fault plan.
@@ -146,6 +154,7 @@ func (e *exchanger) setFaults(f fault.MeshFaults) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.delays, e.drops, e.chipFails = nil, nil, nil
+	e.edgeSends, e.chipSends = nil, nil
 	if f.Empty() {
 		return
 	}
@@ -167,6 +176,8 @@ func (e *exchanger) setFaults(f fault.MeshFaults) {
 			e.chipFails[c.Chip] = c.AfterSends
 		}
 	}
+	e.edgeSends = make(map[pair]int)
+	e.chipSends = make(map[int]int)
 }
 
 // beginRun arms the per-run counters for n chip goroutines.
@@ -182,9 +193,12 @@ func (e *exchanger) beginRun(n int) {
 	e.workers = nil
 	e.stalled = false
 	e.stallEdges = nil
-	e.waitSpans = make(map[pair]recorder.SpanState)
-	e.edgeSends = make(map[pair]int)
-	e.chipSends = make(map[int]int)
+	if e.rec != nil && e.waitSpans == nil {
+		e.waitSpans = make(map[int]recorder.SpanState)
+	}
+	clear(e.waitSpans)
+	clear(e.edgeSends)
+	clear(e.chipSends)
 }
 
 // chipDone retires a finished (or panicked) chip goroutine: it will never
@@ -209,10 +223,10 @@ func (e *exchanger) maybeStall() {
 		return
 	}
 	// A receiver woken by a send stays counted in waiting until it
-	// actually resumes; if any awaited mailbox has a message, that wake-up
-	// is in flight and the system is not quiescent.
-	for k, n := range e.waitEdges {
-		if n > 0 && e.queues[k].pending() > 0 {
+	// actually resumes; if any parked edge has a message, that wake-up is
+	// in flight and the system is not quiescent.
+	for _, i := range e.parked {
+		if e.edges[i].pending() > 0 {
 			return
 		}
 	}
@@ -224,120 +238,156 @@ func (e *exchanger) maybeStall() {
 		}
 	}
 	e.stalled = true
-	e.stallEdges = make([]Edge, 0, len(e.waitEdges))
-	for k, n := range e.waitEdges {
-		if n > 0 {
-			e.stallEdges = append(e.stallEdges, Edge{From: k.from, To: k.to})
-		}
+	e.stallEdges = make([]Edge, len(e.parked))
+	for j, i := range e.parked {
+		e.stallEdges[j] = Edge{From: i / e.n, To: i % e.n}
 	}
-	sort.Slice(e.stallEdges, func(i, j int) bool {
-		a, b := e.stallEdges[i], e.stallEdges[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		return a.To < b.To
-	})
 	if e.rec != nil {
 		// Attribute each blocked edge to its receiver's open span, captured
 		// into waitSpans when the receiver parked — a chip receiver's
 		// innermost collective span, or the overlapped op's own span when a
 		// background comm worker is the one blocked.
-		e.stallWaits = make([]EdgeWait, 0, len(e.stallEdges))
-		for _, ed := range e.stallEdges {
-			w := EdgeWait{Edge: ed, Step: -1}
-			if s, ok := e.waitSpans[pair{ed.From, ed.To}]; ok && s.Open && s.Op != recorder.OpNone {
+		e.stallWaits = make([]EdgeWait, len(e.parked))
+		for j, i := range e.parked {
+			w := EdgeWait{Edge: e.stallEdges[j], Step: -1}
+			if s, ok := e.waitSpans[i]; ok && s.Open && s.Op != recorder.OpNone {
 				w.Op = s.Op.String()
 				w.Step = int(s.Recvs)
 			}
-			e.stallWaits = append(e.stallWaits, w)
+			e.stallWaits[j] = w
 		}
 	}
-	e.cond.Broadcast()
+	e.wakeAll()
 }
 
-func (e *exchanger) send(c *Chip, to int, m *tensor.Matrix, clock uint64) {
-	from := c.Rank
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	k := pair{from, to}
-	if e.chipFails != nil {
-		if at, ok := e.chipFails[from]; ok && e.chipSends[from] >= at {
-			sends := e.chipSends[from]
-			op, step := "", -1
-			if e.rec != nil {
-				// Record through the caller's context: a background comm
-				// worker's fail-stop lands in its op's private log (the
-				// issuing chip goroutine owns the chip ring exclusively),
-				// and its own span names the overlapped op. The fatal send
-				// was already recorded by the Chip method, so the span's
-				// send count is one past it.
-				var s recorder.SpanState
-				if c.olog != nil {
-					c.olog.ChipFail(sends)
-					s = c.olog.Span()
-				} else {
-					e.rec.ChipFail(from, sends)
-					s = e.rec.CurrentSpan(from)
-				}
-				if s.Open && s.Op != recorder.OpNone {
-					op, step = s.Op.String(), int(s.Sends)-1
-				}
-			}
-			panic(&ChipFailedError{Chip: from, Sends: sends, Op: op, Step: step}) // lint:invariant injected fail-stop, recovered and typed by RunE
-		}
-		e.chipSends[from]++
+// wakeAll wakes every receiver parked on an edge and every chip parked in
+// Handle.Wait, so each re-checks the stalled/poisoned flags. Callers hold
+// e.mu.
+func (e *exchanger) wakeAll() {
+	for _, i := range e.parked {
+		e.edges[i].cond.Broadcast()
 	}
-	if e.drops != nil {
-		nth := e.edgeSends[k]
-		e.edgeSends[k]++
-		if e.drops[k][nth] {
-			// The message vanishes on the wire: no mailbox append, no
-			// traffic accounting — the receiver must detect the loss via
-			// the quiescence stall, not here.
-			if e.rec != nil {
-				if c.olog != nil {
-					c.olog.FaultDrop(to)
-				} else {
-					e.rec.FaultDrop(from, to)
-				}
-			}
+	for h := e.awaitList; h != nil; h = h.nextAwait {
+		h.chip.async.cond.Signal()
+	}
+}
+
+// park registers a receiver on slot i, creating the slot's cond at its
+// first park and keeping parked ascending. Callers hold e.mu.
+func (e *exchanger) park(i int) {
+	ed := &e.edges[i]
+	if ed.cond == nil {
+		ed.cond = sync.NewCond(&e.mu) // lint:allow hotpath-alloc one cond per edge, at its first park
+	}
+	ed.waiters++
+	if ed.waiters > 1 {
+		return
+	}
+	j := len(e.parked)
+	e.parked = append(e.parked, i) // lint:allow hotpath-alloc parked-list growth: capacity is reused across parks and runs
+	for ; j > 0 && e.parked[j-1] > i; j-- {
+		e.parked[j] = e.parked[j-1]
+	}
+	e.parked[j] = i
+}
+
+// unpark retires a receiver from slot i. Callers hold e.mu.
+func (e *exchanger) unpark(i int) {
+	ed := &e.edges[i]
+	ed.waiters--
+	if ed.waiters > 0 {
+		return
+	}
+	for j, p := range e.parked {
+		if p == i {
+			copy(e.parked[j:], e.parked[j+1:])
+			e.parked = e.parked[:len(e.parked)-1]
 			return
 		}
 	}
-	mb := e.queues[k]
-	if mb == nil {
-		mb = &mailbox{} // lint:allow hotpath-alloc one mailbox per edge, first message only
-		e.queues[k] = mb
-	}
-	mb.push(envelope{m: m, clock: clock})
-	e.pairElems[k] += int64(m.Rows) * int64(m.Cols)
-	e.messages++
-	e.cond.Broadcast()
 }
 
-func (e *exchanger) recv(c *Chip, from int) (*tensor.Matrix, uint64) {
-	to := c.Rank
-	// A degraded edge yields the receiver to the scheduler: arrival order
-	// across chips shifts exactly as behind a slow link, while payloads
-	// and per-edge FIFO order — hence all numerics — stay untouched.
-	if e.delays != nil {
-		if n := e.delays[pair{from, to}]; n > 0 {
-			if e.rec != nil {
-				if c.olog != nil {
-					c.olog.FaultDelay(from, n)
-				} else {
-					e.rec.FaultDelay(to, from, n)
-				}
+// send enqueues m on edge (c.Rank, to) and wakes one receiver parked on
+// that edge, if any.
+// lint:hotpath fault-free send: one slot update, no map operation
+func (e *exchanger) send(c *Chip, to int, m *tensor.Matrix, clock uint64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	// setFaults arms every fault map or none.
+	if e.chipFails != nil && e.sendFault(c, to) {
+		return
+	}
+	ed := &e.edges[c.Rank*e.n+to]
+	ed.push(envelope{m: m, clock: clock})
+	ed.elems += int64(m.Rows) * int64(m.Cols)
+	ed.msgs++
+	if ed.waiters > 0 {
+		ed.cond.Signal()
+	}
+}
+
+// sendFault applies the fault plan to one send: it panics when the sender
+// fail-stops here and reports whether the message is dropped. Callers hold
+// e.mu.
+// lint:allow hotpath-alloc fault injection is off the fault-free path
+func (e *exchanger) sendFault(c *Chip, to int) bool {
+	from := c.Rank
+	if at, ok := e.chipFails[from]; ok && e.chipSends[from] >= at {
+		sends := e.chipSends[from]
+		op, step := "", -1
+		if e.rec != nil {
+			// Record through the caller's context: a background comm
+			// worker's fail-stop lands in its op's private log (the
+			// issuing chip goroutine owns the chip ring exclusively), and
+			// its own span names the overlapped op. The fatal send was
+			// already recorded by the Chip method, so the span's send
+			// count is one past it.
+			var s recorder.SpanState
+			if c.olog != nil {
+				c.olog.ChipFail(sends)
+				s = c.olog.Span()
+			} else {
+				e.rec.ChipFail(from, sends)
+				s = e.rec.CurrentSpan(from)
 			}
-			for i := 0; i < n; i++ {
-				runtime.Gosched()
+			if s.Open && s.Op != recorder.OpNone {
+				op, step = s.Op.String(), int(s.Sends)-1
 			}
 		}
+		panic(&ChipFailedError{Chip: from, Sends: sends, Op: op, Step: step}) // lint:invariant injected fail-stop, recovered and typed by RunE
+	}
+	e.chipSends[from]++
+	k := pair{from, to}
+	nth := e.edgeSends[k]
+	e.edgeSends[k]++
+	if !e.drops[k][nth] {
+		return false
+	}
+	// The message vanishes on the wire: no mailbox append, no traffic
+	// accounting — the receiver must detect the loss via the quiescence
+	// stall, not here.
+	if e.rec != nil {
+		if c.olog != nil {
+			c.olog.FaultDrop(to)
+		} else {
+			e.rec.FaultDrop(from, to)
+		}
+	}
+	return true
+}
+
+// recv pops the next message on edge (from, c.Rank), parking on that
+// edge's cond while it is empty.
+// lint:hotpath fault-free receive: one slot, parks on its own edge
+func (e *exchanger) recv(c *Chip, from int) (*tensor.Matrix, uint64) {
+	if e.delays != nil {
+		e.recvDelay(c, from)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	k := pair{from, to}
-	for e.queues[k].pending() == 0 {
+	i := from*e.n + c.Rank
+	ed := &e.edges[i]
+	for ed.pending() == 0 {
 		if e.poisoned {
 			// A peer chip panicked; give up instead of blocking forever.
 			panic(errPeerFailed) // lint:invariant aborts receive after peer failure
@@ -350,9 +400,9 @@ func (e *exchanger) recv(c *Chip, from int) (*tensor.Matrix, uint64) {
 			// context is provably at this park: stall forensics read it
 			// later from whichever goroutine declares the stall.
 			if c.olog != nil {
-				e.waitSpans[k] = c.olog.Span()
+				e.waitSpans[i] = c.olog.Span()
 			} else {
-				e.waitSpans[k] = e.rec.CurrentSpan(to)
+				e.waitSpans[i] = e.rec.CurrentSpan(c.Rank)
 			}
 		}
 		if c.isWorker {
@@ -360,46 +410,67 @@ func (e *exchanger) recv(c *Chip, from int) (*tensor.Matrix, uint64) {
 		} else {
 			e.waiting++
 		}
-		e.waitEdges[k]++
+		e.park(i)
 		e.maybeStall()
 		if !e.stalled {
-			e.cond.Wait()
+			ed.cond.Wait()
 		}
 		if c.isWorker {
 			e.wblocked--
 		} else {
 			e.waiting--
 		}
-		e.waitEdges[k]--
-		if e.waitEdges[k] == 0 {
-			delete(e.waitEdges, k)
-		}
+		e.unpark(i)
 	}
-	env := e.queues[k].pop()
+	env := ed.pop()
 	return env.m, env.clock
 }
 
-// poison wakes every blocked receiver so a panicking SPMD run terminates.
+// recvDelay yields the receiver to the scheduler for a degraded edge:
+// arrival order across chips shifts exactly as behind a slow link, while
+// payloads and per-edge FIFO order — hence all numerics — stay untouched.
+// lint:allow hotpath-alloc fault injection is off the fault-free path
+func (e *exchanger) recvDelay(c *Chip, from int) {
+	n := e.delays[pair{from, c.Rank}]
+	if n <= 0 {
+		return
+	}
+	if e.rec != nil {
+		if c.olog != nil {
+			c.olog.FaultDelay(from, n)
+		} else {
+			e.rec.FaultDelay(c.Rank, from, n)
+		}
+	}
+	for i := 0; i < n; i++ {
+		runtime.Gosched()
+	}
+}
+
+// poison wakes every blocked receiver and waiting chip so a panicking SPMD
+// run terminates.
 func (e *exchanger) poison() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.poisoned = true
-	e.cond.Broadcast()
+	e.wakeAll()
 }
 
-// reset clears leftover state between SPMD runs on the same mesh; the
-// traffic counters survive so callers can read them after Run returns, and
-// the fault plan survives so repeated runs replay identical faults.
+// reset clears leftover state between SPMD runs on the same mesh: the
+// mailboxes rewind in place, the traffic counters survive so callers can
+// read them after Run returns, and the fault plan survives so repeated runs
+// replay identical faults.
 func (e *exchanger) reset() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.queues = make(map[pair]*mailbox)
+	for i := range e.edges {
+		e.edges[i].rewind()
+	}
+	e.parked = e.parked[:0]
 	e.poisoned = false
 	e.stalled = false
 	e.stallEdges = nil
 	e.stallWaits = nil
-	e.waitEdges = make(map[pair]int)
-	e.waitSpans = nil
 	e.waiting = 0
 	e.awaiting = 0
 	e.awaitList = nil
@@ -408,25 +479,40 @@ func (e *exchanger) reset() {
 	e.workers = nil
 }
 
-// stats snapshots the traffic counters.
+// stats snapshots the traffic counters. An edge that carried a message
+// counts even when every message on it had zero elements.
 func (e *exchanger) stats() Traffic {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	t := Traffic{Messages: e.messages, PerSender: make(map[int]int64)}
-	for k, elems := range e.pairElems {
-		t.Elements += elems
-		t.PerSender[k.from] += elems
+	t := Traffic{PerSender: make(map[int]int64)}
+	for i := range e.edges {
+		ed := &e.edges[i]
+		if ed.msgs == 0 {
+			continue
+		}
+		t.Messages += ed.msgs
+		t.Elements += ed.elems
+		t.PerSender[i/e.n] += ed.elems
 	}
 	return t
 }
 
-// edgeStats snapshots the per-directed-edge element counters.
-func (e *exchanger) edgeStats() map[pair]int64 {
+// edgeElems is one directed edge's element count.
+type edgeElems struct {
+	Edge
+	elems int64
+}
+
+// edgeStats snapshots the element counters of every edge that carried a
+// message, in (from, to) order.
+func (e *exchanger) edgeStats() []edgeElems {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make(map[pair]int64, len(e.pairElems))
-	for k, v := range e.pairElems {
-		out[k] = v
+	var out []edgeElems
+	for i := range e.edges {
+		if ed := &e.edges[i]; ed.msgs > 0 {
+			out = append(out, edgeElems{Edge{From: i / e.n, To: i % e.n}, ed.elems})
+		}
 	}
 	return out
 }
@@ -435,6 +521,7 @@ func (e *exchanger) edgeStats() map[pair]int64 {
 func (e *exchanger) resetStats() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.pairElems = make(map[pair]int64)
-	e.messages = 0
+	for i := range e.edges {
+		e.edges[i].elems, e.edges[i].msgs = 0, 0
+	}
 }

@@ -77,21 +77,10 @@ func (m *Mesh) PublishMetrics() {
 	if m.metrics == nil {
 		return
 	}
-	edges := m.ex.edgeStats()
-	keys := make([]pair, 0, len(edges))
-	for k := range edges {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].from != keys[j].from {
-			return keys[i].from < keys[j].from
-		}
-		return keys[i].to < keys[j].to
-	})
-	for _, k := range keys {
+	for _, ed := range m.ex.edgeStats() {
 		m.metrics.Gauge("mesh_edge_elements",
-			obs.L("from", obs.PadInt(k.from, m.Torus.Size())),
-			obs.L("to", obs.PadInt(k.to, m.Torus.Size()))).Set(float64(edges[k]))
+			obs.L("from", obs.PadInt(ed.From, m.Torus.Size())),
+			obs.L("to", obs.PadInt(ed.To, m.Torus.Size()))).Set(float64(ed.elems))
 	}
 	t := m.Traffic()
 	senders := make([]int, 0, len(t.PerSender))
@@ -122,7 +111,7 @@ func (m *Mesh) Recorder() *recorder.Recorder { return m.rec }
 
 // New creates a mesh with the given torus shape.
 func New(t topology.Torus) *Mesh {
-	return &Mesh{Torus: t, ex: newExchanger(), pool: newBufPool()}
+	return &Mesh{Torus: t, ex: newExchanger(t.Size()), pool: newBufPool()}
 }
 
 // MaxStreamStarts bounds how many ring streams one chip may start without
@@ -227,6 +216,7 @@ func (m *Mesh) runAll(fn func(c *Chip)) []any {
 			// debugging of eager SPMD code).
 			pprof.Do(context.Background(), pprof.Labels("chip", strconv.Itoa(rank)), func(context.Context) {
 				c := &Chip{Coord: m.Torus.Coord(rank), Rank: rank, mesh: m, async: &asyncState{}}
+				c.async.cond.L = &m.ex.mu
 				completed := false
 				// Retire any asynchronous collectives the body issued but
 				// never waited — on the normal AND the panicking path — so
@@ -292,6 +282,7 @@ func (c *Chip) comm(d topology.Direction) *Comm {
 // contents are cloned so sender-side reuse of the buffer is safe, matching
 // the semantics of a DMA send out of HBM.
 func (c *Chip) Send(to int, m *tensor.Matrix) {
+	c.checkPeer(to)
 	var clock uint64
 	if c.olog != nil {
 		clock = c.olog.Send(to, m.Rows, m.Cols)
@@ -308,6 +299,7 @@ func (c *Chip) Send(to int, m *tensor.Matrix) {
 // scratch buffer around a ring; use Send when the sender keeps the buffer.
 // lint:hotpath ownership-transfer send: zero-copy, zero-allocation
 func (c *Chip) SendOwned(to int, m *tensor.Matrix) {
+	c.checkPeer(to)
 	var clock uint64
 	if c.olog != nil {
 		clock = c.olog.Send(to, m.Rows, m.Cols)
@@ -322,6 +314,7 @@ func (c *Chip) SendOwned(to int, m *tensor.Matrix) {
 // Messages from one sender arrive in the order they were sent. The caller
 // owns the returned matrix exclusively.
 func (c *Chip) Recv(from int) *tensor.Matrix {
+	c.checkPeer(from)
 	c.streamStarts = 0 // receiving proves this chip drains the ring
 	m, clock := c.mesh.ex.recv(c, from)
 	c.mesh.pool.noteDeliver(m)
@@ -331,6 +324,15 @@ func (c *Chip) Recv(from int) *tensor.Matrix {
 		r.Recv(c.Rank, from, m.Rows, m.Cols, clock)
 	}
 	return m
+}
+
+// checkPeer panics unless rank names a chip of this mesh. Peers index the
+// exchanger's edge slab, and a message to any other rank would land in a
+// mailbox nobody drains.
+func (c *Chip) checkPeer(rank int) {
+	if n := c.mesh.ex.n; rank < 0 || rank >= n {
+		panic(fmt.Sprintf("mesh: chip %d addresses rank %d outside the %d-chip mesh", c.Rank, rank, n)) // lint:invariant peer-rank precondition
+	}
 }
 
 // SpanStart opens a flight-recorder span on this chip: subsequent sends and
@@ -431,15 +433,19 @@ func (cm *Comm) SpanEnd(op recorder.Op) {
 
 // CustomComm builds a communicator over an explicit rank list, for rings
 // the 2D torus does not describe (e.g. the depth rings of a 2.5D GeMM on a
-// P×P×c cluster mapped onto this runtime's rank space). The chip's own
-// rank must appear in members exactly once; its index becomes Pos.
+// P×P×c cluster mapped onto this runtime's rank space). Every member must
+// be a rank of this mesh listed once, and the chip's own rank must be among
+// them; its index becomes Pos.
 func (c *Chip) CustomComm(members []int, dir topology.Direction) *Comm {
 	pos := -1
 	for i, r := range members {
-		if r == c.Rank {
-			if pos >= 0 {
-				panic(fmt.Sprintf("mesh: CustomComm lists rank %d twice", c.Rank)) // lint:invariant ring-membership precondition
+		c.checkPeer(r)
+		for _, q := range members[:i] {
+			if q == r {
+				panic(fmt.Sprintf("mesh: CustomComm lists rank %d twice", r)) // lint:invariant ring-membership precondition
 			}
+		}
+		if r == c.Rank {
 			pos = i
 		}
 	}

@@ -237,29 +237,35 @@ func TestCustomCommRing(t *testing.T) {
 	})
 }
 
+// TestCustomCommRejectsBadMembership: a ring must list mesh ranks, each
+// once, including the caller's own; point-to-point calls must address a
+// mesh rank. Every rejection names the offending rank.
 func TestCustomCommRejectsBadMembership(t *testing.T) {
-	m := New(topology.NewTorus(1, 2))
+	m := New(topology.NewTorus(1, 3))
 	m.Run(func(c *Chip) {
 		if c.Rank != 0 {
 			return
 		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("excluded rank accepted")
-				}
-			}()
-			c.CustomComm([]int{1}, topology.InterCol)
-		}()
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("duplicate rank accepted")
-				}
-			}()
-			c.CustomComm([]int{0, 0, 1}, topology.InterCol)
-		}()
+		for _, tc := range []struct {
+			members []int
+			want    string
+		}{
+			{[]int{1}, "exclude own rank 0"},
+			{[]int{0, 0, 1}, "rank 0 twice"},
+			{[]int{0, 2, 2}, "rank 2 twice"},
+			{[]int{0, 99}, "rank 99 outside the 3-chip mesh"},
+			{[]int{-1, 0}, "rank -1 outside the 3-chip mesh"},
+		} {
+			mustPanic(t, tc.want, func() { c.CustomComm(tc.members, topology.InterCol) })
+		}
+		x := tensor.New(1, 1)
+		mustPanic(t, "rank 3 outside the 3-chip mesh", func() { c.Send(3, x) })
+		mustPanic(t, "rank 99 outside the 3-chip mesh", func() { c.SendOwned(99, x) })
+		mustPanic(t, "rank -1 outside the 3-chip mesh", func() { c.Recv(-1) })
 	})
+	if tr := m.Traffic(); tr.Messages != 0 {
+		t.Errorf("rejected sends left traffic %+v", tr)
+	}
 }
 
 func TestTrafficCounters(t *testing.T) {

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"meshslice/internal/obs"
@@ -32,6 +33,39 @@ func TestPublishMetricsEdgesAndTotals(t *testing.T) {
 	m.PublishMetrics()
 	if got := r.Gauge("mesh_messages_total").Value(); got != 4 {
 		t.Errorf("after republish mesh_messages_total = %v, want 4", got)
+	}
+}
+
+// TestPublishMetricsKeepsZeroElementEdges: an edge that carried only empty
+// matrices still counts as used — its gauge and its sender's are published
+// at zero — and the edges nobody used publish nothing.
+func TestPublishMetricsKeepsZeroElementEdges(t *testing.T) {
+	m := New(topology.NewTorus(1, 3))
+	r := obs.NewRegistry()
+	m.SetMetrics(r)
+	m.Run(func(c *Chip) {
+		switch c.Rank {
+		case 0:
+			c.Send(1, tensor.New(0, 3))
+		case 1:
+			c.Recv(0)
+		}
+	})
+	if tr := m.Traffic(); tr.Messages != 1 || tr.Elements != 0 || len(tr.PerSender) != 1 || tr.PerSender[0] != 0 {
+		t.Errorf("traffic %+v, want one 0-element message from chip 0", tr)
+	}
+	m.PublishMetrics()
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(strings.Fields(buf.String()), "")
+	want := `{"gauges":[` +
+		`{"name":"mesh_edge_elements","labels":{"from":"0","to":"1"},"value":0},` +
+		`{"name":"mesh_messages_total","value":1},` +
+		`{"name":"mesh_sender_elements","labels":{"chip":"0"},"value":0}]}`
+	if got != want {
+		t.Errorf("published\n%s\nwant\n%s", got, want)
 	}
 }
 
