@@ -13,9 +13,9 @@
 //
 // Resharding (see Reshard) maps a snapshot taken on one Layout onto any
 // other valid Layout without touching the mesh: target shards are
-// reconstructed from source-shard slices using the exact tensor
-// slice/interleave inverses, so a round trip through any intermediate
-// layout is bit-identical.
+// reconstructed by copying the regions of the source shards that overlap
+// them, and records store float64 bit patterns verbatim, so a round trip
+// through any intermediate layout is bit-identical.
 //
 // Everything in this package is wall-clock-free and seeded-determinism
 // friendly (meshlint's rules apply): no map iteration reaches an emission

@@ -86,7 +86,9 @@ func recordCRC(data []byte) string {
 // bytes (indexed by rank): every record must decode under the layout, agree
 // on step and seed, declare its own rank, and cover an identical tensor
 // inventory. The manifest's tensor list is collected from the records and
-// emitted in sorted name order.
+// emitted in sorted name order. Records are checked by a header walk that
+// skips each payload once its length is verified: it accepts exactly the
+// records DecodeRecord accepts, without materialising a block.
 func BuildSnapshot(l Layout, epoch int, flow string, records [][]byte) (*Snapshot, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
@@ -101,7 +103,7 @@ func BuildSnapshot(l Layout, epoch int, flow string, records [][]byte) (*Snapsho
 	specs := make(map[string]TensorSpec)
 	inventory := -1
 	for rank, rec := range records {
-		rd, err := DecodeRecord(l, rec)
+		rd, err := readRecord(l, rec, false)
 		if err != nil {
 			return nil, fmt.Errorf("ckpt: record %d: %w", rank, err)
 		}

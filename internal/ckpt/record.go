@@ -2,9 +2,11 @@ package ckpt
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"meshslice/internal/tensor"
 )
@@ -63,8 +65,9 @@ func (r *RecordData) Tensor(name string) *NamedTensor {
 // The payload stores the chip's block in sliced form — for each row-slice i
 // and column-slice j (row-major over (i, j)), the bytes of
 // SliceCol(SliceRow(block, SliceRows, i, Block), SliceCols, j, Block) — so
-// the on-disk order is the MeshSlice transfer order and restore/reshard
-// exercise the exact slice inverses. Tensors are sorted by name before
+// the on-disk order is the MeshSlice transfer order. payloadRuns walks that
+// order over the block itself, so encode writes and decode reads the block
+// in place, with no sliced intermediates. Tensors are sorted by name before
 // emission, so the same state always produces the same bytes regardless of
 // the order the caller listed them in.
 func EncodeRecord(l Layout, rank, step int, seed int64, tensors []NamedTensor) ([]byte, error) {
@@ -77,8 +80,8 @@ func EncodeRecord(l Layout, rank, step int, seed int64, tensors []NamedTensor) (
 	if step < 0 {
 		return nil, fmt.Errorf("ckpt: negative step %d", step)
 	}
-	ts := append([]NamedTensor(nil), tensors...)
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Name < ts[j].Name })
+	ts := slices.Clone(tensors)
+	slices.SortFunc(ts, func(a, b NamedTensor) int { return strings.Compare(a.Name, b.Name) })
 	size := len(recordMagic) + 4 + 4 + 8 + 8 + 5*4 + 4
 	for i, t := range ts {
 		if i > 0 && ts[i-1].Name == t.Name {
@@ -107,23 +110,68 @@ func EncodeRecord(l Layout, rank, step int, seed int64, tensors []NamedTensor) (
 		buf = append(buf, t.Name...)
 		buf = be32(buf, t.Rows)
 		buf = be32(buf, t.Cols)
-		for i := 0; i < l.SliceRows; i++ {
-			rs := tensor.SliceRow(t.Block, l.SliceRows, i, l.Block)
-			for j := 0; j < l.SliceCols; j++ {
-				cs := tensor.SliceCol(rs, l.SliceCols, j, l.Block)
-				for _, v := range cs.Data {
-					buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
-				}
+		n := len(buf)
+		buf = buf[:n+8*len(t.Block.Data)]
+		p := buf[n:]
+		payloadRuns(l, t.Block, func(run []float64) {
+			for e, v := range run {
+				binary.BigEndian.PutUint64(p[8*e:], math.Float64bits(v))
 			}
-		}
+			p = p[8*len(run):]
+		})
 	}
 	return buf, nil
 }
 
+// payloadRuns calls fn on every contiguous run of blk's storage in record
+// payload order: row-slice i, then column-slice j, then the rows of that
+// sub-shard top to bottom (Algorithm 2's blocked row slicing: every
+// SliceRows-th run of Block rows), and within a row its Block-wide column
+// runs left to right. That is the element order of
+// SliceCol(SliceRow(blk, SliceRows, i, Block), SliceCols, j, Block), so
+// EncodeRecord and DecodeRecord share one definition of the byte layout.
+// Without column slicing a row's runs are adjacent, and each row is one run.
+// blk must satisfy l.CheckTensor's divisibility.
+func payloadRuns(l Layout, blk *tensor.Matrix, fn func(run []float64)) {
+	rowGroups := blk.Rows / (l.SliceRows * l.Block)
+	colGroups := blk.Cols / (l.SliceCols * l.Block)
+	for i := 0; i < l.SliceRows; i++ {
+		for j := 0; j < l.SliceCols; j++ {
+			for g := 0; g < rowGroups; g++ {
+				for b := 0; b < l.Block; b++ {
+					row := blk.Row((g*l.SliceRows+i)*l.Block + b)
+					if l.SliceCols == 1 {
+						fn(row)
+						continue
+					}
+					for h := 0; h < colGroups; h++ {
+						lo := (h*l.SliceCols + j) * l.Block
+						fn(row[lo : lo+l.Block])
+					}
+				}
+			}
+		}
+	}
+}
+
+// ErrTruncated is wrapped by every error that reports a record ending
+// before its header or payload does.
+var ErrTruncated = errors.New("ckpt: truncated record")
+
 // DecodeRecord parses a record back into the chip's unsliced blocks. The
 // layout argument must match the one the record was encoded with (it is
-// cross-checked against the embedded copy).
+// cross-checked against the embedded copy). A tensor's block is allocated
+// only once the record is known to hold its whole payload, so a header that
+// declares more data than follows fails with ErrTruncated before any
+// allocation.
 func DecodeRecord(l Layout, data []byte) (*RecordData, error) {
+	return readRecord(l, data, true)
+}
+
+// readRecord parses a record under l, making every check DecodeRecord
+// makes. With blocks false it walks the headers only: each payload is
+// length-checked and skipped, and the tensors it returns carry no Block.
+func readRecord(l Layout, data []byte, blocks bool) (*RecordData, error) {
 	d := &decoder{buf: data}
 	if string(d.take(len(recordMagic))) != recordMagic {
 		return nil, fmt.Errorf("ckpt: bad record magic")
@@ -139,6 +187,14 @@ func DecodeRecord(l Layout, data []byte) (*RecordData, error) {
 	if got != l {
 		return nil, fmt.Errorf("ckpt: record layout %+v, want %+v", got, l)
 	}
+	// The identity checks EncodeRecord makes, so every record that decodes
+	// re-encodes to its own bytes.
+	if out.Rank >= l.Chips() {
+		return nil, fmt.Errorf("ckpt: rank %d outside %dx%d mesh", out.Rank, l.Rows, l.Cols)
+	}
+	if out.Step < 0 {
+		return nil, fmt.Errorf("ckpt: negative step %d", out.Step)
+	}
 	n := d.u32()
 	for k := 0; k < n && d.err == nil; k++ {
 		name := string(d.take(d.u32()))
@@ -146,17 +202,17 @@ func DecodeRecord(l Layout, data []byte) (*RecordData, error) {
 		if err := l.CheckTensor(name, rows, cols); err != nil {
 			return nil, err
 		}
-		block := tensor.New(rows/l.Rows, cols/l.Cols)
-		sub := tensor.New(block.Rows/l.SliceRows, block.Cols/l.SliceCols)
-		rs := tensor.New(block.Rows/l.SliceRows, block.Cols)
-		for i := 0; i < l.SliceRows; i++ {
-			for j := 0; j < l.SliceCols; j++ {
-				for p := range sub.Data {
-					sub.Data[p] = math.Float64frombits(d.u64())
+		br, bc := rows/l.Rows, cols/l.Cols
+		p := d.payload(br, bc)
+		var block *tensor.Matrix
+		if blocks && p != nil {
+			block = tensor.New(br, bc)
+			payloadRuns(l, block, func(run []float64) {
+				for e := range run {
+					run[e] = math.Float64frombits(binary.BigEndian.Uint64(p[8*e:]))
 				}
-				tensor.UnsliceColInto(rs, sub, l.SliceCols, j, l.Block)
-			}
-			tensor.UnsliceRowInto(block, rs, l.SliceRows, i, l.Block)
+				p = p[8*len(run):]
+			})
 		}
 		out.Tensors = append(out.Tensors, NamedTensor{Name: name, Rows: rows, Cols: cols, Block: block})
 	}
@@ -189,13 +245,29 @@ type decoder struct {
 func (d *decoder) take(n int) []byte {
 	if d.err != nil || n < 0 || d.off+n > len(d.buf) {
 		if d.err == nil {
-			d.err = fmt.Errorf("ckpt: truncated record at byte %d", d.off)
+			d.err = fmt.Errorf("%w at byte %d", ErrTruncated, d.off)
 		}
 		return nil
 	}
 	b := d.buf[d.off : d.off+n]
 	d.off += n
 	return b
+}
+
+// payload takes the bytes of a rows×cols float64 block. The length check
+// divides instead of multiplying, so no declared shape can overflow it. A
+// short payload latches the truncation error at its first missing element,
+// the byte an element-by-element read would have stopped at.
+func (d *decoder) payload(rows, cols int) []byte {
+	if d.err != nil {
+		return nil
+	}
+	elems := (len(d.buf) - d.off) / 8
+	if rows > elems/cols {
+		d.off += 8 * elems
+		return d.take(8)
+	}
+	return d.take(8 * rows * cols)
 }
 
 func (d *decoder) u32() int {

@@ -9,12 +9,10 @@ import (
 // Reshard maps a snapshot onto a new layout: a pure host-side function — no
 // mesh, no collectives, no gathers into a global tensor — that rebuilds
 // each target chip's block from the overlapping regions of the source
-// chips' blocks. Record decode inverts the source slicing with the exact
-// tensor slice inverses (UnsliceColInto/UnsliceRowInto) and re-encode
-// applies the target slicing with SliceRow/SliceCol, so every float64 bit
-// pattern is copied verbatim: resharding is exact, and a round trip through
-// any intermediate layout returns byte-identical records (see the property
-// tests).
+// chips' blocks. Record decode and re-encode walk the source and target
+// slicing in place (payloadRuns), so every float64 bit pattern is copied
+// verbatim: resharding is exact, and a round trip through any intermediate
+// layout returns byte-identical records (see the property tests).
 //
 // The manifest's epoch, step, seed and dataflow carry over unchanged — a
 // resharded snapshot is the same training state, re-addressed.
@@ -32,17 +30,21 @@ func Reshard(s *Snapshot, to Layout) (*Snapshot, error) {
 			return nil, fmt.Errorf("ckpt: reshard: %w", err)
 		}
 	}
+	// One target block per tensor, refilled for every target chip: each
+	// record is encoded before the next chip's blocks overwrite them.
+	tensors := make([]NamedTensor, len(s.Manifest.Tensors))
+	for i, spec := range s.Manifest.Tensors {
+		tensors[i] = NamedTensor{Name: spec.Name, Rows: spec.Rows, Cols: spec.Cols,
+			Block: tensor.New(spec.Rows/to.Rows, spec.Cols/to.Cols)}
+	}
 	records := make([][]byte, to.Chips())
 	for tr := 0; tr < to.Rows; tr++ {
 		for tc := 0; tc < to.Cols; tc++ {
 			rank := tr*to.Cols + tc
-			tensors := make([]NamedTensor, 0, len(s.Manifest.Tensors))
-			for _, spec := range s.Manifest.Tensors {
-				blk, err := targetBlock(src, from, to, spec, tr, tc)
-				if err != nil {
+			for _, t := range tensors {
+				if err := fillTargetBlock(t, src, from, to, tr, tc); err != nil {
 					return nil, err
 				}
-				tensors = append(tensors, NamedTensor{Name: spec.Name, Rows: spec.Rows, Cols: spec.Cols, Block: blk})
 			}
 			rec, err := EncodeRecord(to, rank, s.Manifest.Step, s.Manifest.Seed, tensors)
 			if err != nil {
@@ -54,29 +56,32 @@ func Reshard(s *Snapshot, to Layout) (*Snapshot, error) {
 	return BuildSnapshot(to, s.Manifest.Epoch, s.Manifest.Flow, records)
 }
 
-// targetBlock assembles target chip (tr, tc)'s block of one tensor from the
-// source chips' decoded blocks: for every source block whose global region
-// intersects the target's, the intersection is copied across with a
-// sub-matrix view — region copies only, never a full-tensor materialisation.
-func targetBlock(src []*RecordData, from, to Layout, spec TensorSpec, tr, tc int) (*tensor.Matrix, error) {
-	tbr, tbc := spec.Rows/to.Rows, spec.Cols/to.Cols // target block shape
-	sbr, sbc := spec.Rows/from.Rows, spec.Cols/from.Cols
-	out := tensor.New(tbr, tbc)
+// fillTargetBlock writes target chip (tr, tc)'s block of tensor t into
+// t.Block from the source chips' decoded blocks: for every source block
+// whose global region intersects the target's, each row of the intersection
+// is copied straight across — region copies only, never a full-tensor
+// materialisation. The intersections tile the target block, so every
+// element is overwritten.
+func fillTargetBlock(t NamedTensor, src []*RecordData, from, to Layout, tr, tc int) error {
+	out := t.Block
+	tbr, tbc := out.Rows, out.Cols // target block shape
+	sbr, sbc := t.Rows/from.Rows, t.Cols/from.Cols
 	r0, c0 := tr*tbr, tc*tbc // target block's global origin
 	for sr := r0 / sbr; sr <= (r0+tbr-1)/sbr; sr++ {
 		for sc := c0 / sbc; sc <= (c0+tbc-1)/sbc; sc++ {
 			rec := src[sr*from.Cols+sc]
-			nt := rec.Tensor(spec.Name)
+			nt := rec.Tensor(t.Name)
 			if nt == nil {
-				return nil, fmt.Errorf("ckpt: reshard: record %d lacks tensor %q", rec.Rank, spec.Name)
+				return fmt.Errorf("ckpt: reshard: record %d lacks tensor %q", rec.Rank, t.Name)
 			}
 			// Intersection of source block (sr, sc) with the target block,
 			// in global coordinates.
 			gr0, gr1 := max(r0, sr*sbr), min(r0+tbr, (sr+1)*sbr)
 			gc0, gc1 := max(c0, sc*sbc), min(c0+tbc, (sc+1)*sbc)
-			region := nt.Block.SubMatrix(gr0-sr*sbr, gc0-sc*sbc, gr1-gr0, gc1-gc0)
-			out.SetSubMatrix(gr0-r0, gc0-c0, region)
+			for gr := gr0; gr < gr1; gr++ {
+				copy(out.Row(gr - r0)[gc0-c0:gc1-c0], nt.Block.Row(gr - sr*sbr)[gc0-sc*sbc:gc1-sc*sbc])
+			}
 		}
 	}
-	return out, nil
+	return nil
 }

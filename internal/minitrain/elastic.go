@@ -38,6 +38,9 @@ import (
 // pins, and the foundation of the fail→retune→resume guarantee. The cost is
 // replicated weight storage during the step (a ZeRO/FSDP-style gather of
 // the sharded weights), which is the standard trade for exact elasticity.
+// That storage lives in one workspace per chip (elasticWorkspace), sized
+// once per TrainElastic run: every step gathers, slices and multiplies into
+// the same buffers, so a step allocates no tensor.
 
 // Elastic tensor names as stored in checkpoint records.
 const (
@@ -213,11 +216,20 @@ func TrainElastic(c ElasticConfig, lay ckpt.Layout, steps int, seed int64, opts 
 	pr, pc := lay.Rows, lay.Cols
 	br, ir, hr := c.Batch/pr, c.In/pr, c.Hidden/pr
 	hc, oc := c.Hidden/pc, c.Out/pc
-	w1g, v1g, w2g, v2g := InitElastic(c, seed)
-	w1s := tensor.Partition(w1g, pr, pc)
-	v1s := tensor.Partition(v1g, pr, pc)
-	w2s := tensor.Partition(w2g, pr, pc)
-	v2s := tensor.Partition(v2g, pr, pc)
+	var w1s, v1s, w2s, v2s []*tensor.Matrix
+	if resumeRecs == nil {
+		w1g, v1g, w2g, v2g := InitElastic(c, seed)
+		w1s = tensor.Partition(w1g, pr, pc)
+		v1s = tensor.Partition(v1g, pr, pc)
+		w2s = tensor.Partition(w2g, pr, pc)
+		v2s = tensor.Partition(v2g, pr, pc)
+	}
+
+	// Each step's batch is drawn once and shared read-only by every chip.
+	batches := make([]Data, steps-start)
+	for s := range batches {
+		batches[s] = c.DataAt(seed, start+s)
+	}
 
 	m := mesh.New(tor)
 	m.SetFaults(opts.Faults)
@@ -230,36 +242,39 @@ func TrainElastic(c ElasticConfig, lay ckpt.Layout, steps int, seed int64, opts 
 	finalW2 := make([]*tensor.Matrix, chips)
 	err := m.RunE(func(ch *mesh.Chip) {
 		r, cc := ch.Coord.Row, ch.Coord.Col
+		// The chip trains its shards in place: decoded records and
+		// partitioned blocks are this run's own, one per rank.
 		var w1, v1, w2, v2 *tensor.Matrix
 		if resumeRecs != nil {
 			rd := resumeRecs[ch.Rank]
-			w1 = rd.Tensor(TensorW1).Block.Clone()
-			v1 = rd.Tensor(TensorV1).Block.Clone()
-			w2 = rd.Tensor(TensorW2).Block.Clone()
-			v2 = rd.Tensor(TensorV2).Block.Clone()
+			w1 = rd.Tensor(TensorW1).Block
+			v1 = rd.Tensor(TensorV1).Block
+			w2 = rd.Tensor(TensorW2).Block
+			v2 = rd.Tensor(TensorV2).Block
 			verifyRestore(ch, resumeDigest, opts.Metrics, len(opts.Resume.Records[ch.Rank]))
 		} else {
-			w1 = w1s[ch.Rank].Clone()
-			v1 = v1s[ch.Rank].Clone()
-			w2 = w2s[ch.Rank].Clone()
-			v2 = v2s[ch.Rank].Clone()
+			w1, v1, w2, v2 = w1s[ch.Rank], v1s[ch.Rank], w2s[ch.Rank], v2s[ch.Rank]
 		}
+		ws := newElasticWorkspace(ch, c, pr, pc)
 		for s := start; s < steps; s++ {
-			data := c.DataAt(seed, s)
+			data := batches[s-start]
 
 			// Gather the full weights (allgather = exact data movement).
-			w1f := gatherFull(ch, w1)
-			w2f := gatherFull(ch, w2)
+			w1f := ws.gather(ws.w1, w1)
+			w2f := ws.gather(ws.w2, w2)
 
 			// Forward: each chip computes only its own output block with
 			// the flat ascending-k kernels, then the activations are
 			// gathered so the backward contractions see the full batch.
-			xRows := data.X.SubMatrix(r*br, 0, br, c.In)
-			hB := tensor.MatMul(xRows, w1f.SubMatrix(0, cc*hc, c.In, hc))
-			haB := relu(hB)
-			haF := gatherFull(ch, haB)
-			yB := tensor.MatMul(haF.SubMatrix(r*br, 0, br, c.Hidden), w2f.SubMatrix(0, cc*oc, c.Hidden, oc))
-			yF := gatherFull(ch, yB)
+			// Row blocks are views of their source; column blocks are
+			// copied into the workspace.
+			ws.w1c.CopySub(w1f, 0, cc*hc)
+			matMulInto(ws.hB, rowsView(&ws.xRows, data.X, r*br, br), ws.w1c)
+			reluInto(ws.haB, ws.hB)
+			haF := ws.gather(ws.act, ws.haB)
+			ws.w2c.CopySub(w2f, 0, cc*oc)
+			matMulInto(ws.yB, rowsView(&ws.haRows, haF, r*br, br), ws.w2c)
+			yF := ws.gather(ws.y, ws.yB)
 
 			// Loss gradient on the full (replicated) output — every chip
 			// computes the identical scalar, so no reduction is needed.
@@ -275,16 +290,21 @@ func TrainElastic(c ElasticConfig, lay ckpt.Layout, steps int, seed int64, opts 
 			dyF.Scale(2 / float64(c.Batch*c.Out))
 
 			// Backward: own blocks only, full-batch contractions.
-			dW2B := tensor.MatMulTN(haF.SubMatrix(0, r*hr, c.Batch, hr), dyF.SubMatrix(0, cc*oc, c.Batch, oc))
-			dHB := tensor.MatMulNT(dyF.SubMatrix(r*br, 0, br, c.Out), w2f.SubMatrix(cc*hc, 0, hc, c.Out))
-			maskInto(dHB, hB)
-			dHF := gatherFull(ch, dHB)
-			dW1B := tensor.MatMulTN(data.X.SubMatrix(0, r*ir, c.Batch, ir), dHF.SubMatrix(0, cc*hc, c.Batch, hc))
+			ws.haC.CopySub(haF, 0, r*hr)
+			ws.dyC.CopySub(dyF, 0, cc*oc)
+			matMulTNInto(ws.dW2B, ws.haC, ws.dyC)
+			matMulNTInto(ws.dHB, rowsView(&ws.dyRows, dyF, r*br, br), rowsView(&ws.w2Rows, w2f, cc*hc, hc))
+			maskInto(ws.dHB, ws.hB)
+			// haF is dead once dHB exists, so dH reuses its gather.
+			dHF := ws.gather(ws.act, ws.dHB)
+			ws.xC.CopySub(data.X, 0, r*ir)
+			ws.dHC.CopySub(dHF, 0, cc*hc)
+			matMulTNInto(ws.dW1B, ws.xC, ws.dHC)
 
 			// Momentum SGD on the local shards — element-wise, so exact on
 			// any shape.
-			momentumStep(w1, v1, dW1B, c.LR, c.Momentum)
-			momentumStep(w2, v2, dW2B, c.LR, c.Momentum)
+			momentumStep(w1, v1, ws.dW1B, c.LR, c.Momentum)
+			momentumStep(w2, v2, ws.dW2B, c.LR, c.Momentum)
 
 			if opts.Every > 0 && (s+1)%opts.Every == 0 {
 				epoch := (s + 1) / opts.Every
@@ -354,13 +374,93 @@ func TrainElasticSerial(c ElasticConfig, steps int, seed int64) ElasticResult {
 	return res
 }
 
-// gatherFull reassembles the global tensor from per-chip blocks: an
+// elasticWorkspace is one chip's step storage, allocated once per
+// TrainElastic run: the chip's two ring communicators, the full-gather
+// destinations, the column blocks the local kernels read, and the products
+// they write. Row blocks need no buffer — a run of whole rows is a view of
+// its source (rowsView), and the workspace holds the view headers.
+type elasticWorkspace struct {
+	row, col *mesh.Comm
+	// act gathers the hidden activations, then the hidden gradients.
+	w1, w2, act, y fullGather
+	// Row views: xRows (br×In), haRows (br×Hidden), dyRows (br×Out),
+	// w2Rows (hc×Out).
+	xRows, haRows, dyRows, w2Rows tensor.Matrix
+	// Column blocks: w1c (In×hc), w2c (Hidden×oc), haC (Batch×hr),
+	// dyC (Batch×oc), xC (Batch×ir), dHC (Batch×hc).
+	w1c, w2c, haC, dyC, xC, dHC *tensor.Matrix
+	// Products: hB, haB, dHB (br×hc), yB (br×oc), dW1B (ir×hc), dW2B (hr×oc).
+	hB, haB, dHB, yB, dW1B, dW2B *tensor.Matrix
+}
+
+func newElasticWorkspace(ch *mesh.Chip, c ElasticConfig, pr, pc int) *elasticWorkspace {
+	br, ir, hr := c.Batch/pr, c.In/pr, c.Hidden/pr
+	hc, oc := c.Hidden/pc, c.Out/pc
+	return &elasticWorkspace{
+		row:  ch.RowComm(),
+		col:  ch.ColComm(),
+		w1:   newFullGather(ir, hc, pr, pc),
+		w2:   newFullGather(hr, oc, pr, pc),
+		act:  newFullGather(br, hc, pr, pc),
+		y:    newFullGather(br, oc, pr, pc),
+		w1c:  tensor.New(c.In, hc),
+		w2c:  tensor.New(c.Hidden, oc),
+		haC:  tensor.New(c.Batch, hr),
+		dyC:  tensor.New(c.Batch, oc),
+		xC:   tensor.New(c.Batch, ir),
+		dHC:  tensor.New(c.Batch, hc),
+		hB:   tensor.New(br, hc),
+		haB:  tensor.New(br, hc),
+		dHB:  tensor.New(br, hc),
+		yB:   tensor.New(br, oc),
+		dW1B: tensor.New(ir, hc),
+		dW2B: tensor.New(hr, oc),
+	}
+}
+
+// fullGather holds one full gather's destinations: the row-ring strip and
+// the assembled global tensor.
+type fullGather struct{ strip, full *tensor.Matrix }
+
+// newFullGather sizes the destinations for rows×cols blocks on a pr×pc mesh.
+func newFullGather(rows, cols, pr, pc int) fullGather {
+	return fullGather{strip: tensor.New(rows, pc*cols), full: tensor.New(pr*rows, pc*cols)}
+}
+
+// gather reassembles the global tensor from per-chip blocks into g: an
 // allgather along the row ring (ring position = mesh column, so blocks land
 // in global column order) then along the column ring (position = mesh row).
 // Allgathers copy bits, so the result is exactly the global tensor.
-func gatherFull(ch *mesh.Chip, blk *tensor.Matrix) *tensor.Matrix {
-	strip := collective.AllGatherCols(ch.RowComm(), blk)
-	return collective.AllGatherRows(ch.ColComm(), strip)
+// lint:hotpath per-step gather into the workspace: must not allocate
+func (ws *elasticWorkspace) gather(g fullGather, blk *tensor.Matrix) *tensor.Matrix {
+	collective.AllGatherColsInto(ws.row, blk, g.strip)
+	collective.AllGatherRowsInto(ws.col, g.strip, g.full)
+	return g.full
+}
+
+// rowsView points v at rows [r0, r0+n) of m, sharing m's storage, and
+// returns it.
+func rowsView(v, m *tensor.Matrix, r0, n int) *tensor.Matrix {
+	*v = *tensor.FromSlice(n, m.Cols, m.Data[r0*m.Cols:(r0+n)*m.Cols])
+	return v
+}
+
+// matMulInto, matMulNTInto and matMulTNInto overwrite dst with A·B, A·Bᵀ
+// and Aᵀ·B. MatMul, MatMulNT and MatMulTN are a fresh zero matrix plus the
+// same accumulation, so the results are bitwise theirs.
+func matMulInto(dst, a, b *tensor.Matrix) {
+	dst.Zero()
+	tensor.MatMulAdd(dst, a, b)
+}
+
+func matMulNTInto(dst, a, b *tensor.Matrix) {
+	dst.Zero()
+	tensor.MatMulAddNT(dst, a, b)
+}
+
+func matMulTNInto(dst, a, b *tensor.Matrix) {
+	dst.Zero()
+	tensor.MatMulAddTN(dst, a, b)
 }
 
 // momentumStep applies one momentum-SGD update element-wise:

@@ -216,13 +216,20 @@ func TrainDistributed(c Config, t topology.Torus, data Data, steps int, seed int
 }
 
 func relu(m *tensor.Matrix) *tensor.Matrix {
-	out := m.Clone()
-	for i, v := range out.Data {
-		if v < 0 {
-			out.Data[i] = 0
-		}
-	}
+	out := tensor.New(m.Rows, m.Cols)
+	reluInto(out, m)
 	return out
+}
+
+// reluInto writes max(v, 0) of every element of m into dst (same shape);
+// only negative values change, so -0 and NaN pass through.
+func reluInto(dst, m *tensor.Matrix) {
+	for i, v := range m.Data {
+		if v < 0 {
+			v = 0
+		}
+		dst.Data[i] = v
+	}
 }
 
 // maskInto zeroes grad where pre-activation was non-positive.
