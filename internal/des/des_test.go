@@ -315,9 +315,10 @@ func TestHeapPopsInStableTimeOrder(t *testing.T) {
 }
 
 // TestDispatchAllocatesNothing is the kernel's allocation gate: once the
-// queue slice has reached its high-water capacity, scheduling and running
-// events costs 0 allocations through a pre-built func() and through the
-// handler+arg form.
+// event slab and the instant heap have reached their high-water capacity,
+// scheduling and running events costs 0 allocations through a pre-built
+// func(), through the handler+arg form, and in symmetric bursts of 64
+// events per instant, the shape of an 8x8 ring release.
 func TestDispatchAllocatesNothing(t *testing.T) {
 	const events, depth = 4096, 256
 	s := New()
@@ -336,12 +337,20 @@ func TestDispatchAllocatesNothing(t *testing.T) {
 			s.AfterCall(1e-6*float64(1+arg%7), tickArg, arg+1)
 		}
 	}
+	var burstArg func(int)
+	burstArg = func(arg int) {
+		if remaining > 0 {
+			remaining--
+			s.AfterCall(4e-6, burstArg, arg) // the whole instant lands on one later instant
+		}
+	}
 	forms := []struct {
 		name string
 		seed func(i int)
 	}{
 		{"func()", func(i int) { s.After(1e-6*float64(1+i%5), tick) }},
 		{"handler+arg", func(i int) { s.AfterCall(1e-6*float64(1+i%5), tickArg, i) }},
+		{"64 per instant", func(i int) { s.AfterCall(1e-6*float64(1+i/64), burstArg, i) }},
 	}
 	for _, form := range forms {
 		name := form.name

@@ -188,12 +188,14 @@ type sim struct {
 	done    []bool
 	dur     []float64
 	arrived []int
+	steps   []ringSteps // StepLevel only: the collective in flight at a barrier slot
 
 	queues []resQueue // [chip*numRes + resource]
 	// rings[lane][chip] is the chip's ring in that direction (lane as in
 	// commDirIndex), one slice shared by all members of the ring.
 	rings      [numCommDirs][][]int
 	completeFn func(int) // completeInst bound once: the handler of every completion event
+	stepDoneFn func(int) // stepDone bound once: the handler of every ring-step event
 
 	hbmDemand []float64 // active HBM demand per chip (bytes/s)
 
@@ -244,6 +246,14 @@ type resQueue struct {
 }
 
 type interval struct{ start, end float64 }
+
+// ringSteps is a step-level collective in flight: its start time, the HBM
+// demand registered on every member for the whole span, and the step now
+// running.
+type ringSteps struct {
+	start, demand float64
+	step          int
+}
 
 func newSim(p *sched.Program, c hw.Chip, opts Options) *sim {
 	n, nOps := p.Chips(), len(p.Ops)
@@ -304,6 +314,10 @@ func newSim(p *sched.Program, c hw.Chip, opts Options) *sim {
 	s.done = make([]bool, n*nOps)
 	s.dur = make([]float64, n*nOps)
 	s.arrived = make([]int, n*nOps)
+	if opts.StepLevel {
+		s.steps = make([]ringSteps, n*nOps)
+		s.stepDoneFn = s.stepDone
+	}
 	s.queues = make([]resQueue, n*numRes)
 
 	// Chip 0 runs each op once, so its interval lists — and, when tracing,
@@ -495,9 +509,9 @@ func stepwiseKind(k sched.OpKind) bool {
 // time of its payload, with HBM and fabric contention sampled per step
 // rather than once for the whole operation. All ring members stay in
 // lockstep — the defining property of ring AG/RdS on a torus (Fig. 3
-// right) — so the steps form a chain of simultaneous events.
+// right) — so the steps form a chain of simultaneous events, each one a
+// stepDone event on the ring's barrier slot.
 func (s *sim) runCollectiveSteps(members []int, opIdx int, op *sched.Op) {
-	start := s.des.Now()
 	// Register HBM demand for the whole span using the nominal rate.
 	nominal := s.nominalCommDuration(op)
 	demand := s.opHBMDemand(op, nominal)
@@ -507,55 +521,65 @@ func (s *sim) runCollectiveSteps(members []int, opIdx int, op *sched.Op) {
 		// cause is the completion that unblocked the last arrival.
 		s.noteStart(m, opIdx)
 	}
-	perStep := s.hw.SyncLatency + op.Bytes/s.hw.LinkBandwidth
+	barrier := s.instID(members[0], opIdx)
+	s.steps[barrier] = ringSteps{start: s.des.Now(), demand: demand}
+	s.runStep(barrier, members, opIdx, op)
+}
 
-	var doStep func(t int)
-	doStep = func(t int) {
-		if t > 0 {
-			// A fault can strike mid-collective: re-check ring viability at
-			// every step boundary (step 0 was vetted at barrier release).
-			if kind, failedChip, halt := s.faultHalt(members, op); halt {
-				s.recordFailure(kind, failedChip, op.Dir, opIdx, op)
-				return
-			}
+// runStep starts the next step of the collective in flight at barrier.
+func (s *sim) runStep(barrier int, members []int, opIdx int, op *sched.Op) {
+	t := s.steps[barrier].step
+	if t > 0 {
+		// A fault can strike mid-collective: re-check ring viability at
+		// every step boundary (step 0 was vetted at barrier release).
+		if kind, failedChip, halt := s.faultHalt(members, op); halt {
+			s.recordFailure(kind, failedChip, op.Dir, opIdx, op)
+			return
 		}
-		dur := perStep
-		if t == 0 {
-			dur += s.hw.LaunchOverhead
-		}
-		// Sample contention at this step's start: the worst ring member's
-		// concurrent HBM draw, and fabric contention on logical meshes.
-		worst := 1.0
-		for _, m := range members {
-			if s.opts.NoHBMContention {
-				break
-			}
-			if total := s.hbmDemand[m]; total > s.hw.HBMBandwidth {
-				if f := total / s.hw.HBMBandwidth; f > worst {
-					worst = f
-				}
-			}
-		}
-		if f := s.fabricFactor(members, op); f > worst {
-			worst = f
-		}
-		worst *= s.faultCommStretch(members, op, dur*worst)
-		s.des.After(dur*worst, func() {
-			if t+1 < s.effSteps(op) {
-				doStep(t + 1)
-				return
-			}
-			span := s.des.Now() - start
-			for _, m := range members {
-				// Withdraw the demand registered above before the shared
-				// completion path withdraws its own estimate.
-				s.hbmDemand[m] += s.opHBMDemand(op, span) - demand
-				s.stepAccounting(m, opIdx, op, start, span)
-				s.complete(m, opIdx, op, span)
-			}
-		})
 	}
-	doStep(0)
+	dur := s.hw.SyncLatency + op.Bytes/s.hw.LinkBandwidth
+	if t == 0 {
+		dur += s.hw.LaunchOverhead
+	}
+	// Sample contention at this step's start: the worst ring member's
+	// concurrent HBM draw, and fabric contention on logical meshes.
+	worst := 1.0
+	for _, m := range members {
+		if s.opts.NoHBMContention {
+			break
+		}
+		if total := s.hbmDemand[m]; total > s.hw.HBMBandwidth {
+			if f := total / s.hw.HBMBandwidth; f > worst {
+				worst = f
+			}
+		}
+	}
+	if f := s.fabricFactor(members, op); f > worst {
+		worst = f
+	}
+	worst *= s.faultCommStretch(members, op, dur*worst)
+	s.des.AfterCall(dur*worst, s.stepDoneFn, barrier)
+}
+
+// stepDone is the event ending a step of the collective in flight at
+// barrier: it starts the next step, or completes the op on every member.
+func (s *sim) stepDone(barrier int) {
+	opIdx := barrier % s.nOps
+	op := &s.prog.Ops[opIdx]
+	members := s.rings[commDirIndex(op.Dir)][barrier/s.nOps]
+	st := &s.steps[barrier]
+	if st.step++; st.step < s.effSteps(op) {
+		s.runStep(barrier, members, opIdx, op)
+		return
+	}
+	span := s.des.Now() - st.start
+	for _, m := range members {
+		// Withdraw the demand registered at the start before the shared
+		// completion path withdraws its own estimate.
+		s.hbmDemand[m] += s.opHBMDemand(op, span) - st.demand
+		s.stepAccounting(m, opIdx, op, st.start, span)
+		s.complete(m, opIdx, op, span)
+	}
 }
 
 // stepAccounting is startAccounting's step-level counterpart, invoked at

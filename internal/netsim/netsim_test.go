@@ -632,8 +632,8 @@ func TestBidirectionalSpeedsUpMeshSlice(t *testing.T) {
 
 // TestSimulateAllocationGate holds the simulator to "nothing is allocated
 // per event": a whole 8×8 MeshSlice simulation fits in a fixed set of
-// slabs, and quadrupling the slice count (4× the ops and events) may only
-// add the few extra growth steps of the event queue and interval merge.
+// slabs (at most 65 objects), and quadrupling the slice count (4× the ops and events) may only
+// add the few extra growth steps of the event slab and interval merge.
 func TestSimulateAllocationGate(t *testing.T) {
 	tor := topology.NewTorus(8, 8)
 	measure := func(S int) float64 {
@@ -644,8 +644,8 @@ func TestSimulateAllocationGate(t *testing.T) {
 		return allocs
 	}
 	s8, s32 := measure(8), measure(32)
-	if s8 > 256 {
-		t.Errorf("Simulate(8x8 MeshSlice, S=8) allocates %.0f objects, want <= 256", s8)
+	if s8 > 65 {
+		t.Errorf("Simulate(8x8 MeshSlice, S=8) allocates %.0f objects, want <= 65", s8)
 	}
 	if s32-s8 > 16 {
 		t.Errorf("allocations grow by %.0f from S=8 to S=32, want <= 16 (something allocates per event)", s32-s8)
