@@ -1,8 +1,11 @@
 package autotune
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"meshslice/internal/fault"
 	"meshslice/internal/gemm"
 	"meshslice/internal/hw"
 	"meshslice/internal/model"
@@ -201,6 +204,36 @@ func TestTuneErrors(t *testing.T) {
 	bad.Layers = 0
 	if _, err := Tune(bad, 2048, 256, testHW, Options{}); err == nil {
 		t.Errorf("invalid model accepted")
+	}
+}
+
+// TestTuneRejectsBadShapes: a candidate shape with a non-positive dimension
+// is an error naming it, never a divide-by-zero panic (which, on a pool
+// goroutine, would kill the process) or a misleading "cannot shard".
+func TestTuneRejectsBadShapes(t *testing.T) {
+	cfg := tinyModel()
+	for _, tc := range []struct {
+		shape   topology.Torus
+		workers int
+		faults  bool
+	}{
+		{topology.Torus{Rows: 0, Cols: 64}, 1, false},
+		{topology.Torus{Rows: 0, Cols: 64}, 4, false},
+		{topology.Torus{Rows: 8, Cols: -8}, 1, false},
+		{topology.Torus{Rows: 0, Cols: 64}, 4, true},
+		{topology.Torus{Rows: 8, Cols: -8}, 1, true},
+	} {
+		name := fmt.Sprintf("%dx%d", tc.shape.Rows, tc.shape.Cols)
+		opts := Options{Shapes: []topology.Torus{topology.NewTorus(8, 8), tc.shape}, Workers: tc.workers}
+		var err error
+		if tc.faults {
+			_, err = TuneUnderFaults(cfg, 2048, 64, testHW, &fault.Plan{}, false, opts)
+		} else {
+			_, err = Tune(cfg, 2048, 64, testHW, opts)
+		}
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("shape %s (workers %d, faults %v): err = %v, want one naming the shape", name, tc.workers, tc.faults, err)
+		}
 	}
 }
 

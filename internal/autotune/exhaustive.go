@@ -22,31 +22,31 @@ import (
 // heuristic, not to replace it.
 func ExhaustiveDataflow(cfg model.Config, tokens int, shape topology.Torus, chip hw.Chip, maxS int) (Choice, bool) {
 	fcs := cfg.FCLayers()
-	options := []Stationary{YStn, XStn, WStn}
-	assignment := make([]Stationary, len(fcs))
+	options := [...]Stationary{YStn, XStn, WStn}
+	// One distinct-problem table over all 3L plans (plan 3·layer + option)
+	// and one search slab shared by every assignment, so each problem is
+	// searched once however many assignments use it.
+	all := make([]LayerPlan, 0, len(options)*len(fcs))
+	for _, fc := range fcs {
+		for _, s := range options {
+			all = append(all, PlanFor(fc, tokens, s))
+		}
+	}
+	t := newPassTable(all)
+	out := make([]passScore, len(t.probs))
+	plans, pick := make([]LayerPlan, len(fcs)), passTable{probs: t.probs, rows: make([][3]int, len(fcs))}
 	best := Choice{Shape: shape, BlockTime: math.Inf(1)}
 	found := false
-
-	// The 3^L assignments share a fixed (shape, chip, maxS) context and
-	// each layer only has three distinct plans, so almost every tunePass
-	// is a repeat — one memo across the whole recursion collapses the
-	// slice-count searches to the handful of unique problems.
-	memo := make(passMemo)
 	var recurse func(i int)
 	recurse = func(i int) {
 		if i == len(fcs) {
-			plans := make([]LayerPlan, len(fcs))
-			for j, fc := range fcs {
-				plans[j] = PlanFor(fc, tokens, assignment[j])
-			}
-			if c, ok := tuneShape(plans, shape, chip, maxS, nil, memo); ok && c.BlockTime < best.BlockTime {
-				best = c
-				found = true
+			if r := pick.score(shape, chip, maxS, out); r.ok && r.block < best.BlockTime {
+				best, found = pick.choice(plans, shape, chip, r), true
 			}
 			return
 		}
-		for _, s := range options {
-			assignment[i] = s
+		for k := len(options) * i; k < len(options)*(i+1); k++ {
+			plans[i], pick.rows[i] = all[k], t.rows[k]
 			recurse(i + 1)
 		}
 	}
@@ -58,11 +58,11 @@ func ExhaustiveDataflow(cfg model.Config, tokens int, shape topology.Torus, chip
 // search on one shape and returns (heuristicTime, exhaustiveTime). Both are
 // cost-model block times; ok is false when the model cannot shard at all.
 func HeuristicGap(cfg model.Config, tokens int, shape topology.Torus, chip hw.Chip) (heuristic, exhaustive float64, ok bool) {
-	plans := PlanModel(cfg, tokens, true)
-	h, hOK := tuneShape(plans, shape, chip, 0, nil, nil)
+	t := newPassTable(PlanModel(cfg, tokens, true))
+	h := t.score(shape, chip, 0, make([]passScore, len(t.probs)))
 	e, eOK := ExhaustiveDataflow(cfg, tokens, shape, chip, 0)
-	if !hOK || !eOK {
+	if !h.ok || !eOK {
 		return 0, 0, false
 	}
-	return h.BlockTime, e.BlockTime, true
+	return h.block, e.BlockTime, true
 }

@@ -9,7 +9,6 @@ import (
 	"meshslice/internal/model"
 	"meshslice/internal/netsim"
 	"meshslice/internal/sched"
-	"meshslice/internal/topology"
 )
 
 // Degradation-aware retuning: a plan tuned for a healthy fabric can be
@@ -80,12 +79,9 @@ func TuneUnderFaults(cfg model.Config, tokens, chips int, chip hw.Chip, plan *fa
 		return FaultChoice{}, err
 	}
 	plans := PlanModel(cfg, tokens, opts.OptimizeDataflow)
-	shapes := opts.Shapes
-	if shapes == nil {
-		shapes = topology.MeshShapes2D(chips)
-	}
-	if len(shapes) == 0 {
-		return FaultChoice{}, fmt.Errorf("autotune: no candidate mesh shapes for %d chips", chips)
+	shapes, err := candidateShapes(opts.Shapes, chips)
+	if err != nil {
+		return FaultChoice{}, err
 	}
 	views := []hw.Chip{chip}
 	if eff := plan.EffectiveChip(chip); eff != chip {
@@ -94,39 +90,36 @@ func TuneUnderFaults(cfg model.Config, tokens, chips int, chip hw.Chip, plan *fa
 	// Candidates are scored by the same worker pool as Tune — one unit of
 	// work per (shape, view) pair — then deduplicated in index order so
 	// the candidate list is identical for any worker count.
-	staged := make([]shapeResult, len(shapes)*len(views))
-	forEachShape(len(staged), opts.Workers, func(i int) {
-		c, ok := tuneShape(plans, shapes[i/len(views)], views[i%len(views)], opts.MaxS, opts.Metrics, nil)
-		staged[i] = shapeResult{c, ok}
-	})
+	table := newPassTable(plans)
+	scores := table.scoreShapes(shapes, views, opts.MaxS, opts.Workers)
+	publishSearches(opts.Metrics, scores)
 	var cands []Choice
 	seen := make(map[string]bool)
-	for _, r := range staged {
+	for i, r := range scores {
 		if !r.ok {
 			continue
 		}
-		key := candidateKey(r.c)
+		c := table.choice(plans, shapes[i/len(views)], views[i%len(views)], r)
+		key := candidateKey(c)
 		if seen[key] {
 			continue
 		}
 		seen[key] = true
-		cands = append(cands, r.c)
+		cands = append(cands, c)
 	}
 	if len(cands) == 0 {
 		return FaultChoice{}, fmt.Errorf("autotune: no shape can shard %s with %d tokens on %d chips", cfg.Name, tokens, chips)
 	}
 	var best FaultChoice
-	sims := 0
 	for i, c := range cands {
 		t, failed := SimulateChoice(c, chip, plan, reroute)
-		sims++
 		if i == 0 || t < best.SimTime {
 			best = FaultChoice{Choice: c, SimTime: t, Failed: failed}
 		}
 	}
 	if opts.Metrics != nil {
 		opts.Metrics.Counter("autotune_fault_candidates").AddInt(int64(len(cands)))
-		opts.Metrics.Counter("autotune_fault_sim_calls").AddInt(int64(sims * len(plans) * 3))
+		opts.Metrics.Counter("autotune_fault_sim_calls").AddInt(int64(len(cands) * len(plans) * 3))
 	}
 	return best, nil
 }

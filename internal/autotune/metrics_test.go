@@ -86,3 +86,50 @@ func TestInstrumentedTunePassMatchesTunePass(t *testing.T) {
 		t.Errorf("costmodel calls not counted")
 	}
 }
+
+// TestDistinctPasses checks the distinct-problem table on GPT-3's plan and
+// that the search counters count what ran: one slice-count search per
+// distinct problem and shape, every (layer, pass) assignment counted.
+func TestDistinctPasses(t *testing.T) {
+	cfg := model.GPT3()
+	const chips = 256
+	tokens := cfg.WeakScalingTokens(chips)
+	plans := PlanModel(cfg, tokens, true)
+	table := newPassTable(plans)
+	if len(table.probs) != 9 {
+		t.Fatalf("GPT-3 plan has %d distinct problems, want 9 (FF2 repeats FF1's three)", len(table.probs))
+	}
+	for i, plan := range plans {
+		for pass, p := range plan.Passes {
+			if got := table.probs[table.rows[i][pass]]; got != p {
+				t.Errorf("layer %d pass %d reads %+v, want %+v", i, pass, got, p)
+			}
+		}
+	}
+	// Each distinct search evaluates every valid slice count up to MaxS.
+	var evals int
+	shapes := topology.MeshShapes2D(chips)
+	for _, shape := range shapes {
+		for _, p := range table.probs {
+			counts := ValidSliceCounts(p, shape, testHW)
+			if len(counts) == 0 {
+				t.Fatalf("%v does not shard on %v; the expected count assumes every shape shards", p, shape)
+			}
+			for _, s := range counts {
+				if s <= 64 {
+					evals++
+				}
+			}
+		}
+	}
+	r := obs.NewRegistry()
+	if _, err := Tune(cfg, tokens, chips, testHW, Options{OptimizeDataflow: true, Metrics: r}); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Counter("autotune_costmodel_calls").Value(); got != float64(evals) {
+		t.Errorf("autotune_costmodel_calls = %v, want %d (the sum over the distinct searches)", got, evals)
+	}
+	if got, want := r.Counter("autotune_passes_tuned").Value(), float64(len(shapes)*3*len(plans)); got != want {
+		t.Errorf("autotune_passes_tuned = %v, want %v (one per pass and shape)", got, want)
+	}
+}

@@ -119,3 +119,23 @@ func TestExhaustiveDataflowDeterministicWithMemo(t *testing.T) {
 		t.Errorf("two identical exhaustive searches disagree")
 	}
 }
+
+// TestTuneAllocationGate holds a one-worker GPT-3 Tune on 256 chips (seven
+// candidate shapes) to a fixed object count. The search used to allocate
+// 20 objects per call — a []LayerChoice per candidate shape plus
+// append-grown shape lists; it now builds one Choice for the winner from
+// presized tables.
+func TestTuneAllocationGate(t *testing.T) {
+	const prevAllocs, maxAllocs = 20, 12
+	cfg := model.GPT3()
+	tokens := cfg.WeakScalingTokens(256)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Tune(cfg, tokens, 256, testHW, Options{OptimizeDataflow: true, Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("GPT-3 Tune on 256 chips: %.0f allocs per call (was %d)", allocs, prevAllocs)
+	if allocs > maxAllocs {
+		t.Errorf("Tune allocates %.0f objects per call, want ≤ %d", allocs, maxAllocs)
+	}
+}

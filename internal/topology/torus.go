@@ -176,26 +176,39 @@ func (t Torus) String() string { return fmt.Sprintf("%dx%d torus", t.Rows, t.Col
 // searches over (paper §3.2.2). Shapes with Pr==1 or Pc==1 degenerate to
 // rings; they are included because the autotuner may legitimately pick them
 // for extremely skewed matrices, and the 1D baselines use them.
-func MeshShapes(n int) []Torus {
-	if n <= 0 {
-		return nil
-	}
-	var out []Torus
-	for pr := 1; pr <= n; pr++ {
-		if n%pr == 0 {
-			out = append(out, Torus{Rows: pr, Cols: n / pr})
-		}
-	}
-	return out
-}
+func MeshShapes(n int) []Torus { return meshShapes(n, 1) }
 
 // MeshShapes2D is MeshShapes restricted to proper 2D shapes (both
 // dimensions at least 2), the shapes a physical 2D torus can realise.
-func MeshShapes2D(n int) []Torus {
-	var out []Torus
-	for _, t := range MeshShapes(n) {
-		if t.Rows >= 2 && t.Cols >= 2 {
-			out = append(out, t)
+func MeshShapes2D(n int) []Torus { return meshShapes(n, 2) }
+
+// meshShapes enumerates the factorisations Pr×Pc = n with both dimensions
+// at least minDim, by increasing Pr, or nil when there are none. Divisors
+// pair up as s ≤ √n ≤ n/s, so one O(√n) pass counts them and a second fills
+// the small Pr from the front and their partners from the back.
+func meshShapes(n, minDim int) []Torus {
+	if n <= 0 {
+		return nil
+	}
+	count := 0
+	for s := minDim; s*s <= n; s++ {
+		if n%s == 0 {
+			count += 2
+			if s*s == n {
+				count--
+			}
+		}
+	}
+	if count == 0 {
+		return nil
+	}
+	out := make([]Torus, count)
+	lo, hi := 0, count-1
+	for s := minDim; s*s <= n; s++ {
+		if n%s == 0 {
+			out[lo] = Torus{Rows: s, Cols: n / s}
+			out[hi] = Torus{Rows: n / s, Cols: s}
+			lo, hi = lo+1, hi-1
 		}
 	}
 	return out

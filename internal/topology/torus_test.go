@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -172,6 +173,32 @@ func TestMeshShapes2DExcludesDegenerate(t *testing.T) {
 	}
 	if n := len(MeshShapes2D(256)); n != 7 { // 2x128..128x2
 		t.Errorf("MeshShapes2D(256) count = %d, want 7", n)
+	}
+}
+
+// TestMeshShapesMatchesTrialDivision checks the O(√n) divisor-pair walk
+// against the trial division over every Pr ≤ n it replaced, order included.
+func TestMeshShapesMatchesTrialDivision(t *testing.T) {
+	for n := 1; n <= 5000; n++ {
+		var all, twoD []Torus
+		for pr := 1; pr <= n; pr++ {
+			if n%pr == 0 {
+				all = append(all, Torus{Rows: pr, Cols: n / pr})
+				if pr >= 2 && n/pr >= 2 {
+					twoD = append(twoD, Torus{Rows: pr, Cols: n / pr})
+				}
+			}
+		}
+		if got := MeshShapes(n); !reflect.DeepEqual(got, all) {
+			t.Fatalf("MeshShapes(%d) = %v, want %v", n, got, all)
+		}
+		if got := MeshShapes2D(n); !reflect.DeepEqual(got, twoD) {
+			t.Fatalf("MeshShapes2D(%d) = %v, want %v", n, got, twoD)
+		}
+	}
+	want := []Torus{{2, 32}, {4, 16}, {8, 8}, {16, 4}, {32, 2}}
+	if got := MeshShapes2D(64); !reflect.DeepEqual(got, want) {
+		t.Errorf("MeshShapes2D(64) = %v, want %v", got, want)
 	}
 }
 
