@@ -163,6 +163,9 @@ func TestBadFlagsExitTwoWithoutPanic(t *testing.T) {
 		"serve -rows 4 -cols 4 -slices -2",
 		"serve -rows 4 -cols 4 -max-batch -1",
 		"serve -rows 4 -cols 4 -chunk -7",
+		"sim -fabric NaN",
+		"sim -fabric +Inf",
+		"sim -fabric -2",
 	} {
 		t.Run(args, func(t *testing.T) {
 			t.Parallel()

@@ -52,6 +52,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"strings"
@@ -189,6 +190,10 @@ func cmdSim(args []string) {
 	bidir := fs.Bool("bidir", false, "drive both ICI directions for AG/RdS collectives")
 	tiled := fs.Bool("tiled", false, "use the tiled chip compute model")
 	fs.Parse(args)
+	if math.IsNaN(*fabric) || math.IsInf(*fabric, 0) || *fabric < 0 {
+		fmt.Fprintf(os.Stderr, "bad -fabric %g: want a finite factor >= 0 (0 or 1 = physical mesh)\n", *fabric)
+		os.Exit(2)
+	}
 
 	cfg := modelByName(*modelName)
 	tk := cfg.WeakScalingTokens(*chips)

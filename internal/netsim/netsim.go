@@ -25,6 +25,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"meshslice/internal/chipsim"
@@ -161,8 +162,19 @@ func Simulate(p *sched.Program, c hw.Chip, opts Options) Result {
 	if err := c.Validate(); err != nil {
 		panic(fmt.Sprintf("netsim: %v", err)) // lint:invariant program precondition
 	}
-	s := newSim(p, c, opts)
+	if f := opts.FabricContention; math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
+		panic(fmt.Sprintf("netsim: fabric contention %g: want a finite factor >= 0", f)) // lint:invariant options precondition
+	}
+	classes := p.Chips()
+	if opts.Faults.Empty() && !opts.CriticalPath && (opts.FabricContention <= 1 || opts.NoOverlap) {
+		classes = 1
+	}
+	s := newSim(p, c, opts, classes)
 	s.run()
+	if s.tainted { // another chip's order could change a number
+		s = newSim(p, c, opts, p.Chips())
+		s.run()
+	}
 	return s.result()
 }
 
@@ -175,11 +187,25 @@ type sim struct {
 
 	nChips, nOps int
 
+	// The class map: chips of one class run one timeline bit for bit, so
+	// only each class's representative, its lowest rank, is simulated, and
+	// per-chip state is indexed by class. classes is 1 (rank 0 stands for
+	// the mesh) or nChips (the identity); chip c's class is c % classes.
+	// The single class's certificate (classmap.go) follows.
+	classes, classSize        int
+	ties                      []tieAction // the representative's actions at instant tieAt
+	instant, ev, evMark       int32       // ordinals of the instant and the handled event; its mark
+	marks                     []int32     // per slot: the mark its pending event inherits
+	uncertain, tainted        bool        // an order of the instant is uncertain; one could change a number
+	tieAt, hbm0, hbmLo, hbmHi float64     // the instant; rank 0's HBM demand as it began, and the chips' range
+	sums0, refSums            [3]float64  // chip 0's sums as the instant began, and as rank 0 ends it
+	orders                    int         // orders replayed
+
 	// order[r] lists the ops that occupy resource r in program order, the
 	// same on every chip.
 	order [numRes][]int
 
-	// Per-(chip, op) slabs, indexed by instID. An instance is granted once
+	// Per-(class, op) slabs, indexed by instID. An instance is granted once
 	// and is in flight at most once, so one slot per instance suffices:
 	// dur carries the granted duration from grant to the completion event,
 	// and arrived counts a ring barrier's arrivals in the slot of the
@@ -192,7 +218,8 @@ type sim struct {
 
 	queues []resQueue // [chip*numRes + resource]
 	// rings[lane][chip] is the chip's ring in that direction (lane as in
-	// commDirIndex), one slice shared by all members of the ring.
+	// commDirIndex), one slice shared by all members of the ring, or
+	// soleRing under one class.
 	rings      [numCommDirs][][]int
 	completeFn func(int) // completeInst bound once: the handler of every completion event
 	stepDoneFn func(int) // stepDone bound once: the handler of every ring-step event
@@ -201,17 +228,18 @@ type sim struct {
 
 	// chip-0 accounting
 	computeBusy   float64
-	commBusy      float64
-	comm          Breakdown
+	launch        float64    // the comm breakdown's Launch
+	commSums      [3]float64 // the comm breakdown's Sync and Transfer, and the comm busy time
 	commIntervals []interval
 	compIntervals []interval
 	events        int
 	trace         Trace
 
 	// all-chip accounting (cheap scalars, always tracked)
-	computeBusyBy []float64              // per-chip compute-engine busy time
-	linkBusyBy    [][numCommDirs]float64 // per-chip per-direction link busy time
+	computeBusyBy []float64              // per-class compute-engine busy time
+	linkBusyBy    [][numCommDirs]float64 // per-class per-direction link busy time
 	traces        []Trace                // per-chip traces (TraceAllChips)
+	completed     []int                  // a single class's completions, observed in result once it stands
 
 	// critical-path recording (only when Options.CriticalPath): per
 	// (chip, op) instance the start/end times and the instance whose
@@ -255,23 +283,31 @@ type ringSteps struct {
 	step          int
 }
 
-func newSim(p *sched.Program, c hw.Chip, opts Options) *sim {
-	n, nOps := p.Chips(), len(p.Ops)
+func newSim(p *sched.Program, c hw.Chip, opts Options, classes int) *sim {
+	n, nOps := classes, len(p.Ops)
 	s := &sim{
-		prog:   p,
-		hw:     c,
-		core:   chipsim.FromChip(c),
-		opts:   opts,
-		des:    des.New(),
-		nChips: n,
-		nOps:   nOps,
+		prog:      p,
+		hw:        c,
+		core:      chipsim.FromChip(c),
+		opts:      opts,
+		des:       des.New(),
+		nChips:    p.Chips(),
+		nOps:      nOps,
+		classes:   classes,
+		classSize: p.Chips() / classes,
 	}
 	s.completeFn = s.completeInst
 	s.hbmDemand = make([]float64, n)
 	s.computeBusyBy = make([]float64, n)
 	s.linkBusyBy = make([][numCommDirs]float64, n)
+	if s.classSize > 1 {
+		s.ties, s.instant, s.marks = make([]tieAction, 0, 8), 1, make([]int32, nOps)
+		if opts.Metrics != nil {
+			s.completed = make([]int, 0, nOps)
+		}
+	}
 	if !opts.Faults.Empty() {
-		if err := opts.Faults.Validate(n); err != nil {
+		if err := opts.Faults.Validate(s.nChips); err != nil {
 			panic(fmt.Sprintf("netsim: %v", err)) // lint:invariant fault-plan precondition
 		}
 		s.flt = opts.Faults
@@ -296,7 +332,10 @@ func newSim(p *sched.Program, c hw.Chip, opts Options) *sim {
 		if op.Kind.IsComm() {
 			nComm++
 			if lane := commDirIndex(op.Dir); s.rings[lane] == nil {
-				s.rings[lane] = ringTable(p, op.Dir)
+				s.rings[lane] = soleRing
+				if classes > 1 {
+					s.rings[lane] = ringTable(p, op.Dir)
+				}
 			}
 		}
 	}
@@ -328,14 +367,17 @@ func newSim(p *sched.Program, c hw.Chip, opts Options) *sim {
 		s.trace = make(Trace, 0, nOps)
 	}
 	if opts.TraceAllChips {
-		s.traces = make([]Trace, n)
-		slab := make([]TraceEvent, n*nOps)
+		s.traces = make([]Trace, s.nChips)
+		slab := make([]TraceEvent, s.nChips*nOps)
 		for chip := range s.traces {
 			s.traces[chip] = slab[chip*nOps : chip*nOps : (chip+1)*nOps]
 		}
 	}
 	return s
 }
+
+// soleRing is every ring as one class simulates it: the representative.
+var soleRing = [][]int{{0}}
 
 // ringTable maps every chip to its ring in direction d: one RingMembers
 // call per ring, the slice shared by all of the ring's members.
@@ -371,10 +413,11 @@ func (s *sim) resourceOf(op *sched.Op) int {
 }
 
 func (s *sim) run() {
-	for chip := 0; chip < s.nChips; chip++ {
+	for chip := 0; chip < s.classes; chip++ {
 		s.tryGrant(chip)
 	}
 	s.des.Run()
+	s.endInstant()
 	if s.failure != nil {
 		// A recorded failure halts part of the program by design: stranded
 		// ops never complete, and the typed diagnosis lands in
@@ -452,7 +495,8 @@ func (s *sim) grant(chip, opIdx int) {
 		return
 	}
 	if !op.Kind.IsComm() {
-		s.start(chip, opIdx, op, s.computeDuration(chip, op))
+		dur, own := s.computeDuration(chip, op)
+		s.start(chip, opIdx, op, dur, own)
 		return
 	}
 	members := s.rings[commDirIndex(op.Dir)][chip]
@@ -472,16 +516,16 @@ func (s *sim) grant(chip, opIdx int) {
 		s.runCollectiveSteps(members, opIdx, op)
 		return
 	}
-	dur := s.commDuration(members, op)
+	dur, own := s.commDuration(members, op)
 	for _, m := range members {
-		s.start(m, opIdx, op, dur)
+		s.start(m, opIdx, op, dur, own)
 	}
 }
 
 // start accounts the instance's start and schedules its completion: the
 // duration waits in the instance's slot for completeInst to read back.
-func (s *sim) start(chip, opIdx int, op *sched.Op, dur float64) {
-	s.startAccounting(chip, opIdx, op, dur)
+func (s *sim) start(chip, opIdx int, op *sched.Op, dur, own float64) {
+	s.startAccounting(chip, opIdx, op, dur, own)
 	id := s.instID(chip, opIdx)
 	s.dur[id] = dur
 	s.des.AfterCall(dur, s.completeFn, id)
@@ -489,6 +533,7 @@ func (s *sim) start(chip, opIdx int, op *sched.Op, dur float64) {
 
 // completeInst is the completion event of instance id.
 func (s *sim) completeInst(id int) {
+	s.enter(id)
 	opIdx := id % s.nOps
 	s.complete(id/s.nOps, opIdx, &s.prog.Ops[opIdx], s.dur[id])
 }
@@ -515,13 +560,14 @@ func (s *sim) runCollectiveSteps(members []int, opIdx int, op *sched.Op) {
 	// Register HBM demand for the whole span using the nominal rate.
 	nominal := s.nominalCommDuration(op)
 	demand := s.opHBMDemand(op, nominal)
+	barrier := s.instID(members[0], opIdx)
+	s.tie(tieAction{op: opIdx, slot: barrier, ring: true, read: !s.opts.NoHBMContention, own: demand, reg: demand})
 	for _, m := range members {
-		s.hbmDemand[m] += demand
+		s.hbmDemand[m] = addDemand(s.hbmDemand[m], demand, false)
 		// The collective starts for every member at barrier release; the
 		// cause is the completion that unblocked the last arrival.
 		s.noteStart(m, opIdx)
 	}
-	barrier := s.instID(members[0], opIdx)
 	s.steps[barrier] = ringSteps{start: s.des.Now(), demand: demand}
 	s.runStep(barrier, members, opIdx, op)
 }
@@ -558,12 +604,16 @@ func (s *sim) runStep(barrier int, members []int, opIdx int, op *sched.Op) {
 		worst = f
 	}
 	worst *= s.faultCommStretch(members, op, dur*worst)
+	if t > 0 {
+		s.tie(tieAction{op: opIdx, slot: barrier, read: !s.opts.NoHBMContention})
+	}
 	s.des.AfterCall(dur*worst, s.stepDoneFn, barrier)
 }
 
 // stepDone is the event ending a step of the collective in flight at
 // barrier: it starts the next step, or completes the op on every member.
 func (s *sim) stepDone(barrier int) {
+	s.enter(barrier)
 	opIdx := barrier % s.nOps
 	op := &s.prog.Ops[opIdx]
 	members := s.rings[commDirIndex(op.Dir)][barrier/s.nOps]
@@ -576,7 +626,11 @@ func (s *sim) stepDone(barrier int) {
 	for _, m := range members {
 		// Withdraw the demand registered at the start before the shared
 		// completion path withdraws its own estimate.
-		s.hbmDemand[m] += s.opHBMDemand(op, span) - st.demand
+		back := s.opHBMDemand(op, span) - st.demand
+		if s.classSize > 1 { // spares the identity map the argument copy
+			s.tie(tieAction{op: opIdx, slot: -1, reg: back})
+		}
+		s.hbmDemand[m] = addDemand(s.hbmDemand[m], back, false)
 		s.stepAccounting(m, opIdx, op, st.start, span)
 		s.complete(m, opIdx, op, span)
 	}
@@ -602,19 +656,34 @@ func (s *sim) stepAccounting(chip, opIdx int, op *sched.Op, start, span float64)
 			Start: start, End: start + span,
 		})
 	}
-	s.comm.Launch += s.hw.LaunchOverhead
-	s.comm.Sync += float64(s.effSteps(op)) * s.hw.SyncLatency
-	s.comm.Transfer += float64(s.effSteps(op)) * op.Bytes / s.hw.LinkBandwidth
-	s.commBusy += span
+	s.accrueComm(tieAction{op: opIdx, slot: -1}, op,
+		float64(s.effSteps(op))*op.Bytes/s.hw.LinkBandwidth, span)
 	s.commIntervals = append(s.commIntervals, interval{start, start + span})
 }
 
-func (s *sim) complete(chip, opIdx int, op *sched.Op, dur float64) {
-	s.events++
-	s.hbmDemand[chip] -= s.opHBMDemand(op, dur)
-	if s.hbmDemand[chip] < 0 {
-		s.hbmDemand[chip] = 0 // guard against float drift
+// accrueComm adds a comm op's nominal parts (transfer: the caller's wire
+// time) and its span to chip 0's breakdown, filing a with the certificate.
+func (s *sim) accrueComm(a tieAction, op *sched.Op, transfer, span float64) {
+	a.adds = [3]float64{float64(s.effSteps(op)) * s.hw.SyncLatency, transfer, span}
+	s.tie(a)
+	s.launch += s.hw.LaunchOverhead
+	accrue(&s.commSums, a.adds)
+}
+
+// accrue adds Sync, Transfer and busy addends to chip 0's sums or a replay's.
+func accrue(sums *[3]float64, adds [3]float64) {
+	for k := range sums {
+		sums[k] += adds[k]
 	}
+}
+
+func (s *sim) complete(chip, opIdx int, op *sched.Op, dur float64) {
+	s.events += s.classSize
+	d := s.opHBMDemand(op, dur)
+	if s.classSize > 1 { // spares the identity map the argument copy
+		s.tie(tieAction{op: opIdx, slot: -1, done: true, reg: -d, dur: dur})
+	}
+	s.hbmDemand[chip] = addDemand(s.hbmDemand[chip], -d, true)
 	s.queues[chip*numRes+s.resourceOf(op)].busy = false
 	id := s.instID(chip, opIdx)
 	s.done[id] = true
@@ -627,7 +696,12 @@ func (s *sim) complete(chip, opIdx int, op *sched.Op, dur float64) {
 		s.endAt[id] = s.des.Now()
 		s.curCause = id
 	}
-	s.observeDuration(op, dur)
+	if s.completed != nil {
+		s.dur[id] = dur
+		s.completed = append(s.completed, id)
+	} else {
+		s.observeDuration(op, dur)
+	}
 	s.tryGrant(chip)
 	s.curCause = prevCause
 }
@@ -639,8 +713,8 @@ func (s *sim) complete(chip, opIdx int, op *sched.Op, dur float64) {
 var durationBuckets = []float64{1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2}
 
 // observeDuration records a completed op's duration in the per-kind
-// histogram (all chips contribute; counts are integers, so the totals are
-// deterministic).
+// histogram for each chip of its class (counts are integers, so the totals
+// are deterministic).
 func (s *sim) observeDuration(op *sched.Op, dur float64) {
 	if s.opts.Metrics == nil {
 		return
@@ -653,14 +727,13 @@ func (s *sim) observeDuration(op *sched.Op, dur float64) {
 		s.durHists[k] = s.opts.Metrics.Histogram("netsim_op_duration_seconds", durationBuckets,
 			obs.L("prog", s.prog.Label), obs.L("kind", op.Kind.String()))
 	}
-	s.durHists[k].Observe(dur)
+	s.durHists[k].ObserveN(dur, s.classSize)
 }
 
 // computeDuration applies the compute model — the flat roofline (FLOPS vs
 // HBM) or, in tiled mode, the chip-level tile/prefetch pipeline — and the
 // contention model to a compute or slice op.
-func (s *sim) computeDuration(chip int, op *sched.Op) float64 {
-	var dur float64
+func (s *sim) computeDuration(chip int, op *sched.Op) (dur, own float64) {
 	if s.opts.TiledCompute && op.M > 0 && op.N > 0 && op.K > 0 {
 		r, err := s.core.GeMM(op.M, op.N, op.K)
 		if err != nil {
@@ -674,17 +747,20 @@ func (s *sim) computeDuration(chip int, op *sched.Op) float64 {
 		}
 	}
 	dur *= s.faultComputeStretch(chip, dur)
-	return dur * s.contentionFactor(chip, op, dur)
+	f, own := s.contentionFactor(chip, op, dur)
+	return dur * f, own
 }
 
 // commDuration computes a collective/shift duration: nominal, stretched by
-// the worst HBM contention among ring members and — on logical meshes — by
-// fabric contention when the other direction is concurrently active.
-func (s *sim) commDuration(members []int, op *sched.Op) float64 {
-	dur := s.nominalCommDuration(op)
+// the worst HBM contention among ring members (own as in contentionFactor)
+// and — on logical meshes — by fabric contention when the other direction
+// is concurrently active.
+func (s *sim) commDuration(members []int, op *sched.Op) (dur, own float64) {
+	dur = s.nominalCommDuration(op)
 	worst := 1.0
 	for _, m := range members {
-		if f := s.contentionFactor(m, op, dur); f > worst {
+		var f float64
+		if f, own = s.contentionFactor(m, op, dur); f > worst {
 			worst = f
 		}
 	}
@@ -693,7 +769,7 @@ func (s *sim) commDuration(members []int, op *sched.Op) float64 {
 	}
 	// Fault degradation divides the link's bandwidth, so it multiplies the
 	// duration rather than competing with contention for the max.
-	return dur * worst * s.faultCommStretch(members, op, dur*worst)
+	return dur * worst * s.faultCommStretch(members, op, dur*worst), own
 }
 
 // fabricFactor returns the logical-mesh contention stretch: the configured
@@ -758,13 +834,26 @@ func (s *sim) opHBMDemand(op *sched.Op, dur float64) float64 {
 // HBM demand (including this op) exceeds the HBM bandwidth. The demand is
 // sampled at op start — a deliberate first-order approximation of
 // processor-sharing, registered with the op so it is withdrawn at
-// completion.
-func (s *sim) contentionFactor(chip int, op *sched.Op, nominalDur float64) float64 {
+// completion. own is the demand the op adds (zero when the model is off).
+func (s *sim) contentionFactor(chip int, op *sched.Op, nominalDur float64) (factor, own float64) {
 	if s.opts.NoHBMContention || s.opts.NoOverlap {
-		return 1
+		return 1, 0
 	}
-	demand := s.opHBMDemand(op, nominalDur)
-	total := s.hbmDemand[chip] + demand
+	own = s.opHBMDemand(op, nominalDur)
+	return s.hbmFactor(s.hbmDemand[chip] + own), own
+}
+
+// addDemand is demand d after registering reg, clamped at zero against float
+// drift when a completion (done) hands it back; replays step through it too.
+func addDemand(d, reg float64, done bool) float64 {
+	if d += reg; done && d < 0 {
+		return 0
+	}
+	return d
+}
+
+// hbmFactor is the stretch of an HBM demand total.
+func (s *sim) hbmFactor(total float64) float64 {
 	if total <= s.hw.HBMBandwidth {
 		return 1
 	}
@@ -773,8 +862,9 @@ func (s *sim) contentionFactor(chip int, op *sched.Op, nominalDur float64) float
 
 // startAccounting registers HBM demand, the per-chip busy times and traces,
 // and — on chip 0 — the time intervals and breakdown categories.
-func (s *sim) startAccounting(chip, opIdx int, op *sched.Op, dur float64) {
-	s.hbmDemand[chip] += s.opHBMDemand(op, dur)
+func (s *sim) startAccounting(chip, opIdx int, op *sched.Op, dur, own float64) {
+	reg := s.opHBMDemand(op, dur)
+	s.hbmDemand[chip] = addDemand(s.hbmDemand[chip], reg, false)
 	now := s.des.Now()
 	s.noteStart(chip, opIdx)
 	s.noteBusy(chip, op, dur)
@@ -793,17 +883,17 @@ func (s *sim) startAccounting(chip, opIdx int, op *sched.Op, dur float64) {
 			Start: now, End: now + dur,
 		})
 	}
+	a := tieAction{op: opIdx, slot: s.instID(chip, opIdx), ring: op.Kind.IsComm(), grant: !op.Kind.IsComm() && !s.opts.NoOverlap,
+		read: !s.opts.NoHBMContention && !s.opts.NoOverlap, own: own, reg: reg, dur: dur}
 	if op.Kind.IsComm() {
-		s.comm.Launch += s.hw.LaunchOverhead
-		s.comm.Sync += float64(s.effSteps(op)) * s.hw.SyncLatency
 		per := op.Bytes / s.hw.LinkBandwidth
 		if op.Kind == sched.Broadcast || op.Kind == sched.Reduce {
 			per = op.Bytes / float64(op.Packets) / s.hw.LinkBandwidth
 		}
-		s.comm.Transfer += float64(s.effSteps(op)) * per
-		s.commBusy += dur
+		s.accrueComm(a, op, float64(s.effSteps(op))*per, dur)
 		s.commIntervals = append(s.commIntervals, interval{now, now + dur})
 	} else {
+		s.tie(a)
 		s.computeBusy += dur
 		s.compIntervals = append(s.compIntervals, interval{now, now + dur})
 	}
@@ -850,14 +940,21 @@ func commDirIndex(d topology.Direction) int {
 
 func (s *sim) result() Result {
 	sortTrace(s.trace)
-	for i := range s.traces {
-		sortTrace(s.traces[i])
+	for chip := range s.traces {
+		if k := chip % s.classes; k == chip {
+			sortTrace(s.traces[chip])
+		} else {
+			s.traces[chip] = append(s.traces[chip], s.traces[k]...)
+		}
+	}
+	for _, id := range s.completed {
+		s.observeDuration(&s.prog.Ops[id%s.nOps], s.dur[id])
 	}
 	r := Result{
 		Makespan:    s.des.Now(),
 		ComputeBusy: s.computeBusy,
-		Comm:        s.comm,
-		CommBusy:    s.commBusy,
+		Comm:        Breakdown{Launch: s.launch, Sync: s.commSums[0], Transfer: s.commSums[1]},
+		CommBusy:    s.commSums[2],
 		ExposedComm: exposed(s.commIntervals, s.compIntervals),
 		Events:      s.events,
 		Trace:       s.trace,
@@ -913,14 +1010,15 @@ func (s *sim) publishMetrics(r Result) {
 	dirNames := [numCommDirs]string{topology.InterRow.String(), topology.InterCol.String(), topology.InterDepth.String()}
 	for chip := 0; chip < s.nChips; chip++ {
 		cl := obs.L("chip", obs.PadInt(chip, s.nChips))
-		reg.Gauge("netsim_compute_busy_seconds", prog, cl).Set(s.computeBusyBy[chip])
-		reg.Gauge("netsim_bubble_seconds", prog, cl).Set(r.Makespan - s.computeBusyBy[chip])
+		k := chip % s.classes
+		reg.Gauge("netsim_compute_busy_seconds", prog, cl).Set(s.computeBusyBy[k])
+		reg.Gauge("netsim_bubble_seconds", prog, cl).Set(r.Makespan - s.computeBusyBy[k])
 		for d := 0; d < numCommDirs; d++ {
 			if d == 2 && s.prog.Grid3 == nil {
 				continue // depth lane only exists on 3D programs
 			}
 			reg.Gauge("netsim_link_busy_seconds", prog, cl,
-				obs.L("dir", dirNames[d])).Set(s.linkBusyBy[chip][d])
+				obs.L("dir", dirNames[d])).Set(s.linkBusyBy[k][d])
 		}
 	}
 	if r.CritPath != nil {

@@ -231,6 +231,26 @@ func TestPacketlessBroadcastIsAProgramPrecondition(t *testing.T) {
 	}
 }
 
+func TestBadFabricContentionIsAPrecondition(t *testing.T) {
+	// NaN used to select the physical mesh silently (every comparison with
+	// it is false), +Inf to stretch a comm op to an infinite duration, and a
+	// negative factor was accepted.
+	prog := &sched.Program{
+		Torus: topology.NewTorus(2, 2),
+		Ops:   []sched.Op{{Kind: sched.AllGather, Dir: topology.InterCol, Bytes: 1e6, Steps: 1}},
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -2} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "netsim: fabric contention") {
+					t.Errorf("FabricContention %g: panic %q, want the options-precondition panic", f, msg)
+				}
+			}()
+			Simulate(prog, testHW, Options{FabricContention: f})
+		}()
+	}
+}
+
 func TestHBMContentionSlowsOverlap(t *testing.T) {
 	// A memory-hungry compute op overlapping a large transfer should take
 	// longer with contention than without.
@@ -632,22 +652,28 @@ func TestBidirectionalSpeedsUpMeshSlice(t *testing.T) {
 
 // TestSimulateAllocationGate holds the simulator to "nothing is allocated
 // per event": a whole 8×8 MeshSlice simulation fits in a fixed set of
-// slabs (at most 65 objects), and quadrupling the slice count (4× the ops and events) may only
-// add the few extra growth steps of the event slab and interval merge.
+// slabs (at most 26 objects on the single class), and quadrupling the slice
+// count (4× the ops and events) may only add the few extra growth steps of
+// the event slab and interval merge. The identity map — every chip
+// simulated, as CriticalPath and TraceAllChips run — stays within the 74
+// objects it took before the class map.
 func TestSimulateAllocationGate(t *testing.T) {
 	tor := topology.NewTorus(8, 8)
-	measure := func(S int) float64 {
+	measure := func(S int, name string, opts Options) float64 {
 		prog := sched.MeshSliceProgram(scaleProb, tor, testHW, S)
-		events := Simulate(prog, testHW, Options{}).Events
-		allocs := testing.AllocsPerRun(5, func() { Simulate(prog, testHW, Options{}) })
-		t.Logf("S=%d: %d ops, %d events, %.0f allocs per Simulate", S, len(prog.Ops), events, allocs)
+		events := Simulate(prog, testHW, opts).Events
+		allocs := testing.AllocsPerRun(5, func() { Simulate(prog, testHW, opts) })
+		t.Logf("S=%d %s: %d ops, %d events, %.0f allocs per Simulate", S, name, len(prog.Ops), events, allocs)
 		return allocs
 	}
-	s8, s32 := measure(8), measure(32)
-	if s8 > 65 {
-		t.Errorf("Simulate(8x8 MeshSlice, S=8) allocates %.0f objects, want <= 65", s8)
+	s8, s32 := measure(8, "one class", Options{}), measure(32, "one class", Options{})
+	if s8 > 26 {
+		t.Errorf("Simulate(8x8 MeshSlice, S=8) allocates %.0f objects, want <= 26", s8)
 	}
 	if s32-s8 > 16 {
 		t.Errorf("allocations grow by %.0f from S=8 to S=32, want <= 16 (something allocates per event)", s32-s8)
+	}
+	if ident := measure(8, "identity", Options{CriticalPath: true, TraceAllChips: true}); ident > 74 {
+		t.Errorf("Simulate(8x8 MeshSlice, S=8, CriticalPath+TraceAllChips) allocates %.0f objects, want <= 74", ident)
 	}
 }
