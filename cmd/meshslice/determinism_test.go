@@ -147,8 +147,11 @@ func TestBadFlagsExitTwoWithoutPanic(t *testing.T) {
 		"stats -cols 0",
 		"stats -s -1",
 		"faults -factor 0",
+		"faults -factor NaN",
+		"faults -factor +Inf",
 		"faults -scenario stragglers -factor 0.5",
 		"serve -faults col-degrade -factor 0",
+		"serve -faults col-degrade -factor NaN",
 		"serve -rate NaN",
 		"serve -rate Inf",
 		"serve -rate -Inf",

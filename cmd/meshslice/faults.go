@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -88,8 +89,8 @@ func cmdFaults(args []string) {
 
 // faultScenario builds the named deterministic fault plan.
 func faultScenario(name string, chips int, seed int64, factor float64) (*fault.Plan, error) {
-	if factor < 1 {
-		return nil, fmt.Errorf("bad -factor %g: want >= 1 (a smaller factor would speed the fabric up)", factor)
+	if math.IsNaN(factor) || math.IsInf(factor, 0) || factor < 1 {
+		return nil, fmt.Errorf("bad -factor %g: want a finite factor >= 1 (a smaller factor would speed the fabric up)", factor)
 	}
 	switch name {
 	case "col-degrade":

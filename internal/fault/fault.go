@@ -21,7 +21,10 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -92,7 +95,8 @@ func (p *Plan) Empty() bool {
 }
 
 // Validate checks every event against the cluster size: chips in range,
-// stretch factors at least 1, event times non-negative, intervals ordered.
+// stretch factors finite and at least 1, event times finite and
+// non-negative, intervals ordered.
 func (p *Plan) Validate(chips int) error {
 	if p == nil {
 		return nil
@@ -108,6 +112,9 @@ func (p *Plan) Validate(chips int) error {
 		return fmt.Errorf("fault: %s has unknown direction %d", kind, int(l.Dir))
 	}
 	checkWindow := func(kind string, start, end float64) error {
+		if !finite(start) || !finite(end) {
+			return fmt.Errorf("fault: %s window [%g,%g) is not finite", kind, start, end)
+		}
 		if start < 0 {
 			return fmt.Errorf("fault: %s starts at %g, before time zero", kind, start)
 		}
@@ -120,8 +127,8 @@ func (p *Plan) Validate(chips int) error {
 		if err := checkLink("link-degrade", d.Link); err != nil {
 			return err
 		}
-		if d.Factor < 1 {
-			return fmt.Errorf("fault: link-degrade factor %g < 1 would speed the link up", d.Factor)
+		if !finite(d.Factor) || d.Factor < 1 {
+			return fmt.Errorf("fault: link-degrade factor %g on %v: want a finite factor >= 1", d.Factor, d.Link)
 		}
 		if err := checkWindow("link-degrade", d.Start, d.End); err != nil {
 			return err
@@ -131,8 +138,8 @@ func (p *Plan) Validate(chips int) error {
 		if s.Chip < 0 || s.Chip >= chips {
 			return fmt.Errorf("fault: straggler chip %d outside [0,%d)", s.Chip, chips)
 		}
-		if s.Slowdown < 1 {
-			return fmt.Errorf("fault: straggler slowdown %g < 1 would speed the chip up", s.Slowdown)
+		if !finite(s.Slowdown) || s.Slowdown < 1 {
+			return fmt.Errorf("fault: straggler slowdown %g on chip %d: want a finite factor >= 1", s.Slowdown, s.Chip)
 		}
 		if err := checkWindow("straggler", s.Start, s.End); err != nil {
 			return err
@@ -142,20 +149,22 @@ func (p *Plan) Validate(chips int) error {
 		if err := checkLink("link-fail", f.Link); err != nil {
 			return err
 		}
-		if f.At < 0 {
-			return fmt.Errorf("fault: link-fail at %g, before time zero", f.At)
+		if !finite(f.At) || f.At < 0 {
+			return fmt.Errorf("fault: link-fail on %v at %g: want a finite time >= 0", f.Link, f.At)
 		}
 	}
 	for _, f := range p.ChipFails {
 		if f.Chip < 0 || f.Chip >= chips {
 			return fmt.Errorf("fault: chip-fail chip %d outside [0,%d)", f.Chip, chips)
 		}
-		if f.At < 0 {
-			return fmt.Errorf("fault: chip-fail at %g, before time zero", f.At)
+		if !finite(f.At) || f.At < 0 {
+			return fmt.Errorf("fault: chip-fail on chip %d at %g: want a finite time >= 0", f.Chip, f.At)
 		}
 	}
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // active reports whether a [start, end) window (end <= 0 open-ended)
 // covers time t.
@@ -163,45 +172,101 @@ func active(start, end, t float64) bool {
 	return t >= start && (end <= 0 || t < end)
 }
 
+const numDirs = 3 // link directions per chip: link l's group is l.Chip*numDirs + l.Dir
+
+// Index is a validated Plan compiled for the simulator's lookups: one CSR
+// slab groups degrades by link, stragglers by chip, link and chip failures
+// likewise, each group in plan order, so a lookup scans one group.
+type Index struct {
+	links, chips int
+	off          []int32  // group k's events are win[off[k]:off[k+1]]
+	win          []window // every event, grouped
+	uniform      bool
+}
+
+type window struct{ factor, start, end float64 } // a failure's time is its start
+
+// Index validates the plan against the cluster size and compiles it. An
+// empty plan compiles to nil, the healthy fabric.
+func (p *Plan) Index(chips int) (*Index, error) {
+	if err := p.Validate(chips); err != nil || p.Empty() {
+		return nil, err
+	}
+	links := chips * numDirs
+	x := &Index{links: links, chips: chips, off: make([]int32, 2*(links+chips)+2),
+		win: make([]window, len(p.Degrades)+len(p.Stragglers)+len(p.LinkFails)+len(p.ChipFails))}
+	// Counting sort: group k's count goes to off[k+2]; after the prefix sums
+	// off[k+1] is group k's cursor, which placing moves to the group's end.
+	p.groups(links, chips, func(k int, _ window) { x.off[k+2]++ })
+	for k := 2; k < len(x.off); k++ {
+		x.off[k] += x.off[k-1]
+	}
+	p.groups(links, chips, func(k int, w window) {
+		x.win[x.off[k+1]] = w
+		x.off[k+1]++
+	})
+	// Uniform: nothing fails and every group equals chip 0's of its kind.
+	x.uniform = len(p.LinkFails)+len(p.ChipFails) == 0
+	for k := numDirs; k < links+chips && x.uniform; k++ {
+		ref := k % numDirs
+		if k >= links {
+			ref = links
+		}
+		x.uniform = slices.Equal(x.group(k), x.group(ref))
+	}
+	return x, nil
+}
+
+// groups visits every event with its group key, in plan order.
+func (p *Plan) groups(links, chips int, visit func(k int, w window)) {
+	for _, d := range p.Degrades {
+		visit(linkKey(d.Link), window{d.Factor, d.Start, d.End})
+	}
+	for _, s := range p.Stragglers {
+		visit(links+s.Chip, window{s.Slowdown, s.Start, s.End})
+	}
+	for _, f := range p.LinkFails {
+		visit(links+chips+linkKey(f.Link), window{start: f.At})
+	}
+	for _, f := range p.ChipFails {
+		visit(2*links+chips+f.Chip, window{start: f.At})
+	}
+}
+
+func linkKey(l Link) int { return l.Chip*numDirs + int(l.Dir) }
+
+func (x *Index) group(k int) []window { return x.win[x.off[k]:x.off[k+1]] }
+
+// Uniform reports whether nothing fails and each chip's degrade windows per
+// direction and straggler windows equal chip 0's, in plan order: every factor
+// then depends only on the time and the direction, the same on every chip.
+func (x *Index) Uniform() bool { return x.uniform }
+
+// worst is the largest factor among the windows active at t, or 1.
+func worst(ws []window, t float64) float64 {
+	f := 1.0
+	for _, w := range ws {
+		if active(w.start, w.end, t) && w.factor > f {
+			f = w.factor
+		}
+	}
+	return f
+}
+
 // LinkFactor returns the wire-time stretch of the link at time t: the
 // worst active degradation, or 1 on a healthy link. Consumers sample the
 // factor at op (or ring-step) start, matching the contention model's
 // first-order processor-sharing approximation.
-func (p *Plan) LinkFactor(l Link, t float64) float64 {
-	f := 1.0
-	if p == nil {
-		return f
-	}
-	for _, d := range p.Degrades {
-		if d.Link == l && active(d.Start, d.End, t) && d.Factor > f {
-			f = d.Factor
-		}
-	}
-	return f
-}
+func (x *Index) LinkFactor(l Link, t float64) float64 { return worst(x.group(linkKey(l)), t) }
 
 // ComputeFactor returns the compute stretch of the chip at time t: the
 // worst active straggler slowdown, or 1 on a healthy chip.
-func (p *Plan) ComputeFactor(chip int, t float64) float64 {
-	f := 1.0
-	if p == nil {
-		return f
-	}
-	for _, s := range p.Stragglers {
-		if s.Chip == chip && active(s.Start, s.End, t) && s.Slowdown > f {
-			f = s.Slowdown
-		}
-	}
-	return f
-}
+func (x *Index) ComputeFactor(chip int, t float64) float64 { return worst(x.group(x.links+chip), t) }
 
-// LinkFailedBy reports whether the link is dead at time t.
-func (p *Plan) LinkFailedBy(l Link, t float64) bool {
-	if p == nil {
-		return false
-	}
-	for _, f := range p.LinkFails {
-		if f.Link == l && f.At <= t {
+// failedBy reports whether a failure of group k has struck by time t.
+func (x *Index) failedBy(k int, t float64) bool {
+	for _, w := range x.group(k) {
+		if w.start <= t {
 			return true
 		}
 	}
@@ -209,29 +274,18 @@ func (p *Plan) LinkFailedBy(l Link, t float64) bool {
 }
 
 // ChipFailedBy reports whether the chip has fail-stopped by time t.
-func (p *Plan) ChipFailedBy(chip int, t float64) bool {
-	if p == nil {
-		return false
-	}
-	for _, f := range p.ChipFails {
-		if f.Chip == chip && f.At <= t {
-			return true
-		}
-	}
-	return false
+func (x *Index) ChipFailedBy(chip int, t float64) bool {
+	return x.failedBy(2*x.links+x.chips+chip, t)
 }
 
 // FailedRingLinks counts the dead links among the ring members' link
 // controllers in the given direction at time t, returning the lowest-rank
 // affected chip (deterministic diagnosis) and the count. One dead link
 // still leaves a re-route path; two or more partition the ring.
-func (p *Plan) FailedRingLinks(members []int, d topology.Direction, t float64) (chip, n int) {
+func (x *Index) FailedRingLinks(members []int, d topology.Direction, t float64) (chip, n int) {
 	chip = -1
-	if p == nil {
-		return chip, 0
-	}
 	for _, m := range members {
-		if p.LinkFailedBy(Link{Chip: m, Dir: d}, t) {
+		if x.failedBy(x.links+x.chips+linkKey(Link{Chip: m, Dir: d}), t) {
 			if chip < 0 || m < chip {
 				chip = m
 			}
@@ -314,7 +368,7 @@ func (p *Plan) Spans(horizon float64) []Span {
 		}
 		return start, end, end >= start
 	}
-	var out []Span
+	out := make([]Span, 0, len(p.Degrades)+len(p.Stragglers)+len(p.LinkFails)+len(p.ChipFails))
 	for _, d := range p.Degrades {
 		if s, e, ok := clip(d.Start, d.End); ok {
 			out = append(out, Span{Kind: "link-degrade", Chip: d.Link.Chip, Dir: d.Link.Dir, Factor: d.Factor, Start: s, End: e})
@@ -335,19 +389,12 @@ func (p *Plan) Spans(horizon float64) []Span {
 			out = append(out, Span{Kind: "chip-fail", Chip: f.Chip, Start: s, End: e})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Start != b.Start { // lint:float-exact sort tie-break must be exact for a deterministic span order
-			return a.Start < b.Start
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Chip != b.Chip {
-			return a.Chip < b.Chip
-		}
-		return a.Dir < b.Dir
+	slices.SortFunc(out, func(a, b Span) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), strings.Compare(a.Kind, b.Kind), cmp.Compare(a.Chip, b.Chip), cmp.Compare(a.Dir, b.Dir))
 	})
+	if len(out) == 0 {
+		return nil
+	}
 	return out
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"meshslice/internal/fault"
 	"meshslice/internal/obs"
 	"meshslice/internal/sched"
 	"meshslice/internal/topology"
@@ -23,6 +24,26 @@ func classMapVariants() []goldenVariant {
 		{"noHBM", Options{NoHBMContention: true}},
 		{"observed", Options{TraceAllChips: true, CollectTrace: true, Metrics: obs.NewRegistry()}},
 	}
+}
+
+// uniformPlan is one of three fault plans every chip of p sees alike, timed
+// against its healthy makespan: an open-ended col-degrade (kind 0), a
+// windowed row-degrade plus a windowed straggler (1), and both (2).
+func uniformPlan(p *sched.Program, kind int) *fault.Plan {
+	m := Simulate(p, testHW, Options{}).Makespan
+	col, row := &fault.Plan{}, &fault.Plan{}
+	for c := 0; c < p.Chips(); c++ {
+		col.Degrades = append(col.Degrades, fault.LinkDegrade{Link: fault.Link{Chip: c, Dir: topology.InterCol}, Factor: 6})
+		row.Degrades = append(row.Degrades, fault.LinkDegrade{Link: fault.Link{Chip: c, Dir: topology.InterRow}, Factor: 3, Start: m / 4, End: m / 2})
+		row.Stragglers = append(row.Stragglers, fault.Straggler{Chip: c, Slowdown: 2, Start: m / 8, End: m * 3 / 4})
+	}
+	switch kind % 3 {
+	case 0:
+		return col
+	case 1:
+		return row
+	}
+	return &fault.Plan{Degrades: append(col.Degrades, row.Degrades...), Stragglers: row.Stragglers}
 }
 
 // modelSnapshot is the registry's JSON without the kernel's des_ metrics
@@ -72,7 +93,11 @@ func identityMatches(t *testing.T, p *sched.Program, opts Options) (match, certi
 	if match && opts.Metrics != nil {
 		match = modelSnapshot(t, opts.Metrics) == modelSnapshot(t, ident.Metrics)
 	}
-	s := newSim(p, testHW, opts, 1)
+	flt, err := opts.Faults.Index(p.Chips())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newSim(p, testHW, opts, flt, 1)
 	s.run()
 	return match, !s.tainted
 }
@@ -159,7 +184,8 @@ func edgeProgram(rng *rand.Rand) *sched.Program {
 // TestClassMapMatchesIdentity is the differential test of the class map:
 // on random SPMD programs, the single-class run — certificate and
 // fallback included — must return exactly what simulating every chip
-// returns, under every option set it serves.
+// returns, under every option set it serves. Every other program runs
+// again under one of the uniform fault plans.
 func TestClassMapMatchesIdentity(t *testing.T) {
 	for _, gen := range []struct {
 		name     string
@@ -170,14 +196,21 @@ func TestClassMapMatchesIdentity(t *testing.T) {
 		runs, fallbacks := 0, 0
 		for trial := 0; trial < gen.programs; trial++ {
 			prog := gen.next(rng)
-			for _, v := range classMapVariants() {
-				match, certified := identityMatches(t, prog, v.opts)
-				runs++
-				if !certified {
-					fallbacks++
-				}
-				if !match {
-					t.Fatalf("%s trial %d %s: the class map diverged from the identity map (certified %v)", gen.name, trial, v.name, certified)
+			plans := []*fault.Plan{nil}
+			if trial%2 == 1 {
+				plans = append(plans, uniformPlan(prog, trial/2))
+			}
+			for _, plan := range plans {
+				for _, v := range classMapVariants() {
+					v.opts.Faults = plan
+					match, certified := identityMatches(t, prog, v.opts)
+					runs++
+					if !certified {
+						fallbacks++
+					}
+					if !match {
+						t.Fatalf("%s trial %d %s (faults %v): the class map diverged from the identity map (certified %v)", gen.name, trial, v.name, plan != nil, certified)
+					}
 				}
 			}
 		}
@@ -242,7 +275,8 @@ func oneClassEvents(p *sched.Program, opts Options) int {
 // 4×4, 8×4 and 8×8 runs as one class under each option set the class map
 // serves, which the kernel's event count shows without any new API. Each
 // run must also return, every chip's trace included, exactly what the
-// identity map returns.
+// identity map returns. So must each uniform fault plan's run, which takes
+// the one class unless Metrics asks for per-chip fault telemetry.
 func TestBuilderProgramsRunOneClass(t *testing.T) {
 	progs := goldenPrograms()
 	for _, shape := range []topology.Torus{topology.NewTorus(4, 4), topology.NewTorus(8, 4), topology.NewTorus(8, 8)} {
@@ -266,6 +300,64 @@ func TestBuilderProgramsRunOneClass(t *testing.T) {
 			v.opts.TraceAllChips = true
 			if match, _ := identityMatches(t, c.prog, v.opts); !match {
 				t.Errorf("%s on %v %s: the class map diverged from the identity map", c.name, c.prog.Torus, v.name)
+			}
+			for kind := 0; kind < 3; kind++ {
+				opts := v.opts
+				opts.Faults = uniformPlan(c.prog, kind)
+				if v.name != "observed" {
+					opts.Metrics = nil
+				}
+				flt, err := opts.Faults.Index(c.prog.Chips())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := oneClass(opts, flt), opts.Metrics == nil; got != want {
+					t.Errorf("%s on %v %s plan %d: oneClass %v, want %v", c.name, c.prog.Torus, v.name, kind, got, want)
+				}
+				if match, certified := identityMatches(t, c.prog, opts); !match || !certified {
+					t.Errorf("%s on %v %s plan %d: match %v, certified %v", c.name, c.prog.Torus, v.name, kind, match, certified)
+				}
+			}
+		}
+	}
+}
+
+// TestNonUniformPlansRunIdentity pins the other side of the class map's
+// fault condition: a plan that some chip sees differently — one chip
+// missing its degrade, one chip listing its windows in another order, a
+// dead link, a dead chip — simulates every chip, and returns what the
+// identity map returns.
+func TestNonUniformPlansRunIdentity(t *testing.T) {
+	prog := sched.MeshSliceProgram(critProb, topology.NewTorus(8, 8), testHW, 4)
+	uniform := uniformPlan(prog, 2)
+	missing := *uniform
+	missing.Degrades = uniform.Degrades[1:]
+	permuted := &fault.Plan{Stragglers: uniform.Stragglers}
+	for c := 0; c < prog.Chips(); c++ {
+		degs := []fault.LinkDegrade{uniform.Degrades[c], {Link: fault.Link{Chip: c, Dir: topology.InterCol}, Factor: 2}}
+		if c == 5 {
+			degs[0], degs[1] = degs[1], degs[0]
+		}
+		permuted.Degrades = append(permuted.Degrades, degs...)
+	}
+	linkFail, chipFail := *uniform, *uniform
+	linkFail.LinkFails = []fault.LinkFail{{Link: fault.Link{Chip: 9, Dir: topology.InterRow}, At: 1}}
+	chipFail.ChipFails = []fault.ChipFail{{Chip: 9, At: 1}}
+	for _, c := range []struct {
+		name string
+		plan *fault.Plan
+	}{{"missing", &missing}, {"permuted", permuted}, {"link fail", &linkFail}, {"chip fail", &chipFail}} {
+		for _, v := range []Options{{}, {StepLevel: true}} {
+			v.Faults = c.plan
+			flt, err := c.plan.Index(prog.Chips())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if oneClass(v, flt) {
+				t.Errorf("%s: a non-uniform plan runs one class", c.name)
+			}
+			if match, _ := identityMatches(t, prog, v); !match {
+				t.Errorf("%s: the run diverged from the identity map", c.name)
 			}
 		}
 	}

@@ -8,13 +8,14 @@ import (
 	"meshslice/internal/topology"
 )
 
-// Fault-model integration: Options.Faults threads a deterministic
-// fault.Plan through the simulator. Degraded links stretch ring steps,
-// stragglers stretch compute, and failures either halt the program with a
-// typed Result.Failed diagnosis or — with Options.FaultReroute — detour
-// around a single dead ring link at (P-1)× the wire cost. Every factor is
-// sampled at op (or ring-step) start, matching the contention model's
-// first-order approximation, and every hook short-circuits on a nil plan
+// Fault-model integration: Simulate compiles Options.Faults once into a
+// fault.Index, whose per-link and per-chip groups the hooks read. Degraded
+// links stretch ring steps, stragglers stretch compute, and failures either
+// halt the program with a typed Result.Failed diagnosis or — with
+// Options.FaultReroute — detour around a single dead ring link at (P-1)×
+// the wire cost. Every factor is sampled at op (or ring-step) start, so
+// under a uniform plan it depends only on the time and the direction and
+// one class stands for the mesh; every hook short-circuits on a nil index,
 // so a healthy run is byte-identical to a fault-free build.
 
 // FailureKind classifies a simulated failure.

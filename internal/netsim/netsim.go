@@ -91,7 +91,9 @@ type Options struct {
 	// Faults injects a deterministic fault plan (package fault): degraded
 	// links stretch ring steps, stragglers stretch compute, and failures
 	// halt the program with a typed Result.Failed diagnosis. A nil or
-	// empty plan is a provable no-op — every fault hook short-circuits.
+	// empty plan is a provable no-op — every fault hook short-circuits. A
+	// uniform plan (fault.Index.Uniform) keeps the one-class map unless
+	// Metrics is set.
 	Faults *fault.Plan
 	// FaultReroute lets a ring collective survive a single dead link by
 	// detouring its traffic the long way around the ring, at (P-1)× the
@@ -165,17 +167,29 @@ func Simulate(p *sched.Program, c hw.Chip, opts Options) Result {
 	if f := opts.FabricContention; math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
 		panic(fmt.Sprintf("netsim: fabric contention %g: want a finite factor >= 0", f)) // lint:invariant options precondition
 	}
+	flt, err := opts.Faults.Index(p.Chips())
+	if err != nil {
+		panic(fmt.Sprintf("netsim: %v", err)) // lint:invariant fault-plan precondition
+	}
 	classes := p.Chips()
-	if opts.Faults.Empty() && !opts.CriticalPath && (opts.FabricContention <= 1 || opts.NoOverlap) {
+	if oneClass(opts, flt) {
 		classes = 1
 	}
-	s := newSim(p, c, opts, classes)
+	s := newSim(p, c, opts, flt, classes)
 	s.run()
 	if s.tainted { // another chip's order could change a number
-		s = newSim(p, c, opts, p.Chips())
+		s = newSim(p, c, opts, flt, p.Chips())
 		s.run()
 	}
 	return s.result()
+}
+
+// oneClass reports whether rank 0 may stand for the mesh: no fault plan or a
+// uniform one (faulted Metrics count per chip), no critical path, no fabric
+// contention.
+func oneClass(opts Options, flt *fault.Index) bool {
+	return (flt == nil || flt.Uniform() && opts.Metrics == nil) && !opts.CriticalPath &&
+		(opts.FabricContention <= 1 || opts.NoOverlap)
 }
 
 type sim struct {
@@ -252,10 +266,10 @@ type sim struct {
 	// durHists caches the per-kind op-duration histograms (Metrics only).
 	durHists [8]*obs.Histogram
 
-	// fault state: flt is nil unless Options.Faults is a non-empty plan,
-	// so every fault hook short-circuits on a healthy fabric and the run
-	// is byte-identical to one without the fault model compiled in.
-	flt            *fault.Plan
+	// fault state: flt is the compiled plan, nil unless Options.Faults is
+	// non-empty, so every fault hook short-circuits on a healthy fabric and
+	// the run is byte-identical to one without the fault model compiled in.
+	flt            *fault.Index
 	failure        *Failure
 	faultStretched int64   // ops/steps stretched by a fault factor
 	faultExtra     float64 // seconds added by fault stretching
@@ -283,7 +297,7 @@ type ringSteps struct {
 	step          int
 }
 
-func newSim(p *sched.Program, c hw.Chip, opts Options, classes int) *sim {
+func newSim(p *sched.Program, c hw.Chip, opts Options, flt *fault.Index, classes int) *sim {
 	n, nOps := classes, len(p.Ops)
 	s := &sim{
 		prog:      p,
@@ -291,6 +305,7 @@ func newSim(p *sched.Program, c hw.Chip, opts Options, classes int) *sim {
 		core:      chipsim.FromChip(c),
 		opts:      opts,
 		des:       des.New(),
+		flt:       flt,
 		nChips:    p.Chips(),
 		nOps:      nOps,
 		classes:   classes,
@@ -305,12 +320,6 @@ func newSim(p *sched.Program, c hw.Chip, opts Options, classes int) *sim {
 		if opts.Metrics != nil {
 			s.completed = make([]int, 0, nOps)
 		}
-	}
-	if !opts.Faults.Empty() {
-		if err := opts.Faults.Validate(s.nChips); err != nil {
-			panic(fmt.Sprintf("netsim: %v", err)) // lint:invariant fault-plan precondition
-		}
-		s.flt = opts.Faults
 	}
 	s.curCause = -1
 	if opts.CriticalPath {
@@ -966,7 +975,7 @@ func (s *sim) result() Result {
 	}
 	if s.flt != nil {
 		r.Failed = s.failure
-		r.FaultSpans = s.flt.Spans(r.Makespan)
+		r.FaultSpans = s.opts.Faults.Spans(r.Makespan)
 	}
 	s.publishMetrics(r)
 	return r
@@ -1039,7 +1048,7 @@ func (s *sim) publishMetrics(r Result) {
 	//	                                     dead link
 	//	netsim_failed              gauge   — 1 when the program halted
 	if s.flt != nil {
-		deg, str, lf, cf := s.flt.Events()
+		deg, str, lf, cf := s.opts.Faults.Events()
 		reg.Gauge("netsim_fault_events", prog, obs.L("type", "link-degrade")).Set(float64(deg))
 		reg.Gauge("netsim_fault_events", prog, obs.L("type", "straggler")).Set(float64(str))
 		reg.Gauge("netsim_fault_events", prog, obs.L("type", "link-fail")).Set(float64(lf))

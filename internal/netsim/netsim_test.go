@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"meshslice/internal/costmodel"
+	"meshslice/internal/fault"
 	"meshslice/internal/gemm"
 	"meshslice/internal/hw"
 	"meshslice/internal/sched"
@@ -656,7 +657,10 @@ func TestBidirectionalSpeedsUpMeshSlice(t *testing.T) {
 // count (4× the ops and events) may only add the few extra growth steps of
 // the event slab and interval merge. The identity map — every chip
 // simulated, as CriticalPath and TraceAllChips run — stays within the 74
-// objects it took before the class map.
+// objects it took before the class map. A uniform fault plan (every
+// inter-col link degraded) runs on the single class for the fault index's
+// fixed slabs and FaultSpans, and on the identity map below the 82 objects
+// it took when every hook scanned the plan.
 func TestSimulateAllocationGate(t *testing.T) {
 	tor := topology.NewTorus(8, 8)
 	measure := func(S int, name string, opts Options) float64 {
@@ -675,5 +679,16 @@ func TestSimulateAllocationGate(t *testing.T) {
 	}
 	if ident := measure(8, "identity", Options{CriticalPath: true, TraceAllChips: true}); ident > 74 {
 		t.Errorf("Simulate(8x8 MeshSlice, S=8, CriticalPath+TraceAllChips) allocates %.0f objects, want <= 74", ident)
+	}
+	colDegrade := &fault.Plan{}
+	for c := 0; c < tor.Size(); c++ {
+		colDegrade.Degrades = append(colDegrade.Degrades, fault.LinkDegrade{Link: fault.Link{Chip: c, Dir: topology.InterCol}, Factor: 6})
+	}
+	steps := measure(8, "step-level one class", Options{StepLevel: true})
+	if faulted := measure(8, "col-degrade one class", Options{StepLevel: true, Faults: colDegrade}); faulted > steps+4 {
+		t.Errorf("Simulate(8x8 MeshSlice, S=8, StepLevel, col-degrade) allocates %.0f objects, want <= %.0f (the fault-free run's plus the index's three slabs and FaultSpans)", faulted, steps+4)
+	}
+	if faulted := measure(8, "col-degrade identity", Options{StepLevel: true, Faults: colDegrade, CriticalPath: true}); faulted > 78 {
+		t.Errorf("Simulate(8x8 MeshSlice, S=8, StepLevel+CriticalPath, col-degrade) allocates %.0f objects, want <= 78 (82 before the fault index)", faulted)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"meshslice/internal/autotune"
+	"meshslice/internal/fault"
 	"meshslice/internal/gemm"
 	"meshslice/internal/model"
 	"meshslice/internal/netsim"
@@ -197,5 +198,104 @@ func TestSimulatorGuard(t *testing.T) {
 	}
 	if want := 3 * len(simGuardVariants()); len(simGuard) != want {
 		t.Errorf("guard table has %d rows, the cross product has %d", len(simGuard), want)
+	}
+}
+
+// faultGuard pins what the simulator returns under fault plans for GPT-3's
+// twelve FC passes × every 2D algorithm on 8×8: one FNV-64a digest per
+// (plan, variant) row over every result field, every chip's trace, the
+// failure diagnosis and the clipped fault spans. The rows were captured
+// before faulted runs could take the one-class map; a change to the fault
+// model's plumbing must reproduce them untouched.
+var faultGuard = map[string]uint64{
+	"col-degrade default":         0xd6a72a3dad50d0d5,
+	"col-degrade stepLevel":       0x93ff564db54f9e91,
+	"col-degrade traceAll":        0xfe7caee27ac9f555,
+	"seeded default":              0xceac6666f2f9d3a4,
+	"seeded stepLevel":            0x40adca133710d01,
+	"chip-fail default":           0xa3c05f1932f7a8ef,
+	"link-fail reroute stepLevel": 0x9ed394f695ee4ade,
+}
+
+type faultGuardRow struct {
+	name string
+	plan *fault.Plan
+	opts netsim.Options
+}
+
+func faultGuardRows(chips int) []faultGuardRow {
+	colDegrade := &fault.Plan{}
+	for c := 0; c < chips; c++ {
+		colDegrade.Degrades = append(colDegrade.Degrades, fault.LinkDegrade{
+			Link: fault.Link{Chip: c, Dir: topology.InterCol}, Factor: 6,
+		})
+	}
+	seeded := fault.Generate(7, chips, fault.ScenarioOptions{Degrades: 3, Stragglers: 2, MaxFactor: 6, Horizon: 0.01})
+	chipFail := &fault.Plan{ChipFails: []fault.ChipFail{{Chip: 9, At: 6e-3}}}
+	linkFail := &fault.Plan{LinkFails: []fault.LinkFail{ // the second partitions the first's ring
+		{Link: fault.Link{Chip: 20, Dir: topology.InterRow}, At: 5e-4},
+		{Link: fault.Link{Chip: 28, Dir: topology.InterRow}, At: 8e-3},
+	}}
+	return []faultGuardRow{
+		{"col-degrade default", colDegrade, netsim.Options{}},
+		{"col-degrade stepLevel", colDegrade, netsim.Options{StepLevel: true}},
+		{"col-degrade traceAll", colDegrade, netsim.Options{TraceAllChips: true}},
+		{"seeded default", seeded, netsim.Options{}},
+		{"seeded stepLevel", seeded, netsim.Options{StepLevel: true}},
+		{"chip-fail default", chipFail, netsim.Options{}},
+		{"link-fail reroute stepLevel", linkFail, netsim.Options{StepLevel: true, FaultReroute: true}},
+	}
+}
+
+func TestFaultGuard(t *testing.T) {
+	shape := topology.NewTorus(8, 8)
+	passes := simGuardPasses(shape.Size())
+	rows := faultGuardRows(shape.Size())
+	for _, row := range rows {
+		h := fnv.New64a()
+		var b [8]byte
+		word := func(v uint64) {
+			binary.LittleEndian.PutUint64(b[:], v)
+			h.Write(b[:])
+		}
+		sims, failed := 0, 0
+		for _, prob := range passes {
+			for _, algo := range TwoDAlgos {
+				prog, ok := buildProgram(algo, prob, shape, testHW, Options{})
+				if !ok {
+					continue
+				}
+				opts := row.opts
+				opts.Faults = row.plan
+				r := netsim.Simulate(prog, testHW, opts)
+				simDigest(t, h, r, nil)
+				if f := r.Failed; f != nil {
+					failed++
+					word(uint64(f.Kind))
+					word(uint64(f.Chip))
+					word(uint64(f.Dir))
+					word(uint64(f.Op))
+					h.Write([]byte(f.OpName))
+					word(math.Float64bits(f.At))
+				}
+				word(uint64(len(r.FaultSpans)))
+				for _, sp := range r.FaultSpans {
+					h.Write([]byte(sp.Kind))
+					word(uint64(sp.Chip))
+					word(uint64(sp.Dir))
+					for _, v := range []float64{sp.Factor, sp.Start, sp.End} {
+						word(math.Float64bits(v))
+					}
+				}
+				sims++
+			}
+		}
+		got := h.Sum64()
+		if want, ok := faultGuard[row.name]; !ok || got != want {
+			t.Errorf("%s: digest %#x over %d simulations (%d halted); want row\n\t%q: %#x,", row.name, got, sims, failed, row.name, got)
+		}
+	}
+	if len(faultGuard) != len(rows) {
+		t.Errorf("fault guard table has %d rows, the plans × variants list has %d", len(faultGuard), len(rows))
 	}
 }
