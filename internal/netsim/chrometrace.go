@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"io"
+	"math"
+	"slices"
 	"strconv"
 
 	"meshslice/internal/fault"
@@ -11,9 +13,12 @@ import (
 // trackNames indexes viewer tracks by chromeTrack id.
 var trackNames = [numLanes]string{"compute engine", "inter-row links", "inter-col links", "inter-depth links"}
 
-// appendChipEvents emits one chip's process name, the names of the tracks
-// it used in tid order, and its events, all under the given pid.
-func appendChipEvents(c *obs.ChromeTrace, t Trace, pid int, label string) {
+// appendChipEvents emits chip pid's process name, the names of the tracks
+// it used in tid order, and its events, all under that pid, and returns the
+// index of its first event. When the previous chip's trace, whose events
+// start at index prevFrom, is the same, its bytes are replayed instead.
+func appendChipEvents(c *obs.ChromeTrace, traces []Trace, pid, prevFrom int, label string) int {
+	t := traces[pid]
 	var used [numLanes]bool
 	for _, e := range t {
 		used[chromeTrack(e)] = true
@@ -24,11 +29,17 @@ func appendChipEvents(c *obs.ChromeTrace, t Trace, pid int, label string) {
 			c.Meta("thread_name", pid, tid).Str(name)
 		}
 	}
+	from := c.Events()
+	if pid > 0 && sameTrace(t, traces[pid-1]) {
+		c.Replay(prevFrom, prevFrom+len(t), pid)
+		return from
+	}
 	for _, e := range t {
 		kind := e.Kind.String()
 		c.Event(obs.ChromeFields{Cat: kind, Ph: "X", TS: e.Start * 1e6, Dur: (e.End - e.Start) * 1e6, PID: pid, TID: chromeTrack(e)}).
 			Str(e.Name).Arg("kind").Str(kind)
 	}
+	return from
 }
 
 // WriteChromeTrace serialises one chip's trace as a Chrome trace-event JSON
@@ -58,8 +69,9 @@ func WriteFaultyClusterChromeTrace(w io.Writer, traces []Trace, spans []fault.Sp
 		n += len(t) + 1 + numLanes // events, process and track names
 	}
 	c := obs.NewChromeTrace(n)
-	for chip, t := range traces {
-		appendChipEvents(c, t, chip, label)
+	from := 0
+	for chip := range traces {
+		from = appendChipEvents(c, traces, chip, from, label)
 	}
 	if len(spans) > 0 {
 		pid := len(traces)
@@ -84,6 +96,15 @@ func WriteFaultyClusterChromeTrace(w io.Writer, traces []Trace, spans []fault.Sp
 		}
 	}
 	return c.Encode(w)
+}
+
+// sameTrace reports whether a and b write the same Chrome events: field by
+// field, times by their bits, since -0 and +0 compare equal but print apart.
+func sameTrace(a, b Trace) bool {
+	return slices.EqualFunc(a, b, func(x, y TraceEvent) bool {
+		return x.Op == y.Op && x.Name == y.Name && x.Kind == y.Kind && x.Dir == y.Dir &&
+			math.Float64bits(x.Start) == math.Float64bits(y.Start) && math.Float64bits(x.End) == math.Float64bits(y.End)
+	})
 }
 
 // chromeTrack maps an event onto its viewer track.

@@ -1,10 +1,17 @@
 package netsim
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 
+	"meshslice/internal/fault"
 	"meshslice/internal/sched"
 	"meshslice/internal/topology"
 )
@@ -191,12 +198,12 @@ func TestChromeExportGoldenBytes(t *testing.T) {
 }
 
 // TestChromeExportAllocationGate holds the Chrome export to "nothing is
-// allocated per event": the whole-cluster trace of an 8×8 MeshSlice program
-// encodes into one presized buffer, so quadrupling the slice count (4× the
-// events) leaves the allocation count unchanged.
+// allocated per event or per chip": the whole-cluster trace of an 8×8
+// MeshSlice program encodes into one presized buffer, so quadrupling the
+// slice count (4× the events) or the chip count leaves the allocation count
+// unchanged.
 func TestChromeExportAllocationGate(t *testing.T) {
-	tor := topology.NewTorus(8, 8)
-	measure := func(S int) float64 {
+	measure := func(tor topology.Torus, S int) float64 {
 		prog := sched.MeshSliceProgram(scaleProb, tor, testHW, S)
 		r := Simulate(prog, testHW, Options{TraceAllChips: true})
 		var err error
@@ -207,11 +214,122 @@ func TestChromeExportAllocationGate(t *testing.T) {
 		t.Logf("S=%d: %d ops on %d chips, %.0f allocs per export", S, len(prog.Ops), tor.Size(), allocs)
 		return allocs
 	}
-	s8, s32 := measure(8), measure(32)
+	s8, s32 := measure(topology.NewTorus(8, 8), 8), measure(topology.NewTorus(8, 8), 32)
 	if s8 > 16 {
 		t.Errorf("WriteClusterChromeTrace(8x8 MeshSlice, S=8) allocates %.0f objects, want <= 16", s8)
 	}
 	if s32 != s8 {
 		t.Errorf("allocations go from %.0f at S=8 to %.0f at S=32, want equal (something allocates per event)", s8, s32)
+	}
+	if s4x4 := measure(topology.NewTorus(4, 4), 8); s4x4 != s8 {
+		t.Errorf("allocations go from %.0f on 4x4 to %.0f on 8x8, want equal (something allocates per chip)", s4x4, s8)
+	}
+}
+
+// decodeChrome decodes a Chrome export into its events, each a map from
+// field to its raw JSON, so that -0 and 0 or two floats one ulp apart stay
+// different.
+func decodeChrome(t *testing.T, write func(io.Writer) error) []map[string]json.RawMessage {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatalf("export is not JSON: %v", err)
+	}
+	return events
+}
+
+// checkReplay decodes the whole-cluster export of traces and requires each
+// chip's events, in order, to carry pid = chip and otherwise to equal the
+// events of that chip's trace written alone, whose pid is 0, whether the
+// writer formatted or replayed them; only the process name says which chip
+// it is. It returns how many chips' traces equal their predecessor's.
+func checkReplay(t *testing.T, traces []Trace, label string) (replayed int) {
+	t.Helper()
+	got := decodeChrome(t, func(w io.Writer) error { return WriteClusterChromeTrace(w, traces, label) })
+	next := 0
+	for chip, tr := range traces {
+		if chip > 0 && sameTrace(tr, traces[chip-1]) {
+			replayed++
+		}
+		alone := decodeChrome(t, func(w io.Writer) error { return tr.WriteChromeTrace(w, label) })
+		if next+len(alone) > len(got) {
+			t.Fatalf("chip %d: cluster export ends after %d events", chip, len(got))
+		}
+		for i, want := range alone {
+			e := got[next+i]
+			if pid := string(e["pid"]); pid != strconv.Itoa(chip) {
+				t.Fatalf("chip %d event %d: pid %s", chip, i, pid)
+			}
+			if string(e["name"]) == `"process_name"` {
+				var args, aloneArgs struct{ Name string }
+				json.Unmarshal(want["args"], &aloneArgs)
+				if err := json.Unmarshal(e["args"], &args); err != nil ||
+					args.Name != fmt.Sprintf("chip %d", chip)+strings.TrimPrefix(aloneArgs.Name, "chip 0") {
+					t.Fatalf("chip %d: process name %s, alone %s", chip, e["args"], want["args"])
+				}
+				continue
+			}
+			if len(e) != len(want) {
+				t.Fatalf("chip %d event %d: fields %v, alone %v", chip, i, e, want)
+			}
+			for k, v := range want {
+				if k != "pid" && !bytes.Equal(e[k], v) {
+					t.Fatalf("chip %d event %d: %s is %s, alone %s", chip, i, k, e[k], v)
+				}
+			}
+		}
+		next += len(alone)
+	}
+	if next != len(got) {
+		t.Fatalf("cluster export has %d events, the chips alone %d", len(got), next)
+	}
+	return replayed
+}
+
+// TestChromeReplayMatchesRender covers the replay of a chip whose trace
+// equals the previous chip's: op names holding the bytes a pid scan or an
+// escaper could trip on, twelve equal chips (pid 9 to 10 changes the
+// digit count), an 8x8 mesh whose degraded link makes equal and unequal
+// neighbours alternate, and chips that differ only in the sign of a zero
+// start or one ulp of an end, which print differently and so must be
+// rendered, not replayed.
+func TestChromeReplayMatchesRender(t *testing.T) {
+	odd := Trace{
+		{Op: 0, Name: `x,"pid":1,"tid":9`, Kind: sched.Compute, Start: 0, End: 1e-6},
+		{Op: 1, Name: `q"\<&>` + " ", Kind: sched.AllGather, Dir: topology.InterRow, Start: 1e-6, End: 3.5e-6},
+		{Op: 2, Name: `,"pid":`, Kind: sched.ReduceScatter, Dir: topology.InterCol, Start: 2e-6, End: 2e-6},
+	}
+	twelve := make([]Trace, 12)
+	for i := range twelve {
+		twelve[i] = append(Trace(nil), odd...)
+	}
+	twelve[5][2].Name = "different"
+	if got := checkReplay(t, twelve, chromeLabel); got != 9 {
+		t.Errorf("twelve chips, one different: %d replayed, want 9", got)
+	}
+
+	degrade := &fault.Plan{Degrades: []fault.LinkDegrade{{Link: fault.Link{Chip: 0, Dir: topology.InterRow}, Factor: 2}}}
+	prog := sched.MeshSliceProgram(critProb, topology.NewTorus(8, 8), testHW, 4)
+	r := Simulate(prog, testHW, Options{TraceAllChips: true, Faults: degrade})
+	replayed := checkReplay(t, r.Traces, prog.Label)
+	t.Logf("8x8 with a degraded link: %d of 63 chips replayed", replayed)
+	if replayed == 0 || replayed == 63 {
+		t.Errorf("8x8 with a degraded link: %d of 63 chips replayed, want some but not all", replayed)
+	}
+
+	for name, edit := range map[string]func(*TraceEvent){
+		"-0 start":   func(e *TraceEvent) { e.Start = math.Copysign(0, -1) },
+		"ulp of end": func(e *TraceEvent) { e.End = math.Nextafter(e.End, 1) },
+	} {
+		pair := []Trace{append(Trace(nil), odd...), append(Trace(nil), odd...)}
+		edit(&pair[1][0])
+		if sameTrace(pair[0], pair[1]) {
+			t.Errorf("%s: traces compare the same", name)
+		}
+		checkReplay(t, pair, name)
 	}
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -18,15 +19,20 @@ import (
 // as encoding/json orders map keys.
 type ChromeTrace struct {
 	b, str []byte // the array so far; the open string, unescaped
+	at     []chromeAt
 	fields ChromeFields
 	named  bool // the open string is an event's name; fields follow it
 	args   bool // the open event has an args object
+	closed bool // there is no open event
 	events int
 	err    error // set by a non-finite ts or dur
 	// floats maps a hash of a value's bits to where it was last written in
 	// b: the chips of a symmetric mesh share most ts and dur values.
 	floats [1024]struct{ bits, off, n uint64 }
 }
+
+// chromeAt is where an event starts in the array and where its pid does.
+type chromeAt struct{ start, pid int }
 
 // ChromeFields are an event's fields after its name.
 type ChromeFields struct {
@@ -40,7 +46,7 @@ type ChromeFields struct {
 // NewChromeTrace returns an empty trace presized for events events of 160
 // bytes, more than a simulator event (two 17-digit floats, one arg) takes.
 func NewChromeTrace(events int) *ChromeTrace {
-	return &ChromeTrace{b: append(make([]byte, 0, events*160+2), '['), str: make([]byte, 0, 64)}
+	return &ChromeTrace{b: append(make([]byte, 0, events*160+2), '['), str: make([]byte, 0, 64), at: make([]chromeAt, 0, events), closed: true}
 }
 
 // Event opens an event with fields f; Str and Int then compose its name.
@@ -54,7 +60,9 @@ func (c *ChromeTrace) Event(f ChromeFields) *ChromeTrace {
 // process pid, track tid; Str and Int then compose the name it gives.
 func (c *ChromeTrace) Meta(kind string, pid, tid int) *ChromeTrace {
 	c.open()
-	b := strconv.AppendInt(append(appendJSONString(c.b, kind), `,"ph":"M","pid":`...), int64(pid), 10)
+	b := append(appendJSONString(c.b, kind), `,"ph":"M","pid":`...)
+	c.at[c.events-1].pid = len(b)
+	b = strconv.AppendInt(b, int64(pid), 10)
 	b = strconv.AppendInt(append(b, `,"tid":`...), int64(tid), 10)
 	c.b, c.args = append(b, `,"args":{"name":`...), true
 	return c
@@ -84,6 +92,28 @@ func (c *ChromeTrace) Int(n int) *ChromeTrace {
 	return c
 }
 
+// Events returns the number of events so far: the index of the next one.
+func (c *ChromeTrace) Events() int { return c.events }
+
+// Replay closes the open event and appends copies of events [from, to)
+// with their pid set to pid, every other byte as first written.
+func (c *ChromeTrace) Replay(from, to, pid int) {
+	c.closeEvent()
+	last := len(c.b) // where the last event ends
+	for i := from; i < to; i++ {
+		at, end := c.at[i], last
+		if i+1 < c.events {
+			end = c.at[i+1].start - 1 // before the comma
+		}
+		rest := at.pid + bytes.IndexByte(c.b[at.pid:], ',') // a pid is followed by ,"tid":
+		c.b = append(c.b, ',')
+		c.at = append(c.at, chromeAt{start: len(c.b), pid: len(c.b) + at.pid - at.start})
+		c.b = strconv.AppendInt(append(c.b, c.b[at.start:at.pid]...), int64(pid), 10)
+		c.b = append(c.b, c.b[rest:end]...)
+	}
+	c.events += to - from
+}
+
 // Encode ends the array and writes it to w in one Write call, as
 // json.Encoder.Encode would: the array, or null when there are no events,
 // then a newline. A NaN or infinite ts or dur makes it return an error and
@@ -109,10 +139,16 @@ func (c *ChromeTrace) open() {
 		c.b = append(c.b, ',')
 	}
 	c.events++
+	c.closed = false
+	c.at = append(c.at, chromeAt{start: len(c.b)})
 	c.b = append(c.b, `{"name":`...)
 }
 
 func (c *ChromeTrace) closeEvent() {
+	if c.closed {
+		return
+	}
+	c.closed = true
 	c.closeString()
 	if c.args {
 		c.b, c.args = append(c.b, '}'), false
@@ -133,7 +169,9 @@ func (c *ChromeTrace) closeString() {
 		if f.Ph == "X" {
 			b = c.appendFloat(append(b, `,"dur":`...), f.Dur)
 		}
-		b = strconv.AppendInt(append(b, `,"pid":`...), int64(f.PID), 10)
+		b = append(b, `,"pid":`...)
+		c.at[c.events-1].pid = len(b)
+		b = strconv.AppendInt(b, int64(f.PID), 10)
 		b = strconv.AppendInt(append(b, `,"tid":`...), int64(f.TID), 10)
 		if f.ID != 0 {
 			b = strconv.AppendInt(append(b, `,"id":`...), int64(f.ID), 10)

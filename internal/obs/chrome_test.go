@@ -208,3 +208,54 @@ func randomArgs(rng *rand.Rand, c *ChromeTrace) map[string]string {
 	}
 	return args
 }
+
+// TestChromeReplayMatchesEncodingJSON interleaves random events with
+// replays of random earlier ranges — the last event included, a range
+// starting at the first event, empty ranges, pids of other digit counts —
+// and requires the bytes json.Encoder gives for the same events with the
+// replayed ones' pid changed.
+func TestChromeReplayMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 500; trial++ {
+		var out []any
+		c := NewChromeTrace(rng.Intn(4))
+		for step := rng.Intn(12); step > 0; step-- {
+			if n := c.Events(); n > 0 && rng.Intn(3) == 0 {
+				from := rng.Intn(n + 1)
+				to := from + rng.Intn(n-from+1)
+				pid := []int{0, 7, 10, 123456, -3}[rng.Intn(5)]
+				c.Replay(from, to, pid)
+				for _, e := range out[from:to] {
+					switch e := e.(type) {
+					case jsonEvent:
+						e.PID = pid
+						out = append(out, e)
+					case jsonMeta:
+						e.PID = pid
+						out = append(out, e)
+					}
+				}
+				continue
+			}
+			name, pid, tid := randomJSONString(rng), rng.Intn(100), rng.Intn(5)
+			if rng.Intn(3) == 0 {
+				out = append(out, jsonMeta{Name: "thread_name", Ph: "M", PID: pid, TID: tid, Args: map[string]any{"name": name}})
+				c.Meta("thread_name", pid, tid).Str(name)
+				continue
+			}
+			ts, dur := rng.Float64(), rng.Float64()
+			c.Event(ChromeFields{Cat: "comm", Ph: "X", TS: ts, Dur: dur, PID: pid, TID: tid}).Str(name)
+			out = append(out, jsonEvent{Name: name, Cat: "comm", Ph: "X", TS: ts, Dur: &dur, PID: pid, TID: tid, Args: randomArgs(rng, c)})
+		}
+		var want, got bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(out); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Encode(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("trial %d:\n got %s\nwant %s", trial, got.Bytes(), want.Bytes())
+		}
+	}
+}

@@ -8,9 +8,9 @@
 //   - Metrics carry no wall-clock timestamps; any time-valued metric is
 //     simulated time (seconds on the des clock). meshlint's no-wallclock
 //     analyzer enforces this mechanically for the whole package.
-//   - Snapshots serialise with fully sorted keys — metrics by name then by
-//     their canonical label string, label sets by key — so two runs of the
-//     same workload produce byte-identical JSON.
+//   - Snapshots serialise with fully sorted keys — metrics by canonical key,
+//     label sets by key, both sorted here, not by encoding/json — so two runs
+//     of the same workload produce byte-identical JSON.
 //   - Concurrent publishers (the mesh's chip goroutines) must only make
 //     integer-valued Add calls. Integer-valued float64 addition is exact
 //     (below 2^53), hence order-independent, hence deterministic even when
@@ -26,6 +26,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,28 +55,21 @@ func PadInt(v, ceil int) string {
 	return s
 }
 
-// canonical returns the metric's identity string: name{k1=v1,k2=v2} with
-// label keys sorted. This string is both the registry map key and the
-// serialisation order key, which is what makes snapshots deterministic.
-func canonical(name string, labels []Label) string {
-	if len(labels) == 0 {
-		return name
-	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	var sb strings.Builder
-	sb.WriteString(name)
-	sb.WriteByte('{')
+// canonical sorts labels by key into ls and appends name{k1=v1,k2=v2} to
+// key: the registry map key and the order snapshots serialise in, which
+// makes them deterministic. slices.SortFunc runs sort.Slice's pdqsort
+// without reflection, so duplicate keys keep their order.
+func canonical(key []byte, ls []Label, name string, labels []Label) ([]byte, []Label) {
+	ls = append(ls, labels...)
+	slices.SortFunc(ls, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
+	key = append(key, name...)
 	for i, l := range ls {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(l.Key)
-		sb.WriteByte('=')
-		sb.WriteString(l.Value)
+		key = append(append(append(append(key, "{,"[min(i, 1)]), l.Key...), '='), l.Value...)
 	}
-	sb.WriteByte('}')
-	return sb.String()
+	if len(ls) > 0 {
+		key = append(key, '}')
+	}
+	return key, ls
 }
 
 // Registry holds the metric instruments. The zero value is not usable; call
@@ -101,29 +95,13 @@ func NewRegistry() *Registry {
 // Counter returns the counter with the given name and labels, creating it
 // on first use. Counters are monotone: Add panics on negative increments.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	key := canonical(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.counters[key]
-	if c == nil {
-		c = &Counter{metricMeta: newMeta(name, key, labels)}
-		r.counters[key] = c
-	}
-	return c
+	return lookup(r, r.counters, name, labels, func() *Counter { return new(Counter) })
 }
 
 // Gauge returns the gauge with the given name and labels, creating it on
 // first use.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	key := canonical(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[key]
-	if g == nil {
-		g = &Gauge{metricMeta: newMeta(name, key, labels)}
-		r.gauges[key] = g
-	}
-	return g
+	return lookup(r, r.gauges, name, labels, func() *Gauge { return new(Gauge) })
 }
 
 // Histogram returns the histogram with the given name, labels and upper
@@ -138,19 +116,9 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 			panic(fmt.Sprintf("obs: histogram %q bounds not strictly increasing: %v", name, bounds)) // lint:invariant registration precondition
 		}
 	}
-	key := canonical(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.histograms[key]
-	if h == nil {
-		h = &Histogram{
-			metricMeta: newMeta(name, key, labels),
-			bounds:     append([]float64(nil), bounds...),
-			counts:     make([]int64, len(bounds)+1),
-		}
-		r.histograms[key] = h
-		return h
-	}
+	h := lookup(r, r.histograms, name, labels, func() *Histogram {
+		return &Histogram{bounds: append([]float64(nil), bounds...), counts: make([]int64, len(bounds)+1)}
+	})
 	if len(h.bounds) != len(bounds) {
 		panic(fmt.Sprintf("obs: histogram %q re-registered with %d bounds, have %d", name, len(bounds), len(h.bounds))) // lint:invariant registration precondition
 	}
@@ -165,15 +133,7 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 // Series returns the ordered-point series with the given name and labels,
 // creating it on first use.
 func (r *Registry) Series(name string, labels ...Label) *Series {
-	key := canonical(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.series[key]
-	if s == nil {
-		s = &Series{metricMeta: newMeta(name, key, labels)}
-		r.series[key] = s
-	}
-	return s
+	return lookup(r, r.series, name, labels, func() *Series { return new(Series) })
 }
 
 // metricMeta is the identity shared by every instrument kind.
@@ -184,10 +144,27 @@ type metricMeta struct {
 	mu     sync.Mutex
 }
 
-func newMeta(name, key string, labels []Label) metricMeta {
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	return metricMeta{name: name, key: key, labels: ls}
+func (m *metricMeta) meta() *metricMeta { return m }
+
+// lookup returns m's instrument with this name and labels, registering the
+// one fresh makes on first use; one it finds costs no allocation.
+func lookup[T instrument](r *Registry, m map[string]T, name string, labels []Label, fresh func() T) T {
+	var kb [256]byte
+	var lb [8]Label
+	key, ls := canonical(kb[:0], lb[:0], name, labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := m[string(key)]
+	if !ok {
+		k := name // an unlabeled metric's key is its name
+		if len(ls) > 0 {
+			k = string(key)
+		}
+		v = fresh()
+		*v.meta() = metricMeta{name: name, key: k, labels: append([]Label(nil), ls...)}
+		m[k] = v
+	}
+	return v
 }
 
 // Counter is a monotonically increasing value.

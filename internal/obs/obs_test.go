@@ -150,6 +150,10 @@ func TestSeries(t *testing.T) {
 }
 
 func TestCanonicalLabelOrder(t *testing.T) {
+	canonical := func(name string, labels []Label) string {
+		key, _ := canonical(nil, nil, name, labels)
+		return string(key)
+	}
 	a := canonical("m", []Label{L("b", "2"), L("a", "1")})
 	b := canonical("m", []Label{L("a", "1"), L("b", "2")})
 	if a != b {
