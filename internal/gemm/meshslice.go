@@ -37,7 +37,12 @@ import (
 // written by the op issued at slice k and read by the compute (or unslice) of
 // slice k, which happens before slice k+2 re-issues into it — Wait(k) is
 // ordered before Issue(k+2) on the chip goroutine, so the worker never
-// writes a buffer the chip still reads. Compute spans (recorder.OpCompute)
+// writes a buffer the chip still reads. The sliced operand each op sends is
+// a stream too: slice k is cut into source buffer k%2, read only by the op
+// issued at slice k (a ring collective reads its local input before its
+// first send), and that op is Waited before slice k+2 re-slices into the
+// buffer. At depth 0 every op completes before the next slice is cut, so
+// one source buffer serves every slice. Compute spans (recorder.OpCompute)
 // bracket each MatMul so the flight recorder can attribute overlap: an async
 // op whose issue→wait window contains a compute span start ran underneath
 // compute. The depth-1 loops peel the final slice into an epilogue so that
@@ -132,9 +137,13 @@ func meshSliceOS(cfg MeshSliceConfig) ChipFunc {
 		row, col := c.RowComm(), c.ColComm()
 		S, B := cfg.S, cfg.Block
 		cij := tensor.New(aij.Rows, bij.Cols)
+		aSl := cfg.streamBufs(aij.Rows, aij.Cols/S)             // A's column slice
+		bSl := cfg.streamBufs(bij.Rows/S, bij.Cols)             // B's row slice
 		aBuf := cfg.streamBufs(aij.Rows, row.Size*(aij.Cols/S)) // gathered A'
 		bBuf := cfg.streamBufs(col.Size*(bij.Rows/S), bij.Cols) // gathered B'
 		n := len(aBuf)
+		sliceA := func(s int) *tensor.Matrix { return tensor.SliceColInto(aSl[s%n], aij, S, s, B) }
+		sliceB := func(s int) *tensor.Matrix { return tensor.SliceRowInto(bSl[s%n], bij, S, s, B) }
 		compute := func(s int) {
 			c.SpanStart(recorder.OpCompute, s)
 			tensor.MatMulAdd(cij, aBuf[s%n], bBuf[s%n])
@@ -142,19 +151,19 @@ func meshSliceOS(cfg MeshSliceConfig) ChipFunc {
 		}
 		if !cfg.Pipelined {
 			for s := 0; s < S; s++ {
-				collective.AllGatherColsInto(row, tensor.SliceCol(aij, S, s, B), aBuf[0]) // AG_col: gather along the row
-				collective.AllGatherRowsInto(col, tensor.SliceRow(bij, S, s, B), bBuf[0]) // AG_row: gather down the column
+				collective.AllGatherColsInto(row, sliceA(s), aBuf[0]) // AG_col: gather along the row
+				collective.AllGatherRowsInto(col, sliceB(s), bBuf[0]) // AG_row: gather down the column
 				compute(s)
 			}
 			return cij
 		}
 		// Prolog: issue slice 0's gathers before entering the loop.
-		ha := collective.StartAllGatherColsInto(row, tensor.SliceCol(aij, S, 0, B), aBuf[0])
-		hb := collective.StartAllGatherRowsInto(col, tensor.SliceRow(bij, S, 0, B), bBuf[0])
+		ha := collective.StartAllGatherColsInto(row, sliceA(0), aBuf[0])
+		hb := collective.StartAllGatherRowsInto(col, sliceB(0), bBuf[0])
 		for s := 0; s < S-1; s++ {
 			// Prefetch: slice s+1's gathers run underneath slice s's MatMul.
-			haN := collective.StartAllGatherColsInto(row, tensor.SliceCol(aij, S, s+1, B), aBuf[(s+1)%n])
-			hbN := collective.StartAllGatherRowsInto(col, tensor.SliceRow(bij, S, s+1, B), bBuf[(s+1)%n])
+			haN := collective.StartAllGatherColsInto(row, sliceA(s+1), aBuf[(s+1)%n])
+			hbN := collective.StartAllGatherRowsInto(col, sliceB(s+1), bBuf[(s+1)%n])
 			ha.Wait()
 			hb.Wait()
 			compute(s)
@@ -181,10 +190,12 @@ func meshSliceLS(cfg MeshSliceConfig) ChipFunc {
 		S, B := cfg.S, cfg.Block
 		nSlice := col.Size * (bij.Rows / S) // N/S
 		cij := tensor.New(aij.Rows, S*nSlice/row.Size)
+		bSl := cfg.streamBufs(bij.Rows/S, bij.Cols)        // B's row slice
 		bBuf := cfg.streamBufs(nSlice, bij.Cols)           // (N/S) × K/Pc gathered B'
 		cpBuf := cfg.streamBufs(aij.Rows, nSlice)          // M/Pr × N/S partial C'
 		csBuf := cfg.streamBufs(aij.Rows, nSlice/row.Size) // M/Pr × N/(S·Pc) scattered
 		n := len(bBuf)
+		sliceB := func(s int) *tensor.Matrix { return tensor.SliceRowInto(bSl[s%n], bij, S, s, B) }
 		compute := func(s int) {
 			c.SpanStart(recorder.OpCompute, s)
 			cpBuf[s%n].Zero()
@@ -193,17 +204,17 @@ func meshSliceLS(cfg MeshSliceConfig) ChipFunc {
 		}
 		if !cfg.Pipelined {
 			for s := 0; s < S; s++ {
-				collective.AllGatherRowsInto(col, tensor.SliceRow(bij, S, s, B), bBuf[0])
+				collective.AllGatherRowsInto(col, sliceB(s), bBuf[0])
 				compute(s)
 				collective.ReduceScatterColsInto(row, cpBuf[0], csBuf[0])
 				tensor.UnsliceColInto(cij, csBuf[0], S, s, B)
 			}
 			return cij
 		}
-		hb := collective.StartAllGatherRowsInto(col, tensor.SliceRow(bij, S, 0, B), bBuf[0])
+		hb := collective.StartAllGatherRowsInto(col, sliceB(0), bBuf[0])
 		var hr *collective.Handle // the one in-flight ReduceScatter
 		for s := 0; s < S-1; s++ {
-			hbN := collective.StartAllGatherRowsInto(col, tensor.SliceRow(bij, S, s+1, B), bBuf[(s+1)%n])
+			hbN := collective.StartAllGatherRowsInto(col, sliceB(s+1), bBuf[(s+1)%n])
 			hb.Wait()
 			compute(s)
 			if s > 0 {
@@ -239,10 +250,12 @@ func meshSliceRS(cfg MeshSliceConfig) ChipFunc {
 		S, B := cfg.S, cfg.Block
 		mSlice := row.Size * (aij.Cols / S) // M/S
 		cij := tensor.New(S*mSlice/col.Size, bij.Cols)
+		aSl := cfg.streamBufs(aij.Rows, aij.Cols/S)        // A's column slice
 		aBuf := cfg.streamBufs(aij.Rows, mSlice)           // K/Pr × M/S gathered A'
 		cpBuf := cfg.streamBufs(mSlice, bij.Cols)          // M/S × N/Pc partial C'
 		csBuf := cfg.streamBufs(mSlice/col.Size, bij.Cols) // M/(S·Pr) × N/Pc scattered
 		n := len(aBuf)
+		sliceA := func(s int) *tensor.Matrix { return tensor.SliceColInto(aSl[s%n], aij, S, s, B) }
 		compute := func(s int) {
 			c.SpanStart(recorder.OpCompute, s)
 			cpBuf[s%n].Zero()
@@ -251,17 +264,17 @@ func meshSliceRS(cfg MeshSliceConfig) ChipFunc {
 		}
 		if !cfg.Pipelined {
 			for s := 0; s < S; s++ {
-				collective.AllGatherColsInto(row, tensor.SliceCol(aij, S, s, B), aBuf[0])
+				collective.AllGatherColsInto(row, sliceA(s), aBuf[0])
 				compute(s)
 				collective.ReduceScatterRowsInto(col, cpBuf[0], csBuf[0])
 				tensor.UnsliceRowInto(cij, csBuf[0], S, s, B)
 			}
 			return cij
 		}
-		ha := collective.StartAllGatherColsInto(row, tensor.SliceCol(aij, S, 0, B), aBuf[0])
+		ha := collective.StartAllGatherColsInto(row, sliceA(0), aBuf[0])
 		var hr *collective.Handle
 		for s := 0; s < S-1; s++ {
-			haN := collective.StartAllGatherColsInto(row, tensor.SliceCol(aij, S, s+1, B), aBuf[(s+1)%n])
+			haN := collective.StartAllGatherColsInto(row, sliceA(s+1), aBuf[(s+1)%n])
 			ha.Wait()
 			compute(s)
 			if s > 0 {

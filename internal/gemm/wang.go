@@ -66,31 +66,46 @@ func wang(df Dataflow, pipelined bool) ChipFunc {
 		return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
 			row, col := c.RowComm(), c.ColComm()
 			bFull := collective.AllGatherRows(col, bij) // non-overlapped direction: K × N/Pc
-			kLocal := aij.Cols                          // K/Pc columns per shard
 			cij := tensor.New(aij.Rows, bij.Cols)
+			// Shard src multiplies B's rows [src·K/Pc, (src+1)·K/Pc): whole
+			// rows of bFull, so one contiguous run, read through a view.
+			n := aij.Cols * bFull.Cols
+			panel := tensor.FromSlice(aij.Cols, bFull.Cols, bFull.Data[:n])
 			circulate(c, row, pipelined, aij, func(src int, a *tensor.Matrix) {
-				tensor.MatMulAdd(cij, a, bFull.SubMatrix(src*kLocal, 0, kLocal, bFull.Cols))
+				panel.Data = bFull.Data[src*n : (src+1)*n]
+				tensor.MatMulAdd(cij, a, panel)
 			})
 			return cij
 		}
 	case LS:
 		// B's shards stream down the column; each fills the matching column
 		// block of the partial product, and the RdS along the row trails.
+		// The block is a column block, so each product lands in one reused
+		// buffer first (Zero + MatMulAddNT ≡ MatMulNT bitwise).
 		return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
 			row, col := c.RowComm(), c.ColComm()
 			cPrime := tensor.New(aij.Rows, bij.Rows*col.Size)
+			prod := tensor.New(aij.Rows, bij.Rows) // M/Pr × N/Pr, partial over K/Pc
 			circulate(c, col, pipelined, bij, func(src int, b *tensor.Matrix) {
-				cPrime.SetSubMatrix(0, src*bij.Rows, tensor.MatMulNT(aij, b)) // M/Pr × N/Pr, partial over K/Pc
+				prod.Zero()
+				tensor.MatMulAddNT(prod, aij, b)
+				cPrime.SetSubMatrix(0, src*bij.Rows, prod)
 			})
 			return collective.ReduceScatterCols(row, cPrime)
 		}
 	case RS:
 		// A's shards stream along the row; the RdS down the column trails.
+		// Each product is a block of whole rows of cPrime, still zero, so it
+		// accumulates straight into a view of it (0 + x == x: bitwise
+		// MatMulTN + SetSubMatrix).
 		return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
 			row, col := c.RowComm(), c.ColComm()
 			cPrime := tensor.New(aij.Cols*row.Size, bij.Cols)
+			n := aij.Cols * bij.Cols
+			block := tensor.FromSlice(aij.Cols, bij.Cols, cPrime.Data[:n]) // M/Pc × N/Pc, partial over K/Pr
 			circulate(c, row, pipelined, aij, func(src int, a *tensor.Matrix) {
-				cPrime.SetSubMatrix(src*aij.Cols, 0, tensor.MatMulTN(a, bij)) // M/Pc × N/Pc, partial over K/Pr
+				block.Data = cPrime.Data[src*n : (src+1)*n]
+				tensor.MatMulAddTN(block, a, bij)
 			})
 			return collective.ReduceScatterRows(col, cPrime)
 		}
@@ -102,9 +117,12 @@ func wang(df Dataflow, pipelined bool) ChipFunc {
 // circulate is Wang's decomposed direction: the chip's shard travels once
 // around ring cm, and step t calls compute (inside a kernel span) with the
 // shard now held and the ring position src it originated from. At depth 0
-// the next shard is pulled from the right after the step's compute; at depth
-// 1 its shift is already in flight underneath it — StartShiftInto's send
-// clones, so the chip may keep reading the current shard while it moves.
+// the next shard is pulled from the right after the step's compute: step 0
+// sends a clone (the shard is the caller's), and every later step forwards
+// the panel it received with an ownership-transfer send, which records the
+// same events. At depth 1 the shift is already in flight underneath the
+// compute — StartShiftInto's send clones, so the chip may keep reading the
+// current shard while it moves.
 func circulate(c *mesh.Chip, cm *mesh.Comm, pipelined bool, shard *tensor.Matrix, compute func(src int, cur *tensor.Matrix)) {
 	step := func(t int, cur *tensor.Matrix) {
 		c.SpanStart(recorder.OpCompute, t)
@@ -124,7 +142,12 @@ func circulate(c *mesh.Chip, cm *mesh.Comm, pipelined bool, shard *tensor.Matrix
 			cur = bufs[t%2]
 		} else {
 			step(t, cur)
-			cur = cm.Shift(-1, cur)
+			if t == 0 {
+				cm.SendTo(cm.Pos-1, cur)
+			} else {
+				cm.SendOwnedTo(cm.Pos-1, cur)
+			}
+			cur = cm.RecvFrom(cm.Pos + 1)
 		}
 	}
 	step(cm.Size-1, cur) // final shard: nothing left to circulate

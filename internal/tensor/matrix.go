@@ -102,9 +102,7 @@ func (m *Matrix) CopySub(src *Matrix, r0, c0 int) {
 	if r0 < 0 || c0 < 0 || r0+m.Rows > src.Rows || c0+m.Cols > src.Cols {
 		panic(fmt.Sprintf("tensor: CopySub (%d,%d)+%dx%d out of range for %dx%d", r0, c0, m.Rows, m.Cols, src.Rows, src.Cols)) // lint:invariant bounds precondition
 	}
-	for r := 0; r < m.Rows; r++ {
-		copy(m.Row(r), src.Data[(r0+r)*src.Cols+c0:(r0+r)*src.Cols+c0+m.Cols])
-	}
+	copyBlock(m.Data, 0, m.Cols, src.Data, r0*src.Cols+c0, src.Cols, m.Rows, m.Cols)
 }
 
 // AddSub accumulates into m the same block of src that CopySub would copy.
@@ -129,11 +127,23 @@ func (m *Matrix) Zero() {
 }
 
 // Row returns row r as a slice aliasing the matrix storage.
+//
+// Row sits on every copy and kernel path, so it must stay within the
+// compiler's inlining budget: the bounds check is one unsigned compare and
+// the panic value is a rowRangeError, whose message is only formatted if
+// someone prints it.
 func (m *Matrix) Row(r int) []float64 {
-	if r < 0 || r >= m.Rows {
-		panic(fmt.Sprintf("tensor: row %d out of range for %dx%d", r, m.Rows, m.Cols)) // lint:invariant bounds precondition
+	if uint(r) >= uint(m.Rows) {
+		panic(rowRangeError{r, m.Rows, m.Cols}) // lint:invariant bounds precondition
 	}
 	return m.Data[r*m.Cols : (r+1)*m.Cols]
+}
+
+// rowRangeError is Row's panic value: row r of a rows×cols matrix.
+type rowRangeError struct{ r, rows, cols int }
+
+func (e rowRangeError) Error() string {
+	return fmt.Sprintf("tensor: row %d out of range for %dx%d", e.r, e.rows, e.cols)
 }
 
 // T returns the transpose of m as a new matrix.
@@ -254,9 +264,7 @@ func (m *Matrix) SubMatrix(r0, c0, rows, cols int) *Matrix {
 		panic(fmt.Sprintf("tensor: SubMatrix (%d,%d)+%dx%d out of range for %dx%d", r0, c0, rows, cols, m.Rows, m.Cols)) // lint:invariant bounds precondition
 	}
 	out := New(rows, cols)
-	for r := 0; r < rows; r++ {
-		copy(out.Row(r), m.Data[(r0+r)*m.Cols+c0:(r0+r)*m.Cols+c0+cols])
-	}
+	copyBlock(out.Data, 0, cols, m.Data, r0*m.Cols+c0, m.Cols, rows, cols)
 	return out
 }
 
@@ -265,7 +273,24 @@ func (m *Matrix) SetSubMatrix(r0, c0 int, block *Matrix) {
 	if r0 < 0 || c0 < 0 || r0+block.Rows > m.Rows || c0+block.Cols > m.Cols {
 		panic(fmt.Sprintf("tensor: SetSubMatrix (%d,%d)+%dx%d out of range for %dx%d", r0, c0, block.Rows, block.Cols, m.Rows, m.Cols)) // lint:invariant bounds precondition
 	}
-	for r := 0; r < block.Rows; r++ {
-		copy(m.Data[(r0+r)*m.Cols+c0:(r0+r)*m.Cols+c0+block.Cols], block.Row(r))
+	copyBlock(m.Data, r0*m.Cols+c0, m.Cols, block.Data, 0, block.Cols, block.Rows, block.Cols)
+}
+
+// copyBlock copies a rows×cols block from src, starting at offset sOff with
+// row stride sStride, into dst at offset dOff with row stride dStride. A
+// block whose rows are whole rows on both sides (both strides equal cols)
+// is one contiguous run and is copied at once; any other block row by row.
+func copyBlock(dst []float64, dOff, dStride int, src []float64, sOff, sStride, rows, cols int) {
+	if rows == 0 || cols == 0 {
+		return
+	}
+	if dStride == cols && sStride == cols {
+		n := rows * cols
+		copy(dst[dOff:dOff+n], src[sOff:sOff+n])
+		return
+	}
+	for r := 0; r < rows; r++ {
+		d, s := dOff+r*dStride, sOff+r*sStride
+		copy(dst[d:d+cols], src[s:s+cols])
 	}
 }

@@ -18,16 +18,23 @@ import "fmt"
 // R × C/S. X.Cols must be divisible by S·B and 0 ≤ s < S.
 func SliceCol(x *Matrix, S, s, B int) *Matrix {
 	checkSliceArgs("SliceCol", x.Cols, S, s, B)
+	return SliceColInto(New(x.Rows, x.Cols/S), x, S, s, B)
+}
+
+// SliceColInto writes SliceCol(x, S, s, B) into dst, which must be
+// x.Rows × x.Cols/S, and returns dst. Every element of dst is overwritten.
+func SliceColInto(dst, x *Matrix, S, s, B int) *Matrix {
+	checkSliceArgs("SliceColInto", x.Cols, S, s, B)
+	checkSubShape("SliceColInto", dst, x.Rows, x.Cols/S, x, S)
 	groups := x.Cols / (S * B)
-	out := New(x.Rows, x.Cols/S)
 	for r := 0; r < x.Rows; r++ {
 		src := x.Row(r)
-		dst := out.Row(r)
+		out := dst.Row(r)
 		for g := 0; g < groups; g++ {
-			copy(dst[g*B:(g+1)*B], src[g*S*B+s*B:g*S*B+(s+1)*B])
+			copy(out[g*B:(g+1)*B], src[g*S*B+s*B:g*S*B+(s+1)*B])
 		}
 	}
-	return out
+	return dst
 }
 
 // UnsliceColInto writes sub (the s-th column sub-shard for slice count S and
@@ -35,9 +42,7 @@ func SliceCol(x *Matrix, S, s, B int) *Matrix {
 // of SliceCol: applying it for every s reconstructs x exactly.
 func UnsliceColInto(x, sub *Matrix, S, s, B int) {
 	checkSliceArgs("UnsliceColInto", x.Cols, S, s, B)
-	if sub.Rows != x.Rows || sub.Cols != x.Cols/S {
-		panic(fmt.Sprintf("tensor: UnsliceColInto sub %dx%d for target %dx%d S=%d", sub.Rows, sub.Cols, x.Rows, x.Cols, S)) // lint:invariant slicing precondition
-	}
+	checkSubShape("UnsliceColInto", sub, x.Rows, x.Cols/S, x, S)
 	groups := x.Cols / (S * B)
 	for r := 0; r < x.Rows; r++ {
 		dst := x.Row(r)
@@ -53,28 +58,40 @@ func UnsliceColInto(x, sub *Matrix, S, s, B int) {
 // X.Rows must be divisible by S·B and 0 ≤ s < S.
 func SliceRow(x *Matrix, S, s, B int) *Matrix {
 	checkSliceArgs("SliceRow", x.Rows, S, s, B)
-	groups := x.Rows / (S * B)
-	out := New(x.Rows/S, x.Cols)
-	for g := 0; g < groups; g++ {
-		for b := 0; b < B; b++ {
-			copy(out.Row(g*B+b), x.Row(g*S*B+s*B+b))
-		}
+	return SliceRowInto(New(x.Rows/S, x.Cols), x, S, s, B)
+}
+
+// SliceRowInto writes SliceRow(x, S, s, B) into dst, which must be
+// x.Rows/S × x.Cols, and returns dst. Each run of B rows is contiguous in
+// both matrices and is copied at once.
+func SliceRowInto(dst, x *Matrix, S, s, B int) *Matrix {
+	checkSliceArgs("SliceRowInto", x.Rows, S, s, B)
+	checkSubShape("SliceRowInto", dst, x.Rows/S, x.Cols, x, S)
+	run := B * x.Cols
+	for g := 0; g < x.Rows/(S*B); g++ {
+		from := (g*S + s) * run
+		copy(dst.Data[g*run:(g+1)*run], x.Data[from:from+run])
 	}
-	return out
+	return dst
 }
 
 // UnsliceRowInto writes sub (the s-th row sub-shard for slice count S and
 // block size B) back into its source rows inside x; the inverse of SliceRow.
 func UnsliceRowInto(x, sub *Matrix, S, s, B int) {
 	checkSliceArgs("UnsliceRowInto", x.Rows, S, s, B)
-	if sub.Rows != x.Rows/S || sub.Cols != x.Cols {
-		panic(fmt.Sprintf("tensor: UnsliceRowInto sub %dx%d for target %dx%d S=%d", sub.Rows, sub.Cols, x.Rows, x.Cols, S)) // lint:invariant slicing precondition
+	checkSubShape("UnsliceRowInto", sub, x.Rows/S, x.Cols, x, S)
+	run := B * x.Cols
+	for g := 0; g < x.Rows/(S*B); g++ {
+		to := (g*S + s) * run
+		copy(x.Data[to:to+run], sub.Data[g*run:(g+1)*run])
 	}
-	groups := x.Rows / (S * B)
-	for g := 0; g < groups; g++ {
-		for b := 0; b < B; b++ {
-			copy(x.Row(g*S*B+s*B+b), sub.Row(g*B+b))
-		}
+}
+
+// checkSubShape panics unless sub, the sub-shard side of a slicing op on x
+// with slice count S, is rows×cols.
+func checkSubShape(op string, sub *Matrix, rows, cols int, x *Matrix, S int) {
+	if sub.Rows != rows || sub.Cols != cols {
+		panic(fmt.Sprintf("tensor: %s sub %dx%d for target %dx%d S=%d", op, sub.Rows, sub.Cols, x.Rows, x.Cols, S)) // lint:invariant slicing precondition
 	}
 }
 
