@@ -27,7 +27,7 @@ func main() {
 	fmt.Printf("distributed: %v mesh, MeshSlice S=%d — serial: one node\n\n", tor, cfg.S)
 
 	serial := minitrain.TrainSerial(cfg, data, steps, seed)
-	dist, err := minitrain.TrainDistributed(cfg, tor, data, steps, seed)
+	dist, err := minitrain.TrainDistributed(cfg, tor, minitrain.Parallelism{}, data, steps, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func main() {
 	// The full 3D cluster of paper §2.1: 2 data-parallel replicas × 2
 	// pipeline stages (4 microbatches, gradient accumulation) × the 2×4
 	// tensor-parallel mesh = 32 chips, still exactly serial training.
-	d3, err := minitrain.TrainDistributed3D(cfg, tor, 2, 4, data, steps, seed)
+	d3, err := minitrain.TrainDistributed(cfg, tor, minitrain.Parallelism{DP: 2, PP: 2, Micro: 4}, data, steps, seed)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,14 +5,14 @@
 // as LS, and backward-weight as RS, with every tensor staying in its
 // Table 1 sharding so no resharding or transposition is ever needed, and
 // the distributed weights match a serial reference bit-for-bit (up to
-// floating-point association).
+// floating-point association) on every layout of data, pipeline and tensor
+// parallelism.
 package minitrain
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"meshslice/internal/collective"
 	"meshslice/internal/gemm"
@@ -142,18 +142,62 @@ func TrainSerial(c Config, data Data, steps int, seed int64) Result {
 	return res
 }
 
-// TrainDistributed runs the same steps SPMD over a Pr×Pc mesh with
-// MeshSlice GeMMs; every tensor lives in its Table 1 sharding (rows over
-// mesh rows, columns over mesh columns) for the entire run.
-func TrainDistributed(c Config, t topology.Torus, data Data, steps int, seed int64) (Result, error) {
-	if err := c.Validate(t); err != nil {
+// Parallelism lays a TrainDistributed run out on the cluster of paper §2.1:
+// DP data-parallel replicas, each a PP-stage pipeline with one MLP layer per
+// stage, each stage a Pr×Pc MeshSlice 2D-TP mesh. Every replica runs its
+// share of the batch as Micro microbatches and accumulates their gradients.
+// A zero field means 1, so the zero value is plain 2D TP.
+type Parallelism struct {
+	DP, PP, Micro int
+}
+
+// TrainDistributed runs the same steps SPMD over DP × PP × Pr×Pc chips with
+// MeshSlice GeMMs; every tensor lives in its Table 1 sharding (rows over mesh
+// rows, columns over mesh columns) for the entire run. The loss gradient
+// keeps the global batch scale, microbatch gradients accumulate, and a ring
+// AllReduce over the replicas sums them before each SGD update, so every
+// layout trains exactly full-batch SGD: the weights match TrainSerial up to
+// floating-point association.
+func TrainDistributed(c Config, t topology.Torus, p Parallelism, data Data, steps int, seed int64) (Result, error) {
+	if p.DP < 0 || p.PP < 0 || p.Micro < 0 || p.PP > 2 {
+		return Result{}, fmt.Errorf("minitrain: parallelism %+v: fields must be non-negative and PP at most 2 (one layer per stage)", p)
+	}
+	p.DP, p.PP, p.Micro = max(p.DP, 1), max(p.PP, 1), max(p.Micro, 1)
+	if steps < 0 {
+		return Result{}, fmt.Errorf("minitrain: %d steps", steps)
+	}
+	if c.Batch%(p.DP*p.Micro) != 0 {
+		return Result{}, fmt.Errorf("minitrain: batch %d does not split into %d replicas × %d microbatches", c.Batch, p.DP, p.Micro)
+	}
+	mb := c // per-microbatch shapes must still shard onto the TP mesh
+	mb.Batch = c.Batch / p.DP / p.Micro
+	if err := mb.Validate(t); err != nil {
 		return Result{}, err
 	}
+	if err := checkShape("X", data.X, c.Batch, c.In); err != nil {
+		return Result{}, err
+	}
+	if err := checkShape("T", data.T, c.Batch, c.Out); err != nil {
+		return Result{}, err
+	}
+
+	tpSize := t.Size()
+	rank := func(replica, stage, shard int) int {
+		return (replica*p.PP+stage)*tpSize + shard
+	}
 	w1g, w2g := InitWeights(c, seed)
-	xs := tensor.Partition(data.X, t.Rows, t.Cols)
-	ts := tensor.Partition(data.T, t.Rows, t.Cols)
-	w1s := tensor.Partition(w1g, t.Rows, t.Cols)
-	w2s := tensor.Partition(w2g, t.Rows, t.Cols)
+	wShards := [2][]*tensor.Matrix{tensor.Partition(w1g, t.Rows, t.Cols), tensor.Partition(w2g, t.Rows, t.Cols)}
+	// Batch → replicas → microbatches → 2D shards: [replica][micro][shard].
+	split := func(m *tensor.Matrix) [][][]*tensor.Matrix {
+		out := make([][][]*tensor.Matrix, p.DP)
+		for r, chunk := range tensor.SplitRows(m, p.DP) {
+			for _, u := range tensor.SplitRows(chunk, p.Micro) {
+				out[r] = append(out[r], tensor.Partition(u, t.Rows, t.Cols))
+			}
+		}
+		return out
+	}
+	xs, ts := split(data.X), split(data.T)
 
 	cfg := gemm.MeshSliceConfig{S: c.S, Block: c.Block, Pipelined: c.Pipelined}
 	fwd := gemm.MeshSlice(gemm.OS, cfg)
@@ -161,58 +205,112 @@ func TrainDistributed(c Config, t topology.Torus, data Data, steps int, seed int
 	bwdWeight := gemm.MeshSlice(gemm.RS, cfg)
 	scale := 2 / float64(c.Batch*c.Out)
 
-	m := mesh.New(t)
-	var mu sync.Mutex
+	m := mesh.New(topology.NewTorus(1, p.DP*p.PP*tpSize))
 	losses := make([]float64, steps)
+	final := [2][]*tensor.Matrix{make([]*tensor.Matrix, tpSize), make([]*tensor.Matrix, tpSize)}
 	m.Run(func(ch *mesh.Chip) {
-		x := xs[ch.Rank]
-		tt := ts[ch.Rank]
-		w1 := w1s[ch.Rank].Clone()
-		w2 := w2s[ch.Rank].Clone()
-		for s := 0; s < steps; s++ {
-			// Forward: two OS GeMMs with a local ReLU between.
-			h := fwd(ch, x, w1)
-			hAct := relu(h)
-			y := fwd(ch, hAct, w2)
-
-			// Local loss gradient; the scalar loss is all-reduced over
-			// both mesh directions for reporting.
-			dy := y.Clone()
-			for i := range dy.Data {
-				dy.Data[i] -= tt.Data[i]
-			}
-			local := tensor.FromSlice(1, 1, []float64{sumSquares(dy)})
-			rowSum := collective.AllReduce(ch.RowComm(), local)
-			total := collective.AllReduce(ch.ColComm(), rowSum)
-			if ch.Rank == 0 {
-				mu.Lock()
-				losses[s] = total.At(0, 0) / float64(c.Batch*c.Out)
-				mu.Unlock()
-			}
-			dy.Scale(scale)
-
-			// Backward: LS for activation gradients, RS for weight
-			// gradients — no transposes, no resharding (Table 1).
-			dW2 := bwdWeight(ch, hAct, dy)
-			dH := bwdData(ch, dy, w2)
-			maskInto(dH, h)
-			dW1 := bwdWeight(ch, x, dH)
-
-			dW1.Scale(c.LR)
-			dW2.Scale(c.LR)
-			subInto(w1, dW1)
-			subInto(w2, dW2)
+		shard := ch.Rank % tpSize
+		stage := ch.Rank / tpSize % p.PP
+		replica := ch.Rank / tpSize / p.PP
+		var row, col, depth []int
+		for j := 0; j < t.Cols; j++ {
+			row = append(row, rank(replica, stage, shard/t.Cols*t.Cols+j))
 		}
-		mu.Lock()
-		w1s[ch.Rank] = w1
-		w2s[ch.Rank] = w2
-		mu.Unlock()
+		for i := 0; i < t.Rows; i++ {
+			col = append(col, rank(replica, stage, i*t.Cols+shard%t.Cols))
+		}
+		for r := 0; r < p.DP; r++ {
+			depth = append(depth, rank(r, stage, shard))
+		}
+		tp := ch.WithRings(row, col)
+		depthComm := ch.CustomComm(depth, topology.InterDepth)
+		peer := rank(replica, 1-stage, shard) // the other stage when PP = 2
+
+		// The layers this chip owns: both when PP = 1, else its stage's.
+		lo, hi := stage, stage+2-p.PP
+		var w, grad [2]*tensor.Matrix
+		for l := lo; l <= hi; l++ {
+			w[l] = wShards[l][shard].Clone()
+		}
+		for s := 0; s < steps; s++ {
+			for l := lo; l <= hi; l++ {
+				grad[l] = tensor.New(w[l].Rows, w[l].Cols)
+			}
+			lossSum := 0.0
+			for u := 0; u < p.Micro; u++ {
+				// Layer 1 forward: an OS GeMM and a local ReLU. The
+				// activation crosses the stage boundary when PP = 2.
+				var x, h, hAct, dH *tensor.Matrix
+				if lo == 0 {
+					x = xs[replica][u][shard]
+					h = fwd(tp, x, w[0])
+					hAct = relu(h)
+					if hi == 0 {
+						ch.Send(peer, hAct)
+					}
+				} else {
+					hAct = ch.Recv(peer)
+				}
+				// Layer 2: OS forward, the local loss gradient, then RS
+				// for the weight gradient and LS for the activation
+				// gradient — no transposes, no resharding (Table 1).
+				if hi == 1 {
+					dy := fwd(tp, hAct, w[1])
+					subInto(dy, ts[replica][u][shard])
+					lossSum += sumSquares(dy)
+					dy.Scale(scale)
+					grad[1].Add(bwdWeight(tp, hAct, dy))
+					dH = bwdData(tp, dy, w[1])
+					if lo == 1 {
+						ch.Send(peer, dH)
+					}
+				} else {
+					dH = ch.Recv(peer)
+				}
+				if lo == 0 {
+					maskInto(dH, h)
+					grad[0].Add(bwdWeight(tp, x, dH))
+				}
+			}
+			if hi == 1 {
+				// The scalar loss is all-reduced over the mesh rows,
+				// columns and replicas for reporting.
+				sum := collective.AllReduce(tp.RowComm(), tensor.FromSlice(1, 1, []float64{lossSum}))
+				sum = collective.AllReduce(tp.ColComm(), sum)
+				sum = collective.AllReduce(depthComm, sum)
+				if replica == 0 && shard == 0 {
+					losses[s] = sum.At(0, 0) / float64(c.Batch*c.Out)
+				}
+			}
+			// DP gradient synchronisation, then the SGD update.
+			for l := lo; l <= hi; l++ {
+				g := collective.AllReduce(depthComm, grad[l])
+				g.Scale(c.LR)
+				subInto(w[l], g)
+			}
+		}
+		if replica == 0 {
+			for l := lo; l <= hi; l++ {
+				final[l][shard] = w[l]
+			}
+		}
 	})
 	return Result{
-		W1:     tensor.Assemble(w1s, t.Rows, t.Cols),
-		W2:     tensor.Assemble(w2s, t.Rows, t.Cols),
+		W1:     tensor.Assemble(final[0], t.Rows, t.Cols),
+		W2:     tensor.Assemble(final[1], t.Rows, t.Cols),
 		Losses: losses,
 	}, nil
+}
+
+// checkShape reports whether the training tensor m is rows×cols.
+func checkShape(name string, m *tensor.Matrix, rows, cols int) error {
+	if m == nil {
+		return fmt.Errorf("minitrain: data %s is nil, want %dx%d", name, rows, cols)
+	}
+	if m.Rows != rows || m.Cols != cols {
+		return fmt.Errorf("minitrain: data %s is %dx%d, want %dx%d", name, m.Rows, m.Cols, rows, cols)
+	}
+	return nil
 }
 
 func relu(m *tensor.Matrix) *tensor.Matrix {
