@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/rand"
 
 	"meshslice/internal/tensor"
 	"meshslice/internal/topology"
@@ -22,8 +23,7 @@ func main() {
 	}
 	tor := topology.NewTorus(2, 4)
 	w := transformer.NewWeights(c, 1)
-	rng := transformer.RNG(2)
-	x := tensor.Random(c.Tokens(), c.Hidden(), rng)
+	x := tensor.Random(c.Tokens(), c.Hidden(), rand.New(rand.NewSource(2)))
 
 	fmt.Printf("transformer block: %d seqs × %d tokens, %d heads × %d dims, FF %d\n",
 		c.Batch, c.Seq, c.Heads, c.HeadDim, c.FFHidden)

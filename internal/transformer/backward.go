@@ -2,10 +2,8 @@ package transformer
 
 import (
 	"math"
-	"sync"
 
 	"meshslice/internal/collective"
-	"meshslice/internal/gemm"
 	"meshslice/internal/mesh"
 	"meshslice/internal/tensor"
 	"meshslice/internal/topology"
@@ -19,138 +17,47 @@ import (
 // forward. Gradients are verified against finite differences in the tests,
 // and distributed runs against the 1×1 mesh.
 
-// Grads holds the parameter gradients of one block.
-type Grads struct {
-	Wq, Wk, Wv, Wo, W1, W2 *tensor.Matrix
-}
-
-// blockCache keeps the forward intermediates backward needs.
-type blockCache struct {
-	x       *tensor.Matrix
-	n1      *tensor.Matrix
-	q, k, v *tensor.Matrix
-	probs   [][]*tensor.Matrix // [localBatch][localHead] attention probabilities
-	ctx     *tensor.Matrix
-	res1    *tensor.Matrix
-	n2      *tensor.Matrix
-	ffPre   *tensor.Matrix // n2·W1 before GELU
-	ff      *tensor.Matrix // gelu(ffPre)
-	out     *tensor.Matrix
-}
-
-// chipOps bundles the per-chip distributed primitives.
-type chipOps struct {
-	ch        *mesh.Chip
-	fwd       gemm.ChipFunc // OS
-	bwdData   gemm.ChipFunc // LS
-	bwdWeight gemm.ChipFunc // RS
-	hidden    int
-	ffHidden  int
-	cfg       Config
-	bLocal    int // sequences on this chip
-	hLocal    int // heads on this chip
-}
-
-func newChipOps(c Config, t topology.Torus, ch *mesh.Chip) chipOps {
-	msCfg := gemm.MeshSliceConfig{S: c.S, Block: c.Block}
-	return chipOps{
-		ch:        ch,
-		fwd:       gemm.MeshSlice(gemm.OS, msCfg),
-		bwdData:   gemm.MeshSlice(gemm.LS, msCfg),
-		bwdWeight: gemm.MeshSlice(gemm.RS, msCfg),
-		hidden:    c.Hidden(),
-		ffHidden:  c.FFHidden,
-		cfg:       c,
-		bLocal:    c.Batch / t.Rows,
-		hLocal:    c.Heads / t.Cols,
-	}
-}
-
-// forwardCached runs the block forward, retaining the backward cache.
-func (o chipOps) forwardCached(x *tensor.Matrix, w shards) *blockCache {
-	cache := &blockCache{x: x}
-	cache.n1 = layerNormDist(o.ch, x, o.hidden)
-	cache.q = o.fwd(o.ch, cache.n1, w.wq)
-	cache.k = o.fwd(o.ch, cache.n1, w.wk)
-	cache.v = o.fwd(o.ch, cache.n1, w.wv)
-	cache.ctx, cache.probs = attentionCached(o.cfg, cache.q, cache.k, cache.v, o.bLocal, o.hLocal)
-	ao := o.fwd(o.ch, cache.ctx, w.wo)
-	cache.res1 = x.Clone()
-	cache.res1.Add(ao)
-	cache.n2 = layerNormDist(o.ch, cache.res1, o.hidden)
-	cache.ffPre = o.fwd(o.ch, cache.n2, w.w1)
-	cache.ff = cache.ffPre.Clone()
-	gelu(cache.ff)
-	out := o.fwd(o.ch, cache.ff, w.w2)
-	out.Add(cache.res1)
-	cache.out = out
-	return cache
-}
-
 // backward propagates dOut through the cached forward, returning the
 // parameter gradients and dX.
-func (o chipOps) backward(cache *blockCache, w shards, dOut *tensor.Matrix) (Grads, *tensor.Matrix) {
-	var g Grads
+func (o chip) backward(cache *blockCache, w Weights, dOut *tensor.Matrix) (Weights, *tensor.Matrix) {
+	hidden := o.cfg.Hidden()
+	var g Weights
 	// out = res1 + ff·W2.
 	g.W2 = o.bwdWeight(o.ch, cache.ff, dOut)
-	dFF := o.bwdData(o.ch, dOut, w.w2)
+	dFF := o.bwdData(o.ch, dOut, w.W2)
 	geluBackwardInto(dFF, cache.ffPre)
 	g.W1 = o.bwdWeight(o.ch, cache.n2, dFF)
-	dN2 := o.bwdData(o.ch, dFF, w.w1)
-	dRes1 := layerNormBackwardDist(o.ch, dN2, cache.res1, o.hidden)
+	dN2 := o.bwdData(o.ch, dFF, w.W1)
+	dRes1 := layerNormBackwardDist(o.ch, dN2, cache.res1, hidden)
 	dRes1.Add(dOut) // residual branch
 
 	// res1 = x + ctx·Wo.
 	g.Wo = o.bwdWeight(o.ch, cache.ctx, dRes1)
-	dCtx := o.bwdData(o.ch, dRes1, w.wo)
-	dQ, dK, dV := attentionBackward(o.cfg, cache, dCtx, o.bLocal, o.hLocal)
+	dCtx := o.bwdData(o.ch, dRes1, w.Wo)
+	dQ, dK, dV := attentionBackward(o.cfg, cache, dCtx)
 
 	g.Wq = o.bwdWeight(o.ch, cache.n1, dQ)
 	g.Wk = o.bwdWeight(o.ch, cache.n1, dK)
 	g.Wv = o.bwdWeight(o.ch, cache.n1, dV)
-	dN1 := o.bwdData(o.ch, dQ, w.wq)
-	dN1.Add(o.bwdData(o.ch, dK, w.wk))
-	dN1.Add(o.bwdData(o.ch, dV, w.wv))
-	dX := layerNormBackwardDist(o.ch, dN1, cache.x, o.hidden)
+	dN1 := o.bwdData(o.ch, dQ, w.Wq)
+	dN1.Add(o.bwdData(o.ch, dK, w.Wk))
+	dN1.Add(o.bwdData(o.ch, dV, w.Wv))
+	dX := layerNormBackwardDist(o.ch, dN1, cache.x, hidden)
 	dX.Add(dRes1) // residual branch
 	return g, dX
 }
 
-// attentionCached is attention() but retaining the softmax probabilities.
-func attentionCached(c Config, q, k, v *tensor.Matrix, bLocal, hLocal int) (*tensor.Matrix, [][]*tensor.Matrix) {
-	ctx := tensor.New(q.Rows, q.Cols)
-	probs := make([][]*tensor.Matrix, bLocal)
-	inv := 1 / math.Sqrt(float64(c.HeadDim))
-	for b := 0; b < bLocal; b++ {
-		probs[b] = make([]*tensor.Matrix, hLocal)
-		r0 := b * c.Seq
-		for h := 0; h < hLocal; h++ {
-			c0 := h * c.HeadDim
-			qh := q.SubMatrix(r0, c0, c.Seq, c.HeadDim)
-			kh := k.SubMatrix(r0, c0, c.Seq, c.HeadDim)
-			vh := v.SubMatrix(r0, c0, c.Seq, c.HeadDim)
-			scores := tensor.MatMulNT(qh, kh)
-			scores.Scale(inv)
-			softmaxRows(scores)
-			probs[b][h] = scores
-			ctx.SetSubMatrix(r0, c0, tensor.MatMul(scores, vh))
-		}
-	}
-	return ctx, probs
-}
-
 // attentionBackward computes dQ, dK, dV from dCtx — fully local, like the
 // forward: every (sequence, head) pair lives on one chip.
-func attentionBackward(c Config, cache *blockCache, dCtx *tensor.Matrix, bLocal, hLocal int) (dQ, dK, dV *tensor.Matrix) {
+func attentionBackward(c Config, cache *blockCache, dCtx *tensor.Matrix) (dQ, dK, dV *tensor.Matrix) {
 	dQ = tensor.New(dCtx.Rows, dCtx.Cols)
 	dK = tensor.New(dCtx.Rows, dCtx.Cols)
 	dV = tensor.New(dCtx.Rows, dCtx.Cols)
 	inv := 1 / math.Sqrt(float64(c.HeadDim))
-	for b := 0; b < bLocal; b++ {
+	for b, probs := range cache.probs {
 		r0 := b * c.Seq
-		for h := 0; h < hLocal; h++ {
+		for h, a := range probs { // a is Seq×Seq
 			c0 := h * c.HeadDim
-			a := cache.probs[b][h] // Seq×Seq
 			qh := cache.q.SubMatrix(r0, c0, c.Seq, c.HeadDim)
 			kh := cache.k.SubMatrix(r0, c0, c.Seq, c.HeadDim)
 			vh := cache.v.SubMatrix(r0, c0, c.Seq, c.HeadDim)
@@ -241,62 +148,23 @@ func geluBackwardInto(grad, pre *tensor.Matrix) {
 	}
 }
 
-// shards bundles one chip's weight shards.
-type shards struct {
-	wq, wk, wv, wo, w1, w2 *tensor.Matrix
-}
-
 // Gradients runs forward+backward over the mesh: given the upstream
 // gradient dOut (same global shape as the block output), it returns the
 // assembled parameter gradients and input gradient.
-func Gradients(c Config, t topology.Torus, w Weights, x, dOut *tensor.Matrix) (Grads, *tensor.Matrix, error) {
-	if err := c.Validate(t); err != nil {
-		return Grads{}, nil, err
+func Gradients(c Config, t topology.Torus, w Weights, x, dOut *tensor.Matrix) (Weights, *tensor.Matrix, error) {
+	if err := c.check(t, x, c.Tokens(), w); err != nil {
+		return Weights{}, nil, err
 	}
-	xs := tensor.Partition(x, t.Rows, t.Cols)
+	if err := checkShape("dOut", dOut, c.Tokens(), c.Hidden()); err != nil {
+		return Weights{}, nil, err
+	}
+	xs, ws := tensor.Partition(x, t.Rows, t.Cols), w.partition(t)
 	dOuts := tensor.Partition(dOut, t.Rows, t.Cols)
-	ws := partitionWeights(w, t)
-
-	gq := make([]*tensor.Matrix, t.Size())
-	gk := make([]*tensor.Matrix, t.Size())
-	gv := make([]*tensor.Matrix, t.Size())
-	gw := make([]*tensor.Matrix, t.Size())
-	g1 := make([]*tensor.Matrix, t.Size())
-	g2 := make([]*tensor.Matrix, t.Size())
-	dxs := make([]*tensor.Matrix, t.Size())
-	var mu sync.Mutex
-	m := mesh.New(t)
-	m.Run(func(ch *mesh.Chip) {
-		o := newChipOps(c, t, ch)
-		cache := o.forwardCached(xs[ch.Rank], ws[ch.Rank])
-		g, dx := o.backward(cache, ws[ch.Rank], dOuts[ch.Rank])
-		mu.Lock()
-		gq[ch.Rank], gk[ch.Rank], gv[ch.Rank] = g.Wq, g.Wk, g.Wv
-		gw[ch.Rank], g1[ch.Rank], g2[ch.Rank] = g.Wo, g.W1, g.W2
-		dxs[ch.Rank] = dx
-		mu.Unlock()
+	gs, dxs := make([]Weights, t.Size()), make([]*tensor.Matrix, t.Size())
+	run(t, func(ch *mesh.Chip) {
+		o := newChip(c, t, ch)
+		cache := o.forward(xs[ch.Rank], ws[ch.Rank], o.attend)
+		gs[ch.Rank], dxs[ch.Rank] = o.backward(cache, ws[ch.Rank], dOuts[ch.Rank])
 	})
-	grads := Grads{
-		Wq: tensor.Assemble(gq, t.Rows, t.Cols),
-		Wk: tensor.Assemble(gk, t.Rows, t.Cols),
-		Wv: tensor.Assemble(gv, t.Rows, t.Cols),
-		Wo: tensor.Assemble(gw, t.Rows, t.Cols),
-		W1: tensor.Assemble(g1, t.Rows, t.Cols),
-		W2: tensor.Assemble(g2, t.Rows, t.Cols),
-	}
-	return grads, tensor.Assemble(dxs, t.Rows, t.Cols), nil
-}
-
-func partitionWeights(w Weights, t topology.Torus) []shards {
-	wq := tensor.Partition(w.Wq, t.Rows, t.Cols)
-	wk := tensor.Partition(w.Wk, t.Rows, t.Cols)
-	wv := tensor.Partition(w.Wv, t.Rows, t.Cols)
-	wo := tensor.Partition(w.Wo, t.Rows, t.Cols)
-	w1 := tensor.Partition(w.W1, t.Rows, t.Cols)
-	w2 := tensor.Partition(w.W2, t.Rows, t.Cols)
-	out := make([]shards, t.Size())
-	for i := range out {
-		out[i] = shards{wq: wq[i], wk: wk[i], wv: wv[i], wo: wo[i], w1: w1[i], w2: w2[i]}
-	}
-	return out
+	return assemble(gs, t), tensor.Assemble(dxs, t.Rows, t.Cols), nil
 }

@@ -3,9 +3,7 @@ package transformer
 import (
 	"fmt"
 	"math"
-	"sync"
 
-	"meshslice/internal/gemm"
 	"meshslice/internal/mesh"
 	"meshslice/internal/tensor"
 	"meshslice/internal/topology"
@@ -27,7 +25,7 @@ type KVCache struct {
 	Len int
 }
 
-// NewKVCache returns an empty cache for the configuration.
+// NewKVCache returns an empty cache; Decode and DecodeSerial fill it.
 func NewKVCache() *KVCache {
 	return &KVCache{K: tensor.New(0, 0), V: tensor.New(0, 0), Len: 0}
 }
@@ -58,46 +56,28 @@ func DecodeSerial(c Config, w Weights, cache *KVCache, x *tensor.Matrix) *tensor
 // the caller as NewKVCache per rank and threaded between steps). It
 // returns the assembled output.
 func Decode(c Config, t topology.Torus, w Weights, caches []*KVCache, x *tensor.Matrix) (*tensor.Matrix, error) {
-	if err := c.Validate(t); err != nil {
+	if err := c.check(t, x, c.Batch, w); err != nil {
 		return nil, err
-	}
-	if x.Rows != c.Batch || x.Cols != c.Hidden() {
-		return nil, fmt.Errorf("transformer: decode x %dx%d, want %dx%d", x.Rows, x.Cols, c.Batch, c.Hidden())
 	}
 	if len(caches) != t.Size() {
 		return nil, fmt.Errorf("transformer: %d caches for %d chips", len(caches), t.Size())
 	}
-	xs := tensor.Partition(x, t.Rows, t.Cols)
-	ws := partitionWeights(w, t)
-	msCfg := gemm.MeshSliceConfig{S: 1, Block: 1} // decode GeMMs are tiny: S=1
-	mm := gemm.MeshSlice(gemm.OS, msCfg)
-	batchPerRow := c.Batch / t.Rows
-	headsPerCol := c.Heads / t.Cols
-
+	for rank, kv := range caches {
+		if kv == nil {
+			return nil, fmt.Errorf("transformer: chip %d has no cache", rank)
+		}
+	}
+	xs, ws := tensor.Partition(x, t.Rows, t.Cols), w.partition(t)
+	dc := c
+	dc.S, dc.Block = 1, 1 // decode GeMMs are tiny: S=1
 	outs := make([]*tensor.Matrix, t.Size())
-	var mu sync.Mutex
-	m := mesh.New(t)
-	m.Run(func(ch *mesh.Chip) {
-		xl := xs[ch.Rank]
-		wl := ws[ch.Rank]
-		cacheL := caches[ch.Rank]
-		n1 := layerNormDist(ch, xl, c.Hidden())
-		q := mm(ch, n1, wl.wq)
-		kNew := mm(ch, n1, wl.wk)
-		vNew := mm(ch, n1, wl.wv)
-		appendCache(batchPerRow, cacheL, kNew, vNew)
-		ctx := decodeAttention(c, q, cacheL, batchPerRow, headsPerCol)
-		attnOut := mm(ch, ctx, wl.wo)
-		res1 := xl.Clone()
-		res1.Add(attnOut)
-		n2 := layerNormDist(ch, res1, c.Hidden())
-		ff := mm(ch, n2, wl.w1)
-		gelu(ff)
-		out := res1.Clone()
-		out.Add(mm(ch, ff, wl.w2))
-		mu.Lock()
-		outs[ch.Rank] = out
-		mu.Unlock()
+	run(t, func(ch *mesh.Chip) {
+		o, cache := newChip(dc, t, ch), caches[ch.Rank]
+		attend := func(q, k, v *tensor.Matrix) (*tensor.Matrix, [][]*tensor.Matrix) {
+			appendCache(o.bLocal, cache, k, v)
+			return decodeAttention(c, q, cache, o.bLocal, o.hLocal), nil
+		}
+		outs[ch.Rank] = o.forward(xs[ch.Rank], ws[ch.Rank], attend).out
 	})
 	return tensor.Assemble(outs, t.Rows, t.Cols), nil
 }

@@ -61,6 +61,16 @@ func TestDecodeRejectsBadInputs(t *testing.T) {
 	if _, err := Decode(c, tor, w, caches[:2], tensor.New(c.Batch, c.Hidden())); err == nil {
 		t.Errorf("wrong cache count accepted")
 	}
+	if _, err := Decode(c, tor, w, caches, tensor.New(c.Batch, c.Hidden()/2)); err == nil {
+		t.Errorf("x of the wrong width accepted")
+	}
+	if _, err := Decode(c, tor, w, []*KVCache{NewKVCache(), nil, NewKVCache(), NewKVCache()}, tensor.New(c.Batch, c.Hidden())); err == nil {
+		t.Errorf("missing cache accepted")
+	}
+	w.Wo = tensor.New(c.Hidden(), c.Hidden()/2)
+	if _, err := Decode(c, tor, w, caches, tensor.New(c.Batch, c.Hidden())); err == nil {
+		t.Errorf("Wo of the wrong shape accepted")
+	}
 }
 
 func TestAppendCacheKeepsSequencesContiguous(t *testing.T) {

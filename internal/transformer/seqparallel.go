@@ -2,7 +2,6 @@ package transformer
 
 import (
 	"fmt"
-	"sync"
 
 	"meshslice/internal/collective"
 	"meshslice/internal/mesh"
@@ -47,6 +46,9 @@ func ForwardSequenceParallel(c Config, p int, w Weights, x *tensor.Matrix) (*ten
 	if err := c.ValidateSeqParallel(p); err != nil {
 		return nil, mesh.Traffic{}, err
 	}
+	if err := c.checkShapes(x, c.Tokens(), w); err != nil {
+		return nil, mesh.Traffic{}, err
+	}
 	xs := tensor.SplitRows(x, p) // sequence shards
 	// 1D weight shards: columns for the entering GeMMs, rows for the
 	// leaving ones (so partial products reduce over the ring).
@@ -58,10 +60,8 @@ func ForwardSequenceParallel(c Config, p int, w Weights, x *tensor.Matrix) (*ten
 	w2R := tensor.SplitRows(w.W2, p)
 	headsPer := c.Heads / p
 
-	m := mesh.New(topology.NewTorus(1, p))
 	outs := make([]*tensor.Matrix, p)
-	var mu sync.Mutex
-	m.Run(func(ch *mesh.Chip) {
+	traffic := run(topology.NewTorus(1, p), func(ch *mesh.Chip) {
 		ring := ch.RowComm()
 		xl := xs[ch.Rank]
 
@@ -73,7 +73,7 @@ func ForwardSequenceParallel(c Config, p int, w Weights, x *tensor.Matrix) (*ten
 		q := tensor.MatMul(full, wqC[ch.Rank])
 		k := tensor.MatMul(full, wkC[ch.Rank])
 		v := tensor.MatMul(full, wvC[ch.Rank])
-		ctx := attention(c, q, k, v, 0, c.Batch, 0, headsPer)
+		ctx, _ := attention(c, q, k, v, c.Batch, headsPer)
 		partial := tensor.MatMul(ctx, woR[ch.Rank]) // rows of Wo matching this chip's ctx columns
 		attnOut := collective.ReduceScatterRows(ring, partial)
 		res1 := xl.Clone()
@@ -88,10 +88,7 @@ func ForwardSequenceParallel(c Config, p int, w Weights, x *tensor.Matrix) (*ten
 		ffOut := collective.ReduceScatterRows(ring, partial2)
 		out := res1.Clone()
 		out.Add(ffOut)
-
-		mu.Lock()
 		outs[ch.Rank] = out
-		mu.Unlock()
 	})
-	return tensor.ConcatRows(outs), m.Traffic(), nil
+	return tensor.ConcatRows(outs), traffic, nil
 }

@@ -2,7 +2,6 @@ package transformer
 
 import (
 	"fmt"
-	"sync"
 
 	"meshslice/internal/collective"
 	"meshslice/internal/mesh"
@@ -45,45 +44,32 @@ type TrainResult struct {
 // SGD update, entirely on-mesh; only the scalar loss leaves the chips.
 func TrainStack(s Stack, t topology.Torus, x, target *tensor.Matrix, steps int, lr float64) (TrainResult, error) {
 	c := s.Config
-	if err := c.Validate(t); err != nil {
+	if err := c.check(t, x, c.Tokens(), s.Blocks...); err != nil {
 		return TrainResult{}, err
 	}
-	if x.Rows != c.Tokens() || x.Cols != c.Hidden() || target.Rows != x.Rows || target.Cols != x.Cols {
-		return TrainResult{}, fmt.Errorf("transformer: x %dx%d target %dx%d want %dx%d",
-			x.Rows, x.Cols, target.Rows, target.Cols, c.Tokens(), c.Hidden())
+	if err := checkShape("target", target, c.Tokens(), c.Hidden()); err != nil {
+		return TrainResult{}, err
 	}
-	layers := len(s.Blocks)
-	xs := tensor.Partition(x, t.Rows, t.Cols)
-	ts := tensor.Partition(target, t.Rows, t.Cols)
-	wShards := make([][]shards, layers) // [layer][rank]
+	if steps < 0 {
+		return TrainResult{}, fmt.Errorf("transformer: %d training steps", steps)
+	}
+	xs, ts := tensor.Partition(x, t.Rows, t.Cols), tensor.Partition(target, t.Rows, t.Cols)
+	shards := make([][]Weights, len(s.Blocks)) // [layer][rank]; each chip trains its own in place
 	for l, w := range s.Blocks {
-		wShards[l] = partitionWeights(w, t)
+		shards[l] = w.partition(t)
 	}
 
 	losses := make([]float64, steps)
-	var mu sync.Mutex
-	m := mesh.New(t)
-	m.Run(func(ch *mesh.Chip) {
-		o := newChipOps(c, t, ch)
-		// Local (mutable) weight shards per layer.
-		local := make([]shards, layers)
-		for l := range local {
-			w := wShards[l][ch.Rank]
-			local[l] = shards{
-				wq: w.wq.Clone(), wk: w.wk.Clone(), wv: w.wv.Clone(),
-				wo: w.wo.Clone(), w1: w.w1.Clone(), w2: w.w2.Clone(),
-			}
-		}
-		xl := xs[ch.Rank]
+	run(t, func(ch *mesh.Chip) {
+		o := newChip(c, t, ch)
 		tl := ts[ch.Rank]
 		scale := 2 / float64(c.Tokens()*c.Hidden())
-
-		for step := 0; step < steps; step++ {
+		caches := make([]*blockCache, len(shards))
+		for step := range losses {
 			// Forward through the stack, caching per block.
-			caches := make([]*blockCache, layers)
-			cur := xl
-			for l := 0; l < layers; l++ {
-				caches[l] = o.forwardCached(cur, local[l])
+			cur := xs[ch.Rank]
+			for l := range shards {
+				caches[l] = o.forward(cur, shards[l][ch.Rank], o.attend)
 				cur = caches[l].out
 			}
 			// MSE loss gradient on the final output.
@@ -97,63 +83,25 @@ func TrainStack(s Stack, t topology.Torus, x, target *tensor.Matrix, steps int, 
 			// Backward chain with immediate SGD updates (full-batch, so
 			// updating after each block's backward is equivalent to
 			// updating at the end).
-			for l := layers - 1; l >= 0; l-- {
-				g, dx := o.backward(caches[l], local[l], dOut)
-				applySGD(local[l], g, lr)
+			for l := len(shards) - 1; l >= 0; l-- {
+				g, dx := o.backward(caches[l], shards[l][ch.Rank], dOut)
+				shards[l][ch.Rank].sgd(g, lr)
 				dOut = dx
 			}
 
 			// Scalar loss, reduced over the mesh for reporting.
-			statsM := tensor.FromSlice(1, 1, []float64{lossLocal})
-			sum := allReduceScalar(ch, statsM)
+			sum := allReduceScalar(ch, tensor.FromSlice(1, 1, []float64{lossLocal}))
 			if ch.Rank == 0 {
-				mu.Lock()
 				losses[step] = sum / float64(c.Tokens()*c.Hidden())
-				mu.Unlock()
 			}
 		}
-		mu.Lock()
-		for l := range local {
-			wShards[l][ch.Rank] = local[l]
-		}
-		mu.Unlock()
 	})
 
 	out := Stack{Config: c}
-	for l := 0; l < layers; l++ {
-		out.Blocks = append(out.Blocks, assembleWeights(wShards[l], t))
+	for _, sh := range shards {
+		out.Blocks = append(out.Blocks, assemble(sh, t))
 	}
 	return TrainResult{Losses: losses, Stack: out}, nil
-}
-
-func applySGD(w shards, g Grads, lr float64) {
-	pairs := []struct{ w, g *tensor.Matrix }{
-		{w.wq, g.Wq}, {w.wk, g.Wk}, {w.wv, g.Wv},
-		{w.wo, g.Wo}, {w.w1, g.W1}, {w.w2, g.W2},
-	}
-	for _, p := range pairs {
-		for i := range p.w.Data {
-			p.w.Data[i] -= lr * p.g.Data[i]
-		}
-	}
-}
-
-func assembleWeights(sh []shards, t topology.Torus) Weights {
-	collect := func(pick func(shards) *tensor.Matrix) *tensor.Matrix {
-		parts := make([]*tensor.Matrix, len(sh))
-		for i, s := range sh {
-			parts[i] = pick(s)
-		}
-		return tensor.Assemble(parts, t.Rows, t.Cols)
-	}
-	return Weights{
-		Wq: collect(func(s shards) *tensor.Matrix { return s.wq }),
-		Wk: collect(func(s shards) *tensor.Matrix { return s.wk }),
-		Wv: collect(func(s shards) *tensor.Matrix { return s.wv }),
-		Wo: collect(func(s shards) *tensor.Matrix { return s.wo }),
-		W1: collect(func(s shards) *tensor.Matrix { return s.w1 }),
-		W2: collect(func(s shards) *tensor.Matrix { return s.w2 }),
-	}
 }
 
 // allReduceScalar sums a 1×1 matrix over both mesh directions.

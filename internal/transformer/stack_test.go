@@ -91,4 +91,18 @@ func TestTrainStackRejectsBadShapes(t *testing.T) {
 	if _, err := TrainStack(s, topology.NewTorus(2, 2), small, small, 1, 0.1); err == nil {
 		t.Errorf("wrong input shape accepted")
 	}
+	if _, err := TrainStack(s, topology.NewTorus(2, 2), x, x, -1, 0.1); err == nil {
+		t.Errorf("negative step count accepted")
+	}
+	if _, err := TrainStack(s, topology.NewTorus(2, 2), x, small, 1, 0.1); err == nil {
+		t.Errorf("wrong target shape accepted")
+	}
+	if _, err := TrainStack(s, topology.NewTorus(2, 2), x, nil, 1, 0.1); err == nil {
+		t.Errorf("missing target accepted")
+	}
+	deep := NewStack(c, 2, 122)
+	deep.Blocks[1].W2 = tensor.New(c.Hidden(), c.FFHidden)
+	if _, err := TrainStack(deep, topology.NewTorus(2, 2), x, x, 1, 0.1); err == nil {
+		t.Errorf("transposed W2 in block 1 accepted")
+	}
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"meshslice/internal/collective"
 	"meshslice/internal/gemm"
@@ -24,10 +23,6 @@ import (
 )
 
 func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-// RNG returns a deterministic random source, for examples and tests that
-// build inputs matching NewWeights' seeding scheme.
-func RNG(seed int64) *rand.Rand { return newRNG(seed) }
 
 // Config describes one transformer block.
 type Config struct {
@@ -96,12 +91,91 @@ func (c Config) Validate(t topology.Torus) error {
 	return nil
 }
 
-// Weights holds the block's parameters (no biases; pre-norm architecture
-// without the norms' scale/shift for brevity).
+// check reports whether the block runs on t with input x of rows×Hidden
+// and every weight set ws of the block's shapes.
+func (c Config) check(t topology.Torus, x *tensor.Matrix, rows int, ws ...Weights) error {
+	if err := c.Validate(t); err != nil {
+		return err
+	}
+	return c.checkShapes(x, rows, ws...)
+}
+
+// checkShapes is check without the torus.
+func (c Config) checkShapes(x *tensor.Matrix, rows int, ws ...Weights) error {
+	h, ff := c.Hidden(), c.FFHidden
+	if err := checkShape("x", x, rows, h); err != nil {
+		return err
+	}
+	names := [6]string{"Wq", "Wk", "Wv", "Wo", "W1", "W2"}
+	shapes := [6][2]int{{h, h}, {h, h}, {h, h}, {h, h}, {h, ff}, {ff, h}}
+	for _, w := range ws {
+		for i, f := range w.fields() {
+			if err := checkShape(names[i], *f, shapes[i][0], shapes[i][1]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// checkShape reports a missing matrix or one that is not rows×cols.
+func checkShape(name string, m *tensor.Matrix, rows, cols int) error {
+	if m == nil {
+		return fmt.Errorf("transformer: %s is missing, want %dx%d", name, rows, cols)
+	}
+	if m.Rows != rows || m.Cols != cols {
+		return fmt.Errorf("transformer: %s is %dx%d, want %dx%d", name, m.Rows, m.Cols, rows, cols)
+	}
+	return nil
+}
+
+// Weights holds the block's six matrices (no biases; pre-norm architecture
+// without the norms' scale/shift for brevity): its parameters, their
+// gradients, or one chip's shards of either.
 type Weights struct {
 	Wq, Wk, Wv, Wo *tensor.Matrix // each Hidden×Hidden, head-grouped columns
 	W1             *tensor.Matrix // Hidden×FFHidden
 	W2             *tensor.Matrix // FFHidden×Hidden
+}
+
+// fields lists the six matrices in the order Wq, Wk, Wv, Wo, W1, W2.
+func (w *Weights) fields() [6]**tensor.Matrix {
+	return [6]**tensor.Matrix{&w.Wq, &w.Wk, &w.Wv, &w.Wo, &w.W1, &w.W2}
+}
+
+// partition cuts every matrix into its 2D shards, one private copy per chip.
+func (w Weights) partition(t topology.Torus) []Weights {
+	out := make([]Weights, t.Size())
+	for i, f := range w.fields() {
+		for rank, shard := range tensor.Partition(*f, t.Rows, t.Cols) {
+			*out[rank].fields()[i] = shard
+		}
+	}
+	return out
+}
+
+// assemble is partition's inverse.
+func assemble(shards []Weights, t topology.Torus) Weights {
+	var w Weights
+	parts := make([]*tensor.Matrix, len(shards))
+	for i, f := range w.fields() {
+		for rank := range shards {
+			parts[rank] = *shards[rank].fields()[i]
+		}
+		*f = tensor.Assemble(parts, t.Rows, t.Cols)
+	}
+	return w
+}
+
+// sgd applies w -= lr·g in place.
+func (w Weights) sgd(g Weights, lr float64) {
+	gs := g.fields()
+	for i, f := range w.fields() {
+		wd, gd := (*f).Data, (*gs[i]).Data
+		for j := range wd {
+			wd[j] -= lr * gd[j]
+		}
+	}
 }
 
 // NewWeights draws deterministic parameters.
@@ -130,7 +204,7 @@ func ForwardSerial(c Config, w Weights, x *tensor.Matrix) *tensor.Matrix {
 	q := tensor.MatMul(normed, w.Wq)
 	k := tensor.MatMul(normed, w.Wk)
 	v := tensor.MatMul(normed, w.Wv)
-	ctx := attention(c, q, k, v, 0, c.Batch, 0, c.Heads)
+	ctx, _ := attention(c, q, k, v, c.Batch, c.Heads)
 	attnOut := tensor.MatMul(ctx, w.Wo)
 	res1 := x.Clone()
 	res1.Add(attnOut)
@@ -148,72 +222,121 @@ func ForwardSerial(c Config, w Weights, x *tensor.Matrix) *tensor.Matrix {
 // output plus the mesh traffic counters (for the zero-attention-traffic
 // verification).
 func Forward(c Config, t topology.Torus, w Weights, x *tensor.Matrix) (*tensor.Matrix, mesh.Traffic, error) {
-	if err := c.Validate(t); err != nil {
+	if err := c.check(t, x, c.Tokens(), w); err != nil {
 		return nil, mesh.Traffic{}, err
 	}
-	xs := tensor.Partition(x, t.Rows, t.Cols)
-	wqs := tensor.Partition(w.Wq, t.Rows, t.Cols)
-	wks := tensor.Partition(w.Wk, t.Rows, t.Cols)
-	wvs := tensor.Partition(w.Wv, t.Rows, t.Cols)
-	wos := tensor.Partition(w.Wo, t.Rows, t.Cols)
-	w1s := tensor.Partition(w.W1, t.Rows, t.Cols)
-	w2s := tensor.Partition(w.W2, t.Rows, t.Cols)
-
-	msCfg := gemm.MeshSliceConfig{S: c.S, Block: c.Block}
-	mm := gemm.MeshSlice(gemm.OS, msCfg)
-	batchPerRow := c.Batch / t.Rows
-	headsPerCol := c.Heads / t.Cols
-
-	m := mesh.New(t)
+	xs, ws := tensor.Partition(x, t.Rows, t.Cols), w.partition(t)
 	outs := make([]*tensor.Matrix, t.Size())
-	var mu sync.Mutex
-	m.Run(func(ch *mesh.Chip) {
-		xl := xs[ch.Rank]
-		normed := layerNormDist(ch, xl, c.Hidden())
-		q := mm(ch, normed, wqs[ch.Rank])
-		k := mm(ch, normed, wks[ch.Rank])
-		v := mm(ch, normed, wvs[ch.Rank])
-		// Attention: every (sequence, head) this chip owns is fully local
-		// — batch rows stay whole on the chip's row and head columns on
-		// its column (§3.2.1).
-		ctx := attention(c, q, k, v, 0, batchPerRow, 0, headsPerCol)
-		attnOut := mm(ch, ctx, wos[ch.Rank])
-		res1 := xl.Clone()
-		res1.Add(attnOut)
-
-		normed2 := layerNormDist(ch, res1, c.Hidden())
-		ff := mm(ch, normed2, w1s[ch.Rank])
-		gelu(ff)
-		ffOut := mm(ch, ff, w2s[ch.Rank])
-		out := res1.Clone()
-		out.Add(ffOut)
-		mu.Lock()
-		outs[ch.Rank] = out
-		mu.Unlock()
+	traffic := run(t, func(ch *mesh.Chip) {
+		o := newChip(c, t, ch)
+		outs[ch.Rank] = o.forward(xs[ch.Rank], ws[ch.Rank], o.attend).out
 	})
-	return tensor.Assemble(outs, t.Rows, t.Cols), m.Traffic(), nil
+	return tensor.Assemble(outs, t.Rows, t.Cols), traffic, nil
 }
 
-// attention computes scaled dot-product attention for the given local
-// batch and head ranges. q, k, v have one row per token (sequences
-// contiguous) and HeadDim contiguous columns per local head.
-func attention(c Config, q, k, v *tensor.Matrix, b0, bN, h0, hN int) *tensor.Matrix {
+// run executes f on every chip of a fresh mesh over t and returns the
+// traffic. Results need no lock: each chip writes only its own rank's slot,
+// and Run returns after every chip has finished.
+func run(t topology.Torus, f func(ch *mesh.Chip)) mesh.Traffic {
+	m := mesh.New(t)
+	m.Run(f)
+	return m.Traffic()
+}
+
+// chip bundles one chip's distributed primitives: the GeMMs in their
+// Table 1 dataflows and the sequences and heads the chip owns.
+type chip struct {
+	ch                      *mesh.Chip
+	cfg                     Config
+	fwd, bwdData, bwdWeight gemm.ChipFunc // OS, LS, RS
+	bLocal, hLocal          int
+}
+
+func newChip(c Config, t topology.Torus, ch *mesh.Chip) chip {
+	msCfg := gemm.MeshSliceConfig{S: c.S, Block: c.Block}
+	return chip{
+		ch:        ch,
+		cfg:       c,
+		fwd:       gemm.MeshSlice(gemm.OS, msCfg),
+		bwdData:   gemm.MeshSlice(gemm.LS, msCfg),
+		bwdWeight: gemm.MeshSlice(gemm.RS, msCfg),
+		bLocal:    c.Batch / t.Rows,
+		hLocal:    c.Heads / t.Cols,
+	}
+}
+
+// blockCache keeps the forward intermediates backward needs.
+type blockCache struct {
+	x       *tensor.Matrix
+	n1      *tensor.Matrix
+	q, k, v *tensor.Matrix
+	probs   [][]*tensor.Matrix // [localBatch][localHead] attention probabilities
+	ctx     *tensor.Matrix
+	res1    *tensor.Matrix
+	n2      *tensor.Matrix
+	ffPre   *tensor.Matrix // n2·W1 before GELU
+	ff      *tensor.Matrix // gelu(ffPre)
+	out     *tensor.Matrix
+}
+
+// attendFunc turns one chip's q, k and v into the attention context and
+// the softmax probabilities backward needs (nil for decode, which has no
+// backward).
+type attendFunc func(q, k, v *tensor.Matrix) (ctx *tensor.Matrix, probs [][]*tensor.Matrix)
+
+// attend is the block's attention over the chip's own sequences and heads:
+// every (sequence, head) pair is fully local — batch rows stay whole on the
+// chip's row and head columns on its column (§3.2.1).
+func (o chip) attend(q, k, v *tensor.Matrix) (*tensor.Matrix, [][]*tensor.Matrix) {
+	return attention(o.cfg, q, k, v, o.bLocal, o.hLocal)
+}
+
+// forward runs the block on this chip's shards — pre-norm self-attention
+// with residual, then a pre-norm GELU MLP with residual — and keeps what
+// backward needs.
+func (o chip) forward(x *tensor.Matrix, w Weights, attend attendFunc) *blockCache {
+	hidden := o.cfg.Hidden()
+	cache := &blockCache{x: x}
+	cache.n1 = layerNormDist(o.ch, x, hidden)
+	cache.q = o.fwd(o.ch, cache.n1, w.Wq)
+	cache.k = o.fwd(o.ch, cache.n1, w.Wk)
+	cache.v = o.fwd(o.ch, cache.n1, w.Wv)
+	cache.ctx, cache.probs = attend(cache.q, cache.k, cache.v)
+	cache.res1 = x.Clone()
+	cache.res1.Add(o.fwd(o.ch, cache.ctx, w.Wo))
+	cache.n2 = layerNormDist(o.ch, cache.res1, hidden)
+	cache.ffPre = o.fwd(o.ch, cache.n2, w.W1)
+	cache.ff = cache.ffPre.Clone()
+	gelu(cache.ff)
+	cache.out = o.fwd(o.ch, cache.ff, w.W2)
+	cache.out.Add(cache.res1)
+	return cache
+}
+
+// attention computes scaled dot-product attention over the first batch
+// sequences and heads heads of q, k and v, which have one row per token
+// (sequences contiguous) and HeadDim contiguous columns per head. It also
+// returns the softmax probabilities by sequence and head.
+func attention(c Config, q, k, v *tensor.Matrix, batch, heads int) (*tensor.Matrix, [][]*tensor.Matrix) {
 	ctx := tensor.New(q.Rows, q.Cols)
+	probs := make([][]*tensor.Matrix, batch)
 	inv := 1 / math.Sqrt(float64(c.HeadDim))
-	for b := b0; b < bN; b++ {
-		r0 := (b - b0) * c.Seq
-		for h := h0; h < hN; h++ {
-			c0 := (h - h0) * c.HeadDim
+	for b := range probs {
+		probs[b] = make([]*tensor.Matrix, heads)
+		r0 := b * c.Seq
+		for h := range probs[b] {
+			c0 := h * c.HeadDim
 			qh := q.SubMatrix(r0, c0, c.Seq, c.HeadDim)
 			kh := k.SubMatrix(r0, c0, c.Seq, c.HeadDim)
 			vh := v.SubMatrix(r0, c0, c.Seq, c.HeadDim)
 			scores := tensor.MatMulNT(qh, kh)
 			scores.Scale(inv)
 			softmaxRows(scores)
+			probs[b][h] = scores
 			ctx.SetSubMatrix(r0, c0, tensor.MatMul(scores, vh))
 		}
 	}
-	return ctx
+	return ctx, probs
 }
 
 // layerNormSerial normalises each row to zero mean, unit variance.

@@ -117,8 +117,34 @@ func TestForwardRejectsBadMesh(t *testing.T) {
 	c := testConfig()
 	w := NewWeights(c, 9)
 	x := tensor.Random(c.Tokens(), c.Hidden(), newRNG(10))
-	if _, _, err := Forward(c, topology.NewTorus(3, 2), w, x); err == nil {
-		t.Errorf("batch 4 over 3 rows accepted")
+	tor := topology.NewTorus(2, 2)
+	narrow := tensor.New(c.Tokens(), c.Hidden()/2)
+	badWk, noW2 := w, w
+	badWk.Wk = tensor.New(c.Hidden(), c.Hidden()/2)
+	noW2.W2 = nil
+	forward := func(tor topology.Torus, w Weights, x *tensor.Matrix) error {
+		_, _, err := Forward(c, tor, w, x)
+		return err
+	}
+	gradients := func(w Weights, x, dOut *tensor.Matrix) error {
+		_, _, err := Gradients(c, tor, w, x, dOut)
+		return err
+	}
+	for _, r := range []struct {
+		name string
+		err  error
+	}{
+		{"batch 4 over 3 rows", forward(topology.NewTorus(3, 2), w, x)},
+		{"forward: x of the wrong width", forward(tor, w, narrow)},
+		{"forward: Wk of the wrong shape", forward(tor, badWk, x)},
+		{"forward: missing W2", forward(tor, noW2, x)},
+		{"gradients: x of the wrong width", gradients(w, narrow, x)},
+		{"gradients: dOut of the wrong shape", gradients(w, x, narrow)},
+		{"gradients: Wk of the wrong shape", gradients(badWk, x, x)},
+	} {
+		if r.err == nil {
+			t.Errorf("%s accepted", r.name)
+		}
 	}
 }
 
@@ -202,6 +228,14 @@ func TestSequenceParallelValidate(t *testing.T) {
 	}
 	if err := c.ValidateSeqParallel(3); err == nil {
 		t.Errorf("3 chips for 4 heads accepted")
+	}
+	w := NewWeights(c, 23)
+	if _, _, err := ForwardSequenceParallel(c, 2, w, tensor.New(c.Tokens(), c.Hidden()/2)); err == nil {
+		t.Errorf("x of the wrong width accepted")
+	}
+	w.W1 = tensor.New(c.FFHidden, c.Hidden())
+	if _, _, err := ForwardSequenceParallel(c, 2, w, tensor.New(c.Tokens(), c.Hidden())); err == nil {
+		t.Errorf("transposed W1 accepted")
 	}
 }
 
