@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"meshslice/internal/fault"
+	"meshslice/internal/hw"
 	"meshslice/internal/obs"
 	"meshslice/internal/sched"
 	"meshslice/internal/topology"
@@ -22,7 +23,9 @@ func classMapVariants() []goldenVariant {
 		{"tiled", Options{TiledCompute: true}},
 		{"bidir", Options{BidirectionalRings: true}},
 		{"noHBM", Options{NoHBMContention: true}},
-		{"observed", Options{TraceAllChips: true, CollectTrace: true, Metrics: obs.NewRegistry()}},
+		{"observed", Options{CriticalPath: true, TraceAllChips: true, CollectTrace: true, Metrics: obs.NewRegistry()}},
+		{"critStepLevel", Options{CriticalPath: true, StepLevel: true}},
+		{"critNoOverlap", Options{CriticalPath: true, NoOverlap: true}},
 	}
 }
 
@@ -46,24 +49,20 @@ func uniformPlan(p *sched.Program, kind int) *fault.Plan {
 	return &fault.Plan{Degrades: append(col.Degrades, row.Degrades...), Stragglers: row.Stragglers}
 }
 
-// modelSnapshot is the registry's JSON without the kernel's des_ metrics
-// (which count the events the class map saves) and the critical-path
-// gauges (which only the identity run has).
+// modelSnapshot is the registry's JSON without the kernel's des_ metrics,
+// which count the events the class map saves.
 func modelSnapshot(t *testing.T, reg *obs.Registry) string {
 	t.Helper()
 	snap := reg.Snapshot()
-	keep := func(name string) bool {
-		return !strings.HasPrefix(name, "des_") && !strings.HasPrefix(name, "netsim_critpath_")
-	}
 	counters := snap.Counters[:0]
 	for _, c := range snap.Counters {
-		if keep(c.Name) {
+		if !strings.HasPrefix(c.Name, "des_") {
 			counters = append(counters, c)
 		}
 	}
 	gauges := snap.Gauges[:0]
 	for _, g := range snap.Gauges {
-		if keep(g.Name) {
+		if !strings.HasPrefix(g.Name, "des_") {
 			gauges = append(gauges, g)
 		}
 	}
@@ -75,20 +74,31 @@ func modelSnapshot(t *testing.T, reg *obs.Registry) string {
 	return string(js)
 }
 
-// identityMatches simulates p under opts on the class map and, through
-// CriticalPath, on the identity map, and reports whether the two agree on
-// everything but the critical path. It also returns whether the single-class
-// run kept its certificate.
+// identityRun simulates every chip of p: the reference the class map must
+// reproduce, whatever options are set.
+func identityRun(t *testing.T, p *sched.Program, c hw.Chip, opts Options) Result {
+	t.Helper()
+	flt, err := opts.Faults.Index(p.Chips())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newSim(p, c, opts, flt, p.Chips())
+	s.run()
+	return s.result()
+}
+
+// identityMatches simulates p under opts through Simulate and on the
+// identity map, and reports whether the two agree on everything, the
+// critical path included. It also returns whether the single-class run
+// kept its certificate.
 func identityMatches(t *testing.T, p *sched.Program, opts Options) (match, certified bool) {
 	t.Helper()
 	ident := opts
-	ident.CriticalPath = true
 	if opts.Metrics != nil {
 		opts.Metrics, ident.Metrics = obs.NewRegistry(), obs.NewRegistry()
 	}
 	got := Simulate(p, testHW, opts)
-	want := Simulate(p, testHW, ident)
-	want.CritPath = nil
+	want := identityRun(t, p, testHW, ident)
 	match = reflect.DeepEqual(got, want)
 	if match && opts.Metrics != nil {
 		match = modelSnapshot(t, opts.Metrics) == modelSnapshot(t, ident.Metrics)
@@ -225,6 +235,12 @@ func TestClassMapMatchesIdentity(t *testing.T) {
 // after the AllGather's release on some chips, before it here. And a
 // zero-duration op granted at that instant frees the engine within it, so
 // the op granted next may have been ready, and picked, first elsewhere.
+//
+// It also pins the critical path's cause rule with the smallest program a
+// search found where rank 0's run, certified without the rule, names
+// another cause than the identity run: the Shift waits on the row AllGather and on the col link
+// the ReduceScatter frees, and both end at one instant, so each chip names
+// whichever it completed last.
 func TestClassMapStartOrder(t *testing.T) {
 	grid := topology.NewTorus3D(3, 1, 3)
 	for _, c := range []struct {
@@ -242,6 +258,11 @@ func TestClassMapStartOrder(t *testing.T) {
 			{Kind: sched.Shift, Dir: topology.InterRow, Bytes: 2e6, Steps: 2},
 			{Kind: sched.Compute, FLOPs: 2e9, Deps: []int{0, 1}},
 			{Kind: sched.Compute, Deps: []int{1}},
+		}}},
+		{"tied cause", &sched.Program{Torus: topology.NewTorus(2, 2), Label: "cause", Ops: []sched.Op{
+			{Kind: sched.ReduceScatter, Dir: topology.InterCol, Bytes: 8e6, Steps: 1},
+			{Kind: sched.AllGather, Dir: topology.InterRow, Bytes: 8e6, Steps: 1},
+			{Kind: sched.Shift, Dir: topology.InterCol, Steps: 1, Deps: []int{1}},
 		}}},
 	} {
 		for _, v := range classMapVariants() {
@@ -378,9 +399,8 @@ func TestStepLevelHistogramOrder(t *testing.T) {
 	}}
 	opts := Options{StepLevel: true, NoHBMContention: true, Metrics: obs.NewRegistry()}
 	ident := opts
-	ident.CriticalPath, ident.Metrics = true, obs.NewRegistry()
-	got, want := Simulate(prog, chip, opts), Simulate(prog, chip, ident)
-	want.CritPath = nil
+	ident.Metrics = obs.NewRegistry()
+	got, want := Simulate(prog, chip, opts), identityRun(t, prog, chip, ident)
 	if !reflect.DeepEqual(got, want) || modelSnapshot(t, opts.Metrics) != modelSnapshot(t, ident.Metrics) {
 		t.Errorf("the class map diverged from the identity map")
 	}

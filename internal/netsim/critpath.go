@@ -2,21 +2,28 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"meshslice/internal/sched"
+	"meshslice/internal/topology"
 )
 
 // Critical-path attribution: the machine-checkable counterpart of the
 // paper's Fig. 4 timeline decomposition. The simulator records, for every
-// (chip, op) execution, which instance's completion event triggered its
-// start (Options.CriticalPath). Because grants happen synchronously inside
-// the triggering completion's event callback, each instance's start time
-// equals its cause's end time, so following the cause chain backwards from
-// the last-finishing instance yields a gapless chain of executions from
-// time zero to the makespan. Summing each link's duration — split into the
-// paper's launch/sync/transfer/compute cost components — attributes the
-// entire end-to-end step time, and the components reconstruct the makespan
-// to within float summation error.
+// simulated (chip, op) execution, which instance's completion event
+// triggered its start (Options.CriticalPath). Because grants happen
+// synchronously inside the triggering completion's event callback, each
+// instance's start time equals its cause's end time, so following the cause
+// chain backwards from the last-finishing instance yields a gapless chain
+// of executions from time zero to the makespan. Summing each link's
+// duration — split into the paper's launch/sync/transfer/compute cost
+// components — attributes the entire end-to-end step time, and the
+// components reconstruct the makespan to within float summation error.
+//
+// On one class only rank 0 is simulated, and the chain is read off its
+// records: every chip runs rank 0's timeline, a collective is released by
+// its ring's highest rank, and the cause rule (noteStart) re-runs every
+// chip when another chip could name a different cause.
 
 // Attribution splits a span of simulated time into the paper's four cost
 // components.
@@ -76,8 +83,8 @@ func (s *sim) criticalPath() CriticalPath {
 		}
 	}
 	var cp CriticalPath
-	for id := last; id >= 0; id = s.causeOf[id] {
-		chip, opIdx := id/n, id%n
+	for chip, opIdx := last/n, last%n; ; {
+		id := s.instID(chip%s.classes, opIdx)
 		op := &s.prog.Ops[opIdx]
 		start, end := s.startAt[id], s.endAt[id]
 		s.attribute(op, end-start, &cp.Attribution)
@@ -88,17 +95,48 @@ func (s *sim) criticalPath() CriticalPath {
 		if len(cp.Steps) > len(s.endAt) {
 			panic("netsim: critical-path cause chain has a cycle") // lint:invariant causes point strictly backwards in time
 		}
+		cause := s.causeOf[id]
+		if cause < 0 {
+			break
+		}
+		// The identity map records the cause's chip. On one class the cause
+		// ran on the same chip, or, for a collective, on the ring member whose
+		// arrival released it: the highest rank.
+		next := cause / n
+		if s.classes == 1 {
+			next = chip
+			if op.Kind.IsComm() {
+				next = s.ringTop(chip, op.Dir)
+			}
+		}
+		chip, opIdx = next, cause%n
 	}
 	// Reverse into chronological order.
-	for i, j := 0, len(cp.Steps)-1; i < j; i, j = i+1, j-1 {
-		cp.Steps[i], cp.Steps[j] = cp.Steps[j], cp.Steps[i]
-	}
+	slices.Reverse(cp.Steps)
 	if len(cp.Steps) > 0 && cp.Steps[0].Start != 0 { // lint:float-exact the chain's root is scheduled at literal t=0; any drift means a recording gap
 		// The chain must reach time zero; anything else means a recording
 		// gap, which would silently misattribute time.
 		panic(fmt.Sprintf("netsim: critical path starts at %g, not 0", cp.Steps[0].Start)) // lint:invariant gapless-chain postcondition
 	}
 	return cp
+}
+
+// ringTop is the highest rank of the chip's ring in direction d.
+func (s *sim) ringTop(chip int, d topology.Direction) int {
+	g := topology.Torus3D{Rows: s.prog.Torus.Rows, Cols: s.prog.Torus.Cols, Depth: 1}
+	if s.prog.Grid3 != nil {
+		g = *s.prog.Grid3
+	}
+	row, col, layer := g.Coord(chip)
+	switch d {
+	case topology.InterRow:
+		row = g.Rows - 1
+	case topology.InterDepth:
+		layer = g.Depth - 1
+	default:
+		col = g.Cols - 1
+	}
+	return g.Rank(row, col, layer)
 }
 
 // attribute splits one execution's duration into the four components. A
@@ -113,13 +151,9 @@ func (s *sim) attribute(op *sched.Op, dur float64, a *Attribution) {
 		return
 	}
 	steps := float64(s.effSteps(op))
-	per := op.Bytes / s.hw.LinkBandwidth
-	if op.Kind == sched.Broadcast || op.Kind == sched.Reduce {
-		per = op.Bytes / float64(op.Packets) / s.hw.LinkBandwidth
-	}
 	launch := s.hw.LaunchOverhead
 	sync := steps * s.hw.SyncLatency
-	transfer := steps * per
+	transfer := steps * s.wireTime(op)
 	nominal := launch + sync + transfer
 	if nominal <= 0 {
 		// Degenerate calibration (all comm constants zero): the duration

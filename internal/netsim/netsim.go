@@ -58,7 +58,9 @@ type Options struct {
 	// chain of op executions whose durations sum to the makespan, with
 	// the time attributed to launch/sync/transfer/compute (the
 	// machine-checkable counterpart of the paper's Fig. 4 decomposition).
-	// Results land in Result.CritPath.
+	// Results land in Result.CritPath. It keeps the one-class map: the
+	// path is read off rank 0's records, and every chip is simulated only
+	// when two completions at one instant enable the same op.
 	CriticalPath bool
 	// Metrics, when set, receives the simulation's telemetry (makespan,
 	// per-chip busy times, overlap, op-duration histograms, kernel
@@ -185,10 +187,10 @@ func Simulate(p *sched.Program, c hw.Chip, opts Options) Result {
 }
 
 // oneClass reports whether rank 0 may stand for the mesh: no fault plan or a
-// uniform one (faulted Metrics count per chip), no critical path, no fabric
-// contention.
+// uniform one (faulted Metrics count per chip), no fabric contention. The
+// critical path runs on one class under the cause rule (noteStart).
 func oneClass(opts Options, flt *fault.Index) bool {
-	return (flt == nil || flt.Uniform() && opts.Metrics == nil) && !opts.CriticalPath &&
+	return (flt == nil || flt.Uniform() && opts.Metrics == nil) &&
 		(opts.FabricContention <= 1 || opts.NoOverlap)
 }
 
@@ -285,6 +287,7 @@ const numCommDirs = 3
 type resQueue struct {
 	head int
 	busy bool
+	last int // the instance that last freed the resource (-1: none)
 }
 
 type interval struct{ start, end float64 }
@@ -367,6 +370,9 @@ func newSim(p *sched.Program, c hw.Chip, opts Options, flt *fault.Index, classes
 		s.stepDoneFn = s.stepDone
 	}
 	s.queues = make([]resQueue, n*numRes)
+	for i := range s.queues {
+		s.queues[i].last = -1
+	}
 
 	// Chip 0 runs each op once, so its interval lists — and, when tracing,
 	// every chip's trace — have a known final length.
@@ -592,7 +598,7 @@ func (s *sim) runStep(barrier int, members []int, opIdx int, op *sched.Op) {
 			return
 		}
 	}
-	dur := s.hw.SyncLatency + op.Bytes/s.hw.LinkBandwidth
+	dur := s.hw.SyncLatency + s.wireTime(op)
 	if t == 0 {
 		dur += s.hw.LaunchOverhead
 	}
@@ -650,20 +656,9 @@ func (s *sim) stepDone(barrier int) {
 // recording already happened at the collective's start).
 func (s *sim) stepAccounting(chip, opIdx int, op *sched.Op, start, span float64) {
 	s.noteBusy(chip, op, span)
-	if s.opts.TraceAllChips {
-		s.traces[chip] = append(s.traces[chip], TraceEvent{
-			Op: opIdx, Name: op.Name, Kind: op.Kind, Dir: op.Dir,
-			Start: start, End: start + span,
-		})
-	}
+	s.record(chip, opIdx, op, start, span)
 	if chip != 0 {
 		return
-	}
-	if s.opts.CollectTrace {
-		s.trace = append(s.trace, TraceEvent{
-			Op: opIdx, Name: op.Name, Kind: op.Kind, Dir: op.Dir,
-			Start: start, End: start + span,
-		})
 	}
 	s.accrueComm(tieAction{op: opIdx, slot: -1}, op,
 		float64(s.effSteps(op))*op.Bytes/s.hw.LinkBandwidth, span)
@@ -693,8 +688,9 @@ func (s *sim) complete(chip, opIdx int, op *sched.Op, dur float64) {
 		s.tie(tieAction{op: opIdx, slot: -1, done: true, reg: -d, dur: dur})
 	}
 	s.hbmDemand[chip] = addDemand(s.hbmDemand[chip], -d, true)
-	s.queues[chip*numRes+s.resourceOf(op)].busy = false
 	id := s.instID(chip, opIdx)
+	q := &s.queues[chip*numRes+s.resourceOf(op)]
+	q.busy, q.last = false, id
 	s.done[id] = true
 	// Everything granted while this completion unwinds — same-chip ops
 	// whose deps or resource just freed, and ring collectives whose last
@@ -806,11 +802,16 @@ func (s *sim) fabricFactor(members []int, op *sched.Op) float64 {
 //
 // where Steps already encodes P-1 ring steps or the P+D-2 pipeline stages.
 func (s *sim) nominalCommDuration(op *sched.Op) float64 {
-	per := op.Bytes / s.hw.LinkBandwidth
+	return s.hw.LaunchOverhead + float64(s.effSteps(op))*(s.hw.SyncLatency+s.wireTime(op))
+}
+
+// wireTime is the wire time of one step's payload: Bytes/bw, or one
+// packet's Bytes/Packets/bw for a Broadcast/Reduce pipeline stage.
+func (s *sim) wireTime(op *sched.Op) float64 {
 	if op.Kind == sched.Broadcast || op.Kind == sched.Reduce {
-		per = op.Bytes / float64(op.Packets) / s.hw.LinkBandwidth
+		return op.Bytes / float64(op.Packets) / s.hw.LinkBandwidth
 	}
-	return s.hw.LaunchOverhead + float64(s.effSteps(op))*(s.hw.SyncLatency+per)
+	return op.Bytes / s.hw.LinkBandwidth
 }
 
 // effSteps returns the synchronised step count actually executed: halved
@@ -877,34 +878,35 @@ func (s *sim) startAccounting(chip, opIdx int, op *sched.Op, dur, own float64) {
 	now := s.des.Now()
 	s.noteStart(chip, opIdx)
 	s.noteBusy(chip, op, dur)
-	if s.opts.TraceAllChips {
-		s.traces[chip] = append(s.traces[chip], TraceEvent{
-			Op: opIdx, Name: op.Name, Kind: op.Kind, Dir: op.Dir,
-			Start: now, End: now + dur,
-		})
-	}
+	s.record(chip, opIdx, op, now, dur)
 	if chip != 0 {
 		return
-	}
-	if s.opts.CollectTrace {
-		s.trace = append(s.trace, TraceEvent{
-			Op: opIdx, Name: op.Name, Kind: op.Kind, Dir: op.Dir,
-			Start: now, End: now + dur,
-		})
 	}
 	a := tieAction{op: opIdx, slot: s.instID(chip, opIdx), ring: op.Kind.IsComm(), grant: !op.Kind.IsComm() && !s.opts.NoOverlap,
 		read: !s.opts.NoHBMContention && !s.opts.NoOverlap, own: own, reg: reg, dur: dur}
 	if op.Kind.IsComm() {
-		per := op.Bytes / s.hw.LinkBandwidth
-		if op.Kind == sched.Broadcast || op.Kind == sched.Reduce {
-			per = op.Bytes / float64(op.Packets) / s.hw.LinkBandwidth
-		}
-		s.accrueComm(a, op, float64(s.effSteps(op))*per, dur)
+		s.accrueComm(a, op, float64(s.effSteps(op))*s.wireTime(op), dur)
 		s.commIntervals = append(s.commIntervals, interval{now, now + dur})
 	} else {
 		s.tie(a)
 		s.computeBusy += dur
 		s.compIntervals = append(s.compIntervals, interval{now, now + dur})
+	}
+}
+
+// record appends the execution to the chip's trace (TraceAllChips) and, on
+// chip 0, to Result.Trace (CollectTrace).
+func (s *sim) record(chip, opIdx int, op *sched.Op, start, span float64) {
+	all, own := s.opts.TraceAllChips, s.opts.CollectTrace && chip == 0
+	if !all && !own {
+		return
+	}
+	e := TraceEvent{Op: opIdx, Name: op.Name, Kind: op.Kind, Dir: op.Dir, Start: start, End: start + span}
+	if all {
+		s.traces[chip] = append(s.traces[chip], e)
+	}
+	if own {
+		s.trace = append(s.trace, e)
 	}
 }
 
@@ -917,13 +919,28 @@ func (s *sim) instID(chip, opIdx int) int { return chip*s.nOps + opIdx }
 // critical-path pass is enabled. Grants happen synchronously inside the
 // triggering completion's event callback, so the start time always equals
 // the cause's end time and the cause chain is gapless back to time zero.
+//
+// The cause rule: on one class, every chip names rank 0's cause unless
+// another enabler of the op — a dependency, or the instance that last freed
+// its resource — ended at the same instant. Other chips may complete the
+// two in the other order, and name the other one, so that taints the run.
 func (s *sim) noteStart(chip, opIdx int) {
 	if !s.opts.CriticalPath {
 		return
 	}
 	id := s.instID(chip, opIdx)
-	s.startAt[id] = s.des.Now()
-	s.causeOf[id] = s.curCause
+	now, cause := s.des.Now(), s.curCause
+	s.startAt[id] = now
+	s.causeOf[id] = cause
+	if s.classSize == 1 || cause < 0 {
+		return
+	}
+	op := &s.prog.Ops[opIdx]
+	tied := func(e int) bool { return e >= 0 && e != cause && s.endAt[e] == now } // lint:float-exact an instant is one exact timestamp
+	s.tainted = s.tainted || tied(s.queues[chip*numRes+s.resourceOf(op)].last)
+	for _, d := range op.Deps {
+		s.tainted = s.tainted || tied(s.instID(chip, d))
+	}
 }
 
 // noteBusy accrues the op's duration on the chip's busy-time accumulators.
@@ -1080,8 +1097,8 @@ func exposed(comm, compute []interval) float64 {
 			j++
 		}
 		for k := j; k < len(co) && co[k].start < c.end; k++ {
-			lo := maxf(c.start, co[k].start)
-			hi := minf(c.end, co[k].end)
+			lo := max(c.start, co[k].start)
+			hi := min(c.end, co[k].end)
 			if hi > lo {
 				total -= hi - lo
 			}
@@ -1111,18 +1128,4 @@ func merge(ivs []interval) []interval {
 		}
 	}
 	return out
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -655,40 +655,45 @@ func TestBidirectionalSpeedsUpMeshSlice(t *testing.T) {
 // per event": a whole 8×8 MeshSlice simulation fits in a fixed set of
 // slabs (at most 26 objects on the single class), and quadrupling the slice
 // count (4× the ops and events) may only add the few extra growth steps of
-// the event slab and interval merge. The identity map — every chip
-// simulated, as CriticalPath and TraceAllChips run — stays within the 74
-// objects it took before the class map. A uniform fault plan (every
-// inter-col link degraded) runs on the single class for the fault index's
-// fixed slabs and FaultSpans, and on the identity map below the 82 objects
-// it took when every hook scanned the plan.
+// the event slab and interval merge. CriticalPath and TraceAllChips on the
+// single class stay within 37 objects (73 when they simulated every chip).
+// The identity map — every chip simulated — stays within the 74 objects it
+// took before the class map. A uniform fault plan (every inter-col link
+// degraded) runs on the single class for the fault index's fixed slabs and
+// FaultSpans, and on the identity map below the 82 objects it took when
+// every hook scanned the plan.
 func TestSimulateAllocationGate(t *testing.T) {
 	tor := topology.NewTorus(8, 8)
-	measure := func(S int, name string, opts Options) float64 {
+	identity := func(p *sched.Program, c hw.Chip, opts Options) Result { return identityRun(t, p, c, opts) }
+	measure := func(sim func(*sched.Program, hw.Chip, Options) Result, S int, name string, opts Options) float64 {
 		prog := sched.MeshSliceProgram(scaleProb, tor, testHW, S)
-		events := Simulate(prog, testHW, opts).Events
-		allocs := testing.AllocsPerRun(5, func() { Simulate(prog, testHW, opts) })
-		t.Logf("S=%d %s: %d ops, %d events, %.0f allocs per Simulate", S, name, len(prog.Ops), events, allocs)
+		events := sim(prog, testHW, opts).Events
+		allocs := testing.AllocsPerRun(5, func() { sim(prog, testHW, opts) })
+		t.Logf("S=%d %s: %d ops, %d events, %.0f allocs per run", S, name, len(prog.Ops), events, allocs)
 		return allocs
 	}
-	s8, s32 := measure(8, "one class", Options{}), measure(32, "one class", Options{})
+	s8, s32 := measure(Simulate, 8, "one class", Options{}), measure(Simulate, 32, "one class", Options{})
 	if s8 > 26 {
 		t.Errorf("Simulate(8x8 MeshSlice, S=8) allocates %.0f objects, want <= 26", s8)
 	}
 	if s32-s8 > 16 {
 		t.Errorf("allocations grow by %.0f from S=8 to S=32, want <= 16 (something allocates per event)", s32-s8)
 	}
-	if ident := measure(8, "identity", Options{CriticalPath: true, TraceAllChips: true}); ident > 74 {
-		t.Errorf("Simulate(8x8 MeshSlice, S=8, CriticalPath+TraceAllChips) allocates %.0f objects, want <= 74", ident)
+	if observed := measure(Simulate, 8, "observed one class", Options{CriticalPath: true, TraceAllChips: true}); observed > 37 {
+		t.Errorf("Simulate(8x8 MeshSlice, S=8, CriticalPath+TraceAllChips) allocates %.0f objects, want <= 37", observed)
+	}
+	if ident := measure(identity, 8, "observed identity", Options{CriticalPath: true, TraceAllChips: true}); ident > 74 {
+		t.Errorf("the identity map of 8x8 MeshSlice, S=8, CriticalPath+TraceAllChips allocates %.0f objects, want <= 74", ident)
 	}
 	colDegrade := &fault.Plan{}
 	for c := 0; c < tor.Size(); c++ {
 		colDegrade.Degrades = append(colDegrade.Degrades, fault.LinkDegrade{Link: fault.Link{Chip: c, Dir: topology.InterCol}, Factor: 6})
 	}
-	steps := measure(8, "step-level one class", Options{StepLevel: true})
-	if faulted := measure(8, "col-degrade one class", Options{StepLevel: true, Faults: colDegrade}); faulted > steps+4 {
+	steps := measure(Simulate, 8, "step-level one class", Options{StepLevel: true})
+	if faulted := measure(Simulate, 8, "col-degrade one class", Options{StepLevel: true, Faults: colDegrade}); faulted > steps+4 {
 		t.Errorf("Simulate(8x8 MeshSlice, S=8, StepLevel, col-degrade) allocates %.0f objects, want <= %.0f (the fault-free run's plus the index's three slabs and FaultSpans)", faulted, steps+4)
 	}
-	if faulted := measure(8, "col-degrade identity", Options{StepLevel: true, Faults: colDegrade, CriticalPath: true}); faulted > 78 {
-		t.Errorf("Simulate(8x8 MeshSlice, S=8, StepLevel+CriticalPath, col-degrade) allocates %.0f objects, want <= 78 (82 before the fault index)", faulted)
+	if faulted := measure(identity, 8, "col-degrade identity", Options{StepLevel: true, Faults: colDegrade, CriticalPath: true}); faulted > 78 {
+		t.Errorf("the identity map of 8x8 MeshSlice, S=8, StepLevel+CriticalPath, col-degrade allocates %.0f objects, want <= 78 (82 before the fault index)", faulted)
 	}
 }
