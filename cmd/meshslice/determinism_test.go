@@ -84,6 +84,7 @@ func TestCanonicalOutputsDeterministic(t *testing.T) {
 		args  string
 		out   string // the flag taking the output path; "" means -o
 		procs []string
+		exit  int // the expected exit status: 1 for a run that dies of an injected fault
 	}{
 		{args: "record", procs: anyProcs},
 		{args: "record -pipelined -s 4", procs: anyProcs},
@@ -97,6 +98,7 @@ func TestCanonicalOutputsDeterministic(t *testing.T) {
 		{args: "timeline -rows 4 -cols 4", out: "-chrome"},
 		{args: "faults -chips 16 -scenario seeded -seed 7", out: "-chrome"},
 		{args: "record -pipelined -s 4", out: "-chrome", procs: anyProcs},
+		{args: "record -pipelined -s 4 -drop 0:1:1", procs: anyProcs, exit: 1},
 	} {
 		name, outFlag := tc.args, "-o"
 		if tc.out != "" {
@@ -110,8 +112,8 @@ func TestCanonicalOutputsDeterministic(t *testing.T) {
 			for i, procs := range append([]string{"", ""}, tc.procs...) {
 				out := filepath.Join(dir, fmt.Sprintf("out-%d", i))
 				args := append(strings.Fields(tc.args), outFlag, out)
-				if stderr, exit := runCLI(t, procs, args...); exit != 0 {
-					t.Fatalf("run %d (GOMAXPROCS=%q) exited %d: %s", i, procs, exit, stderr)
+				if stderr, exit := runCLI(t, procs, args...); exit != tc.exit {
+					t.Fatalf("run %d (GOMAXPROCS=%q) exited %d, want %d: %s", i, procs, exit, tc.exit, stderr)
 				}
 				got := readTree(t, out)
 				if len(got) == 0 {

@@ -27,9 +27,11 @@ import (
 //   - Compute stays on the chip goroutine. The worker only moves data
 //     (arena buffers via SendOwned/AcquireBuf), so accumulation order —
 //     and therefore every numeric result — is untouched by overlap.
-//   - Wait is a deterministic program point. The op's privately recorded
-//     flight events (recorder.OpLog) merge into the chip's log there, so
-//     canonical exports stay byte-identical across runs and GOMAXPROCS.
+//   - Wait is a deterministic program point. With a recorder attached the
+//     op records into its own op log (a recorder.Log the handle keeps),
+//     never into the chip's ring, and the chip merges that log into its
+//     ring there, so canonical exports stay byte-identical across runs and
+//     GOMAXPROCS.
 //   - Teardown is unconditional: runAll drains every outstanding handle
 //     before a chip retires, whether its body returned or panicked, so
 //     workers never outlive the run and buffer ownership stays balanced.
@@ -80,9 +82,9 @@ type Handle struct {
 	members   []int
 	size, pos int
 
-	// olog is the op's private flight record (nil without a recorder),
-	// merged into the chip's log at Wait.
-	olog *recorder.OpLog
+	// log is the op's flight record (nil without a recorder), merged into
+	// the chip's log at Wait.
+	log *recorder.Log
 
 	// Guarded by the exchanger mutex.
 	state    hState
@@ -120,7 +122,7 @@ type asyncWorker struct {
 	// lane is the recorder lane (1 + direction; 0 is the chip goroutine).
 	lane int
 	// wchip is the worker-bound view of the owner chip: same rank and
-	// mesh, but isWorker set and olog pointed at the running op's log, so
+	// mesh, but isWorker set and log pointed at the running op's log, so
 	// the exchanger and the arena route accounting to the right context.
 	wchip *Chip
 
@@ -138,7 +140,7 @@ type asyncWorker struct {
 	idle bool
 
 	// clock is the lane's Lamport clock after its last op, threaded into
-	// the next op's OpLog so same-lane span clocks stay monotone even when
+	// the next op's log so same-lane span clocks stay monotone even when
 	// op s+1 is issued before op s is waited. Worker-goroutine-local.
 	clock uint64
 	// failed latches the first panic an op raised: every later op on this
@@ -169,13 +171,13 @@ func (cm *Comm) StartAsync(op recorder.Op, fn AsyncOp, a, b *tensor.Matrix, arg 
 	h.state = hQueued
 	h.panicVal = nil
 	h.issueClock = 0
-	if r := c.mesh.rec; r != nil {
-		h.issueClock = r.AsyncIssue(c.Rank, op, h.ord)
-		if h.olog == nil {
-			h.olog = r.NewOpLog() // lint:allow hotpath-alloc one op log per pooled handle, first use only
+	if l := c.log; l != nil {
+		h.issueClock = l.AsyncIssue(op, h.ord)
+		if h.log == nil {
+			h.log = c.mesh.rec.NewOpLog() // lint:allow hotpath-alloc one op log per pooled handle, first use only
 		}
 	} else {
-		h.olog = nil
+		h.log = nil
 	}
 	c.async.outstanding = append(c.async.outstanding, h) // lint:allow hotpath-alloc outstanding-list growth: capacity is reused across ops
 	w := c.ensureWorker(cm.dir)
@@ -202,8 +204,8 @@ func (h *Handle) Wait() {
 	c.mesh.ex.waitHandle(h, true)
 	c.removeOutstanding(h)
 	pv := h.panicVal
-	if h.olog != nil {
-		c.mesh.rec.MergeOpLog(c.Rank, h.olog)
+	if h.log != nil {
+		c.log.Merge(h.log)
 	}
 	c.putHandle(h)
 	if pv != nil {
@@ -269,8 +271,8 @@ func (c *Chip) drainAsync(completed bool) {
 		}
 		// Merge even on failure paths: the op's recorded sends must reach
 		// the chip log before forensics reads the message frontier.
-		if h.olog != nil {
-			c.mesh.rec.MergeOpLog(c.Rank, h.olog)
+		if h.log != nil {
+			c.log.Merge(h.log)
 		}
 		c.putHandle(h)
 	}
@@ -294,6 +296,7 @@ func (c *Chip) ensureWorker(d topology.Direction) *asyncWorker {
 	w.cond = sync.NewCond(&e.mu)
 	wc := *c
 	wc.isWorker = true
+	wc.log = nil
 	wc.async = nil
 	wc.rowRing, wc.colRing = nil, nil
 	w.wchip = &wc
@@ -368,19 +371,19 @@ func (w *asyncWorker) exec(h *Handle) {
 		if p := recover(); p != nil {
 			h.panicVal = p
 			w.failed = p
-			w.wchip.olog = nil
+			w.wchip.log = nil
 		}
 	}()
-	if h.olog != nil {
-		h.olog.Begin(h.op, h.ord, w.lane, h.issueClock, w.clock)
-		w.wchip.olog = h.olog
+	if h.log != nil {
+		h.log.Begin(h.op, h.ord, w.lane, h.issueClock, w.clock)
+		w.wchip.log = h.log
 	}
 	w.comm = Comm{chip: w.wchip, dir: h.dir, members: h.members, Size: h.size, Pos: h.pos}
 	h.fn(&w.comm, h.m1, h.m2, h.arg)
-	if h.olog != nil {
-		h.olog.End()
-		w.clock = h.olog.Clock()
-		w.wchip.olog = nil
+	if h.log != nil {
+		h.log.SpanEnd(h.op)
+		w.clock = h.log.Clock()
+		w.wchip.log = nil
 	}
 }
 

@@ -60,9 +60,9 @@ type exchanger struct {
 	// every alive chip and every live background comm worker is provably
 	// parked; stallEdges snapshots the blocked edges for the typed error,
 	// stallWaits the same edges enriched with each blocked receiver's open
-	// span (recorder only, from waitSpans), captured at park time so an
-	// overlapped op names itself rather than whatever span its issuing chip
-	// has open.
+	// span, captured into waitSpans at park time so an overlapped op names
+	// itself rather than whatever span its issuing chip has open. waitSpans
+	// is non-nil exactly while a recorder is attached (Mesh.SetRecorder).
 	alive      int
 	waiting    int
 	awaiting   int
@@ -81,11 +81,6 @@ type exchanger struct {
 	awaitList              *Handle
 	workers                []*asyncWorker
 	workersWG              sync.WaitGroup
-
-	// rec, when set (SetRecorder, never mid-run), receives fault-interposer
-	// events and answers span queries at stall/failure time. Message
-	// send/recv events are recorded by the Chip methods, not here.
-	rec *recorder.Recorder
 }
 
 type pair struct{ from, to int }
@@ -193,9 +188,6 @@ func (e *exchanger) beginRun(n int) {
 	e.workers = nil
 	e.stalled = false
 	e.stallEdges = nil
-	if e.rec != nil && e.waitSpans == nil {
-		e.waitSpans = make(map[int]recorder.SpanState)
-	}
 	clear(e.waitSpans)
 	clear(e.edgeSends)
 	clear(e.chipSends)
@@ -242,7 +234,7 @@ func (e *exchanger) maybeStall() {
 	for j, i := range e.parked {
 		e.stallEdges[j] = Edge{From: i / e.n, To: i % e.n}
 	}
-	if e.rec != nil {
+	if e.waitSpans != nil {
 		// Attribute each blocked edge to its receiver's open span, captured
 		// into waitSpans when the receiver parked — a chip receiver's
 		// innermost collective span, or the overlapped op's own span when a
@@ -335,22 +327,13 @@ func (e *exchanger) sendFault(c *Chip, to int) bool {
 	if at, ok := e.chipFails[from]; ok && e.chipSends[from] >= at {
 		sends := e.chipSends[from]
 		op, step := "", -1
-		if e.rec != nil {
-			// Record through the caller's context: a background comm
-			// worker's fail-stop lands in its op's private log (the
-			// issuing chip goroutine owns the chip ring exclusively), and
-			// its own span names the overlapped op. The fatal send was
-			// already recorded by the Chip method, so the span's send
-			// count is one past it.
-			var s recorder.SpanState
-			if c.olog != nil {
-				c.olog.ChipFail(sends)
-				s = c.olog.Span()
-			} else {
-				e.rec.ChipFail(from, sends)
-				s = e.rec.CurrentSpan(from)
-			}
-			if s.Open && s.Op != recorder.OpNone {
+		if l := c.log; l != nil {
+			// Record in the sender's own log: a background comm worker's
+			// fail-stop lands in its op's log, whose span names the
+			// overlapped op. The fatal send was already recorded by the
+			// Chip method, so the span's send count is one past it.
+			l.ChipFail(sends)
+			if s := l.Span(); s.Open && s.Op != recorder.OpNone {
 				op, step = s.Op.String(), int(s.Sends)-1
 			}
 		}
@@ -366,12 +349,8 @@ func (e *exchanger) sendFault(c *Chip, to int) bool {
 	// The message vanishes on the wire: no mailbox append, no traffic
 	// accounting — the receiver must detect the loss via the quiescence
 	// stall, not here.
-	if e.rec != nil {
-		if c.olog != nil {
-			c.olog.FaultDrop(to)
-		} else {
-			e.rec.FaultDrop(from, to)
-		}
+	if l := c.log; l != nil {
+		l.FaultDrop(to)
 	}
 	return true
 }
@@ -395,15 +374,11 @@ func (e *exchanger) recv(c *Chip, from int) (*tensor.Matrix, uint64) {
 		if e.stalled {
 			panic(&RecvStallError{Edges: e.stallEdges, Waits: e.stallWaits}) // lint:invariant quiescence-proved stall, recovered and typed by RunE
 		}
-		if e.rec != nil {
+		if l := c.log; l != nil {
 			// Capture the parked receiver's open span now, while its own
 			// context is provably at this park: stall forensics read it
 			// later from whichever goroutine declares the stall.
-			if c.olog != nil {
-				e.waitSpans[i] = c.olog.Span()
-			} else {
-				e.waitSpans[i] = e.rec.CurrentSpan(c.Rank)
-			}
+			e.waitSpans[i] = l.Span()
 		}
 		if c.isWorker {
 			e.wblocked++
@@ -435,12 +410,8 @@ func (e *exchanger) recvDelay(c *Chip, from int) {
 	if n <= 0 {
 		return
 	}
-	if e.rec != nil {
-		if c.olog != nil {
-			c.olog.FaultDelay(from, n)
-		} else {
-			e.rec.FaultDelay(c.Rank, from, n)
-		}
+	if l := c.log; l != nil {
+		l.FaultDelay(from, n)
 	}
 	for i := 0; i < n; i++ {
 		runtime.Gosched()

@@ -54,7 +54,7 @@ func (m *Mesh) forensics(waits []EdgeWait) *Forensics {
 	for chip := 0; chip < m.rec.Chips(); chip++ {
 		f.Chips = append(f.Chips, ChipForensics{
 			Chip: chip,
-			Span: m.rec.CurrentSpan(chip),
+			Span: m.rec.Chip(chip).Span(),
 			Tail: m.rec.Tail(chip, forensicsTailLen),
 		})
 	}

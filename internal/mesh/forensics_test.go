@@ -145,3 +145,32 @@ func TestFaultDelayEventsInStream(t *testing.T) {
 		t.Error("delayed edge 0→1 produced no fault-delay event on chip 1")
 	}
 }
+
+// TestSetRecorderChecksCoverage pins the recorder-size precondition: a
+// recorder with fewer chips than the mesh panics in SetRecorder, naming
+// both sizes, instead of an index panic deep in a chip goroutine; one that
+// covers the mesh attaches, and nil detaches.
+func TestSetRecorderChecksCoverage(t *testing.T) {
+	m := New(topology.NewTorus(2, 2))
+	func() {
+		defer func() {
+			p := recover()
+			msg, _ := p.(string)
+			if !strings.Contains(msg, "covers 2 chips") || !strings.Contains(msg, "4-chip mesh") {
+				t.Errorf("undersized recorder: recovered %v, want a panic naming 2 and 4 chips", p)
+			}
+		}()
+		m.SetRecorder(recorder.New(2, 0))
+	}()
+	if m.Recorder() != nil {
+		t.Fatal("a rejected recorder stayed attached")
+	}
+	rec := recorder.New(4, 0)
+	m.SetRecorder(rec)
+	m.Run(spannedRingShift)
+	if len(rec.Edges()) == 0 {
+		t.Error("a covering recorder recorded no messages")
+	}
+	m.SetRecorder(nil)
+	m.Run(spannedRingShift)
+}

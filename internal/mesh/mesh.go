@@ -100,10 +100,17 @@ func (m *Mesh) PublishMetrics() {
 // arena transitions and fault-interposer events, stamped with Lamport
 // clocks carried on every message. Like SetFaults, this must not be called
 // while a run is in flight. The recorder must cover at least
-// m.Torus.Size() chips (recorder.New(m.Torus.Size(), capacity)).
+// m.Torus.Size() chips (recorder.New(m.Torus.Size(), capacity)); a smaller
+// one panics here.
 func (m *Mesh) SetRecorder(r *recorder.Recorder) {
+	if r != nil && r.Chips() < m.Torus.Size() {
+		panic(fmt.Sprintf("mesh: recorder covers %d chips, the %d-chip mesh needs one per chip", r.Chips(), m.Torus.Size())) // lint:invariant recorder-coverage precondition
+	}
 	m.rec = r
-	m.ex.rec = r
+	m.ex.waitSpans = nil
+	if r != nil {
+		m.ex.waitSpans = make(map[int]recorder.SpanState)
+	}
 }
 
 // Recorder returns the flight recorder attached by SetRecorder, or nil.
@@ -136,13 +143,14 @@ type Chip struct {
 	// streamStarts counts ring streams started since the last receive
 	// (see MaxStreamStarts).
 	streamStarts int
-	// isWorker marks the chip view a background comm worker executes
-	// asynchronous collectives through (see async.go); olog, when set on
-	// such a view, is the private flight record of the op in flight —
-	// workers must never write the chip's own event ring, which the chip
-	// goroutine owns exclusively.
+	// log, when a recorder is attached, is where this view records: the
+	// chip's own ring on the chip goroutine, or the op log of the op in
+	// flight on a worker view. isWorker marks the view a background comm
+	// worker executes asynchronous collectives through (see async.go);
+	// workers never write the chip's ring, which the chip goroutine owns
+	// exclusively.
+	log      *recorder.Log
 	isWorker bool
-	olog     *recorder.OpLog
 	// async holds the chip's asynchronous-collective state, shared by
 	// every view of the chip (WithRings copies the pointer, worker views
 	// drop it).
@@ -216,6 +224,9 @@ func (m *Mesh) runAll(fn func(c *Chip)) []any {
 			// debugging of eager SPMD code).
 			pprof.Do(context.Background(), pprof.Labels("chip", strconv.Itoa(rank)), func(context.Context) {
 				c := &Chip{Coord: m.Torus.Coord(rank), Rank: rank, mesh: m, async: &asyncState{}}
+				if m.rec != nil {
+					c.log = m.rec.Chip(rank)
+				}
 				c.async.cond.L = &m.ex.mu
 				completed := false
 				// Retire any asynchronous collectives the body issued but
@@ -257,11 +268,6 @@ func (c *Chip) ColComm() *Comm {
 	return c.comm(topology.InterRow)
 }
 
-// CommFor returns the communicator moving data in the given direction.
-func (c *Chip) CommFor(d topology.Direction) *Comm {
-	return c.comm(d)
-}
-
 func (c *Chip) comm(d topology.Direction) *Comm {
 	if d == topology.InterCol && c.rowRing != nil {
 		return c.CustomComm(c.rowRing, d)
@@ -284,10 +290,8 @@ func (c *Chip) comm(d topology.Direction) *Comm {
 func (c *Chip) Send(to int, m *tensor.Matrix) {
 	c.checkPeer(to)
 	var clock uint64
-	if c.olog != nil {
-		clock = c.olog.Send(to, m.Rows, m.Cols)
-	} else if r := c.mesh.rec; r != nil {
-		clock = r.Send(c.Rank, to, m.Rows, m.Cols)
+	if l := c.log; l != nil {
+		clock = l.Send(to, m.Rows, m.Cols)
 	}
 	c.mesh.ex.send(c, to, m.Clone(), clock)
 }
@@ -301,10 +305,8 @@ func (c *Chip) Send(to int, m *tensor.Matrix) {
 func (c *Chip) SendOwned(to int, m *tensor.Matrix) {
 	c.checkPeer(to)
 	var clock uint64
-	if c.olog != nil {
-		clock = c.olog.Send(to, m.Rows, m.Cols)
-	} else if r := c.mesh.rec; r != nil {
-		clock = r.Send(c.Rank, to, m.Rows, m.Cols)
+	if l := c.log; l != nil {
+		clock = l.Send(to, m.Rows, m.Cols)
 	}
 	c.mesh.pool.noteSend(m)
 	c.mesh.ex.send(c, to, m, clock)
@@ -318,10 +320,8 @@ func (c *Chip) Recv(from int) *tensor.Matrix {
 	c.streamStarts = 0 // receiving proves this chip drains the ring
 	m, clock := c.mesh.ex.recv(c, from)
 	c.mesh.pool.noteDeliver(m)
-	if c.olog != nil {
-		c.olog.Recv(from, m.Rows, m.Cols, clock)
-	} else if r := c.mesh.rec; r != nil {
-		r.Recv(c.Rank, from, m.Rows, m.Cols, clock)
+	if l := c.log; l != nil {
+		l.Recv(from, m.Rows, m.Cols, clock)
 	}
 	return m
 }
@@ -341,10 +341,8 @@ func (c *Chip) checkPeer(rank int) {
 // without a recorder — one pointer comparison.
 // lint:hotpath steady-state record: must not allocate
 func (c *Chip) SpanStart(op recorder.Op, step int) {
-	if c.olog != nil {
-		c.olog.SpanStart(op, step)
-	} else if r := c.mesh.rec; r != nil {
-		r.SpanStart(c.Rank, op, step)
+	if l := c.log; l != nil {
+		l.SpanStart(op, step)
 	}
 }
 
@@ -352,10 +350,8 @@ func (c *Chip) SpanStart(op recorder.Op, step int) {
 // without a recorder.
 // lint:hotpath steady-state record: must not allocate
 func (c *Chip) SpanEnd(op recorder.Op) {
-	if c.olog != nil {
-		c.olog.SpanEnd(op)
-	} else if r := c.mesh.rec; r != nil {
-		r.SpanEnd(c.Rank, op)
+	if l := c.log; l != nil {
+		l.SpanEnd(op)
 	}
 }
 
@@ -365,10 +361,8 @@ func (c *Chip) SpanEnd(op recorder.Op) {
 // ReleaseBuf — on whichever chip holds it last, not necessarily the one
 // that acquired it — or be handed off for good via SendOwned.
 func (c *Chip) AcquireBuf(rows, cols int) *tensor.Matrix {
-	if c.olog != nil {
-		c.olog.BufAcquire(rows, cols)
-	} else if r := c.mesh.rec; r != nil {
-		r.BufAcquire(c.Rank, rows, cols)
+	if l := c.log; l != nil {
+		l.BufAcquire(rows, cols)
 	}
 	return c.mesh.pool.acquire(rows, cols)
 }
@@ -377,10 +371,8 @@ func (c *Chip) AcquireBuf(rows, cols int) *tensor.Matrix {
 // only live reference; the buffer may be handed to any chip by a later
 // AcquireBuf and overwritten.
 func (c *Chip) ReleaseBuf(m *tensor.Matrix) {
-	if c.olog != nil {
-		c.olog.BufRelease(m.Rows, m.Cols)
-	} else if r := c.mesh.rec; r != nil {
-		r.BufRelease(c.Rank, m.Rows, m.Cols)
+	if l := c.log; l != nil {
+		l.BufRelease(m.Rows, m.Cols)
 	}
 	c.mesh.pool.release(m)
 }

@@ -96,8 +96,8 @@ func TestCommSizeAndPos(t *testing.T) {
 		if col.Size != 3 || col.Pos != c.Coord.Row {
 			t.Errorf("chip %v ColComm = size %d pos %d", c.Coord, col.Size, col.Pos)
 		}
-		if c.CommFor(topology.InterCol).Size != 5 {
-			t.Errorf("CommFor(InterCol) wrong ring")
+		if again := c.RowComm(); again == row || again.Size != 5 || again.Pos != row.Pos {
+			t.Errorf("a second RowComm is not a fresh communicator over the same ring")
 		}
 		if row.Direction() != topology.InterCol || col.Direction() != topology.InterRow {
 			t.Errorf("communicator directions wrong")

@@ -48,16 +48,12 @@ func (r *Recorder) Overlap() OverlapStats {
 	out := OverlapStats{Chips: make([]ChipOverlap, len(r.chips))}
 	for chip, l := range r.chips {
 		co := ChipOverlap{Chip: chip}
-		end := l.seq
-		start := uint64(0)
-		if end > uint64(len(l.ev)) {
-			start = end - uint64(len(l.ev))
-		}
+		start, end := l.window()
 		// pending maps in-flight async ordinals to "compute seen since
 		// issue". Ordinals are per-chip unique, so the map never aliases.
 		pending := make(map[int32]bool)
 		for seq := start; seq < end; seq++ {
-			e := l.ev[seq%uint64(len(l.ev))]
+			e := l.at(seq)
 			switch {
 			case e.Kind == KindAsyncIssue:
 				pending[e.Step] = false

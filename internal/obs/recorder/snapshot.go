@@ -61,14 +61,10 @@ type Snapshot struct {
 func (r *Recorder) Snapshot() *Snapshot {
 	s := &Snapshot{Chips: len(r.chips), Capacity: r.capacity, Logs: make([]ChipSnapshot, len(r.chips))}
 	for i, l := range r.chips {
-		n := l.seq
-		start := uint64(0)
-		if n > uint64(len(l.ev)) {
-			start = n - uint64(len(l.ev))
-		}
+		start, n := l.window()
 		cs := ChipSnapshot{Chip: i, Recorded: n, Truncated: start, Events: make([]EventJSON, 0, n-start)}
 		for seq := start; seq < n; seq++ {
-			e := l.ev[seq%uint64(len(l.ev))]
+			e := l.at(seq)
 			cs.Events = append(cs.Events, EventJSON{
 				Chip:     i,
 				Seq:      e.Seq,
@@ -147,17 +143,13 @@ func (r *Recorder) Frontier() []EdgeCount {
 // Tail returns up to n most recent events of one chip, oldest first.
 func (r *Recorder) Tail(chip, n int) []Event {
 	l := r.chips[chip]
-	end := l.seq
-	start := uint64(0)
-	if end > uint64(len(l.ev)) {
-		start = end - uint64(len(l.ev))
-	}
+	start, end := l.window()
 	if end-start > uint64(n) {
 		start = end - uint64(n)
 	}
 	out := make([]Event, 0, end-start)
 	for seq := start; seq < end; seq++ {
-		out = append(out, l.ev[seq%uint64(len(l.ev))])
+		out = append(out, l.at(seq))
 	}
 	return out
 }
