@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"strings"
 	"testing"
 
 	"meshslice/internal/mesh"
@@ -81,6 +82,37 @@ func TestStartCollectivesTwoInFlight(t *testing.T) {
 			t.Errorf("pos %d: overlapped ReduceScatter differs", cm.Pos)
 		}
 	})
+}
+
+// TestStartFormsRejectDstIsInput: a Start form whose dst is its input
+// would have the background lane write the matrix the issuer may still be
+// reading (a data race), so every Start form must panic at issue, naming
+// the op. A 1-chip ring makes every shape check pass, so the panic is the
+// aliasing check's.
+func TestStartFormsRejectDstIsInput(t *testing.T) {
+	for _, c := range []struct {
+		name, op string
+		start    func(cm *mesh.Comm, m *tensor.Matrix) *Handle
+	}{
+		{"StartAllGatherRowsInto", "allgather", func(cm *mesh.Comm, m *tensor.Matrix) *Handle { return StartAllGatherRowsInto(cm, m, m) }},
+		{"StartAllGatherColsInto", "allgather", func(cm *mesh.Comm, m *tensor.Matrix) *Handle { return StartAllGatherColsInto(cm, m, m) }},
+		{"StartReduceScatterRowsInto", "reducescatter", func(cm *mesh.Comm, m *tensor.Matrix) *Handle { return StartReduceScatterRowsInto(cm, m, m) }},
+		{"StartReduceScatterColsInto", "reducescatter", func(cm *mesh.Comm, m *tensor.Matrix) *Handle { return StartReduceScatterColsInto(cm, m, m) }},
+		{"StartShiftInto", "shift", func(cm *mesh.Comm, m *tensor.Matrix) *Handle { return StartShiftInto(cm, -1, m, m) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "async "+c.op+" writes its own input") {
+					t.Errorf("%s(dst = input) panicked with %q, want the aliasing invariant naming %s", c.name, msg, c.op)
+				}
+			}()
+			runRow(1, func(_ *mesh.Chip, cm *mesh.Comm) {
+				c.start(cm, patterned(2, 3, 0)).Wait()
+			})
+			t.Errorf("%s(dst = input) did not panic", c.name)
+		}()
+	}
 }
 
 // TestIntoCollectivesZeroSteadyStateAllocsAsync is the allocation gate for

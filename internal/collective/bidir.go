@@ -18,7 +18,6 @@ import (
 // stream delivers the ⌊(P-1)/2⌋ downstream shards. The result is ordered by
 // ring position, exactly like AllGather.
 func AllGatherBidir(cm *mesh.Comm, local *tensor.Matrix) []*tensor.Matrix {
-	cm.CountCollective("allgather-bidir")
 	cm.SpanStart(recorder.OpAllGatherBidir, -1)
 	defer cm.SpanEnd(recorder.OpAllGatherBidir)
 	p := cm.Size
@@ -58,7 +57,6 @@ func ReduceScatterBidir(cm *mesh.Comm, blocks []*tensor.Matrix) *tensor.Matrix {
 }
 
 func reduceScatterBidir(cm *mesh.Comm, blocks []*tensor.Matrix) *tensor.Matrix {
-	cm.CountCollective("reducescatter-bidir")
 	cm.SpanStart(recorder.OpReduceScatterBidir, -1)
 	defer cm.SpanEnd(recorder.OpReduceScatterBidir)
 	p := cm.Size

@@ -14,16 +14,17 @@
 // Each primitive comes in two forms with identical wire behaviour and
 // bit-identical results. The allocating form (AllGather, ReduceScatter,
 // Broadcast, Reduce, AllReduce) returns freshly allocated matrices the
-// caller owns outright — results never alias inputs, on any rank. It is a
-// thin wrapper over the buffer-reusing form (AllGatherInto,
-// ReduceScatterInto, ... in into.go), which writes into caller-provided
-// storage and recycles one ring buffer through the mesh pool so its steady
-// state allocates nothing.
+// caller owns outright — results never alias inputs, on any rank. The
+// buffer-reusing form (AllGatherInto, ReduceScatterInto, ... in into.go)
+// writes into caller-provided storage and recycles one ring buffer through
+// the mesh pool so its steady state allocates nothing. Each ring schedule
+// is one loop: every allocating form but Broadcast calls its *Into form
+// (a non-root rank cannot pre-shape a Broadcast destination), and the Rows
+// and Cols forms, sync and async (Start*, async.go), are entry points to
+// one AllGather loop and one ReduceScatter loop.
 package collective
 
 import (
-	"fmt"
-
 	"meshslice/internal/mesh"
 	"meshslice/internal/obs/recorder"
 	"meshslice/internal/tensor"
@@ -69,26 +70,19 @@ func AllGatherCols(cm *mesh.Comm, local *tensor.Matrix) *tensor.Matrix {
 // the ring, arriving fully reduced at chip d after P-1 steps.
 func ReduceScatter(cm *mesh.Comm, blocks []*tensor.Matrix) *tensor.Matrix {
 	if err := checkBlocks("reducescatter", blocks, cm.Size); err != nil {
-		panic(err) // lint:invariant block-count precondition; ReduceScatterE returns it as a value
+		panic(err) // lint:invariant block-count precondition, checked before blocks[cm.Pos] is read
 	}
-	return reduceScatter(cm, blocks)
-}
-
-func reduceScatter(cm *mesh.Comm, blocks []*tensor.Matrix) *tensor.Matrix {
 	mine := blocks[cm.Pos]
 	dst := tensor.New(mine.Rows, mine.Cols)
-	reduceScatterInto(cm, blocks, dst)
+	ReduceScatterInto(cm, blocks, dst)
 	return dst
 }
 
 // ReduceScatterRows reduces a matrix whose rows are split evenly across the
 // ring: every chip contributes the full matrix m, and receives the reduced
 // horizontal strip for its ring position. m.Rows must divide by the ring
-// size.
+// size; otherwise ReduceScatterRowsInto's shape check panics.
 func ReduceScatterRows(cm *mesh.Comm, m *tensor.Matrix) *tensor.Matrix {
-	if m.Rows%cm.Size != 0 {
-		panic(fmt.Sprintf("tensor: SplitRows %dx%d into %d", m.Rows, m.Cols, cm.Size)) // lint:invariant shape precondition
-	}
 	dst := tensor.New(m.Rows/cm.Size, m.Cols)
 	ReduceScatterRowsInto(cm, m, dst)
 	return dst
@@ -97,9 +91,6 @@ func ReduceScatterRows(cm *mesh.Comm, m *tensor.Matrix) *tensor.Matrix {
 // ReduceScatterCols is ReduceScatterRows for vertical strips: each chip
 // receives the reduced column strip for its ring position.
 func ReduceScatterCols(cm *mesh.Comm, m *tensor.Matrix) *tensor.Matrix {
-	if m.Cols%cm.Size != 0 {
-		panic(fmt.Sprintf("tensor: SplitCols %dx%d into %d", m.Rows, m.Cols, cm.Size)) // lint:invariant shape precondition
-	}
 	dst := tensor.New(m.Rows, m.Cols/cm.Size)
 	ReduceScatterColsInto(cm, m, dst)
 	return dst
@@ -116,7 +107,6 @@ func ReduceScatterCols(cm *mesh.Comm, m *tensor.Matrix) *tensor.Matrix {
 // buffer; with pooled ring buffers that asymmetry would leak a recycled
 // buffer to the caller.)
 func Broadcast(cm *mesh.Comm, root int, m *tensor.Matrix) *tensor.Matrix {
-	cm.CountCollective("broadcast")
 	cm.SpanStart(recorder.OpBroadcast, -1)
 	defer cm.SpanEnd(recorder.OpBroadcast)
 	p := cm.Size

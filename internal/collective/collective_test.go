@@ -2,6 +2,7 @@ package collective
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -92,15 +93,29 @@ func TestReduceScatterDoesNotMutateInputs(t *testing.T) {
 	})
 }
 
+// TestReduceScatterWrongBlockCountPanics also covers the wrong-shape
+// panics of the allocating Rows/Cols forms: each message must name the
+// collective whose check fired, not a tensor routine the call never runs.
 func TestReduceScatterWrongBlockCountPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("expected panic")
-		}
-	}()
-	runRow(2, func(c *mesh.Chip, cm *mesh.Comm) {
-		ReduceScatter(cm, make([]*tensor.Matrix, 3))
-	})
+	for _, c := range []struct {
+		name, want string
+		call       func(cm *mesh.Comm)
+	}{
+		{"ReduceScatter", "reducescatter got 3 blocks for ring of 2", func(cm *mesh.Comm) { ReduceScatter(cm, make([]*tensor.Matrix, 3)) }},
+		{"ReduceScatterRows", "collective: ReduceScatterRowsInto dst 1x2 for 3x2 over ring of 2", func(cm *mesh.Comm) { ReduceScatterRows(cm, tensor.New(3, 2)) }},
+		{"ReduceScatterCols", "collective: ReduceScatterColsInto dst 2x1 for 2x3 over ring of 2", func(cm *mesh.Comm) { ReduceScatterCols(cm, tensor.New(2, 3)) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, c.want) {
+					t.Errorf("%s panicked with %q, want %q", c.name, msg, c.want)
+				}
+			}()
+			runRow(2, func(_ *mesh.Chip, cm *mesh.Comm) { c.call(cm) })
+			t.Errorf("%s did not panic", c.name)
+		}()
+	}
 }
 
 func TestReduceScatterRowsMatchesManualSum(t *testing.T) {

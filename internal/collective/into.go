@@ -8,15 +8,17 @@ import (
 	"meshslice/internal/tensor"
 )
 
-// Buffer-reusing collectives. Each *Into variant performs the same ring
-// schedule — and produces bit-identical results — as its allocating
-// counterpart, but writes into caller-provided storage and circulates one
-// scratch buffer from the mesh pool around the ring with ownership-transfer
-// sends, so the steady state allocates nothing: the chip that starts a ring
-// stream acquires the buffer, every hop forwards the exact matrix it
-// received, and the chip holding it after the last step releases it back to
-// the pool. The allocating APIs in collective.go are thin wrappers over
-// these, so every GeMM algorithm takes this path.
+// Buffer-reusing collectives. Each *Into variant writes into
+// caller-provided storage and circulates one scratch buffer from the mesh
+// pool around the ring with ownership-transfer sends, so the steady state
+// allocates nothing: the chip that starts a ring stream acquires the
+// buffer, every hop forwards the exact matrix it received, and the chip
+// holding it after the last step releases it back to the pool. Each ring
+// schedule is one loop. The Rows and Cols forms and their Start forms
+// (async.go) are entry points to one AllGather loop and one ReduceScatter
+// loop; the allocating forms in collective.go call the *Into forms, except
+// Broadcast, which keeps its own loop because a non-root rank does not know
+// the shape it will receive.
 //
 // Ownership rules: arguments are never aliased — inputs are only read,
 // destinations are fully overwritten, and no internal buffer escapes to the
@@ -30,7 +32,6 @@ func AllGatherInto(cm *mesh.Comm, local *tensor.Matrix, out []*tensor.Matrix) {
 	if err := checkBlocks("allgather", out, cm.Size); err != nil {
 		panic(err) // lint:invariant block-count precondition, mirrors AllGather's ring contract
 	}
-	cm.CountCollective("allgather")
 	cm.SpanStart(recorder.OpAllGather, -1)
 	defer cm.SpanEnd(recorder.OpAllGather)
 	p := cm.Size
@@ -48,60 +49,76 @@ func AllGatherInto(cm *mesh.Comm, local *tensor.Matrix, out []*tensor.Matrix) {
 	cm.ReleaseBuf(cur)
 }
 
+// Rows and Cols collectives lay the ring's blocks along one axis of a
+// matrix; the axis only decides where ring block i sits, so one loop serves
+// both and takes the axis as its mesh.AsyncOp arg.
+const (
+	alongRows = iota // block i at (i·block.Rows, 0): the …Rows forms
+	alongCols        // block i at (0, i·block.Cols): the …Cols forms
+)
+
+// stride returns the offset (dr, dc) between consecutive ring blocks of
+// block's shape laid along axis, so ring block i sits at (i·dr, i·dc).
+func stride(block *tensor.Matrix, axis int) (dr, dc int) {
+	if axis == alongRows {
+		return block.Rows, 0
+	}
+	return 0, block.Cols
+}
+
+// tiles reports whether whole is exactly p blocks of block's shape laid
+// along axis.
+func tiles(whole, block *tensor.Matrix, p, axis int) bool {
+	dr, dc := stride(block, axis)
+	return whole.Rows == block.Rows+(p-1)*dr && whole.Cols == block.Cols+(p-1)*dc
+}
+
+// checkGather panics, naming the entry point the caller called, unless dst
+// holds the ring's Size shards of local's shape laid along axis.
+func checkGather(name string, cm *mesh.Comm, local, dst *tensor.Matrix, axis int) {
+	if !tiles(dst, local, cm.Size, axis) {
+		panic(fmt.Sprintf("collective: %s dst %dx%d for %d shards of %dx%d", name, dst.Rows, dst.Cols, cm.Size, local.Rows, local.Cols)) // lint:invariant shape precondition
+	}
+}
+
+// checkScatter panics, naming the entry point the caller called, unless m
+// holds the ring's Size strips of dst's shape laid along axis.
+func checkScatter(name string, cm *mesh.Comm, m, dst *tensor.Matrix, axis int) {
+	if !tiles(m, dst, cm.Size, axis) {
+		panic(fmt.Sprintf("collective: %s dst %dx%d for %dx%d over ring of %d", name, dst.Rows, dst.Cols, m.Rows, m.Cols, cm.Size)) // lint:invariant shape precondition
+	}
+}
+
 // AllGatherRowsInto gathers shards and concatenates them vertically in ring
 // order directly into dst, which must be (Size·local.Rows)×local.Cols.
 // lint:hotpath steady-state: must not allocate
 func AllGatherRowsInto(cm *mesh.Comm, local, dst *tensor.Matrix) {
-	p := cm.Size
-	if dst.Rows != p*local.Rows || dst.Cols != local.Cols {
-		panic(fmt.Sprintf("collective: AllGatherRowsInto dst %dx%d for %d shards of %dx%d", dst.Rows, dst.Cols, p, local.Rows, local.Cols)) // lint:invariant shape precondition
-	}
-	cm.CountCollective("allgather")
+	checkGather("AllGatherRowsInto", cm, local, dst, alongRows)
 	cm.SpanStart(recorder.OpAllGather, -1)
 	defer cm.SpanEnd(recorder.OpAllGather)
-	allGatherRowsLoop(cm, local, dst)
-}
-
-// allGatherRowsLoop is the raw ring schedule of AllGatherRowsInto, shared
-// with the asynchronous StartAllGatherRowsInto (whose span the background
-// lane's op log records instead).
-// lint:hotpath steady-state: must not allocate
-func allGatherRowsLoop(cm *mesh.Comm, local, dst *tensor.Matrix) {
-	p := cm.Size
-	dst.SetSubMatrix(cm.Pos*local.Rows, 0, local)
-	if p == 1 {
-		return
-	}
-	cur := cm.AcquireBuf(local.Rows, local.Cols)
-	cur.CopyFrom(local)
-	for t := 0; t < p-1; t++ {
-		cm.SendOwnedTo(cm.Pos+1, cur)
-		cur = cm.RecvFrom(cm.Pos - 1)
-		dst.SetSubMatrix(mod(cm.Pos-t-1, p)*local.Rows, 0, cur)
-	}
-	cm.ReleaseBuf(cur)
+	allGatherLoop(cm, local, dst, alongRows)
 }
 
 // AllGatherColsInto gathers shards and concatenates them horizontally in
 // ring order directly into dst, which must be local.Rows×(Size·local.Cols).
 // lint:hotpath steady-state: must not allocate
 func AllGatherColsInto(cm *mesh.Comm, local, dst *tensor.Matrix) {
-	p := cm.Size
-	if dst.Rows != local.Rows || dst.Cols != p*local.Cols {
-		panic(fmt.Sprintf("collective: AllGatherColsInto dst %dx%d for %d shards of %dx%d", dst.Rows, dst.Cols, p, local.Rows, local.Cols)) // lint:invariant shape precondition
-	}
-	cm.CountCollective("allgather")
+	checkGather("AllGatherColsInto", cm, local, dst, alongCols)
 	cm.SpanStart(recorder.OpAllGather, -1)
 	defer cm.SpanEnd(recorder.OpAllGather)
-	allGatherColsLoop(cm, local, dst)
+	allGatherLoop(cm, local, dst, alongCols)
 }
 
-// allGatherColsLoop is the raw ring schedule of AllGatherColsInto, shared
-// with StartAllGatherColsInto.
+// allGatherLoop is the ring schedule of every Rows/Cols AllGather: ring
+// block i lands at (i·dr, i·dc) of dst. It opens no span (the sync forms
+// open one around it; on a background lane the op's own log brackets it),
+// and it has the mesh.AsyncOp signature, so the Start forms pass it to
+// StartAsync as it is.
 // lint:hotpath steady-state: must not allocate
-func allGatherColsLoop(cm *mesh.Comm, local, dst *tensor.Matrix) {
+func allGatherLoop(cm *mesh.Comm, local, dst *tensor.Matrix, axis int) {
 	p := cm.Size
-	dst.SetSubMatrix(0, cm.Pos*local.Cols, local)
+	dr, dc := stride(local, axis)
+	dst.SetSubMatrix(cm.Pos*dr, cm.Pos*dc, local)
 	if p == 1 {
 		return
 	}
@@ -110,7 +127,8 @@ func allGatherColsLoop(cm *mesh.Comm, local, dst *tensor.Matrix) {
 	for t := 0; t < p-1; t++ {
 		cm.SendOwnedTo(cm.Pos+1, cur)
 		cur = cm.RecvFrom(cm.Pos - 1)
-		dst.SetSubMatrix(0, mod(cm.Pos-t-1, p)*local.Cols, cur)
+		i := mod(cm.Pos-t-1, p)
+		dst.SetSubMatrix(i*dr, i*dc, cur)
 	}
 	cm.ReleaseBuf(cur)
 }
@@ -122,13 +140,8 @@ func allGatherColsLoop(cm *mesh.Comm, local, dst *tensor.Matrix) {
 // lint:hotpath steady-state: must not allocate
 func ReduceScatterInto(cm *mesh.Comm, blocks []*tensor.Matrix, dst *tensor.Matrix) {
 	if err := checkBlocks("reducescatter", blocks, cm.Size); err != nil {
-		panic(err) // lint:invariant block-count precondition; ReduceScatterE returns it as a value
+		panic(err) // lint:invariant block-count precondition, mirrors ReduceScatter's ring contract
 	}
-	reduceScatterInto(cm, blocks, dst)
-}
-
-func reduceScatterInto(cm *mesh.Comm, blocks []*tensor.Matrix, dst *tensor.Matrix) {
-	cm.CountCollective("reducescatter")
 	cm.SpanStart(recorder.OpReduceScatter, -1)
 	defer cm.SpanEnd(recorder.OpReduceScatter)
 	p := cm.Size
@@ -153,67 +166,41 @@ func reduceScatterInto(cm *mesh.Comm, blocks []*tensor.Matrix, dst *tensor.Matri
 // strips are read straight out of m — no split copies are made.
 // lint:hotpath steady-state: must not allocate
 func ReduceScatterRowsInto(cm *mesh.Comm, m, dst *tensor.Matrix) {
-	p := cm.Size
-	if m.Rows%p != 0 || dst.Rows != m.Rows/p || dst.Cols != m.Cols {
-		panic(fmt.Sprintf("collective: ReduceScatterRowsInto dst %dx%d for %dx%d over ring of %d", dst.Rows, dst.Cols, m.Rows, m.Cols, p)) // lint:invariant shape precondition
-	}
-	cm.CountCollective("reducescatter")
+	checkScatter("ReduceScatterRowsInto", cm, m, dst, alongRows)
 	cm.SpanStart(recorder.OpReduceScatter, -1)
 	defer cm.SpanEnd(recorder.OpReduceScatter)
-	reduceScatterRowsLoop(cm, m, dst)
-}
-
-// reduceScatterRowsLoop is the raw ring schedule of ReduceScatterRowsInto,
-// shared with StartReduceScatterRowsInto.
-// lint:hotpath steady-state: must not allocate
-func reduceScatterRowsLoop(cm *mesh.Comm, m, dst *tensor.Matrix) {
-	p := cm.Size
-	h := m.Rows / p
-	if p == 1 {
-		dst.CopyFrom(m)
-		return
-	}
-	cur := cm.AcquireBuf(h, m.Cols)
-	cur.CopySub(m, mod(cm.Pos-1, p)*h, 0)
-	for t := 0; t < p-1; t++ {
-		cm.SendOwnedTo(cm.Pos+1, cur)
-		cur = cm.RecvFrom(cm.Pos - 1)
-		cur.AddSub(m, mod(cm.Pos-t-2, p)*h, 0)
-	}
-	dst.CopyFrom(cur)
-	cm.ReleaseBuf(cur)
+	reduceScatterLoop(cm, m, dst, alongRows)
 }
 
 // ReduceScatterColsInto is ReduceScatterRowsInto for vertical strips: dst
 // receives the reduced column strip for this chip's ring position.
 // lint:hotpath steady-state: must not allocate
 func ReduceScatterColsInto(cm *mesh.Comm, m, dst *tensor.Matrix) {
-	p := cm.Size
-	if m.Cols%p != 0 || dst.Rows != m.Rows || dst.Cols != m.Cols/p {
-		panic(fmt.Sprintf("collective: ReduceScatterColsInto dst %dx%d for %dx%d over ring of %d", dst.Rows, dst.Cols, m.Rows, m.Cols, p)) // lint:invariant shape precondition
-	}
-	cm.CountCollective("reducescatter")
+	checkScatter("ReduceScatterColsInto", cm, m, dst, alongCols)
 	cm.SpanStart(recorder.OpReduceScatter, -1)
 	defer cm.SpanEnd(recorder.OpReduceScatter)
-	reduceScatterColsLoop(cm, m, dst)
+	reduceScatterLoop(cm, m, dst, alongCols)
 }
 
-// reduceScatterColsLoop is the raw ring schedule of ReduceScatterColsInto,
-// shared with StartReduceScatterColsInto.
+// reduceScatterLoop is the ring schedule of every Rows/Cols ReduceScatter:
+// strip i of m is read at (i·dr, i·dc). Like allGatherLoop it opens no
+// span and the Start forms pass it to StartAsync as it is.
 // lint:hotpath steady-state: must not allocate
-func reduceScatterColsLoop(cm *mesh.Comm, m, dst *tensor.Matrix) {
+func reduceScatterLoop(cm *mesh.Comm, m, dst *tensor.Matrix, axis int) {
 	p := cm.Size
-	w := m.Cols / p
 	if p == 1 {
 		dst.CopyFrom(m)
 		return
 	}
-	cur := cm.AcquireBuf(m.Rows, w)
-	cur.CopySub(m, 0, mod(cm.Pos-1, p)*w)
+	dr, dc := stride(dst, axis)
+	cur := cm.AcquireBuf(dst.Rows, dst.Cols)
+	i := mod(cm.Pos-1, p)
+	cur.CopySub(m, i*dr, i*dc)
 	for t := 0; t < p-1; t++ {
 		cm.SendOwnedTo(cm.Pos+1, cur)
 		cur = cm.RecvFrom(cm.Pos - 1)
-		cur.AddSub(m, 0, mod(cm.Pos-t-2, p)*w)
+		i = mod(cm.Pos-t-2, p)
+		cur.AddSub(m, i*dr, i*dc)
 	}
 	dst.CopyFrom(cur)
 	cm.ReleaseBuf(cur)
@@ -236,7 +223,6 @@ func reduceScatterColsLoop(cm *mesh.Comm, m, dst *tensor.Matrix) {
 // ReduceInto's stream starter (the chip after the root).
 // lint:hotpath steady-state: must not allocate
 func BroadcastInto(cm *mesh.Comm, root int, m, dst *tensor.Matrix) {
-	cm.CountCollective("broadcast")
 	cm.SpanStart(recorder.OpBroadcast, -1)
 	defer cm.SpanEnd(recorder.OpBroadcast)
 	p := cm.Size
@@ -274,7 +260,6 @@ func BroadcastInto(cm *mesh.Comm, root int, m, dst *tensor.Matrix) {
 // bit-identical.
 // lint:hotpath steady-state: must not allocate
 func ReduceInto(cm *mesh.Comm, root int, m, dst *tensor.Matrix) bool {
-	cm.CountCollective("reduce")
 	cm.SpanStart(recorder.OpReduce, -1)
 	defer cm.SpanEnd(recorder.OpReduce)
 	p := cm.Size
@@ -311,7 +296,6 @@ func ReduceInto(cm *mesh.Comm, root int, m, dst *tensor.Matrix) bool {
 // position 0, then Broadcast). dst must have m's shape.
 // lint:hotpath steady-state: must not allocate
 func AllReduceInto(cm *mesh.Comm, m, dst *tensor.Matrix) {
-	cm.CountCollective("allreduce")
 	cm.SpanStart(recorder.OpAllReduce, -1)
 	defer cm.SpanEnd(recorder.OpAllReduce)
 	if ReduceInto(cm, 0, m, dst) {

@@ -20,8 +20,9 @@ func patterned(rows, cols, pos int) *tensor.Matrix {
 }
 
 // TestIntoVariantsMatchAllocating runs every buffer-reusing collective next
-// to its allocating counterpart on the same ring and requires bit-identical
-// results (tolerance 0).
+// to its allocating counterpart on the same ring, and every Rows/Cols entry
+// point next to the list form, and requires bit-identical results
+// (tolerance 0).
 func TestIntoVariantsMatchAllocating(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 5} {
 		runRow(p, func(c *mesh.Chip, cm *mesh.Comm) {
@@ -39,20 +40,6 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 				}
 			}
 
-			wantRows := AllGatherRows(cm, local)
-			gotRows := tensor.New(p*4, 6)
-			AllGatherRowsInto(cm, local, gotRows)
-			if !gotRows.Equal(wantRows, 0) {
-				t.Errorf("p=%d pos=%d: AllGatherRowsInto differs", p, cm.Pos)
-			}
-
-			wantCols := AllGatherCols(cm, local)
-			gotCols := tensor.New(4, p*6)
-			AllGatherColsInto(cm, local, gotCols)
-			if !gotCols.Equal(wantCols, 0) {
-				t.Errorf("p=%d pos=%d: AllGatherColsInto differs", p, cm.Pos)
-			}
-
 			blocks := make([]*tensor.Matrix, p)
 			for d := 0; d < p; d++ {
 				blocks[d] = patterned(3, 2, cm.Pos*p+d)
@@ -64,20 +51,41 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 				t.Errorf("p=%d pos=%d: ReduceScatterInto differs", p, cm.Pos)
 			}
 
-			full := patterned(3*p, 5, cm.Pos)
-			wantRSR := ReduceScatterRows(cm, full)
-			gotRSR := tensor.New(3, 5)
-			ReduceScatterRowsInto(cm, full, gotRSR)
-			if !gotRSR.Equal(wantRSR, 0) {
-				t.Errorf("p=%d pos=%d: ReduceScatterRowsInto differs", p, cm.Pos)
+			// Every Rows/Cols entry point — allocating, *Into, and
+			// Start*Into + Wait — against the list forms, which keep their
+			// own ring loops and so are an independent reference. Shards
+			// and strips are non-square, so a swapped axis shows.
+			into := func(rows, cols int, run func(dst *tensor.Matrix)) *tensor.Matrix {
+				dst := tensor.New(rows, cols)
+				run(dst)
+				return dst
 			}
-
-			fullC := patterned(5, 2*p, cm.Pos)
-			wantRSC := ReduceScatterCols(cm, fullC)
-			gotRSC := tensor.New(5, 2)
-			ReduceScatterColsInto(cm, fullC, gotRSC)
-			if !gotRSC.Equal(wantRSC, 0) {
-				t.Errorf("p=%d pos=%d: ReduceScatterColsInto differs", p, cm.Pos)
+			agRows := tensor.ConcatRows(AllGather(cm, local))
+			agCols := tensor.ConcatCols(AllGather(cm, local))
+			tall := patterned(3*p, 5, 400+cm.Pos)
+			wide := patterned(3, 5*p, 500+cm.Pos)
+			rsRows := ReduceScatter(cm, tensor.SplitRows(tall, p))
+			rsCols := ReduceScatter(cm, tensor.SplitCols(wide, p))
+			for _, e := range []struct {
+				name      string
+				got, want *tensor.Matrix
+			}{
+				{"AllGatherRows", AllGatherRows(cm, local), agRows},
+				{"AllGatherRowsInto", into(4*p, 6, func(d *tensor.Matrix) { AllGatherRowsInto(cm, local, d) }), agRows},
+				{"StartAllGatherRowsInto", into(4*p, 6, func(d *tensor.Matrix) { StartAllGatherRowsInto(cm, local, d).Wait() }), agRows},
+				{"AllGatherCols", AllGatherCols(cm, local), agCols},
+				{"AllGatherColsInto", into(4, 6*p, func(d *tensor.Matrix) { AllGatherColsInto(cm, local, d) }), agCols},
+				{"StartAllGatherColsInto", into(4, 6*p, func(d *tensor.Matrix) { StartAllGatherColsInto(cm, local, d).Wait() }), agCols},
+				{"ReduceScatterRows", ReduceScatterRows(cm, tall), rsRows},
+				{"ReduceScatterRowsInto", into(3, 5, func(d *tensor.Matrix) { ReduceScatterRowsInto(cm, tall, d) }), rsRows},
+				{"StartReduceScatterRowsInto", into(3, 5, func(d *tensor.Matrix) { StartReduceScatterRowsInto(cm, tall, d).Wait() }), rsRows},
+				{"ReduceScatterCols", ReduceScatterCols(cm, wide), rsCols},
+				{"ReduceScatterColsInto", into(3, 5, func(d *tensor.Matrix) { ReduceScatterColsInto(cm, wide, d) }), rsCols},
+				{"StartReduceScatterColsInto", into(3, 5, func(d *tensor.Matrix) { StartReduceScatterColsInto(cm, wide, d).Wait() }), rsCols},
+			} {
+				if !e.got.Equal(e.want, 0) {
+					t.Errorf("p=%d pos=%d: %s differs from the list form", p, cm.Pos, e.name)
+				}
 			}
 
 			for root := 0; root < p; root++ {

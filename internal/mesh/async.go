@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"context"
+	"fmt"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -155,12 +156,17 @@ type asyncWorker struct {
 // StartAsync hands fn to this communicator's background comm lane and
 // returns its handle. The caller must not touch matrices the op writes
 // until Wait returns; matrices the op only reads (via cloning Send) may be
-// read concurrently. Issue order is execution order per direction.
+// read concurrently, so a and b must be different matrices: an op whose
+// destination is its input panics here. Issue order is execution order per
+// direction.
 // lint:hotpath steady-state issue: must not allocate
 func (cm *Comm) StartAsync(op recorder.Op, fn AsyncOp, a, b *tensor.Matrix, arg int) *Handle {
 	c := cm.chip
 	if c.isWorker || c.async == nil {
 		panic("mesh: StartAsync requires a chip-goroutine communicator") // lint:invariant async ops issue from chip goroutines only
+	}
+	if a == b {
+		panic(fmt.Sprintf("mesh: async %s writes its own input; dst must be a different matrix", op)) // lint:invariant an op whose dst is its input races the issuer's reads
 	}
 	h := c.getHandle()
 	h.chip = c

@@ -468,26 +468,6 @@ func (e *exchanger) stats() Traffic {
 	return t
 }
 
-// edgeElems is one directed edge's element count.
-type edgeElems struct {
-	Edge
-	elems int64
-}
-
-// edgeStats snapshots the element counters of every edge that carried a
-// message, in (from, to) order.
-func (e *exchanger) edgeStats() []edgeElems {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var out []edgeElems
-	for i := range e.edges {
-		if ed := &e.edges[i]; ed.msgs > 0 {
-			out = append(out, edgeElems{Edge{From: i / e.n, To: i % e.n}, ed.elems})
-		}
-	}
-	return out
-}
-
 // resetStats zeroes the traffic counters.
 func (e *exchanger) resetStats() {
 	e.mu.Lock()

@@ -15,11 +15,9 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"sync"
 
-	"meshslice/internal/obs"
 	"meshslice/internal/obs/recorder"
 	"meshslice/internal/tensor"
 	"meshslice/internal/topology"
@@ -31,18 +29,18 @@ type Mesh struct {
 	ex    *exchanger
 	// pool recycles collective scratch buffers across calls (see AcquireBuf).
 	pool *bufPool
-	// metrics, when set, receives live collective-op counts and on-demand
-	// traffic publication (see SetMetrics / PublishMetrics).
-	metrics *obs.Registry
 	// rec, when set, records every send/recv/span/buffer/fault event with
 	// Lamport clocks (see SetRecorder).
 	rec *recorder.Recorder
 }
 
 // Traffic summarises the data movement of functional runs: total matrix
-// elements sent, total messages, and elements sent per chip. Tests use it
-// to verify the distributed algorithms against the paper's analytical
-// traffic formulas (§2.3.1).
+// elements sent, total messages, and elements sent per chip. Its readers
+// are the §2.3.1 traffic tests (package gemm checks every distributed
+// algorithm against the paper's analytical formulas), the transformer's
+// traffic report (transformer.Forward), and the benchmark's gemm
+// workloads, which report per-run message and element counts. Per-op and
+// per-edge detail lives in the flight recorder (SetRecorder).
 type Traffic struct {
 	Elements  int64
 	Messages  int64
@@ -55,45 +53,6 @@ func (m *Mesh) Traffic() Traffic { return m.ex.stats() }
 
 // ResetTraffic zeroes the traffic counters.
 func (m *Mesh) ResetTraffic() { m.ex.resetStats() }
-
-// SetMetrics attaches a registry to the mesh. The chip goroutines then
-// count every collective operation they run (mesh_collective_ops, labelled
-// by op and direction), and PublishMetrics snapshots the traffic counters
-// into it. Live updates are integer-valued only, so the totals stay
-// deterministic regardless of goroutine interleaving (see package obs).
-func (m *Mesh) SetMetrics(r *obs.Registry) { m.metrics = r }
-
-// PublishMetrics writes the mesh's accumulated traffic into the registry
-// attached by SetMetrics:
-//
-//	mesh_edge_elements{from,to}  gauge — matrix elements sent per directed edge
-//	mesh_sender_elements{chip}   gauge — matrix elements sent per chip
-//	mesh_messages_total          gauge — messages across the whole fabric
-//
-// Gauges (Set) rather than counters, so repeated publication after further
-// Runs reflects the current cumulative totals without double counting.
-// Edges publish in sorted (from, to) order.
-func (m *Mesh) PublishMetrics() {
-	if m.metrics == nil {
-		return
-	}
-	for _, ed := range m.ex.edgeStats() {
-		m.metrics.Gauge("mesh_edge_elements",
-			obs.L("from", obs.PadInt(ed.From, m.Torus.Size())),
-			obs.L("to", obs.PadInt(ed.To, m.Torus.Size()))).Set(float64(ed.elems))
-	}
-	t := m.Traffic()
-	senders := make([]int, 0, len(t.PerSender))
-	for s := range t.PerSender {
-		senders = append(senders, s)
-	}
-	sort.Ints(senders)
-	for _, s := range senders {
-		m.metrics.Gauge("mesh_sender_elements",
-			obs.L("chip", obs.PadInt(s, m.Torus.Size()))).Set(float64(t.PerSender[s]))
-	}
-	m.metrics.Gauge("mesh_messages_total").Set(float64(t.Messages))
-}
 
 // SetRecorder attaches a flight recorder to the mesh (pass nil to detach).
 // Every chip then records its sends, receives, collective spans, buffer
@@ -394,21 +353,6 @@ type Comm struct {
 
 // Direction returns the mesh direction this communicator's traffic uses.
 func (cm *Comm) Direction() topology.Direction { return cm.dir }
-
-// CountCollective increments the mesh's per-collective operation counter
-// (mesh_collective_ops, labelled by op name and ring direction). The ring
-// primitives in package collective call it once per invocation; it is a
-// no-op when no registry is attached. Safe from concurrent chip goroutines:
-// the increment is integer-valued, so the total is deterministic.
-// lint:allow hotpath-alloc metrics are nil-gated off the hot path; label interning allocates
-func (cm *Comm) CountCollective(op string) {
-	r := cm.chip.mesh.metrics
-	if r == nil {
-		return
-	}
-	r.Counter("mesh_collective_ops",
-		obs.L("op", op), obs.L("dir", cm.dir.String())).Inc()
-}
 
 // SpanStart opens a flight-recorder span on this communicator's chip (see
 // Chip.SpanStart). The ring collectives call it on entry.

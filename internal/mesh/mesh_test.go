@@ -289,3 +289,20 @@ func TestTrafficCounters(t *testing.T) {
 		t.Errorf("ResetTraffic left %+v", got)
 	}
 }
+
+// TestTrafficKeepsZeroElementEdges: an edge that carried only empty
+// matrices still counts its messages and its sender, at zero elements.
+func TestTrafficKeepsZeroElementEdges(t *testing.T) {
+	m := New(topology.NewTorus(1, 3))
+	m.Run(func(c *Chip) {
+		switch c.Rank {
+		case 0:
+			c.Send(1, tensor.New(0, 3))
+		case 1:
+			c.Recv(0)
+		}
+	})
+	if tr := m.Traffic(); tr.Messages != 1 || tr.Elements != 0 || len(tr.PerSender) != 1 || tr.PerSender[0] != 0 {
+		t.Errorf("traffic %+v, want one 0-element message from chip 0", tr)
+	}
+}
