@@ -12,7 +12,10 @@
 // breakdowns (Fig. 10) imply.
 package hw
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Chip describes one accelerator chip and its share of the interconnect.
 type Chip struct {
@@ -81,8 +84,23 @@ func (c Chip) UniDirectional() Chip {
 	return c
 }
 
-// Validate reports the first implausible parameter, or nil.
+// Validate reports the first implausible parameter, or nil. Every float
+// field must be finite: NaN fails every ordered comparison below, and +Inf
+// satisfies them, yet either would reach the simulator's clock.
 func (c Chip) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"PeakFLOPS", c.PeakFLOPS}, {"EffFLOPS", c.EffFLOPS},
+		{"LinkBandwidth", c.LinkBandwidth}, {"SyncLatency", c.SyncLatency},
+		{"LaunchOverhead", c.LaunchOverhead}, {"HBMBandwidth", c.HBMBandwidth},
+		{"BytesPerElement", c.BytesPerElement},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("hw: %s %v must be finite", f.name, f.v)
+		}
+	}
 	switch {
 	case c.PeakFLOPS <= 0:
 		return fmt.Errorf("hw: PeakFLOPS %v must be positive", c.PeakFLOPS)

@@ -1,6 +1,11 @@
 package hw
 
-import "testing"
+import (
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+)
 
 func TestTPUv4Valid(t *testing.T) {
 	if err := TPUv4().Validate(); err != nil {
@@ -27,6 +32,34 @@ func TestValidateCatchesEachField(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d should fail validation", i)
 		}
+	}
+}
+
+// TestValidateRejectsNonFiniteFloats: NaN passes every ordered comparison
+// check and +Inf passes the positivity ones, so each float field is set to
+// NaN, +Inf and -Inf in turn and must be rejected with an error naming it.
+func TestValidateRejectsNonFiniteFloats(t *testing.T) {
+	typ := reflect.TypeOf(Chip{})
+	fields := 0
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type.Kind() != reflect.Float64 {
+			continue
+		}
+		fields++
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			c := TPUv4()
+			reflect.ValueOf(&c).Elem().Field(i).SetFloat(v)
+			err := c.Validate()
+			if err == nil {
+				t.Errorf("%s = %v accepted", f.Name, v)
+			} else if !strings.HasPrefix(err.Error(), "hw: "+f.Name+" ") {
+				t.Errorf("%s = %v: error %q does not name the field", f.Name, v, err)
+			}
+		}
+	}
+	if fields != 7 {
+		t.Errorf("Chip has %d float fields, the table expects 7", fields)
 	}
 }
 

@@ -26,14 +26,20 @@ func gemmHBM(aElems, bElems, cElems float64, c hw.Chip) float64 {
 // it degenerates to the Collective 2D GeMM schedule plus slicing no-ops,
 // so callers wanting Collective should use CollectiveProgram instead.
 func MeshSliceProgram(p gemm.Problem, t topology.Torus, c hw.Chip, S int) *Program {
+	b := meshSliceOps(p, t, c, S)
+	return &Program{Torus: t, Ops: b.ops, Label: fmt.Sprintf("MeshSlice-%v S=%d", p.Dataflow, S)}
+}
+
+// meshSliceOps builds MeshSlice's ops with room for MeshSliceDP's two more.
+func meshSliceOps(p gemm.Problem, t topology.Torus, c hw.Chip, S int) builder {
 	if S <= 0 {
 		panic(fmt.Sprintf("sched: MeshSlice S=%d", S)) // lint:invariant slice-count precondition
 	}
 	aR, aC, bR, bC, cR, cC := shardDims(p, t)
 	bpe := c.BytesPerElement
-	// At most five ops per slice (two slice copies, two collectives and the
-	// partial GeMM), plus MeshSliceDPProgram's two gradient collectives.
-	b := newBuilder(5*S + 2)
+	// At most five ops and four dependencies per slice (two slice copies,
+	// two collectives and the partial GeMM), plus the two gradient ops.
+	b := newBuilder(5*S+2, 4*S+2)
 	fS := float64(S)
 
 	for s := 0; s < S; s++ {
@@ -41,65 +47,52 @@ func MeshSliceProgram(p gemm.Problem, t topology.Torus, c hw.Chip, S int) *Progr
 		case gemm.OS:
 			aSub := float64(aR*aC) / fS
 			bSub := float64(bR*bC) / fS
-			var deps []int
+			deps := make([]int, 0, 2) // on the stack: b.dep copies it
 			if t.Cols > 1 {
-				agADeps := sliceDep(b, S, s, aSub, bpe, "slice A_s")
-				deps = append(deps, b.add(Op{
-					Kind: AllGather, Name: fmt.Sprintf("AG_col A s=%d", s),
-					Dir: topology.InterCol, Bytes: aSub * bpe, Steps: t.Cols - 1,
-					Deps: agADeps,
-				}))
+				deps = append(deps, b.addIndexed(Op{
+					Kind: AllGather, Dir: topology.InterCol, Bytes: aSub * bpe, Steps: t.Cols - 1,
+					Deps: sliceDep(&b, S, s, aSub, bpe, sliceAs),
+				}, agColA, s))
 			}
 			if t.Rows > 1 {
-				agBDeps := sliceDep(b, S, s, bSub, bpe, "slice B_s")
-				deps = append(deps, b.add(Op{
-					Kind: AllGather, Name: fmt.Sprintf("AG_row B s=%d", s),
-					Dir: topology.InterRow, Bytes: bSub * bpe, Steps: t.Rows - 1,
-					Deps: agBDeps,
-				}))
+				deps = append(deps, b.addIndexed(Op{
+					Kind: AllGather, Dir: topology.InterRow, Bytes: bSub * bpe, Steps: t.Rows - 1,
+					Deps: sliceDep(&b, S, s, bSub, bpe, sliceBs),
+				}, agRowB, s))
 			}
-			flops := 2 * float64(cR) * float64(cC) * float64(p.K) / fS
-			b.add(Op{
-				Kind: Compute, Name: fmt.Sprintf("partial GeMM s=%d", s),
-				FLOPs: flops,
-				M:     cR, N: cC, K: p.K / S,
+			b.addIndexed(Op{
+				Kind: Compute, FLOPs: 2 * float64(cR) * float64(cC) * float64(p.K) / fS,
+				M: cR, N: cC, K: p.K / S,
 				HBMBytes: gemmHBM(aSub*float64(t.Cols), bSub*float64(t.Rows),
 					float64(cR*cC), c),
-				Deps: deps,
-			})
+				Deps: b.dep(deps...),
+			}, gemmS, s)
 
 		case gemm.LS:
 			bSub := float64(bR*bC) / fS
 			var gemmDeps []int
 			if t.Rows > 1 {
-				agDeps := sliceDep(b, S, s, bSub, bpe, "slice B_s")
-				gemmDeps = append(gemmDeps, b.add(Op{
-					Kind: AllGather, Name: fmt.Sprintf("AG_row B s=%d", s),
-					Dir: topology.InterRow, Bytes: bSub * bpe, Steps: t.Rows - 1,
-					Deps: agDeps,
-				}))
+				gemmDeps = b.dep(b.addIndexed(Op{
+					Kind: AllGather, Dir: topology.InterRow, Bytes: bSub * bpe, Steps: t.Rows - 1,
+					Deps: sliceDep(&b, S, s, bSub, bpe, sliceBs),
+				}, agRowB, s))
 			}
 			nSlice := float64(p.N) / fS // columns of the partial product C'
-			flops := 2 * float64(aR) * nSlice * float64(aC)
-			g := b.add(Op{
-				Kind: Compute, Name: fmt.Sprintf("partial GeMM s=%d", s),
-				FLOPs: flops,
-				M:     aR, N: p.N / S, K: aC,
+			g := b.addIndexed(Op{
+				Kind: Compute, FLOPs: 2 * float64(aR) * nSlice * float64(aC),
+				M: aR, N: p.N / S, K: aC,
 				HBMBytes: gemmHBM(float64(aR*aC), bSub*float64(t.Rows), float64(aR)*nSlice, c),
 				Deps:     gemmDeps,
-			})
+			}, gemmS, s)
 			if t.Cols > 1 {
-				rds := b.add(Op{
-					Kind: ReduceScatter, Name: fmt.Sprintf("RdS_col C s=%d", s),
-					Dir: topology.InterCol, Bytes: float64(aR) * nSlice / float64(t.Cols) * bpe,
-					Steps: t.Cols - 1, Deps: []int{g},
-				})
+				rds := b.addIndexed(Op{
+					Kind: ReduceScatter, Dir: topology.InterCol,
+					Bytes: float64(aR) * nSlice / float64(t.Cols) * bpe,
+					Steps: t.Cols - 1, Deps: b.dep(g),
+				}, rdsColC, s)
 				if S > 1 {
 					sub := float64(cR*cC) / fS
-					b.add(Op{
-						Kind: Slice, Name: fmt.Sprintf("unslice C s=%d", s),
-						HBMBytes: 2 * sub * bpe, Deps: []int{rds},
-					})
+					b.addIndexed(Op{Kind: Slice, HBMBytes: 2 * sub * bpe, Deps: b.dep(rds)}, unsliceC, s)
 				}
 			}
 
@@ -107,34 +100,27 @@ func MeshSliceProgram(p gemm.Problem, t topology.Torus, c hw.Chip, S int) *Progr
 			aSub := float64(aR*aC) / fS
 			var gemmDeps []int
 			if t.Cols > 1 {
-				agDeps := sliceDep(b, S, s, aSub, bpe, "slice A_s")
-				gemmDeps = append(gemmDeps, b.add(Op{
-					Kind: AllGather, Name: fmt.Sprintf("AG_col A s=%d", s),
-					Dir: topology.InterCol, Bytes: aSub * bpe, Steps: t.Cols - 1,
-					Deps: agDeps,
-				}))
+				gemmDeps = b.dep(b.addIndexed(Op{
+					Kind: AllGather, Dir: topology.InterCol, Bytes: aSub * bpe, Steps: t.Cols - 1,
+					Deps: sliceDep(&b, S, s, aSub, bpe, sliceAs),
+				}, agColA, s))
 			}
 			mSlice := float64(p.M) / fS // rows of the partial product C'
-			flops := 2 * mSlice * float64(bC) * float64(bR)
-			g := b.add(Op{
-				Kind: Compute, Name: fmt.Sprintf("partial GeMM s=%d", s),
-				FLOPs: flops,
-				M:     p.M / S, N: bC, K: bR,
+			g := b.addIndexed(Op{
+				Kind: Compute, FLOPs: 2 * mSlice * float64(bC) * float64(bR),
+				M: p.M / S, N: bC, K: bR,
 				HBMBytes: gemmHBM(aSub*float64(t.Cols), float64(bR*bC), mSlice*float64(bC), c),
 				Deps:     gemmDeps,
-			})
+			}, gemmS, s)
 			if t.Rows > 1 {
-				rds := b.add(Op{
-					Kind: ReduceScatter, Name: fmt.Sprintf("RdS_row C s=%d", s),
-					Dir: topology.InterRow, Bytes: mSlice / float64(t.Rows) * float64(bC) * bpe,
-					Steps: t.Rows - 1, Deps: []int{g},
-				})
+				rds := b.addIndexed(Op{
+					Kind: ReduceScatter, Dir: topology.InterRow,
+					Bytes: mSlice / float64(t.Rows) * float64(bC) * bpe,
+					Steps: t.Rows - 1, Deps: b.dep(g),
+				}, rdsRowC, s)
 				if S > 1 {
 					sub := float64(cR*cC) / fS
-					b.add(Op{
-						Kind: Slice, Name: fmt.Sprintf("unslice C s=%d", s),
-						HBMBytes: 2 * sub * bpe, Deps: []int{rds},
-					})
+					b.addIndexed(Op{Kind: Slice, HBMBytes: 2 * sub * bpe, Deps: b.dep(rds)}, unsliceC, s)
 				}
 			}
 
@@ -142,28 +128,24 @@ func MeshSliceProgram(p gemm.Problem, t topology.Torus, c hw.Chip, S int) *Progr
 			panic(fmt.Sprintf("sched: unknown dataflow %d", int(p.Dataflow))) // lint:invariant exhaustive switch guard
 		}
 	}
-	return &Program{Torus: t, Ops: b.ops, Label: fmt.Sprintf("MeshSlice-%v S=%d", p.Dataflow, S)}
+	return b
 }
 
 // sliceDep emits the slicing op for a sub-shard when S>1 and returns the
 // dependency list for the consumer (empty when no slicing is needed).
-func sliceDep(b *builder, S, s int, subElems, bpe float64, name string) []int {
+func sliceDep(b *builder, S, s int, subElems, bpe float64, f nameFamily) []int {
 	if S <= 1 {
 		return nil
 	}
-	return []int{b.add(Op{
-		Kind: Slice, Name: fmt.Sprintf("%s s=%d", name, s),
-		HBMBytes: 2 * subElems * bpe,
-	})}
+	return b.dep(b.addIndexed(Op{Kind: Slice, HBMBytes: 2 * subElems * bpe}, f, s))
 }
 
 // CollectiveProgram builds the Collective 2D GeMM schedule (paper Fig. 2b):
 // monolithic collectives with hard dependencies to and from a single local
 // GeMM — the structure that prevents any overlap.
 func CollectiveProgram(p gemm.Problem, t topology.Torus, c hw.Chip) *Program {
-	prog := MeshSliceProgram(p, t, c, 1)
-	prog.Label = fmt.Sprintf("Collective-%v", p.Dataflow)
-	return prog
+	b := meshSliceOps(p, t, c, 1)
+	return &Program{Torus: t, Ops: b.ops, Label: fmt.Sprintf("Collective-%v", p.Dataflow)}
 }
 
 // SUMMAProgram builds SUMMA's schedule (paper Fig. 2a): iters loop
@@ -178,90 +160,82 @@ func SUMMAProgram(p gemm.Problem, t topology.Torus, c hw.Chip, iters int) *Progr
 	aR, aC, bR, bC, cR, cC := shardDims(p, t)
 	bpe := c.BytesPerElement
 	d := c.BcastPackets
-	b := newBuilder(3 * iters) // two pipelined transfers and the partial GeMM
+	// Two pipelined transfers and the partial GeMM, two dependencies.
+	b := newBuilder(3*iters, 2*iters)
 	fI := float64(iters)
 
 	for it := 0; it < iters; it++ {
 		switch p.Dataflow {
 		case gemm.OS:
-			var deps []int
+			deps := make([]int, 0, 2) // on the stack: b.dep copies it
 			if t.Cols > 1 {
-				deps = append(deps, b.add(Op{
-					Kind: Broadcast, Name: fmt.Sprintf("bcast_col A p=%d", it),
-					Dir:   topology.InterCol,
+				deps = append(deps, b.addIndexed(Op{
+					Kind: Broadcast, Dir: topology.InterCol,
 					Bytes: float64(aR) * float64(p.K) / fI * bpe,
 					Steps: t.Cols + d - 2, Packets: d,
-				}))
+				}, bcastColA, it))
 			}
 			if t.Rows > 1 {
-				deps = append(deps, b.add(Op{
-					Kind: Broadcast, Name: fmt.Sprintf("bcast_row B p=%d", it),
-					Dir:   topology.InterRow,
+				deps = append(deps, b.addIndexed(Op{
+					Kind: Broadcast, Dir: topology.InterRow,
 					Bytes: float64(p.K) / fI * float64(bC) * bpe,
 					Steps: t.Rows + d - 2, Packets: d,
-				}))
+				}, bcastRowB, it))
 			}
-			b.add(Op{
-				Kind: Compute, Name: fmt.Sprintf("partial GeMM p=%d", it),
-				FLOPs: 2 * float64(cR) * float64(cC) * float64(p.K) / fI,
-				M:     cR, N: cC, K: p.K / iters,
+			b.addIndexed(Op{
+				Kind: Compute, FLOPs: 2 * float64(cR) * float64(cC) * float64(p.K) / fI,
+				M: cR, N: cC, K: p.K / iters,
 				HBMBytes: gemmHBM(float64(aR)*float64(p.K)/fI,
 					float64(p.K)/fI*float64(bC), float64(cR*cC), c),
-				Deps: deps,
-			})
+				Deps: b.dep(deps...),
+			}, gemmP, it)
 
 		case gemm.LS:
 			var gemmDeps []int
 			if t.Rows > 1 {
-				gemmDeps = append(gemmDeps, b.add(Op{
-					Kind: Broadcast, Name: fmt.Sprintf("bcast_row B p=%d", it),
-					Dir:   topology.InterRow,
+				gemmDeps = b.dep(b.addIndexed(Op{
+					Kind: Broadcast, Dir: topology.InterRow,
 					Bytes: float64(p.N) / fI * float64(bC) * bpe,
 					Steps: t.Rows + d - 2, Packets: d,
-				}))
+				}, bcastRowB, it))
 			}
-			g := b.add(Op{
-				Kind: Compute, Name: fmt.Sprintf("partial GeMM p=%d", it),
-				FLOPs: 2 * float64(aR) * float64(p.N) / fI * float64(aC),
-				M:     aR, N: p.N / iters, K: aC,
+			g := b.addIndexed(Op{
+				Kind: Compute, FLOPs: 2 * float64(aR) * float64(p.N) / fI * float64(aC),
+				M: aR, N: p.N / iters, K: aC,
 				HBMBytes: gemmHBM(float64(aR*aC), float64(p.N)/fI*float64(bC),
 					float64(aR)*float64(p.N)/fI, c),
 				Deps: gemmDeps,
-			})
+			}, gemmP, it)
 			if t.Cols > 1 {
-				b.add(Op{
-					Kind: Reduce, Name: fmt.Sprintf("reduce_col C p=%d", it),
-					Dir:   topology.InterCol,
+				b.addIndexed(Op{
+					Kind: Reduce, Dir: topology.InterCol,
 					Bytes: float64(aR) * float64(p.N) / fI * bpe,
-					Steps: t.Cols + d - 2, Packets: d, Deps: []int{g},
-				})
+					Steps: t.Cols + d - 2, Packets: d, Deps: b.dep(g),
+				}, reduceColC, it)
 			}
 
 		case gemm.RS:
 			var gemmDeps []int
 			if t.Cols > 1 {
-				gemmDeps = append(gemmDeps, b.add(Op{
-					Kind: Broadcast, Name: fmt.Sprintf("bcast_col A p=%d", it),
-					Dir:   topology.InterCol,
+				gemmDeps = b.dep(b.addIndexed(Op{
+					Kind: Broadcast, Dir: topology.InterCol,
 					Bytes: float64(bR) * float64(p.M) / fI * bpe,
 					Steps: t.Cols + d - 2, Packets: d,
-				}))
+				}, bcastColA, it))
 			}
-			g := b.add(Op{
-				Kind: Compute, Name: fmt.Sprintf("partial GeMM p=%d", it),
-				FLOPs: 2 * float64(p.M) / fI * float64(bC) * float64(bR),
-				M:     p.M / iters, N: bC, K: bR,
+			g := b.addIndexed(Op{
+				Kind: Compute, FLOPs: 2 * float64(p.M) / fI * float64(bC) * float64(bR),
+				M: p.M / iters, N: bC, K: bR,
 				HBMBytes: gemmHBM(float64(bR)*float64(p.M)/fI, float64(bR*bC),
 					float64(p.M)/fI*float64(bC), c),
 				Deps: gemmDeps,
-			})
+			}, gemmP, it)
 			if t.Rows > 1 {
-				b.add(Op{
-					Kind: Reduce, Name: fmt.Sprintf("reduce_row C p=%d", it),
-					Dir:   topology.InterRow,
+				b.addIndexed(Op{
+					Kind: Reduce, Dir: topology.InterRow,
 					Bytes: float64(p.M) / fI * float64(bC) * bpe,
-					Steps: t.Rows + d - 2, Packets: d, Deps: []int{g},
-				})
+					Steps: t.Rows + d - 2, Packets: d, Deps: b.dep(g),
+				}, reduceRowC, it)
 			}
 
 		default:

@@ -28,11 +28,12 @@ func CannonProgram(p gemm.Problem, t topology.Torus, c hw.Chip) *Program {
 	bpe := c.BytesPerElement
 	aBytes := float64(aR*aC) * bpe
 	bBytes := float64(bR*bC) * bpe
-	b := newBuilder(2 + 3*n) // the skew pair, then a GeMM and a shift pair per iteration
+	// The skew pair, then a GeMM and a shift pair per iteration (one window each).
+	b := newBuilder(2+3*n, 2*n)
 
-	var skewDeps []int
+	var prevShifts []int
 	if n > 1 {
-		skewDeps = append(skewDeps,
+		prevShifts = b.dep(
 			b.add(Op{Kind: Shift, Name: "skew A", Dir: topology.InterCol,
 				Bytes: aBytes, Steps: n / 2}),
 			b.add(Op{Kind: Shift, Name: "skew B", Dir: topology.InterRow,
@@ -40,35 +41,23 @@ func CannonProgram(p gemm.Problem, t topology.Torus, c hw.Chip) *Program {
 		)
 	}
 	flopsPerIter := 2 * float64(cR) * float64(cC) * float64(p.K) / float64(n)
-	prevShifts := skewDeps
 	for it := 0; it < n; it++ {
-		b.add(Op{
-			Kind: Compute, Name: fmt.Sprintf("partial GeMM t=%d", it),
-			FLOPs: flopsPerIter,
-			M:     cR, N: cC, K: p.K / n,
+		b.addIndexed(Op{
+			Kind: Compute, FLOPs: flopsPerIter,
+			M: cR, N: cC, K: p.K / n,
 			HBMBytes: gemmHBM(float64(aR*aC), float64(bR*bC), float64(cR*cC), c),
 			Deps:     prevShifts,
-		})
+		}, gemmT, it)
 		if it < n-1 && n > 1 {
-			prevShifts = []int{
-				b.add(Op{Kind: Shift, Name: fmt.Sprintf("shift A t=%d", it),
-					Dir: topology.InterCol, Bytes: aBytes, Steps: 1, Deps: depsOfShift(prevShifts, 0)}),
-				b.add(Op{Kind: Shift, Name: fmt.Sprintf("shift B t=%d", it),
-					Dir: topology.InterRow, Bytes: bBytes, Steps: 1, Deps: depsOfShift(prevShifts, 1)}),
-			}
+			prevShifts = b.dep(
+				b.addIndexed(Op{Kind: Shift, Dir: topology.InterCol, Bytes: aBytes, Steps: 1,
+					Deps: follow(prevShifts, 0)}, shiftAT, it),
+				b.addIndexed(Op{Kind: Shift, Dir: topology.InterRow, Bytes: bBytes, Steps: 1,
+					Deps: follow(prevShifts, 1)}, shiftBT, it),
+			)
 		}
 	}
 	return &Program{Torus: t, Ops: b.ops, Label: "Cannon"}
-}
-
-// depsOfShift chains shift t to shift t-1 in the same direction (the link
-// must deliver the previous block before forwarding the next), indexing
-// into the previous iteration's shift pair.
-func depsOfShift(prev []int, which int) []int {
-	if len(prev) <= which {
-		return nil
-	}
-	return []int{prev[which]}
 }
 
 // WangProgram builds Wang et al.'s schedule (paper §2.3.4): ONE collective
@@ -92,7 +81,10 @@ func WangProgram(p gemm.Problem, t topology.Torus, c hw.Chip, unroll int) *Progr
 	if unroll > 0 && unroll < maxIters {
 		maxIters = unroll
 	}
-	b := newBuilder(2*maxIters + 1)
+	// Dependencies per group: the shift's on the previous shift, and the
+	// GeMM's on the monolithic collective and its shift (OS) or on its
+	// shift and the trailing collective's on it (LS, RS).
+	b := newBuilder(2*maxIters+1, 3*maxIters)
 	flopsTotal := 2 * float64(cR) * float64(cC) * float64(p.K)
 
 	// Per dataflow: which operand streams around which ring, what runs
@@ -102,10 +94,10 @@ func WangProgram(p gemm.Problem, t topology.Torus, c hw.Chip, unroll int) *Progr
 		streamRing  int
 		streamBytes float64 // shard bytes per shift step
 		streamHBM   float64 // operand elements held locally (for HBM est.)
-		preDeps     []int
-		streamingA  bool // OS only: which operand circulates
+		pre         = -1    // the monolithic AllGather before the loop (OS)
+		trail       Op      // the monolithic ReduceScatter after it (LS, RS)
+		streamingA  bool    // OS only: which operand circulates
 	)
-	trailing := func(lastGeMMs []int) {}
 
 	switch p.Dataflow {
 	case gemm.OS:
@@ -118,20 +110,20 @@ func WangProgram(p gemm.Problem, t topology.Torus, c hw.Chip, unroll int) *Progr
 			streamHBM = float64(aR * aC)
 			streamingA = true
 			if t.Rows > 1 {
-				preDeps = append(preDeps, b.add(Op{
+				pre = b.add(Op{
 					Kind: AllGather, Name: "AG_row B", Dir: topology.InterRow,
 					Bytes: float64(bR*bC) * bpe, Steps: t.Rows - 1,
-				}))
+				})
 			}
 		} else {
 			streamDir, streamRing = topology.InterRow, t.Rows
 			streamBytes = float64(bR*bC) * bpe
 			streamHBM = float64(bR * bC)
 			if t.Cols > 1 {
-				preDeps = append(preDeps, b.add(Op{
+				pre = b.add(Op{
 					Kind: AllGather, Name: "AG_col A", Dir: topology.InterCol,
 					Bytes: float64(aR*aC) * bpe, Steps: t.Cols - 1,
-				}))
+				})
 			}
 		}
 	case gemm.LS:
@@ -141,12 +133,10 @@ func WangProgram(p gemm.Problem, t topology.Torus, c hw.Chip, unroll int) *Progr
 		streamBytes = float64(bR*bC) * bpe
 		streamHBM = float64(bR * bC)
 		if t.Cols > 1 {
-			trailing = func(lastGeMMs []int) {
-				b.add(Op{
-					Kind: ReduceScatter, Name: "RdS_col C", Dir: topology.InterCol,
-					Bytes: float64(cR) * float64(p.N) / float64(t.Cols) * bpe,
-					Steps: t.Cols - 1, Deps: lastGeMMs,
-				})
+			trail = Op{
+				Kind: ReduceScatter, Name: "RdS_col C", Dir: topology.InterCol,
+				Bytes: float64(cR) * float64(p.N) / float64(t.Cols) * bpe,
+				Steps: t.Cols - 1,
 			}
 		}
 	case gemm.RS:
@@ -155,12 +145,10 @@ func WangProgram(p gemm.Problem, t topology.Torus, c hw.Chip, unroll int) *Progr
 		streamBytes = float64(aR*aC) * bpe
 		streamHBM = float64(aR * aC)
 		if t.Rows > 1 {
-			trailing = func(lastGeMMs []int) {
-				b.add(Op{
-					Kind: ReduceScatter, Name: "RdS_row C", Dir: topology.InterRow,
-					Bytes: float64(p.M) / float64(t.Rows) * float64(cC) * bpe,
-					Steps: t.Rows - 1, Deps: lastGeMMs,
-				})
+			trail = Op{
+				Kind: ReduceScatter, Name: "RdS_row C", Dir: topology.InterRow,
+				Bytes: float64(p.M) / float64(t.Rows) * float64(cC) * bpe,
+				Steps: t.Rows - 1,
 			}
 		}
 	default:
@@ -175,8 +163,13 @@ func WangProgram(p gemm.Problem, t topology.Torus, c hw.Chip, unroll int) *Progr
 	if iters <= 0 || iters > streamRing {
 		iters = streamRing // one GeMM per arriving shard
 	}
-	var prevShift []int
+	// The trailing collective waits for every GeMM: its window is reserved
+	// here and filled as the GeMMs are added.
 	var gemms []int
+	if trail.Kind == ReduceScatter {
+		gemms = b.window(iters)
+	}
+	var prevShift []int
 	consumed := 0
 	for g := 0; g < iters; g++ {
 		group := (g+1)*streamRing/iters - consumed // shards in this group
@@ -185,14 +178,16 @@ func WangProgram(p gemm.Problem, t topology.Torus, c hw.Chip, unroll int) *Progr
 		if g == 0 {
 			need-- // the local shard needs no shift
 		}
-		deps := append([]int{}, preDeps...)
+		deps := make([]int, 0, 2) // on the stack: b.dep copies it
+		if pre >= 0 {
+			deps = append(deps, pre)
+		}
 		if need > 0 {
-			shift := b.add(Op{
-				Kind: Shift, Name: fmt.Sprintf("SendRecv g=%d", g),
-				Dir: streamDir, Bytes: streamBytes, Steps: need,
-				Deps: append([]int{}, prevShift...),
-			})
-			prevShift = []int{shift}
+			shift := b.addIndexed(Op{
+				Kind: Shift, Dir: streamDir, Bytes: streamBytes, Steps: need,
+				Deps: prevShift,
+			}, sendRecvG, g)
+			prevShift = b.dep(shift)
 			deps = append(deps, shift)
 		}
 		frac := float64(group) / float64(streamRing)
@@ -212,16 +207,21 @@ func WangProgram(p gemm.Problem, t topology.Torus, c hw.Chip, unroll int) *Progr
 		case gemm.RS:
 			gm, gn, gk = group*aC, bC, bR
 		}
-		gemms = append(gemms, b.add(Op{
-			Kind: Compute, Name: fmt.Sprintf("partial GeMM g=%d", g),
-			FLOPs: flopsTotal * frac,
-			M:     gm, N: gn, K: gk,
+		gi := b.addIndexed(Op{
+			Kind: Compute, FLOPs: flopsTotal * frac,
+			M: gm, N: gn, K: gk,
 			HBMBytes: gemmHBM(streamHBM*float64(group),
 				streamHBM*float64(group), float64(cR*cC)*frac, c),
-			Deps: deps,
-		}))
+			Deps: b.dep(deps...),
+		}, gemmG, g)
+		if gemms != nil {
+			gemms[g] = gi
+		}
 	}
-	trailing(gemms)
+	if gemms != nil {
+		trail.Deps = gemms
+		b.add(trail)
+	}
 	return &Program{Torus: t, Ops: b.ops, Label: fmt.Sprintf("Wang-%v U=%d", p.Dataflow, iters)}
 }
 
@@ -248,24 +248,23 @@ func oneDProgram(label string, m, n, k, chips int, flowElems float64, gm, gn, gk
 	t := topology.NewTorus(1, chips)
 	bpe := c.BytesPerElement
 	flopsPerShard := 2 * float64(m) * float64(n) * float64(k) / (float64(chips) * float64(chips))
-	b := newBuilder(2 * chips) // a shift and a GeMM per iteration
+	// A shift and a GeMM per iteration, both waiting on the shift before.
+	b := newBuilder(2*chips, chips)
 	var prevShift []int
 	for it := 0; it < chips; it++ {
-		deps := append([]int{}, prevShift...)
+		deps := prevShift
 		if it < chips-1 {
-			prevShift = []int{b.add(Op{
-				Kind: Shift, Name: fmt.Sprintf("SendRecv it=%d", it),
-				Dir: topology.InterCol, Bytes: flowElems * bpe, Steps: 1,
-				Deps: append([]int{}, prevShift...),
-			})}
+			prevShift = b.dep(b.addIndexed(Op{
+				Kind: Shift, Dir: topology.InterCol, Bytes: flowElems * bpe, Steps: 1,
+				Deps: deps,
+			}, sendRecvIt, it))
 		}
-		b.add(Op{
-			Kind: Compute, Name: fmt.Sprintf("partial GeMM it=%d", it),
-			FLOPs: flopsPerShard,
-			M:     gm, N: gn, K: gk,
+		b.addIndexed(Op{
+			Kind: Compute, FLOPs: flopsPerShard,
+			M: gm, N: gn, K: gk,
 			HBMBytes: gemmHBM(flowElems, flowElems, float64(m)*float64(n)/float64(chips), c),
 			Deps:     deps,
-		})
+		}, gemmIt, it)
 	}
 	return &Program{Torus: t, Ops: b.ops, Label: label}
 }

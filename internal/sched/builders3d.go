@@ -26,13 +26,15 @@ func TwoPointFiveDProgram(m, n, k int, g gemm.Grid3D, c hw.Chip) *Program {
 	aShard := float64(m/p) * float64(k/p)
 	bShard := float64(k/p) * float64(n/p)
 	cShard := float64(m/p) * float64(n/p)
-	// Replicate, skew and shift pairs, one GeMM per iteration, the reduce.
-	b := newBuilder(5 + 3*(p/g.C))
+	// Replicate, skew and shift pairs, one GeMM per iteration, the reduce;
+	// each pair is one dependency window.
+	iters := p / g.C
+	b := newBuilder(5+3*iters, 3+2*iters)
 
 	// Replicate the front layer's shards down the depth rings.
-	var repDeps []int
+	var prevShifts []int
 	if g.C > 1 {
-		repDeps = append(repDeps,
+		prevShifts = b.dep(
 			b.add(Op{Kind: Shift, Name: "replicate A", Dir: topology.InterDepth,
 				Bytes: aShard * bpe, Steps: g.C - 1}),
 			b.add(Op{Kind: Shift, Name: "replicate B", Dir: topology.InterDepth,
@@ -40,42 +42,38 @@ func TwoPointFiveDProgram(m, n, k int, g gemm.Grid3D, c hw.Chip) *Program {
 		)
 	}
 	// Skew within each layer (worst chip: ⌊P/2⌋ torus hops per direction).
-	skewDeps := repDeps
 	if p > 1 {
-		skewDeps = []int{
+		prevShifts = b.dep(
 			b.add(Op{Kind: Shift, Name: "skew A", Dir: topology.InterCol,
-				Bytes: aShard * bpe, Steps: p / 2, Deps: depsFor(repDeps, 0)}),
+				Bytes: aShard * bpe, Steps: p / 2, Deps: follow(prevShifts, 0)}),
 			b.add(Op{Kind: Shift, Name: "skew B", Dir: topology.InterRow,
-				Bytes: bShard * bpe, Steps: p / 2, Deps: depsFor(repDeps, 1)}),
-		}
+				Bytes: bShard * bpe, Steps: p / 2, Deps: follow(prevShifts, 1)}),
+		)
 	}
 	// The systolic loop over this layer's slice of K: total per-chip work
 	// is 2·(M/P)·(N/P)·(K/c), spread over P/c iterations.
-	iters := p / g.C
 	flopsPerIter := 2 * cShard * float64(k) / float64(g.C) / float64(iters)
-	prevShifts := skewDeps
 	var lastGeMM int
 	for it := 0; it < iters; it++ {
-		lastGeMM = b.add(Op{
-			Kind: Compute, Name: fmt.Sprintf("partial GeMM t=%d", it),
-			FLOPs: flopsPerIter,
-			M:     m / p, N: n / p, K: k / p,
+		lastGeMM = b.addIndexed(Op{
+			Kind: Compute, FLOPs: flopsPerIter,
+			M: m / p, N: n / p, K: k / p,
 			HBMBytes: gemmHBM(aShard, bShard, cShard, c),
 			Deps:     prevShifts,
-		})
+		}, gemmT, it)
 		if it < iters-1 {
-			prevShifts = []int{
-				b.add(Op{Kind: Shift, Name: fmt.Sprintf("shift A t=%d", it),
-					Dir: topology.InterCol, Bytes: aShard * bpe, Steps: 1, Deps: depsFor(prevShifts, 0)}),
-				b.add(Op{Kind: Shift, Name: fmt.Sprintf("shift B t=%d", it),
-					Dir: topology.InterRow, Bytes: bShard * bpe, Steps: 1, Deps: depsFor(prevShifts, 1)}),
-			}
+			prevShifts = b.dep(
+				b.addIndexed(Op{Kind: Shift, Dir: topology.InterCol, Bytes: aShard * bpe, Steps: 1,
+					Deps: follow(prevShifts, 0)}, shiftAT, it),
+				b.addIndexed(Op{Kind: Shift, Dir: topology.InterRow, Bytes: bShard * bpe, Steps: 1,
+					Deps: follow(prevShifts, 1)}, shiftBT, it),
+			)
 		}
 	}
 	// Reduce the c partial outputs back to the front layer.
 	if g.C > 1 {
 		b.add(Op{Kind: Shift, Name: "reduce C", Dir: topology.InterDepth,
-			Bytes: cShard * bpe, Steps: g.C - 1, Deps: []int{lastGeMM}})
+			Bytes: cShard * bpe, Steps: g.C - 1, Deps: b.dep(lastGeMM)})
 	}
 	grid := topology.NewTorus3D(p, p, g.C)
 	return &Program{
@@ -84,18 +82,6 @@ func TwoPointFiveDProgram(m, n, k int, g gemm.Grid3D, c hw.Chip) *Program {
 		Ops:   b.ops,
 		Label: fmt.Sprintf("2.5D %dx%dx%d", p, p, g.C),
 	}
-}
-
-// depsFor returns a one-element dependency list from prev when available
-// (index capped), or all of prev for the first consumer.
-func depsFor(prev []int, which int) []int {
-	if len(prev) == 0 {
-		return nil
-	}
-	if which < len(prev) {
-		return []int{prev[which]}
-	}
-	return append([]int{}, prev...)
 }
 
 // MeshSliceDPProgram builds MeshSlice+DP on a Pr×Pc×c torus: every layer
@@ -109,23 +95,24 @@ func MeshSliceDPProgram(p gemm.Problem, t topology.Torus, depth int, c hw.Chip, 
 	}
 	local := p
 	local.M = p.M / depth
-	prog := MeshSliceProgram(local, t, c, S)
+	b := meshSliceOps(local, t, c, S)
 	if depth > 1 {
 		// Gradient AllReduce of the weight shard across the DP replicas.
 		wShard := float64(p.K) / float64(t.Rows) * float64(p.N) / float64(t.Cols) * c.BytesPerElement
-		last := len(prog.Ops) - 1
-		rs := len(prog.Ops)
-		prog.Ops = append(prog.Ops, Op{
+		rs := b.add(Op{
 			Kind: ReduceScatter, Name: "DP grad RdS", Dir: topology.InterDepth,
-			Bytes: wShard / float64(depth), Steps: depth - 1, Deps: []int{last},
+			Bytes: wShard / float64(depth), Steps: depth - 1, Deps: b.dep(len(b.ops) - 1),
 		})
-		prog.Ops = append(prog.Ops, Op{
+		b.add(Op{
 			Kind: AllGather, Name: "DP grad AG", Dir: topology.InterDepth,
-			Bytes: wShard / float64(depth), Steps: depth - 1, Deps: []int{rs},
+			Bytes: wShard / float64(depth), Steps: depth - 1, Deps: b.dep(rs),
 		})
 	}
 	grid := topology.NewTorus3D(t.Rows, t.Cols, depth)
-	prog.Grid3 = &grid
-	prog.Label = fmt.Sprintf("MeshSlice+DP %dx%dx%d S=%d", t.Rows, t.Cols, depth, S)
-	return prog
+	return &Program{
+		Torus: t,
+		Grid3: &grid,
+		Ops:   b.ops,
+		Label: fmt.Sprintf("MeshSlice+DP %dx%dx%d S=%d", t.Rows, t.Cols, depth, S),
+	}
 }

@@ -9,6 +9,7 @@ package sched
 
 import (
 	"fmt"
+	"strconv"
 
 	"meshslice/internal/topology"
 )
@@ -100,7 +101,10 @@ type Op struct {
 	// contention model.
 	HBMBytes float64
 
-	// Deps lists indices of same-chip ops that must complete first.
+	// Deps lists indices of same-chip ops that must complete first. The
+	// builders hand out windows of one arena per program with no spare
+	// capacity (cap == len), so an append copies and never writes into
+	// another op's list; ops may share a window.
 	Deps []int
 }
 
@@ -143,7 +147,8 @@ func (p *Program) RingMembers(chip int, d topology.Direction) []int {
 // Validate checks structural sanity: dependencies in range and acyclic
 // (forward-only), comm fields present where required.
 func (p *Program) Validate() error {
-	for i, op := range p.Ops {
+	for i := range p.Ops {
+		op := &p.Ops[i]
 		for _, d := range op.Deps {
 			if d < 0 || d >= i {
 				return fmt.Errorf("sched: op %d (%s) has dependency %d outside [0,%d)", i, op.Name, d, i)
@@ -173,8 +178,8 @@ func (p *Program) Validate() error {
 // TotalFLOPs sums the compute work of the program (per chip).
 func (p *Program) TotalFLOPs() float64 {
 	var total float64
-	for _, op := range p.Ops {
-		if op.Kind == Compute {
+	for i := range p.Ops {
+		if op := &p.Ops[i]; op.Kind == Compute {
 			total += op.FLOPs
 		}
 	}
@@ -185,7 +190,8 @@ func (p *Program) TotalFLOPs() float64 {
 // given direction (the traffic cost numerator of §2.3.1).
 func (p *Program) CommBytesOnWire(d topology.Direction) float64 {
 	var total float64
-	for _, op := range p.Ops {
+	for i := range p.Ops {
+		op := &p.Ops[i]
 		if !op.Kind.IsComm() || op.Dir != d {
 			continue
 		}
@@ -199,20 +205,103 @@ func (p *Program) CommBytesOnWire(d topology.Direction) float64 {
 	return total
 }
 
-// builder accumulates ops with a fluent chip-program API.
+// builder accumulates ops with a fluent chip-program API. Building a
+// program allocates a fixed number of objects whatever its op count: the op
+// list and the dependency arena are reserved once, and indexed op names
+// come from the interned tables below.
 type builder struct {
-	ops []Op
+	ops  []Op
+	deps []int // the arena every Deps window points into
 }
 
-// newBuilder returns a builder with room for maxOps ops — each schedule
-// knows an upper bound on its op count from its slice or iteration count —
-// so the op list is allocated once instead of regrown as it fills.
-func newBuilder(maxOps int) *builder {
-	return &builder{ops: make([]Op, 0, maxOps)}
+// newBuilder returns a builder with room for maxOps ops and maxDeps
+// dependency entries — each schedule knows both bounds from its slice or
+// iteration count — so neither list is regrown as it fills.
+func newBuilder(maxOps, maxDeps int) builder {
+	return builder{ops: make([]Op, 0, maxOps), deps: make([]int, 0, maxDeps)}
 }
 
 // add appends op and returns its index.
 func (b *builder) add(op Op) int {
 	b.ops = append(b.ops, op)
 	return len(b.ops) - 1
+}
+
+// addIndexed appends op named by family f and index i ("partial GeMM s="
+// and 3 name it "partial GeMM s=3") and returns its index.
+func (b *builder) addIndexed(op Op, f nameFamily, i int) int {
+	if uint(i) < internedIndices {
+		op.Name = internedNames[f][i]
+	} else {
+		op.Name = familyPrefix[f] + strconv.Itoa(i)
+	}
+	return b.add(op)
+}
+
+// dep copies ids into the arena and returns their window, or nil for none.
+// A window has no spare capacity, so appending to it never reaches the
+// next op's list.
+func (b *builder) dep(ids ...int) []int {
+	if len(ids) == 0 {
+		return nil
+	}
+	w := b.window(len(ids))
+	copy(w, ids)
+	return w
+}
+
+// window reserves n zeroed arena entries as one window, for a list that is
+// filled in as its ops are added.
+func (b *builder) window(n int) []int {
+	lo := len(b.deps)
+	b.deps = append(b.deps, make([]int, n)...)
+	return b.deps[lo:len(b.deps):len(b.deps)]
+}
+
+// follow returns the dependency of a shift on the shift before it in the
+// same direction, prev[which], as a window of prev; nil when prev holds no
+// such shift (the first shift of a chain).
+func follow(prev []int, which int) []int {
+	if which >= len(prev) {
+		return nil
+	}
+	return prev[which : which+1 : which+1]
+}
+
+// nameFamily is the prefix of an indexed op name; the builder appends the
+// decimal index. Every family has an interned table, so an indexed name
+// costs no allocation for indices below internedIndices.
+type nameFamily uint8
+
+const (
+	agColA, agRowB, rdsColC, rdsRowC nameFamily = 0, 1, 2, 3
+	sliceAs, sliceBs, unsliceC       nameFamily = 4, 5, 6
+	// The partial GeMMs of MeshSlice's slices, SUMMA's panels, Cannon's
+	// and 2.5D's systolic steps, Wang's shard groups and the 1D rings.
+	gemmS, gemmP, gemmT, gemmG, gemmIt                   nameFamily = 7, 8, 9, 10, 11
+	bcastColA, bcastRowB, reduceColC, reduceRowC         nameFamily = 12, 13, 14, 15
+	shiftAT, shiftBT, sendRecvG, sendRecvIt, numFamilies nameFamily = 16, 17, 18, 19, 20
+)
+
+var familyPrefix = [numFamilies]string{
+	agColA: "AG_col A s=", agRowB: "AG_row B s=", rdsColC: "RdS_col C s=", rdsRowC: "RdS_row C s=",
+	sliceAs: "slice A_s s=", sliceBs: "slice B_s s=", unsliceC: "unslice C s=",
+	gemmS: "partial GeMM s=", gemmP: "partial GeMM p=", gemmT: "partial GeMM t=",
+	gemmG: "partial GeMM g=", gemmIt: "partial GeMM it=",
+	bcastColA: "bcast_col A p=", bcastRowB: "bcast_row B p=",
+	reduceColC: "reduce_col C p=", reduceRowC: "reduce_row C p=",
+	shiftAT: "shift A t=", shiftBT: "shift B t=", sendRecvG: "SendRecv g=", sendRecvIt: "SendRecv it=",
+}
+
+const internedIndices = 256
+
+// internedNames[f][i] is familyPrefix[f] followed by i.
+var internedNames [numFamilies][internedIndices]string
+
+func init() {
+	for f, prefix := range familyPrefix {
+		for i := range internedNames[f] {
+			internedNames[f][i] = prefix + strconv.Itoa(i)
+		}
+	}
 }
