@@ -171,6 +171,9 @@ func TestBadFlagsExitTwoWithoutPanic(t *testing.T) {
 		"sim -fabric NaN",
 		"sim -fabric +Inf",
 		"sim -fabric -2",
+		"gemm -dataflow xs",
+		"verify -dataflow xs",
+		"record -dataflow xs",
 	} {
 		t.Run(args, func(t *testing.T) {
 			t.Parallel()

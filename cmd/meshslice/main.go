@@ -243,15 +243,8 @@ func cmdGeMM(args []string) {
 	record := fs.String("record", "", "also replay one algorithm functionally (near-square mesh, use modest M/N/K) and write its flight-recorder JSON here; requires a specific -algo")
 	fs.Parse(args)
 
-	var df gemm.Dataflow
-	switch strings.ToLower(*dataflow) {
-	case "os":
-		df = gemm.OS
-	case "ls":
-		df = gemm.LS
-	case "rs":
-		df = gemm.RS
-	default:
+	df, ok := dataflowByName(*dataflow)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown dataflow %q\n", *dataflow)
 		os.Exit(2)
 	}

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"meshslice/internal/gemm"
 	"meshslice/internal/mesh"
@@ -28,15 +27,8 @@ func cmdVerify(args []string) {
 	record := fs.String("record", "", "write the sweep's canonical flight-recorder JSON here")
 	fs.Parse(args)
 
-	var df gemm.Dataflow
-	switch strings.ToLower(*dataflow) {
-	case "os":
-		df = gemm.OS
-	case "ls":
-		df = gemm.LS
-	case "rs":
-		df = gemm.RS
-	default:
+	df, ok := dataflowByName(*dataflow)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown dataflow %q\n", *dataflow)
 		os.Exit(2)
 	}

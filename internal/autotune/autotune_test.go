@@ -18,19 +18,19 @@ func TestPlanForTableOneRows(t *testing.T) {
 	fc := model.FCLayer{Name: "FF2", InDim: 49152, OutDim: 12288}
 	const tokens = 1 << 18
 
-	y := PlanFor(fc, tokens, YStn)
+	y := PlanFor(fc, tokens, gemm.YStn)
 	if y.Passes[model.Forward].Dataflow != gemm.OS ||
 		y.Passes[model.BackwardData].Dataflow != gemm.LS ||
 		y.Passes[model.BackwardWeight].Dataflow != gemm.RS {
 		t.Errorf("Y-stn dataflows wrong: %+v", y.Passes)
 	}
-	x := PlanFor(fc, tokens, XStn)
+	x := PlanFor(fc, tokens, gemm.XStn)
 	if x.Passes[model.Forward].Dataflow != gemm.LS ||
 		x.Passes[model.BackwardData].Dataflow != gemm.OS ||
 		x.Passes[model.BackwardWeight].Dataflow != gemm.RS {
 		t.Errorf("X-stn dataflows wrong: %+v", x.Passes)
 	}
-	w := PlanFor(fc, tokens, WStn)
+	w := PlanFor(fc, tokens, gemm.WStn)
 	if w.Passes[model.Forward].Dataflow != gemm.RS ||
 		w.Passes[model.BackwardData].Dataflow != gemm.LS ||
 		w.Passes[model.BackwardWeight].Dataflow != gemm.OS {
@@ -47,7 +47,7 @@ func TestPlanShapesConsistent(t *testing.T) {
 	fc := model.FCLayer{Name: "QKV", InDim: 12288, OutDim: 36864}
 	const tokens = 4096
 	want := 2.0 * tokens * 12288 * 36864
-	for _, s := range []Stationary{YStn, XStn, WStn} {
+	for _, s := range []gemm.Stationary{gemm.YStn, gemm.XStn, gemm.WStn} {
 		plan := PlanFor(fc, tokens, s)
 		for pass, p := range plan.Passes {
 			got := 2.0 * float64(p.M) * float64(p.N) * float64(p.K)
@@ -62,22 +62,22 @@ func TestChooseDataflowKeepsLargestStationary(t *testing.T) {
 	const tokens = 1 << 18
 	// FF1: output (tokens×4h) is largest → Y-stn.
 	ff1 := ChooseDataflow(model.FCLayer{Name: "FF1", InDim: 12288, OutDim: 49152}, tokens)
-	if ff1.Stationary != YStn {
+	if ff1.Stationary != gemm.YStn {
 		t.Errorf("FF1 stationary = %v, want Y-stn", ff1.Stationary)
 	}
 	// FF2: input (tokens×4h) is largest → X-stn.
 	ff2 := ChooseDataflow(model.FCLayer{Name: "FF2", InDim: 49152, OutDim: 12288}, tokens)
-	if ff2.Stationary != XStn {
+	if ff2.Stationary != gemm.XStn {
 		t.Errorf("FF2 stationary = %v, want X-stn", ff2.Stationary)
 	}
 	// Tiny token count: weight dominates → W-stn.
 	w := ChooseDataflow(model.FCLayer{Name: "FF2", InDim: 49152, OutDim: 12288}, 64)
-	if w.Stationary != WStn {
+	if w.Stationary != gemm.WStn {
 		t.Errorf("weight-dominated stationary = %v, want W-stn", w.Stationary)
 	}
 	// Square layer under ties → the non-transposed default.
 	sq := ChooseDataflow(model.FCLayer{Name: "AttnOut", InDim: 12288, OutDim: 12288}, tokens)
-	if sq.Stationary != YStn {
+	if sq.Stationary != gemm.YStn {
 		t.Errorf("tie stationary = %v, want Y-stn", sq.Stationary)
 	}
 }
@@ -91,7 +91,7 @@ func TestPlanModelOptimizedVsDefault(t *testing.T) {
 		t.Fatalf("plan lengths %d/%d", len(def), len(opt))
 	}
 	for _, p := range def {
-		if p.Stationary != YStn {
+		if p.Stationary != gemm.YStn {
 			t.Errorf("default plan for %s = %v, want Y-stn", p.Layer.Name, p.Stationary)
 		}
 	}
@@ -107,12 +107,38 @@ func TestPlanModelOptimizedVsDefault(t *testing.T) {
 	}
 }
 
+// validSliceCounts enumerates the slice counts S usable for the problem on
+// the shape: the divisors of gemm.Problem.MaxSliceCount, in increasing
+// order; empty means the problem cannot run on this shape. It is the
+// reference searchS's bounded trial division is checked against.
+func validSliceCounts(p gemm.Problem, shape topology.Torus, chip hw.Chip) []int {
+	g, ok := p.MaxSliceCount(shape, chip.SliceBlock)
+	if !ok {
+		return nil
+	}
+	// Divisors in O(√g) pairs: each divisor s ≤ √g pairs with g/s ≥ √g, so
+	// appending the large half in reverse yields ascending order.
+	var small, large []int
+	for s := 1; s*s <= g; s++ {
+		if g%s == 0 {
+			small = append(small, s)
+			if q := g / s; q != s {
+				large = append(large, q)
+			}
+		}
+	}
+	for i := len(large) - 1; i >= 0; i-- {
+		small = append(small, large[i])
+	}
+	return small
+}
+
 func TestValidSliceCounts(t *testing.T) {
 	p := gemm.Problem{M: 1 << 17, N: 12288, K: 12288, Dataflow: gemm.OS}
 	shape := topology.NewTorus(16, 16)
-	counts := ValidSliceCounts(p, shape, testHW)
+	counts := validSliceCounts(p, shape, testHW)
 	if len(counts) == 0 || counts[0] != 1 {
-		t.Fatalf("ValidSliceCounts = %v", counts)
+		t.Fatalf("validSliceCounts = %v", counts)
 	}
 	// Sliced dims: K/16 = 768, /B(8) = 96 per direction; gcd = 96.
 	for _, s := range counts {
@@ -122,7 +148,7 @@ func TestValidSliceCounts(t *testing.T) {
 	}
 	// Unshardable problem yields nothing.
 	bad := gemm.Problem{M: 100, N: 100, K: 100, Dataflow: gemm.OS}
-	if got := ValidSliceCounts(bad, shape, testHW); got != nil {
+	if got := validSliceCounts(bad, shape, testHW); got != nil {
 		t.Errorf("unshardable problem returned %v", got)
 	}
 }
@@ -238,10 +264,10 @@ func TestTuneRejectsBadShapes(t *testing.T) {
 }
 
 func TestStationaryString(t *testing.T) {
-	if YStn.String() != "Y-stn" || XStn.String() != "X-stn" || WStn.String() != "W-stn" {
-		t.Errorf("strings: %v %v %v", YStn, XStn, WStn)
+	if gemm.YStn.String() != "Y-stn" || gemm.XStn.String() != "X-stn" || gemm.WStn.String() != "W-stn" {
+		t.Errorf("strings: %v %v %v", gemm.YStn, gemm.XStn, gemm.WStn)
 	}
-	if Stationary(9).String() == "" {
+	if gemm.Stationary(9).String() == "" {
 		t.Errorf("unknown stationary must render")
 	}
 }

@@ -7,37 +7,9 @@
 package autotune
 
 import (
-	"fmt"
-
 	"meshslice/internal/gemm"
 	"meshslice/internal/model"
 )
-
-// Stationary identifies which matrix of Y = XW stays put (Table 1 rows).
-type Stationary int
-
-const (
-	// YStn keeps the output stationary (the default that transposes
-	// nothing; Table 2's "not optimized" baseline uses it everywhere).
-	YStn Stationary = iota
-	// XStn keeps the input stationary.
-	XStn
-	// WStn keeps the weight stationary.
-	WStn
-)
-
-func (s Stationary) String() string {
-	switch s {
-	case YStn:
-		return "Y-stn"
-	case XStn:
-		return "X-stn"
-	case WStn:
-		return "W-stn"
-	default:
-		return fmt.Sprintf("Stationary(%d)", int(s))
-	}
-}
 
 // LayerPlan is the phase-1 output for one FC layer: the chosen stationary
 // matrix and the three training GeMM problems it induces (Table 1 row).
@@ -45,7 +17,7 @@ func (s Stationary) String() string {
 // dataflow, so phase 2 and the schedulers consume them directly.
 type LayerPlan struct {
 	Layer      model.FCLayer
-	Stationary Stationary
+	Stationary gemm.Stationary
 	// Passes holds the forward, backward-data, and backward-weight
 	// problems, indexed by model.Pass.
 	Passes [3]gemm.Problem
@@ -56,31 +28,15 @@ type LayerPlan struct {
 }
 
 // PlanFor returns the Table 1 row for the given stationary choice applied
-// to Y = XW with X of tokens×in, W of in×out, Y of tokens×out.
-func PlanFor(fc model.FCLayer, tokens int, s Stationary) LayerPlan {
-	in, out := fc.InDim, fc.OutDim
-	p := LayerPlan{Layer: fc, Stationary: s}
-	switch s {
-	case YStn:
-		// Y = OS(X, W); X' = LS(Y', W); W' = RS(X, Y').
-		p.Passes[model.Forward] = gemm.Problem{M: tokens, N: out, K: in, Dataflow: gemm.OS}
-		p.Passes[model.BackwardData] = gemm.Problem{M: tokens, N: in, K: out, Dataflow: gemm.LS}
-		p.Passes[model.BackwardWeight] = gemm.Problem{M: in, N: out, K: tokens, Dataflow: gemm.RS}
-	case XStn:
-		// Y = LS(X, Wᵀ); X' = OS(Y', Wᵀ); W'ᵀ = RS(Y', X).
-		p.Passes[model.Forward] = gemm.Problem{M: tokens, N: out, K: in, Dataflow: gemm.LS}
-		p.Passes[model.BackwardData] = gemm.Problem{M: tokens, N: in, K: out, Dataflow: gemm.OS}
-		p.Passes[model.BackwardWeight] = gemm.Problem{M: out, N: in, K: tokens, Dataflow: gemm.RS}
-	case WStn:
-		// Y = RS(Xᵀ, W); X'ᵀ = LS(W, Y'); W' = OS(Xᵀ, Y').
-		p.Passes[model.Forward] = gemm.Problem{M: tokens, N: out, K: in, Dataflow: gemm.RS}
-		p.Passes[model.BackwardData] = gemm.Problem{M: in, N: tokens, K: out, Dataflow: gemm.LS}
-		p.Passes[model.BackwardWeight] = gemm.Problem{M: in, N: out, K: tokens, Dataflow: gemm.OS}
-		p.TransposedInput = true
-	default:
-		panic(fmt.Sprintf("autotune: unknown stationary %d", int(s))) // lint:invariant exhaustive switch guard
+// to Y = XW with X of tokens×in, W of in×out, Y of tokens×out
+// (gemm.Stationary.Passes).
+func PlanFor(fc model.FCLayer, tokens int, s gemm.Stationary) LayerPlan {
+	return LayerPlan{
+		Layer:           fc,
+		Stationary:      s,
+		Passes:          s.Passes(tokens, fc.InDim, fc.OutDim),
+		TransposedInput: s == gemm.WStn,
 	}
-	return p
 }
 
 // ChooseDataflow is phase 1 for one layer: keep the largest of X, W, Y
@@ -95,18 +51,18 @@ func ChooseDataflow(fc model.FCLayer, tokens int) LayerPlan {
 	wSize := int64(fc.InDim) * int64(fc.OutDim)
 	switch {
 	case wSize > xSize && wSize > ySize:
-		return PlanFor(fc, tokens, WStn)
+		return PlanFor(fc, tokens, gemm.WStn)
 	case xSize > ySize:
-		return PlanFor(fc, tokens, XStn)
+		return PlanFor(fc, tokens, gemm.XStn)
 	default:
-		return PlanFor(fc, tokens, YStn)
+		return PlanFor(fc, tokens, gemm.YStn)
 	}
 }
 
 // DefaultDataflow returns the unoptimised baseline of Table 2: Y-stn for
 // every layer (the row that transposes none of the matrices).
 func DefaultDataflow(fc model.FCLayer, tokens int) LayerPlan {
-	return PlanFor(fc, tokens, YStn)
+	return PlanFor(fc, tokens, gemm.YStn)
 }
 
 // PlanModel runs phase 1 over all FC layers of the model.

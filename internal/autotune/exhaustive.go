@@ -3,6 +3,7 @@ package autotune
 import (
 	"math"
 
+	"meshslice/internal/gemm"
 	"meshslice/internal/hw"
 	"meshslice/internal/model"
 	"meshslice/internal/topology"
@@ -22,7 +23,7 @@ import (
 // heuristic, not to replace it.
 func ExhaustiveDataflow(cfg model.Config, tokens int, shape topology.Torus, chip hw.Chip, maxS int) (Choice, bool) {
 	fcs := cfg.FCLayers()
-	options := [...]Stationary{YStn, XStn, WStn}
+	options := [...]gemm.Stationary{gemm.YStn, gemm.XStn, gemm.WStn}
 	// One distinct-problem table over all 3L plans (plan 3·layer + option)
 	// and one search slab shared by every assignment, so each problem is
 	// searched once however many assignments use it.

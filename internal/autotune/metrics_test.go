@@ -111,7 +111,7 @@ func TestDistinctPasses(t *testing.T) {
 	shapes := topology.MeshShapes2D(chips)
 	for _, shape := range shapes {
 		for _, p := range table.probs {
-			counts := ValidSliceCounts(p, shape, testHW)
+			counts := validSliceCounts(p, shape, testHW)
 			if len(counts) == 0 {
 				t.Fatalf("%v does not shard on %v; the expected count assumes every shape shards", p, shape)
 			}

@@ -79,10 +79,10 @@ func TestValidSliceCountsMatchesTrialDivision(t *testing.T) {
 	}
 	for _, shape := range shapes {
 		for _, p := range probs {
-			got := ValidSliceCounts(p, shape, testHW)
+			got := validSliceCounts(p, shape, testHW)
 			want := trialDivisionSliceCounts(p, shape)
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%v on %v: ValidSliceCounts = %v, want %v", p.Dataflow, shape, got, want)
+				t.Errorf("%v on %v: validSliceCounts = %v, want %v", p.Dataflow, shape, got, want)
 			}
 		}
 	}
@@ -90,15 +90,10 @@ func TestValidSliceCountsMatchesTrialDivision(t *testing.T) {
 
 // trialDivisionSliceCounts is the reference O(g) enumeration.
 func trialDivisionSliceCounts(p gemm.Problem, shape topology.Torus) []int {
-	if !shardable(p, shape) {
+	g, ok := p.MaxSliceCount(shape, testHW.SliceBlock)
+	if !ok {
 		return nil
 	}
-	d1, d2 := slicedDims(p, shape)
-	b := testHW.SliceBlock
-	if d1%b != 0 || d2%b != 0 {
-		b = 1
-	}
-	g := gcd(d1/b, d2/b)
 	var out []int
 	for s := 1; s <= g; s++ {
 		if g%s == 0 {

@@ -308,16 +308,16 @@ func searchS(p gemm.Problem, shape topology.Torus, chip hw.Chip, maxS int) (s in
 	if maxS <= 0 {
 		maxS = 64
 	}
-	g, ok := sliceCountGCD(p, shape, chip)
+	g, ok := p.MaxSliceCount(shape, chip.SliceBlock)
 	if !ok {
 		return -1, 0, 0
 	}
 	// Trial division bounded by maxS instead of materialising the full
 	// divisor list: the search only ever looks at slice counts ≤ maxS, so
-	// this visits the same candidates ValidSliceCounts would, in the same
-	// ascending order, in O(maxS) with no allocation. The prepared
-	// evaluator hoists the cost model's S-independent terms out of the
-	// sweep (bit-identical to costmodel.MeshSlice).
+	// this visits every valid count up to maxS in ascending order, in
+	// O(maxS) with no allocation. The prepared evaluator hoists the cost
+	// model's S-independent terms out of the sweep (bit-identical to
+	// costmodel.MeshSlice).
 	eval := costmodel.NewMeshSliceEval(p, shape, chip)
 	s = -1
 	for c := 1; c <= g && c <= maxS; c++ {
@@ -330,79 +330,4 @@ func searchS(p gemm.Problem, shape topology.Torus, chip hw.Chip, maxS int) (s in
 		}
 	}
 	return s, total, evals
-}
-
-// ValidSliceCounts enumerates the slice counts S usable for the problem on
-// the shape: S·Block must divide both sliced local dimensions (paper
-// §3.1.2), and the operands must shard evenly at all. Results are in
-// increasing order; empty means the problem cannot run on this shape.
-func ValidSliceCounts(p gemm.Problem, shape topology.Torus, chip hw.Chip) []int {
-	g, ok := sliceCountGCD(p, shape, chip)
-	if !ok {
-		return nil
-	}
-	// Divisors in O(√g) pairs rather than trial division over [1, g] —
-	// that loop dominated Tune's profile at large chip counts, where the
-	// sliced local dimensions reach the tens of thousands. Each divisor
-	// s ≤ √g pairs with g/s ≥ √g, so appending the large half in reverse
-	// yields ascending order without a sort.
-	var small, large []int
-	for s := 1; s*s <= g; s++ {
-		if g%s == 0 {
-			small = append(small, s)
-			if q := g / s; q != s {
-				large = append(large, q)
-			}
-		}
-	}
-	for i := len(large) - 1; i >= 0; i-- {
-		small = append(small, large[i])
-	}
-	return small
-}
-
-// sliceCountGCD returns the number g whose divisors are the valid slice
-// counts for the problem on the shape; ok is false when the operands do not
-// shard at all.
-func sliceCountGCD(p gemm.Problem, shape topology.Torus, chip hw.Chip) (int, bool) {
-	if !shardable(p, shape) {
-		return 0, false
-	}
-	d1, d2 := slicedDims(p, shape)
-	b := chip.SliceBlock
-	if d1%b != 0 || d2%b != 0 {
-		// Fall back to element-granular slicing when the blocked layout
-		// does not fit (never the case on the evaluated shapes).
-		b = 1
-	}
-	return gcd(d1/b, d2/b), true
-}
-
-// slicedDims returns the two local dimensions MeshSlice slices for the
-// problem's dataflow (see gemm.MeshSliceConfig.Validate).
-func slicedDims(p gemm.Problem, t topology.Torus) (int, int) {
-	switch p.Dataflow {
-	case gemm.OS:
-		return p.K / t.Cols, p.K / t.Rows
-	case gemm.LS:
-		return p.N / t.Rows, p.N / t.Cols
-	case gemm.RS:
-		return p.M / t.Cols, p.M / t.Rows
-	default:
-		panic(fmt.Sprintf("autotune: unknown dataflow %d", int(p.Dataflow))) // lint:invariant exhaustive switch guard
-	}
-}
-
-func shardable(p gemm.Problem, t topology.Torus) bool {
-	aR, aC, bR, bC := p.OperandShapes()
-	return aR%t.Rows == 0 && aC%t.Cols == 0 &&
-		bR%t.Rows == 0 && bC%t.Cols == 0 &&
-		p.M%t.Rows == 0 && p.N%t.Cols == 0
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }

@@ -64,6 +64,74 @@ func (d Dataflow) String() string {
 	}
 }
 
+// checkDataflow reports an error unless df is OS, LS or RS.
+func checkDataflow(df Dataflow) error {
+	if df < OS || df > RS {
+		return fmt.Errorf("gemm: unknown dataflow %d", int(df))
+	}
+	return nil
+}
+
+// Stationary identifies which matrix of an FC layer's Y = XW stays put: one
+// row of the paper's Table 1 (§3.2.1, §4.4), which fixes the dataflow of
+// the layer's three training passes.
+type Stationary int
+
+const (
+	// YStn keeps the output stationary (the default that transposes
+	// nothing; Table 2's "not optimized" baseline uses it everywhere).
+	YStn Stationary = iota
+	// XStn keeps the input stationary.
+	XStn
+	// WStn keeps the weight stationary.
+	WStn
+)
+
+func (s Stationary) String() string {
+	switch s {
+	case YStn:
+		return "Y-stn"
+	case XStn:
+		return "X-stn"
+	case WStn:
+		return "W-stn"
+	default:
+		return fmt.Sprintf("Stationary(%d)", int(s))
+	}
+}
+
+// Passes returns the Table 1 row for s: the forward, backward-data and
+// backward-weight problems (in that order, indexed by model.Pass) of Y = XW
+// with X of tokens×in, W of in×out and Y of tokens×out. Each problem's M×N
+// output and K inner dimension already reflect the dataflow.
+func (s Stationary) Passes(tokens, in, out int) [3]Problem {
+	switch s {
+	case YStn:
+		// Y = OS(X, W); X' = LS(Y', W); W' = RS(X, Y').
+		return [3]Problem{
+			{M: tokens, N: out, K: in, Dataflow: OS},
+			{M: tokens, N: in, K: out, Dataflow: LS},
+			{M: in, N: out, K: tokens, Dataflow: RS},
+		}
+	case XStn:
+		// Y = LS(X, Wᵀ); X' = OS(Y', Wᵀ); W'ᵀ = RS(Y', X).
+		return [3]Problem{
+			{M: tokens, N: out, K: in, Dataflow: LS},
+			{M: tokens, N: in, K: out, Dataflow: OS},
+			{M: out, N: in, K: tokens, Dataflow: RS},
+		}
+	case WStn:
+		// Y = RS(Xᵀ, W); X'ᵀ = LS(W, Y'); W' = OS(Xᵀ, Y').
+		return [3]Problem{
+			{M: tokens, N: out, K: in, Dataflow: RS},
+			{M: in, N: tokens, K: out, Dataflow: LS},
+			{M: in, N: out, K: tokens, Dataflow: OS},
+		}
+	default:
+		panic(fmt.Sprintf("gemm: unknown stationary %d", int(s))) // lint:invariant exhaustive switch guard
+	}
+}
+
 // Problem describes a distributed GeMM: the global result is always M×N
 // with inner dimension K, interpreted per dataflow as documented above.
 type Problem struct {
@@ -84,6 +152,61 @@ func (p Problem) OperandShapes() (aRows, aCols, bRows, bCols int) {
 	default:
 		panic(fmt.Sprintf("gemm: unknown dataflow %d", int(p.Dataflow))) // lint:invariant exhaustive switch guard
 	}
+}
+
+// Shardable reports whether the problem's three matrices partition evenly
+// onto the torus: every row dimension over Pr and every column dimension
+// over Pc. When one does not, dim is the first that fails, in the order A's
+// rows, A's columns, B's rows, B's columns, C's rows, C's columns.
+func (p Problem) Shardable(t topology.Torus) (dim int, ok bool) {
+	aR, aC, bR, bC := p.OperandShapes()
+	switch {
+	case !divisible(aR, t.Rows):
+		return aR, false
+	case !divisible(aC, t.Cols):
+		return aC, false
+	case !divisible(bR, t.Rows):
+		return bR, false
+	case !divisible(bC, t.Cols):
+		return bC, false
+	case !divisible(p.M, t.Rows):
+		return p.M, false
+	case !divisible(p.N, t.Cols):
+		return p.N, false
+	}
+	return 0, true
+}
+
+// SlicedDims returns the two local dimensions MeshSlice slices on the torus
+// (paper §3.1.2): OS slices A's and B's local K, LS B's and C's local N, RS
+// A's and C's local M.
+func (p Problem) SlicedDims(t topology.Torus) (int, int) {
+	switch p.Dataflow {
+	case OS:
+		return p.K / t.Cols, p.K / t.Rows
+	case LS:
+		return p.N / t.Rows, p.N / t.Cols
+	case RS:
+		return p.M / t.Cols, p.M / t.Rows
+	default:
+		panic(fmt.Sprintf("gemm: unknown dataflow %d", int(p.Dataflow))) // lint:invariant exhaustive switch guard
+	}
+}
+
+// MaxSliceCount returns the largest slice count S MeshSlice can run the
+// problem with on the torus; the usable counts are exactly its divisors.
+// S·block must divide both sliced dimensions, at the architecture block
+// when it divides them both and element by element (block 1) when it does
+// not. ok is false when the problem does not shard at all.
+func (p Problem) MaxSliceCount(t topology.Torus, block int) (g int, ok bool) {
+	if _, ok := p.Shardable(t); !ok {
+		return 0, false
+	}
+	d1, d2 := p.SlicedDims(t)
+	if d1%block != 0 || d2%block != 0 {
+		block = 1
+	}
+	return gcd(d1/block, d2/block), true
 }
 
 // Reference computes the problem's result with a single-node
@@ -149,10 +272,7 @@ func divisible(dim, div int) bool { return div > 0 && dim%div == 0 }
 // checkShardable panics unless the problem's three matrices partition
 // evenly onto the torus.
 func checkShardable(p Problem, t topology.Torus) {
-	aR, aC, bR, bC := p.OperandShapes()
-	if !divisible(aR, t.Rows) || !divisible(aC, t.Cols) ||
-		!divisible(bR, t.Rows) || !divisible(bC, t.Cols) ||
-		!divisible(p.M, t.Rows) || !divisible(p.N, t.Cols) {
+	if _, ok := p.Shardable(t); !ok {
 		panic(fmt.Sprintf("gemm: problem M=%d N=%d K=%d (%v) not shardable on %v", p.M, p.N, p.K, p.Dataflow, t))
 	}
 }

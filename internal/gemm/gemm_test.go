@@ -364,11 +364,57 @@ func TestRunShardCountPanics(t *testing.T) {
 }
 
 func TestLcmGcd(t *testing.T) {
-	if lcm(4, 6) != 12 || lcm(3, 5) != 15 || lcm(8, 8) != 8 {
+	// SUMMAPanels defaults to lcm(Pr, Pc) and rounds up to its multiples.
+	if SUMMAPanels(topology.NewTorus(4, 6), 0) != 12 || SUMMAPanels(topology.NewTorus(3, 5), 0) != 15 ||
+		SUMMAPanels(topology.NewTorus(8, 8), 0) != 8 {
 		t.Errorf("lcm broken")
+	}
+	for _, c := range [][2]int{{-3, 12}, {1, 12}, {12, 12}, {13, 24}, {24, 24}, {25, 36}} {
+		if got := SUMMAPanels(topology.NewTorus(4, 6), c[0]); got != c[1] {
+			t.Errorf("SUMMAPanels(4x6, %d) = %d, want %d", c[0], got, c[1])
+		}
 	}
 	if gcd(12, 18) != 6 || gcd(7, 13) != 1 {
 		t.Errorf("gcd broken")
+	}
+}
+
+// TestMeshRules pins the shard, sliced-dimension and slice-count rules
+// that the autotuner, the trainers and the simulator harness share.
+func TestMeshRules(t *testing.T) {
+	tor := topology.NewTorus(2, 4)
+	if _, ok := (Problem{M: 8, N: 8, K: 8, Dataflow: OS}).Shardable(tor); !ok {
+		t.Errorf("8³ OS rejected on %v", tor)
+	}
+	// A is K×M for RS: its 6 columns do not split over 4 mesh columns.
+	if d, ok := (Problem{M: 6, N: 8, K: 8, Dataflow: RS}).Shardable(tor); ok || d != 6 {
+		t.Errorf("RS with M=6 on %v: dim %d ok %v, want dim 6 rejected", tor, d, ok)
+	}
+	for _, c := range []struct {
+		df     Dataflow
+		d1, d2 int
+	}{{OS, 64 / 4, 64 / 2}, {LS, 32 / 2, 32 / 4}, {RS, 16 / 4, 16 / 2}} {
+		if d1, d2 := (Problem{M: 16, N: 32, K: 64, Dataflow: c.df}).SlicedDims(tor); d1 != c.d1 || d2 != c.d2 {
+			t.Errorf("%v sliced dims = %d, %d, want %d, %d", c.df, d1, d2, c.d1, c.d2)
+		}
+	}
+	sq := topology.NewTorus(2, 2)
+	for _, c := range []struct {
+		k, block, g int
+		ok          bool
+	}{
+		{1024, 8, 64, true},     // 512/8 on both rings
+		{1000, 8, 500, true},    // 500 % 8 != 0: element-granular slicing
+		{1001, 8, 0, false},     // K does not shard
+		{1024, 1, 512, true},    // strided slicing
+		{1000, 3, 500, true},    // 500 % 3 != 0
+		{1000, 500, 1, true},    // one block per chip
+		{1000, 1000, 500, true}, // a block larger than the dimension
+	} {
+		g, ok := (Problem{M: 64, N: 64, K: c.k, Dataflow: OS}).MaxSliceCount(sq, c.block)
+		if g != c.g || ok != c.ok {
+			t.Errorf("K=%d block %d: MaxSliceCount = %d, %v, want %d, %v", c.k, c.block, g, ok, c.g, c.ok)
+		}
 	}
 }
 

@@ -76,19 +76,12 @@ func (cfg MeshSliceConfig) Validate(p Problem, t topology.Torus) error {
 	if cfg.S <= 0 || cfg.Block <= 0 {
 		return fmt.Errorf("gemm: MeshSlice S=%d Block=%d must be positive", cfg.S, cfg.Block)
 	}
-	sb := cfg.S * cfg.Block
-	var dims [2]int
-	switch p.Dataflow {
-	case OS:
-		dims = [2]int{p.K / t.Cols, p.K / t.Rows} // sliced: A's K (local), B's K (local)
-	case LS:
-		dims = [2]int{p.N / t.Rows, p.N / t.Cols} // sliced: B's N (local), C's N (local)
-	case RS:
-		dims = [2]int{p.M / t.Cols, p.M / t.Rows} // sliced: A's M (local), C's M (local)
-	default:
-		return fmt.Errorf("gemm: unknown dataflow %d", int(p.Dataflow))
+	if err := checkDataflow(p.Dataflow); err != nil {
+		return err
 	}
-	for _, d := range dims {
+	sb := cfg.S * cfg.Block
+	d1, d2 := p.SlicedDims(t)
+	for _, d := range [2]int{d1, d2} {
 		if !divisible(d, sb) {
 			return fmt.Errorf("gemm: MeshSlice sliced dimension %d not divisible by S·B=%d on %v (%v)", d, sb, t, p.Dataflow)
 		}

@@ -25,30 +25,49 @@ type SUMMAConfig struct {
 	Iterations int
 }
 
-// iterations resolves the panel count for the given torus.
-func (cfg SUMMAConfig) iterations(t topology.Torus) int {
-	p := cfg.Iterations
-	if p == 0 {
-		p = lcm(t.Rows, t.Cols)
+// SUMMAPanels returns the smallest SUMMA panel count P ≥ p that is a
+// common multiple of the mesh rows and columns, so that every panel has an
+// owner chip: lcm(Pr, Pc) for any p up to it. A count p is usable exactly
+// when SUMMAPanels(t, p) == p.
+func SUMMAPanels(t topology.Torus, p int) int {
+	l := t.Rows / gcd(t.Rows, t.Cols) * t.Cols
+	if p <= l {
+		return l
 	}
-	if p%t.Rows != 0 || p%t.Cols != 0 {
-		panic(fmt.Sprintf("gemm: SUMMA iterations %d must be a common multiple of mesh %v", p, t))
+	return (p + l - 1) / l * l
+}
+
+// iterations is panels for a chip function, which has no error path.
+func (cfg SUMMAConfig) iterations(t topology.Torus) int {
+	p, err := cfg.panels(t)
+	if err != nil {
+		panic(err)
 	}
 	return p
+}
+
+// panels resolves the panel count for the given torus: zero selects
+// SUMMAPanels' default, and any other count must be usable.
+func (cfg SUMMAConfig) panels(t topology.Torus) (int, error) {
+	p := cfg.Iterations
+	if p == 0 {
+		return SUMMAPanels(t, 0), nil
+	}
+	if SUMMAPanels(t, p) != p {
+		return 0, fmt.Errorf("gemm: SUMMA iterations %d not a common multiple of %v", p, t)
+	}
+	return p, nil
 }
 
 // Validate reports whether SUMMA with cfg can run the problem on the torus:
 // the panelled dimension must split evenly into Iterations panels.
 func (cfg SUMMAConfig) Validate(p Problem, t topology.Torus) error {
-	if p.Dataflow != OS && p.Dataflow != LS && p.Dataflow != RS {
-		return fmt.Errorf("gemm: unknown dataflow %d", int(p.Dataflow))
+	if err := checkDataflow(p.Dataflow); err != nil {
+		return err
 	}
-	iters := cfg.Iterations
-	if iters == 0 {
-		iters = lcm(t.Rows, t.Cols)
-	}
-	if iters%t.Rows != 0 || iters%t.Cols != 0 {
-		return fmt.Errorf("gemm: SUMMA iterations %d not a common multiple of %v", iters, t)
+	iters, err := cfg.panels(t)
+	if err != nil {
+		return err
 	}
 	dim := p.K
 	switch p.Dataflow {
@@ -184,10 +203,6 @@ func summaRS(cfg SUMMAConfig) ChipFunc {
 
 func torusOf(c *mesh.Chip) topology.Torus {
 	return topology.Torus{Rows: c.ColComm().Size, Cols: c.RowComm().Size}
-}
-
-func lcm(a, b int) int {
-	return a / gcd(a, b) * b
 }
 
 func gcd(a, b int) int {

@@ -49,33 +49,19 @@ func (c Config) Validate(t topology.Torus) error {
 	if c.LR <= 0 {
 		return fmt.Errorf("minitrain: learning rate %v", c.LR)
 	}
-	for _, pass := range c.problems() {
-		cfg := gemm.MeshSliceConfig{S: c.S, Block: c.Block, Pipelined: c.Pipelined}
-		if err := cfg.Validate(pass, t); err != nil {
-			return err
-		}
-		aR, aC, bR, bC := pass.OperandShapes()
-		for _, d := range [][2]int{{aR, t.Rows}, {aC, t.Cols}, {bR, t.Rows}, {bC, t.Cols}, {pass.M, t.Rows}, {pass.N, t.Cols}} {
-			if d[0]%d[1] != 0 {
-				return fmt.Errorf("minitrain: dim %d not divisible by mesh %v", d[0], t)
+	// The six GeMMs of one training step: each layer's Table 1 Y-stn row.
+	cfg := gemm.MeshSliceConfig{S: c.S, Block: c.Block, Pipelined: c.Pipelined}
+	for _, l := range [2][2]int{{c.In, c.Hidden}, {c.Hidden, c.Out}} {
+		for _, pass := range gemm.YStn.Passes(c.Batch, l[0], l[1]) {
+			if err := cfg.Validate(pass, t); err != nil {
+				return err
+			}
+			if d, ok := pass.Shardable(t); !ok {
+				return fmt.Errorf("minitrain: dim %d not divisible by mesh %v", d, t)
 			}
 		}
 	}
 	return nil
-}
-
-// problems enumerates the six GeMMs of one training step (three per
-// layer), all in their Table 1 Y-stn dataflows.
-func (c Config) problems() []gemm.Problem {
-	var out []gemm.Problem
-	for _, l := range [][2]int{{c.In, c.Hidden}, {c.Hidden, c.Out}} {
-		out = append(out,
-			gemm.Problem{M: c.Batch, N: l[1], K: l[0], Dataflow: gemm.OS}, // forward
-			gemm.Problem{M: c.Batch, N: l[0], K: l[1], Dataflow: gemm.LS}, // backward data
-			gemm.Problem{M: l[0], N: l[1], K: c.Batch, Dataflow: gemm.RS}, // backward weight
-		)
-	}
-	return out
 }
 
 // Data is a fixed training batch.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"meshslice/internal/gemm"
 	"meshslice/internal/topology"
 )
 
@@ -227,17 +228,20 @@ func TestThreeDRejectsBadSplits(t *testing.T) {
 	})
 }
 
+// TestProblemsCoverTableOne checks that the rows Validate walks are the
+// GeMMs the step runs: per layer, forward OS, backward-data LS and
+// backward-weight RS on the layer's shapes (Table 1's Y-stn row).
 func TestProblemsCoverTableOne(t *testing.T) {
-	probs := testConfig().problems()
-	if len(probs) != 6 {
-		t.Fatalf("problems = %d, want 6", len(probs))
-	}
-	// Two layers × (OS forward, LS backward-data, RS backward-weight).
-	for i := 0; i < 6; i += 3 {
-		if probs[i].Dataflow.String() != "OS" ||
-			probs[i+1].Dataflow.String() != "LS" ||
-			probs[i+2].Dataflow.String() != "RS" {
-			t.Errorf("layer %d dataflows = %v %v %v", i/3, probs[i].Dataflow, probs[i+1].Dataflow, probs[i+2].Dataflow)
+	c := testConfig()
+	for i, l := range [][2]int{{c.In, c.Hidden}, {c.Hidden, c.Out}} {
+		in, out := l[0], l[1]
+		want := [3]gemm.Problem{
+			{M: c.Batch, N: out, K: in, Dataflow: gemm.OS},
+			{M: c.Batch, N: in, K: out, Dataflow: gemm.LS},
+			{M: in, N: out, K: c.Batch, Dataflow: gemm.RS},
+		}
+		if got := gemm.YStn.Passes(c.Batch, in, out); got != want {
+			t.Errorf("layer %d passes = %+v, want %+v", i, got, want)
 		}
 	}
 }

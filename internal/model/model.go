@@ -11,6 +11,7 @@ package model
 import (
 	"fmt"
 
+	"meshslice/internal/gemm"
 	"meshslice/internal/hw"
 )
 
@@ -219,15 +220,15 @@ func (g GeMMShape) FLOPs() float64 {
 
 // TrainingGeMMs returns the twelve training GeMMs of one transformer block
 // (four FC layers × three passes) for the given token count (batch ×
-// sequence length, the flattened outer dimension of the FC inputs).
+// sequence length, the flattened outer dimension of the FC inputs): the
+// shapes of Table 1's Y-stationary row (gemm.YStn.Passes).
 func (c Config) TrainingGeMMs(tokens int) []GeMMShape {
-	var out []GeMMShape
-	for _, fc := range c.FCLayers() {
-		out = append(out,
-			GeMMShape{Layer: fc.Name, Pass: Forward, M: tokens, N: fc.OutDim, K: fc.InDim},
-			GeMMShape{Layer: fc.Name, Pass: BackwardData, M: tokens, N: fc.InDim, K: fc.OutDim},
-			GeMMShape{Layer: fc.Name, Pass: BackwardWeight, M: fc.InDim, N: fc.OutDim, K: tokens},
-		)
+	fcs := c.FCLayers()
+	out := make([]GeMMShape, 0, 3*len(fcs))
+	for _, fc := range fcs {
+		for pass, p := range gemm.YStn.Passes(tokens, fc.InDim, fc.OutDim) {
+			out = append(out, GeMMShape{Layer: fc.Name, Pass: Pass(pass), M: p.M, N: p.N, K: p.K})
+		}
 	}
 	return out
 }

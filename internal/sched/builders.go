@@ -150,12 +150,12 @@ func CollectiveProgram(p gemm.Problem, t topology.Torus, c hw.Chip) *Program {
 
 // SUMMAProgram builds SUMMA's schedule (paper Fig. 2a): iters loop
 // iterations, each broadcasting panels with fine-grain pipelined
-// bcast/reduce operations. iters defaults to lcm(Pr, Pc) when zero; the
-// paper's evaluation unrolls SUMMA to MeshSlice's slice count (§4.2), which
-// corresponds to passing that count here.
+// bcast/reduce operations. iters defaults to lcm(Pr, Pc) when zero
+// (gemm.SUMMAPanels); the paper's evaluation unrolls SUMMA to MeshSlice's
+// slice count (§4.2), which corresponds to passing that count here.
 func SUMMAProgram(p gemm.Problem, t topology.Torus, c hw.Chip, iters int) *Program {
 	if iters <= 0 {
-		iters = lcm(t.Rows, t.Cols)
+		iters = gemm.SUMMAPanels(t, 0)
 	}
 	aR, aC, bR, bC, cR, cC := shardDims(p, t)
 	bpe := c.BytesPerElement
@@ -243,13 +243,4 @@ func SUMMAProgram(p gemm.Problem, t topology.Torus, c hw.Chip, iters int) *Progr
 		}
 	}
 	return &Program{Torus: t, Ops: b.ops, Label: fmt.Sprintf("SUMMA-%v P=%d", p.Dataflow, iters)}
-}
-
-func lcm(a, b int) int { return a / gcd(a, b) * b }
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }

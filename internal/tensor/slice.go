@@ -106,20 +106,3 @@ func checkSliceArgs(op string, dim, S, s, B int) {
 		panic(fmt.Sprintf("tensor: %s dimension %d not divisible by S·B=%d·%d", op, dim, S, B)) // lint:invariant slicing precondition
 	}
 }
-
-// ValidSliceCounts returns the slice counts S that evenly divide dim/B, i.e.
-// the values the paper allows the user to choose from ("any slice count S
-// from the divisors of C/B", §3.1.2), in increasing order.
-func ValidSliceCounts(dim, B int) []int {
-	if B <= 0 || dim <= 0 || dim%B != 0 {
-		return nil
-	}
-	n := dim / B
-	var out []int
-	for s := 1; s <= n; s++ {
-		if n%s == 0 {
-			out = append(out, s)
-		}
-	}
-	return out
-}

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -157,20 +156,6 @@ func TestSlicePanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestValidSliceCounts(t *testing.T) {
-	got := ValidSliceCounts(48, 8) // 48/8 = 6 → divisors 1,2,3,6
-	want := []int{1, 2, 3, 6}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ValidSliceCounts(48,8) = %v, want %v", got, want)
-	}
-	if ValidSliceCounts(10, 3) != nil {
-		t.Errorf("non-divisible dim must yield nil")
-	}
-	if ValidSliceCounts(0, 1) != nil || ValidSliceCounts(8, 0) != nil {
-		t.Errorf("degenerate inputs must yield nil")
 	}
 }
 

@@ -1,8 +1,10 @@
 package train
 
 import (
+	"fmt"
 	"testing"
 
+	"meshslice/internal/autotune"
 	"meshslice/internal/gemm"
 	"meshslice/internal/topology"
 )
@@ -70,5 +72,28 @@ func TestNetsimDeterminism(t *testing.T) {
 	b, _ := EvaluateGeMMOnShape(prob, topology.NewTorus(4, 4), 16, testHW, MeshSliceAlgo, Options{})
 	if a.Time != b.Time || a.Comm != b.Comm || a.ExposedComm != b.ExposedComm {
 		t.Errorf("nondeterministic simulation: %+v vs %+v", a, b)
+	}
+}
+
+// TestTunedSliceCountIsSimulated builds the program EvaluateFC simulates for
+// a problem whose sliced dimensions (K/2 = 500) the slice block 8 does not
+// divide. The tuner then slices element by element and prices S > 1; the
+// simulated program must run that S, not fall back to S=1.
+func TestTunedSliceCountIsSimulated(t *testing.T) {
+	prob := gemm.Problem{M: 4096, N: 4096, K: 1000, Dataflow: gemm.OS}
+	shape := topology.NewTorus(2, 2)
+	pc, ok := autotune.TunePass(prob, shape, testHW, 0)
+	if !ok || pc.S < 2 {
+		t.Fatalf("TunePass = S %d (ok %v); the test needs a tuned S > 1", pc.S, ok)
+	}
+	// A forced S is checked by the same rule: 4 divides 500, 3 does not.
+	for _, c := range []struct{ fixed, want int }{{0, pc.S}, {4, 4}, {3, 1}} {
+		prog, ok := buildProgram(MeshSliceAlgo, prob, shape, testHW, Options{FixedS: c.fixed})
+		if !ok {
+			t.Fatalf("FixedS %d: no program", c.fixed)
+		}
+		if want := fmt.Sprintf("MeshSlice-OS S=%d", c.want); prog.Label != want {
+			t.Errorf("FixedS %d: program %q, want %q", c.fixed, prog.Label, want)
+		}
 	}
 }

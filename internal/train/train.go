@@ -166,11 +166,14 @@ func evaluateOnShape(cfg model.Config, tokens, chips int, chip hw.Chip, algo Alg
 // equivalent plain multiplication (the data produced is identical; the
 // dataflow merely renames which matrix is stationary).
 func buildProgram(algo Algo, prob gemm.Problem, shape topology.Torus, chip hw.Chip, opts Options) (*sched.Program, bool) {
-	if !shardableProblem(prob, shape) {
+	if _, ok := prob.Shardable(shape); !ok {
 		return nil, false
 	}
 	switch algo {
 	case MeshSliceAlgo:
+		// A tuned S runs as priced; a forced S is checked by the tuner's
+		// rule and falls back to the collective case when it does not
+		// divide.
 		s := opts.FixedS
 		if s <= 0 {
 			pc, ok := autotune.TunePass(prob, shape, chip, 0)
@@ -178,9 +181,7 @@ func buildProgram(algo Algo, prob gemm.Problem, shape topology.Torus, chip hw.Ch
 				return nil, false
 			}
 			s = pc.S
-		}
-		if err := (gemm.MeshSliceConfig{S: s, Block: chip.SliceBlock}).Validate(prob, shape); err != nil {
-			// A forced S may not divide; fall back to the collective case.
+		} else if g, _ := prob.MaxSliceCount(shape, chip.SliceBlock); g%s != 0 {
 			s = 1
 		}
 		return sched.MeshSliceProgram(prob, shape, chip, s), true
@@ -189,17 +190,12 @@ func buildProgram(algo Algo, prob gemm.Problem, shape topology.Torus, chip hw.Ch
 	case WangAlgo:
 		return sched.WangProgram(prob, shape, chip, tunedUnroll(prob, shape, chip, opts)), true
 	case SUMMAAlgo:
-		iters := tunedUnroll(prob, shape, chip, opts)
-		if iters < lcmInt(shape.Rows, shape.Cols) {
-			// SUMMA panels need owners: round up to a common multiple.
-			iters = lcmInt(shape.Rows, shape.Cols)
-		} else {
-			iters = roundUpToMultiple(iters, lcmInt(shape.Rows, shape.Cols))
-		}
+		// SUMMA panels need owners: round up to a common multiple.
+		iters := gemm.SUMMAPanels(shape, tunedUnroll(prob, shape, chip, opts))
 		return sched.SUMMAProgram(prob, shape, chip, iters), true
 	case CannonAlgo:
 		os := gemm.Problem{M: prob.M, N: prob.N, K: prob.K, Dataflow: gemm.OS}
-		if !shape.IsSquare() || !shardableProblem(os, shape) {
+		if _, ok := os.Shardable(shape); !ok || !shape.IsSquare() {
 			return nil, false
 		}
 		return sched.CannonProgram(os, shape, chip), true
@@ -223,15 +219,15 @@ func tunedUnroll(prob gemm.Problem, shape topology.Torus, chip hw.Chip, opts Opt
 func evaluate1D(cfg model.Config, tokens, chips int, chip hw.Chip, algo Algo, opts Options) (FCResult, error) {
 	res := FCResult{Algo: algo, Shape: topology.NewTorus(1, chips), Chips: chips}
 	for _, fc := range cfg.FCLayers() {
-		for _, g := range trainingShapes(fc, tokens) {
-			if g.m%chips != 0 || g.n%chips != 0 || g.k%chips != 0 {
-				return FCResult{}, fmt.Errorf("train: %v cannot shard %dx%dx%d over %d chips", algo, g.m, g.n, g.k, chips)
+		for _, g := range gemm.YStn.Passes(tokens, fc.InDim, fc.OutDim) {
+			if g.M%chips != 0 || g.N%chips != 0 || g.K%chips != 0 {
+				return FCResult{}, fmt.Errorf("train: %v cannot shard %dx%dx%d over %d chips", algo, g.M, g.N, g.K, chips)
 			}
 			var prog *sched.Program
 			if algo == OneDTPAlgo {
-				prog = sched.OneDTPProgram(g.m, g.n, g.k, chips, chip)
+				prog = sched.OneDTPProgram(g.M, g.N, g.K, chips, chip)
 			} else {
-				prog = sched.FSDPProgram(g.m, g.n, g.k, chips, chip)
+				prog = sched.FSDPProgram(g.M, g.N, g.K, chips, chip)
 			}
 			sim := netsim.Simulate(prog, chip, opts.Sim)
 			res.Time += sim.Makespan
@@ -241,31 +237,10 @@ func evaluate1D(cfg model.Config, tokens, chips int, chip hw.Chip, algo Algo, op
 			res.Comm.Transfer += sim.Comm.Transfer
 			res.CommBusy += sim.CommBusy
 			res.ExposedComm += sim.ExposedComm
-			res.FLOPs += 2 * float64(g.m) * float64(g.n) * float64(g.k)
+			res.FLOPs += 2 * float64(g.M) * float64(g.N) * float64(g.K)
 		}
 	}
 	return res, nil
-}
-
-type mnk struct{ m, n, k int }
-
-// trainingShapes returns the three training GeMM dimensions of a layer.
-func trainingShapes(fc model.FCLayer, tokens int) []mnk {
-	return []mnk{
-		{tokens, fc.OutDim, fc.InDim}, // forward
-		{tokens, fc.InDim, fc.OutDim}, // backward data
-		{fc.InDim, fc.OutDim, tokens}, // backward weight
-	}
-}
-
-func shardableProblem(p gemm.Problem, t topology.Torus) bool {
-	aR, aC, bR, bC := p.OperandShapes()
-	for _, pair := range [][2]int{{aR, t.Rows}, {aC, t.Cols}, {bR, t.Rows}, {bC, t.Cols}, {p.M, t.Rows}, {p.N, t.Cols}} {
-		if pair[0]%pair[1] != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 func squareOnly(shapes []topology.Torus) []topology.Torus {
@@ -276,22 +251,6 @@ func squareOnly(shapes []topology.Torus) []topology.Torus {
 		}
 	}
 	return out
-}
-
-func lcmInt(a, b int) int { return a / gcdInt(a, b) * b }
-
-func gcdInt(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func roundUpToMultiple(v, m int) int {
-	if v%m == 0 {
-		return v
-	}
-	return (v/m + 1) * m
 }
 
 // StepResult is an end-to-end training step estimate.

@@ -61,30 +61,17 @@ func (c Config) Validate(t topology.Torus) error {
 	case c.FFHidden%t.Cols != 0:
 		return fmt.Errorf("transformer: FF hidden %d must shard over %d mesh columns", c.FFHidden, t.Cols)
 	}
+	// The nine GeMMs of a training step: the Table 1 Y-stn rows of the
+	// QKV and output projections (one shape), FF1 and FF2.
 	msCfg := gemm.MeshSliceConfig{S: c.S, Block: c.Block}
 	tok, h, ff := c.Tokens(), c.Hidden(), c.FFHidden
-	probs := []gemm.Problem{
-		// Forward (OS): QKV and output projections, FF1, FF2.
-		{M: tok, N: h, K: h, Dataflow: gemm.OS},
-		{M: tok, N: ff, K: h, Dataflow: gemm.OS},
-		{M: tok, N: h, K: ff, Dataflow: gemm.OS},
-		// Backward data (LS): gradients through every projection.
-		{M: tok, N: h, K: h, Dataflow: gemm.LS},
-		{M: tok, N: ff, K: h, Dataflow: gemm.LS},
-		{M: tok, N: h, K: ff, Dataflow: gemm.LS},
-		// Backward weight (RS): every parameter gradient.
-		{M: h, N: h, K: tok, Dataflow: gemm.RS},
-		{M: h, N: ff, K: tok, Dataflow: gemm.RS},
-		{M: ff, N: h, K: tok, Dataflow: gemm.RS},
-	}
-	for _, p := range probs {
-		if err := msCfg.Validate(p, t); err != nil {
-			return err
-		}
-		aR, aC, bR, bC := p.OperandShapes()
-		for _, d := range [][2]int{{aR, t.Rows}, {aC, t.Cols}, {bR, t.Rows}, {bC, t.Cols}, {p.M, t.Rows}, {p.N, t.Cols}} {
-			if d[0]%d[1] != 0 {
-				return fmt.Errorf("transformer: dim %d not divisible on %v", d[0], t)
+	for _, l := range [3][2]int{{h, h}, {h, ff}, {ff, h}} {
+		for _, p := range gemm.YStn.Passes(tok, l[0], l[1]) {
+			if err := msCfg.Validate(p, t); err != nil {
+				return err
+			}
+			if d, ok := p.Shardable(t); !ok {
+				return fmt.Errorf("transformer: dim %d not divisible on %v", d, t)
 			}
 		}
 	}
