@@ -163,6 +163,18 @@ func TestBadFlagsExitTwoWithoutPanic(t *testing.T) {
 		"serve -slo -Inf",
 		"serve -slo-token NaN",
 		"serve -slo-token Inf",
+		"serve -requests -5",
+		"serve -requests 0",
+		"serve -rate -3",
+		"serve -rate 0",
+		"serve -slo -1",
+		"serve -slo 0",
+		"serve -slo-token -0.5",
+		"serve -slo-token 0",
+		"serve -hbm-gb 0",
+		"serve -hbm-gb -1",
+		"serve -chips 0",
+		"serve -chips -4",
 		"serve -chips 16 -rows 4 -requests 8",
 		"serve -chips 16 -cols 4 -requests 8",
 		"serve -rows 4 -cols 4 -slices -2",

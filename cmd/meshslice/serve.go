@@ -42,8 +42,19 @@ func cmdServe(args []string) {
 		name string
 		v    float64
 	}{{"rate", *rate}, {"hbm-gb", *hbmGB}, {"slo", *sloTTFT}, {"slo-token", *sloTok}} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			fmt.Fprintf(os.Stderr, "bad -%s %g: want a finite number\n", f.name, f.v)
+		// The library would quietly default a value <= 0, so the run
+		// would not be the one the header prints.
+		if !(f.v > 0) || math.IsInf(f.v, 0) {
+			fmt.Fprintf(os.Stderr, "bad -%s %g: want a positive finite number\n", f.name, f.v)
+			os.Exit(2)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"requests", *requests}, {"chips", *chips}} {
+		if f.v <= 0 {
+			fmt.Fprintf(os.Stderr, "bad -%s %d: want a positive count\n", f.name, f.v)
 			os.Exit(2)
 		}
 	}

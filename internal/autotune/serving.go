@@ -123,6 +123,13 @@ func tuneServing(cfg model.Config, chips int, chip hw.Chip, slo serve.SLO, workl
 		return ServingChoice{}, fmt.Errorf("autotune: no candidate serving configurations for %d chips", chips)
 	}
 
+	// One price cache serves the whole sweep: candidates sharing a mesh
+	// size share decode prices, and those sharing a shape and slice count
+	// share FC-stack prices.
+	prices, err := serve.NewPrices(cfg, chip, chips, plan)
+	if err != nil {
+		return ServingChoice{}, err
+	}
 	reports := make([]*serve.Report, len(cands))
 	forEachShape(len(cands), opts.Workers, func(i int) {
 		rep, err := serve.Run(serve.Config{
@@ -134,6 +141,7 @@ func tuneServing(cfg model.Config, chips int, chip hw.Chip, slo serve.SLO, workl
 			HBMBytes:     opts.HBMBytes,
 			ClusterChips: chips,
 			Faults:       plan,
+			Prices:       prices,
 		}, workload)
 		if err == nil {
 			reports[i] = rep

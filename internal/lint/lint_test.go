@@ -7,6 +7,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -128,18 +129,32 @@ func collectWants(dir string) (map[string][]*want, error) {
 	return wants, nil
 }
 
+var (
+	repoOnce   sync.Once
+	repoModule *Module
+	repoErr    error
+)
+
+// loadRepo type-checks this repository once for every test that analyses
+// it (about 3 s each time).
+func loadRepo(t *testing.T) *Module {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
+	repoOnce.Do(func() { repoModule, repoErr = LoadModule("../..") })
+	if repoErr != nil {
+		t.Fatalf("LoadModule: %v", repoErr)
+	}
+	return repoModule
+}
+
 // TestRepoIsClean is meshlint run over this repository itself: the module
 // must stay free of findings, so CI can enforce the invariants with
 // "go run ./cmd/meshlint ./..." and this test keeps that guarantee under
 // plain "go test ./...".
 func TestRepoIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module")
-	}
-	m, err := LoadModule("../..")
-	if err != nil {
-		t.Fatalf("LoadModule: %v", err)
-	}
+	m := loadRepo(t)
 	allow, err := LoadAllowlist(filepath.Join(m.Root, ".meshlint-allow"))
 	if err != nil {
 		t.Fatalf("LoadAllowlist: %v", err)
@@ -153,13 +168,7 @@ func TestRepoIsClean(t *testing.T) {
 // the repository has many deliberate invariant panics, every one of the
 // reachable ones must carry its lint:invariant annotation.
 func TestPanicInventoryOnRepo(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module")
-	}
-	m, err := LoadModule("../..")
-	if err != nil {
-		t.Fatalf("LoadModule: %v", err)
-	}
+	m := loadRepo(t)
 	inv := PanicInventory(m)
 	if len(inv) == 0 {
 		t.Fatal("panic inventory is empty; the walker is broken")

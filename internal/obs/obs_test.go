@@ -112,6 +112,78 @@ func TestObserveNMatchesRepeatedObserve(t *testing.T) {
 	}
 }
 
+// TestTallyMatchesObserveN holds a tally flushed into a histogram to the
+// same ObserveN calls made on the histogram directly, bit for bit, with the
+// histogram already holding observations and with two tallies in a row.
+func TestTallyMatchesObserveN(t *testing.T) {
+	bounds := []float64{0.1, 1, 10}
+	obs := []struct {
+		v float64
+		n int
+	}{{1e16, 1}, {0.1, 3}, {1e-17, 1000}, {5e-324, 2}, {10, 1}, {11, 4}, {0.3, 0}, {0.3, -2}, {0.3, 7}}
+	r := NewRegistry()
+	direct, tallied := r.Histogram("direct", bounds), r.Histogram("tallied", bounds)
+	direct.Observe(2.5)
+	tallied.Observe(2.5)
+	for half := 0; half < 2; half++ {
+		tally := tallied.Tally()
+		for _, o := range obs[half*len(obs)/2 : (half+1)*len(obs)/2] {
+			direct.ObserveN(o.v, o.n)
+			tally.ObserveN(o.v, o.n)
+		}
+		tally.Observe(0.7)
+		direct.Observe(0.7)
+		tally.Flush()
+	}
+	if math.Float64bits(direct.Sum()) != math.Float64bits(tallied.Sum()) {
+		t.Errorf("sum %v, want %v", tallied.Sum(), direct.Sum())
+	}
+	if direct.Count() != tallied.Count() || !slices.Equal(direct.counts, tallied.counts) {
+		t.Errorf("counts %v (n=%d), want %v (n=%d)", tallied.counts, tallied.Count(), direct.counts, direct.Count())
+	}
+}
+
+// TestTallyFlushAfterDirectObserve: observations that reach the histogram
+// between Tally and Flush are kept, and the tally adds only its own share.
+func TestTallyFlushAfterDirectObserve(t *testing.T) {
+	h := NewRegistry().Histogram("h", []float64{1, 2})
+	h.Observe(0.5)
+	tally := h.Tally()
+	tally.ObserveN(1.5, 2)
+	h.Observe(4)
+	tally.Flush()
+	if h.Count() != 4 || h.Sum() != 7.5 || !slices.Equal(h.counts, []int64{1, 2, 1}) {
+		t.Errorf("count %d, sum %v, buckets %v; want 4, 7.5, [1 2 1]", h.Count(), h.Sum(), h.counts)
+	}
+}
+
+// TestTallyAllocatesNothing: a tally keeps its buckets in itself.
+func TestTallyAllocatesNothing(t *testing.T) {
+	h := NewRegistry().Histogram("h", []float64{0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5})
+	if got := testing.AllocsPerRun(100, func() {
+		tally := h.Tally()
+		tally.ObserveN(0.03, 5)
+		tally.Observe(0.3)
+		tally.Flush()
+	}); got != 0 {
+		t.Errorf("Tally, ObserveN, Flush allocate %v objects, want 0", got)
+	}
+}
+
+func TestTallyTooManyBucketsPanics(t *testing.T) {
+	bounds := make([]float64, tallyBuckets)
+	for i := range bounds {
+		bounds[i] = float64(i)
+	}
+	h := NewRegistry().Histogram("wide", bounds)
+	defer func() {
+		if recover() == nil {
+			t.Errorf("a tally of %d buckets did not panic", len(bounds)+1)
+		}
+	}()
+	h.Tally()
+}
+
 func TestHistogramBadBoundsPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,6 +1,11 @@
 package serve
 
 import (
+	"fmt"
+	"math"
+	"sync"
+	"sync/atomic"
+
 	"meshslice/internal/costmodel"
 	"meshslice/internal/fault"
 	"meshslice/internal/hw"
@@ -68,15 +73,13 @@ func newFabric(c hw.Chip, clusterChips int, p *fault.Plan) fabric {
 	return f
 }
 
-// costModel prices one scheduler step on a fixed mesh shape and slice
-// count. All model dimensions are pre-flattened into plain float64 fields
-// so the per-step pricing functions below stay allocation-free — they run
-// once per simulated step inside the scheduler loop, the subsystem's hot
-// path.
-type costModel struct {
-	fab    costmodel.Fabric
-	mesh   topology.Torus
-	slices int // MeshSlice slice count S
+// priceBasis is everything a step price depends on besides the mesh shape
+// and the slice count: the degraded fabric and the model's dimensions,
+// pre-flattened into plain float64 fields so the per-step pricing functions
+// below stay allocation-free — they run inside the scheduler loop, the
+// subsystem's hot path. Two runs with equal bases price equal steps equally.
+type priceBasis struct {
+	fab    fabric
 	layers float64
 	hidden float64
 	// fc holds the {InDim, OutDim} of the four FC layers of one block
@@ -86,23 +89,28 @@ type costModel struct {
 	// kvPerTokLayer is the KV-cache bytes one token adds per layer
 	// (2 × heads × headDim × bpe = 2 × hidden × bpe).
 	kvPerTokLayer float64
-	meshSize      float64
 }
 
-func newCostModel(cfg model.Config, fab fabric, t topology.Torus, sliceCount int) costModel {
-	cm := costModel{
-		fab:      fab.Fabric,
-		mesh:     t,
-		slices:   sliceCount,
-		layers:   float64(cfg.Layers),
-		hidden:   float64(cfg.Hidden),
-		meshSize: float64(t.Size()),
-	}
+func newPriceBasis(cfg model.Config, fab fabric) priceBasis {
+	b := priceBasis{fab: fab, layers: float64(cfg.Layers), hidden: float64(cfg.Hidden)}
 	for i, fc := range cfg.FCLayers() {
-		cm.fc[i] = [2]float64{float64(fc.InDim), float64(fc.OutDim)}
+		b.fc[i] = [2]float64{float64(fc.InDim), float64(fc.OutDim)}
 	}
-	cm.kvPerTokLayer = cfg.KVCacheBytesPerToken(fab.Compute.BytesPerElement) / cm.layers
-	return cm
+	b.kvPerTokLayer = cfg.KVCacheBytesPerToken(fab.Compute.BytesPerElement) / b.layers
+	return b
+}
+
+// costModel prices one scheduler step on a fixed mesh shape and slice
+// count.
+type costModel struct {
+	priceBasis
+	mesh     topology.Torus
+	slices   int // MeshSlice slice count S
+	meshSize float64
+}
+
+func newCostModel(b priceBasis, t topology.Torus, sliceCount int) costModel {
+	return costModel{priceBasis: b, mesh: t, slices: sliceCount, meshSize: float64(t.Size())}
 }
 
 // fcGeMM prices one m×n×k FC GeMM with slice count S in each of the three
@@ -178,4 +186,110 @@ func (cm *costModel) attn(newTokens, ctxTokens float64) float64 {
 	kvRead := ctxTokens * cm.kvPerTokLayer * cm.layers / cm.meshSize
 	kvWrite := newTokens * cm.kvPerTokLayer * cm.layers / cm.meshSize
 	return cm.fab.Compute.RooflineTime(flops, kvRead+kvWrite)
+}
+
+// maxDecodeKV bounds the KV lengths a decode-attention table covers: 2^15
+// entries (256 KiB) reach seven times the longest request the default
+// workload draws. A longer request's decode steps are priced directly, so
+// no trace — and ValidateTrace admits lengths up to 2^31−1 — sizes the
+// table.
+const maxDecodeKV = 1 << 15
+
+// Prices caches step prices across the Runs of one serving sweep. Decode
+// attention depends only on the KV length for a given mesh size, and the
+// FC stack only on the batched token count for a given mesh shape and slice
+// count, so the sweep's candidates share one decode table per mesh size and
+// one FC table per (shape, S) instead of each re-pricing them. Entries hold
+// Float64bits of the price, 0 until some Run prices it; Runs fill them
+// concurrently with atomic loads and stores, and since every price is a
+// pure function of its entry, racing Runs store the same bits. A Run reads
+// exactly the value it would have computed, so sharing moves no report bit.
+type Prices struct {
+	basis  priceBasis
+	mu     sync.Mutex
+	decode map[int][]atomic.Uint64
+	fc     map[fcKey][]atomic.Uint64
+}
+
+// fcKey names one FC-stack table: the mesh shape and the defaulted slice
+// count.
+type fcKey struct {
+	mesh   topology.Torus
+	slices int
+}
+
+// NewPrices returns an empty price cache for Runs serving model m on chip
+// in a cluster of clusterChips chips under the fault plan (nil: healthy) —
+// the Config.Model, Chip, ClusterChips and Faults every Run given it must
+// share.
+func NewPrices(m model.Config, chip hw.Chip, clusterChips int, plan *fault.Plan) (*Prices, error) {
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	if err := chip.Validate(); err != nil {
+		return nil, err
+	}
+	if clusterChips <= 0 {
+		return nil, fmt.Errorf("serve: price cache for a cluster of %d chips", clusterChips)
+	}
+	if err := plan.Validate(clusterChips); err != nil {
+		return nil, err
+	}
+	return &Prices{
+		basis:  newPriceBasis(m, newFabric(chip, clusterChips, plan)),
+		decode: map[int][]atomic.Uint64{},
+		fc:     map[fcKey][]atomic.Uint64{},
+	}, nil
+}
+
+// tables returns cm's decode-attention table, covering KV lengths below
+// decodeLen, and its FC-stack table, covering token counts below fcLen. A
+// nil cache makes both private to the caller; a shared table shorter than
+// asked is replaced by a longer copy, which Runs already holding the old
+// one keep using.
+func (p *Prices) tables(cm *costModel, decodeLen, fcLen int) (dec, fc []atomic.Uint64) {
+	if p == nil {
+		return make([]atomic.Uint64, decodeLen), make([]atomic.Uint64, fcLen)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return atLeast(p.decode, cm.mesh.Size(), decodeLen), atLeast(p.fc, fcKey{cm.mesh, cm.slices}, fcLen)
+}
+
+// atLeast returns m[k], first replacing it with a copy n entries long if it
+// is shorter.
+func atLeast[K comparable](m map[K][]atomic.Uint64, k K, n int) []atomic.Uint64 {
+	t := m[k]
+	if len(t) < n {
+		grown := make([]atomic.Uint64, n)
+		for i := range t {
+			grown[i].Store(t[i].Load())
+		}
+		m[k], t = grown, grown
+	}
+	return t
+}
+
+// cached returns the price entry n of a table holds, and false when n is
+// past the table or not priced yet.
+//
+// lint:hotpath once per decoding request per scheduler step
+func cached(tab []atomic.Uint64, n int) (float64, bool) {
+	if n < len(tab) {
+		if b := tab[n].Load(); b != 0 {
+			return math.Float64frombits(b), true
+		}
+	}
+	return 0, false
+}
+
+// remember stores price p as entry n of a table that reaches that far, and
+// returns it.
+//
+// lint:hotpath once per table entry per sweep
+func remember(tab []atomic.Uint64, n int, p float64) float64 {
+	if n < len(tab) {
+		tab[n].Store(math.Float64bits(p))
+	}
+	return p
 }

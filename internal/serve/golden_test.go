@@ -3,6 +3,7 @@ package serve_test
 import (
 	"fmt"
 	"hash/fnv"
+	"sync"
 	"testing"
 
 	"meshslice/internal/autotune"
@@ -207,46 +208,92 @@ func reportDigest(t *testing.T, rep *serve.Report) uint64 {
 	return h.Sum64()
 }
 
-func TestGoldenServingGrid(t *testing.T) {
+// gridRows lists TuneServing's default grid (GPT-3 on 64 chips) on one
+// trace in grid order: each row's goldenGrid key and its configuration.
+func gridRows(tr goldenTrace, prices *serve.Prices) ([]string, []serve.Config) {
 	const chips = 64
-	rows := 0
-	for _, tr := range goldenTraces() {
-		keys := map[serve.Policy]map[topology.Torus]string{}
-		for _, shape := range topology.MeshShapes2D(chips) {
-			for _, mb := range []int{16, 32, 64} {
-				for _, chunk := range []int{256, 512} {
-					for _, s := range []int{1, 4} {
-						pol := serve.Policy{MaxBatch: mb, ChunkTokens: chunk, SliceCount: s}
-						key := fmt.Sprintf("%s %dx%d mb%d c%d s%d", tr.name, shape.Rows, shape.Cols, mb, chunk, s)
-						if keys[pol] == nil {
-							keys[pol] = map[topology.Torus]string{}
-						}
-						keys[pol][shape] = key
-						rows++
-						rep, err := serve.Run(serve.Config{
-							Model: model.GPT3(), Chip: hw.TPUv4(), Mesh: shape, Policy: pol,
-							SLO: goldenSLO, HBMBytes: tr.hbm, ClusterChips: chips,
-						}, tr.reqs)
-						if err != nil {
-							t.Fatalf("%s: %v", key, err)
-						}
-						checkGolden(t, key, reportDigest(t, rep), goldenGrid)
-					}
+	var keys []string
+	var cfgs []serve.Config
+	for _, shape := range topology.MeshShapes2D(chips) {
+		for _, mb := range []int{16, 32, 64} {
+			for _, chunk := range []int{256, 512} {
+				for _, s := range []int{1, 4} {
+					keys = append(keys, fmt.Sprintf("%s %dx%d mb%d c%d s%d", tr.name, shape.Rows, shape.Cols, mb, chunk, s))
+					cfgs = append(cfgs, serve.Config{
+						Model: model.GPT3(), Chip: hw.TPUv4(), Mesh: shape,
+						Policy: serve.Policy{MaxBatch: mb, ChunkTokens: chunk, SliceCount: s},
+						SLO:    goldenSLO, HBMBytes: tr.hbm, ClusterChips: chips, Prices: prices,
+					})
 				}
 			}
 		}
+	}
+	return keys, cfgs
+}
+
+func TestGoldenServingGrid(t *testing.T) {
+	rows := 0
+	for _, tr := range goldenTraces() {
+		keys, cfgs := gridRows(tr, nil)
+		type deployment struct {
+			shape topology.Torus
+			pol   serve.Policy
+		}
+		byDeployment := map[deployment]string{}
+		for i, cfg := range cfgs {
+			byDeployment[deployment{cfg.Mesh, cfg.Policy}] = keys[i]
+			rows++
+			rep, err := serve.Run(cfg, tr.reqs)
+			if err != nil {
+				t.Fatalf("%s: %v", keys[i], err)
+			}
+			checkGolden(t, keys[i], reportDigest(t, rep), goldenGrid)
+		}
 		// The tuner must pick a grid row and return exactly its bytes.
-		c, err := autotune.TuneServing(model.GPT3(), chips, hw.TPUv4(), goldenSLO, tr.reqs, autotune.ServingOptions{HBMBytes: tr.hbm})
+		c, err := autotune.TuneServing(model.GPT3(), 64, hw.TPUv4(), goldenSLO, tr.reqs, autotune.ServingOptions{HBMBytes: tr.hbm})
 		if err != nil {
 			t.Fatalf("%s: TuneServing: %v", tr.name, err)
 		}
-		key := keys[c.Policy][c.Shape]
+		key := byDeployment[deployment{c.Shape, c.Policy}]
 		if want, ok := goldenGrid[key]; !ok || reportDigest(t, c.Report) != want {
 			t.Errorf("%s: TuneServing picked %q, whose report does not match its grid row", tr.name, key)
 		}
 	}
 	if len(goldenGrid) != rows {
 		t.Errorf("grid table has %d rows, the sweep has %d", len(goldenGrid), rows)
+	}
+}
+
+// TestGoldenGridSharedPrices runs every grid row of each trace through one
+// price cache, last row first on two goroutines, so rows read entries other
+// rows priced and tables grow while in use; each report must still match
+// its goldenGrid literal.
+func TestGoldenGridSharedPrices(t *testing.T) {
+	for _, tr := range goldenTraces() {
+		prices, err := serve.NewPrices(model.GPT3(), hw.TPUv4(), 64, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, cfgs := gridRows(tr, prices)
+		reps := make([]*serve.Report, len(cfgs))
+		errs := make([]error, len(cfgs))
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(w int, reqs []serve.Request) {
+				defer wg.Done()
+				for i := len(cfgs) - 1 - w; i >= 0; i -= 2 {
+					reps[i], errs[i] = serve.Run(cfgs[i], reqs)
+				}
+			}(w, tr.reqs)
+		}
+		wg.Wait()
+		for i, key := range keys {
+			if errs[i] != nil {
+				t.Fatalf("%s: %v", key, errs[i])
+			}
+			checkGolden(t, key, reportDigest(t, reps[i]), goldenGrid)
+		}
 	}
 }
 

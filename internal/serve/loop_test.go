@@ -180,8 +180,14 @@ func encodeFuzzInput(head [3]byte, reqs ...Request) []byte {
 // FuzzServeRun drives Run with arbitrary traces and small policies on a 2×2
 // mesh whose HBM leaves room for ~3000 KV tokens, so admission stalls and
 // preemption run. Run must return an error or a report accounting for every
-// request, twice with identical bytes, each call within a deadline.
+// request, twice with identical bytes — privately priced, then through a
+// price cache every input of the target shares — each call within a
+// deadline.
 func FuzzServeRun(f *testing.F) {
+	prices, err := NewPrices(model.Llama3_70B(), hw.TPUv4(), 4, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(encodeFuzzInput([3]byte{2, 0, 1},
 		Request{Arrival: 0, PromptTokens: 1400, OutputTokens: 400},
 		Request{Arrival: 0, PromptTokens: 1400, OutputTokens: 400},
@@ -202,7 +208,11 @@ func FuzzServeRun(f *testing.F) {
 		var out [2][]byte
 		var errs [2]error
 		for i := range out {
-			rep, err := runWithin(t, 10*time.Second, cfg, trace)
+			c := cfg
+			if i == 1 {
+				c.Prices = prices
+			}
+			rep, err := runWithin(t, 10*time.Second, c, trace)
 			if errs[i] = err; err != nil {
 				continue
 			}

@@ -3,7 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"meshslice/internal/fault"
 	"meshslice/internal/hw"
@@ -81,6 +81,10 @@ type Config struct {
 	// Registry optionally receives the run's metrics; a private registry
 	// is created when nil.
 	Registry *obs.Registry
+	// Prices optionally shares step prices with the other Runs of a sweep
+	// (see NewPrices); nil prices the run privately. A cache built for
+	// another model, chip, cluster size or fault plan is an error.
+	Prices *Prices
 }
 
 // Validate reports the first invalid configuration field.
@@ -130,36 +134,36 @@ type reqState struct {
 	hasTTFT    bool
 	finishTime float64
 	admitSeq   int
-	preempts   int
 }
 
-// reqDeque is the scheduler's FIFO queue: a ring over one slab sized to the
-// workload. It cannot overflow, since every request sits in at most one of
-// the queue and the running batch, or has left the scheduler. Arrivals
-// push back, preempted requests push front, admission pops the front.
+// reqDeque is the scheduler's FIFO queue of indices into the run's request
+// states: a ring over one slab sized to the workload. It cannot overflow,
+// since every request sits in at most one of the queue and the running
+// batch, or has left the scheduler. Arrivals push back, preempted requests
+// push front, admission pops the front.
 type reqDeque struct {
-	buf     []*reqState
+	buf     []int
 	head, n int
 }
 
 // lint:hotpath once per arrival
-func (d *reqDeque) pushBack(r *reqState) {
+func (d *reqDeque) pushBack(r int) {
 	d.buf[(d.head+d.n)%len(d.buf)] = r
 	d.n++
 }
 
 // lint:hotpath once per preemption
-func (d *reqDeque) pushFront(r *reqState) {
+func (d *reqDeque) pushFront(r int) {
 	d.head = (d.head + len(d.buf) - 1) % len(d.buf)
 	d.buf[d.head] = r
 	d.n++
 }
 
 // lint:hotpath once per admission attempt; the deque must be non-empty
-func (d *reqDeque) front() *reqState { return d.buf[d.head] }
+func (d *reqDeque) front() int { return d.buf[d.head] }
 
 // lint:hotpath once per admission or rejection
-func (d *reqDeque) popFront() *reqState {
+func (d *reqDeque) popFront() int {
 	r := d.buf[d.head]
 	d.head = (d.head + 1) % len(d.buf)
 	d.n--
@@ -188,11 +192,13 @@ func (d *reqDeque) popFront() *reqState {
 // oldest-never-preempted means the oldest running request always finishes,
 // so the loop terminates.
 //
-// The loop allocates nothing per step or preemption (TestRunAllocationGate):
-// the queue is a reqDeque over one slab, the FC-stack price is memoised per
-// batched token count, and counters are published once after the loop.
-// Run itself allocates its per-run slabs, so it is not a lint:hotpath root;
-// the pricing kernels and deque methods carry that contract.
+// The loop allocates nothing per step or preemption (TestRunAllocationGate)
+// and stores no pointer: the queue and the running batch hold indices into
+// one slab of request states, decode attention and the FC stack are read
+// from price tables (Prices), histograms fill lock-free tallies, and
+// counters are published once after the loop. Run itself allocates its
+// per-run slabs, so it is not a lint:hotpath root; the pricing kernels and
+// deque methods carry that contract.
 func Run(cfg Config, workload []Request) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -227,6 +233,10 @@ func Run(cfg Config, workload []Request) (*Report, error) {
 		cfg.ClusterChips = cfg.Mesh.Size()
 	}
 	fab := newFabric(cfg.Chip, cfg.ClusterChips, cfg.Faults)
+	basis := newPriceBasis(cfg.Model, fab)
+	if cfg.Prices != nil && cfg.Prices.basis != basis {
+		return nil, fmt.Errorf("serve: price cache was built for another model, chip, cluster size or fault plan")
+	}
 	if cfg.Mesh.Size() > fab.survivors {
 		rep.Feasible = false
 		rep.Reason = fmt.Sprintf("mesh needs %d chips, only %d survive the fault plan", cfg.Mesh.Size(), fab.survivors)
@@ -260,11 +270,11 @@ func Run(cfg Config, workload []Request) (*Report, error) {
 		return rep, nil
 	}
 
-	cm := newCostModel(cfg.Model, fab, cfg.Mesh, cfg.Policy.SliceCount)
+	cm := newCostModel(basis, cfg.Mesh, cfg.Policy.SliceCount)
 
-	ttftH := reg.Histogram("serve_ttft_seconds", []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10})
-	perTokH := reg.Histogram("serve_per_token_seconds", []float64{0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5})
-	e2eH := reg.Histogram("serve_e2e_seconds", []float64{0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 50, 100})
+	ttftH := reg.Histogram("serve_ttft_seconds", []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10}).Tally()
+	perTokH := reg.Histogram("serve_per_token_seconds", []float64{0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5}).Tally()
+	e2eH := reg.Histogram("serve_e2e_seconds", []float64{0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 50, 100}).Tally()
 
 	states := make([]reqState, len(workload))
 	longest := 0
@@ -273,13 +283,13 @@ func Run(cfg Config, workload []Request) (*Report, error) {
 		longest = max(longest, r.PromptTokens+r.OutputTokens)
 	}
 	slots := min(cfg.Policy.MaxBatch, len(workload))
-	// fcPrice memoises cm.fcStack by batched token count: at most `slots`
-	// decodes plus one prefill chunk, which never exceeds the chunk size or
-	// a request's prompt+output. An unpriced count reads 0; fcStack of a
-	// positive count is positive.
-	fcPrice := make([]float64, slots+min(cfg.Policy.ChunkTokens, longest)+1)
-	queue := reqDeque{buf: make([]*reqState, len(workload))}
-	running := make([]*reqState, 0, slots)
+	// The FC table covers every batched token count a step can carry: at
+	// most `slots` decodes plus one prefill chunk, which never exceeds the
+	// chunk size or a request's prompt+output. The decode table covers the
+	// KV lengths a decoding request can reach, up to maxDecodeKV.
+	decTab, fcTab := cfg.Prices.tables(&cm, min(longest, maxKV, maxDecodeKV)+1, slots+min(cfg.Policy.ChunkTokens, longest)+1)
+	queue := reqDeque{buf: make([]int, len(workload))}
+	running := make([]int, 0, slots)
 
 	var (
 		now      float64
@@ -291,13 +301,14 @@ func Run(cfg Config, workload []Request) (*Report, error) {
 	for rep.Completed+rep.Rejected < len(workload) {
 		// 1. Arrivals up to the current instant join the queue.
 		for next < len(workload) && states[next].req.Arrival <= now {
-			queue.pushBack(&states[next])
+			queue.pushBack(next)
 			next++
 		}
 
 		// 2. Admission control against the KV-token budget.
 		for queue.n > 0 && len(running) < cfg.Policy.MaxBatch {
-			h := queue.front()
+			hi := queue.front()
+			h := &states[hi]
 			if h.prefillLen+(h.req.OutputTokens-h.generated) > maxKV {
 				// Can never fit even alone: reject.
 				queue.popFront()
@@ -312,7 +323,7 @@ func Run(cfg Config, workload []Request) (*Report, error) {
 			admitSeq++
 			h.prefilled = 0
 			h.kv = 0
-			running = append(running, h)
+			running = append(running, hi)
 			rep.Admissions++
 		}
 
@@ -338,31 +349,38 @@ func Run(cfg Config, workload []Request) (*Report, error) {
 		var (
 			stepTime     float64
 			decodeCount  int
-			prefillReq   *reqState
+			prefillIdx   = -1
 			prefillChunk int
 		)
-		for _, r := range running {
+		for _, i := range running {
+			r := &states[i]
 			if r.prefilled < r.prefillLen {
-				if prefillReq == nil {
-					prefillReq = r
+				if prefillIdx < 0 {
+					prefillIdx = i
 				}
 			} else {
 				decodeCount++
-				stepTime += cm.attn(1, float64(r.kv))
+				p, ok := cached(decTab, r.kv)
+				if !ok {
+					p = remember(decTab, r.kv, cm.attn(1, float64(r.kv)))
+				}
+				stepTime += p
 			}
 		}
-		if prefillReq != nil {
+		if prefillIdx >= 0 {
+			pr := &states[prefillIdx]
 			prefillChunk = cfg.Policy.ChunkTokens
-			if rem := prefillReq.prefillLen - prefillReq.prefilled; rem < prefillChunk {
+			if rem := pr.prefillLen - pr.prefilled; rem < prefillChunk {
 				prefillChunk = rem
 			}
-			stepTime += cm.attn(float64(prefillChunk), float64(prefillReq.kv+prefillChunk))
+			stepTime += cm.attn(float64(prefillChunk), float64(pr.kv+prefillChunk))
 		}
 		tokens := decodeCount + prefillChunk
-		if !(fcPrice[tokens] > 0) {
-			fcPrice[tokens] = cm.fcStack(float64(tokens))
+		fc, ok := cached(fcTab, tokens)
+		if !ok {
+			fc = remember(fcTab, tokens, cm.fcStack(float64(tokens)))
 		}
-		stepTime += fcPrice[tokens]
+		stepTime += fc
 		if !(stepTime > 0) {
 			return nil, fmt.Errorf("serve: step with %d decode + %d prefill tokens priced at %v — scheduler would not advance", decodeCount, prefillChunk, stepTime)
 		}
@@ -372,10 +390,11 @@ func Run(cfg Config, workload []Request) (*Report, error) {
 
 		// 4. Apply progress; collect completions.
 		keep := running[:0]
-		for _, r := range running {
+		for _, i := range running {
+			r := &states[i]
 			finished := false
 			if r.prefilled < r.prefillLen {
-				if r == prefillReq {
+				if i == prefillIdx {
 					r.prefilled += prefillChunk
 					r.kv += prefillChunk
 					resident += prefillChunk
@@ -403,7 +422,7 @@ func Run(cfg Config, workload []Request) (*Report, error) {
 				rep.Completed++
 				e2eH.Observe(now - r.req.Arrival)
 			} else {
-				keep = append(keep, r)
+				keep = append(keep, i)
 			}
 		}
 		running = keep
@@ -414,29 +433,31 @@ func Run(cfg Config, workload []Request) (*Report, error) {
 		for resident > maxKV && len(running) > 1 {
 			vi := 0
 			for i, r := range running {
-				if r.admitSeq > running[vi].admitSeq {
+				if states[r].admitSeq > states[running[vi]].admitSeq {
 					vi = i
 				}
 			}
-			v := running[vi]
+			v := &states[running[vi]]
+			queue.pushFront(running[vi])
 			running = append(running[:vi], running[vi+1:]...)
 			resident -= v.kv
 			v.kv = 0
 			v.prefilled = 0
 			v.prefillLen = v.req.PromptTokens + v.generated
-			v.preempts++
 			rep.Preemptions++
-			queue.pushFront(v)
 		}
 
 		rep.PeakKVTokens = max(rep.PeakKVTokens, resident)
 		batch := decodeCount
-		if prefillReq != nil {
+		if prefillIdx >= 0 {
 			batch++
 		}
 		rep.PeakBatch = max(rep.PeakBatch, batch)
 	}
 
+	ttftH.Flush()
+	perTokH.Flush()
+	e2eH.Flush()
 	// Publish the run's counts once. Each Report field counts exactly the
 	// events the metric names, and integer-valued float sums are exact, so
 	// the registry — fresh or not — ends bit-identical to per-event updates.
@@ -459,20 +480,20 @@ func Run(cfg Config, workload []Request) (*Report, error) {
 // rejected by the time it runs.
 func (rep *Report) finish(reg *obs.Registry, states []reqState) {
 	n := len(states)
-	buf := make([]float64, 3*n)
+	buf := make([]uint64, 3*n)
 	ttfts, perToks, e2es := buf[:0:n], buf[n:n:2*n], buf[2*n:2*n]
 	for i := range states {
 		r := &states[i]
 		if r.generated < r.req.OutputTokens {
 			continue // rejected
 		}
-		ttfts = append(ttfts, r.ttft)
+		ttfts = append(ttfts, math.Float64bits(r.ttft))
 		perTok := 0.0
 		if r.req.OutputTokens > 1 {
 			perTok = (r.e2e() - r.ttft) / float64(r.req.OutputTokens-1)
 		}
-		perToks = append(perToks, perTok)
-		e2es = append(e2es, r.e2e())
+		perToks = append(perToks, math.Float64bits(perTok))
+		e2es = append(e2es, math.Float64bits(r.e2e()))
 		if r.ttft <= rep.SLO.TTFT && perTok <= rep.SLO.PerToken {
 			rep.SLOMet++
 		}
@@ -494,12 +515,15 @@ func (r *reqState) e2e() float64 { return r.finishTime - r.req.Arrival }
 // quantiles computes exact nearest-rank quantiles over the sample set:
 // the k-th order statistic with k = ⌈p·n⌉. Deterministic (it sorts s in
 // place) and exact, unlike the obs.Histogram bucket interpolation that
-// feeds the metric snapshot.
-func quantiles(s []float64) Quantiles {
+// feeds the metric snapshot. s holds the samples' Float64bits: latencies
+// are +0 or positive and never NaN, and such bit patterns order as their
+// values do, so an integer sort sorts the samples and the mean still sums
+// them in ascending order.
+func quantiles(s []uint64) Quantiles {
 	if len(s) == 0 {
 		return Quantiles{}
 	}
-	sort.Float64s(s)
+	slices.Sort(s)
 	rank := func(p float64) float64 {
 		k := int(math.Ceil(p*float64(len(s)))) - 1
 		if k < 0 {
@@ -508,17 +532,17 @@ func quantiles(s []float64) Quantiles {
 		if k >= len(s) {
 			k = len(s) - 1
 		}
-		return s[k]
+		return math.Float64frombits(s[k])
 	}
 	sum := 0.0
 	for _, x := range s {
-		sum += x
+		sum += math.Float64frombits(x)
 	}
 	return Quantiles{
 		P50:  rank(0.50),
 		P95:  rank(0.95),
 		P99:  rank(0.99),
 		Mean: sum / float64(len(s)),
-		Max:  s[len(s)-1],
+		Max:  math.Float64frombits(s[len(s)-1]),
 	}
 }

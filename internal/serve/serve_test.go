@@ -235,7 +235,7 @@ func TestDecodeIsMemoryBound(t *testing.T) {
 	// FC-stack time should barely change between batch 1 and batch 8.
 	cfg := testConfig()
 	fab := newFabric(cfg.Chip, 16, nil)
-	cm := newCostModel(cfg.Model, fab, topology.Torus{Rows: 4, Cols: 4}, 4)
+	cm := newCostModel(newPriceBasis(cfg.Model, fab), topology.Torus{Rows: 4, Cols: 4}, 4)
 	t1, t8 := cm.fcStack(1), cm.fcStack(8)
 	if !(t8 < 1.05*t1) {
 		t.Fatalf("decode FC stack not memory-bound: batch1 %g, batch8 %g", t1, t8)

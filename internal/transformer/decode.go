@@ -15,7 +15,7 @@ import (
 // cache itself is sharded exactly like the activations (batch over rows,
 // heads over columns), so cache reads and the attention stay chip-local;
 // only the four FC projections communicate, now with a batch-sized M that
-// makes them memory-bound (the regime examples/inference quantifies).
+// makes them memory-bound (the regime serve's Example_inference quantifies).
 
 // KVCache holds the cached keys and values: Len positions of Batch
 // sequences, laid out like the activations ((batch·len) rows × hidden).
