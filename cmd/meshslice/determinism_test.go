@@ -93,6 +93,7 @@ func TestCanonicalOutputsDeterministic(t *testing.T) {
 		{args: "stats -profile ../../profiles/tpuv4.json"},
 		{args: "faults -chips 16 -scenario seeded -seed 7"},
 		{args: "ckpt -rows 2 -cols 2 -steps 8 -every 2"},
+		{args: "ckpt -rows 2 -cols 4 -steps 8 -every 2 -fail-at 5 -fail-chip 5 -reshard 2x2", procs: anyProcs},
 		{args: "serve -chips 16 -requests 32", procs: anyProcs},
 		{args: "serve -chips 32 -rows 4 -cols 8 -slices 3 -faults col-degrade -requests 32", procs: anyProcs},
 		{args: "timeline -rows 4 -cols 4", out: "-chrome"},

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -14,7 +15,7 @@ var testLayout = Layout{Rows: 2, Cols: 2, SliceRows: 2, SliceCols: 1, Block: 2}
 
 // testState builds a deterministic global tensor set and its per-chip
 // blocks under the layout.
-func testState(t *testing.T, l Layout, seed int64) (globals map[string]*tensor.Matrix, perChip [][]NamedTensor) {
+func testState(t testing.TB, l Layout, seed int64) (globals map[string]*tensor.Matrix, perChip [][]NamedTensor) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	globals = map[string]*tensor.Matrix{
@@ -38,7 +39,7 @@ func testState(t *testing.T, l Layout, seed int64) (globals map[string]*tensor.M
 }
 
 // buildTestSnapshot encodes a full snapshot of the deterministic state.
-func buildTestSnapshot(t *testing.T, l Layout, epoch, step int, seed int64) *Snapshot {
+func buildTestSnapshot(t testing.TB, l Layout, epoch, step int, seed int64) *Snapshot {
 	t.Helper()
 	_, perChip := testState(t, l, seed)
 	records := make([][]byte, l.Chips())
@@ -227,6 +228,71 @@ func TestStoreRoundTrip(t *testing.T) {
 				if !bytes.Equal(got.Records[rank], want.Records[rank]) {
 					t.Fatalf("record %d differs after store round trip", rank)
 				}
+			}
+		})
+	}
+}
+
+// TestLoadRejectsMalformedManifest is the regression test for manifests
+// whose record checksums all match but which cannot describe their
+// snapshot: one that lists fewer records than its layout has chips (a 2×2
+// snapshot cut to 2 records used to pass Load and then panic in Reshard
+// with an index out of range), one whose layout is malformed, and one
+// whose layout has fewer chips than the records listed. Load must return
+// ErrManifest. A manifest that lies about a tensor's shape, and one that
+// lists two records' files swapped, pass Load (the checksums match) but
+// must fail Decode and Reshard instead of reading past a block or moving a
+// block to the wrong chip.
+func TestLoadRejectsMalformedManifest(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		edit     func(m *Manifest, recs [][]byte)
+		loadFail bool
+	}{
+		{"short records", func(m *Manifest, _ [][]byte) { m.Records = m.Records[:2] }, true},
+		{"zero rows", func(m *Manifest, _ [][]byte) { m.Layout.Rows = 0 }, true},
+		{"fewer chips", func(m *Manifest, _ [][]byte) { m.Layout.Cols = 1 }, true},
+		{"tensor shape", func(m *Manifest, _ [][]byte) { m.Tensors[0].Rows *= 2 }, false},
+		{"swapped records", func(m *Manifest, recs [][]byte) {
+			recs[1], recs[2] = recs[2], recs[1]
+			m.Records[1].CRC32, m.Records[2].CRC32 = m.Records[2].CRC32, m.Records[1].CRC32
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := buildTestSnapshot(t, testLayout, 1, 4, 77)
+			m := *s.Manifest
+			m.Records = append([]RecordInfo(nil), m.Records...)
+			m.Tensors = append([]TensorSpec(nil), m.Tensors...)
+			recs := append([][]byte(nil), s.Records...)
+			tc.edit(&m, recs)
+			mb, err := m.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := NewMemStore()
+			if err := st.Put(ManifestKey(1), mb); err != nil {
+				t.Fatal(err)
+			}
+			for rank, rec := range recs {
+				if err := st.Put(RecordKey(1, rank), rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := Load(st, 1)
+			if tc.loadFail {
+				if !errors.Is(err, ErrManifest) {
+					t.Fatalf("Load: err = %v, want ErrManifest", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			if _, err := got.Decode(); err == nil {
+				t.Fatal("Decode accepted the snapshot")
+			}
+			if _, err := Reshard(got, Layout{Rows: 1, Cols: 1, SliceRows: 1, SliceCols: 1, Block: 1}); err == nil {
+				t.Fatal("Reshard accepted the snapshot")
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -183,6 +184,56 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		if !bytes.Equal(re, data) {
 			t.Fatalf("re-encoded record differs from its input")
+		}
+	})
+}
+
+// FuzzDecodeManifest holds manifest decoding, and everything Load builds on
+// it, to its contract on any bytes: DecodeManifest returns an error or a
+// manifest, never a panic; an accepted manifest encodes and decodes back to
+// an equal manifest; and Load over a store holding the bytes and the
+// records they list — the records of a real 2×2 snapshot, by rank — never
+// panics, nor does resharding what Load accepts. The committed corpus
+// (testdata/fuzz/FuzzDecodeManifest) seeds that snapshot's manifest, a
+// truncated copy, one with an unknown field, and one cut to 2 records.
+func FuzzDecodeManifest(f *testing.F) {
+	base := buildTestSnapshot(f, testLayout, 1, 4, 77)
+	to := Layout{Rows: 1, Cols: 4, SliceRows: 1, SliceCols: 1, Block: 2}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := DecodeManifest(data)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "ckpt: ") {
+				t.Fatalf("untyped error %q", err)
+			}
+			return
+		}
+		re, err := m.Encode()
+		if err != nil {
+			t.Fatalf("decoded manifest does not encode: %v", err)
+		}
+		back, err := DecodeManifest(re)
+		if err != nil {
+			t.Fatalf("encoded manifest does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(back, m) {
+			t.Fatalf("manifest round trip: %+v, want %+v", back, m)
+		}
+
+		st := NewMemStore()
+		st.Put(ManifestKey(m.Epoch), data)
+		for rank := range min(len(m.Records), len(base.Records)) {
+			st.Put(RecordKey(m.Epoch, rank), base.Records[rank])
+		}
+		s, err := Load(st, m.Epoch)
+		if err != nil {
+			return
+		}
+		if r, err := Reshard(s, to); err == nil {
+			if err := r.Verify(); err != nil {
+				t.Fatalf("resharded snapshot does not verify: %v", err)
+			}
+		} else if !strings.HasPrefix(err.Error(), "ckpt: ") {
+			t.Fatalf("untyped reshard error %q", err)
 		}
 	})
 }

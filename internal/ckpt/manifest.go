@@ -3,6 +3,7 @@ package ckpt
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"sort"
@@ -143,12 +144,28 @@ func BuildSnapshot(l Layout, epoch int, flow string, records [][]byte) (*Snapsho
 	return &Snapshot{Manifest: m, Records: records}, nil
 }
 
-// Verify re-derives every record checksum and compares it (and the record
-// count and sizes) against the manifest.
+// ErrManifest marks a manifest that cannot describe a snapshot: its layout
+// is malformed, its record list does not hold one record per chip of that
+// layout in rank order, or its tensor list differs from the records'.
+var ErrManifest = errors.New("ckpt: malformed manifest")
+
+// Verify checks the manifest against its own layout — a well-formed layout
+// and one record per chip, listed in rank order — then re-derives every
+// record checksum and compares it (and the record count and sizes) against
+// the manifest.
 func (s *Snapshot) Verify() error {
 	m := s.Manifest
 	if m == nil {
 		return fmt.Errorf("ckpt: snapshot has no manifest")
+	}
+	l := m.Layout
+	if err := l.Validate(); err != nil {
+		return fmt.Errorf("%w: layout %+v", ErrManifest, l)
+	}
+	// len == Rows·Cols, tested without forming a product that could
+	// overflow on a decoded layout.
+	if n := len(m.Records); n%l.Rows != 0 || n/l.Rows != l.Cols {
+		return fmt.Errorf("%w: %d records for a %dx%d layout", ErrManifest, n, l.Rows, l.Cols)
 	}
 	if len(s.Records) != len(m.Records) {
 		return fmt.Errorf("ckpt: snapshot has %d records, manifest lists %d", len(s.Records), len(m.Records))
@@ -156,7 +173,7 @@ func (s *Snapshot) Verify() error {
 	for i, rec := range s.Records {
 		info := m.Records[i]
 		if info.Rank != i {
-			return fmt.Errorf("ckpt: manifest record %d declares rank %d", i, info.Rank)
+			return fmt.Errorf("%w: record %d declares rank %d", ErrManifest, i, info.Rank)
 		}
 		if len(rec) != info.Bytes {
 			return fmt.Errorf("ckpt: record %d is %d bytes, manifest says %d", i, len(rec), info.Bytes)
@@ -169,16 +186,29 @@ func (s *Snapshot) Verify() error {
 }
 
 // Decode parses every record of the snapshot, returning them indexed by
-// rank.
+// rank. Each record must declare its own rank and cover exactly the
+// manifest's tensors, so a consumer may size and index by the manifest.
 func (s *Snapshot) Decode() ([]*RecordData, error) {
 	if err := s.Verify(); err != nil {
 		return nil, err
 	}
+	specs := s.Manifest.Tensors
 	out := make([]*RecordData, len(s.Records))
 	for i, rec := range s.Records {
 		rd, err := DecodeRecord(s.Manifest.Layout, rec)
 		if err != nil {
 			return nil, fmt.Errorf("ckpt: record %d: %w", i, err)
+		}
+		if rd.Rank != i {
+			return nil, fmt.Errorf("ckpt: record %d declares rank %d", i, rd.Rank)
+		}
+		if len(rd.Tensors) != len(specs) {
+			return nil, fmt.Errorf("%w: record %d covers %d tensors, manifest lists %d", ErrManifest, i, len(rd.Tensors), len(specs))
+		}
+		for k, t := range rd.Tensors {
+			if got := (TensorSpec{Name: t.Name, Rows: t.Rows, Cols: t.Cols}); got != specs[k] {
+				return nil, fmt.Errorf("%w: record %d holds tensor %+v, manifest lists %+v", ErrManifest, i, got, specs[k])
+			}
 		}
 		out[i] = rd
 	}

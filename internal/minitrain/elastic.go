@@ -36,11 +36,15 @@ import (
 // serial reduction order, so TrainElastic on ANY mesh shape is bitwise
 // equal to TrainElasticSerial — the invariant TestElasticBitwiseAcrossShapes
 // pins, and the foundation of the fail→retune→resume guarantee. The cost is
-// replicated weight storage during the step (a ZeRO/FSDP-style gather of
-// the sharded weights), which is the standard trade for exact elasticity.
-// That storage lives in one workspace per chip (elasticWorkspace), sized
-// once per TrainElastic run: every step gathers, slices and multiplies into
-// the same buffers, so a step allocates no tensor.
+// replicated operand storage during the step, the standard trade for exact
+// elasticity. Each chip gathers only the operand blocks its kernels read
+// (stepGathers): its column strips of W1 and of the hidden gradient come
+// from the column ring alone; W2, the activations and the outputs are
+// gathered in full, because the kernels read row blocks of them that no
+// single ring assembles. That storage lives in one workspace per chip
+// (elasticWorkspace), sized once per TrainElastic run: every step gathers,
+// slices and multiplies into the same buffers, so a step allocates no
+// tensor.
 
 // Elastic tensor names as stored in checkpoint records.
 const (
@@ -109,13 +113,37 @@ func InitElastic(c ElasticConfig, seed int64) (w1, v1, w2, v2 *tensor.Matrix) {
 	return w1, tensor.New(c.In, c.Hidden), w2, tensor.New(c.Hidden, c.Out)
 }
 
+// The gathers of one elastic step, in the order the step runs them. A
+// column gather is one allgather along the column ring (ring position =
+// mesh row): it assembles the chip's column strip of the tensor. A full
+// gather first runs the row ring (ring position = mesh column) and then
+// gathers the strips on the column ring: it assembles the global tensor.
+const (
+	gatherW1  = iota // column: w1c = W1[:, cc·hc : +hc]
+	gatherW2         // full
+	gatherAct        // full: hidden activations
+	gatherY          // full: outputs
+	gatherDH         // column: dHC = dH[:, cc·hc : +hc]
+	numGathers
+)
+
+// stepGathers marks which of a step's gathers are full gathers.
+var stepGathers = [numGathers]bool{gatherW2: true, gatherAct: true, gatherY: true}
+
 // StepSends returns the number of messages each chip sends per elastic
-// training step: five full gathers (w1, w2, hidden activations, outputs,
-// hidden gradients), each an allgather along the row ring then the column
-// ring. Deterministic, so fault injection can target an exact step (see
-// ElasticFailFaults).
+// training step, read off stepGathers: Rows−1 per gather on the column
+// ring, plus Cols−1 per full gather on the row ring — three full and two
+// column gathers, 3·(Rows−1+Cols−1) + 2·(Rows−1). Deterministic, so fault
+// injection can target an exact step (see ElasticFailFaults).
 func (c ElasticConfig) StepSends(t topology.Torus) int {
-	return 5 * (t.Rows - 1 + t.Cols - 1)
+	n := 0
+	for _, full := range stepGathers {
+		n += t.Rows - 1
+		if full {
+			n += t.Cols - 1
+		}
+	}
+	return n
 }
 
 // ElasticFailFaults arms a fail-stop of the given chip at the start of
@@ -192,6 +220,9 @@ func TrainElastic(c ElasticConfig, lay ckpt.Layout, steps int, seed int64, opts 
 		if err != nil {
 			return ElasticResult{}, err
 		}
+		if err := c.checkRecords(recs); err != nil {
+			return ElasticResult{}, err
+		}
 		resumeRecs = recs
 		seed = man.Seed
 		start = man.Step
@@ -259,22 +290,22 @@ func TrainElastic(c ElasticConfig, lay ckpt.Layout, steps int, seed int64, opts 
 		for s := start; s < steps; s++ {
 			data := batches[s-start]
 
-			// Gather the full weights (allgather = exact data movement).
-			w1f := ws.gather(ws.w1, w1)
-			w2f := ws.gather(ws.w2, w2)
+			// Gather the weight blocks the kernels read (allgather = exact
+			// data movement): W1's column strip, all of W2.
+			w1c := ws.gather(gatherW1, w1)
+			w2f := ws.gather(gatherW2, w2)
 
 			// Forward: each chip computes only its own output block with
 			// the flat ascending-k kernels, then the activations are
 			// gathered so the backward contractions see the full batch.
 			// Row blocks are views of their source; column blocks are
-			// copied into the workspace.
-			ws.w1c.CopySub(w1f, 0, cc*hc)
-			matMulInto(ws.hB, rowsView(&ws.xRows, data.X, r*br, br), ws.w1c)
+			// gathered or copied into the workspace.
+			matMulInto(ws.hB, rowsView(&ws.xRows, data.X, r*br, br), w1c)
 			reluInto(ws.haB, ws.hB)
-			haF := ws.gather(ws.act, ws.haB)
+			haF := ws.gather(gatherAct, ws.haB)
 			ws.w2c.CopySub(w2f, 0, cc*oc)
 			matMulInto(ws.yB, rowsView(&ws.haRows, haF, r*br, br), ws.w2c)
-			yF := ws.gather(ws.y, ws.yB)
+			yF := ws.gather(gatherY, ws.yB)
 
 			// Loss gradient on the full (replicated) output — every chip
 			// computes the identical scalar, so no reduction is needed.
@@ -295,11 +326,9 @@ func TrainElastic(c ElasticConfig, lay ckpt.Layout, steps int, seed int64, opts 
 			matMulTNInto(ws.dW2B, ws.haC, ws.dyC)
 			matMulNTInto(ws.dHB, rowsView(&ws.dyRows, dyF, r*br, br), rowsView(&ws.w2Rows, w2f, cc*hc, hc))
 			maskInto(ws.dHB, ws.hB)
-			// haF is dead once dHB exists, so dH reuses its gather.
-			dHF := ws.gather(ws.act, ws.dHB)
+			dHC := ws.gather(gatherDH, ws.dHB)
 			ws.xC.CopySub(data.X, 0, r*ir)
-			ws.dHC.CopySub(dHF, 0, cc*hc)
-			matMulTNInto(ws.dW1B, ws.xC, ws.dHC)
+			matMulTNInto(ws.dW1B, ws.xC, dHC)
 
 			// Momentum SGD on the local shards — element-wise, so exact on
 			// any shape.
@@ -344,6 +373,30 @@ func TrainElastic(c ElasticConfig, lay ckpt.Layout, steps int, seed int64, opts 
 	return res, nil
 }
 
+// checkRecords reports whether every decoded resume record holds the four
+// elastic tensors at the config's global shapes, so that no chip goroutine
+// meets a missing tensor or gathers blocks of another config's shape.
+func (c ElasticConfig) checkRecords(recs []*ckpt.RecordData) error {
+	want := [...]ckpt.TensorSpec{
+		{Name: TensorW1, Rows: c.In, Cols: c.Hidden},
+		{Name: TensorV1, Rows: c.In, Cols: c.Hidden},
+		{Name: TensorW2, Rows: c.Hidden, Cols: c.Out},
+		{Name: TensorV2, Rows: c.Hidden, Cols: c.Out},
+	}
+	for _, rd := range recs {
+		for _, w := range want {
+			nt := rd.Tensor(w.Name)
+			if nt == nil {
+				return fmt.Errorf("minitrain: resume record %d lacks tensor %q", rd.Rank, w.Name)
+			}
+			if nt.Rows != w.Rows || nt.Cols != w.Cols {
+				return fmt.Errorf("minitrain: resume tensor %q is %dx%d, config needs %dx%d", w.Name, nt.Rows, nt.Cols, w.Rows, w.Cols)
+			}
+		}
+	}
+	return nil
+}
+
 // TrainElasticSerial is the single-node ground truth: the identical math in
 // global form. TrainElastic on any layout must match it bitwise.
 func TrainElasticSerial(c ElasticConfig, steps int, seed int64) ElasticResult {
@@ -375,20 +428,21 @@ func TrainElasticSerial(c ElasticConfig, steps int, seed int64) ElasticResult {
 }
 
 // elasticWorkspace is one chip's step storage, allocated once per
-// TrainElastic run: the chip's two ring communicators, the full-gather
+// TrainElastic run: the chip's two ring communicators, the gather
 // destinations, the column blocks the local kernels read, and the products
 // they write. Row blocks need no buffer — a run of whole rows is a view of
 // its source (rowsView), and the workspace holds the view headers.
 type elasticWorkspace struct {
 	row, col *mesh.Comm
-	// act gathers the hidden activations, then the hidden gradients.
-	w1, w2, act, y fullGather
+	// gathers holds each of stepGathers' destinations. The column gathers
+	// land straight in the column blocks w1c (In×hc) and dHC (Batch×hc).
+	gathers [numGathers]gatherBufs
 	// Row views: xRows (br×In), haRows (br×Hidden), dyRows (br×Out),
 	// w2Rows (hc×Out).
 	xRows, haRows, dyRows, w2Rows tensor.Matrix
-	// Column blocks: w1c (In×hc), w2c (Hidden×oc), haC (Batch×hr),
-	// dyC (Batch×oc), xC (Batch×ir), dHC (Batch×hc).
-	w1c, w2c, haC, dyC, xC, dHC *tensor.Matrix
+	// Copied column blocks: w2c (Hidden×oc), haC (Batch×hr), dyC (Batch×oc),
+	// xC (Batch×ir).
+	w2c, haC, dyC, xC *tensor.Matrix
 	// Products: hB, haB, dHB (br×hc), yB (br×oc), dW1B (ir×hc), dW2B (hr×oc).
 	hB, haB, dHB, yB, dW1B, dW2B *tensor.Matrix
 }
@@ -397,18 +451,19 @@ func newElasticWorkspace(ch *mesh.Chip, c ElasticConfig, pr, pc int) *elasticWor
 	br, ir, hr := c.Batch/pr, c.In/pr, c.Hidden/pr
 	hc, oc := c.Hidden/pc, c.Out/pc
 	return &elasticWorkspace{
-		row:  ch.RowComm(),
-		col:  ch.ColComm(),
-		w1:   newFullGather(ir, hc, pr, pc),
-		w2:   newFullGather(hr, oc, pr, pc),
-		act:  newFullGather(br, hc, pr, pc),
-		y:    newFullGather(br, oc, pr, pc),
-		w1c:  tensor.New(c.In, hc),
+		row: ch.RowComm(),
+		col: ch.ColComm(),
+		gathers: [numGathers]gatherBufs{
+			gatherW1:  {dst: tensor.New(c.In, hc)},
+			gatherW2:  newFullGather(hr, oc, pr, pc),
+			gatherAct: newFullGather(br, hc, pr, pc),
+			gatherY:   newFullGather(br, oc, pr, pc),
+			gatherDH:  {dst: tensor.New(c.Batch, hc)},
+		},
 		w2c:  tensor.New(c.Hidden, oc),
 		haC:  tensor.New(c.Batch, hr),
 		dyC:  tensor.New(c.Batch, oc),
 		xC:   tensor.New(c.Batch, ir),
-		dHC:  tensor.New(c.Batch, hc),
 		hB:   tensor.New(br, hc),
 		haB:  tensor.New(br, hc),
 		dHB:  tensor.New(br, hc),
@@ -418,24 +473,30 @@ func newElasticWorkspace(ch *mesh.Chip, c ElasticConfig, pr, pc int) *elasticWor
 	}
 }
 
-// fullGather holds one full gather's destinations: the row-ring strip and
-// the assembled global tensor.
-type fullGather struct{ strip, full *tensor.Matrix }
+// gatherBufs holds one gather's destinations: the column-ring result dst
+// and, for a full gather only, the row-ring strip it gathers from.
+type gatherBufs struct{ strip, dst *tensor.Matrix }
 
-// newFullGather sizes the destinations for rows×cols blocks on a pr×pc mesh.
-func newFullGather(rows, cols, pr, pc int) fullGather {
-	return fullGather{strip: tensor.New(rows, pc*cols), full: tensor.New(pr*rows, pc*cols)}
+// newFullGather sizes a full gather's destinations for rows×cols blocks on
+// a pr×pc mesh.
+func newFullGather(rows, cols, pr, pc int) gatherBufs {
+	return gatherBufs{strip: tensor.New(rows, pc*cols), dst: tensor.New(pr*rows, pc*cols)}
 }
 
-// gather reassembles the global tensor from per-chip blocks into g: an
+// gather runs step gather i on this chip's block: for a full gather an
 // allgather along the row ring (ring position = mesh column, so blocks land
-// in global column order) then along the column ring (position = mesh row).
-// Allgathers copy bits, so the result is exactly the global tensor.
+// in global column order), then along the column ring (position = mesh
+// row). Allgathers copy bits, so the result is exactly the global tensor
+// (full) or its column strip (column gather).
 // lint:hotpath per-step gather into the workspace: must not allocate
-func (ws *elasticWorkspace) gather(g fullGather, blk *tensor.Matrix) *tensor.Matrix {
-	collective.AllGatherColsInto(ws.row, blk, g.strip)
-	collective.AllGatherRowsInto(ws.col, g.strip, g.full)
-	return g.full
+func (ws *elasticWorkspace) gather(i int, blk *tensor.Matrix) *tensor.Matrix {
+	g := ws.gathers[i]
+	if stepGathers[i] {
+		collective.AllGatherColsInto(ws.row, blk, g.strip)
+		blk = g.strip
+	}
+	collective.AllGatherRowsInto(ws.col, blk, g.dst)
+	return g.dst
 }
 
 // rowsView points v at rows [r0, r0+n) of m, sharing m's storage, and

@@ -13,7 +13,7 @@ import (
 // recorder export, and of the run's snapshots (each manifest followed by its
 // records, epochs in order).
 const (
-	elasticRecordGolden   = "1b9a27df30a0d2b78bccadf1ac673b5bc37f321d80b91c2216d9cac0ebac4461"
+	elasticRecordGolden   = "c2da2522f3dfdb83d239f6c725ec872c7f64c45da14787a759cd973a7636a06b"
 	elasticSnapshotGolden = "59533c8ffcceb7f589435975a64585948184e7b2d04d667c713ee5e18e4e252c"
 )
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 
 	"meshslice/internal/ckpt"
@@ -204,6 +205,53 @@ func TestElasticChipFailKeepsCompleteSnapshots(t *testing.T) {
 	last := res.Snapshots[len(res.Snapshots)-1]
 	if last.Manifest.Step != 4 {
 		t.Fatalf("last complete snapshot at step %d, want 4", last.Manifest.Step)
+	}
+}
+
+// TestElasticResumeRejectsForeignSnapshot is the regression test for
+// resuming from a snapshot of another config: a Hidden 64 run resumed from
+// a Hidden 32 snapshot used to panic on a chip goroutine inside a gather,
+// and a record without w1 would have dereferenced nil. Both must fail
+// before the mesh runs, with an error naming the tensor.
+func TestElasticResumeRejectsForeignSnapshot(t *testing.T) {
+	c := elasticConfig()
+	lay := elasticLayout(2, 2, 1, 1)
+	first, err := TrainElastic(c, lay, 2, 3, ElasticOpts{Every: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := first.Snapshots[0]
+	wide := c
+	wide.Hidden = 64
+	_, err = TrainElastic(wide, lay, 4, 3, ElasticOpts{Resume: snap})
+	if err == nil || !strings.Contains(err.Error(), `"w1" is 16x32, config needs 16x64`) {
+		t.Fatalf("resume of a Hidden %d snapshot with Hidden %d: err = %v", c.Hidden, wide.Hidden, err)
+	}
+
+	// The same snapshot with w1 dropped from every record.
+	recs, err := snap.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := make([][]byte, len(recs))
+	for rank, rd := range recs {
+		var keep []ckpt.NamedTensor
+		for _, nt := range rd.Tensors {
+			if nt.Name != TensorW1 {
+				keep = append(keep, nt)
+			}
+		}
+		if raw[rank], err = ckpt.EncodeRecord(lay, rank, rd.Step, rd.Seed, keep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	noW1, err := ckpt.BuildSnapshot(lay, snap.Manifest.Epoch, ElasticFlow, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = TrainElastic(c, lay, 4, 3, ElasticOpts{Resume: noW1})
+	if err == nil || !strings.Contains(err.Error(), `lacks tensor "w1"`) {
+		t.Fatalf("resume of a snapshot without w1: err = %v", err)
 	}
 }
 
