@@ -2,9 +2,12 @@ package lint
 
 import (
 	"fmt"
+	"go/build"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -184,6 +187,39 @@ func TestPanicInventoryOnRepo(t *testing.T) {
 	}
 	if reachable == 0 {
 		t.Error("no panic is reachable from the exported API; the reachability walk is broken")
+	}
+}
+
+// TestLoaderHonoursBuildConstraints loads a package holding an
+// architecture pair (arch_amd64.go and a //go:build !amd64 twin) and a
+// //go:build ignore generator of another package. Parsing all four fails
+// to type-check; the loader must take exactly the files go build compiles.
+func TestLoaderHonoursBuildConstraints(t *testing.T) {
+	dir := filepath.Join("testdata", "buildtags", "arch")
+	m, err := LoadPackage(dir, "fixture/arch")
+	if err != nil {
+		t.Fatalf("LoadPackage(%s): %v", dir, err)
+	}
+	var got []string
+	for _, p := range m.Packages {
+		for _, f := range p.Files {
+			got = append(got, filepath.Base(f.Name))
+		}
+	}
+	slices.Sort(got)
+	twin := "arch_other.go"
+	if runtime.GOARCH == "amd64" {
+		twin = "arch_amd64.go"
+	}
+	if want := []string{"arch.go", twin}; !slices.Equal(got, want) {
+		t.Errorf("loaded %v, want %v", got, want)
+	}
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, bp.GoFiles) {
+		t.Errorf("loaded %v, go build compiles %v", got, bp.GoFiles)
 	}
 }
 

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -174,6 +175,8 @@ func (l *loader) discover() error {
 	})
 }
 
+// parseDir parses the .go files of ip's directory that go build compiles
+// on this platform, memoized.
 func (l *loader) parseDir(ip string) (*dirFiles, error) {
 	if df, ok := l.parsed[ip]; ok {
 		return df, nil
@@ -186,6 +189,13 @@ func (l *loader) parseDir(ip string) (*dirFiles, error) {
 	df := &dirFiles{}
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		// Skip what go build skips: a _GOARCH or _GOOS suffix or a
+		// //go:build line that excludes this platform.
+		if ok, err := build.Default.MatchFile(dir, e.Name()); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		full := filepath.Join(dir, e.Name())

@@ -64,8 +64,8 @@ func FuzzSlicedGeMMIdentity(f *testing.F) {
 // FuzzMatMulKernels is the differential target behind the kernel spec test:
 // bytes become a shape (m, n ≤ 40, k ≤ 300), a row-strip split and operand
 // values that include ±0, ±Inf and NaN, and every GeMM variant — public
-// kernel and row kernel on the strips — must match its spec loop bit for
-// bit, NaN matched as NaN.
+// kernel and row kernel on the strips, on every kernel path — must match
+// its spec loop bit for bit, NaN matched as NaN.
 //
 // Layout: data[0..3] give m, n and k (two bytes); data[4] marks which rows
 // (i mod 8) of the reduced operand hold no exact zero, so the NN
@@ -75,6 +75,7 @@ func FuzzMatMulKernels(f *testing.F) {
 	f.Add([]byte{16, 16, 1, 0, 0xff, 0, 5, 1, 2, 3, 250, 9, 77})
 	f.Add([]byte{7, 5, 0, 129, 0x0f, 40, 3, 0, 128, 200, 17, 33, 4, 90})
 	f.Add([]byte{40, 9, 1, 44, 0xaa, 255, 20, 3, 1, 4, 1, 5, 9, 2, 6})
+	f.Add([]byte{6, 16, 0, 129, 0x5a, 30, 3, 7, 1, 250, 3, 9, 128, 64}) // 7×17×130: partial AVX tiles both ways, dense and sparse rows mixed
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 8 {
 			t.Skip()

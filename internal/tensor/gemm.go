@@ -15,12 +15,15 @@ const parallelFLOPThreshold = 1 << 22
 // streams past it; tileBR plays the same role for the NT kernel, where the
 // panel is tileBR rows of B. The NN kernel classifies its rows tileI at a
 // time, and packs microW columns of B into a panel its micro-kernel sweeps.
+// The AVX tile (tile4x8) packs vecW columns, and the vector NT kernel
+// accumulates tileI rows of C at a time.
 const (
 	tileK  = 128
 	tileJ  = 512
 	tileBR = 64
 	tileI  = 128
 	microW = 4
+	vecW   = 8
 )
 
 // parallelRows partitions rows [0, rows) into one contiguous strip per
@@ -86,17 +89,19 @@ func MatMulAdd(c, a, b *Matrix) {
 // columns of B, the dense rows then sweep one packed panel of B, each
 // holding its 1×microW tile of C in registers across the whole k block
 // (microKernel), so a C element is loaded and stored once per block rather
-// than once per k. Sparse rows, and the columns of a tileJ block past its
-// last whole panel, stay on the plain i→k→j loop (axpyRows).
+// than once per k. With vectorKernels the dense rows take the AVX tile
+// instead, vecW columns and four rows at a time (denseTiles). Sparse rows,
+// and the columns of a tileJ block past its last whole panel, stay on the
+// plain i→k→j loop (axpyRows).
 //
-// Both paths give an element the same sequence: start from C, add a_ik·b_kj
-// for ascending k, skip an exactly-zero a_ik. The micro-kernel has no zero
-// test because a dense row has no zero to skip. The k blocks ascend in the
-// outer loop, so the element's reduction order is plain ascending k —
-// independent of the tiles, the row split and lo/hi.
+// Every path gives an element the same sequence: start from C, add a_ik·b_kj
+// for ascending k, skip an exactly-zero a_ik. The tiles have no zero test
+// because a dense row has no zero to skip. The k blocks ascend in the outer
+// loop, so the element's reduction order is plain ascending k — independent
+// of the tiles, the row split and lo/hi.
 // lint:hotpath tile kernel: the per-row inner loops must stay allocation-free
 func matMulAddRows(c, a, b *Matrix, lo, hi int) {
-	var panel [microW * tileK]float64
+	var panel [vecW * tileK]float64
 	var dense, sparse [tileI]int32
 	for kb := 0; kb < a.Cols; kb += tileK {
 		ke := min(kb+tileK, a.Cols)
@@ -113,12 +118,18 @@ func matMulAddRows(c, a, b *Matrix, lo, hi int) {
 			}
 			for jb := 0; jb < b.Cols; jb += tileJ {
 				je := min(jb+tileJ, b.Cols)
-				jt := je - (je-jb)%microW
-				if nd > 0 {
+				jt := jb
+				switch {
+				case nd == 0:
+				case vectorKernels:
+					jt = denseTiles(c, a, b, &panel, dense[:nd], kb, ke, jb, je)
+				default:
+					jt = je - (je-jb)%microW
+					p := (*[microW * tileK]float64)(panel[:])
 					for jp := jb; jp < jt; jp += microW {
-						packPanel(&panel, b, kb, ke, jp)
+						packPanel(p, b, kb, ke, jp)
 						for _, i := range dense[:nd] {
-							microKernel(c.Row(int(i))[jp:jp+microW], a.Row(int(i))[kb:ke], &panel)
+							microKernel(c.Row(int(i))[jp:jp+microW], a.Row(int(i))[kb:ke], p)
 						}
 					}
 				}
@@ -176,6 +187,36 @@ func microKernel(crow, arow []float64, p *[microW * tileK]float64) {
 	c[0], c[1], c[2], c[3] = s0, s1, s2, s3
 }
 
+// denseTiles accumulates columns [jb, jt) of the dense rows of C += A·B
+// over k in [kb, ke) with the AVX tile and returns jt, the end of the last
+// whole vecW panel in [jb, je). For every vecW columns it packs the k block
+// of B k-major (vecW values per k) and hands the rows to tile4x8 four at a
+// time, its accumulators pointing at C. A last group of one to three rows is
+// padded with copies of its first row whose tile rows land in scratch.
+// lint:hotpath AVX path of the NN micro-kernel
+func denseTiles(c, a, b *Matrix, panel *[vecW * tileK]float64, dense []int32, kb, ke, jb, je int) int {
+	jt := je - (je-jb)%vecW
+	var scratch [vecW]float64
+	for jp := jb; jp < jt; jp += vecW {
+		for k := kb; k < ke; k++ {
+			*(*[vecW]float64)(panel[(k-kb)*vecW:]) = *(*[vecW]float64)(b.Data[k*b.Cols+jp:])
+		}
+		for g := 0; g < len(dense); g += 4 {
+			var ct, at [4]*float64
+			for r := range ct {
+				if g+r < len(dense) {
+					i := int(dense[g+r])
+					ct[r], at[r] = &c.Row(i)[jp], &a.Row(i)[kb]
+				} else {
+					ct[r], at[r] = &scratch[0], at[0]
+				}
+			}
+			tile4x8(&ct, &at, panel, ke-kb)
+		}
+	}
+	return jt
+}
+
 // axpyRows accumulates columns [jb, je) of the listed rows of C += A·B over
 // k in [kb, ke) with the plain i→k→j loop, skipping exactly-zero a_ik.
 // lint:hotpath fallback of the NN micro-kernel
@@ -212,9 +253,11 @@ func MatMulNT(a, b *Matrix) *Matrix {
 // Each output element is an independent dot product, accumulated in a
 // private register over k in ascending order and added to C once. The j
 // loop is register-blocked four wide (four concurrent dot products break
-// the FMA latency chain) and the B rows are tiled so a tileBR-row panel
-// stays in cache across the strip. Neither changes any element's reduction
-// order, so serial, tiled and row-parallel paths are all bitwise identical.
+// the add latency chain) and the B rows are tiled so a tileBR-row panel
+// stays in cache across the strip; with vectorKernels the sums run on the
+// AVX tile instead (ntTiles). None of that changes any element's reduction
+// order, so serial, tiled, vector and row-parallel paths are all bitwise
+// identical.
 func MatMulAddNT(c, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulAddNT inner dim mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols)) // lint:invariant shape precondition
@@ -229,6 +272,10 @@ func MatMulAddNT(c, a, b *Matrix) {
 // matMulAddNTRows accumulates rows [lo, hi) of C += A·Bᵀ.
 // lint:hotpath tile kernel: the per-row inner loops must stay allocation-free
 func matMulAddNTRows(c, a, b *Matrix, lo, hi int) {
+	if vectorKernels {
+		ntTiles(c, a, b, lo, hi)
+		return
+	}
 	for jb := 0; jb < b.Rows; jb += tileBR {
 		je := min(jb+tileBR, b.Rows)
 		for i := lo; i < hi; i++ {
@@ -264,6 +311,50 @@ func matMulAddNTRows(c, a, b *Matrix, lo, hi int) {
 	}
 }
 
+// ntTiles is matMulAddNTRows on the AVX tile. For each tileI block of rows
+// and each vecW rows of B, a zeroed 4×vecW accumulator tile per four rows
+// of C sums a_ik·b_jk over ascending k, one tileK block at a time: the
+// block of those B rows is packed transposed (vecW values per k) and every
+// tile sweeps it with tile4x8. The tiles persist across the k blocks and
+// are added to C once, so an element is still a private sum from +0 added
+// to C once. Rows past the block's end and B rows past B's end are padded
+// with copies of the last row; their lanes are never added to C.
+// lint:hotpath AVX path of the NT kernel
+func ntTiles(c, a, b *Matrix, lo, hi int) {
+	var panel [vecW * tileK]float64
+	var acc [tileI / 4][4][vecW]float64
+	for ib := lo; ib < hi; ib += tileI {
+		ie := min(ib+tileI, hi)
+		tiles := acc[:(ie-ib+3)/4]
+		for jp := 0; jp < b.Rows; jp += vecW {
+			nv := min(vecW, b.Rows-jp)
+			clear(tiles)
+			for kb := 0; kb < a.Cols; kb += tileK {
+				ke := min(kb+tileK, a.Cols)
+				for w := range vecW {
+					for k, v := range b.Row(jp + min(w, nv-1))[kb:ke] {
+						panel[k*vecW+w] = v
+					}
+				}
+				for g := range tiles {
+					var ct, at [4]*float64
+					for r := range ct {
+						ct[r], at[r] = &tiles[g][r][0], &a.Row(min(ib+4*g+r, ie-1))[kb]
+					}
+					tile4x8(&ct, &at, &panel, ke-kb)
+				}
+			}
+			for i := ib; i < ie; i++ {
+				sums := &tiles[(i-ib)/4][(i-ib)%4]
+				crow := c.Row(i)[jp : jp+nv]
+				for w := range crow {
+					crow[w] += sums[w]
+				}
+			}
+		}
+	}
+}
+
 // MatMulTN computes C = Aᵀ·B. A is k×m and B is k×n, so C is m×n.
 // This is the product computed locally by the RS dataflow (paper Fig. 5).
 func MatMulTN(a, b *Matrix) *Matrix {
@@ -281,7 +372,9 @@ func MatMulTN(a, b *Matrix) *Matrix {
 // the shapes alone and the row-parallel fan-out is bitwise identical to the
 // serial kernel. The sparsity fast path skips a quad only when all four of
 // its A values are exactly zero, so only exactly-zero contributions are
-// ever dropped.
+// ever dropped. With vectorKernels a quad's pass over the C row is quadRow,
+// four columns per AVX step, each summing its four products in the same
+// left-to-right order.
 func MatMulAddTN(c, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulAddTN inner dim mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)) // lint:invariant shape precondition
@@ -308,6 +401,10 @@ func matMulAddTNRows(c, a, b *Matrix, lo, hi int) {
 				v2 := a.Row(k + 2)[i]
 				v3 := a.Row(k + 3)[i]
 				if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 { // lint:float-exact sparsity fast path skips exact zeros only
+					continue
+				}
+				if vectorKernels {
+					quadRow(crow, b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3), v0, v1, v2, v3)
 					continue
 				}
 				b0 := b.Row(k)[:len(crow)]

@@ -9,8 +9,9 @@ import (
 // The row-parallel fan-out must be bitwise deterministic: every GOMAXPROCS
 // value partitions the output rows differently, but each element's reduction
 // order is fixed by the shapes alone, so the results must match with
-// tolerance zero. 256³ is above parallelFLOPThreshold, so the fan-out is
-// actually exercised whenever more than one proc is available.
+// tolerance zero — on each kernel path, and across the paths. 256³ is above
+// parallelFLOPThreshold, so the fan-out is actually exercised whenever more
+// than one proc is available.
 
 func TestMatMulVariantsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
@@ -31,16 +32,18 @@ func TestMatMulVariantsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			prev := runtime.GOMAXPROCS(0)
 			defer runtime.GOMAXPROCS(prev)
 			var want *Matrix
-			for _, procs := range []int{1, 2, 8} {
-				runtime.GOMAXPROCS(procs)
-				c := New(n, n)
-				v.run(c)
-				if want == nil {
-					want = c
-					continue
-				}
-				if !want.Equal(c, 0) {
-					t.Errorf("GOMAXPROCS=%d result differs from GOMAXPROCS=1: max diff %g", procs, c.MaxAbsDiff(want))
+			for _, vec := range kernelPaths() {
+				for _, procs := range []int{1, 2, 8} {
+					runtime.GOMAXPROCS(procs)
+					c := New(n, n)
+					onPath(vec, func() { v.run(c) })
+					if want == nil {
+						want = c
+						continue
+					}
+					if !want.Equal(c, 0) {
+						t.Errorf("%s path, GOMAXPROCS=%d: result differs from Go path at GOMAXPROCS=1: max diff %g", pathName(vec), procs, c.MaxAbsDiff(want))
+					}
 				}
 			}
 		})
@@ -52,12 +55,15 @@ func TestMatMulNTParallelMatchesSerial(t *testing.T) {
 	const n = 256
 	a := Random(n, n, rng)
 	b := Random(n, n, rng)
-	got := New(n, n)
-	MatMulAddNT(got, a, b)
-	want := New(n, n)
-	matMulAddNTRows(want, a, b, 0, n)
-	if !got.Equal(want, 0) {
-		t.Errorf("parallel result differs from serial: max diff %g", got.MaxAbsDiff(want))
+	for _, vec := range kernelPaths() {
+		got, want := New(n, n), New(n, n)
+		onPath(vec, func() {
+			MatMulAddNT(got, a, b)
+			matMulAddNTRows(want, a, b, 0, n)
+		})
+		if !got.Equal(want, 0) {
+			t.Errorf("%s path: parallel result differs from serial: max diff %g", pathName(vec), got.MaxAbsDiff(want))
+		}
 	}
 }
 
@@ -66,11 +72,14 @@ func TestMatMulTNParallelMatchesSerial(t *testing.T) {
 	const n = 256
 	a := Random(n, n, rng)
 	b := Random(n, n, rng)
-	got := New(n, n)
-	MatMulAddTN(got, a, b)
-	want := New(n, n)
-	matMulAddTNRows(want, a, b, 0, n)
-	if !got.Equal(want, 0) {
-		t.Errorf("parallel result differs from serial: max diff %g", got.MaxAbsDiff(want))
+	for _, vec := range kernelPaths() {
+		got, want := New(n, n), New(n, n)
+		onPath(vec, func() {
+			MatMulAddTN(got, a, b)
+			matMulAddTNRows(want, a, b, 0, n)
+		})
+		if !got.Equal(want, 0) {
+			t.Errorf("%s path: parallel result differs from serial: max diff %g", pathName(vec), got.MaxAbsDiff(want))
+		}
 	}
 }

@@ -168,20 +168,24 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(321))
 	a := Random(256, 256, rng) // 256³ = 16.7M FLOPs > threshold
 	b := Random(256, 256, rng)
-	got := New(256, 256)
-	MatMulAdd(got, a, b)
-	want := New(256, 256)
-	matMulAddRows(want, a, b, 0, 256)
-	if !got.Equal(want, 0) {
-		t.Errorf("parallel result differs from serial: max diff %g", got.MaxAbsDiff(want))
+	for _, vec := range kernelPaths() {
+		got, want := New(256, 256), New(256, 256)
+		onPath(vec, func() {
+			MatMulAdd(got, a, b)
+			matMulAddRows(want, a, b, 0, 256)
+		})
+		if !got.Equal(want, 0) {
+			t.Errorf("%s path: parallel result differs from serial: max diff %g", pathName(vec), got.MaxAbsDiff(want))
+		}
 	}
 }
 
-// TestMatMulKernelsAllocateNothing gates the serial kernels at zero heap
-// allocations per call: the packed panel and the row lists live on the
-// stack, and the serial path builds no closure. Both shapes — the 128³ tile
-// of gemm_compute and the 16×16×256 tile of fine slicing — are below
-// parallelFLOPThreshold, so no worker goroutine is spawned.
+// TestMatMulKernelsAllocateNothing gates the serial kernels, on every
+// kernel path, at zero heap allocations per call: the packed panels, the
+// accumulator tiles and the row lists live on the stack, and the serial
+// path builds no closure. Both shapes — the 128³ tile of gemm_compute and
+// the 16×16×256 tile of fine slicing — are below parallelFLOPThreshold, so
+// no worker goroutine is spawned.
 func TestMatMulKernelsAllocateNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, s := range [][3]int{{128, 128, 128}, {16, 16, 256}} {
@@ -192,10 +196,13 @@ func TestMatMulKernelsAllocateNothing(t *testing.T) {
 		for _, v := range kernelVariants {
 			aR, aC, bR, bC := v.shape(m, n, k)
 			a, b, c := Random(aR, aC, rng), Random(bR, bC, rng), New(m, n)
-			allocs := testing.AllocsPerRun(20, func() { v.add(c, a, b) })
-			t.Logf("%s %dx%dx%d: %v allocs/call", v.name, m, n, k, allocs)
-			if allocs != 0 {
-				t.Errorf("%s %dx%dx%d allocates %v objects per call, want 0", v.name, m, n, k, allocs)
+			for _, vec := range kernelPaths() {
+				var allocs float64
+				onPath(vec, func() { allocs = testing.AllocsPerRun(20, func() { v.add(c, a, b) }) })
+				t.Logf("%s path, %s %dx%dx%d: %v allocs/call", pathName(vec), v.name, m, n, k, allocs)
+				if allocs != 0 {
+					t.Errorf("%s path: %s %dx%dx%d allocates %v objects per call, want 0", pathName(vec), v.name, m, n, k, allocs)
+				}
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -107,25 +108,58 @@ var kernelVariants = []kernelVariant{
 	{"TN", specTN, MatMulAddTN, matMulAddTNRows, func(m, n, k int) (int, int, int, int) { return k, m, k, n }},
 }
 
+// haveVector records, before any test clears vectorKernels, whether this
+// machine runs the AVX kernels.
+var haveVector = vectorKernels
+
+// kernelPaths lists the kernel paths this machine runs, as values of
+// vectorKernels: the Go kernels, then the AVX kernels where CPUID has AVX.
+func kernelPaths() []bool {
+	if haveVector {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// onPath runs f with vectorKernels set to vec, then restores it.
+func onPath(vec bool, f func()) {
+	defer func(prev bool) { vectorKernels = prev }(vectorKernels)
+	vectorKernels = vec
+	f()
+}
+
+func pathName(vec bool) string {
+	if vec {
+		return "AVX"
+	}
+	return "Go"
+}
+
 // checkAgainstSpec runs v's public kernel, and its row kernel over the
-// strips cut at splits, on copies of c, and compares both with the spec.
+// strips cut at splits, on copies of c, and compares both with the spec,
+// on every kernel path.
 func checkAgainstSpec(t *testing.T, v kernelVariant, c, a, b *Matrix, splits []int) {
 	t.Helper()
 	want := c.Clone()
 	v.spec(want, a, b)
-	got := c.Clone()
-	v.add(got, a, b)
-	if at := firstMismatch(got, want); at != "" {
-		t.Errorf("%s %dx%d·%dx%d public kernel differs from spec at %s", v.name, a.Rows, a.Cols, b.Rows, b.Cols, at)
-	}
-	got = c.Clone()
-	lo := 0
-	for _, hi := range append(splits, c.Rows) {
-		v.rows(got, a, b, lo, hi)
-		lo = hi
-	}
-	if at := firstMismatch(got, want); at != "" {
-		t.Errorf("%s %dx%d·%dx%d row kernel on strips %v differs from spec at %s", v.name, a.Rows, a.Cols, b.Rows, b.Cols, splits, at)
+	ends := append(splits, c.Rows)
+	for _, vec := range kernelPaths() {
+		onPath(vec, func() {
+			got := c.Clone()
+			v.add(got, a, b)
+			if at := firstMismatch(got, want); at != "" {
+				t.Errorf("%s path: %s %dx%d·%dx%d public kernel differs from spec at %s", pathName(vec), v.name, a.Rows, a.Cols, b.Rows, b.Cols, at)
+			}
+			got = c.Clone()
+			lo := 0
+			for _, hi := range ends {
+				v.rows(got, a, b, lo, hi)
+				lo = hi
+			}
+			if at := firstMismatch(got, want); at != "" {
+				t.Errorf("%s path: %s %dx%d·%dx%d row kernel on strips %v differs from spec at %s", pathName(vec), v.name, a.Rows, a.Cols, b.Rows, b.Cols, splits, at)
+			}
+		})
 	}
 }
 
@@ -165,15 +199,18 @@ func specOperand(rows, cols int, rng *rand.Rand) *Matrix {
 	return m
 }
 
-// TestMatMulKernelsMatchSpec pins every GeMM variant to its spec loop on
-// shapes that straddle tileK, tileJ, tileI, the micro-kernel width and odd
-// row counts, with operands seeded with ±0, ±Inf and NaN.
+// TestMatMulKernelsMatchSpec pins every GeMM variant, on every kernel path,
+// to its spec loop on shapes that straddle tileK, tileJ, tileI, the
+// micro-kernel and AVX tile widths, the tile's four rows and odd row
+// counts, with operands seeded with ±0, ±Inf and NaN.
 func TestMatMulKernelsMatchSpec(t *testing.T) {
 	shapes := [][3]int{ // m, n, k
 		{1, 1, 1}, {3, 5, 7}, {2, microW, tileK}, {5, 9, tileK + 2},
 		{7, 3, tileK - 1}, {3, tileJ + 5, 20}, {4, tileJ - 1, tileK + 3},
 		{tileI + 1, 13, 33}, {tileI + 2, 6, 2*tileK + 1}, {9, 2*tileJ + 6, 3},
 		{16, 16, 256}, {tileI + 3, 2*microW + 1, tileK + 5}, {33, tileJ + microW + 2, 17},
+		{4, vecW, tileK}, {6, vecW - 1, tileK + 1}, {11, 3*vecW + 5, 2*tileK - 1},
+		{2*tileI + 6, 2 * vecW, 9}, {13, tileJ + vecW + 3, tileK + 4},
 	}
 	rng := rand.New(rand.NewSource(2024))
 	for _, v := range kernelVariants {
@@ -186,6 +223,103 @@ func TestMatMulKernelsMatchSpec(t *testing.T) {
 				splits = []int{1 + rng.Intn(m/2), m/2 + 1}
 			}
 			checkAgainstSpec(t, v, c, a, b, splits)
+		}
+	}
+}
+
+// TestKernelPathsAtTileEdges places the values each kernel path treats
+// specially at the AVX tile's edges, and pins both paths to the spec. In
+// the reduced operand (A's rows for NN and NT, its columns for TN), output
+// rows 1 and 4 hold one exact zero, so NN's four-row groups mix dense and
+// sparse rows and end in a partial group; row 2 has an all-zero quad (one
+// of its zeros −0) at k 4…7 while neighbour row 3 has three zeros and a
+// non-zero there; row 0 holds +Inf and the last row NaN. B holds ±Inf and
+// NaN, and C a −0.
+func TestKernelPathsAtTileEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	negZero := math.Copysign(0, -1)
+	shapes := [][3]int{ // m, n, k
+		{7, 2*vecW + 1, tileK + 1}, {5, vecW - 1, 8}, {6, 3 * vecW, 2*tileK + 5},
+		{9, vecW + 3, tileK - 1}, {5, vecW, tileK}, {10, 4*vecW + 7, 3*tileK + 2},
+	}
+	for _, s := range shapes {
+		m, n, k := s[0], s[1], s[2]
+		for _, v := range kernelVariants {
+			aR, aC, bR, bC := v.shape(m, n, k)
+			a, b, c := Random(aR, aC, rng), Random(bR, bC, rng), Random(m, n, rng)
+			set := func(i, kk int, x float64) {
+				if v.name == "TN" {
+					a.Set(kk, i, x)
+				} else {
+					a.Set(i, kk, x)
+				}
+			}
+			set(1, k/2, 0)
+			set(4, 0, negZero)
+			for q := 4; q < 8; q++ {
+				set(2, q, 0)
+				set(3, q, 0)
+			}
+			set(2, 5, negZero)
+			set(3, 7, 1.5)
+			set(0, 1, math.Inf(1))
+			set(m-1, k-1, math.NaN())
+			b.Data[0], b.Data[len(b.Data)/2], b.Data[len(b.Data)-1] = math.Inf(1), math.Inf(-1), math.NaN()
+			c.Data[1] = negZero
+			checkAgainstSpec(t, v, c, a, b, []int{m / 2})
+		}
+	}
+}
+
+// reluOperand draws a rows×cols matrix shaped like a ReLU activation: odd
+// rows keep their negative values, even rows have them clamped to +0. The
+// NN kernels meet dense and sparse rows, TN all-zero quads beside live ones.
+func reluOperand(rows, cols int, rng *rand.Rand) *Matrix {
+	m := Random(rows, cols, rng)
+	for r := 0; r < rows; r += 2 {
+		for j, v := range m.Row(r) {
+			m.Row(r)[j] = max(v, 0)
+		}
+	}
+	return m
+}
+
+// TestVectorKernelsMatchGoAtBenchmarkShapes holds the AVX path bit-equal to
+// the Go path at the kernel shapes the benchmark's GeMM workloads run:
+// gemm_compute's 128³ and 64×64×128 tiles, gemm_fine's 16×16×256,
+// 16×256×16 and 16×16×16 tiles, and the elastic MLP's steps (batch 64,
+// 256→512→128: both forward products, dH, dW2 and dW1). Operands are
+// ReLU-like (dense and sparse rows, zero quads) or seeded with ±0, ±Inf and
+// NaN.
+func TestVectorKernelsMatchGoAtBenchmarkShapes(t *testing.T) {
+	if !haveVector {
+		t.Skip("no AVX on this machine: the Go kernels are the only path")
+	}
+	shapes := []struct {
+		variant string
+		m, n, k int
+	}{
+		{"NN", 128, 128, 128}, {"NT", 128, 128, 128}, {"TN", 128, 128, 128},
+		{"NN", 64, 64, 128}, {"NT", 64, 64, 128}, {"TN", 64, 64, 128},
+		{"NN", 16, 16, 256}, {"NT", 16, 256, 16}, {"NN", 16, 16, 16},
+		{"NN", 64, 512, 256}, {"NN", 64, 128, 512}, {"NT", 64, 512, 128},
+		{"TN", 512, 128, 64}, {"TN", 256, 512, 64},
+	}
+	rng := rand.New(rand.NewSource(4848))
+	for _, s := range shapes {
+		i := slices.IndexFunc(kernelVariants, func(v kernelVariant) bool { return v.name == s.variant })
+		v := kernelVariants[i]
+		aR, aC, bR, bC := v.shape(s.m, s.n, s.k)
+		for _, draw := range []func(rows, cols int, rng *rand.Rand) *Matrix{reluOperand, specOperand} {
+			a, b, c := draw(aR, aC, rng), draw(bR, bC, rng), draw(s.m, s.n, rng)
+			var got [2]*Matrix
+			for p, vec := range kernelPaths() {
+				got[p] = c.Clone()
+				onPath(vec, func() { v.add(got[p], a, b) })
+			}
+			if at := firstMismatch(got[1], got[0]); at != "" {
+				t.Errorf("%s %dx%dx%d: AVX path differs from Go path at %s", v.name, s.m, s.n, s.k, at)
+			}
 		}
 	}
 }
