@@ -15,13 +15,17 @@ import (
 
 // LoadProfile decodes a chip calibration from JSON and validates it.
 // Missing fields inherit the TPUv4 defaults, so a profile may override
-// only the parameters that were measured.
+// only the parameters that were measured. The input must hold exactly one
+// JSON object: anything but white space after it is an error.
 func LoadProfile(r io.Reader) (Chip, error) {
 	c := TPUv4()
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&c); err != nil {
 		return Chip{}, fmt.Errorf("hw: decoding profile: %w", err)
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		return Chip{}, fmt.Errorf("hw: decoding profile: data after the profile object")
 	}
 	if err := c.Validate(); err != nil {
 		return Chip{}, err

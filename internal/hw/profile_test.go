@@ -45,6 +45,8 @@ func TestLoadProfileRejectsGarbage(t *testing.T) {
 		`{"PeakFLOPS": -5}`,  // fails validation
 		`{"SliceBlock": 0}`,  // fails validation
 		`{"EffFLOPS": 9e30}`, // above peak
+		`{"BytesPerElement": 4} {"PeakFLOPS": -1}`, // a second object after the profile
+		`{"LinkBandwidth": 25e9} x`,                // junk after the profile
 	}
 	for _, in := range cases {
 		if _, err := LoadProfile(strings.NewReader(in)); err == nil {

@@ -7,6 +7,7 @@ import (
 	"meshslice/internal/fault"
 	"meshslice/internal/obs/recorder"
 	"meshslice/internal/tensor"
+	"meshslice/internal/topology"
 )
 
 // exchanger is the in-memory stand-in for the ICI fabric: an unbounded FIFO
@@ -95,29 +96,42 @@ type envelope struct {
 
 // edge is one directed (sender, receiver) slot. Its mailbox is a deque over
 // a reusable slice: popping advances head instead of reslicing the front
-// away, and pushing onto a drained mailbox rewinds to the slice start — so
-// steady-state ring traffic reuses one small backing array per edge, run
-// after run. elems and msgs count the edge's traffic since the last
-// resetStats; waiters counts receivers parked on cond, which is created at
-// the edge's first park.
+// away, and pushing onto a full mailbox first slides the undelivered
+// messages to the slice start — so the array grows only past the deepest
+// backlog the edge has held, and steady-state ring traffic reuses one
+// small backing array per edge, run after run. An edge within a torus row
+// or column (every edge a ring collective uses) starts with a
+// queueCap-long window of one slab per mesh, so a warm mesh does not grow
+// a queue the first time an interleaving stacks messages on it. elems and
+// msgs count the edge's traffic since the last resetStats; waiters counts
+// receivers parked on cond, which newExchanger binds to the exchanger
+// mutex.
 type edge struct {
 	buf     []envelope
 	head    int32
 	waiters int32
 	elems   int64
 	msgs    int64
-	cond    *sync.Cond
+	cond    sync.Cond
 }
+
+// queueCap is a ring edge's starting mailbox capacity: the deepest backlog
+// the functional GeMM schedules put on an edge, serial or pipelined, at the
+// gemm_fine shapes. A deeper backlog grows that edge's array once.
+const queueCap = 4
 
 // pending returns the number of undelivered messages.
 func (ed *edge) pending() int { return len(ed.buf) - int(ed.head) }
 
 func (ed *edge) push(env envelope) {
-	if ed.head > 0 && int(ed.head) == len(ed.buf) {
-		ed.buf = ed.buf[:0]
-		ed.head = 0
+	if ed.head > 0 && len(ed.buf) == cap(ed.buf) {
+		// Full, but with delivered slots at the front: slide the
+		// undelivered messages down rather than grow.
+		n := copy(ed.buf, ed.buf[ed.head:])
+		clear(ed.buf[n:])
+		ed.buf, ed.head = ed.buf[:n], 0
 	}
-	ed.buf = append(ed.buf, env) // lint:allow hotpath-alloc deque growth: capacity is reused after pops and across runs
+	ed.buf = append(ed.buf, env) // lint:allow hotpath-alloc grows only past the edge's deepest backlog; capacity is reused across runs
 }
 
 func (ed *edge) pop() envelope {
@@ -138,8 +152,22 @@ func (ed *edge) rewind() {
 // carries an original failure.
 const errPeerFailed = "mesh: receive aborted because a peer chip failed"
 
-func newExchanger(n int) *exchanger {
-	return &exchanger{n: n, edges: make([]edge, n*n)}
+func newExchanger(t topology.Torus) *exchanger {
+	n := t.Size()
+	// At most every chip goroutine and each of its comm lanes can be
+	// parked at once, each on one edge.
+	receivers := n * (1 + len(asyncState{}.workers))
+	e := &exchanger{n: n, edges: make([]edge, n*n), parked: make([]int, 0, receivers)}
+	slab := make([]envelope, n*(t.Rows+t.Cols-1)*queueCap)
+	for i := range e.edges {
+		ed := &e.edges[i]
+		ed.cond.L = &e.mu
+		from, to := t.Coord(i/n), t.Coord(i%n)
+		if from.Row == to.Row || from.Col == to.Col { // same torus row or column
+			ed.buf, slab = slab[:0:queueCap], slab[queueCap:]
+		}
+	}
+	return e
 }
 
 // setFaults installs (or, with an empty plan, removes) the fault plan.
@@ -264,19 +292,16 @@ func (e *exchanger) wakeAll() {
 	}
 }
 
-// park registers a receiver on slot i, creating the slot's cond at its
-// first park and keeping parked ascending. Callers hold e.mu.
+// park registers a receiver on slot i, keeping parked ascending. Callers
+// hold e.mu.
 func (e *exchanger) park(i int) {
 	ed := &e.edges[i]
-	if ed.cond == nil {
-		ed.cond = sync.NewCond(&e.mu) // lint:allow hotpath-alloc one cond per edge, at its first park
-	}
 	ed.waiters++
 	if ed.waiters > 1 {
 		return
 	}
 	j := len(e.parked)
-	e.parked = append(e.parked, i) // lint:allow hotpath-alloc parked-list growth: capacity is reused across parks and runs
+	e.parked = append(e.parked, i) // lint:allow hotpath-alloc within the capacity newExchanger gives it: one slot per receiver
 	for ; j > 0 && e.parked[j-1] > i; j-- {
 		e.parked[j] = e.parked[j-1]
 	}

@@ -77,7 +77,7 @@ func (m *Mesh) Recorder() *recorder.Recorder { return m.rec }
 
 // New creates a mesh with the given torus shape.
 func New(t topology.Torus) *Mesh {
-	return &Mesh{Torus: t, ex: newExchanger(t.Size()), pool: newBufPool()}
+	return &Mesh{Torus: t, ex: newExchanger(t), pool: newBufPool()}
 }
 
 // MaxStreamStarts bounds how many ring streams one chip may start without

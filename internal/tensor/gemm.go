@@ -15,8 +15,8 @@ const parallelFLOPThreshold = 1 << 22
 // streams past it; tileBR plays the same role for the NT kernel, where the
 // panel is tileBR rows of B. The NN kernel classifies its rows tileI at a
 // time, and packs microW columns of B into a panel its micro-kernel sweeps.
-// The AVX tile (tile4x8) packs vecW columns, and the vector NT kernel
-// accumulates tileI rows of C at a time.
+// The AVX tiles cover vecW columns of C; the vector NT kernel packs vecW
+// rows of B and accumulates tileI rows of C at a time.
 const (
 	tileK  = 128
 	tileJ  = 512
@@ -89,19 +89,21 @@ func MatMulAdd(c, a, b *Matrix) {
 // columns of B, the dense rows then sweep one packed panel of B, each
 // holding its 1×microW tile of C in registers across the whole k block
 // (microKernel), so a C element is loaded and stored once per block rather
-// than once per k. With vectorKernels the dense rows take the AVX tile
-// instead, vecW columns and four rows at a time (denseTiles). Sparse rows,
-// and the columns of a tileJ block past its last whole panel, stay on the
-// plain i→k→j loop (axpyRows).
+// than once per k; sparse rows stay on the plain i→k→j loop (axpyRows). With
+// vectorKernels both kinds take the AVX tiles instead, vecW columns and
+// four rows at a time, reading B in place (vecTiles): dense rows tile4x8,
+// sparse rows maskTile4x8. The columns of a tileJ block past its last
+// whole vecW panel stay on axpyRows.
 //
 // Every path gives an element the same sequence: start from C, add a_ik·b_kj
-// for ascending k, skip an exactly-zero a_ik. The tiles have no zero test
-// because a dense row has no zero to skip. The k blocks ascend in the outer
-// loop, so the element's reduction order is plain ascending k — independent
-// of the tiles, the row split and lo/hi.
+// for ascending k, skip an exactly-zero a_ik. The dense tiles have no zero
+// test because a dense row has no zero to skip; the masked tile leaves a
+// row's accumulators untouched at a zero a_ik. The k blocks ascend in the
+// outer loop, so the element's reduction order is plain ascending k —
+// independent of the tiles, the row split and lo/hi.
 // lint:hotpath tile kernel: the per-row inner loops must stay allocation-free
 func matMulAddRows(c, a, b *Matrix, lo, hi int) {
-	var panel [vecW * tileK]float64
+	var panel [microW * tileK]float64
 	var dense, sparse [tileI]int32
 	for kb := 0; kb < a.Cols; kb += tileK {
 		ke := min(kb+tileK, a.Cols)
@@ -118,23 +120,22 @@ func matMulAddRows(c, a, b *Matrix, lo, hi int) {
 			}
 			for jb := 0; jb < b.Cols; jb += tileJ {
 				je := min(jb+tileJ, b.Cols)
-				jt := jb
+				jd, js := jb, jb // where the tiles left off, for dense and sparse rows
 				switch {
-				case nd == 0:
 				case vectorKernels:
-					jt = denseTiles(c, a, b, &panel, dense[:nd], kb, ke, jb, je)
-				default:
-					jt = je - (je-jb)%microW
-					p := (*[microW * tileK]float64)(panel[:])
-					for jp := jb; jp < jt; jp += microW {
-						packPanel(p, b, kb, ke, jp)
+					jd = vecTiles(c, a, b, dense[:nd], sparse[:ns], kb, ke, jb, je)
+					js = jd
+				case nd > 0:
+					jd = je - (je-jb)%microW
+					for jp := jb; jp < jd; jp += microW {
+						packPanel(&panel, b, kb, ke, jp)
 						for _, i := range dense[:nd] {
-							microKernel(c.Row(int(i))[jp:jp+microW], a.Row(int(i))[kb:ke], p)
+							microKernel(c.Row(int(i))[jp:jp+microW], a.Row(int(i))[kb:ke], &panel)
 						}
 					}
 				}
-				axpyRows(c, a, b, dense[:nd], kb, ke, jt, je)
-				axpyRows(c, a, b, sparse[:ns], kb, ke, jb, je)
+				axpyRows(c, a, b, dense[:nd], kb, ke, jd, je)
+				axpyRows(c, a, b, sparse[:ns], kb, ke, js, je)
 			}
 		}
 	}
@@ -143,7 +144,7 @@ func matMulAddRows(c, a, b *Matrix, lo, hi int) {
 // zeroFree reports whether x holds no exact zero (±0).
 func zeroFree(x []float64) bool {
 	for _, v := range x {
-		if v == 0 { // lint:float-exact the micro-kernel may only take rows with no exact zero to skip
+		if v == 0 { // lint:float-exact the dense tiles may only take rows with no exact zero to skip
 			return false
 		}
 	}
@@ -187,34 +188,47 @@ func microKernel(crow, arow []float64, p *[microW * tileK]float64) {
 	c[0], c[1], c[2], c[3] = s0, s1, s2, s3
 }
 
-// denseTiles accumulates columns [jb, jt) of the dense rows of C += A·B
-// over k in [kb, ke) with the AVX tile and returns jt, the end of the last
-// whole vecW panel in [jb, je). For every vecW columns it packs the k block
-// of B k-major (vecW values per k) and hands the rows to tile4x8 four at a
-// time, its accumulators pointing at C. A last group of one to three rows is
-// padded with copies of its first row whose tile rows land in scratch.
-// lint:hotpath AVX path of the NN micro-kernel
-func denseTiles(c, a, b *Matrix, panel *[vecW * tileK]float64, dense []int32, kb, ke, jb, je int) int {
+// vecTiles accumulates columns [jb, jt) of the dense and sparse rows of
+// C += A·B over k in [kb, ke) with the AVX tiles and returns jt, the end of
+// the last whole vecW panel in [jb, je). For every vecW columns the tiles
+// read B's k block in place, four rows at a time (tileRows): the dense
+// rows on tile4x8, the sparse rows on maskTile4x8. Dense rows keep the
+// unmasked tile: the mask costs every k of a row that has nothing to skip.
+// lint:hotpath AVX path of the NN kernel
+func vecTiles(c, a, b *Matrix, dense, sparse []int32, kb, ke, jb, je int) int {
 	jt := je - (je-jb)%vecW
-	var scratch [vecW]float64
 	for jp := jb; jp < jt; jp += vecW {
-		for k := kb; k < ke; k++ {
-			*(*[vecW]float64)(panel[(k-kb)*vecW:]) = *(*[vecW]float64)(b.Data[k*b.Cols+jp:])
-		}
-		for g := 0; g < len(dense); g += 4 {
-			var ct, at [4]*float64
-			for r := range ct {
-				if g+r < len(dense) {
-					i := int(dense[g+r])
-					ct[r], at[r] = &c.Row(i)[jp], &a.Row(i)[kb]
-				} else {
-					ct[r], at[r] = &scratch[0], at[0]
-				}
-			}
-			tile4x8(&ct, &at, panel, ke-kb)
-		}
+		bp := &b.Data[kb*b.Cols+jp]
+		tileRows(c, a, bp, b.Cols, dense, kb, ke, jp, false)
+		tileRows(c, a, bp, b.Cols, sparse, kb, ke, jp, true)
 	}
 	return jt
+}
+
+// tileRows runs one AVX tile per four listed rows over columns
+// [jp, jp+vecW) of C, reading the k block of B from bp on, bs values per
+// row: maskTile4x8 when masked, else tile4x8. The tile's accumulators
+// point at C. A last group of one to three rows is padded with copies of
+// its first row whose tile rows land in scratch.
+// lint:hotpath AVX path of the NN kernel
+func tileRows(c, a *Matrix, bp *float64, bs int, rows []int32, kb, ke, jp int, masked bool) {
+	var scratch [vecW]float64
+	for g := 0; g < len(rows); g += 4 {
+		var ct, at [4]*float64
+		for r := range ct {
+			if g+r < len(rows) {
+				i := int(rows[g+r])
+				ct[r], at[r] = &c.Row(i)[jp], &a.Row(i)[kb]
+			} else {
+				ct[r], at[r] = &scratch[0], at[0]
+			}
+		}
+		if masked {
+			maskTile4x8(&ct, &at, bp, bs, ke-kb)
+		} else {
+			tile4x8(&ct, &at, bp, bs, ke-kb)
+		}
+	}
 }
 
 // axpyRows accumulates columns [jb, je) of the listed rows of C += A·B over
@@ -341,7 +355,7 @@ func ntTiles(c, a, b *Matrix, lo, hi int) {
 					for r := range ct {
 						ct[r], at[r] = &tiles[g][r][0], &a.Row(min(ib+4*g+r, ie-1))[kb]
 					}
-					tile4x8(&ct, &at, &panel, ke-kb)
+					tile4x8(&ct, &at, &panel[0], vecW, ke-kb)
 				}
 			}
 			for i := ib; i < ie; i++ {
@@ -370,11 +384,11 @@ func MatMulTN(a, b *Matrix) *Matrix {
 // tileK-deep blocks, with the quad boundaries fixed by the global k grid —
 // never by the strip — so every element's reduction order is a function of
 // the shapes alone and the row-parallel fan-out is bitwise identical to the
-// serial kernel. The sparsity fast path skips a quad only when all four of
-// its A values are exactly zero, so only exactly-zero contributions are
-// ever dropped. With vectorKernels a quad's pass over the C row is quadRow,
-// four columns per AVX step, each summing its four products in the same
-// left-to-right order.
+// serial kernel. The sparsity fast path skips a row's quad only when all
+// four of its A values are exactly zero, so only exactly-zero contributions
+// are ever dropped. With vectorKernels four C rows × vecW columns stay in
+// registers across a k block (tnTile4x8), each element summing its four
+// products in the same left-to-right order.
 func MatMulAddTN(c, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulAddTN inner dim mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)) // lint:invariant shape precondition
@@ -387,43 +401,101 @@ func MatMulAddTN(c, a, b *Matrix) {
 }
 
 // matMulAddTNRows accumulates rows [lo, hi) of C += Aᵀ·B; rows of C
-// correspond to columns of A.
+// correspond to columns of A. Each element gets: start from C; per tileK
+// block, its quads on the k grid, each adding
+// ((v0·b0 + v1·b1) + v2·b2) + v3·b3 unless v0…v3 are all exactly zero;
+// then the block's rows past the last quad in ascending k, skipping an
+// exactly-zero a_ki. With vectorKernels the rows take the AVX tile
+// (tnTiles); the Go path is tnRows over whole C rows.
 // lint:hotpath tile kernel: the per-row inner loops must stay allocation-free
 func matMulAddTNRows(c, a, b *Matrix, lo, hi int) {
+	if vectorKernels {
+		tnTiles(c, a, b, lo, hi)
+		return
+	}
+	for kb := 0; kb < a.Rows; kb += tileK {
+		tnRows(c, a, b, lo, hi, kb, min(kb+tileK, a.Rows), 0)
+	}
+}
+
+// tnRows adds the k block [kb, ke) of Aᵀ·B to columns [jb, C.Cols) of C
+// rows [lo, hi), one row at a time: the block's quads on the k grid, a
+// quad whose four A values are exact zeros skipped, then the rows past the
+// last quad, an exact zero skipped.
+// lint:hotpath row pass of the TN kernel
+func tnRows(c, a, b *Matrix, lo, hi, kb, ke, jb int) {
+	for i := lo; i < hi; i++ {
+		crow := c.Row(i)[jb:]
+		k := kb
+		for ; k+4 <= ke; k += 4 {
+			v0 := a.Row(k)[i]
+			v1 := a.Row(k + 1)[i]
+			v2 := a.Row(k + 2)[i]
+			v3 := a.Row(k + 3)[i]
+			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 { // lint:float-exact sparsity fast path skips exact zeros only
+				continue
+			}
+			b0 := b.Row(k)[jb:][:len(crow)]
+			b1 := b.Row(k + 1)[jb:][:len(crow)]
+			b2 := b.Row(k + 2)[jb:][:len(crow)]
+			b3 := b.Row(k + 3)[jb:][:len(crow)]
+			for j := range crow {
+				crow[j] += v0*b0[j] + v1*b1[j] + v2*b2[j] + v3*b3[j]
+			}
+		}
+		for ; k < ke; k++ {
+			av := a.Row(k)[i]
+			if av == 0 { // lint:float-exact sparsity fast path skips exact zeros only
+				continue
+			}
+			brow := b.Row(k)[jb:][:len(crow)]
+			for j := range crow {
+				crow[j] += av * brow[j]
+			}
+		}
+	}
+}
+
+// tnTiles is matMulAddTNRows on the AVX tile. For each tileK block of k,
+// the C rows go four at a time: their four columns of A's block are packed
+// k-major into pa (a last group of one to three rows is padded with copies
+// of its last column), so a quad's 4×4 block of A is one contiguous read
+// instead of a strided read per row. tnTile4x8 then adds the block to
+// every whole vecW columns of the four rows, padded rows landing in
+// scratch, and tnRows adds it to the columns past the last whole panel.
+// lint:hotpath AVX path of the TN kernel
+func tnTiles(c, a, b *Matrix, lo, hi int) {
+	var pa [4 * tileK]float64
+	var scratch [vecW]float64
+	jt := b.Cols - b.Cols%vecW
 	for kb := 0; kb < a.Rows; kb += tileK {
 		ke := min(kb+tileK, a.Rows)
-		for i := lo; i < hi; i++ {
-			crow := c.Row(i)
-			k := kb
-			for ; k+4 <= ke; k += 4 {
-				v0 := a.Row(k)[i]
-				v1 := a.Row(k + 1)[i]
-				v2 := a.Row(k + 2)[i]
-				v3 := a.Row(k + 3)[i]
-				if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 { // lint:float-exact sparsity fast path skips exact zeros only
+		for i := lo; i < hi; i += 4 {
+			nr := min(4, hi-i)
+			for k := kb; k < ke; k++ {
+				col := a.Row(k)[i:]
+				q := (*[4]float64)(pa[4*(k-kb):])
+				if nr == 4 {
+					*q = [4]float64(col[:4])
 					continue
 				}
-				if vectorKernels {
-					quadRow(crow, b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3), v0, v1, v2, v3)
-					continue
-				}
-				b0 := b.Row(k)[:len(crow)]
-				b1 := b.Row(k + 1)[:len(crow)]
-				b2 := b.Row(k + 2)[:len(crow)]
-				b3 := b.Row(k + 3)[:len(crow)]
-				for j := range crow {
-					crow[j] += v0*b0[j] + v1*b1[j] + v2*b2[j] + v3*b3[j]
+				for r := range q {
+					q[r] = col[min(r, nr-1)]
 				}
 			}
-			for ; k < ke; k++ {
-				av := a.Row(k)[i]
-				if av == 0 { // lint:float-exact sparsity fast path skips exact zeros only
-					continue
+			for jp := 0; jp < jt; jp += vecW {
+				var ct [4]*float64
+				for r := range ct {
+					if r < nr {
+						ct[r] = &c.Row(i + r)[jp]
+					} else {
+						ct[r] = &scratch[0]
+					}
 				}
-				brow := b.Row(k)[:len(crow)]
-				for j := range crow {
-					crow[j] += av * brow[j]
-				}
+				tnTile4x8(&ct, &pa, &b.Row(kb)[jp], b.Cols, ke-kb)
+			}
+			if jt < b.Cols {
+				tnRows(c, a, b, i, i+nr, kb, ke, jt)
 			}
 		}
 	}

@@ -22,15 +22,27 @@ func cpuid1() (ecx uint32)
 
 func xgetbv0() (eax uint32)
 
-// tile4x8 adds to each of four rows of 8 C values, c[r][w] += a[r][k]·p[k*8+w]
+// tile4x8 adds to each of four rows of 8 C values, c[r][w] += a[r][k]·b[k*bs+w]
 // over k = 0 … kl-1 in ascending order, holding the tile in registers. The
-// C rows must hold 8 values, the A rows kl.
+// C rows must hold 8 values, the A rows kl, and b kl rows of 8 values, bs
+// apart.
 //
 //go:noescape
-func tile4x8(c, a *[4]*float64, p *[vecW * tileK]float64, kl int)
+func tile4x8(c, a *[4]*float64, b *float64, bs, kl int)
 
-// quadRow adds v0·b0[j] + v1·b1[j] + v2·b2[j] + v3·b3[j], summed left to
-// right, to c[j] for every j < len(c). Each b row must be as long as c.
+// maskTile4x8 is tile4x8 for rows that hold zeros: a row skips every k
+// whose a[r][k] is ±0, leaving its accumulators' bits untouched.
 //
 //go:noescape
-func quadRow(c, b0, b1, b2, b3 []float64, v0, v1, v2, v3 float64)
+func maskTile4x8(c, a *[4]*float64, b *float64, bs, kl int)
+
+// tnTile4x8 adds one k block of Aᵀ·B to a 4-row × 8-column tile of C, the
+// row r of the tile starting at c[r]. pa holds the block of A packed
+// k-major (pa[4k+r] is row r's value at block row k), b points at the
+// tile's first column in the block's first B row, and B rows are bs values
+// apart. Each row adds its quads on the k grid, skipping a quad whose four
+// values are all ±0, then the block's last kl mod 4 rows one at a time,
+// skipping a ±0 value — the order matMulAddTNRows documents.
+//
+//go:noescape
+func tnTile4x8(c *[4]*float64, pa *[4 * tileK]float64, b *float64, bs, kl int)

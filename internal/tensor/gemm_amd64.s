@@ -1,42 +1,49 @@
 #include "textflag.h"
 
 // The AVX kernels behind gemm_amd64.go. Each YMM lane holds a different
-// output element and takes its own VMULPD then VADDPD, in the order the Go
-// kernels in gemm.go use for that element, so every element's bits match
-// theirs. There is no FMA: a fused multiply-add rounds once where the Go
-// kernels round twice. Each routine ends with VZEROUPPER, so the Go code it
+// output element and takes its own VMULPD then VADDPD (maskTile4x8: VSUBPD
+// of the negated product, the same bits), in the order the Go kernels in
+// gemm.go use for that element, so every element's bits match theirs.
+// There is no FMA: a fused multiply-add rounds once where the Go kernels
+// round twice. Each routine ends with VZEROUPPER, so the Go code it
 // returns to pays no SSE/AVX transition penalty.
 
-// func tile4x8(c, a *[4]*float64, p *[vecW * tileK]float64, kl int)
+// The sign bit of a float64: XOR with it negates.
+DATA signBit<>+0(SB)/8, $0x8000000000000000
+GLOBL signBit<>(SB), RODATA|NOPTR, $8
+
+// func tile4x8(c, a *[4]*float64, b *float64, bs, kl int)
 //
-// For r < 4 and w < 8: c[r][w] += a[r][k]·p[k*8+w] for k = 0 … kl-1 in
+// For r < 4 and w < 8: c[r][w] += a[r][k]·b[k*bs+w] for k = 0 … kl-1 in
 // ascending order, with the 4×8 tile of C held in Y0–Y7.
-TEXT ·tile4x8(SB), NOSPLIT, $0-32
+TEXT ·tile4x8(SB), NOSPLIT, $0-40
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
-	MOVQ p+16(FP), DX
-	MOVQ kl+24(FP), CX
-	MOVQ 0(DI), R8
+	MOVQ b+16(FP), DX
+	MOVQ bs+24(FP), R8
+	MOVQ kl+32(FP), CX
+	SHLQ $3, R8
+	MOVQ 0(DI), R9
+	VMOVUPD 0(R9), Y0
+	VMOVUPD 32(R9), Y1
 	MOVQ 8(DI), R9
-	MOVQ 16(DI), R10
-	MOVQ 24(DI), R11
-	VMOVUPD 0(R8), Y0
-	VMOVUPD 32(R8), Y1
 	VMOVUPD 0(R9), Y2
 	VMOVUPD 32(R9), Y3
-	VMOVUPD 0(R10), Y4
-	VMOVUPD 32(R10), Y5
-	VMOVUPD 0(R11), Y6
-	VMOVUPD 32(R11), Y7
+	MOVQ 16(DI), R9
+	VMOVUPD 0(R9), Y4
+	VMOVUPD 32(R9), Y5
+	MOVQ 24(DI), R9
+	VMOVUPD 0(R9), Y6
+	VMOVUPD 32(R9), Y7
 	MOVQ 0(SI), AX
 	MOVQ 8(SI), BX
 	MOVQ 16(SI), R12
 	MOVQ 24(SI), R13
 	XORQ SI, SI
 	TESTQ CX, CX
-	JZ   store
+	JZ   tile4x8store
 
-loop:
+tile4x8loop:
 	VMOVUPD      0(DX), Y8
 	VMOVUPD      32(DX), Y9
 	VBROADCASTSD (AX)(SI*8), Y10
@@ -59,74 +66,339 @@ loop:
 	VADDPD       Y11, Y6, Y6
 	VMULPD       Y9, Y13, Y12
 	VADDPD       Y12, Y7, Y7
-	ADDQ         $64, DX
+	ADDQ         R8, DX
 	INCQ         SI
 	CMPQ         SI, CX
-	JLT          loop
+	JLT          tile4x8loop
 
-store:
-	VMOVUPD Y0, 0(R8)
-	VMOVUPD Y1, 32(R8)
+tile4x8store:
+	MOVQ    0(DI), R9
+	VMOVUPD Y0, 0(R9)
+	VMOVUPD Y1, 32(R9)
+	MOVQ    8(DI), R9
 	VMOVUPD Y2, 0(R9)
 	VMOVUPD Y3, 32(R9)
-	VMOVUPD Y4, 0(R10)
-	VMOVUPD Y5, 32(R10)
-	VMOVUPD Y6, 0(R11)
-	VMOVUPD Y7, 32(R11)
+	MOVQ    16(DI), R9
+	VMOVUPD Y4, 0(R9)
+	VMOVUPD Y5, 32(R9)
+	MOVQ    24(DI), R9
+	VMOVUPD Y6, 0(R9)
+	VMOVUPD Y7, 32(R9)
 	VZEROUPPER
 	RET
 
-// func quadRow(c, b0, b1, b2, b3 []float64, v0, v1, v2, v3 float64)
+// func maskTile4x8(c, a *[4]*float64, b *float64, bs, kl int)
 //
-// For j < len(c): c[j] += v0·b0[j] + v1·b1[j] + v2·b2[j] + v3·b3[j], the
-// four products summed left to right; four columns per YMM step, then one
-// per scalar step.
-TEXT ·quadRow(SB), NOSPLIT, $0-152
-	MOVQ         c_base+0(FP), DI
-	MOVQ         c_len+8(FP), CX
-	MOVQ         b0_base+24(FP), R8
-	MOVQ         b1_base+48(FP), R9
-	MOVQ         b2_base+72(FP), R10
-	MOVQ         b3_base+96(FP), R11
-	VBROADCASTSD v0+120(FP), Y0
-	VBROADCASTSD v1+128(FP), Y1
-	VBROADCASTSD v2+136(FP), Y2
-	VBROADCASTSD v3+144(FP), Y3
-	MOVQ         CX, BX
-	ANDQ         $-4, BX
-	XORQ         AX, AX
+// tile4x8 for rows that hold zeros: a row skips every k whose a[r][k] is
+// ±0. Each k negates its eight b values as (−0) − b, and a row takes
+// VCMPPD NEQ_UQ of a[r][k] against zero — a lane mask of all ones unless
+// a[r][k] is ±0 (NaN is not zero, so it propagates) — ANDs it into the
+// product a·(−b) and subtracts: at a skipped k it subtracts +0, and
+// x − (+0) is x for every x; at any other k, c − a·(−b) is c + a·b bit for
+// bit, since negation is exact and IEEE subtraction adds the negation,
+// signed zeros included. The negation is a subtraction, not a sign-bit
+// flip, because a NaN operand passes through an arithmetic instruction with
+// its sign: a NaN in B reaches C with the same bits as on tile4x8 and the
+// Go path, where an XOR would flip its sign.
+TEXT ·maskTile4x8(SB), NOSPLIT, $0-40
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ bs+24(FP), R8
+	MOVQ kl+32(FP), CX
+	SHLQ $3, R8
+	MOVQ 0(DI), R9
+	VMOVUPD 0(R9), Y0
+	VMOVUPD 32(R9), Y1
+	MOVQ 8(DI), R9
+	VMOVUPD 0(R9), Y2
+	VMOVUPD 32(R9), Y3
+	MOVQ 16(DI), R9
+	VMOVUPD 0(R9), Y4
+	VMOVUPD 32(R9), Y5
+	MOVQ 24(DI), R9
+	VMOVUPD 0(R9), Y6
+	VMOVUPD 32(R9), Y7
+	VBROADCASTSD signBit<>(SB), Y14
+	VXORPD       Y15, Y15, Y15
+	MOVQ 0(SI), AX
+	MOVQ 8(SI), BX
+	MOVQ 16(SI), R12
+	MOVQ 24(SI), R13
+	XORQ SI, SI
+	TESTQ CX, CX
+	JZ   maskTile4x8store
 
-vec:
-	CMPQ    AX, BX
-	JGE     tail
-	VMULPD  (R8)(AX*8), Y0, Y4
-	VMULPD  (R9)(AX*8), Y1, Y5
-	VADDPD  Y5, Y4, Y4
-	VMULPD  (R10)(AX*8), Y2, Y5
-	VADDPD  Y5, Y4, Y4
-	VMULPD  (R11)(AX*8), Y3, Y5
-	VADDPD  Y5, Y4, Y4
-	VADDPD  (DI)(AX*8), Y4, Y4
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ    $4, AX
-	JMP     vec
+maskTile4x8loop:
+	VSUBPD       0(DX), Y14, Y8
+	VSUBPD       32(DX), Y14, Y9
+	VBROADCASTSD (AX)(SI*8), Y10
+	VCMPPD       $4, Y15, Y10, Y13
+	VMULPD       Y8, Y10, Y11
+	VANDPD       Y13, Y11, Y11
+	VSUBPD       Y11, Y0, Y0
+	VMULPD       Y9, Y10, Y12
+	VANDPD       Y13, Y12, Y12
+	VSUBPD       Y12, Y1, Y1
+	VBROADCASTSD (BX)(SI*8), Y10
+	VCMPPD       $4, Y15, Y10, Y13
+	VMULPD       Y8, Y10, Y11
+	VANDPD       Y13, Y11, Y11
+	VSUBPD       Y11, Y2, Y2
+	VMULPD       Y9, Y10, Y12
+	VANDPD       Y13, Y12, Y12
+	VSUBPD       Y12, Y3, Y3
+	VBROADCASTSD (R12)(SI*8), Y10
+	VCMPPD       $4, Y15, Y10, Y13
+	VMULPD       Y8, Y10, Y11
+	VANDPD       Y13, Y11, Y11
+	VSUBPD       Y11, Y4, Y4
+	VMULPD       Y9, Y10, Y12
+	VANDPD       Y13, Y12, Y12
+	VSUBPD       Y12, Y5, Y5
+	VBROADCASTSD (R13)(SI*8), Y10
+	VCMPPD       $4, Y15, Y10, Y13
+	VMULPD       Y8, Y10, Y11
+	VANDPD       Y13, Y11, Y11
+	VSUBPD       Y11, Y6, Y6
+	VMULPD       Y9, Y10, Y12
+	VANDPD       Y13, Y12, Y12
+	VSUBPD       Y12, Y7, Y7
+	ADDQ         R8, DX
+	INCQ         SI
+	CMPQ         SI, CX
+	JLT          maskTile4x8loop
 
-tail:
-	CMPQ   AX, CX
-	JGE    done
-	VMULSD (R8)(AX*8), X0, X4
-	VMULSD (R9)(AX*8), X1, X5
-	VADDSD X5, X4, X4
-	VMULSD (R10)(AX*8), X2, X5
-	VADDSD X5, X4, X4
-	VMULSD (R11)(AX*8), X3, X5
-	VADDSD X5, X4, X4
-	VADDSD (DI)(AX*8), X4, X4
-	VMOVSD X4, (DI)(AX*8)
-	INCQ   AX
-	JMP    tail
+maskTile4x8store:
+	MOVQ    0(DI), R9
+	VMOVUPD Y0, 0(R9)
+	VMOVUPD Y1, 32(R9)
+	MOVQ    8(DI), R9
+	VMOVUPD Y2, 0(R9)
+	VMOVUPD Y3, 32(R9)
+	MOVQ    16(DI), R9
+	VMOVUPD Y4, 0(R9)
+	VMOVUPD Y5, 32(R9)
+	MOVQ    24(DI), R9
+	VMOVUPD Y6, 0(R9)
+	VMOVUPD Y7, 32(R9)
+	VZEROUPPER
+	RET
 
-done:
+// func tnTile4x8(c *[4]*float64, pa *[4 * tileK]float64, b *float64, bs, kl int)
+//
+// A 4-row × 8-column tile of C += Aᵀ·B over one k block of depth kl, held
+// in Y0–Y7. pa is the block of A packed k-major, pa[4k+r] = a for C row r
+// at block row k; b points at the block's first B row, column 0 of the
+// tile, and B rows are bs values apart. For each quad of block rows the
+// 4×4 block of pa is compared with zero once (a mask bit per row whose four
+// values are all ±0, which skips that row) and every other row r adds
+// ((v0·b0 + v1·b1) + v2·b2) + v3·b3 to its eight columns; then each of the
+// last kl mod 4 block rows adds v·b to the rows whose v is not ±0.
+TEXT ·tnTile4x8(SB), NOSPLIT, $0-40
+	MOVQ c+0(FP), DI
+	MOVQ pa+8(FP), DX
+	MOVQ b+16(FP), R8
+	MOVQ bs+24(FP), BX
+	MOVQ kl+32(FP), CX
+	SHLQ $3, BX
+	LEAQ (R8)(BX*1), R9
+	LEAQ (R9)(BX*1), R10
+	LEAQ (R10)(BX*1), R11
+	MOVQ BX, SI
+	SHLQ $2, SI
+	MOVQ 0(DI), R12
+	VMOVUPD 0(R12), Y0
+	VMOVUPD 32(R12), Y1
+	MOVQ 8(DI), R12
+	VMOVUPD 0(R12), Y2
+	VMOVUPD 32(R12), Y3
+	MOVQ 16(DI), R12
+	VMOVUPD 0(R12), Y4
+	VMOVUPD 32(R12), Y5
+	MOVQ 24(DI), R12
+	VMOVUPD 0(R12), Y6
+	VMOVUPD 32(R12), Y7
+	MOVQ CX, R13
+	SHRQ $2, R13
+	ANDQ $3, CX
+	TESTQ R13, R13
+	JZ   ttail
+
+tquad:
+	VXORPD       Y12, Y12, Y12
+	VCMPPD       $0, 0(DX), Y12, Y13
+	VCMPPD       $0, 32(DX), Y12, Y14
+	VANDPD       Y14, Y13, Y13
+	VCMPPD       $0, 64(DX), Y12, Y14
+	VANDPD       Y14, Y13, Y13
+	VCMPPD       $0, 96(DX), Y12, Y14
+	VANDPD       Y14, Y13, Y13
+	VMOVMSKPD    Y13, AX
+	BTQ          $0, AX
+	JCS          qskip0
+	VBROADCASTSD 0(DX), Y8
+	VBROADCASTSD 32(DX), Y9
+	VBROADCASTSD 64(DX), Y10
+	VBROADCASTSD 96(DX), Y11
+	VMULPD       0(R8), Y8, Y12
+	VMULPD       32(R8), Y8, Y13
+	VMULPD       0(R9), Y9, Y14
+	VMULPD       32(R9), Y9, Y15
+	VADDPD       Y14, Y12, Y12
+	VADDPD       Y15, Y13, Y13
+	VMULPD       0(R10), Y10, Y14
+	VMULPD       32(R10), Y10, Y15
+	VADDPD       Y14, Y12, Y12
+	VADDPD       Y15, Y13, Y13
+	VMULPD       0(R11), Y11, Y14
+	VMULPD       32(R11), Y11, Y15
+	VADDPD       Y14, Y12, Y12
+	VADDPD       Y15, Y13, Y13
+	VADDPD       Y12, Y0, Y0
+	VADDPD       Y13, Y1, Y1
+
+qskip0:
+	BTQ          $1, AX
+	JCS          qskip1
+	VBROADCASTSD 8(DX), Y8
+	VBROADCASTSD 40(DX), Y9
+	VBROADCASTSD 72(DX), Y10
+	VBROADCASTSD 104(DX), Y11
+	VMULPD       0(R8), Y8, Y12
+	VMULPD       32(R8), Y8, Y13
+	VMULPD       0(R9), Y9, Y14
+	VMULPD       32(R9), Y9, Y15
+	VADDPD       Y14, Y12, Y12
+	VADDPD       Y15, Y13, Y13
+	VMULPD       0(R10), Y10, Y14
+	VMULPD       32(R10), Y10, Y15
+	VADDPD       Y14, Y12, Y12
+	VADDPD       Y15, Y13, Y13
+	VMULPD       0(R11), Y11, Y14
+	VMULPD       32(R11), Y11, Y15
+	VADDPD       Y14, Y12, Y12
+	VADDPD       Y15, Y13, Y13
+	VADDPD       Y12, Y2, Y2
+	VADDPD       Y13, Y3, Y3
+
+qskip1:
+	BTQ          $2, AX
+	JCS          qskip2
+	VBROADCASTSD 16(DX), Y8
+	VBROADCASTSD 48(DX), Y9
+	VBROADCASTSD 80(DX), Y10
+	VBROADCASTSD 112(DX), Y11
+	VMULPD       0(R8), Y8, Y12
+	VMULPD       32(R8), Y8, Y13
+	VMULPD       0(R9), Y9, Y14
+	VMULPD       32(R9), Y9, Y15
+	VADDPD       Y14, Y12, Y12
+	VADDPD       Y15, Y13, Y13
+	VMULPD       0(R10), Y10, Y14
+	VMULPD       32(R10), Y10, Y15
+	VADDPD       Y14, Y12, Y12
+	VADDPD       Y15, Y13, Y13
+	VMULPD       0(R11), Y11, Y14
+	VMULPD       32(R11), Y11, Y15
+	VADDPD       Y14, Y12, Y12
+	VADDPD       Y15, Y13, Y13
+	VADDPD       Y12, Y4, Y4
+	VADDPD       Y13, Y5, Y5
+
+qskip2:
+	BTQ          $3, AX
+	JCS          qskip3
+	VBROADCASTSD 24(DX), Y8
+	VBROADCASTSD 56(DX), Y9
+	VBROADCASTSD 88(DX), Y10
+	VBROADCASTSD 120(DX), Y11
+	VMULPD       0(R8), Y8, Y12
+	VMULPD       32(R8), Y8, Y13
+	VMULPD       0(R9), Y9, Y14
+	VMULPD       32(R9), Y9, Y15
+	VADDPD       Y14, Y12, Y12
+	VADDPD       Y15, Y13, Y13
+	VMULPD       0(R10), Y10, Y14
+	VMULPD       32(R10), Y10, Y15
+	VADDPD       Y14, Y12, Y12
+	VADDPD       Y15, Y13, Y13
+	VMULPD       0(R11), Y11, Y14
+	VMULPD       32(R11), Y11, Y15
+	VADDPD       Y14, Y12, Y12
+	VADDPD       Y15, Y13, Y13
+	VADDPD       Y12, Y6, Y6
+	VADDPD       Y13, Y7, Y7
+
+qskip3:
+	ADDQ         $128, DX
+	ADDQ         SI, R8
+	ADDQ         SI, R9
+	ADDQ         SI, R10
+	ADDQ         SI, R11
+	DECQ         R13
+	JNZ          tquad
+
+ttail:
+	TESTQ        CX, CX
+	JZ           tstore
+	VXORPD       Y12, Y12, Y12
+	VCMPPD       $0, 0(DX), Y12, Y13
+	VMOVMSKPD    Y13, AX
+	BTQ          $0, AX
+	JCS          tskip0
+	VBROADCASTSD 0(DX), Y8
+	VMULPD       0(R8), Y8, Y12
+	VMULPD       32(R8), Y8, Y13
+	VADDPD       Y12, Y0, Y0
+	VADDPD       Y13, Y1, Y1
+
+tskip0:
+	BTQ          $1, AX
+	JCS          tskip1
+	VBROADCASTSD 8(DX), Y8
+	VMULPD       0(R8), Y8, Y12
+	VMULPD       32(R8), Y8, Y13
+	VADDPD       Y12, Y2, Y2
+	VADDPD       Y13, Y3, Y3
+
+tskip1:
+	BTQ          $2, AX
+	JCS          tskip2
+	VBROADCASTSD 16(DX), Y8
+	VMULPD       0(R8), Y8, Y12
+	VMULPD       32(R8), Y8, Y13
+	VADDPD       Y12, Y4, Y4
+	VADDPD       Y13, Y5, Y5
+
+tskip2:
+	BTQ          $3, AX
+	JCS          tskip3
+	VBROADCASTSD 24(DX), Y8
+	VMULPD       0(R8), Y8, Y12
+	VMULPD       32(R8), Y8, Y13
+	VADDPD       Y12, Y6, Y6
+	VADDPD       Y13, Y7, Y7
+
+tskip3:
+	ADDQ         $32, DX
+	ADDQ         BX, R8
+	DECQ         CX
+	JMP          ttail
+
+tstore:
+	MOVQ    0(DI), R12
+	VMOVUPD Y0, 0(R12)
+	VMOVUPD Y1, 32(R12)
+	MOVQ    8(DI), R12
+	VMOVUPD Y2, 0(R12)
+	VMOVUPD Y3, 32(R12)
+	MOVQ    16(DI), R12
+	VMOVUPD Y4, 0(R12)
+	VMOVUPD Y5, 32(R12)
+	MOVQ    24(DI), R12
+	VMOVUPD Y6, 0(R12)
+	VMOVUPD Y7, 32(R12)
 	VZEROUPPER
 	RET
 

@@ -5,10 +5,14 @@ package tensor
 // Off amd64 the Go kernels are the only path.
 var vectorKernels = false
 
-func tile4x8(c, a *[4]*float64, p *[vecW * tileK]float64, kl int) {
+func tile4x8(c, a *[4]*float64, b *float64, bs, kl int) {
 	panic("tensor: tile4x8 is amd64 only") // lint:invariant unreachable: vectorKernels is false off amd64
 }
 
-func quadRow(c, b0, b1, b2, b3 []float64, v0, v1, v2, v3 float64) {
-	panic("tensor: quadRow is amd64 only") // lint:invariant unreachable: vectorKernels is false off amd64
+func maskTile4x8(c, a *[4]*float64, b *float64, bs, kl int) {
+	panic("tensor: maskTile4x8 is amd64 only") // lint:invariant unreachable: vectorKernels is false off amd64
+}
+
+func tnTile4x8(c *[4]*float64, pa *[4 * tileK]float64, b *float64, bs, kl int) {
+	panic("tensor: tnTile4x8 is amd64 only") // lint:invariant unreachable: vectorKernels is false off amd64
 }

@@ -271,6 +271,133 @@ func TestKernelPathsAtTileEdges(t *testing.T) {
 	}
 }
 
+// TestZeroSkippingTilesAtEdges pins both kernel paths to the spec where
+// the AVX path skips zeros inside a tile: NN's masked tile (rows that hold
+// a zero) and TN's per-row quad skip. In the reduced operand, output rows
+// 0…3 form one four-row group in which only row 1 holds a zero (one +0);
+// row 4's first k block is all zeros, half of them −0; row 5 mixes ±0 with
+// a NaN and row 6 a NaN beside a −0 in the same quad; rows 6 and 7 share
+// an all-zero quad at k 8…11 that row 5 does not have, and row 5 has one
+// at k 12…15 that its neighbours do not. B holds +Inf, −Inf and NaN in the
+// rows of k where rows 1 and 4 hold zeros, so a skip that leaks turns
+// those rows to NaN; B's column 0 is all +0 and row 7, whose C starts at
+// −0 there, skips k 0 and is otherwise negative. C widths are 16, 32 and
+// 8n+3, row counts 4n+1…4n+3, and k is never a multiple of 4.
+func TestZeroSkippingTilesAtEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	negZero := math.Copysign(0, -1)
+	shapes := [][3]int{ // m, n, k
+		{9, 16, 37}, {10, 32, tileK + 6}, {11, 19, 2*tileK + 3},
+		{13, 2*vecW + 3, 21}, {14, 16, tileK - 1}, {15, 35, tileK + 1},
+	}
+	for _, s := range shapes {
+		m, n, k := s[0], s[1], s[2]
+		for _, v := range kernelVariants {
+			aR, aC, bR, bC := v.shape(m, n, k)
+			a, b, c := Random(aR, aC, rng), Random(bR, bC, rng), Random(m, n, rng)
+			atA := func(i, kk int) *float64 {
+				if v.name == "TN" {
+					return &a.Row(kk)[i]
+				}
+				return &a.Row(i)[kk]
+			}
+			setA := func(i, kk int, x float64) { *atA(i, kk) = x }
+			setB := func(kk, j int, x float64) {
+				if v.name == "NT" {
+					b.Set(j, kk, x)
+				} else {
+					b.Set(kk, j, x)
+				}
+			}
+			setA(1, k/3, 0)
+			for kk := range min(k, tileK) {
+				setA(4, kk, []float64{0, negZero}[kk%2])
+			}
+			setA(5, 2, negZero)
+			setA(5, 3, math.NaN())
+			setA(5, 17, 0)
+			for q := 8; q < 12; q++ {
+				setA(6, q, 0)
+				setA(7, q, negZero)
+			}
+			setA(6, 1, math.NaN())
+			setA(6, 0, negZero)
+			for q := 12; q < 16; q++ {
+				setA(5, q, 0)
+			}
+			for j := range n {
+				setB(k/3, j, []float64{math.Inf(1), math.Inf(-1), math.NaN()}[j%3])
+				setB(0, j, []float64{math.Inf(-1), math.NaN(), math.Inf(1)}[j%3])
+			}
+			// Row 7 skips k 0 and adds only −0 products to the −0 in its
+			// column 0, so that element stays −0 only if a skip adds
+			// nothing at all (adding +0 would turn it to +0).
+			setA(7, 0, 0)
+			for kk := 1; kk < k; kk++ {
+				*atA(7, kk) = -math.Abs(*atA(7, kk))
+			}
+			for kk := range k {
+				setB(kk, 0, 0)
+			}
+			c.Set(7, 0, negZero)
+			c.Data[2] = negZero
+			checkAgainstSpec(t, v, c, a, b, []int{m/2 + 1})
+		}
+	}
+}
+
+// TestNaNFromBKeepsItsBits holds every kernel path to the spec's exact
+// bits, not just NaN for NaN, where an output element meets a single NaN:
+// each column of B holds one NaN, with a payload and a sign that alternate
+// by column, at a k that moves with the column (quads and per-k tails
+// alike), and A is post-ReLU, so NN's rows all take the masked tile. A NaN
+// meeting only finite values passes through every multiply and add with
+// its sign and payload, so a path that flips its sign fails here.
+func TestNaNFromBKeepsItsBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(4949))
+	nans := []float64{math.Float64frombits(0x7ff8000000000123), math.Float64frombits(0xfff8000000000456)}
+	for _, s := range [][3]int{{9, 19, 37}, {12, 32, tileK + 5}, {5, 16, 2*tileK + 2}} {
+		m, n, k := s[0], s[1], s[2]
+		for _, v := range kernelVariants {
+			aR, aC, bR, bC := v.shape(m, n, k)
+			a, b, c := postReLU(aR, aC, rng), Random(bR, bC, rng), Random(m, n, rng)
+			for j := range n {
+				kk := (7 * j) % k
+				if v.name == "NT" {
+					b.Set(j, kk, nans[j%2])
+				} else {
+					b.Set(kk, j, nans[j%2])
+				}
+			}
+			want := c.Clone()
+			v.spec(want, a, b)
+			for _, vec := range kernelPaths() {
+				onPath(vec, func() {
+					got := c.Clone()
+					v.add(got, a, b)
+					for i, x := range got.Data {
+						if math.Float64bits(x) != math.Float64bits(want.Data[i]) {
+							t.Errorf("%s path: %s %dx%dx%d: element (%d,%d) = %#x, spec %#x", pathName(vec), v.name, m, n, k, i/n, i%n, math.Float64bits(x), math.Float64bits(want.Data[i]))
+							return
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// postReLU draws a rows×cols matrix of ReLU outputs: every negative value
+// is clamped to +0, so about half of each row is zero and TN meets all-zero
+// quads at random rows and k.
+func postReLU(rows, cols int, rng *rand.Rand) *Matrix {
+	m := Random(rows, cols, rng)
+	for i, v := range m.Data {
+		m.Data[i] = max(v, 0)
+	}
+	return m
+}
+
 // reluOperand draws a rows×cols matrix shaped like a ReLU activation: odd
 // rows keep their negative values, even rows have them clamped to +0. The
 // NN kernels meet dense and sparse rows, TN all-zero quads beside live ones.
@@ -288,9 +415,10 @@ func reluOperand(rows, cols int, rng *rand.Rand) *Matrix {
 // the Go path at the kernel shapes the benchmark's GeMM workloads run:
 // gemm_compute's 128³ and 64×64×128 tiles, gemm_fine's 16×16×256,
 // 16×256×16 and 16×16×16 tiles, and the elastic MLP's steps (batch 64,
-// 256→512→128: both forward products, dH, dW2 and dW1). Operands are
-// ReLU-like (dense and sparse rows, zero quads) or seeded with ±0, ±Inf and
-// NaN.
+// 256→512→128: both forward products, dH, dW2 and dW1), serial and per
+// chip on 2×4 and 2×2 meshes. Operands are ReLU-like (dense and sparse
+// rows, zero quads), post-ReLU (every row sparse) or seeded with ±0, ±Inf
+// and NaN.
 func TestVectorKernelsMatchGoAtBenchmarkShapes(t *testing.T) {
 	if !haveVector {
 		t.Skip("no AVX on this machine: the Go kernels are the only path")
@@ -304,13 +432,16 @@ func TestVectorKernelsMatchGoAtBenchmarkShapes(t *testing.T) {
 		{"NN", 16, 16, 256}, {"NT", 16, 256, 16}, {"NN", 16, 16, 16},
 		{"NN", 64, 512, 256}, {"NN", 64, 128, 512}, {"NT", 64, 512, 128},
 		{"TN", 512, 128, 64}, {"TN", 256, 512, 64},
+		// The elastic step per chip on 2×4, then on 2×2.
+		{"NN", 32, 128, 256}, {"NN", 32, 32, 512}, {"TN", 256, 32, 64}, {"NT", 32, 128, 128}, {"TN", 128, 128, 64},
+		{"NN", 32, 256, 256}, {"NN", 32, 64, 512}, {"TN", 256, 64, 64}, {"NT", 32, 256, 128}, {"TN", 128, 256, 64},
 	}
 	rng := rand.New(rand.NewSource(4848))
 	for _, s := range shapes {
 		i := slices.IndexFunc(kernelVariants, func(v kernelVariant) bool { return v.name == s.variant })
 		v := kernelVariants[i]
 		aR, aC, bR, bC := v.shape(s.m, s.n, s.k)
-		for _, draw := range []func(rows, cols int, rng *rand.Rand) *Matrix{reluOperand, specOperand} {
+		for _, draw := range []func(rows, cols int, rng *rand.Rand) *Matrix{reluOperand, postReLU, specOperand} {
 			a, b, c := draw(aR, aC, rng), draw(bR, bC, rng), draw(s.m, s.n, rng)
 			var got [2]*Matrix
 			for p, vec := range kernelPaths() {
