@@ -201,7 +201,6 @@ func writeFaultsChrome(path string, stale autotune.Choice, chip hw.Chip, plan *f
 	r := netsim.Simulate(prog, chip, netsim.Options{
 		Faults:        plan,
 		FaultReroute:  reroute,
-		CollectTrace:  true,
 		TraceAllChips: true,
 	})
 	f, err := os.Create(path)

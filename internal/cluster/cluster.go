@@ -1,7 +1,7 @@
 // Package cluster composes the three parallelism types of large-scale LLM
 // training — data, pipeline, and tensor parallelism (paper §2.1) — into 3D
 // cluster plans, and evaluates them: per-microbatch tensor-parallel time
-// from the simulator or cost models, pipeline bubbles from the GPipe
+// from the cost models, pipeline bubbles from the GPipe
 // schedule, data-parallel gradient synchronisation from the ring AllReduce
 // model, and per-chip memory from package memory. It quantifies the §2.2
 // argument: replacing 8-way 1D TP with wide 2D TP both fits bigger models
@@ -93,9 +93,6 @@ func (e Evaluation) Utilization(cfg model.Config, globalBatch int, chip hw.Chip)
 type Options struct {
 	// HBMCapacity is the per-chip memory in bytes (default 32 GiB).
 	HBMCapacity float64
-	// Simulate uses the cluster simulator for the TP time (slower,
-	// higher fidelity); the default uses the analytical cost models.
-	Simulate bool
 	// DPExposedFraction is the share of the gradient AllReduce that
 	// training cannot hide behind the backward pass (default 0.25 —
 	// most of it overlaps, per §2.1).
@@ -121,7 +118,7 @@ func Evaluate(cfg model.Config, plan Plan, globalBatch int, chip hw.Chip, opts O
 	microTokens := globalBatch / plan.DP / plan.Microbatches * cfg.SeqLen
 
 	// Tensor-parallel time per transformer block per microbatch.
-	blockTime, err := tpBlockTime(cfg, microTokens, plan, chip, opts)
+	blockTime, err := tpBlockTime(cfg, microTokens, plan, chip)
 	if err != nil {
 		return Evaluation{}, err
 	}
@@ -174,24 +171,14 @@ func Evaluate(cfg model.Config, plan Plan, globalBatch int, chip hw.Chip, opts O
 }
 
 // tpBlockTime estimates one transformer block's FC time per microbatch on
-// the plan's TP mesh: via the cost models (default) or the simulator.
-func tpBlockTime(cfg model.Config, tokens int, plan Plan, chip hw.Chip, opts Options) (float64, error) {
+// the plan's TP mesh via the cost models.
+func tpBlockTime(cfg model.Config, tokens int, plan Plan, chip hw.Chip) (float64, error) {
 	if plan.TP() == 1 {
 		// No tensor parallelism: pure local compute.
 		return chip.GeMMTime(cfg.TotalFCFLOPs(tokens) / float64(cfg.Layers)), nil
 	}
 	if plan.Is1D() {
 		r, err := train.EvaluateFC(cfg, tokens, plan.TP(), chip, train.OneDTPAlgo, train.Options{})
-		if err != nil {
-			return 0, err
-		}
-		return r.Time, nil
-	}
-	if opts.Simulate {
-		r, err := train.EvaluateFC(cfg, tokens, plan.TP(), chip, train.MeshSliceAlgo, train.Options{
-			OptimizeDataflow: true,
-			Shapes:           []topology.Torus{plan.TPShape},
-		})
 		if err != nil {
 			return 0, err
 		}

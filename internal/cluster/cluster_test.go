@@ -3,9 +3,11 @@ package cluster
 import (
 	"testing"
 
+	"meshslice/internal/autotune"
 	"meshslice/internal/hw"
 	"meshslice/internal/model"
 	"meshslice/internal/topology"
+	"meshslice/internal/train"
 )
 
 var testHW = hw.TPUv4()
@@ -119,20 +121,24 @@ func TestBubbleFraction(t *testing.T) {
 	}
 }
 
+// TestSimulatedEvaluationAgreesWithModel holds the cost-model block time
+// that Evaluate prices a 4×4 TP mesh with (autotune.Tune) to within 2× of
+// the simulator's (train.EvaluateFC) for the same mesh and tokens.
 func TestSimulatedEvaluationAgreesWithModel(t *testing.T) {
 	cfg := model.GPT3()
-	plan := Plan{DP: 1, PP: 1, TPShape: topology.NewTorus(4, 4), Microbatches: 1}
-	modelEv, err := Evaluate(cfg, plan, 8, testHW, Options{})
+	shapes := []topology.Torus{topology.NewTorus(4, 4)}
+	tokens := 8 * cfg.SeqLen
+	modelled, err := autotune.Tune(cfg, tokens, 16, testHW, autotune.Options{OptimizeDataflow: true, Shapes: shapes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	simEv, err := Evaluate(cfg, plan, 8, testHW, Options{Simulate: true})
+	simulated, err := train.EvaluateFC(cfg, tokens, 16, testHW, train.MeshSliceAlgo, train.Options{OptimizeDataflow: true, Shapes: shapes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := simEv.StepTime / modelEv.StepTime
+	ratio := simulated.Time / modelled.BlockTime
 	if ratio < 0.5 || ratio > 2 {
-		t.Errorf("simulated %v vs modelled %v diverge (%.2fx)", simEv.StepTime, modelEv.StepTime, ratio)
+		t.Errorf("simulated %v vs modelled %v diverge (%.2fx)", simulated.Time, modelled.BlockTime, ratio)
 	}
 }
 

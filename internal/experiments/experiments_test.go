@@ -62,14 +62,12 @@ func TestProblemForPicksLargestStationary(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	ids := IDs()
-	if len(ids) != len(Registry) {
-		t.Errorf("IDs() returned %d, registry has %d", len(ids), len(Registry))
-	}
-	for _, id := range ids {
-		if Registry[id] == nil {
-			t.Errorf("id %q has nil runner", id)
+	seen := map[string]bool{}
+	for _, id := range IDs() {
+		if seen[id] {
+			t.Errorf("id %q listed twice", id)
 		}
+		seen[id] = true
 	}
 	if _, err := Run("nope", testHW, true); err == nil {
 		t.Errorf("unknown experiment accepted")

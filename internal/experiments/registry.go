@@ -10,74 +10,49 @@ import (
 // Runner regenerates one paper experiment.
 type Runner func(chip hw.Chip, quick bool) []*Table
 
-// Registry maps experiment IDs to their runners, in the paper's order.
-var Registry = map[string]Runner{
-	"fig4":      Fig4,
-	"fig9":      Fig9,
-	"fig10":     Fig10,
-	"fig11":     Fig11,
-	"fig12":     Fig12,
-	"table2":    Table2,
-	"fig13":     Fig13,
-	"fig14":     Fig14,
-	"table3":    Table3,
-	"fig15":     Fig15,
-	"sec6":      Sec6LogicalMesh,
-	"sec7":      Sec7,
-	"endtoend":  EndToEnd,
-	"zoo":       Zoo,
-	"ablations": Ablations,
-	"calib":     Calib,
-	"hardware":  Hardware,
-	"faults":    FaultRetuning,
-}
-
-// order lists experiment IDs in presentation order.
-var order = []string{
-	"fig4", "fig9", "fig10", "fig11", "fig12", "table2",
-	"fig13", "fig14", "table3", "fig15", "sec6", "sec7", "endtoend", "zoo",
-	"ablations", "calib", "hardware", "faults",
+// runners lists every experiment ID with its runner, in the paper's
+// presentation order.
+var runners = []struct {
+	id  string
+	run Runner
+}{
+	{"fig4", Fig4},
+	{"fig9", Fig9},
+	{"fig10", Fig10},
+	{"fig11", Fig11},
+	{"fig12", Fig12},
+	{"table2", Table2},
+	{"fig13", Fig13},
+	{"fig14", Fig14},
+	{"table3", Table3},
+	{"fig15", Fig15},
+	{"sec6", Sec6LogicalMesh},
+	{"sec7", Sec7},
+	{"endtoend", EndToEnd},
+	{"zoo", Zoo},
+	{"ablations", Ablations},
+	{"calib", Calib},
+	{"hardware", Hardware},
+	{"faults", FaultRetuning},
 }
 
 // IDs returns the known experiment IDs in presentation order.
 func IDs() []string {
-	out := append([]string(nil), order...)
-	// Guard against registry entries missing from the order list; sort the
-	// strays so a forgotten entry cannot make the presentation order (and
-	// everything downstream of it) depend on map iteration order.
-	var strays []string
-	for id := range Registry {
-		found := false
-		for _, o := range out {
-			if o == id {
-				found = true
-				break
-			}
-		}
-		if !found {
-			strays = append(strays, id)
-		}
+	out := make([]string, len(runners))
+	for i, e := range runners {
+		out[i] = e.id
 	}
-	sort.Strings(strays)
-	return append(out, strays...)
+	return out
 }
 
 // Run executes one experiment by ID.
 func Run(id string, chip hw.Chip, quick bool) ([]*Table, error) {
-	r, ok := Registry[id]
-	if !ok {
-		known := IDs()
-		sort.Strings(known)
-		return nil, fmt.Errorf("experiments: unknown id %q (known: %v)", id, known)
+	for _, e := range runners {
+		if e.id == id {
+			return e.run(chip, quick), nil
+		}
 	}
-	return r(chip, quick), nil
-}
-
-// RunAll executes every experiment in presentation order.
-func RunAll(chip hw.Chip, quick bool) []*Table {
-	var out []*Table
-	for _, id := range IDs() {
-		out = append(out, Registry[id](chip, quick)...)
-	}
-	return out
+	known := IDs()
+	sort.Strings(known)
+	return nil, fmt.Errorf("experiments: unknown id %q (known: %v)", id, known)
 }

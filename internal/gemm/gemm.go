@@ -249,8 +249,7 @@ func Run(m *mesh.Mesh, fn ChipFunc, a, b []*tensor.Matrix) []*tensor.Matrix {
 }
 
 // Multiply shards the global operands onto a fresh mesh of the given shape,
-// runs fn SPMD, and assembles the global result. Convenience entry point
-// for examples and tests.
+// runs fn SPMD, and assembles the global result.
 func Multiply(t topology.Torus, fn ChipFunc, a, b *tensor.Matrix) *tensor.Matrix {
 	return MultiplyOn(mesh.New(t), fn, a, b)
 }

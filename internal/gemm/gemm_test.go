@@ -259,7 +259,7 @@ func TestWangVariousMeshes(t *testing.T) {
 		topology.NewTorus(2, 2), topology.NewTorus(2, 4), topology.NewTorus(4, 2), topology.NewTorus(1, 3),
 	} {
 		p := Problem{M: 24, N: 24, K: 24, Dataflow: OS}
-		checkAlgorithm(t, "Wang", p, tor, Wang())
+		checkAlgorithm(t, "Wang", p, tor, WangDataflow(OS))
 	}
 }
 
@@ -288,7 +288,7 @@ func TestAllOSAlgorithmsAgree(t *testing.T) {
 		"Collective": Collective2D(OS),
 		"SUMMA":      SUMMA(OS, SUMMAConfig{}),
 		"Cannon":     Cannon(),
-		"Wang":       Wang(),
+		"Wang":       WangDataflow(OS),
 	}
 	for name, fn := range algos {
 		got := Multiply(tor, fn, a, b)
@@ -510,7 +510,7 @@ func TestWang25DAgreeOnSquare(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	a := tensor.Random(16, 16, rng)
 	b := tensor.Random(16, 16, rng)
-	wang := Multiply(topology.NewTorus(4, 4), Wang(), a, b)
+	wang := Multiply(topology.NewTorus(4, 4), WangDataflow(OS), a, b)
 	g25 := TwoPointFiveD(Grid3D{P: 4, C: 2}, a, b)
 	if !wang.Equal(g25, 1e-9) {
 		t.Errorf("Wang and 2.5D disagree: %g", wang.MaxAbsDiff(g25))

@@ -172,16 +172,11 @@ type VerifyResult struct {
 	OK bool
 }
 
-// VerifyAlgorithms runs every registry algorithm that supports the
-// problem's dataflow on the torus with real random data and checks the
-// assembled result against the reference multiplication.
-func VerifyAlgorithms(p Problem, t topology.Torus, opts AlgOptions, seed int64, tol float64) []VerifyResult {
-	return VerifyAlgorithmsOn(mesh.New(t), p, opts, seed, tol)
-}
-
-// VerifyAlgorithmsOn is VerifyAlgorithms on a caller-provided mesh: every
-// algorithm runs over the same fabric, so instrumentation attached to it —
-// a flight recorder, a metrics registry — observes the whole sweep.
+// VerifyAlgorithmsOn runs every registry algorithm that supports the
+// problem's dataflow on the mesh with real random data and checks the
+// assembled result against the reference multiplication. Every algorithm
+// runs over the same fabric, so instrumentation attached to it — a flight
+// recorder, a metrics registry — observes the whole sweep.
 func VerifyAlgorithmsOn(m *mesh.Mesh, p Problem, opts AlgOptions, seed int64, tol float64) []VerifyResult {
 	t := m.Torus
 	checkShardable(p, t)

@@ -3,6 +3,7 @@ package gemm
 import (
 	"testing"
 
+	"meshslice/internal/mesh"
 	"meshslice/internal/topology"
 )
 
@@ -52,7 +53,7 @@ func TestSupports(t *testing.T) {
 
 func TestVerifyAlgorithmsAllPassOnSquare(t *testing.T) {
 	p := Problem{M: 32, N: 32, K: 32, Dataflow: OS}
-	results := VerifyAlgorithms(p, topology.NewTorus(4, 4), AlgOptions{S: 2, Block: 2}, 7, 1e-9)
+	results := VerifyAlgorithmsOn(mesh.New(topology.NewTorus(4, 4)), p, AlgOptions{S: 2, Block: 2}, 7, 1e-9)
 	if len(results) != 5 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -70,7 +71,7 @@ func TestVerifyAlgorithmsAllPassOnSquare(t *testing.T) {
 func TestVerifyAlgorithmsSkipsAppropriately(t *testing.T) {
 	// Rectangular mesh: Cannon must be skipped, everyone else passes.
 	p := Problem{M: 32, N: 32, K: 32, Dataflow: LS}
-	results := VerifyAlgorithms(p, topology.NewTorus(2, 4), AlgOptions{S: 2, Block: 2}, 8, 1e-9)
+	results := VerifyAlgorithmsOn(mesh.New(topology.NewTorus(2, 4)), p, AlgOptions{S: 2, Block: 2}, 8, 1e-9)
 	for _, r := range results {
 		switch r.Algorithm {
 		case "Cannon":

@@ -94,7 +94,7 @@ func TestWangAndSUMMATrafficEqualCollective(t *testing.T) {
 	tor := topology.NewTorus(2, 4)
 	p := Problem{M: 32, N: 32, K: 32, Dataflow: OS}
 	base := measureTraffic(t, tor, Collective2D(OS), p, 4).Elements
-	if got := measureTraffic(t, tor, Wang(), p, 4).Elements; got != base {
+	if got := measureTraffic(t, tor, WangDataflow(OS), p, 4).Elements; got != base {
 		t.Errorf("Wang moved %d elements, Collective %d", got, base)
 	}
 	if got := measureTraffic(t, tor, SUMMA(OS, SUMMAConfig{}), p, 4).Elements; got != base {

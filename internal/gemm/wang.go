@@ -21,11 +21,6 @@ import (
 // prefetch depths; the dataflows differ only in which shard circulates, on
 // which ring, and what one step computes.
 
-// Wang is WangDataflow(OS): B is all-gathered down the columns in a single
-// collective; A circulates around each row via Pc SendRecv steps, one
-// partial product per step.
-func Wang() ChipFunc { return WangDataflow(OS) }
-
 // WangValidate reports whether Wang's algorithm can run the problem on the
 // torus.
 func WangValidate(p Problem, t topology.Torus) error {
@@ -52,7 +47,9 @@ func WangValidate(p Problem, t topology.Torus) error {
 // 0: the flowing input's AllGather is decomposed into SendRecv shifts (one
 // partial GeMM per arriving shard), each completed inline after the step's
 // MatMul; for LS/RS the trailing output ReduceScatter stays monolithic,
-// mirroring the timing schedule in package sched.
+// mirroring the timing schedule in package sched. Under OS, B is
+// all-gathered down the columns in a single collective and A circulates
+// around each row via Pc SendRecv steps.
 func WangDataflow(df Dataflow) ChipFunc { return wang(df, false) }
 
 // WangPipelined is the same schedule at prefetch depth 1: the shift of shard

@@ -10,13 +10,17 @@ import (
 // Model configurations as JSON, so users can evaluate LLMs beyond the two
 // the paper uses without recompiling.
 
-// Load decodes a model configuration from JSON and validates it.
+// Load decodes a model configuration from JSON — exactly one object, with
+// no unknown fields and nothing after it — and validates it.
 func Load(r io.Reader) (Config, error) {
 	var c Config
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&c); err != nil {
 		return Config{}, fmt.Errorf("model: decoding config: %w", err)
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		return Config{}, fmt.Errorf("model: decoding config: data after the config object")
 	}
 	if err := c.Validate(); err != nil {
 		return Config{}, err

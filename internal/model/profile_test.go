@@ -37,6 +37,20 @@ func TestLoadRejectsInvalidConfigs(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsTrailingData: a config file is exactly one JSON object. A
+// second object or stray bytes after it must fail the load, not be ignored.
+func TestLoadRejectsTrailingData(t *testing.T) {
+	const valid = `{"Name":"x","Layers":2,"Hidden":8,"Heads":2,"FFHidden":32,"SeqLen":4}`
+	if _, err := Load(strings.NewReader(valid + "\n")); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	for _, tail := range []string{` {"Layers":-1}`, ` garbage`, `}`, ` null`} {
+		if _, err := Load(strings.NewReader(valid + tail)); err == nil {
+			t.Errorf("config followed by %q accepted", tail)
+		}
+	}
+}
+
 func TestSaveRejectsInvalid(t *testing.T) {
 	var buf bytes.Buffer
 	bad := GPT3()

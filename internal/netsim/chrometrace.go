@@ -42,14 +42,6 @@ func appendChipEvents(c *obs.ChromeTrace, traces []Trace, pid, prevFrom int, lab
 	return from
 }
 
-// WriteChromeTrace serialises one chip's trace as a Chrome trace-event JSON
-// array (loadable in Perfetto / chrome://tracing), the interactive
-// counterpart of the ASCII timelines. Tracks: 0 compute, 1 inter-row, 2
-// inter-col, 3 inter-depth.
-func (t Trace) WriteChromeTrace(w io.Writer, label string) error {
-	return WriteClusterChromeTrace(w, []Trace{t}, label)
-}
-
 // WriteClusterChromeTrace serialises a whole cluster's traces (as produced
 // by Options.TraceAllChips) as one Chrome trace-event JSON array: one
 // process per chip (pid = rank), one track per resource within each. The

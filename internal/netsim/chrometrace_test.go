@@ -153,7 +153,7 @@ func chromeDigestsOf(t *testing.T, r Result, label string) [3]uint64 {
 	t.Helper()
 	var d [3]uint64
 	for i, write := range []func(io.Writer) error{
-		func(w io.Writer) error { return r.Trace.WriteChromeTrace(w, label) },
+		func(w io.Writer) error { return WriteClusterChromeTrace(w, []Trace{r.Trace}, label) },
 		func(w io.Writer) error { return WriteClusterChromeTrace(w, r.Traces, label) },
 		func(w io.Writer) error { return WriteFaultyClusterChromeTrace(w, r.Traces, r.FaultSpans, label) },
 	} {
@@ -255,7 +255,7 @@ func checkReplay(t *testing.T, traces []Trace, label string) (replayed int) {
 		if chip > 0 && sameTrace(tr, traces[chip-1]) {
 			replayed++
 		}
-		alone := decodeChrome(t, func(w io.Writer) error { return tr.WriteChromeTrace(w, label) })
+		alone := decodeChrome(t, func(w io.Writer) error { return WriteClusterChromeTrace(w, []Trace{tr}, label) })
 		if next+len(alone) > len(got) {
 			t.Fatalf("chip %d: cluster export ends after %d events", chip, len(got))
 		}

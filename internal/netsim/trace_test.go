@@ -133,7 +133,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	prog := sched.MeshSliceProgram(prob, topology.NewTorus(4, 4), testHW, 2)
 	r := Simulate(prog, testHW, Options{CollectTrace: true})
 	var buf bytes.Buffer
-	if err := r.Trace.WriteChromeTrace(&buf, prog.Label); err != nil {
+	if err := WriteClusterChromeTrace(&buf, []Trace{r.Trace}, prog.Label); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any
@@ -245,7 +245,7 @@ func TestWriteChromeTraceValidity(t *testing.T) {
 	prog := sched.TwoPointFiveDProgram(1<<14, 8192, 8192, gemm.Grid3D{P: 4, C: 2}, testHW)
 	r := Simulate(prog, testHW, Options{CollectTrace: true})
 	var buf bytes.Buffer
-	if err := r.Trace.WriteChromeTrace(&buf, prog.Label); err != nil {
+	if err := WriteClusterChromeTrace(&buf, []Trace{r.Trace}, prog.Label); err != nil {
 		t.Fatal(err)
 	}
 	complete, threads, processes := decodeTraceEvents(t, buf.Bytes())
@@ -281,7 +281,7 @@ func TestWriteChromeTraceDeterministic(t *testing.T) {
 	r := Simulate(prog, testHW, Options{CollectTrace: true})
 	write := func() []byte {
 		var buf bytes.Buffer
-		if err := r.Trace.WriteChromeTrace(&buf, prog.Label); err != nil {
+		if err := WriteClusterChromeTrace(&buf, []Trace{r.Trace}, prog.Label); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -272,23 +272,3 @@ func EstimateStep(cfg model.Config, tokens, chips int, chip hw.Chip, fc FCResult
 	non := cfg.NonFCTime(tokens, chips, chip)
 	return StepResult{FCTime: fcTotal, NonFCTime: non, Total: fcTotal + non}
 }
-
-// EstimateStepWithCheckpoint is EstimateStep plus the amortised cost of
-// elastic checkpointing: writing one recordBytes-sized snapshot record
-// every `every` steps adds the record's serialization stall
-// (netsim.EstimateCheckpoint) divided by the interval to the non-FC time;
-// the drain overlaps compute and is excluded from step time. The full cost
-// breakdown is returned alongside so callers can tune cadence against it
-// (autotune.TuneCadence). every < 1 or recordBytes <= 0 disables
-// checkpointing and returns EstimateStep unchanged with a zero cost.
-func EstimateStepWithCheckpoint(cfg model.Config, tokens, chips int, chip hw.Chip, fc FCResult, recordBytes float64, every int) (StepResult, netsim.CheckpointCost) {
-	step := EstimateStep(cfg, tokens, chips, chip, fc)
-	if every < 1 || recordBytes <= 0 {
-		return step, netsim.CheckpointCost{}
-	}
-	cost := netsim.EstimateCheckpoint(recordBytes, chip, 0)
-	amort := cost.SerializeStall / float64(every)
-	step.NonFCTime += amort
-	step.Total += amort
-	return step, cost
-}
