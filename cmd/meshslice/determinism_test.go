@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"meshslice/internal/model"
 )
 
 // meshsliceBin is the real binary, built once: the tests below drive the
@@ -199,5 +201,30 @@ func TestBadFlagsExitTwoWithoutPanic(t *testing.T) {
 				t.Errorf("want a one-line error, got:\n%s", stderr)
 			}
 		})
+	}
+}
+
+// TestBadModelFileNamesTheDecodeError: a -model file that exists but does
+// not decode (here a valid config followed by garbage) exits 2 with the
+// decoder's error on one line, not a goroutine trace or "unknown model".
+func TestBadModelFileNamesTheDecodeError(t *testing.T) {
+	var buf bytes.Buffer
+	if err := model.Save(&buf, model.Builtins()[0]); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString("garbage")
+	path := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stderr, exit := runCLI(t, "", "plan", "-model", path)
+	if exit != 2 {
+		t.Errorf("exit %d, want 2", exit)
+	}
+	if strings.Contains(stderr, "goroutine ") || strings.Count(stderr, "\n") != 1 {
+		t.Errorf("want a one-line error, got:\n%s", stderr)
+	}
+	if !strings.Contains(stderr, "decoding config") || strings.Contains(stderr, "unknown model") {
+		t.Errorf("want the decode error, got: %s", stderr)
 	}
 }

@@ -50,8 +50,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
@@ -108,13 +110,19 @@ func usage() {
 }
 
 // modelByName resolves a built-in model alias or, failing that, loads the
-// argument as a JSON model-config path.
+// argument as a JSON model-config path. A file that exists but does not
+// decode or validate is reported with its error, not as an unknown model.
 func modelByName(name string) model.Config {
 	if c, ok := model.ByName(name); ok {
 		return c
 	}
-	if c, err := model.LoadFile(name); err == nil {
+	c, err := model.LoadFile(name)
+	if err == nil {
 		return c
+	}
+	if !errors.Is(err, fs.ErrNotExist) {
+		fmt.Fprintf(os.Stderr, "model %q: %v\n", name, err)
+		os.Exit(2)
 	}
 	known := []string{}
 	for _, c := range model.Builtins() {

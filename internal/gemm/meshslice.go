@@ -89,6 +89,21 @@ func (cfg MeshSliceConfig) Validate(p Problem, t topology.Torus) error {
 	return nil
 }
 
+// ValidateLayer reports whether cfg can run the three GeMMs that train an
+// in→out FC layer over rows tokens, Table 1's Y-stn row, on the torus:
+// each must slice (Validate) and shard (Problem.Shardable).
+func (cfg MeshSliceConfig) ValidateLayer(t topology.Torus, rows, in, out int) error {
+	for _, p := range YStn.Passes(rows, in, out) {
+		if err := cfg.Validate(p, t); err != nil {
+			return err
+		}
+		if d, ok := p.Shardable(t); !ok {
+			return fmt.Errorf("gemm: dim %d not divisible by mesh %v", d, t)
+		}
+	}
+	return nil
+}
+
 // MeshSlice returns the ChipFunc for the MeshSlice algorithm in the given
 // dataflow, at the prefetch depth cfg.Pipelined selects.
 func MeshSlice(df Dataflow, cfg MeshSliceConfig) ChipFunc {

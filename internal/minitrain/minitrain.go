@@ -1,12 +1,11 @@
-// Package minitrain trains a small multi-layer perceptron end to end on
-// the functional mesh runtime using MeshSlice 2D tensor parallelism — the
-// integration proof that the paper's Table 1 dataflow composition works:
-// every training step runs the forward pass as an OS GeMM, backward-data
-// as LS, and backward-weight as RS, with every tensor staying in its
-// Table 1 sharding so no resharding or transposition is ever needed, and
-// the distributed weights match a serial reference bit-for-bit (up to
-// floating-point association) on every layout of data, pipeline and tensor
-// parallelism.
+// Package minitrain is the functional trainer: Train runs SGD on any stack
+// of layers end to end on the mesh runtime with MeshSlice 2D tensor
+// parallelism, under any layout of data and pipeline parallelism around
+// it — the integration proof that the paper's Table 1 dataflow composition
+// works: forward as OS, backward-data as LS, backward-weight as RS, with
+// every tensor in its Table 1 sharding, so no resharding or transposition
+// is ever needed. Its two-layer MLP matches a serial reference up to
+// floating-point association on every layout.
 package minitrain
 
 import (
@@ -50,18 +49,11 @@ func (c Config) Validate(t topology.Torus) error {
 		return fmt.Errorf("minitrain: learning rate %v", c.LR)
 	}
 	// The six GeMMs of one training step: each layer's Table 1 Y-stn row.
-	cfg := gemm.MeshSliceConfig{S: c.S, Block: c.Block, Pipelined: c.Pipelined}
-	for _, l := range [2][2]int{{c.In, c.Hidden}, {c.Hidden, c.Out}} {
-		for _, pass := range gemm.YStn.Passes(c.Batch, l[0], l[1]) {
-			if err := cfg.Validate(pass, t); err != nil {
-				return err
-			}
-			if d, ok := pass.Shardable(t); !ok {
-				return fmt.Errorf("minitrain: dim %d not divisible by mesh %v", d, t)
-			}
-		}
+	ms := gemm.MeshSliceConfig{S: c.S, Block: c.Block, Pipelined: c.Pipelined}
+	if err := ms.ValidateLayer(t, c.Batch, c.In, c.Hidden); err != nil {
+		return err
 	}
-	return nil
+	return ms.ValidateLayer(t, c.Batch, c.Hidden, c.Out)
 }
 
 // Data is a fixed training batch.
@@ -128,51 +120,89 @@ func TrainSerial(c Config, data Data, steps int, seed int64) Result {
 	return res
 }
 
-// Parallelism lays a TrainDistributed run out on the cluster of paper §2.1:
-// DP data-parallel replicas, each a PP-stage pipeline with one MLP layer per
-// stage, each stage a Pr×Pc MeshSlice 2D-TP mesh. Every replica runs its
-// share of the batch as Micro microbatches and accumulates their gradients.
-// A zero field means 1, so the zero value is plain 2D TP.
+// Parallelism lays a Train run out on the cluster of paper §2.1: DP
+// data-parallel replicas, each a PP-stage pipeline whose stages own
+// contiguous runs of layers, each stage a Pr×Pc MeshSlice 2D-TP mesh. Every
+// replica runs its share of the batch as Micro microbatches and accumulates
+// their gradients. A zero field means 1, so the zero value is plain 2D TP.
 type Parallelism struct {
 	DP, PP, Micro int
 }
 
-// TrainDistributed runs the same steps SPMD over DP × PP × Pr×Pc chips with
-// MeshSlice GeMMs; every tensor lives in its Table 1 sharding (rows over mesh
-// rows, columns over mesh columns) for the entire run. The loss gradient
-// keeps the global batch scale, microbatch gradients accumulate, and a ring
-// AllReduce over the replicas sums them before each SGD update, so every
-// layout trains exactly full-batch SGD: the weights match TrainSerial up to
-// floating-point association.
+// Layer is one layer of a model as Train runs it on every chip of a 2D-TP
+// mesh: activations, gradients and the weights w are the chip's Table 1
+// shards of the global Weights. Check reports whether the layer runs on t
+// for a global input of rows×cols and returns its output's width. Forward
+// returns the output, which the caller may overwrite, and a cache for
+// Backward, which may overwrite dy and returns the weight gradients and,
+// when wantDX is set, the input gradient.
+type Layer interface {
+	Weights() []*tensor.Matrix
+	Check(t topology.Torus, rows, cols int) (int, error)
+	Forward(tp *mesh.Chip, w []*tensor.Matrix, x *tensor.Matrix) (*tensor.Matrix, any)
+	Backward(tp *mesh.Chip, w []*tensor.Matrix, cache any, dy *tensor.Matrix, wantDX bool) ([]*tensor.Matrix, *tensor.Matrix)
+}
+
+// TrainDistributed runs TrainSerial's steps through Train, the MLP as two
+// layers: dense + ReLU, then dense.
 func TrainDistributed(c Config, t topology.Torus, p Parallelism, data Data, steps int, seed int64) (Result, error) {
-	if p.DP < 0 || p.PP < 0 || p.Micro < 0 || p.PP > 2 {
-		return Result{}, fmt.Errorf("minitrain: parallelism %+v: fields must be non-negative and PP at most 2 (one layer per stage)", p)
-	}
-	p.DP, p.PP, p.Micro = max(p.DP, 1), max(p.PP, 1), max(p.Micro, 1)
-	if steps < 0 {
-		return Result{}, fmt.Errorf("minitrain: %d steps", steps)
-	}
-	if c.Batch%(p.DP*p.Micro) != 0 {
-		return Result{}, fmt.Errorf("minitrain: batch %d does not split into %d replicas × %d microbatches", c.Batch, p.DP, p.Micro)
-	}
-	mb := c // per-microbatch shapes must still shard onto the TP mesh
-	mb.Batch = c.Batch / p.DP / p.Micro
-	if err := mb.Validate(t); err != nil {
+	if err := c.Validate(t); err != nil {
 		return Result{}, err
 	}
 	if err := checkShape("X", data.X, c.Batch, c.In); err != nil {
 		return Result{}, err
 	}
-	if err := checkShape("T", data.T, c.Batch, c.Out); err != nil {
+	w1, w2 := InitWeights(c, seed)
+	ms := gemm.MeshSliceConfig{S: c.S, Block: c.Block, Pipelined: c.Pipelined}
+	ws, losses, err := Train([]Layer{dense{w1, ms, true}, dense{w2, ms, false}}, t, p, data.X, data.T, steps, c.LR)
+	if err != nil {
 		return Result{}, err
+	}
+	return Result{W1: ws[0][0], W2: ws[1][0], Losses: losses}, nil
+}
+
+// Train runs steps of SGD at rate lr on the layers against the mean squared
+// error of their output to target, SPMD over DP × PP × Pr×Pc chips; every
+// tensor keeps its Table 1 sharding for the entire run. The loss gradient
+// keeps the global batch scale, microbatch gradients accumulate, and a ring
+// AllReduce over the replicas sums them before each update, so every layout
+// trains exactly full-batch SGD. It returns each layer's final weights,
+// assembled, and the per-step losses.
+func Train(layers []Layer, t topology.Torus, p Parallelism, x, target *tensor.Matrix, steps int, lr float64) ([][]*tensor.Matrix, []float64, error) {
+	if p.DP < 0 || p.PP < 0 || p.Micro < 0 || max(p.PP, 1) > len(layers) {
+		return nil, nil, fmt.Errorf("minitrain: parallelism %+v: fields must be non-negative and PP at most %d (one layer per stage)", p, len(layers))
+	}
+	p.DP, p.PP, p.Micro = max(p.DP, 1), max(p.PP, 1), max(p.Micro, 1)
+	if steps < 0 {
+		return nil, nil, fmt.Errorf("minitrain: %d steps", steps)
+	}
+	if x == nil {
+		return nil, nil, fmt.Errorf("minitrain: data X is nil")
+	}
+	if x.Rows%(p.DP*p.Micro) != 0 {
+		return nil, nil, fmt.Errorf("minitrain: batch %d does not split into %d replicas × %d microbatches", x.Rows, p.DP, p.Micro)
+	}
+	cols := x.Cols // each microbatch must still shard onto the TP mesh
+	for _, l := range layers {
+		var err error
+		if cols, err = l.Check(t, x.Rows/p.DP/p.Micro, cols); err != nil {
+			return nil, nil, err
+		}
+	}
+	if err := checkShape("T", target, x.Rows, cols); err != nil {
+		return nil, nil, err
 	}
 
 	tpSize := t.Size()
 	rank := func(replica, stage, shard int) int {
 		return (replica*p.PP+stage)*tpSize + shard
 	}
-	w1g, w2g := InitWeights(c, seed)
-	wShards := [2][]*tensor.Matrix{tensor.Partition(w1g, t.Rows, t.Cols), tensor.Partition(w2g, t.Rows, t.Cols)}
+	shards := make([][][]*tensor.Matrix, len(layers)) // [layer][weight][shard]
+	for l, layer := range layers {
+		for _, w := range layer.Weights() {
+			shards[l] = append(shards[l], tensor.Partition(w, t.Rows, t.Cols))
+		}
+	}
 	// Batch → replicas → microbatches → 2D shards: [replica][micro][shard].
 	split := func(m *tensor.Matrix) [][][]*tensor.Matrix {
 		out := make([][][]*tensor.Matrix, p.DP)
@@ -183,17 +213,11 @@ func TrainDistributed(c Config, t topology.Torus, p Parallelism, data Data, step
 		}
 		return out
 	}
-	xs, ts := split(data.X), split(data.T)
-
-	cfg := gemm.MeshSliceConfig{S: c.S, Block: c.Block, Pipelined: c.Pipelined}
-	fwd := gemm.MeshSlice(gemm.OS, cfg)
-	bwdData := gemm.MeshSlice(gemm.LS, cfg)
-	bwdWeight := gemm.MeshSlice(gemm.RS, cfg)
-	scale := 2 / float64(c.Batch*c.Out)
+	xs, ts := split(x), split(target)
+	scale := 2 / float64(target.Rows*target.Cols)
 
 	m := mesh.New(topology.NewTorus(1, p.DP*p.PP*tpSize))
 	losses := make([]float64, steps)
-	final := [2][]*tensor.Matrix{make([]*tensor.Matrix, tpSize), make([]*tensor.Matrix, tpSize)}
 	m.Run(func(ch *mesh.Chip) {
 		shard := ch.Rank % tpSize
 		stage := ch.Rank / tpSize % p.PP
@@ -210,82 +234,119 @@ func TrainDistributed(c Config, t topology.Torus, p Parallelism, data Data, step
 		}
 		tp := ch.WithRings(row, col)
 		depthComm := ch.CustomComm(depth, topology.InterDepth)
-		peer := rank(replica, 1-stage, shard) // the other stage when PP = 2
+		prev, next := rank(replica, stage-1, shard), rank(replica, stage+1, shard)
 
-		// The layers this chip owns: both when PP = 1, else its stage's.
-		lo, hi := stage, stage+2-p.PP
-		var w, grad [2]*tensor.Matrix
-		for l := lo; l <= hi; l++ {
-			w[l] = wShards[l][shard].Clone()
-		}
-		for s := 0; s < steps; s++ {
-			for l := lo; l <= hi; l++ {
-				grad[l] = tensor.New(w[l].Rows, w[l].Cols)
+		// The stage's layers, [lo, hi). Replica 0 trains in place the shards
+		// Train assembles: it first writes them after the first DP
+		// AllReduce, which no replica enters before copying them.
+		lo, hi := stage*len(layers)/p.PP, (stage+1)*len(layers)/p.PP
+		w, grad, caches := make([][]*tensor.Matrix, hi), make([][]*tensor.Matrix, hi), make([]any, hi)
+		for l := lo; l < hi; l++ {
+			for _, ws := range shards[l] {
+				wl := ws[shard]
+				if replica > 0 {
+					wl = wl.Clone()
+				}
+				w[l] = append(w[l], wl)
 			}
+		}
+		for s := range losses {
 			lossSum := 0.0
 			for u := 0; u < p.Micro; u++ {
-				// Layer 1 forward: an OS GeMM and a local ReLU. The
-				// activation crosses the stage boundary when PP = 2.
-				var x, h, hAct, dH *tensor.Matrix
-				if lo == 0 {
-					x = xs[replica][u][shard]
-					h = fwd(tp, x, w[0])
-					hAct = relu(h)
-					if hi == 0 {
-						ch.Send(peer, hAct)
-					}
-				} else {
-					hAct = ch.Recv(peer)
+				a := xs[replica][u][shard] // the activation crosses each stage boundary
+				if stage > 0 {
+					a = ch.Recv(prev)
 				}
-				// Layer 2: OS forward, the local loss gradient, then RS
-				// for the weight gradient and LS for the activation
-				// gradient — no transposes, no resharding (Table 1).
-				if hi == 1 {
-					dy := fwd(tp, hAct, w[1])
-					subInto(dy, ts[replica][u][shard])
-					lossSum += sumSquares(dy)
-					dy.Scale(scale)
-					grad[1].Add(bwdWeight(tp, hAct, dy))
-					dH = bwdData(tp, dy, w[1])
-					if lo == 1 {
-						ch.Send(peer, dH)
-					}
-				} else {
-					dH = ch.Recv(peer)
+				for l := lo; l < hi; l++ {
+					a, caches[l] = layers[l].Forward(tp, w[l], a)
 				}
-				if lo == 0 {
-					maskInto(dH, h)
-					grad[0].Add(bwdWeight(tp, x, dH))
+				if stage == p.PP-1 { // the local loss gradient
+					subInto(a, ts[replica][u][shard])
+					lossSum += sumSquares(a)
+					a.Scale(scale)
+				} else {
+					ch.Send(next, a)
+					a = ch.Recv(next)
+				}
+				for l := hi - 1; l >= lo; l-- { // the first layer needs no dX
+					var g []*tensor.Matrix
+					if g, a = layers[l].Backward(tp, w[l], caches[l], a, l > 0); u == 0 {
+						grad[l] = g
+						continue
+					}
+					for i := range g {
+						grad[l][i].Add(g[i])
+					}
+				}
+				if stage > 0 {
+					ch.Send(prev, a)
 				}
 			}
-			if hi == 1 {
+			if stage == p.PP-1 {
 				// The scalar loss is all-reduced over the mesh rows,
 				// columns and replicas for reporting.
 				sum := collective.AllReduce(tp.RowComm(), tensor.FromSlice(1, 1, []float64{lossSum}))
 				sum = collective.AllReduce(tp.ColComm(), sum)
 				sum = collective.AllReduce(depthComm, sum)
 				if replica == 0 && shard == 0 {
-					losses[s] = sum.At(0, 0) / float64(c.Batch*c.Out)
+					losses[s] = sum.At(0, 0) / float64(target.Rows*target.Cols)
 				}
 			}
 			// DP gradient synchronisation, then the SGD update.
-			for l := lo; l <= hi; l++ {
-				g := collective.AllReduce(depthComm, grad[l])
-				g.Scale(c.LR)
-				subInto(w[l], g)
-			}
-		}
-		if replica == 0 {
-			for l := lo; l <= hi; l++ {
-				final[l][shard] = w[l]
+			for l := lo; l < hi; l++ {
+				for i, g := range grad[l] {
+					g = collective.AllReduce(depthComm, g)
+					g.Scale(lr)
+					subInto(w[l][i], g)
+				}
 			}
 		}
 	})
-	return Result{
-		W1:     tensor.Assemble(final[0], t.Rows, t.Cols),
-		W2:     tensor.Assemble(final[1], t.Rows, t.Cols),
-		Losses: losses,
-	}, nil
+	out := make([][]*tensor.Matrix, len(layers))
+	for l := range shards {
+		for _, parts := range shards[l] {
+			out[l] = append(out[l], tensor.Assemble(parts, t.Rows, t.Cols))
+		}
+	}
+	return out, losses, nil
+}
+
+// dense is one fully connected layer, x·W, with an optional ReLU after it:
+// forward OS, backward-weight RS and backward-data LS, with no transposes
+// and no resharding (Table 1). Its cache is {x, the pre-activation}.
+type dense struct {
+	w    *tensor.Matrix
+	ms   gemm.MeshSliceConfig
+	relu bool
+}
+
+func (d dense) Weights() []*tensor.Matrix { return []*tensor.Matrix{d.w} }
+
+func (d dense) Check(t topology.Torus, rows, cols int) (int, error) {
+	if cols != d.w.Rows {
+		return 0, fmt.Errorf("minitrain: %d input columns for a %dx%d layer", cols, d.w.Rows, d.w.Cols)
+	}
+	return d.w.Cols, d.ms.ValidateLayer(t, rows, d.w.Rows, d.w.Cols)
+}
+
+func (d dense) Forward(tp *mesh.Chip, w []*tensor.Matrix, x *tensor.Matrix) (*tensor.Matrix, any) {
+	h := gemm.MeshSlice(gemm.OS, d.ms)(tp, x, w[0])
+	if !d.relu {
+		return h, [2]*tensor.Matrix{x}
+	}
+	return relu(h), [2]*tensor.Matrix{x, h}
+}
+
+func (d dense) Backward(tp *mesh.Chip, w []*tensor.Matrix, cache any, dy *tensor.Matrix, wantDX bool) ([]*tensor.Matrix, *tensor.Matrix) {
+	c := cache.([2]*tensor.Matrix)
+	if d.relu {
+		maskInto(dy, c[1])
+	}
+	g := []*tensor.Matrix{gemm.MeshSlice(gemm.RS, d.ms)(tp, c[0], dy)}
+	if !wantDX {
+		return g, nil
+	}
+	return g, gemm.MeshSlice(gemm.LS, d.ms)(tp, dy, w[0])
 }
 
 // checkShape reports whether the training tensor m is rows×cols.

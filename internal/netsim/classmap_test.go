@@ -2,9 +2,11 @@ package netsim
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"meshslice/internal/fault"
@@ -195,36 +197,53 @@ func edgeProgram(rng *rand.Rand) *sched.Program {
 // on random SPMD programs, the single-class run — certificate and
 // fallback included — must return exactly what simulating every chip
 // returns, under every option set it serves. Every other program runs
-// again under one of the uniform fault plans.
+// again under one of the uniform fault plans. Each generator draws its
+// programs serially from its own seeded stream, so the programs do not
+// depend on scheduling; they are then checked in parallel chunks.
 func TestClassMapMatchesIdentity(t *testing.T) {
+	const chunk = 500
 	for _, gen := range []struct {
 		name     string
 		programs int
 		next     func(*rand.Rand) *sched.Program
 	}{{"random", 5000, randomProgram}, {"tied", 2000, tiedProgram}, {"edge", 2000, edgeProgram}} {
-		rng := rand.New(rand.NewSource(35))
-		runs, fallbacks := 0, 0
-		for trial := 0; trial < gen.programs; trial++ {
-			prog := gen.next(rng)
-			plans := []*fault.Plan{nil}
-			if trial%2 == 1 {
-				plans = append(plans, uniformPlan(prog, trial/2))
+		t.Run(gen.name, func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(35))
+			progs := make([]*sched.Program, gen.programs)
+			for i := range progs {
+				progs[i] = gen.next(rng)
 			}
-			for _, plan := range plans {
-				for _, v := range classMapVariants() {
-					v.opts.Faults = plan
-					match, certified := identityMatches(t, prog, v.opts)
-					runs++
-					if !certified {
-						fallbacks++
+			var runs, fallbacks atomic.Int64
+			t.Cleanup(func() {
+				t.Logf("%s: %d runs, %d fell back to the identity map", gen.name, runs.Load(), fallbacks.Load())
+			})
+			for lo := 0; lo < len(progs); lo += chunk {
+				t.Run(fmt.Sprint(lo), func(t *testing.T) {
+					t.Parallel()
+					for trial := lo; trial < min(lo+chunk, len(progs)); trial++ {
+						prog := progs[trial]
+						plans := []*fault.Plan{nil}
+						if trial%2 == 1 {
+							plans = append(plans, uniformPlan(prog, trial/2))
+						}
+						for _, plan := range plans {
+							for _, v := range classMapVariants() {
+								v.opts.Faults = plan
+								match, certified := identityMatches(t, prog, v.opts)
+								runs.Add(1)
+								if !certified {
+									fallbacks.Add(1)
+								}
+								if !match {
+									t.Fatalf("%s trial %d %s (faults %v): the class map diverged from the identity map (certified %v)", gen.name, trial, v.name, plan != nil, certified)
+								}
+							}
+						}
 					}
-					if !match {
-						t.Fatalf("%s trial %d %s (faults %v): the class map diverged from the identity map (certified %v)", gen.name, trial, v.name, plan != nil, certified)
-					}
-				}
+				})
 			}
-		}
-		t.Logf("%s: %d runs, %d fell back to the identity map", gen.name, runs, fallbacks)
+		})
 	}
 }
 

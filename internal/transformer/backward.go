@@ -18,8 +18,8 @@ import (
 // and distributed runs against the 1×1 mesh.
 
 // backward propagates dOut through the cached forward, returning the
-// parameter gradients and dX.
-func (o chip) backward(cache *blockCache, w Weights, dOut *tensor.Matrix) (Weights, *tensor.Matrix) {
+// parameter gradients and, when wantDX is set, dX.
+func (o chip) backward(cache *blockCache, w Weights, dOut *tensor.Matrix, wantDX bool) (Weights, *tensor.Matrix) {
 	hidden := o.cfg.Hidden()
 	var g Weights
 	// out = res1 + ff·W2.
@@ -39,6 +39,9 @@ func (o chip) backward(cache *blockCache, w Weights, dOut *tensor.Matrix) (Weigh
 	g.Wq = o.bwdWeight(o.ch, cache.n1, dQ)
 	g.Wk = o.bwdWeight(o.ch, cache.n1, dK)
 	g.Wv = o.bwdWeight(o.ch, cache.n1, dV)
+	if !wantDX {
+		return g, nil
+	}
 	dN1 := o.bwdData(o.ch, dQ, w.Wq)
 	dN1.Add(o.bwdData(o.ch, dK, w.Wk))
 	dN1.Add(o.bwdData(o.ch, dV, w.Wv))
@@ -162,9 +165,9 @@ func Gradients(c Config, t topology.Torus, w Weights, x, dOut *tensor.Matrix) (W
 	dOuts := tensor.Partition(dOut, t.Rows, t.Cols)
 	gs, dxs := make([]Weights, t.Size()), make([]*tensor.Matrix, t.Size())
 	run(t, func(ch *mesh.Chip) {
-		o := newChip(c, t, ch)
-		cache := o.forward(xs[ch.Rank], ws[ch.Rank], o.attend)
-		gs[ch.Rank], dxs[ch.Rank] = o.backward(cache, ws[ch.Rank], dOuts[ch.Rank])
+		o := newChip(c, ch)
+		cache := o.forward(xs[ch.Rank], ws[ch.Rank], attention)
+		gs[ch.Rank], dxs[ch.Rank] = o.backward(cache, ws[ch.Rank], dOuts[ch.Rank], true)
 	})
 	return assemble(gs, t), tensor.Assemble(dxs, t.Rows, t.Cols), nil
 }

@@ -39,7 +39,7 @@ func DecodeSerial(c Config, w Weights, cache *KVCache, x *tensor.Matrix) *tensor
 	kNew := tensor.MatMul(n1, w.Wk)
 	vNew := tensor.MatMul(n1, w.Wv)
 	appendCache(c.Batch, cache, kNew, vNew)
-	ctx := decodeAttention(c, q, cache, c.Batch, c.Heads)
+	ctx := decodeAttention(c, q, cache)
 	attnOut := tensor.MatMul(ctx, w.Wo)
 	res1 := x.Clone()
 	res1.Add(attnOut)
@@ -72,10 +72,10 @@ func Decode(c Config, t topology.Torus, w Weights, caches []*KVCache, x *tensor.
 	dc.S, dc.Block = 1, 1 // decode GeMMs are tiny: S=1
 	outs := make([]*tensor.Matrix, t.Size())
 	run(t, func(ch *mesh.Chip) {
-		o, cache := newChip(dc, t, ch), caches[ch.Rank]
-		attend := func(q, k, v *tensor.Matrix) (*tensor.Matrix, [][]*tensor.Matrix) {
-			appendCache(o.bLocal, cache, k, v)
-			return decodeAttention(c, q, cache, o.bLocal, o.hLocal), nil
+		o, cache := newChip(dc, ch), caches[ch.Rank]
+		attend := func(c Config, q, k, v *tensor.Matrix) (*tensor.Matrix, [][]*tensor.Matrix) {
+			appendCache(k.Rows, cache, k, v)
+			return decodeAttention(c, q, cache), nil
 		}
 		outs[ch.Rank] = o.forward(xs[ch.Rank], ws[ch.Rank], attend).out
 	})
@@ -102,12 +102,12 @@ func appendCache(batch int, cache *KVCache, kNew, vNew *tensor.Matrix) {
 
 // decodeAttention attends each sequence's single query against its cached
 // keys/values — one (1×Len)·(Len×D) pair of small products per
-// (sequence, head), all local.
-func decodeAttention(c Config, q *tensor.Matrix, cache *KVCache, bLocal, hLocal int) *tensor.Matrix {
+// (sequence, head), all local. q has one row per sequence.
+func decodeAttention(c Config, q *tensor.Matrix, cache *KVCache) *tensor.Matrix {
 	ctx := tensor.New(q.Rows, q.Cols)
 	inv := 1 / math.Sqrt(float64(c.HeadDim))
-	for b := 0; b < bLocal; b++ {
-		for h := 0; h < hLocal; h++ {
+	for b := 0; b < q.Rows; b++ {
+		for h := 0; h < q.Cols/c.HeadDim; h++ {
 			c0 := h * c.HeadDim
 			qh := q.SubMatrix(b, c0, 1, c.HeadDim)
 			kh := cache.K.SubMatrix(b*cache.Len, c0, cache.Len, c.HeadDim)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"meshslice/internal/mesh"
+	"meshslice/internal/minitrain"
 	"meshslice/internal/tensor"
 	"meshslice/internal/topology"
 )
@@ -50,9 +51,10 @@ func (b *bitsHash) weights(w Weights) { b.mats(w.Wq, w.Wk, w.Wv, w.Wo, w.W1, w.W
 
 // TestGoldenBits pins the exact bits of every distributed entry point on
 // four mesh shapes — Forward's output and traffic, Gradients' six parameter
-// gradients and dX, a two-block TrainStack's losses and final weights, three
-// Decode steps — plus sequence-parallel forwards on rings of 1, 2 and 4 with
-// their traffic, and the serial forward. A refactor of the block must
+// gradients and dX, the losses and final weights of a two-block stack
+// trained through minitrain.Train, three Decode steps — plus
+// sequence-parallel forwards on rings of 1, 2 and 4 with their traffic, and
+// the serial forward. A refactor of the block must
 // reproduce every row untouched; a failing row prints its literal.
 func TestGoldenBits(t *testing.T) {
 	c := testConfig()
@@ -95,7 +97,7 @@ func TestGoldenBits(t *testing.T) {
 		h.mats(g.Wq, g.Wk, g.Wv, g.Wo, g.W1, g.W2, dX)
 		check(r.tor.String()+" gradients", h.h.Sum64(), r.gradients)
 
-		res, err := TrainStack(NewStack(c, 2, 205), r.tor, x, target, 3, 0.02)
+		res, err := trainStack(NewStack(c, 2, 205), r.tor, minitrain.Parallelism{}, x, target, 3, 0.02)
 		if err != nil {
 			t.Fatalf("%v train: %v", r.tor, err)
 		}

@@ -46,7 +46,10 @@ func ForwardSequenceParallel(c Config, p int, w Weights, x *tensor.Matrix) (*ten
 	if err := c.ValidateSeqParallel(p); err != nil {
 		return nil, mesh.Traffic{}, err
 	}
-	if err := c.checkShapes(x, c.Tokens(), w); err != nil {
+	if err := checkShape("x", x, c.Tokens(), c.Hidden()); err != nil {
+		return nil, mesh.Traffic{}, err
+	}
+	if err := c.checkWeights(w); err != nil {
 		return nil, mesh.Traffic{}, err
 	}
 	xs := tensor.SplitRows(x, p) // sequence shards
@@ -58,7 +61,6 @@ func ForwardSequenceParallel(c Config, p int, w Weights, x *tensor.Matrix) (*ten
 	woR := tensor.SplitRows(w.Wo, p)
 	w1C := tensor.SplitCols(w.W1, p)
 	w2R := tensor.SplitRows(w.W2, p)
-	headsPer := c.Heads / p
 
 	outs := make([]*tensor.Matrix, p)
 	traffic := run(topology.NewTorus(1, p), func(ch *mesh.Chip) {
@@ -73,7 +75,7 @@ func ForwardSequenceParallel(c Config, p int, w Weights, x *tensor.Matrix) (*ten
 		q := tensor.MatMul(full, wqC[ch.Rank])
 		k := tensor.MatMul(full, wkC[ch.Rank])
 		v := tensor.MatMul(full, wvC[ch.Rank])
-		ctx, _ := attention(c, q, k, v, c.Batch, headsPer)
+		ctx, _ := attention(c, q, k, v)
 		partial := tensor.MatMul(ctx, woR[ch.Rank]) // rows of Wo matching this chip's ctx columns
 		attnOut := collective.ReduceScatterRows(ring, partial)
 		res1 := xl.Clone()

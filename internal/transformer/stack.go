@@ -3,20 +3,16 @@ package transformer
 import (
 	"fmt"
 
-	"meshslice/internal/collective"
 	"meshslice/internal/mesh"
+	"meshslice/internal/minitrain"
 	"meshslice/internal/tensor"
 	"meshslice/internal/topology"
 )
 
-// A stack of transformer blocks trained end to end on the mesh: the
-// multi-layer generalisation of the single-block machinery, with
-// activations flowing forward through every block and gradients chaining
-// backward — each block's GeMMs in their Table 1 dataflows, each block's
-// attention chip-local. Training on any mesh shape matches the 1×1 mesh
-// (the serial computation) exactly, which the tests pin.
-
-// Stack is a depth-L transformer.
+// Stack is a depth-L transformer. It trains through minitrain.Train, the
+// one distributed trainer, under any layout of data, pipeline and 2D
+// tensor parallelism; on any mesh it matches the 1×1 mesh (the serial
+// computation), which the tests pin.
 type Stack struct {
 	Config Config
 	Blocks []Weights
@@ -31,90 +27,44 @@ func NewStack(c Config, layers int, seed int64) Stack {
 	return s
 }
 
-// TrainResult carries the per-step losses of a training run and the final
-// stack (weights assembled back to global form).
-type TrainResult struct {
-	Losses []float64
-	Stack  Stack
-}
-
-// TrainStack runs `steps` of full-batch SGD on the stack against an MSE
-// regression target, distributed over the torus. Every step runs the
-// forward pass through all blocks, the backward chain in reverse, and the
-// SGD update, entirely on-mesh; only the scalar loss leaves the chips.
-func TrainStack(s Stack, t topology.Torus, x, target *tensor.Matrix, steps int, lr float64) (TrainResult, error) {
-	c := s.Config
-	if err := c.check(t, x, c.Tokens(), s.Blocks...); err != nil {
-		return TrainResult{}, err
-	}
-	if err := checkShape("target", target, c.Tokens(), c.Hidden()); err != nil {
-		return TrainResult{}, err
-	}
-	if steps < 0 {
-		return TrainResult{}, fmt.Errorf("transformer: %d training steps", steps)
-	}
-	xs, ts := tensor.Partition(x, t.Rows, t.Cols), tensor.Partition(target, t.Rows, t.Cols)
-	shards := make([][]Weights, len(s.Blocks)) // [layer][rank]; each chip trains its own in place
+// Layers returns the stack's blocks as minitrain layers, each over its
+// block's weights in Weights order (Wq, Wk, Wv, Wo, W1, W2).
+func (s Stack) Layers() []minitrain.Layer {
+	ls := make([]minitrain.Layer, len(s.Blocks))
 	for l, w := range s.Blocks {
-		shards[l] = w.partition(t)
+		ls[l] = block{s.Config, w}
 	}
-
-	losses := make([]float64, steps)
-	run(t, func(ch *mesh.Chip) {
-		o := newChip(c, t, ch)
-		tl := ts[ch.Rank]
-		scale := 2 / float64(c.Tokens()*c.Hidden())
-		caches := make([]*blockCache, len(shards))
-		for step := range losses {
-			// Forward through the stack, caching per block.
-			cur := xs[ch.Rank]
-			for l := range shards {
-				caches[l] = o.forward(cur, shards[l][ch.Rank], o.attend)
-				cur = caches[l].out
-			}
-			// MSE loss gradient on the final output.
-			dOut := cur.Clone()
-			for i := range dOut.Data {
-				dOut.Data[i] -= tl.Data[i]
-			}
-			lossLocal := sumSq(dOut)
-			dOut.Scale(scale)
-
-			// Backward chain with immediate SGD updates (full-batch, so
-			// updating after each block's backward is equivalent to
-			// updating at the end).
-			for l := len(shards) - 1; l >= 0; l-- {
-				g, dx := o.backward(caches[l], shards[l][ch.Rank], dOut)
-				shards[l][ch.Rank].sgd(g, lr)
-				dOut = dx
-			}
-
-			// Scalar loss, reduced over the mesh for reporting.
-			sum := allReduceScalar(ch, tensor.FromSlice(1, 1, []float64{lossLocal}))
-			if ch.Rank == 0 {
-				losses[step] = sum / float64(c.Tokens()*c.Hidden())
-			}
-		}
-	})
-
-	out := Stack{Config: c}
-	for _, sh := range shards {
-		out.Blocks = append(out.Blocks, assemble(sh, t))
-	}
-	return TrainResult{Losses: losses, Stack: out}, nil
+	return ls
 }
 
-// allReduceScalar sums a 1×1 matrix over both mesh directions.
-func allReduceScalar(ch *mesh.Chip, m *tensor.Matrix) float64 {
-	rowSum := collective.AllReduce(ch.RowComm(), m)
-	total := collective.AllReduce(ch.ColComm(), rowSum)
-	return total.At(0, 0)
+// block is one transformer block as a minitrain layer over the per-chip
+// forward and backward; attention takes its local batch from the input rows.
+type block struct {
+	c Config
+	w Weights
 }
 
-func sumSq(m *tensor.Matrix) float64 {
-	var t float64
-	for _, v := range m.Data {
-		t += v * v
+func (b block) Weights() []*tensor.Matrix { return b.w.list() }
+
+func (b block) Check(t topology.Torus, rows, cols int) (int, error) {
+	c := b.c
+	if c.Seq <= 0 || rows%c.Seq != 0 || cols != c.Hidden() {
+		return 0, fmt.Errorf("transformer: input is %dx%d, want whole %d-token sequences × %d", rows, cols, c.Seq, c.Hidden())
 	}
-	return t
+	c.Batch = rows / c.Seq
+	if err := c.Validate(t); err != nil {
+		return 0, err
+	}
+	return cols, c.checkWeights(b.w)
+}
+
+func (b block) Forward(tp *mesh.Chip, w []*tensor.Matrix, x *tensor.Matrix) (*tensor.Matrix, any) {
+	o := newChip(b.c, tp)
+	cache := o.forward(x, weightsOf(w), attention)
+	return cache.out, cache
+}
+
+func (b block) Backward(tp *mesh.Chip, w []*tensor.Matrix, cache any, dy *tensor.Matrix, wantDX bool) ([]*tensor.Matrix, *tensor.Matrix) {
+	g, dx := newChip(b.c, tp).backward(cache.(*blockCache), weightsOf(w), dy, wantDX)
+	return g.list(), dx
 }

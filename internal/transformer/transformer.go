@@ -66,13 +66,8 @@ func (c Config) Validate(t topology.Torus) error {
 	msCfg := gemm.MeshSliceConfig{S: c.S, Block: c.Block}
 	tok, h, ff := c.Tokens(), c.Hidden(), c.FFHidden
 	for _, l := range [3][2]int{{h, h}, {h, ff}, {ff, h}} {
-		for _, p := range gemm.YStn.Passes(tok, l[0], l[1]) {
-			if err := msCfg.Validate(p, t); err != nil {
-				return err
-			}
-			if d, ok := p.Shardable(t); !ok {
-				return fmt.Errorf("transformer: dim %d not divisible on %v", d, t)
-			}
+		if err := msCfg.ValidateLayer(t, tok, l[0], l[1]); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -84,20 +79,20 @@ func (c Config) check(t topology.Torus, x *tensor.Matrix, rows int, ws ...Weight
 	if err := c.Validate(t); err != nil {
 		return err
 	}
-	return c.checkShapes(x, rows, ws...)
-}
-
-// checkShapes is check without the torus.
-func (c Config) checkShapes(x *tensor.Matrix, rows int, ws ...Weights) error {
-	h, ff := c.Hidden(), c.FFHidden
-	if err := checkShape("x", x, rows, h); err != nil {
+	if err := checkShape("x", x, rows, c.Hidden()); err != nil {
 		return err
 	}
+	return c.checkWeights(ws...)
+}
+
+// checkWeights reports whether every weight set ws has the block's shapes.
+func (c Config) checkWeights(ws ...Weights) error {
+	h, ff := c.Hidden(), c.FFHidden
 	names := [6]string{"Wq", "Wk", "Wv", "Wo", "W1", "W2"}
 	shapes := [6][2]int{{h, h}, {h, h}, {h, h}, {h, h}, {h, ff}, {ff, h}}
 	for _, w := range ws {
-		for i, f := range w.fields() {
-			if err := checkShape(names[i], *f, shapes[i][0], shapes[i][1]); err != nil {
+		for i, m := range w.list() {
+			if err := checkShape(names[i], m, shapes[i][0], shapes[i][1]); err != nil {
 				return err
 			}
 		}
@@ -125,7 +120,15 @@ type Weights struct {
 	W2             *tensor.Matrix // FFHidden×Hidden
 }
 
-// fields lists the six matrices in the order Wq, Wk, Wv, Wo, W1, W2.
+// list returns the six matrices in the order Wq, Wk, Wv, Wo, W1, W2.
+func (w Weights) list() []*tensor.Matrix {
+	return []*tensor.Matrix{w.Wq, w.Wk, w.Wv, w.Wo, w.W1, w.W2}
+}
+
+// weightsOf is list's inverse.
+func weightsOf(m []*tensor.Matrix) Weights { return Weights{m[0], m[1], m[2], m[3], m[4], m[5]} }
+
+// fields lists pointers to the six matrices in list's order.
 func (w *Weights) fields() [6]**tensor.Matrix {
 	return [6]**tensor.Matrix{&w.Wq, &w.Wk, &w.Wv, &w.Wo, &w.W1, &w.W2}
 }
@@ -154,17 +157,6 @@ func assemble(shards []Weights, t topology.Torus) Weights {
 	return w
 }
 
-// sgd applies w -= lr·g in place.
-func (w Weights) sgd(g Weights, lr float64) {
-	gs := g.fields()
-	for i, f := range w.fields() {
-		wd, gd := (*f).Data, (*gs[i]).Data
-		for j := range wd {
-			wd[j] -= lr * gd[j]
-		}
-	}
-}
-
 // NewWeights draws deterministic parameters.
 func NewWeights(c Config, seed int64) Weights {
 	rng := newRNG(seed)
@@ -191,7 +183,7 @@ func ForwardSerial(c Config, w Weights, x *tensor.Matrix) *tensor.Matrix {
 	q := tensor.MatMul(normed, w.Wq)
 	k := tensor.MatMul(normed, w.Wk)
 	v := tensor.MatMul(normed, w.Wv)
-	ctx, _ := attention(c, q, k, v, c.Batch, c.Heads)
+	ctx, _ := attention(c, q, k, v)
 	attnOut := tensor.MatMul(ctx, w.Wo)
 	res1 := x.Clone()
 	res1.Add(attnOut)
@@ -215,8 +207,8 @@ func Forward(c Config, t topology.Torus, w Weights, x *tensor.Matrix) (*tensor.M
 	xs, ws := tensor.Partition(x, t.Rows, t.Cols), w.partition(t)
 	outs := make([]*tensor.Matrix, t.Size())
 	traffic := run(t, func(ch *mesh.Chip) {
-		o := newChip(c, t, ch)
-		outs[ch.Rank] = o.forward(xs[ch.Rank], ws[ch.Rank], o.attend).out
+		o := newChip(c, ch)
+		outs[ch.Rank] = o.forward(xs[ch.Rank], ws[ch.Rank], attention).out
 	})
 	return tensor.Assemble(outs, t.Rows, t.Cols), traffic, nil
 }
@@ -231,15 +223,14 @@ func run(t topology.Torus, f func(ch *mesh.Chip)) mesh.Traffic {
 }
 
 // chip bundles one chip's distributed primitives: the GeMMs in their
-// Table 1 dataflows and the sequences and heads the chip owns.
+// Table 1 dataflows.
 type chip struct {
 	ch                      *mesh.Chip
 	cfg                     Config
 	fwd, bwdData, bwdWeight gemm.ChipFunc // OS, LS, RS
-	bLocal, hLocal          int
 }
 
-func newChip(c Config, t topology.Torus, ch *mesh.Chip) chip {
+func newChip(c Config, ch *mesh.Chip) chip {
 	msCfg := gemm.MeshSliceConfig{S: c.S, Block: c.Block}
 	return chip{
 		ch:        ch,
@@ -247,8 +238,6 @@ func newChip(c Config, t topology.Torus, ch *mesh.Chip) chip {
 		fwd:       gemm.MeshSlice(gemm.OS, msCfg),
 		bwdData:   gemm.MeshSlice(gemm.LS, msCfg),
 		bwdWeight: gemm.MeshSlice(gemm.RS, msCfg),
-		bLocal:    c.Batch / t.Rows,
-		hLocal:    c.Heads / t.Cols,
 	}
 }
 
@@ -268,19 +257,13 @@ type blockCache struct {
 
 // attendFunc turns one chip's q, k and v into the attention context and
 // the softmax probabilities backward needs (nil for decode, which has no
-// backward).
-type attendFunc func(q, k, v *tensor.Matrix) (ctx *tensor.Matrix, probs [][]*tensor.Matrix)
-
-// attend is the block's attention over the chip's own sequences and heads:
-// every (sequence, head) pair is fully local — batch rows stay whole on the
-// chip's row and head columns on its column (§3.2.1).
-func (o chip) attend(q, k, v *tensor.Matrix) (*tensor.Matrix, [][]*tensor.Matrix) {
-	return attention(o.cfg, q, k, v, o.bLocal, o.hLocal)
-}
+// backward). Training and Forward pass attention.
+type attendFunc func(c Config, q, k, v *tensor.Matrix) (ctx *tensor.Matrix, probs [][]*tensor.Matrix)
 
 // forward runs the block on this chip's shards — pre-norm self-attention
 // with residual, then a pre-norm GELU MLP with residual — and keeps what
-// backward needs.
+// backward needs. Each (sequence, head) pair attends locally: sequences stay
+// whole on a chip row, heads on a chip column (§3.2.1).
 func (o chip) forward(x *tensor.Matrix, w Weights, attend attendFunc) *blockCache {
 	hidden := o.cfg.Hidden()
 	cache := &blockCache{x: x}
@@ -288,7 +271,7 @@ func (o chip) forward(x *tensor.Matrix, w Weights, attend attendFunc) *blockCach
 	cache.q = o.fwd(o.ch, cache.n1, w.Wq)
 	cache.k = o.fwd(o.ch, cache.n1, w.Wk)
 	cache.v = o.fwd(o.ch, cache.n1, w.Wv)
-	cache.ctx, cache.probs = attend(cache.q, cache.k, cache.v)
+	cache.ctx, cache.probs = attend(o.cfg, cache.q, cache.k, cache.v)
 	cache.res1 = x.Clone()
 	cache.res1.Add(o.fwd(o.ch, cache.ctx, w.Wo))
 	cache.n2 = layerNormDist(o.ch, cache.res1, hidden)
@@ -300,16 +283,16 @@ func (o chip) forward(x *tensor.Matrix, w Weights, attend attendFunc) *blockCach
 	return cache
 }
 
-// attention computes scaled dot-product attention over the first batch
-// sequences and heads heads of q, k and v, which have one row per token
-// (sequences contiguous) and HeadDim contiguous columns per head. It also
-// returns the softmax probabilities by sequence and head.
-func attention(c Config, q, k, v *tensor.Matrix, batch, heads int) (*tensor.Matrix, [][]*tensor.Matrix) {
+// attention computes scaled dot-product attention over the sequences and
+// heads of q, k and v, which have one row per token (whole sequences,
+// contiguous) and HeadDim contiguous columns per head. It also returns the
+// softmax probabilities by sequence and head.
+func attention(c Config, q, k, v *tensor.Matrix) (*tensor.Matrix, [][]*tensor.Matrix) {
 	ctx := tensor.New(q.Rows, q.Cols)
-	probs := make([][]*tensor.Matrix, batch)
+	probs := make([][]*tensor.Matrix, q.Rows/c.Seq)
 	inv := 1 / math.Sqrt(float64(c.HeadDim))
 	for b := range probs {
-		probs[b] = make([]*tensor.Matrix, heads)
+		probs[b] = make([]*tensor.Matrix, q.Cols/c.HeadDim)
 		r0 := b * c.Seq
 		for h := range probs[b] {
 			c0 := h * c.HeadDim
