@@ -30,6 +30,18 @@ func cmdCkpt(args []string) {
 	reshard := fs.String("reshard", "", "resume mesh shape RxC (default: the original shape)")
 	out := fs.String("o", "", "persist snapshots under this directory")
 	fs.Parse(args)
+	if *steps <= 0 {
+		fmt.Fprintf(os.Stderr, "bad -steps %d: want at least 1\n", *steps)
+		os.Exit(2)
+	}
+	if *every < 0 {
+		fmt.Fprintf(os.Stderr, "bad -every %d: want 0 (no snapshots) or more\n", *every)
+		os.Exit(2)
+	}
+	if *failAt < -1 || *failAt >= *steps {
+		fmt.Fprintf(os.Stderr, "bad -fail-at %d: want -1 (no failure) or a step in [0, %d)\n", *failAt, *steps)
+		os.Exit(2)
+	}
 
 	c := minitrain.ElasticConfig{Batch: 16, In: 16, Hidden: 32, Out: 8, LR: 0.05, Momentum: 0.9}
 	from := ckpt.Layout{Rows: *rows, Cols: *cols, SliceRows: 1, SliceCols: 1, Block: 2}
@@ -51,6 +63,15 @@ func cmdCkpt(args []string) {
 		}
 	}
 
+	opts := minitrain.ElasticOpts{Every: *every}
+	if *failAt >= 0 {
+		opts.Faults = c.ElasticFailFaults(from.Torus(), *failChip, 0, *failAt)
+		if err := opts.Faults.Validate(from.Chips()); err != nil {
+			fmt.Fprintf(os.Stderr, "bad -fail-chip %d: %v\n", *failChip, err)
+			os.Exit(2)
+		}
+	}
+
 	var store ckpt.Store = ckpt.NewMemStore()
 	if *out != "" {
 		fstore, err := ckpt.NewFileStore(*out)
@@ -61,10 +82,6 @@ func cmdCkpt(args []string) {
 		store = fstore
 	}
 
-	opts := minitrain.ElasticOpts{Every: *every}
-	if *failAt >= 0 {
-		opts.Faults = c.ElasticFailFaults(from.Torus(), *failChip, 0, *failAt)
-	}
 	fmt.Printf("training %dx%d, %d steps, snapshot every %d, seed %d\n",
 		from.Rows, from.Cols, *steps, *every, *seed)
 	res, err := minitrain.TrainElastic(c, from, *steps, *seed, opts)

@@ -189,6 +189,20 @@ func TestBadFlagsExitTwoWithoutPanic(t *testing.T) {
 		"gemm -dataflow xs",
 		"verify -dataflow xs",
 		"record -dataflow xs",
+		"record -pipelined -s 4 -fail 99:3",
+		"record -pipelined -s 4 -fail -1:3",
+		"record -pipelined -s 4 -fail 0:-1",
+		"record -pipelined -s 4 -drop 0:99:1",
+		"record -pipelined -s 4 -drop 0:0:1",
+		"record -pipelined -s 4 -drop 0:1:-1",
+		"ckpt -fail-at 5 -fail-chip 99",
+		"ckpt -fail-at 5 -fail-chip -1",
+		"ckpt -steps 10 -fail-at 99",
+		"ckpt -steps 10 -fail-at 10",
+		"ckpt -fail-at -2",
+		"ckpt -steps 0",
+		"ckpt -steps -3",
+		"ckpt -every -1",
 	} {
 		t.Run(args, func(t *testing.T) {
 			t.Parallel()

@@ -84,6 +84,10 @@ func cmdRecord(args []string) {
 		}
 		faults.ChipFails = append(faults.ChipFails, fault.MeshChipFail{Chip: chip, AfterSends: after})
 	}
+	if err := faults.Validate(tor.Size()); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if !faults.Empty() {
 		mh.SetFaults(faults)
 	}

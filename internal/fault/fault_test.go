@@ -442,3 +442,42 @@ func TestMeshFaultsTranslation(t *testing.T) {
 		t.Fatal("empty plan must translate to empty mesh faults")
 	}
 }
+
+func TestMeshFaultsValidate(t *testing.T) {
+	const chips = 16
+	translated := (&Plan{
+		Degrades:  []LinkDegrade{{Link: Link{Chip: 15, Dir: topology.InterCol}, Factor: 2}},
+		LinkFails: []LinkFail{{Link: Link{Chip: 0, Dir: topology.InterRow}, At: 0}},
+		ChipFails: []ChipFail{{Chip: 9, At: 0}},
+	}).MeshFaults(topology.Torus{Rows: 4, Cols: 4})
+	for _, ok := range []MeshFaults{
+		{},
+		translated,
+		// Multi-hop edges are legal: Chip.Send reaches any chip.
+		{Drops: []EdgeDrop{{From: 0, To: 15, Nth: 3}}, Delays: []EdgeDelay{{From: 15, To: 0}}},
+	} {
+		if err := ok.Validate(chips); err != nil {
+			t.Errorf("%+v rejected: %v", ok, err)
+		}
+	}
+	if err := (*MeshFaults)(nil).Validate(chips); err != nil {
+		t.Errorf("nil faults rejected: %v", err)
+	}
+	for _, bad := range []MeshFaults{
+		{ChipFails: []MeshChipFail{{Chip: 16}}},
+		{ChipFails: []MeshChipFail{{Chip: -1}}},
+		{ChipFails: []MeshChipFail{{Chip: 3, AfterSends: -1}}},
+		{Drops: []EdgeDrop{{From: 0, To: 99, Nth: 1}}},
+		{Drops: []EdgeDrop{{From: -1, To: 1}}},
+		{Drops: []EdgeDrop{{From: 4, To: 4}}},
+		{Drops: []EdgeDrop{{From: 0, To: 1, Nth: -1}}},
+		{Delays: []EdgeDelay{{From: 16, To: 0, Yields: 1}}},
+		{Delays: []EdgeDelay{{From: 2, To: 2, Yields: 1}}},
+		{Delays: []EdgeDelay{{From: 0, To: 1, Yields: -2}}},
+	} {
+		err := bad.Validate(chips)
+		if err == nil || !strings.HasPrefix(err.Error(), "fault: ") {
+			t.Errorf("%+v: err = %v, want a fault: error", bad, err)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"sort"
 
 	"meshslice/internal/topology"
@@ -48,6 +49,48 @@ type MeshFaults struct {
 // Empty reports whether there is nothing to inject.
 func (f *MeshFaults) Empty() bool {
 	return f == nil || len(f.Delays) == 0 && len(f.Drops) == 0 && len(f.ChipFails) == 0
+}
+
+// Validate reports whether every fault targets the mesh of the given chip
+// count: each chip and edge endpoint in [0, chips), no edge from a chip to
+// itself, and no negative count. A fault outside the mesh would inject
+// nothing, silently. Edges need not join ring neighbours: Chip.Send and a
+// multi-hop Comm.SendTo may send between any two chips.
+func (f *MeshFaults) Validate(chips int) error {
+	if f == nil {
+		return nil
+	}
+	edge := func(kind string, from, to int) error {
+		if from < 0 || from >= chips || to < 0 || to >= chips || from == to {
+			return fmt.Errorf("fault: %s on edge %d->%d: not an edge of a %d-chip mesh", kind, from, to, chips)
+		}
+		return nil
+	}
+	for _, d := range f.Delays {
+		if err := edge("delay", d.From, d.To); err != nil {
+			return err
+		}
+		if d.Yields < 0 {
+			return fmt.Errorf("fault: delay on edge %d->%d has negative yields %d", d.From, d.To, d.Yields)
+		}
+	}
+	for _, d := range f.Drops {
+		if err := edge("drop", d.From, d.To); err != nil {
+			return err
+		}
+		if d.Nth < 0 {
+			return fmt.Errorf("fault: drop on edge %d->%d of negative message index %d", d.From, d.To, d.Nth)
+		}
+	}
+	for _, c := range f.ChipFails {
+		if c.Chip < 0 || c.Chip >= chips {
+			return fmt.Errorf("fault: chip %d to fail is not in a %d-chip mesh", c.Chip, chips)
+		}
+		if c.AfterSends < 0 {
+			return fmt.Errorf("fault: chip %d fails after negative sends %d", c.Chip, c.AfterSends)
+		}
+	}
+	return nil
 }
 
 // MeshFaults translates the plan onto a 2D torus's directed edges:

@@ -42,9 +42,13 @@ import (
 // from the column ring alone; W2, the activations and the outputs are
 // gathered in full, because the kernels read row blocks of them that no
 // single ring assembles. That storage lives in one workspace per chip
-// (elasticWorkspace), sized once per TrainElastic run: every step gathers,
-// slices and multiplies into the same buffers, so a step allocates no
-// tensor.
+// (elasticWorkspace): every step gathers, slices and multiplies into the
+// same buffers, so a step allocates no tensor. The workspaces are carved
+// from one slab the package keeps between runs (takeSlab, giveSlab), so a
+// run does not allocate and zero them afresh either: the 2×2 resume of a
+// failed 2×4 run trains in the 2×4 run's memory. Every workspace buffer is
+// overwritten before it is read, so what an earlier run left in the slab
+// cannot reach the bits.
 
 // Elastic tensor names as stored in checkpoint records.
 const (
@@ -202,6 +206,9 @@ func TrainElastic(c ElasticConfig, lay ckpt.Layout, steps int, seed int64, opts 
 	}
 	tor := lay.Torus()
 	chips := lay.Chips()
+	if err := opts.Faults.Validate(chips); err != nil {
+		return ElasticResult{}, err
+	}
 
 	// Resolve the starting state: fresh from the seed, or decoded from the
 	// resume snapshot (which then also dictates seed and start step).
@@ -247,13 +254,11 @@ func TrainElastic(c ElasticConfig, lay ckpt.Layout, steps int, seed int64, opts 
 	pr, pc := lay.Rows, lay.Cols
 	br, ir, hr := c.Batch/pr, c.In/pr, c.Hidden/pr
 	hc, oc := c.Hidden/pc, c.Out/pc
-	var w1s, v1s, w2s, v2s []*tensor.Matrix
+	var w1s, w2s []*tensor.Matrix
 	if resumeRecs == nil {
-		w1g, v1g, w2g, v2g := InitElastic(c, seed)
+		w1g, w2g := InitWeights(Config{Batch: c.Batch, In: c.In, Hidden: c.Hidden, Out: c.Out}, seed)
 		w1s = tensor.Partition(w1g, pr, pc)
-		v1s = tensor.Partition(v1g, pr, pc)
 		w2s = tensor.Partition(w2g, pr, pc)
-		v2s = tensor.Partition(v2g, pr, pc)
 	}
 
 	// Each step's batch is drawn once and shared read-only by every chip.
@@ -271,6 +276,8 @@ func TrainElastic(c ElasticConfig, lay ckpt.Layout, steps int, seed int64, opts 
 	var mu sync.Mutex
 	finalW1 := make([]*tensor.Matrix, chips)
 	finalW2 := make([]*tensor.Matrix, chips)
+	per := workspaceFloats(c, pr, pc)
+	slab := takeSlab(chips * per)
 	err := m.RunE(func(ch *mesh.Chip) {
 		r, cc := ch.Coord.Row, ch.Coord.Col
 		// The chip trains its shards in place: decoded records and
@@ -284,9 +291,10 @@ func TrainElastic(c ElasticConfig, lay ckpt.Layout, steps int, seed int64, opts 
 			v2 = rd.Tensor(TensorV2).Block
 			verifyRestore(ch, resumeDigest, opts.Metrics, len(opts.Resume.Records[ch.Rank]))
 		} else {
-			w1, v1, w2, v2 = w1s[ch.Rank], v1s[ch.Rank], w2s[ch.Rank], v2s[ch.Rank]
+			w1, w2 = w1s[ch.Rank], w2s[ch.Rank]
+			v1, v2 = tensor.New(ir, hc), tensor.New(hr, oc)
 		}
-		ws := newElasticWorkspace(ch, c, pr, pc)
+		ws := newElasticWorkspace(ch, c, pr, pc, slab[ch.Rank*per:(ch.Rank+1)*per])
 		for s := start; s < steps; s++ {
 			data := batches[s-start]
 
@@ -346,6 +354,7 @@ func TrainElastic(c ElasticConfig, lay ckpt.Layout, steps int, seed int64, opts 
 		finalW2[ch.Rank] = w2
 		mu.Unlock()
 	})
+	giveSlab(slab)
 
 	res := ElasticResult{Losses: losses, StartStep: start, Steps: steps}
 	for i, recs := range epochRecs {
@@ -427,8 +436,8 @@ func TrainElasticSerial(c ElasticConfig, steps int, seed int64) ElasticResult {
 	return res
 }
 
-// elasticWorkspace is one chip's step storage, allocated once per
-// TrainElastic run: the chip's two ring communicators, the gather
+// elasticWorkspace is one chip's step storage, carved from its share of
+// the run's slab: the chip's two ring communicators, the gather
 // destinations, the column blocks the local kernels read, and the products
 // they write. Row blocks need no buffer — a run of whole rows is a view of
 // its source (rowsView), and the workspace holds the view headers.
@@ -447,29 +456,76 @@ type elasticWorkspace struct {
 	hB, haB, dHB, yB, dW1B, dW2B *tensor.Matrix
 }
 
-func newElasticWorkspace(ch *mesh.Chip, c ElasticConfig, pr, pc int) *elasticWorkspace {
+// newElasticWorkspace carves chip ch's workspace from slab, which holds
+// workspaceFloats(c, pr, pc) elements.
+func newElasticWorkspace(ch *mesh.Chip, c ElasticConfig, pr, pc int, slab []float64) *elasticWorkspace {
+	k := carver{slab: slab}
+	ws := k.workspace(c, pr, pc, ch.Coord.Row)
+	ws.row, ws.col = ch.RowComm(), ch.ColComm()
+	return ws
+}
+
+// workspaceFloats is the number of float64s one chip's workspace takes on a
+// pr×pc mesh.
+func workspaceFloats(c ElasticConfig, pr, pc int) int {
+	var k carver
+	k.workspace(c, pr, pc, 0)
+	return k.used
+}
+
+// carver hands out consecutive matrices from a slab. With a nil slab it
+// only counts the elements they take (their Data stays nil).
+type carver struct {
+	slab []float64
+	used int
+}
+
+func (k *carver) next(rows, cols int) *tensor.Matrix {
+	m := &tensor.Matrix{Rows: rows, Cols: cols}
+	n := rows * cols
+	if k.slab != nil {
+		m.Data = k.slab[k.used : k.used+n : k.used+n]
+	}
+	k.used += n
+	return m
+}
+
+// fullGather carves a full gather of rows×cols blocks on a pr×pc mesh for a
+// chip in mesh row r. Its row-ring strip is a view of dst's row band r —
+// whole rows, so contiguous — which is where the column ring puts the
+// strip: the row ring gathers straight into place.
+func (k *carver) fullGather(rows, cols, pr, pc, r int) gatherBufs {
+	dst := k.next(pr*rows, pc*cols)
+	strip := &tensor.Matrix{Rows: rows, Cols: pc * cols}
+	if dst.Data != nil {
+		strip.Data = dst.Data[r*rows*dst.Cols : (r+1)*rows*dst.Cols]
+	}
+	return gatherBufs{strip: strip, dst: dst}
+}
+
+// workspace carves the buffers of a workspace for a chip in mesh row r. It
+// is the one place their shapes are written down.
+func (k *carver) workspace(c ElasticConfig, pr, pc, r int) *elasticWorkspace {
 	br, ir, hr := c.Batch/pr, c.In/pr, c.Hidden/pr
 	hc, oc := c.Hidden/pc, c.Out/pc
 	return &elasticWorkspace{
-		row: ch.RowComm(),
-		col: ch.ColComm(),
 		gathers: [numGathers]gatherBufs{
-			gatherW1:  {dst: tensor.New(c.In, hc)},
-			gatherW2:  newFullGather(hr, oc, pr, pc),
-			gatherAct: newFullGather(br, hc, pr, pc),
-			gatherY:   newFullGather(br, oc, pr, pc),
-			gatherDH:  {dst: tensor.New(c.Batch, hc)},
+			gatherW1:  {dst: k.next(c.In, hc)},
+			gatherW2:  k.fullGather(hr, oc, pr, pc, r),
+			gatherAct: k.fullGather(br, hc, pr, pc, r),
+			gatherY:   k.fullGather(br, oc, pr, pc, r),
+			gatherDH:  {dst: k.next(c.Batch, hc)},
 		},
-		w2c:  tensor.New(c.Hidden, oc),
-		haC:  tensor.New(c.Batch, hr),
-		dyC:  tensor.New(c.Batch, oc),
-		xC:   tensor.New(c.Batch, ir),
-		hB:   tensor.New(br, hc),
-		haB:  tensor.New(br, hc),
-		dHB:  tensor.New(br, hc),
-		yB:   tensor.New(br, oc),
-		dW1B: tensor.New(ir, hc),
-		dW2B: tensor.New(hr, oc),
+		w2c:  k.next(c.Hidden, oc),
+		haC:  k.next(c.Batch, hr),
+		dyC:  k.next(c.Batch, oc),
+		xC:   k.next(c.Batch, ir),
+		hB:   k.next(br, hc),
+		haB:  k.next(br, hc),
+		dHB:  k.next(br, hc),
+		yB:   k.next(br, oc),
+		dW1B: k.next(ir, hc),
+		dW2B: k.next(hr, oc),
 	}
 }
 
@@ -477,10 +533,42 @@ func newElasticWorkspace(ch *mesh.Chip, c ElasticConfig, pr, pc int) *elasticWor
 // and, for a full gather only, the row-ring strip it gathers from.
 type gatherBufs struct{ strip, dst *tensor.Matrix }
 
-// newFullGather sizes a full gather's destinations for rows×cols blocks on
-// a pr×pc mesh.
-func newFullGather(rows, cols, pr, pc int) gatherBufs {
-	return gatherBufs{strip: tensor.New(rows, pc*cols), dst: tensor.New(pr*rows, pc*cols)}
+// workspaceSlab is the slab TrainElastic runs carve their workspaces from,
+// kept between runs so that a run does not allocate and zero them afresh.
+// A run takes it (buf is nil while a run holds it) and gives it back once
+// its mesh has stopped. The package keeps the larger of the slab given
+// back and the one it holds, so the slab grows to the largest run's need
+// and one slab, not one per mesh shape, stays live. It is not a sync.Pool
+// because a pool drops what it holds over two garbage collections, and
+// the checkpoint and resume work between two elastic runs can take that
+// many.
+var workspaceSlab struct {
+	sync.Mutex
+	buf []float64
+}
+
+// takeSlab returns a slab of n elements: the package's, if it holds one
+// that large, or else a new one (a concurrent run holds the slab, or the
+// slab is too small and is dropped).
+func takeSlab(n int) []float64 {
+	workspaceSlab.Lock()
+	buf := workspaceSlab.buf
+	workspaceSlab.buf = nil
+	workspaceSlab.Unlock()
+	if len(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// giveSlab hands a run's slab back; the package keeps it if it is larger
+// than the slab it holds.
+func giveSlab(buf []float64) {
+	workspaceSlab.Lock()
+	if cap(buf) > len(workspaceSlab.buf) {
+		workspaceSlab.buf = buf[:cap(buf)]
+	}
+	workspaceSlab.Unlock()
 }
 
 // gather runs step gather i on this chip's block: for a full gather an
