@@ -67,10 +67,10 @@ func StartReduceScatterColsInto(cm *mesh.Comm, m, dst *tensor.Matrix) *Handle {
 // StartShiftInto starts a circular SendRecv on cm's background comm lane:
 // it sends m to the member steps positions downstream and writes the matrix
 // received from steps positions upstream into dst. Unlike Comm.Shift the
-// send clones m (Comm.SendTo semantics), so the caller may keep READING m
-// while the shift is in flight — Wang's overlapped direction computes on
-// the current panel while the next one is already moving. dst must have m's
-// shape and must not be m (that panics at issue).
+// send carries a copy of m, so the caller may keep READING m while the shift
+// is in flight — Wang's overlapped direction computes on the current panel
+// while the next one is already moving. dst must have m's shape and must not
+// be m (that panics at issue).
 func StartShiftInto(cm *mesh.Comm, steps int, m, dst *tensor.Matrix) *Handle {
 	if dst.Rows != m.Rows || dst.Cols != m.Cols {
 		panic(fmt.Sprintf("collective: StartShiftInto dst %dx%d for %dx%d", dst.Rows, dst.Cols, m.Rows, m.Cols)) // lint:invariant shape precondition
@@ -78,17 +78,20 @@ func StartShiftInto(cm *mesh.Comm, steps int, m, dst *tensor.Matrix) *Handle {
 	return cm.StartAsync(recorder.OpShift, execShift, m, dst, steps)
 }
 
-// execShift is Wang's overlapped SendRecv (cloning send, so the issuer may
-// keep reading m; the received clone is copied into dst and dropped). Like
-// the ring loops it runs on a background comm worker, where the op's own
-// log brackets the whole execution, so it opens no span.
+// execShift is Wang's overlapped SendRecv: it sends a copy of m drawn from
+// the comm lane's scratch arena (so the issuer may keep reading m) with an
+// ownership-transfer send, which records the same events as a cloning one,
+// and copies the received copy into dst. Like the ring loops it runs on a
+// background comm worker, where the op's own log brackets the whole
+// execution, so it opens no span.
 func execShift(cm *mesh.Comm, m, dst *tensor.Matrix, steps int) {
 	steps = mod(steps, cm.Size)
 	if steps == 0 {
 		dst.CopyFrom(m)
 		return
 	}
-	cm.SendTo(cm.Pos+steps, m)
-	r := cm.RecvFrom(cm.Pos - steps)
-	dst.CopyFrom(r)
+	cp := cm.Scratch(m.Rows, m.Cols)
+	cp.CopyFrom(m)
+	cm.SendOwnedTo(cm.Pos+steps, cp)
+	dst.CopyFrom(cm.RecvFrom(cm.Pos - steps))
 }

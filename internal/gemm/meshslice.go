@@ -122,18 +122,17 @@ func MeshSlice(df Dataflow, cfg MeshSliceConfig) ChipFunc {
 	}
 }
 
-// streamBufs returns the reused destinations of one partial-collective
-// stream: prefetch depth + 1 zeroed rows×cols matrices.
-func (cfg MeshSliceConfig) streamBufs(rows, cols int) []*tensor.Matrix {
-	n := 1
-	if cfg.Pipelined {
-		n = 2
+// streamBufs draws the reused destinations of one partial-collective
+// stream from the chip's scratch arena: buffer s%2 serves slice s. At depth 0
+// both entries are one matrix, at depth 1 two. Their contents are stale:
+// every slice overwrites what it reads (a slice copy, a gather, a scatter,
+// or a Zero before accumulating).
+func (cfg MeshSliceConfig) streamBufs(c *mesh.Chip, rows, cols int) [2]*tensor.Matrix {
+	b := c.Scratch(rows, cols)
+	if !cfg.Pipelined {
+		return [2]*tensor.Matrix{b, b}
 	}
-	bufs := make([]*tensor.Matrix, n)
-	for i := range bufs {
-		bufs[i] = tensor.New(rows, cols)
-	}
-	return bufs
+	return [2]*tensor.Matrix{b, c.Scratch(rows, cols)}
 }
 
 // meshSliceOS: for each s, slice A along its local K columns and B along
@@ -145,16 +144,15 @@ func meshSliceOS(cfg MeshSliceConfig) ChipFunc {
 		row, col := c.RowComm(), c.ColComm()
 		S, B := cfg.S, cfg.Block
 		cij := tensor.New(aij.Rows, bij.Cols)
-		aSl := cfg.streamBufs(aij.Rows, aij.Cols/S)             // A's column slice
-		bSl := cfg.streamBufs(bij.Rows/S, bij.Cols)             // B's row slice
-		aBuf := cfg.streamBufs(aij.Rows, row.Size*(aij.Cols/S)) // gathered A'
-		bBuf := cfg.streamBufs(col.Size*(bij.Rows/S), bij.Cols) // gathered B'
-		n := len(aBuf)
-		sliceA := func(s int) *tensor.Matrix { return tensor.SliceColInto(aSl[s%n], aij, S, s, B) }
-		sliceB := func(s int) *tensor.Matrix { return tensor.SliceRowInto(bSl[s%n], bij, S, s, B) }
+		aSl := cfg.streamBufs(c, aij.Rows, aij.Cols/S)             // A's column slice
+		bSl := cfg.streamBufs(c, bij.Rows/S, bij.Cols)             // B's row slice
+		aBuf := cfg.streamBufs(c, aij.Rows, row.Size*(aij.Cols/S)) // gathered A'
+		bBuf := cfg.streamBufs(c, col.Size*(bij.Rows/S), bij.Cols) // gathered B'
+		sliceA := func(s int) *tensor.Matrix { return tensor.SliceColInto(aSl[s%2], aij, S, s, B) }
+		sliceB := func(s int) *tensor.Matrix { return tensor.SliceRowInto(bSl[s%2], bij, S, s, B) }
 		compute := func(s int) {
 			c.SpanStart(recorder.OpCompute, s)
-			tensor.MatMulAdd(cij, aBuf[s%n], bBuf[s%n])
+			tensor.MatMulAdd(cij, aBuf[s%2], bBuf[s%2])
 			c.SpanEnd(recorder.OpCompute)
 		}
 		if !cfg.Pipelined {
@@ -170,8 +168,8 @@ func meshSliceOS(cfg MeshSliceConfig) ChipFunc {
 		hb := collective.StartAllGatherRowsInto(col, sliceB(0), bBuf[0])
 		for s := 0; s < S-1; s++ {
 			// Prefetch: slice s+1's gathers run underneath slice s's MatMul.
-			haN := collective.StartAllGatherColsInto(row, sliceA(s+1), aBuf[(s+1)%n])
-			hbN := collective.StartAllGatherRowsInto(col, sliceB(s+1), bBuf[(s+1)%n])
+			haN := collective.StartAllGatherColsInto(row, sliceA(s+1), aBuf[(s+1)%2])
+			hbN := collective.StartAllGatherRowsInto(col, sliceB(s+1), bBuf[(s+1)%2])
 			ha.Wait()
 			hb.Wait()
 			compute(s)
@@ -198,16 +196,15 @@ func meshSliceLS(cfg MeshSliceConfig) ChipFunc {
 		S, B := cfg.S, cfg.Block
 		nSlice := col.Size * (bij.Rows / S) // N/S
 		cij := tensor.New(aij.Rows, S*nSlice/row.Size)
-		bSl := cfg.streamBufs(bij.Rows/S, bij.Cols)        // B's row slice
-		bBuf := cfg.streamBufs(nSlice, bij.Cols)           // (N/S) × K/Pc gathered B'
-		cpBuf := cfg.streamBufs(aij.Rows, nSlice)          // M/Pr × N/S partial C'
-		csBuf := cfg.streamBufs(aij.Rows, nSlice/row.Size) // M/Pr × N/(S·Pc) scattered
-		n := len(bBuf)
-		sliceB := func(s int) *tensor.Matrix { return tensor.SliceRowInto(bSl[s%n], bij, S, s, B) }
+		bSl := cfg.streamBufs(c, bij.Rows/S, bij.Cols)        // B's row slice
+		bBuf := cfg.streamBufs(c, nSlice, bij.Cols)           // (N/S) × K/Pc gathered B'
+		cpBuf := cfg.streamBufs(c, aij.Rows, nSlice)          // M/Pr × N/S partial C'
+		csBuf := cfg.streamBufs(c, aij.Rows, nSlice/row.Size) // M/Pr × N/(S·Pc) scattered
+		sliceB := func(s int) *tensor.Matrix { return tensor.SliceRowInto(bSl[s%2], bij, S, s, B) }
 		compute := func(s int) {
 			c.SpanStart(recorder.OpCompute, s)
-			cpBuf[s%n].Zero()
-			tensor.MatMulAddNT(cpBuf[s%n], aij, bBuf[s%n])
+			cpBuf[s%2].Zero()
+			tensor.MatMulAddNT(cpBuf[s%2], aij, bBuf[s%2])
 			c.SpanEnd(recorder.OpCompute)
 		}
 		if !cfg.Pipelined {
@@ -222,16 +219,16 @@ func meshSliceLS(cfg MeshSliceConfig) ChipFunc {
 		hb := collective.StartAllGatherRowsInto(col, sliceB(0), bBuf[0])
 		var hr *collective.Handle // the one in-flight ReduceScatter
 		for s := 0; s < S-1; s++ {
-			hbN := collective.StartAllGatherRowsInto(col, sliceB(s+1), bBuf[(s+1)%n])
+			hbN := collective.StartAllGatherRowsInto(col, sliceB(s+1), bBuf[(s+1)%2])
 			hb.Wait()
 			compute(s)
 			if s > 0 {
 				// Drain slice s−1's ReduceScatter, which ran underneath
 				// this slice's MatMul.
 				hr.Wait()
-				tensor.UnsliceColInto(cij, csBuf[(s-1)%n], S, s-1, B)
+				tensor.UnsliceColInto(cij, csBuf[(s-1)%2], S, s-1, B)
 			}
-			hr = collective.StartReduceScatterColsInto(row, cpBuf[s%n], csBuf[s%n])
+			hr = collective.StartReduceScatterColsInto(row, cpBuf[s%2], csBuf[s%2])
 			hb = hbN
 		}
 		// Epilogue: last slice's compute, drain its predecessor, then its own
@@ -240,11 +237,11 @@ func meshSliceLS(cfg MeshSliceConfig) ChipFunc {
 		compute(S - 1)
 		if S > 1 {
 			hr.Wait()
-			tensor.UnsliceColInto(cij, csBuf[(S-2)%n], S, S-2, B)
+			tensor.UnsliceColInto(cij, csBuf[(S-2)%2], S, S-2, B)
 		}
-		hr = collective.StartReduceScatterColsInto(row, cpBuf[(S-1)%n], csBuf[(S-1)%n])
+		hr = collective.StartReduceScatterColsInto(row, cpBuf[(S-1)%2], csBuf[(S-1)%2])
 		hr.Wait()
-		tensor.UnsliceColInto(cij, csBuf[(S-1)%n], S, S-1, B)
+		tensor.UnsliceColInto(cij, csBuf[(S-1)%2], S, S-1, B)
 		return cij
 	}
 }
@@ -258,16 +255,15 @@ func meshSliceRS(cfg MeshSliceConfig) ChipFunc {
 		S, B := cfg.S, cfg.Block
 		mSlice := row.Size * (aij.Cols / S) // M/S
 		cij := tensor.New(S*mSlice/col.Size, bij.Cols)
-		aSl := cfg.streamBufs(aij.Rows, aij.Cols/S)        // A's column slice
-		aBuf := cfg.streamBufs(aij.Rows, mSlice)           // K/Pr × M/S gathered A'
-		cpBuf := cfg.streamBufs(mSlice, bij.Cols)          // M/S × N/Pc partial C'
-		csBuf := cfg.streamBufs(mSlice/col.Size, bij.Cols) // M/(S·Pr) × N/Pc scattered
-		n := len(aBuf)
-		sliceA := func(s int) *tensor.Matrix { return tensor.SliceColInto(aSl[s%n], aij, S, s, B) }
+		aSl := cfg.streamBufs(c, aij.Rows, aij.Cols/S)        // A's column slice
+		aBuf := cfg.streamBufs(c, aij.Rows, mSlice)           // K/Pr × M/S gathered A'
+		cpBuf := cfg.streamBufs(c, mSlice, bij.Cols)          // M/S × N/Pc partial C'
+		csBuf := cfg.streamBufs(c, mSlice/col.Size, bij.Cols) // M/(S·Pr) × N/Pc scattered
+		sliceA := func(s int) *tensor.Matrix { return tensor.SliceColInto(aSl[s%2], aij, S, s, B) }
 		compute := func(s int) {
 			c.SpanStart(recorder.OpCompute, s)
-			cpBuf[s%n].Zero()
-			tensor.MatMulAddTN(cpBuf[s%n], aBuf[s%n], bij)
+			cpBuf[s%2].Zero()
+			tensor.MatMulAddTN(cpBuf[s%2], aBuf[s%2], bij)
 			c.SpanEnd(recorder.OpCompute)
 		}
 		if !cfg.Pipelined {
@@ -282,25 +278,25 @@ func meshSliceRS(cfg MeshSliceConfig) ChipFunc {
 		ha := collective.StartAllGatherColsInto(row, sliceA(0), aBuf[0])
 		var hr *collective.Handle
 		for s := 0; s < S-1; s++ {
-			haN := collective.StartAllGatherColsInto(row, sliceA(s+1), aBuf[(s+1)%n])
+			haN := collective.StartAllGatherColsInto(row, sliceA(s+1), aBuf[(s+1)%2])
 			ha.Wait()
 			compute(s)
 			if s > 0 {
 				hr.Wait()
-				tensor.UnsliceRowInto(cij, csBuf[(s-1)%n], S, s-1, B)
+				tensor.UnsliceRowInto(cij, csBuf[(s-1)%2], S, s-1, B)
 			}
-			hr = collective.StartReduceScatterRowsInto(col, cpBuf[s%n], csBuf[s%n])
+			hr = collective.StartReduceScatterRowsInto(col, cpBuf[s%2], csBuf[s%2])
 			ha = haN
 		}
 		ha.Wait()
 		compute(S - 1)
 		if S > 1 {
 			hr.Wait()
-			tensor.UnsliceRowInto(cij, csBuf[(S-2)%n], S, S-2, B)
+			tensor.UnsliceRowInto(cij, csBuf[(S-2)%2], S, S-2, B)
 		}
-		hr = collective.StartReduceScatterRowsInto(col, cpBuf[(S-1)%n], csBuf[(S-1)%n])
+		hr = collective.StartReduceScatterRowsInto(col, cpBuf[(S-1)%2], csBuf[(S-1)%2])
 		hr.Wait()
-		tensor.UnsliceRowInto(cij, csBuf[(S-1)%n], S, S-1, B)
+		tensor.UnsliceRowInto(cij, csBuf[(S-1)%2], S, S-1, B)
 		return cij
 	}
 }

@@ -19,7 +19,10 @@ import (
 //
 // One loop (circulate) walks the ring for all three dataflows and both
 // prefetch depths; the dataflows differ only in which shard circulates, on
-// which ring, and what one step computes.
+// which ring, and what one step computes. Every buffer a run uses besides
+// its output shard (the gathered B, the partial product C', the landing
+// buffers and the copy a panel travels in) is drawn from the chip's scratch
+// arena (mesh.Chip.Scratch), so a warm mesh allocates none of them again.
 
 // WangValidate reports whether Wang's algorithm can run the problem on the
 // torus.
@@ -62,7 +65,8 @@ func wang(df Dataflow, pipelined bool) ChipFunc {
 	case OS:
 		return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
 			row, col := c.RowComm(), c.ColComm()
-			bFull := collective.AllGatherRows(col, bij) // non-overlapped direction: K × N/Pc
+			bFull := c.Scratch(col.Size*bij.Rows, bij.Cols) // non-overlapped direction: K × N/Pc
+			collective.AllGatherRowsInto(col, bij, bFull)
 			cij := tensor.New(aij.Rows, bij.Cols)
 			// Shard src multiplies B's rows [src·K/Pc, (src+1)·K/Pc): whole
 			// rows of bFull, so one contiguous run, read through a view.
@@ -78,11 +82,12 @@ func wang(df Dataflow, pipelined bool) ChipFunc {
 		// B's shards stream down the column; each fills the matching column
 		// block of the partial product, and the RdS along the row trails.
 		// The block is a column block, so each product lands in one reused
-		// buffer first (Zero + MatMulAddNT ≡ MatMulNT bitwise).
+		// buffer first (Zero + MatMulAddNT ≡ MatMulNT bitwise). The ring
+		// visits every source, so the steps overwrite all of cPrime.
 		return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
 			row, col := c.RowComm(), c.ColComm()
-			cPrime := tensor.New(aij.Rows, bij.Rows*col.Size)
-			prod := tensor.New(aij.Rows, bij.Rows) // M/Pr × N/Pr, partial over K/Pc
+			cPrime := c.Scratch(aij.Rows, bij.Rows*col.Size)
+			prod := c.Scratch(aij.Rows, bij.Rows) // M/Pr × N/Pr, partial over K/Pc
 			circulate(c, col, pipelined, bij, func(src int, b *tensor.Matrix) {
 				prod.Zero()
 				tensor.MatMulAddNT(prod, aij, b)
@@ -92,12 +97,13 @@ func wang(df Dataflow, pipelined bool) ChipFunc {
 		}
 	case RS:
 		// A's shards stream along the row; the RdS down the column trails.
-		// Each product is a block of whole rows of cPrime, still zero, so it
-		// accumulates straight into a view of it (0 + x == x: bitwise
+		// Each product is a block of whole rows of cPrime, zeroed first, so
+		// it accumulates straight into a view of it (0 + x == x: bitwise
 		// MatMulTN + SetSubMatrix).
 		return func(c *mesh.Chip, aij, bij *tensor.Matrix) *tensor.Matrix {
 			row, col := c.RowComm(), c.ColComm()
-			cPrime := tensor.New(aij.Cols*row.Size, bij.Cols)
+			cPrime := c.Scratch(aij.Cols*row.Size, bij.Cols)
+			cPrime.Zero()
 			n := aij.Cols * bij.Cols
 			block := tensor.FromSlice(aij.Cols, bij.Cols, cPrime.Data[:n]) // M/Pc × N/Pc, partial over K/Pr
 			circulate(c, row, pipelined, aij, func(src int, a *tensor.Matrix) {
@@ -115,11 +121,12 @@ func wang(df Dataflow, pipelined bool) ChipFunc {
 // around ring cm, and step t calls compute (inside a kernel span) with the
 // shard now held and the ring position src it originated from. At depth 0
 // the next shard is pulled from the right after the step's compute: step 0
-// sends a clone (the shard is the caller's), and every later step forwards
-// the panel it received with an ownership-transfer send, which records the
-// same events. At depth 1 the shift is already in flight underneath the
-// compute — StartShiftInto's send clones, so the chip may keep reading the
-// current shard while it moves.
+// sends a scratch copy (the shard is the caller's), and every step forwards
+// what it holds with an ownership-transfer send, which records the same
+// events as a cloning one. At depth 1 the shift is already in flight
+// underneath the compute, landing in two alternating scratch buffers —
+// StartShiftInto sends a copy, so the chip may keep reading the current
+// shard while it moves.
 func circulate(c *mesh.Chip, cm *mesh.Comm, pipelined bool, shard *tensor.Matrix, compute func(src int, cur *tensor.Matrix)) {
 	step := func(t int, cur *tensor.Matrix) {
 		c.SpanStart(recorder.OpCompute, t)
@@ -127,8 +134,8 @@ func circulate(c *mesh.Chip, cm *mesh.Comm, pipelined bool, shard *tensor.Matrix
 		c.SpanEnd(recorder.OpCompute)
 	}
 	var bufs [2]*tensor.Matrix // depth-1 landing buffers, alternating per step
-	if pipelined {
-		bufs[0], bufs[1] = tensor.New(shard.Rows, shard.Cols), tensor.New(shard.Rows, shard.Cols)
+	if pipelined && cm.Size > 1 {
+		bufs[0], bufs[1] = c.Scratch(shard.Rows, shard.Cols), c.Scratch(shard.Rows, shard.Cols)
 	}
 	cur := shard
 	for t := 0; t < cm.Size-1; t++ {
@@ -140,10 +147,10 @@ func circulate(c *mesh.Chip, cm *mesh.Comm, pipelined bool, shard *tensor.Matrix
 		} else {
 			step(t, cur)
 			if t == 0 {
-				cm.SendTo(cm.Pos-1, cur)
-			} else {
-				cm.SendOwnedTo(cm.Pos-1, cur)
+				cur = c.Scratch(shard.Rows, shard.Cols)
+				cur.CopyFrom(shard)
 			}
+			cm.SendOwnedTo(cm.Pos-1, cur)
 			cur = cm.RecvFrom(cm.Pos + 1)
 		}
 	}

@@ -123,8 +123,9 @@ func (p *bufPool) noteSend(m *tensor.Matrix) {
 // noteDeliver records that a received matrix reached its new owner, who
 // may now write, release, or forward it. Called by Chip.Recv. Matrices
 // that arrive via the cloning Send were never tagged; that is fine.
-// (A message dropped by fault injection keeps its in-flight tag forever:
-// nobody legitimately holds it, so any later touch should still panic.)
+// (A message dropped by fault injection keeps its in-flight tag for the rest
+// of the run: nobody legitimately holds it, so any later touch should still
+// panic. clearInflight drops such tags once the run is over.)
 func (p *bufPool) noteDeliver(m *tensor.Matrix) {
 	if m == nil {
 		return
@@ -135,4 +136,20 @@ func (p *bufPool) noteDeliver(m *tensor.Matrix) {
 		p.ops++
 	}
 	p.mu.Unlock()
+}
+
+// clearInflight drops every in-flight tag. runAll calls it after every
+// run: with every chip and comm lane joined and the mailboxes rewound, no
+// message is in flight, but one that missed its receiver (dropped, left in
+// a mailbox, or sent by a chip that fail-stopped inside SendOwned) kept
+// its tag, and a scratch matrix drawn again next run would then panic as a
+// double send. Pooled buffers keep their tags.
+func (p *bufPool) clearInflight() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for m, t := range p.tag {
+		if t.state == bufInflight {
+			delete(p.tag, m)
+		}
+	}
 }

@@ -305,6 +305,7 @@ func (c *Chip) ensureWorker(d topology.Direction) *asyncWorker {
 	wc.log = nil
 	wc.async = nil
 	wc.rowRing, wc.colRing = nil, nil
+	wc.scratch = c.mesh.laneOf(c.Rank, w.lane)
 	w.wchip = &wc
 	c.async.workers[d] = w
 	e.mu.Lock()

@@ -29,6 +29,9 @@ type Mesh struct {
 	ex    *exchanger
 	// pool recycles collective scratch buffers across calls (see AcquireBuf).
 	pool *bufPool
+	// scratch holds every chip's arena lanes, scratchLanes per rank (see
+	// Chip.Scratch).
+	scratch []scratchLane
 	// rec, when set, records every send/recv/span/buffer/fault event with
 	// Lamport clocks (see SetRecorder).
 	rec *recorder.Recorder
@@ -77,7 +80,7 @@ func (m *Mesh) Recorder() *recorder.Recorder { return m.rec }
 
 // New creates a mesh with the given torus shape.
 func New(t topology.Torus) *Mesh {
-	return &Mesh{Torus: t, ex: newExchanger(t), pool: newBufPool()}
+	return &Mesh{Torus: t, ex: newExchanger(t), pool: newBufPool(), scratch: make([]scratchLane, t.Size()*scratchLanes)}
 }
 
 // MaxStreamStarts bounds how many ring streams one chip may start without
@@ -114,6 +117,9 @@ type Chip struct {
 	// every view of the chip (WithRings copies the pointer, worker views
 	// drop it).
 	async *asyncState
+	// scratch is the arena lane of the goroutine this view runs on: lane
+	// 0 for the chip goroutine, its comm lane's for a worker view.
+	scratch *scratchLane
 }
 
 // WithRings returns a view of the chip whose row and column communicators
@@ -182,7 +188,7 @@ func (m *Mesh) runAll(fn func(c *Chip)) []any {
 			// samples to the chip they ran for (veScale-style per-rank
 			// debugging of eager SPMD code).
 			pprof.Do(context.Background(), pprof.Labels("chip", strconv.Itoa(rank)), func(context.Context) {
-				c := &Chip{Coord: m.Torus.Coord(rank), Rank: rank, mesh: m, async: &asyncState{}}
+				c := &Chip{Coord: m.Torus.Coord(rank), Rank: rank, mesh: m, async: &asyncState{}, scratch: m.laneOf(rank, 0)}
 				if m.rec != nil {
 					c.log = m.rec.Chip(rank)
 				}
@@ -212,6 +218,11 @@ func (m *Mesh) runAll(fn func(c *Chip)) []any {
 	wg.Wait()
 	m.ex.closeWorkers()
 	m.ex.reset()
+	m.pool.clearInflight()
+	// Every chip and comm lane has returned: reclaim the scratch they drew.
+	for i := range m.scratch {
+		m.scratch[i].drawn = 0
+	}
 	return panics
 }
 

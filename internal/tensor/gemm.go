@@ -141,8 +141,16 @@ func matMulAddRows(c, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// zeroFree reports whether x holds no exact zero (±0).
+// zeroFree reports whether x holds no exact zero (±0). With vectorKernels
+// the AVX scan (anyZero) tests every whole group of 4 values and this loop
+// the last len(x) mod 4.
 func zeroFree(x []float64) bool {
+	if n := len(x) &^ 3; vectorKernels && n > 0 {
+		if anyZero(&x[0], n) {
+			return false
+		}
+		x = x[n:]
+	}
 	for _, v := range x {
 		if v == 0 { // lint:float-exact the dense tiles may only take rows with no exact zero to skip
 			return false

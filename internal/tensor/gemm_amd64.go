@@ -22,6 +22,12 @@ func cpuid1() (ecx uint32)
 
 func xgetbv0() (eax uint32)
 
+// anyZero reports whether one of the n values from x is ±0 (NaN is not);
+// n must be a multiple of 4.
+//
+//go:noescape
+func anyZero(x *float64, n int) bool
+
 // tile4x8 adds to each of four rows of 8 C values, c[r][w] += a[r][k]·b[k*bs+w]
 // over k = 0 … kl-1 in ascending order, holding the tile in registers. The
 // C rows must hold 8 values, the A rows kl, and b kl rows of 8 values, bs

@@ -402,6 +402,54 @@ tstore:
 	VZEROUPPER
 	RET
 
+// func anyZero(x *float64, n int) bool
+//
+// Reports whether one of x[0] … x[n-1] is ±0, for n a multiple of 4.
+// VCMPPD with predicate EQ_OQ sets a lane to all ones exactly where the
+// value equals zero, which ±0 do and NaN does not. The loop ORs the masks
+// of 16 values and tests them once (VPTEST), leaving at the first group
+// that holds a zero; the last n mod 16 values go 4 at a time.
+TEXT ·anyZero(SB), NOSPLIT, $0-17
+	MOVQ   x+0(FP), SI
+	MOVQ   n+8(FP), CX
+	VXORPD Y15, Y15, Y15
+
+zloop16:
+	CMPQ    CX, $16
+	JLT     zloop4
+	VCMPPD  $0, 0(SI), Y15, Y0
+	VCMPPD  $0, 32(SI), Y15, Y1
+	VCMPPD  $0, 64(SI), Y15, Y2
+	VCMPPD  $0, 96(SI), Y15, Y3
+	VORPD   Y1, Y0, Y0
+	VORPD   Y3, Y2, Y2
+	VORPD   Y2, Y0, Y0
+	VPTEST  Y0, Y0
+	JNZ     zfound
+	ADDQ    $128, SI
+	SUBQ    $16, CX
+	JMP     zloop16
+
+zloop4:
+	TESTQ   CX, CX
+	JZ      znone
+	VCMPPD  $0, 0(SI), Y15, Y0
+	VPTEST  Y0, Y0
+	JNZ     zfound
+	ADDQ    $32, SI
+	SUBQ    $4, CX
+	JMP     zloop4
+
+znone:
+	MOVB $0, ret+16(FP)
+	VZEROUPPER
+	RET
+
+zfound:
+	MOVB $1, ret+16(FP)
+	VZEROUPPER
+	RET
+
 // func cpuid1() (ecx uint32)
 TEXT ·cpuid1(SB), NOSPLIT, $0-4
 	MOVL  $1, AX

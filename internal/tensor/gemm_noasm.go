@@ -5,6 +5,10 @@ package tensor
 // Off amd64 the Go kernels are the only path.
 var vectorKernels = false
 
+func anyZero(x *float64, n int) bool {
+	panic("tensor: anyZero is amd64 only") // lint:invariant unreachable: vectorKernels is false off amd64
+}
+
 func tile4x8(c, a *[4]*float64, b *float64, bs, kl int) {
 	panic("tensor: tile4x8 is amd64 only") // lint:invariant unreachable: vectorKernels is false off amd64
 }

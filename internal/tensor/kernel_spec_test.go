@@ -344,6 +344,104 @@ func TestZeroSkippingTilesAtEdges(t *testing.T) {
 			checkAgainstSpec(t, v, c, a, b, []int{m/2 + 1})
 		}
 	}
+	// NN splits its rows with zeroFree, whose AVX scan takes groups of 16
+	// values, then of 4, and leaves the last k mod 4 to Go. For every k
+	// block length 1…19, row p holds a single zero at k = p (+0 on even p,
+	// −0 on odd), so across the lengths a zero sits in every lane of a
+	// 16-value block, of a 4-value group and of the Go tail; row k holds
+	// NaN beside zeros; row k+1 is ±0 up to its tail and positive there;
+	// row k+2 is all +0. A is positive elsewhere and B's column 0 is +Inf,
+	// so a zero the scan misses sends its row to the dense tile, whose
+	// 0·Inf turns that element from +Inf (or C, where every k is skipped)
+	// to NaN.
+	for k := 1; k <= 19; k++ {
+		m, n := k+3, 2*vecW+3
+		for _, v := range kernelVariants {
+			aR, aC, bR, bC := v.shape(m, n, k)
+			a, b, c := Random(aR, aC, rng), Random(bR, bC, rng), Random(m, n, rng)
+			atA := func(i, kk int) *float64 {
+				if v.name == "TN" {
+					return &a.Row(kk)[i]
+				}
+				return &a.Row(i)[kk]
+			}
+			for i := range m {
+				for kk := range k {
+					*atA(i, kk) = math.Abs(*atA(i, kk)) + 0.5
+				}
+			}
+			for p := range k {
+				*atA(p, p) = []float64{0, negZero}[p%2]
+				*atA(k, p) = []float64{0, math.NaN(), negZero}[p%3]
+				if p < k&^3 {
+					*atA(k+1, p) = []float64{negZero, 0}[p%2]
+				}
+				*atA(k+2, p) = 0
+			}
+			for kk := range k {
+				if v.name == "NT" {
+					b.Set(0, kk, math.Inf(1))
+				} else {
+					b.Set(kk, 0, math.Inf(1))
+				}
+			}
+			checkAgainstSpec(t, v, c, a, b, []int{m / 2})
+		}
+	}
+}
+
+// TestZeroFreeFindsEveryZero holds zeroFree, on both kernel paths, to the
+// plain loop over x: one ±0 at every position of lengths 0…40 (every lane
+// of the AVX scan's 16-value blocks and 4-value groups, and every place in
+// the Go tail), ±0 beside NaN, NaN alone (not a zero) and all-zero slices.
+func TestZeroFreeFindsEveryZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	want := func(x []float64) bool {
+		for _, v := range x {
+			if v == 0 { // lint:float-exact the spec of zeroFree
+				return false
+			}
+		}
+		return true
+	}
+	var cases [][]float64
+	for n := 0; n <= 40; n++ {
+		plain := make([]float64, n)
+		for i := range plain {
+			plain[i] = 1 + float64(i)
+		}
+		cases = append(cases, plain)
+		nan := slices.Clone(plain)
+		for i := range nan {
+			nan[i] = math.NaN()
+		}
+		cases = append(cases, nan)
+		zeros := make([]float64, n)
+		cases = append(cases, zeros)
+		for p := range n {
+			for _, z := range []float64{0, negZero} {
+				x := slices.Clone(plain)
+				x[p] = z
+				cases = append(cases, x)
+				y := slices.Clone(nan)
+				y[p] = z
+				cases = append(cases, y)
+			}
+		}
+	}
+	for _, vec := range kernelPaths() {
+		onPath(vec, func() {
+			for _, x := range cases {
+				// Scan from an offset too, so the AVX loads are unaligned.
+				for _, off := range []int{0, 1} {
+					buf := append(make([]float64, off), x...)
+					if got := zeroFree(buf[off:]); got != want(x) {
+						t.Errorf("%s path: zeroFree(%v) = %v, want %v", pathName(vec), x, got, want(x))
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestNaNFromBKeepsItsBits holds every kernel path to the spec's exact
