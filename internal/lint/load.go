@@ -13,6 +13,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Module is the unit meshlint analyzes: every package under one go.mod,
@@ -102,15 +103,32 @@ func LoadModule(root string) (*Module, error) {
 // path path, resolving only standard-library imports. The returned Module
 // has path's parent as its module path, making the loaded package double as
 // the API root for root-sensitive analyzers — exactly what the golden-file
-// fixtures under testdata/ need.
+// fixtures under testdata/ need. Every call shares one file set and one
+// standard-library importer, so fixtures that import the same standard
+// packages type-check them once.
 func LoadPackage(dir, path string) (*Module, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
+	stdShared.Lock()
+	defer stdShared.Unlock()
+	if stdShared.fset == nil {
+		stdShared.fset = token.NewFileSet()
+		stdShared.std = importer.ForCompiler(stdShared.fset, "source", nil)
+	}
 	ld := newLoader(abs, path)
+	ld.fset, ld.std = stdShared.fset, stdShared.std
 	ld.dirs[path] = abs
 	return ld.check()
+}
+
+// stdShared is what LoadPackage calls share; the importer is not safe for
+// concurrent use, so a call holds the lock while it type-checks.
+var stdShared struct {
+	sync.Mutex
+	fset *token.FileSet
+	std  types.Importer
 }
 
 type loader struct {

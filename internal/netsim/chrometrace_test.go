@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -199,31 +200,55 @@ func TestChromeExportGoldenBytes(t *testing.T) {
 
 // TestChromeExportAllocationGate holds the Chrome export to "nothing is
 // allocated per event or per chip": the whole-cluster trace of an 8×8
-// MeshSlice program encodes into one presized buffer, so quadrupling the
-// slice count (4× the events) or the chip count leaves the allocation count
-// unchanged.
+// MeshSlice program encodes into the buffer the obs package holds between
+// exports, so quadrupling the slice count (4× the events) or the chip count
+// leaves the allocation count unchanged, and a warm export allocates at most
+// 32 KiB, the trace's float-text cache, where a fresh buffer would be half a
+// megabyte.
 func TestChromeExportAllocationGate(t *testing.T) {
-	measure := func(tor topology.Torus, S int) float64 {
+	measure := func(tor topology.Torus, S int) (allocs float64, warm uint64) {
 		prog := sched.MeshSliceProgram(scaleProb, tor, testHW, S)
 		r := Simulate(prog, testHW, Options{TraceAllChips: true})
 		var err error
-		allocs := testing.AllocsPerRun(5, func() { err = WriteClusterChromeTrace(io.Discard, r.Traces, prog.Label) })
+		export := func() { err = WriteClusterChromeTrace(io.Discard, r.Traces, prog.Label) }
+		allocs = testing.AllocsPerRun(5, export)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("S=%d: %d ops on %d chips, %.0f allocs per export", S, len(prog.Ops), tor.Size(), allocs)
-		return allocs
+		warm = warmBytes(export)
+		t.Logf("S=%d: %d ops on %d chips, %.0f allocs and %d bytes per warm export", S, len(prog.Ops), tor.Size(), allocs, warm)
+		return allocs, warm
 	}
-	s8, s32 := measure(topology.NewTorus(8, 8), 8), measure(topology.NewTorus(8, 8), 32)
-	if s8 > 16 {
-		t.Errorf("WriteClusterChromeTrace(8x8 MeshSlice, S=8) allocates %.0f objects, want <= 16", s8)
+	s8, s8Bytes := measure(topology.NewTorus(8, 8), 8)
+	s32, _ := measure(topology.NewTorus(8, 8), 32)
+	if s8 > 2 {
+		t.Errorf("WriteClusterChromeTrace(8x8 MeshSlice, S=8) allocates %.0f objects, want <= 2", s8)
+	}
+	if s8Bytes > 32<<10 {
+		t.Errorf("a warm WriteClusterChromeTrace(8x8 MeshSlice, S=8) allocates %d bytes, want <= 32 KiB (the held buffer is not reused)", s8Bytes)
 	}
 	if s32 != s8 {
 		t.Errorf("allocations go from %.0f at S=8 to %.0f at S=32, want equal (something allocates per event)", s8, s32)
 	}
-	if s4x4 := measure(topology.NewTorus(4, 4), 8); s4x4 != s8 {
+	if s4x4, _ := measure(topology.NewTorus(4, 4), 8); s4x4 != s8 {
 		t.Errorf("allocations go from %.0f on 4x4 to %.0f on 8x8, want equal (something allocates per chip)", s4x4, s8)
 	}
+}
+
+// warmBytes returns the fewest bytes one call of f allocates over five
+// calls, after a first that warms what f reuses.
+func warmBytes(f func()) uint64 {
+	f()
+	best := uint64(math.MaxUint64)
+	var ms runtime.MemStats
+	for range 5 {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		f()
+		runtime.ReadMemStats(&ms)
+		best = min(best, ms.TotalAlloc-before)
+	}
+	return best
 }
 
 // decodeChrome decodes a Chrome export into its events, each a map from

@@ -7,6 +7,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode/utf8"
 )
 
@@ -46,7 +47,48 @@ type ChromeFields struct {
 // NewChromeTrace returns an empty trace presized for events events of 160
 // bytes, more than a simulator event (two 17-digit floats, one arg) takes.
 func NewChromeTrace(events int) *ChromeTrace {
-	return &ChromeTrace{b: append(make([]byte, 0, events*160+2), '['), str: make([]byte, 0, 64), at: make([]chromeAt, 0, events), closed: true}
+	return &ChromeTrace{b: append(take(&held.b, events*160+2), '['), str: make([]byte, 0, 64), at: take(&held.at, events), closed: true}
+}
+
+// held is the buffer the package's two document writers, ChromeTrace and
+// snapshotJSON, build their bytes in, and ChromeTrace's event index, kept
+// between exports so that an export does not allocate and zero them
+// afresh. A writer takes them when it starts (a field is nil while a
+// writer holds it) and gives them back once its one Write has returned,
+// which io.Writer forbids to retain them. The package keeps the larger of
+// a slice given back and the one it holds, so one buffer, the largest
+// export's, stays live; a concurrent writer allocates its own. It is not
+// a sync.Pool because a pool drops what it holds over two garbage
+// collections, and a process that exports between simulations runs that
+// many between two exports.
+var held struct {
+	sync.Mutex
+	b  []byte
+	at []chromeAt
+}
+
+// take returns *p emptied, if it holds n elements, or else a new slice of
+// capacity n (a concurrent writer holds *p, or it is too small and is
+// dropped).
+func take[T any](p *[]T, n int) []T {
+	held.Lock()
+	s := *p
+	*p = nil
+	held.Unlock()
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// give hands s back to *p; the package keeps it if it is larger than the
+// slice it holds.
+func give[T any](p *[]T, s []T) {
+	held.Lock()
+	if cap(s) > cap(*p) {
+		*p = s
+	}
+	held.Unlock()
 }
 
 // Event opens an event with fields f; Str and Int then compose its name.
@@ -117,18 +159,23 @@ func (c *ChromeTrace) Replay(from, to, pid int) {
 // Encode ends the array and writes it to w in one Write call, as
 // json.Encoder.Encode would: the array, or null when there are no events,
 // then a newline. A NaN or infinite ts or dur makes it return an error and
-// write nothing. The trace takes no events after Encode.
+// write nothing. The trace takes no events after Encode, which gives its
+// buffers back to the package.
 func (c *ChromeTrace) Encode(w io.Writer) error {
-	if c.err != nil {
-		return c.err
-	}
 	if c.events == 0 {
 		c.b = append(c.b[:0], "null"...)
 	} else {
-		c.closeEvent()
+		c.closeEvent() // its ts and dur may be the non-finite ones
 		c.b = append(c.b, ']')
 	}
-	_, err := w.Write(append(c.b, '\n'))
+	err := c.err
+	if err == nil {
+		c.b = append(c.b, '\n')
+		_, err = w.Write(c.b)
+	}
+	give(&held.b, c.b)
+	give(&held.at, c.at)
+	c.b, c.at = nil, nil
 	return err
 }
 

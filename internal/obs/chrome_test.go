@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"sort"
@@ -142,120 +144,157 @@ type jsonMeta struct {
 	Args map[string]any `json:"args"`
 }
 
-// TestChromeTraceMatchesEncodingJSON writes seeded random traces — meta,
-// complete and instant/flow events, with and without ids, scopes and args,
-// half the timestamps repeats — through both the writer and json.Encoder,
-// and requires equal bytes, including null for an empty trace.
-func TestChromeTraceMatchesEncodingJSON(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	pick := func(opts ...string) string { return opts[rng.Intn(len(opts))] }
-	for trial := 0; trial < 500; trial++ {
-		var out []any
-		c := NewChromeTrace(rng.Intn(4))
-		for n := rng.Intn(8); n > 0; n-- {
-			name, pid, tid := randomJSONString(rng), rng.Intn(100), rng.Intn(5)
-			ts := rng.Float64() * math.Pow(10, float64(rng.Intn(12)-4))
-			if rng.Intn(2) == 0 { // a repeated value, copied from its earlier text
-				ts = []float64{0, 1.5, 5.2428799999999995, 1e-7}[rng.Intn(4)]
-			}
-			switch rng.Intn(3) {
-			case 0:
-				kind := pick("process_name", "thread_name")
-				out = append(out, jsonMeta{Name: kind, Ph: "M", PID: pid, TID: tid, Args: map[string]any{"name": name}})
-				c.Meta(kind, pid, tid).Str(name)
-				continue
-			case 1:
-				dur := rng.Float64()
-				c.Event(ChromeFields{Cat: "compute", Ph: "X", TS: ts, Dur: dur, PID: pid, TID: tid}).Str(name)
-				out = append(out, jsonEvent{Name: name, Cat: "compute", Ph: "X", TS: ts, Dur: &dur, PID: pid, TID: tid, Args: randomArgs(rng, c)})
-			default:
-				e := jsonEvent{Name: name, Cat: pick("span", "msg", "flow", ""), Ph: pick("B", "E", "i", "s", "f"), TS: ts, PID: pid, TID: tid,
-					ID: rng.Intn(3), BP: pick("", "e"), S: pick("", "t")}
-				c.Event(ChromeFields{Cat: e.Cat, Ph: e.Ph, TS: e.TS, Dur: rng.Float64(), PID: pid, TID: tid, ID: e.ID, BP: e.BP, S: e.S}).Str(name)
-				e.Args = randomArgs(rng, c)
-				out = append(out, e)
-			}
-		}
-		var want, got bytes.Buffer
-		if err := json.NewEncoder(&want).Encode(out); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Encode(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("trial %d:\n got %s\nwant %s", trial, got.Bytes(), want.Bytes())
-		}
+// chromeCase is a random trace: the calls that write it into a trace
+// presized for events, and the bytes json.Encoder prints for the same
+// events.
+type chromeCase struct {
+	events int
+	calls  []func(*ChromeTrace)
+	want   []byte
+}
+
+// encode writes the case into a new trace and encodes it to w.
+func (k *chromeCase) encode(w io.Writer) error {
+	c := NewChromeTrace(k.events)
+	for _, call := range k.calls {
+		call(c)
+	}
+	return c.Encode(w)
+}
+
+// check requires the case's trace to encode to the encoder's bytes.
+func (k *chromeCase) check(t *testing.T, what string) {
+	t.Helper()
+	var got bytes.Buffer
+	if err := k.encode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), k.want) {
+		t.Fatalf("%s:\n got %s\nwant %s", what, got.Bytes(), k.want)
 	}
 }
 
-// randomArgs gives the open event zero to three args, in sorted key order
-// with values composed of string and int pieces, and returns them as the
-// map encoding/json would have been given (nil when there are none).
-func randomArgs(rng *rand.Rand, c *ChromeTrace) map[string]string {
+// finish encodes the case's events with json.Encoder.
+func (k *chromeCase) finish(t testing.TB, out []any) *chromeCase {
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(out); err != nil {
+		t.Fatal(err)
+	}
+	k.want = want.Bytes()
+	return k
+}
+
+// randomTrace draws meta, complete and instant/flow events, with and
+// without ids, scopes and args, half the timestamps repeats.
+func randomTrace(t testing.TB, rng *rand.Rand) *chromeCase {
+	pick := func(opts ...string) string { return opts[rng.Intn(len(opts))] }
+	k := &chromeCase{events: rng.Intn(4)}
+	var out []any
+	for n := rng.Intn(8); n > 0; n-- {
+		name, pid, tid := randomJSONString(rng), rng.Intn(100), rng.Intn(5)
+		ts := rng.Float64() * math.Pow(10, float64(rng.Intn(12)-4))
+		if rng.Intn(2) == 0 { // a repeated value, copied from its earlier text
+			ts = []float64{0, 1.5, 5.2428799999999995, 1e-7}[rng.Intn(4)]
+		}
+		switch rng.Intn(3) {
+		case 0:
+			kind := pick("process_name", "thread_name")
+			out = append(out, jsonMeta{Name: kind, Ph: "M", PID: pid, TID: tid, Args: map[string]any{"name": name}})
+			k.calls = append(k.calls, func(c *ChromeTrace) { c.Meta(kind, pid, tid).Str(name) })
+			continue
+		case 1:
+			dur := rng.Float64()
+			k.calls = append(k.calls, func(c *ChromeTrace) {
+				c.Event(ChromeFields{Cat: "compute", Ph: "X", TS: ts, Dur: dur, PID: pid, TID: tid}).Str(name)
+			})
+			out = append(out, jsonEvent{Name: name, Cat: "compute", Ph: "X", TS: ts, Dur: &dur, PID: pid, TID: tid, Args: randomArgs(rng, k)})
+		default:
+			e := jsonEvent{Name: name, Cat: pick("span", "msg", "flow", ""), Ph: pick("B", "E", "i", "s", "f"), TS: ts, PID: pid, TID: tid,
+				ID: rng.Intn(3), BP: pick("", "e"), S: pick("", "t")}
+			f := ChromeFields{Cat: e.Cat, Ph: e.Ph, TS: e.TS, Dur: rng.Float64(), PID: pid, TID: tid, ID: e.ID, BP: e.BP, S: e.S}
+			k.calls = append(k.calls, func(c *ChromeTrace) { c.Event(f).Str(name) })
+			e.Args = randomArgs(rng, k)
+			out = append(out, e)
+		}
+	}
+	return k.finish(t, out)
+}
+
+// TestChromeTraceMatchesEncodingJSON writes seeded random traces through
+// both the writer and json.Encoder, and requires equal bytes, including
+// null for an empty trace.
+func TestChromeTraceMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		randomTrace(t, rng).check(t, fmt.Sprintf("trial %d", trial))
+	}
+}
+
+// randomArgs gives the case's open event zero to three args, in sorted key
+// order with values composed of string and int pieces, and returns them as
+// the map encoding/json would have been given (nil when there are none).
+func randomArgs(rng *rand.Rand, k *chromeCase) map[string]string {
 	keys := []string{"chip", "dir", "from", "kind", "shape", "step", "to", "<k>"}
 	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 	keys = keys[:rng.Intn(4)]
 	sort.Strings(keys)
 	var args map[string]string
-	for _, k := range keys {
+	for _, key := range keys {
 		s, n := randomJSONString(rng), rng.Intn(2000)-1000
-		c.Arg(k).Str(s).Int(n)
+		k.calls = append(k.calls, func(c *ChromeTrace) { c.Arg(key).Str(s).Int(n) })
 		if args == nil {
 			args = map[string]string{}
 		}
-		args[k] = s + strconv.Itoa(n)
+		args[key] = s + strconv.Itoa(n)
 	}
 	return args
 }
 
-// TestChromeReplayMatchesEncodingJSON interleaves random events with
-// replays of random earlier ranges — the last event included, a range
-// starting at the first event, empty ranges, pids of other digit counts —
-// and requires the bytes json.Encoder gives for the same events with the
-// replayed ones' pid changed.
+// randomReplayTrace interleaves random events with replays of random
+// earlier ranges — the last event included, a range starting at the first
+// event, empty ranges, pids of other digit counts — and gives json.Encoder
+// the same events with the replayed ones' pid changed.
+func randomReplayTrace(t testing.TB, rng *rand.Rand) *chromeCase {
+	k := &chromeCase{events: rng.Intn(4)}
+	var out []any
+	for step := rng.Intn(12); step > 0; step-- {
+		if n := len(out); n > 0 && rng.Intn(3) == 0 {
+			from := rng.Intn(n + 1)
+			to := from + rng.Intn(n-from+1)
+			pid := []int{0, 7, 10, 123456, -3}[rng.Intn(5)]
+			k.calls = append(k.calls, func(c *ChromeTrace) { c.Replay(from, to, pid) })
+			for _, e := range out[from:to] {
+				switch e := e.(type) {
+				case jsonEvent:
+					e.PID = pid
+					out = append(out, e)
+				case jsonMeta:
+					e.PID = pid
+					out = append(out, e)
+				}
+			}
+			continue
+		}
+		name, pid, tid := randomJSONString(rng), rng.Intn(100), rng.Intn(5)
+		if rng.Intn(3) == 0 {
+			out = append(out, jsonMeta{Name: "thread_name", Ph: "M", PID: pid, TID: tid, Args: map[string]any{"name": name}})
+			k.calls = append(k.calls, func(c *ChromeTrace) { c.Meta("thread_name", pid, tid).Str(name) })
+			continue
+		}
+		ts, dur := rng.Float64(), rng.Float64()
+		k.calls = append(k.calls, func(c *ChromeTrace) {
+			c.Event(ChromeFields{Cat: "comm", Ph: "X", TS: ts, Dur: dur, PID: pid, TID: tid}).Str(name)
+		})
+		out = append(out, jsonEvent{Name: name, Cat: "comm", Ph: "X", TS: ts, Dur: &dur, PID: pid, TID: tid, Args: randomArgs(rng, k)})
+	}
+	return k.finish(t, out)
+}
+
+// TestChromeReplayMatchesEncodingJSON requires random traces with replays
+// to encode to json.Encoder's bytes.
 func TestChromeReplayMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 500; trial++ {
-		var out []any
-		c := NewChromeTrace(rng.Intn(4))
-		for step := rng.Intn(12); step > 0; step-- {
-			if n := c.Events(); n > 0 && rng.Intn(3) == 0 {
-				from := rng.Intn(n + 1)
-				to := from + rng.Intn(n-from+1)
-				pid := []int{0, 7, 10, 123456, -3}[rng.Intn(5)]
-				c.Replay(from, to, pid)
-				for _, e := range out[from:to] {
-					switch e := e.(type) {
-					case jsonEvent:
-						e.PID = pid
-						out = append(out, e)
-					case jsonMeta:
-						e.PID = pid
-						out = append(out, e)
-					}
-				}
-				continue
-			}
-			name, pid, tid := randomJSONString(rng), rng.Intn(100), rng.Intn(5)
-			if rng.Intn(3) == 0 {
-				out = append(out, jsonMeta{Name: "thread_name", Ph: "M", PID: pid, TID: tid, Args: map[string]any{"name": name}})
-				c.Meta("thread_name", pid, tid).Str(name)
-				continue
-			}
-			ts, dur := rng.Float64(), rng.Float64()
-			c.Event(ChromeFields{Cat: "comm", Ph: "X", TS: ts, Dur: dur, PID: pid, TID: tid}).Str(name)
-			out = append(out, jsonEvent{Name: name, Cat: "comm", Ph: "X", TS: ts, Dur: &dur, PID: pid, TID: tid, Args: randomArgs(rng, c)})
-		}
-		var want, got bytes.Buffer
-		if err := json.NewEncoder(&want).Encode(out); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Encode(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("trial %d:\n got %s\nwant %s", trial, got.Bytes(), want.Bytes())
-		}
+		randomReplayTrace(t, rng).check(t, fmt.Sprintf("trial %d", trial))
 	}
 }

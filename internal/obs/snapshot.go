@@ -168,9 +168,10 @@ type snapshotJSON struct {
 	err   error
 }
 
-// start presizes the buffer, so a write allocates a fixed number of objects.
+// start takes the package's held buffer, or presizes a new one, so a write
+// allocates a fixed number of objects.
 func (j *snapshotJSON) start(size int) {
-	j.b = make([]byte, 0, size+16)
+	j.b = take(&held.b, size+16)
 	j.open('{')
 }
 
@@ -291,12 +292,15 @@ func (j *snapshotJSON) series(name string, labels []Label, x, y []float64) {
 	j.end('}')
 }
 
-// flush closes the snapshot and writes it, or nothing after a NaN or ±Inf.
+// flush closes the snapshot and writes it, or nothing after a NaN or ±Inf,
+// then gives the buffer back to the package.
 func (j *snapshotJSON) flush(w io.Writer) error {
-	if j.err != nil {
-		return j.err
+	err := j.err
+	if err == nil {
+		j.end('}')
+		j.b = append(j.b, '\n')
+		_, err = w.Write(j.b)
 	}
-	j.end('}')
-	_, err := w.Write(append(j.b, '\n'))
+	give(&held.b, j.b)
 	return err
 }

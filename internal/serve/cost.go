@@ -114,18 +114,25 @@ func newCostModel(b priceBasis, t topology.Torus, sliceCount int) costModel {
 }
 
 // fcGeMM prices one m×n×k FC GeMM with slice count S in each of the three
-// dataflows — OS, LS, RS — on the direction-aware fabric, and returns the
-// cheapest, mirroring the autotuner's per-GeMM dataflow choice. Each is
-// composed like costmodel.Estimate: prologue, S−1 overlapped steady-state
-// iterations, epilogue. It does not call Estimate.Total, which adds the
-// epilogue's compute and tail before the prologue and steady state: that
-// rounds differently, and serving reports are pinned to this order.
+// dataflows (fcDataflows) and returns the cheapest, mirroring the
+// autotuner's per-GeMM dataflow choice.
 //
 // lint:hotpath priced per FC layer per scheduler step; must not allocate
 func (cm *costModel) fcGeMM(m, k, n float64, S int) float64 {
+	ts := cm.fcDataflows(m, k, n, S)
+	return min(ts[0], ts[1], ts[2])
+}
+
+// fcDataflows prices one m×n×k FC GeMM with slice count S in each of the
+// three dataflows — OS, LS, RS, indexed by gemm.Dataflow — on the
+// direction-aware fabric. Each is composed like costmodel.Estimate:
+// prologue, S−1 overlapped steady-state iterations, epilogue. It does not
+// call Estimate.Total, which adds the epilogue's compute and tail before
+// the prologue and steady state: that rounds differently, and serving
+// reports are pinned to this order.
+func (cm *costModel) fcDataflows(m, k, n float64, S int) (ts [3]float64) {
 	its := cm.fab.Iterations(m, n, k, cm.mesh, S)
 	fS := float64(S)
-	best := 0.0
 	for df := range its {
 		it := &its[df]
 		steady := it.Compute
@@ -135,11 +142,9 @@ func (cm *costModel) fcGeMM(m, k, n float64, S int) float64 {
 		if it.Comm2 > steady {
 			steady = it.Comm2
 		}
-		if t := it.First + (fS-1)*steady + it.Compute + it.Tail; df == 0 || t < best {
-			best = t
-		}
+		ts[df] = it.First + (fS-1)*steady + it.Compute + it.Tail
 	}
-	return best
+	return ts
 }
 
 // fcStack prices the four FC GeMMs of every transformer layer for one step
