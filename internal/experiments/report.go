@@ -1,14 +1,17 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5) from the simulator, the cost models, and the autotuner.
 // Each experiment returns Tables — printable row/column data mirroring what
-// the paper plots — so `cmd/experiments` can render them and EXPERIMENTS.md
-// can record paper-vs-measured values.
+// the paper plots — so `cmd/experiments` can render them. An experiment the
+// paper quantifies also returns its Claims, the paper's numbers beside ours,
+// as one more table; EXPERIMENTS.md holds the markdown rendering of all of
+// them.
 package experiments
 
 import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 )
 
@@ -19,6 +22,57 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
+	Claims []Claim // the records a claim table's rows render, for tests
+}
+
+// Claim is one number the paper reports beside this repository's value for
+// the same quantity, both in Unit. Ours is the float that fills the
+// experiment's row, NaN when that run failed. Tolerance is the largest
+// |Ours − Paper| the fidelity test accepts; +Inf marks a pair that measures
+// different things and so has no gate.
+type Claim struct {
+	What      string
+	Paper     float64
+	Ours      float64
+	Unit      string // "%", "x", "GB", "MB", or "" for a count
+	Tolerance float64
+}
+
+// digits is the precision the claim's unit prints at.
+func (c Claim) digits() int {
+	switch c.Unit {
+	case "GB":
+		return 2
+	case "MB", "":
+		return 0
+	}
+	return 1
+}
+
+// format prints v with verb (which takes the precision first), then the unit.
+func (c Claim) format(verb string, v float64) string {
+	return fmt.Sprintf(verb, c.digits(), v) + c.Unit
+}
+
+// claimTable renders an experiment's claims as an ordinary table.
+func claimTable(id string, claims ...Claim) *Table {
+	t := &Table{
+		ID:     id,
+		Title:  "Paper vs ours",
+		Header: []string{"claim", "paper", "ours", "Δ", "tolerance"},
+		Claims: claims,
+	}
+	for _, c := range claims {
+		ours, delta, tol := "n/a", "n/a", "not comparable"
+		if !math.IsNaN(c.Ours) {
+			ours, delta = c.format("%.*f", c.Ours), c.format("%+.*f", c.Ours-c.Paper)
+		}
+		if !math.IsInf(c.Tolerance, 1) {
+			tol = c.format("%.*f", c.Tolerance)
+		}
+		t.AddRow(c.What, c.format("%.*f", c.Paper), ours, delta, tol)
+	}
+	return t
 }
 
 // AddRow appends a formatted row.
@@ -102,8 +156,13 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// pct formats a ratio as a percentage.
-func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
+// pct formats a ratio as a percentage, "n/a" for the NaN of a failed run.
+func pct(v float64) string {
+	if math.IsNaN(v) {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.1f%%", 100*v)
+}
 
 // ms formats seconds as milliseconds.
 func ms(v float64) string { return fmt.Sprintf("%.3fms", 1e3*v) }
@@ -116,7 +175,10 @@ func gb(v float64) string {
 	return fmt.Sprintf("%.0fMB", v/1e6)
 }
 
-// speedup formats a ratio as "+12.0%".
+// speedup formats gain(base, improved) as "+12.0%".
 func speedup(base, improved float64) string {
-	return fmt.Sprintf("%+.1f%%", 100*(base/improved-1))
+	return fmt.Sprintf("%+.1f%%", gain(base, improved))
 }
+
+// gain is how much larger x is than y, in percent.
+func gain(x, y float64) float64 { return 100 * (x/y - 1) }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"meshslice/internal/hw"
 	"meshslice/internal/model"
@@ -22,23 +23,41 @@ func Fig9(chip hw.Chip, quick bool) []*Table {
 		chipCounts = []int{16}
 	}
 	var tables []*Table
-	for _, cfg := range []model.Config{model.GPT3(), model.MegatronNLG()} {
+	var overWang, lost [2]float64 // per model, in percent
+	for i, cfg := range []model.Config{model.GPT3(), model.MegatronNLG()} {
 		t := &Table{
 			ID:     "fig9",
 			Title:  fmt.Sprintf("Weak-scaling FC FLOP utilisation — %s", cfg.Name),
 			Header: append([]string{"algorithm"}, chipLabels(chipCounts)...),
 		}
+		var msUtil, wangUtil []float64
 		for _, algo := range train.Algos {
 			row := []string{algo.String()}
-			for _, chips := range chipCounts {
-				row = append(row, utilizationCell(cfg, cfg.WeakScalingTokens(chips), chips, chip, algo))
+			utils := make([]float64, len(chipCounts))
+			for j, chips := range chipCounts {
+				utils[j] = fcUtilization(cfg, cfg.WeakScalingTokens(chips), chips, chip, algo)
+				row = append(row, pct(utils[j]))
 			}
 			t.AddRow(row...)
+			switch algo {
+			case train.MeshSliceAlgo:
+				msUtil = utils
+			case train.WangAlgo:
+				wangUtil = utils
+			}
 		}
-		t.Notes = append(t.Notes,
-			"paper: MeshSlice fastest everywhere; 13.8% (GPT-3) and 26.0% (Megatron) over Wang at 256 chips",
-		)
+		last := len(chipCounts) - 1
+		overWang[i] = gain(msUtil[last], wangUtil[last])
+		lost[i] = 100 * (1 - msUtil[last]/msUtil[0])
 		tables = append(tables, t)
+	}
+	if !quick {
+		tables = append(tables, claimTable("fig9",
+			Claim{"GPT-3: MeshSlice over Wang, 256 chips", 13.8, overWang[0], "%", 31.2},
+			Claim{"Megatron-NLG: MeshSlice over Wang, 256 chips", 26.0, overWang[1], "%", 16.9},
+			Claim{"GPT-3: MeshSlice utilisation lost from 16 to 256 chips (relative)", 16.8, lost[0], "%", 4.1},
+			Claim{"Megatron-NLG: MeshSlice utilisation lost from 16 to 256 chips (relative)", 5.8, lost[1], "%", 1.4},
+		))
 	}
 	return tables
 }
@@ -64,7 +83,7 @@ func Fig12(chip hw.Chip, quick bool) []*Table {
 			}
 			row := []string{algo.String()}
 			for _, chips := range chipCounts {
-				row = append(row, utilizationCell(cfg, cfg.StrongScalingTokens(), chips, chip, algo))
+				row = append(row, pct(fcUtilization(cfg, cfg.StrongScalingTokens(), chips, chip, algo)))
 			}
 			t.AddRow(row...)
 		}
@@ -123,6 +142,10 @@ func Fig11(chip hw.Chip, quick bool) []*Table {
 		chips = 16
 	}
 	var tables []*Table
+	// Sums of the per-GeMM speedups over both models' GeMMs, in percent,
+	// and how many GeMMs MeshSlice runs fastest.
+	var overColl, overWang float64
+	var gemms, fastest int
 	for _, cfg := range []model.Config{model.GPT3(), model.MegatronNLG()} {
 		t := &Table{
 			ID:     "fig11",
@@ -136,20 +159,42 @@ func Fig11(chip hw.Chip, quick bool) []*Table {
 		for _, g := range cfg.DistinctGeMMs(tokens) {
 			row := []string{fmt.Sprintf("%s (%d,%d,%d)", g.Name(), g.M, g.N, g.K)}
 			prob := problemFor(g)
+			var meshSlice, coll, wang, rival float64 // rival: the best other algorithm
 			for _, algo := range train.TwoDAlgos {
-				r, err := train.EvaluateGeMM(prob, chips, chip, algo, train.Options{})
-				if err != nil {
-					row = append(row, "n/a")
-					continue
+				u := math.NaN()
+				if r, err := train.EvaluateGeMM(prob, chips, chip, algo, train.Options{}); err == nil {
+					u = r.Utilization(chip)
 				}
-				row = append(row, pct(r.Utilization(chip)))
+				row = append(row, pct(u))
+				switch algo {
+				case train.MeshSliceAlgo:
+					meshSlice = u
+				case train.CollectiveAlgo:
+					coll = u
+				case train.WangAlgo:
+					wang = u
+				}
+				if algo != train.MeshSliceAlgo {
+					rival = math.Max(rival, u)
+				}
 			}
 			t.AddRow(row...)
+			gemms++
+			if meshSlice > rival {
+				fastest++
+			}
+			overColl += gain(meshSlice, coll)
+			overWang += gain(meshSlice, wang)
 		}
-		t.Notes = append(t.Notes,
-			"paper: MeshSlice consistently fastest across all 16 GeMMs; on average 27.8% over Collective and 19.1% over Wang",
-		)
 		tables = append(tables, t)
+	}
+	if !quick {
+		n := float64(gemms)
+		tables = append(tables, claimTable("fig11",
+			Claim{"MeshSlice over Collective, arithmetic mean of the 16 per-GeMM speedups", 27.8, overColl / n, "%", 61.2},
+			Claim{"MeshSlice over Wang, arithmetic mean of the 16 per-GeMM speedups", 19.1, overWang / n, "%", 18.4},
+			Claim{"GeMMs (of 16) where MeshSlice is fastest", 16, float64(fastest), "", 0},
+		))
 	}
 	return tables
 }
@@ -166,20 +211,33 @@ func Table2(chip hw.Chip, quick bool) []*Table {
 		Title:  fmt.Sprintf("MeshSlice dataflow optimisation, %d chips", chips),
 		Header: []string{"LLM", "not optimized", "optimized", "speedup"},
 	}
-	for _, cfg := range []model.Config{model.GPT3(), model.MegatronNLG()} {
+	nan := math.NaN()
+	var before, after, gains [2]float64 // per model: utilisations and speedup, in percent
+	for i, cfg := range []model.Config{model.GPT3(), model.MegatronNLG()} {
 		tokens := cfg.WeakScalingTokens(chips)
 		def, err1 := train.EvaluateFC(cfg, tokens, chips, chip, train.MeshSliceAlgo,
 			train.Options{OptimizeDataflow: false})
 		opt, err2 := train.EvaluateFC(cfg, tokens, chips, chip, train.MeshSliceAlgo,
 			train.Options{OptimizeDataflow: true})
 		if err1 != nil || err2 != nil {
+			before[i], after[i], gains[i] = nan, nan, nan
 			t.AddRow(cfg.Name, "n/a", "n/a", "n/a")
 			continue
 		}
+		before[i], after[i], gains[i] = 100*def.Utilization(chip), 100*opt.Utilization(chip), gain(def.Time, opt.Time)
 		t.AddRow(cfg.Name, pct(def.Utilization(chip)), pct(opt.Utilization(chip)), speedup(def.Time, opt.Time))
 	}
-	t.Notes = append(t.Notes, "paper: 55.6%→67.4% (+21.2%) for GPT-3; 78.2%→82.2% (+5.1%) for Megatron")
-	return []*Table{t}
+	if quick {
+		return []*Table{t}
+	}
+	return []*Table{t, claimTable("table2",
+		Claim{"GPT-3: not optimized", 55.6, before[0], "%", 1.3},
+		Claim{"GPT-3: optimized", 67.4, after[0], "%", 5.6},
+		Claim{"GPT-3: speedup", 21.2, gains[0], "%", 7.2},
+		Claim{"Megatron-NLG: not optimized", 78.2, before[1], "%", 11.0},
+		Claim{"Megatron-NLG: optimized", 82.2, after[1], "%", 1.0},
+		Claim{"Megatron-NLG: speedup", 5.1, gains[1], "%", 18.7},
+	)}
 }
 
 // EndToEnd reports the headline end-to-end numbers of the abstract:
@@ -194,28 +252,38 @@ func EndToEnd(chip hw.Chip, quick bool) []*Table {
 		Title:  fmt.Sprintf("End-to-end training step, %d chips (FC simulated + non-FC roofline)", chips),
 		Header: []string{"LLM", "MeshSlice step", "Wang step", "speedup"},
 	}
-	for _, cfg := range []model.Config{model.GPT3(), model.MegatronNLG()} {
+	var gains [2]float64 // per model, in percent
+	for i, cfg := range []model.Config{model.GPT3(), model.MegatronNLG()} {
 		tokens := cfg.WeakScalingTokens(chips)
 		msRes, err1 := train.EvaluateFC(cfg, tokens, chips, chip, train.MeshSliceAlgo, train.Options{OptimizeDataflow: true})
 		wangRes, err2 := train.EvaluateFC(cfg, tokens, chips, chip, train.WangAlgo, train.Options{OptimizeDataflow: true})
 		if err1 != nil || err2 != nil {
+			gains[i] = math.NaN()
 			t.AddRow(cfg.Name, "n/a", "n/a", "n/a")
 			continue
 		}
 		msStep := train.EstimateStep(cfg, tokens, chips, chip, msRes)
 		wangStep := train.EstimateStep(cfg, tokens, chips, chip, wangRes)
+		gains[i] = gain(wangStep.Total, msStep.Total)
 		t.AddRow(cfg.Name, ms(msStep.Total), ms(wangStep.Total), speedup(wangStep.Total, msStep.Total))
 	}
-	t.Notes = append(t.Notes, "paper: 12.0% (GPT-3) and 23.4% (Megatron) end-to-end over Wang at 256 chips")
-	return []*Table{t}
+	if quick {
+		return []*Table{t}
+	}
+	return []*Table{t, claimTable("endtoend",
+		Claim{"GPT-3: MeshSlice over Wang, end to end", 12.0, gains[0], "%", 31.4},
+		Claim{"Megatron-NLG: MeshSlice over Wang, end to end", 23.4, gains[1], "%", 18.5},
+	)}
 }
 
-func utilizationCell(cfg model.Config, tokens, chips int, chip hw.Chip, algo train.Algo) string {
+// fcUtilization is an algorithm's FC utilisation with the dataflow
+// optimised, NaN when it cannot run.
+func fcUtilization(cfg model.Config, tokens, chips int, chip hw.Chip, algo train.Algo) float64 {
 	r, err := train.EvaluateFC(cfg, tokens, chips, chip, algo, train.Options{OptimizeDataflow: true})
 	if err != nil {
-		return "n/a"
+		return math.NaN()
 	}
-	return pct(r.Utilization(chip))
+	return r.Utilization(chip)
 }
 
 func chipLabels(counts []int) []string {
