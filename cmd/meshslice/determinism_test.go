@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -140,10 +141,12 @@ func TestCanonicalOutputsDeterministic(t *testing.T) {
 }
 
 // TestBadFlagsExitTwoWithoutPanic pins flag values that used to reach a
-// lint:invariant panic in the library: each must die with exit status 2 and
-// a one-line message, never a goroutine trace.
+// lint:invariant panic in the library, or ran with a value the header did
+// not print: each must die with exit status 2 and a one-line message, never
+// a goroutine trace. Every float flag of every subcommand gets NaN, +Inf
+// and −Inf (nonFiniteFloatRows); the hand-written rows add the rest.
 func TestBadFlagsExitTwoWithoutPanic(t *testing.T) {
-	for _, args := range []string{
+	for _, args := range append(nonFiniteFloatRows(t),
 		"timeline -s 0",
 		"timeline -s -3",
 		"timeline -rows 0",
@@ -152,19 +155,10 @@ func TestBadFlagsExitTwoWithoutPanic(t *testing.T) {
 		"stats -cols 0",
 		"stats -s -1",
 		"faults -factor 0",
-		"faults -factor NaN",
-		"faults -factor +Inf",
 		"faults -scenario stragglers -factor 0.5",
 		"serve -faults col-degrade -factor 0",
 		"serve -faults col-degrade -factor NaN",
-		"serve -rate NaN",
 		"serve -rate Inf",
-		"serve -rate -Inf",
-		"serve -hbm-gb NaN",
-		"serve -hbm-gb +Inf",
-		"serve -slo NaN",
-		"serve -slo -Inf",
-		"serve -slo-token NaN",
 		"serve -slo-token Inf",
 		"serve -requests -5",
 		"serve -requests 0",
@@ -183,8 +177,6 @@ func TestBadFlagsExitTwoWithoutPanic(t *testing.T) {
 		"serve -rows 4 -cols 4 -slices -2",
 		"serve -rows 4 -cols 4 -max-batch -1",
 		"serve -rows 4 -cols 4 -chunk -7",
-		"sim -fabric NaN",
-		"sim -fabric +Inf",
 		"sim -fabric -2",
 		"gemm -dataflow xs",
 		"verify -dataflow xs",
@@ -203,7 +195,9 @@ func TestBadFlagsExitTwoWithoutPanic(t *testing.T) {
 		"ckpt -steps 0",
 		"ckpt -steps -3",
 		"ckpt -every -1",
-	} {
+		"plan -hbm 0",
+		"plan -hbm -1",
+	) {
 		t.Run(args, func(t *testing.T) {
 			t.Parallel()
 			stderr, exit := runCLI(t, "", strings.Fields(args)...)
@@ -216,6 +210,35 @@ func TestBadFlagsExitTwoWithoutPanic(t *testing.T) {
 			}
 		})
 	}
+}
+
+// nonFiniteFloatRows returns "sub -flag v" for every float flag of every
+// subcommand and v in NaN, +Inf and −Inf, read off the binary itself: the
+// subcommands from its usage line, each one's flags from its -h listing,
+// where a float flag prints as "-name float". A new float flag is swept
+// without a row written by hand.
+func nonFiniteFloatRows(t *testing.T) []string {
+	t.Helper()
+	usage, _ := runCLI(t, "")
+	open, end := strings.Index(usage, "{"), strings.Index(usage, "}")
+	if open < 0 || end < open {
+		t.Fatalf("no {sub|…} list in the usage line: %q", usage)
+	}
+	var rows []string
+	for _, sub := range strings.Split(usage[open+1:end], "|") {
+		help, _ := runCLI(t, "", sub, "-h")
+		for _, line := range strings.Split(help, "\n") {
+			if f := strings.Fields(line); len(f) == 2 && strings.HasPrefix(f[0], "-") && f[1] == "float" {
+				for _, v := range []string{"NaN", "+Inf", "-Inf"} {
+					rows = append(rows, sub+" "+f[0]+" "+v)
+				}
+			}
+		}
+	}
+	if !slices.Contains(rows, "plan -hbm NaN") {
+		t.Fatalf("the -h listings gave no row for plan -hbm: %q", rows)
+	}
+	return rows
 }
 
 // TestBadModelFileNamesTheDecodeError: a -model file that exists but does

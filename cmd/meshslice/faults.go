@@ -87,10 +87,18 @@ func cmdFaults(args []string) {
 	}
 }
 
+// checkFactor rejects a -factor that is not a finite factor >= 1.
+func checkFactor(factor float64) error {
+	if math.IsNaN(factor) || math.IsInf(factor, 0) || factor < 1 {
+		return fmt.Errorf("bad -factor %g: want a finite factor >= 1 (a smaller factor would speed the fabric up)", factor)
+	}
+	return nil
+}
+
 // faultScenario builds the named deterministic fault plan.
 func faultScenario(name string, chips int, seed int64, factor float64) (*fault.Plan, error) {
-	if math.IsNaN(factor) || math.IsInf(factor, 0) || factor < 1 {
-		return nil, fmt.Errorf("bad -factor %g: want a finite factor >= 1 (a smaller factor would speed the fabric up)", factor)
+	if err := checkFactor(factor); err != nil {
+		return nil, err
 	}
 	switch name {
 	case "col-degrade":

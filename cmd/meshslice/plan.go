@@ -3,6 +3,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
+	"os"
 
 	"meshslice/internal/cluster"
 	"meshslice/internal/hw"
@@ -20,6 +22,13 @@ func cmdPlan(args []string) {
 	top := fs.Int("top", 10, "plans to print")
 	hbmGiB := fs.Float64("hbm", 32, "per-chip HBM capacity in GiB")
 	fs.Parse(args)
+	// cluster.Options reads a capacity <= 0 as its 32 GiB default, and NaN
+	// fits no plan: either way the run would not be the one the header
+	// prints.
+	if !(*hbmGiB > 0) || math.IsInf(*hbmGiB, 0) {
+		fmt.Fprintf(os.Stderr, "bad -hbm %g: want a positive finite number\n", *hbmGiB)
+		os.Exit(2)
+	}
 
 	cfg := modelByName(*modelName)
 	chip := hw.TPUv4()

@@ -67,6 +67,12 @@ func cmdServe(args []string) {
 			os.Exit(2)
 		}
 	}
+	// -factor is checked without -faults too: a bad value is a bad flag
+	// whether or not a scenario reads it.
+	if err := checkFactor(*factor); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if (*rows > 0) != (*cols > 0) {
 		fmt.Fprintf(os.Stderr, "bad -rows %d -cols %d: set both to fix the mesh, or neither to autotune\n", *rows, *cols)
 		os.Exit(2)

@@ -65,7 +65,8 @@ func FuzzSlicedGeMMIdentity(f *testing.F) {
 // bytes become a shape (m, n ≤ 40, k ≤ 300), a row-strip split and operand
 // values that include ±0, ±Inf and NaN, and every GeMM variant — public
 // kernel and row kernel on the strips, on every kernel path — must match
-// its spec loop bit for bit, NaN matched as NaN.
+// its spec loop bit for bit, NaN matched as NaN. Each kernel path runs in a
+// subtest named after it.
 //
 // Layout: data[0..3] give m, n and k (two bytes); data[4] marks which rows
 // (i mod 8) of the reduced operand hold no exact zero, so the NN
@@ -76,6 +77,12 @@ func FuzzMatMulKernels(f *testing.F) {
 	f.Add([]byte{7, 5, 0, 129, 0x0f, 40, 3, 0, 128, 200, 17, 33, 4, 90})
 	f.Add([]byte{40, 9, 1, 44, 0xaa, 255, 20, 3, 1, 4, 1, 5, 9, 2, 6})
 	f.Add([]byte{6, 16, 0, 129, 0x5a, 30, 3, 7, 1, 250, 3, 9, 128, 64}) // 7×17×130: partial AVX tiles both ways, dense and sparse rows mixed
+	// The 16-wide panel's edges: widths 16n+8 (a ZMM panel, then a YMM
+	// one) and 16n+3 (then a column tail), rows 4n+1 … 4n+3.
+	f.Add([]byte{4, 23, 0, 130, 0x55, 40, 2, 9, 200, 3, 77, 140, 1, 66})   // 5×24×131
+	f.Add([]byte{5, 34, 0, 18, 0x0f, 60, 3, 250, 4, 31, 129, 8, 222, 17})  // 6×35×19
+	f.Add([]byte{6, 39, 1, 4, 0xf0, 90, 4, 1, 13, 180, 2, 99, 254, 40})    // 7×40×261
+	f.Add([]byte{10, 18, 0, 37, 0x33, 30, 5, 60, 7, 201, 5, 150, 33, 128}) // 11×19×38
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 8 {
 			t.Skip()
@@ -117,12 +124,17 @@ func FuzzMatMulKernels(f *testing.F) {
 			}
 			return mat
 		}
+		var operands [][3]*Matrix // c, a and b of each variant
 		for _, v := range kernelVariants {
 			aR, aC, bR, bC := v.shape(m, n, k)
 			a := fill(aR, aC, v.name != "TN")
 			b := fill(bR, bC, false)
-			c := fill(m, n, false)
-			checkAgainstSpec(t, v, c, a, b, []int{split})
+			operands = append(operands, [3]*Matrix{fill(m, n, false), a, b})
 		}
+		forEachPath(t, func(t *testing.T) {
+			for i, v := range kernelVariants {
+				checkAgainstSpec(t, v, operands[i][0], operands[i][1], operands[i][2], []int{split})
+			}
+		})
 	})
 }

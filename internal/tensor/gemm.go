@@ -15,8 +15,9 @@ const parallelFLOPThreshold = 1 << 22
 // streams past it; tileBR plays the same role for the NT kernel, where the
 // panel is tileBR rows of B. The NN kernel classifies its rows tileI at a
 // time, and packs microW columns of B into a panel its micro-kernel sweeps.
-// The AVX tiles cover vecW columns of C; the vector NT kernel packs vecW
-// rows of B and accumulates tileI rows of C at a time.
+// The AVX tiles cover vecW columns of C and the AVX-512 tiles wideW; the
+// vector NT kernel packs that many rows of B and accumulates tileI rows of
+// C at a time.
 const (
 	tileK  = 128
 	tileJ  = 512
@@ -24,7 +25,24 @@ const (
 	tileI  = 128
 	microW = 4
 	vecW   = 8
+	wideW  = 16
 )
+
+// kernelPath is the level of kernel the GeMM kernels take. Each level runs
+// the tiles of the ones below on the columns its own tiles leave over:
+// avxPath adds the 8-column YMM tiles of gemm_amd64.s, avx512Path the
+// 16-column ZMM tiles. Every level gives every element the same bits.
+type kernelPath uint8
+
+const (
+	goPath     kernelPath = iota // the Go kernels of this file
+	avxPath                      // YMM tiles, vecW columns
+	avx512Path                   // ZMM tiles, wideW columns
+)
+
+func (p kernelPath) String() string {
+	return [...]string{"Go", "AVX", "AVX-512"}[p]
+}
 
 // parallelRows partitions rows [0, rows) into one contiguous strip per
 // worker and runs kernel on each strip concurrently. Strips are disjoint, so
@@ -89,11 +107,11 @@ func MatMulAdd(c, a, b *Matrix) {
 // columns of B, the dense rows then sweep one packed panel of B, each
 // holding its 1×microW tile of C in registers across the whole k block
 // (microKernel), so a C element is loaded and stored once per block rather
-// than once per k; sparse rows stay on the plain i→k→j loop (axpyRows). With
-// vectorKernels both kinds take the AVX tiles instead, vecW columns and
-// four rows at a time, reading B in place (vecTiles): dense rows tile4x8,
-// sparse rows maskTile4x8. The columns of a tileJ block past its last
-// whole vecW panel stay on axpyRows.
+// than once per k; sparse rows stay on the plain i→k→j loop (axpyRows). On
+// a vector path both kinds take the vector tiles instead, four rows at a
+// time, reading B in place (vecTiles): dense rows tile4x16 or tile4x8,
+// sparse rows maskTile4x16 or maskTile4x8. The columns of a tileJ block
+// past its last whole vector panel stay on axpyRows.
 //
 // Every path gives an element the same sequence: start from C, add a_ik·b_kj
 // for ascending k, skip an exactly-zero a_ik. The dense tiles have no zero
@@ -122,7 +140,7 @@ func matMulAddRows(c, a, b *Matrix, lo, hi int) {
 				je := min(jb+tileJ, b.Cols)
 				jd, js := jb, jb // where the tiles left off, for dense and sparse rows
 				switch {
-				case vectorKernels:
+				case vectorKernels != goPath:
 					jd = vecTiles(c, a, b, dense[:nd], sparse[:ns], kb, ke, jb, je)
 					js = jd
 				case nd > 0:
@@ -141,11 +159,11 @@ func matMulAddRows(c, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// zeroFree reports whether x holds no exact zero (±0). With vectorKernels
+// zeroFree reports whether x holds no exact zero (±0). On a vector path
 // the AVX scan (anyZero) tests every whole group of 4 values and this loop
 // the last len(x) mod 4.
 func zeroFree(x []float64) bool {
-	if n := len(x) &^ 3; vectorKernels && n > 0 {
+	if n := len(x) &^ 3; vectorKernels != goPath && n > 0 {
 		if anyZero(&x[0], n) {
 			return false
 		}
@@ -196,31 +214,43 @@ func microKernel(crow, arow []float64, p *[microW * tileK]float64) {
 	c[0], c[1], c[2], c[3] = s0, s1, s2, s3
 }
 
-// vecTiles accumulates columns [jb, jt) of the dense and sparse rows of
-// C += A·B over k in [kb, ke) with the AVX tiles and returns jt, the end of
-// the last whole vecW panel in [jb, je). For every vecW columns the tiles
-// read B's k block in place, four rows at a time (tileRows): the dense
-// rows on tile4x8, the sparse rows on maskTile4x8. Dense rows keep the
-// unmasked tile: the mask costs every k of a row that has nothing to skip.
-// lint:hotpath AVX path of the NN kernel
-func vecTiles(c, a, b *Matrix, dense, sparse []int32, kb, ke, jb, je int) int {
-	jt := je - (je-jb)%vecW
-	for jp := jb; jp < jt; jp += vecW {
-		bp := &b.Data[kb*b.Cols+jp]
-		tileRows(c, a, bp, b.Cols, dense, kb, ke, jp, false)
-		tileRows(c, a, bp, b.Cols, sparse, kb, ke, jp, true)
+// panelWidth is the width of the vector panel that starts at column jp of
+// columns ending at je: wideW on avx512Path while that many are left, else
+// vecW. So the ZMM tiles take every whole 16-wide panel and the YMM tiles
+// at most one 8-wide panel after them.
+func panelWidth(jp, je int) int {
+	if vectorKernels == avx512Path && je-jp >= wideW {
+		return wideW
 	}
-	return jt
+	return vecW
 }
 
-// tileRows runs one AVX tile per four listed rows over columns
-// [jp, jp+vecW) of C, reading the k block of B from bp on, bs values per
-// row: maskTile4x8 when masked, else tile4x8. The tile's accumulators
-// point at C. A last group of one to three rows is padded with copies of
-// its first row whose tile rows land in scratch.
+// vecTiles accumulates columns [jb, jt) of the dense and sparse rows of
+// C += A·B over k in [kb, ke) with the vector tiles and returns jt, the end
+// of the last whole panel (panelWidth) in [jb, je). For every panel the
+// tiles read B's k block in place, four rows at a time (tileRows): the
+// dense rows on the plain tile, the sparse rows on the masked one. Dense
+// rows keep the plain tile: the mask costs every k of a row that has
+// nothing to skip.
 // lint:hotpath AVX path of the NN kernel
-func tileRows(c, a *Matrix, bp *float64, bs int, rows []int32, kb, ke, jp int, masked bool) {
-	var scratch [vecW]float64
+func vecTiles(c, a, b *Matrix, dense, sparse []int32, kb, ke, jb, je int) int {
+	jp := jb
+	for w := panelWidth(jp, je); jp+w <= je; jp, w = jp+w, panelWidth(jp+w, je) {
+		bp := &b.Data[kb*b.Cols+jp]
+		tileRows(c, a, bp, b.Cols, dense, kb, ke, jp, w, false)
+		tileRows(c, a, bp, b.Cols, sparse, kb, ke, jp, w, true)
+	}
+	return jp
+}
+
+// tileRows runs one vector tile per four listed rows over columns
+// [jp, jp+w) of C, w being vecW or wideW, reading the k block of B from bp
+// on, bs values per row: the masked tile when masked, else the plain one.
+// The tile's accumulators point at C. A last group of one to three rows is
+// padded with copies of its first row whose tile rows land in scratch.
+// lint:hotpath AVX path of the NN kernel
+func tileRows(c, a *Matrix, bp *float64, bs int, rows []int32, kb, ke, jp, w int, masked bool) {
+	var scratch [wideW]float64
 	for g := 0; g < len(rows); g += 4 {
 		var ct, at [4]*float64
 		for r := range ct {
@@ -231,9 +261,14 @@ func tileRows(c, a *Matrix, bp *float64, bs int, rows []int32, kb, ke, jp int, m
 				ct[r], at[r] = &scratch[0], at[0]
 			}
 		}
-		if masked {
+		switch {
+		case w == wideW && masked:
+			maskTile4x16(&ct, &at, bp, bs, ke-kb)
+		case w == wideW:
+			tile4x16(&ct, &at, bp, bs, ke-kb)
+		case masked:
 			maskTile4x8(&ct, &at, bp, bs, ke-kb)
-		} else {
+		default:
 			tile4x8(&ct, &at, bp, bs, ke-kb)
 		}
 	}
@@ -276,8 +311,8 @@ func MatMulNT(a, b *Matrix) *Matrix {
 // private register over k in ascending order and added to C once. The j
 // loop is register-blocked four wide (four concurrent dot products break
 // the add latency chain) and the B rows are tiled so a tileBR-row panel
-// stays in cache across the strip; with vectorKernels the sums run on the
-// AVX tile instead (ntTiles). None of that changes any element's reduction
+// stays in cache across the strip; on a vector path the sums run on the
+// vector tiles instead (ntTiles). None of that changes any element's reduction
 // order, so serial, tiled, vector and row-parallel paths are all bitwise
 // identical.
 func MatMulAddNT(c, a, b *Matrix) {
@@ -294,7 +329,7 @@ func MatMulAddNT(c, a, b *Matrix) {
 // matMulAddNTRows accumulates rows [lo, hi) of C += A·Bᵀ.
 // lint:hotpath tile kernel: the per-row inner loops must stay allocation-free
 func matMulAddNTRows(c, a, b *Matrix, lo, hi int) {
-	if vectorKernels {
+	if vectorKernels != goPath {
 		ntTiles(c, a, b, lo, hi)
 		return
 	}
@@ -333,29 +368,31 @@ func matMulAddNTRows(c, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// ntTiles is matMulAddNTRows on the AVX tile. For each tileI block of rows
-// and each vecW rows of B, a zeroed 4×vecW accumulator tile per four rows
+// ntTiles is matMulAddNTRows on the vector tiles. For each tileI block of
+// rows and each w rows of B (w from panelWidth), a zeroed 4×w accumulator tile per four rows
 // of C sums a_ik·b_jk over ascending k, one tileK block at a time: the
-// block of those B rows is packed transposed (vecW values per k) and every
-// tile sweeps it with tile4x8. The tiles persist across the k blocks and
-// are added to C once, so an element is still a private sum from +0 added
-// to C once. Rows past the block's end and B rows past B's end are padded
-// with copies of the last row; their lanes are never added to C.
+// block of those B rows is packed transposed (w values per k) and every
+// tile sweeps it with tile4x16 or tile4x8. The tiles persist across the k
+// blocks and are added to C once, so an element is still a private sum
+// from +0 added to C once. Rows past the block's end and B rows past B's
+// end are padded with copies of the last row; their lanes are never added
+// to C.
 // lint:hotpath AVX path of the NT kernel
 func ntTiles(c, a, b *Matrix, lo, hi int) {
-	var panel [vecW * tileK]float64
-	var acc [tileI / 4][4][vecW]float64
+	var panel [wideW * tileK]float64
+	var acc [tileI / 4][4][wideW]float64
 	for ib := lo; ib < hi; ib += tileI {
 		ie := min(ib+tileI, hi)
 		tiles := acc[:(ie-ib+3)/4]
-		for jp := 0; jp < b.Rows; jp += vecW {
-			nv := min(vecW, b.Rows-jp)
+		for jp, w := 0, 0; jp < b.Rows; jp += w {
+			w = panelWidth(jp, b.Rows)
+			nv := min(w, b.Rows-jp)
 			clear(tiles)
 			for kb := 0; kb < a.Cols; kb += tileK {
 				ke := min(kb+tileK, a.Cols)
-				for w := range vecW {
-					for k, v := range b.Row(jp + min(w, nv-1))[kb:ke] {
-						panel[k*vecW+w] = v
+				for x := range w {
+					for k, v := range b.Row(jp + min(x, nv-1))[kb:ke] {
+						panel[k*w+x] = v
 					}
 				}
 				for g := range tiles {
@@ -363,14 +400,18 @@ func ntTiles(c, a, b *Matrix, lo, hi int) {
 					for r := range ct {
 						ct[r], at[r] = &tiles[g][r][0], &a.Row(min(ib+4*g+r, ie-1))[kb]
 					}
-					tile4x8(&ct, &at, &panel[0], vecW, ke-kb)
+					if w == wideW {
+						tile4x16(&ct, &at, &panel[0], w, ke-kb)
+					} else {
+						tile4x8(&ct, &at, &panel[0], w, ke-kb)
+					}
 				}
 			}
 			for i := ib; i < ie; i++ {
 				sums := &tiles[(i-ib)/4][(i-ib)%4]
 				crow := c.Row(i)[jp : jp+nv]
-				for w := range crow {
-					crow[w] += sums[w]
+				for x := range crow {
+					crow[x] += sums[x]
 				}
 			}
 		}
@@ -394,9 +435,9 @@ func MatMulTN(a, b *Matrix) *Matrix {
 // the shapes alone and the row-parallel fan-out is bitwise identical to the
 // serial kernel. The sparsity fast path skips a row's quad only when all
 // four of its A values are exactly zero, so only exactly-zero contributions
-// are ever dropped. With vectorKernels four C rows × vecW columns stay in
-// registers across a k block (tnTile4x8), each element summing its four
-// products in the same left-to-right order.
+// are ever dropped. On a vector path four C rows × wideW or vecW columns
+// stay in registers across a k block (tnTile4x16, tnTile4x8), each element
+// summing its four products in the same left-to-right order.
 func MatMulAddTN(c, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulAddTN inner dim mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)) // lint:invariant shape precondition
@@ -413,11 +454,11 @@ func MatMulAddTN(c, a, b *Matrix) {
 // block, its quads on the k grid, each adding
 // ((v0·b0 + v1·b1) + v2·b2) + v3·b3 unless v0…v3 are all exactly zero;
 // then the block's rows past the last quad in ascending k, skipping an
-// exactly-zero a_ki. With vectorKernels the rows take the AVX tile
+// exactly-zero a_ki. On a vector path the rows take the vector tiles
 // (tnTiles); the Go path is tnRows over whole C rows.
 // lint:hotpath tile kernel: the per-row inner loops must stay allocation-free
 func matMulAddTNRows(c, a, b *Matrix, lo, hi int) {
-	if vectorKernels {
+	if vectorKernels != goPath {
 		tnTiles(c, a, b, lo, hi)
 		return
 	}
@@ -464,18 +505,18 @@ func tnRows(c, a, b *Matrix, lo, hi, kb, ke, jb int) {
 	}
 }
 
-// tnTiles is matMulAddTNRows on the AVX tile. For each tileK block of k,
-// the C rows go four at a time: their four columns of A's block are packed
-// k-major into pa (a last group of one to three rows is padded with copies
-// of its last column), so a quad's 4×4 block of A is one contiguous read
-// instead of a strided read per row. tnTile4x8 then adds the block to
-// every whole vecW columns of the four rows, padded rows landing in
-// scratch, and tnRows adds it to the columns past the last whole panel.
+// tnTiles is matMulAddTNRows on the vector tiles. For each tileK block of
+// k, the C rows go four at a time: their four columns of A's block are
+// packed k-major into pa (a last group of one to three rows is padded with
+// copies of its last column), so a quad's 4×4 block of A is one contiguous
+// read instead of a strided read per row. tnTile4x16 or tnTile4x8 then
+// adds the block to every whole panel (panelWidth) of the four rows,
+// padded rows landing in scratch, and tnRows to the columns past the last
+// panel.
 // lint:hotpath AVX path of the TN kernel
 func tnTiles(c, a, b *Matrix, lo, hi int) {
 	var pa [4 * tileK]float64
-	var scratch [vecW]float64
-	jt := b.Cols - b.Cols%vecW
+	var scratch [wideW]float64
 	for kb := 0; kb < a.Rows; kb += tileK {
 		ke := min(kb+tileK, a.Rows)
 		for i := lo; i < hi; i += 4 {
@@ -491,7 +532,8 @@ func tnTiles(c, a, b *Matrix, lo, hi int) {
 					q[r] = col[min(r, nr-1)]
 				}
 			}
-			for jp := 0; jp < jt; jp += vecW {
+			jp := 0
+			for w := panelWidth(jp, b.Cols); jp+w <= b.Cols; jp, w = jp+w, panelWidth(jp+w, b.Cols) {
 				var ct [4]*float64
 				for r := range ct {
 					if r < nr {
@@ -500,10 +542,14 @@ func tnTiles(c, a, b *Matrix, lo, hi int) {
 						ct[r] = &scratch[0]
 					}
 				}
-				tnTile4x8(&ct, &pa, &b.Row(kb)[jp], b.Cols, ke-kb)
+				if w == wideW {
+					tnTile4x16(&ct, &pa, &b.Row(kb)[jp], b.Cols, ke-kb)
+				} else {
+					tnTile4x8(&ct, &pa, &b.Row(kb)[jp], b.Cols, ke-kb)
+				}
 			}
-			if jt < b.Cols {
-				tnRows(c, a, b, i, i+nr, kb, ke, jt)
+			if jp < b.Cols {
+				tnRows(c, a, b, i, i+nr, kb, ke, jp)
 			}
 		}
 	}

@@ -1,24 +1,40 @@
 package tensor
 
-// vectorKernels selects the AVX kernels of gemm_amd64.s: it is set once at
-// start-up from CPUID, and tests clear it to run the Go kernels. Assembly
-// functions are never async-preempted, so no goroutine switch can see a
-// live YMM register.
-var vectorKernels = cpuHasAVX()
+// vectorKernels is the kernel path the GeMM kernels take: the highest that
+// CPUID and XCR0 allow, chosen once at start-up. Tests lower it to run the
+// paths below. Assembly functions are never async-preempted, so no
+// goroutine switch can see a live YMM, ZMM or opmask register.
+var vectorKernels = detectPath()
 
-// cpuHasAVX reports whether the CPU has AVX and the OS saves the YMM state
-// on a context switch: CPUID leaf 1 sets ECX bits 27 (OSXSAVE) and 28 (AVX),
-// and XCR0 enables the SSE and AVX state (bits 1 and 2).
-func cpuHasAVX() bool {
+// detectPath returns the highest kernel path this CPU and OS run.
+// avxPath needs CPUID leaf 1 ECX bits 27 (OSXSAVE) and 28 (AVX) and XCR0's
+// SSE and AVX state (bits 1 and 2). avx512Path also needs CPUID leaf 7
+// EBX bit 16 (AVX512F) and XCR0's opmask, ZMM_Hi256 and Hi16_ZMM state
+// (bits 5–7): without them the OS does not save those registers on a
+// context switch.
+func detectPath() kernelPath {
 	const osxsave, avx = 1 << 27, 1 << 28
-	if cpuid1()&(osxsave|avx) != osxsave|avx {
-		return false
+	maxLeaf, _, _ := cpuid(0, 0)
+	if _, _, ecx := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
+		return goPath
 	}
-	const ymmState = 1<<1 | 1<<2
-	return xgetbv0()&ymmState == ymmState
+	const ymmState, zmmState = 1<<1 | 1<<2, 1<<5 | 1<<6 | 1<<7
+	xcr0 := xgetbv0()
+	if xcr0&ymmState != ymmState {
+		return goPath
+	}
+	const avx512f = 1 << 16
+	if maxLeaf < 7 || xcr0&zmmState != zmmState {
+		return avxPath
+	}
+	if _, ebx, _ := cpuid(7, 0); ebx&avx512f == 0 {
+		return avxPath
+	}
+	return avx512Path
 }
 
-func cpuid1() (ecx uint32)
+// cpuid returns EAX, EBX and ECX of CPUID leaf, subleaf sub.
+func cpuid(leaf, sub uint32) (eax, ebx, ecx uint32)
 
 func xgetbv0() (eax uint32)
 
@@ -52,3 +68,20 @@ func maskTile4x8(c, a *[4]*float64, b *float64, bs, kl int)
 //
 //go:noescape
 func tnTile4x8(c *[4]*float64, pa *[4 * tileK]float64, b *float64, bs, kl int)
+
+// tile4x16 is tile4x8 on 16 columns, in eight ZMM accumulators (AVX-512).
+//
+//go:noescape
+func tile4x16(c, a *[4]*float64, b *float64, bs, kl int)
+
+// maskTile4x16 is maskTile4x8 on 16 columns (AVX-512): a row's ±0 a[r][k]
+// clears an opmask, and its adds at that k leave every lane as it was.
+//
+//go:noescape
+func maskTile4x16(c, a *[4]*float64, b *float64, bs, kl int)
+
+// tnTile4x16 is tnTile4x8 on 16 columns, in eight ZMM accumulators
+// (AVX-512).
+//
+//go:noescape
+func tnTile4x16(c *[4]*float64, pa *[4 * tileK]float64, b *float64, bs, kl int)

@@ -1,12 +1,14 @@
 #include "textflag.h"
 
-// The AVX kernels behind gemm_amd64.go. Each YMM lane holds a different
-// output element and takes its own VMULPD then VADDPD (maskTile4x8: VSUBPD
-// of the negated product, the same bits), in the order the Go kernels in
-// gemm.go use for that element, so every element's bits match theirs.
-// There is no FMA: a fused multiply-add rounds once where the Go kernels
-// round twice. Each routine ends with VZEROUPPER, so the Go code it
-// returns to pays no SSE/AVX transition penalty.
+// The AVX and AVX-512 kernels behind gemm_amd64.go. Each YMM or ZMM lane
+// holds a different output element and takes its own VMULPD then VADDPD
+// (maskTile4x8: VSUBPD of the negated product, the same bits;
+// maskTile4x16: an add merge-masked by an opmask), in the order the Go
+// kernels in gemm.go use for that element, so every element's bits match
+// theirs. There is no FMA: a fused multiply-add rounds once where the Go
+// kernels round twice. Each routine ends with VZEROUPPER, so the Go code
+// it returns to pays no SSE/AVX transition penalty. The ZMM routines use
+// AVX512F instructions only, and Z0–Z15.
 
 // The sign bit of a float64: XOR with it negates.
 DATA signBit<>+0(SB)/8, $0x8000000000000000
@@ -402,6 +404,380 @@ tstore:
 	VZEROUPPER
 	RET
 
+// func tile4x16(c, a *[4]*float64, b *float64, bs, kl int)
+//
+// tile4x8 on 16 columns: for r < 4 and w < 16, c[r][w] += a[r][k]·b[k*bs+w]
+// for k = 0 … kl-1 in ascending order, with the 4×16 tile of C held in
+// Z0–Z7, two ZMM registers per row.
+TEXT ·tile4x16(SB), NOSPLIT, $0-40
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ bs+24(FP), R8
+	MOVQ kl+32(FP), CX
+	SHLQ $3, R8
+	MOVQ 0(DI), R9
+	VMOVUPD 0(R9), Z0
+	VMOVUPD 64(R9), Z1
+	MOVQ 8(DI), R9
+	VMOVUPD 0(R9), Z2
+	VMOVUPD 64(R9), Z3
+	MOVQ 16(DI), R9
+	VMOVUPD 0(R9), Z4
+	VMOVUPD 64(R9), Z5
+	MOVQ 24(DI), R9
+	VMOVUPD 0(R9), Z6
+	VMOVUPD 64(R9), Z7
+	MOVQ 0(SI), AX
+	MOVQ 8(SI), BX
+	MOVQ 16(SI), R12
+	MOVQ 24(SI), R13
+	XORQ SI, SI
+	TESTQ CX, CX
+	JZ   tile4x16store
+
+tile4x16loop:
+	VMOVUPD      0(DX), Z8
+	VMOVUPD      64(DX), Z9
+	VBROADCASTSD (AX)(SI*8), Z10
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z0, Z0
+	VMULPD       Z9, Z10, Z12
+	VADDPD       Z12, Z1, Z1
+	VBROADCASTSD (BX)(SI*8), Z13
+	VMULPD       Z8, Z13, Z11
+	VADDPD       Z11, Z2, Z2
+	VMULPD       Z9, Z13, Z12
+	VADDPD       Z12, Z3, Z3
+	VBROADCASTSD (R12)(SI*8), Z10
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z4, Z4
+	VMULPD       Z9, Z10, Z12
+	VADDPD       Z12, Z5, Z5
+	VBROADCASTSD (R13)(SI*8), Z13
+	VMULPD       Z8, Z13, Z11
+	VADDPD       Z11, Z6, Z6
+	VMULPD       Z9, Z13, Z12
+	VADDPD       Z12, Z7, Z7
+	ADDQ         R8, DX
+	INCQ         SI
+	CMPQ         SI, CX
+	JLT          tile4x16loop
+
+tile4x16store:
+	MOVQ    0(DI), R9
+	VMOVUPD Z0, 0(R9)
+	VMOVUPD Z1, 64(R9)
+	MOVQ    8(DI), R9
+	VMOVUPD Z2, 0(R9)
+	VMOVUPD Z3, 64(R9)
+	MOVQ    16(DI), R9
+	VMOVUPD Z4, 0(R9)
+	VMOVUPD Z5, 64(R9)
+	MOVQ    24(DI), R9
+	VMOVUPD Z6, 0(R9)
+	VMOVUPD Z7, 64(R9)
+	VZEROUPPER
+	RET
+
+// func maskTile4x16(c, a *[4]*float64, b *float64, bs, kl int)
+//
+// maskTile4x8 on 16 columns, the tile held in Z0–Z7. Per k and row,
+// VCMPPD NEQ_UQ of the broadcast a[r][k] against zero sets K1 to all ones
+// unless a[r][k] is ±0 (NaN is not zero, so it propagates), and the row's
+// two adds are merge-masked by K1: at a skipped k every lane keeps its
+// bits, and at any other k the lane takes the same VMULPD then VADDPD as
+// tile4x16. No negation is needed, so a NaN from B keeps its sign.
+TEXT ·maskTile4x16(SB), NOSPLIT, $0-40
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ bs+24(FP), R8
+	MOVQ kl+32(FP), CX
+	SHLQ $3, R8
+	MOVQ 0(DI), R9
+	VMOVUPD 0(R9), Z0
+	VMOVUPD 64(R9), Z1
+	MOVQ 8(DI), R9
+	VMOVUPD 0(R9), Z2
+	VMOVUPD 64(R9), Z3
+	MOVQ 16(DI), R9
+	VMOVUPD 0(R9), Z4
+	VMOVUPD 64(R9), Z5
+	MOVQ 24(DI), R9
+	VMOVUPD 0(R9), Z6
+	VMOVUPD 64(R9), Z7
+	VPXORQ  Z15, Z15, Z15
+	MOVQ 0(SI), AX
+	MOVQ 8(SI), BX
+	MOVQ 16(SI), R12
+	MOVQ 24(SI), R13
+	XORQ SI, SI
+	TESTQ CX, CX
+	JZ   maskTile4x16store
+
+maskTile4x16loop:
+	VMOVUPD      0(DX), Z8
+	VMOVUPD      64(DX), Z9
+	VBROADCASTSD (AX)(SI*8), Z10
+	VCMPPD       $4, Z15, Z10, K1
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z0, K1, Z0
+	VMULPD       Z9, Z10, Z12
+	VADDPD       Z12, Z1, K1, Z1
+	VBROADCASTSD (BX)(SI*8), Z13
+	VCMPPD       $4, Z15, Z13, K1
+	VMULPD       Z8, Z13, Z11
+	VADDPD       Z11, Z2, K1, Z2
+	VMULPD       Z9, Z13, Z12
+	VADDPD       Z12, Z3, K1, Z3
+	VBROADCASTSD (R12)(SI*8), Z10
+	VCMPPD       $4, Z15, Z10, K1
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z4, K1, Z4
+	VMULPD       Z9, Z10, Z12
+	VADDPD       Z12, Z5, K1, Z5
+	VBROADCASTSD (R13)(SI*8), Z13
+	VCMPPD       $4, Z15, Z13, K1
+	VMULPD       Z8, Z13, Z11
+	VADDPD       Z11, Z6, K1, Z6
+	VMULPD       Z9, Z13, Z12
+	VADDPD       Z12, Z7, K1, Z7
+	ADDQ         R8, DX
+	INCQ         SI
+	CMPQ         SI, CX
+	JLT          maskTile4x16loop
+
+maskTile4x16store:
+	MOVQ    0(DI), R9
+	VMOVUPD Z0, 0(R9)
+	VMOVUPD Z1, 64(R9)
+	MOVQ    8(DI), R9
+	VMOVUPD Z2, 0(R9)
+	VMOVUPD Z3, 64(R9)
+	MOVQ    16(DI), R9
+	VMOVUPD Z4, 0(R9)
+	VMOVUPD Z5, 64(R9)
+	MOVQ    24(DI), R9
+	VMOVUPD Z6, 0(R9)
+	VMOVUPD Z7, 64(R9)
+	VZEROUPPER
+	RET
+
+// func tnTile4x16(c *[4]*float64, pa *[4 * tileK]float64, b *float64, bs, kl int)
+//
+// tnTile4x8 on 16 columns, the tile held in Z0–Z7: the same quad masks
+// (computed in YMM registers, since a quad's 4×4 block of pa is four YMM
+// loads), the same per-row skips and the same left-to-right quad sum, each
+// row's products two ZMM registers wide.
+TEXT ·tnTile4x16(SB), NOSPLIT, $0-40
+	MOVQ c+0(FP), DI
+	MOVQ pa+8(FP), DX
+	MOVQ b+16(FP), R8
+	MOVQ bs+24(FP), BX
+	MOVQ kl+32(FP), CX
+	SHLQ $3, BX
+	LEAQ (R8)(BX*1), R9
+	LEAQ (R9)(BX*1), R10
+	LEAQ (R10)(BX*1), R11
+	MOVQ BX, SI
+	SHLQ $2, SI
+	MOVQ 0(DI), R12
+	VMOVUPD 0(R12), Z0
+	VMOVUPD 64(R12), Z1
+	MOVQ 8(DI), R12
+	VMOVUPD 0(R12), Z2
+	VMOVUPD 64(R12), Z3
+	MOVQ 16(DI), R12
+	VMOVUPD 0(R12), Z4
+	VMOVUPD 64(R12), Z5
+	MOVQ 24(DI), R12
+	VMOVUPD 0(R12), Z6
+	VMOVUPD 64(R12), Z7
+	MOVQ CX, R13
+	SHRQ $2, R13
+	ANDQ $3, CX
+	TESTQ R13, R13
+	JZ   zttail
+
+ztquad:
+	VXORPD       Y12, Y12, Y12
+	VCMPPD       $0, 0(DX), Y12, Y13
+	VCMPPD       $0, 32(DX), Y12, Y14
+	VANDPD       Y14, Y13, Y13
+	VCMPPD       $0, 64(DX), Y12, Y14
+	VANDPD       Y14, Y13, Y13
+	VCMPPD       $0, 96(DX), Y12, Y14
+	VANDPD       Y14, Y13, Y13
+	VMOVMSKPD    Y13, AX
+	BTQ          $0, AX
+	JCS          zqskip0
+	VBROADCASTSD 0(DX), Z8
+	VBROADCASTSD 32(DX), Z9
+	VBROADCASTSD 64(DX), Z10
+	VBROADCASTSD 96(DX), Z11
+	VMULPD       0(R8), Z8, Z12
+	VMULPD       64(R8), Z8, Z13
+	VMULPD       0(R9), Z9, Z14
+	VMULPD       64(R9), Z9, Z15
+	VADDPD       Z14, Z12, Z12
+	VADDPD       Z15, Z13, Z13
+	VMULPD       0(R10), Z10, Z14
+	VMULPD       64(R10), Z10, Z15
+	VADDPD       Z14, Z12, Z12
+	VADDPD       Z15, Z13, Z13
+	VMULPD       0(R11), Z11, Z14
+	VMULPD       64(R11), Z11, Z15
+	VADDPD       Z14, Z12, Z12
+	VADDPD       Z15, Z13, Z13
+	VADDPD       Z12, Z0, Z0
+	VADDPD       Z13, Z1, Z1
+
+zqskip0:
+	BTQ          $1, AX
+	JCS          zqskip1
+	VBROADCASTSD 8(DX), Z8
+	VBROADCASTSD 40(DX), Z9
+	VBROADCASTSD 72(DX), Z10
+	VBROADCASTSD 104(DX), Z11
+	VMULPD       0(R8), Z8, Z12
+	VMULPD       64(R8), Z8, Z13
+	VMULPD       0(R9), Z9, Z14
+	VMULPD       64(R9), Z9, Z15
+	VADDPD       Z14, Z12, Z12
+	VADDPD       Z15, Z13, Z13
+	VMULPD       0(R10), Z10, Z14
+	VMULPD       64(R10), Z10, Z15
+	VADDPD       Z14, Z12, Z12
+	VADDPD       Z15, Z13, Z13
+	VMULPD       0(R11), Z11, Z14
+	VMULPD       64(R11), Z11, Z15
+	VADDPD       Z14, Z12, Z12
+	VADDPD       Z15, Z13, Z13
+	VADDPD       Z12, Z2, Z2
+	VADDPD       Z13, Z3, Z3
+
+zqskip1:
+	BTQ          $2, AX
+	JCS          zqskip2
+	VBROADCASTSD 16(DX), Z8
+	VBROADCASTSD 48(DX), Z9
+	VBROADCASTSD 80(DX), Z10
+	VBROADCASTSD 112(DX), Z11
+	VMULPD       0(R8), Z8, Z12
+	VMULPD       64(R8), Z8, Z13
+	VMULPD       0(R9), Z9, Z14
+	VMULPD       64(R9), Z9, Z15
+	VADDPD       Z14, Z12, Z12
+	VADDPD       Z15, Z13, Z13
+	VMULPD       0(R10), Z10, Z14
+	VMULPD       64(R10), Z10, Z15
+	VADDPD       Z14, Z12, Z12
+	VADDPD       Z15, Z13, Z13
+	VMULPD       0(R11), Z11, Z14
+	VMULPD       64(R11), Z11, Z15
+	VADDPD       Z14, Z12, Z12
+	VADDPD       Z15, Z13, Z13
+	VADDPD       Z12, Z4, Z4
+	VADDPD       Z13, Z5, Z5
+
+zqskip2:
+	BTQ          $3, AX
+	JCS          zqskip3
+	VBROADCASTSD 24(DX), Z8
+	VBROADCASTSD 56(DX), Z9
+	VBROADCASTSD 88(DX), Z10
+	VBROADCASTSD 120(DX), Z11
+	VMULPD       0(R8), Z8, Z12
+	VMULPD       64(R8), Z8, Z13
+	VMULPD       0(R9), Z9, Z14
+	VMULPD       64(R9), Z9, Z15
+	VADDPD       Z14, Z12, Z12
+	VADDPD       Z15, Z13, Z13
+	VMULPD       0(R10), Z10, Z14
+	VMULPD       64(R10), Z10, Z15
+	VADDPD       Z14, Z12, Z12
+	VADDPD       Z15, Z13, Z13
+	VMULPD       0(R11), Z11, Z14
+	VMULPD       64(R11), Z11, Z15
+	VADDPD       Z14, Z12, Z12
+	VADDPD       Z15, Z13, Z13
+	VADDPD       Z12, Z6, Z6
+	VADDPD       Z13, Z7, Z7
+
+zqskip3:
+	ADDQ         $128, DX
+	ADDQ         SI, R8
+	ADDQ         SI, R9
+	ADDQ         SI, R10
+	ADDQ         SI, R11
+	DECQ         R13
+	JNZ          ztquad
+
+zttail:
+	TESTQ        CX, CX
+	JZ           ztstore
+	VXORPD       Y12, Y12, Y12
+	VCMPPD       $0, 0(DX), Y12, Y13
+	VMOVMSKPD    Y13, AX
+	BTQ          $0, AX
+	JCS          ztskip0
+	VBROADCASTSD 0(DX), Z8
+	VMULPD       0(R8), Z8, Z12
+	VMULPD       64(R8), Z8, Z13
+	VADDPD       Z12, Z0, Z0
+	VADDPD       Z13, Z1, Z1
+
+ztskip0:
+	BTQ          $1, AX
+	JCS          ztskip1
+	VBROADCASTSD 8(DX), Z8
+	VMULPD       0(R8), Z8, Z12
+	VMULPD       64(R8), Z8, Z13
+	VADDPD       Z12, Z2, Z2
+	VADDPD       Z13, Z3, Z3
+
+ztskip1:
+	BTQ          $2, AX
+	JCS          ztskip2
+	VBROADCASTSD 16(DX), Z8
+	VMULPD       0(R8), Z8, Z12
+	VMULPD       64(R8), Z8, Z13
+	VADDPD       Z12, Z4, Z4
+	VADDPD       Z13, Z5, Z5
+
+ztskip2:
+	BTQ          $3, AX
+	JCS          ztskip3
+	VBROADCASTSD 24(DX), Z8
+	VMULPD       0(R8), Z8, Z12
+	VMULPD       64(R8), Z8, Z13
+	VADDPD       Z12, Z6, Z6
+	VADDPD       Z13, Z7, Z7
+
+ztskip3:
+	ADDQ         $32, DX
+	ADDQ         BX, R8
+	DECQ         CX
+	JMP          zttail
+
+ztstore:
+	MOVQ    0(DI), R12
+	VMOVUPD Z0, 0(R12)
+	VMOVUPD Z1, 64(R12)
+	MOVQ    8(DI), R12
+	VMOVUPD Z2, 0(R12)
+	VMOVUPD Z3, 64(R12)
+	MOVQ    16(DI), R12
+	VMOVUPD Z4, 0(R12)
+	VMOVUPD Z5, 64(R12)
+	MOVQ    24(DI), R12
+	VMOVUPD Z6, 0(R12)
+	VMOVUPD Z7, 64(R12)
+	VZEROUPPER
+	RET
+
+
 // func anyZero(x *float64, n int) bool
 //
 // Reports whether one of x[0] … x[n-1] is ±0, for n a multiple of 4.
@@ -450,12 +826,14 @@ zfound:
 	VZEROUPPER
 	RET
 
-// func cpuid1() (ecx uint32)
-TEXT ·cpuid1(SB), NOSPLIT, $0-4
-	MOVL  $1, AX
-	XORL  CX, CX
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-20
+	MOVL  leaf+0(FP), AX
+	MOVL  sub+4(FP), CX
 	CPUID
-	MOVL  CX, ecx+0(FP)
+	MOVL  AX, eax+8(FP)
+	MOVL  BX, ebx+12(FP)
+	MOVL  CX, ecx+16(FP)
 	RET
 
 // func xgetbv0() (eax uint32)

@@ -42,7 +42,7 @@ func TestMatMulVariantsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 						continue
 					}
 					if !want.Equal(c, 0) {
-						t.Errorf("%s path, GOMAXPROCS=%d: result differs from Go path at GOMAXPROCS=1: max diff %g", pathName(vec), procs, c.MaxAbsDiff(want))
+						t.Errorf("%s path, GOMAXPROCS=%d: result differs from Go path at GOMAXPROCS=1: max diff %g", vec, procs, c.MaxAbsDiff(want))
 					}
 				}
 			}
@@ -62,7 +62,7 @@ func TestMatMulNTParallelMatchesSerial(t *testing.T) {
 			matMulAddNTRows(want, a, b, 0, n)
 		})
 		if !got.Equal(want, 0) {
-			t.Errorf("%s path: parallel result differs from serial: max diff %g", pathName(vec), got.MaxAbsDiff(want))
+			t.Errorf("%s path: parallel result differs from serial: max diff %g", vec, got.MaxAbsDiff(want))
 		}
 	}
 }
@@ -79,7 +79,7 @@ func TestMatMulTNParallelMatchesSerial(t *testing.T) {
 			matMulAddTNRows(want, a, b, 0, n)
 		})
 		if !got.Equal(want, 0) {
-			t.Errorf("%s path: parallel result differs from serial: max diff %g", pathName(vec), got.MaxAbsDiff(want))
+			t.Errorf("%s path: parallel result differs from serial: max diff %g", vec, got.MaxAbsDiff(want))
 		}
 	}
 }

@@ -175,7 +175,7 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 			matMulAddRows(want, a, b, 0, 256)
 		})
 		if !got.Equal(want, 0) {
-			t.Errorf("%s path: parallel result differs from serial: max diff %g", pathName(vec), got.MaxAbsDiff(want))
+			t.Errorf("%s path: parallel result differs from serial: max diff %g", vec, got.MaxAbsDiff(want))
 		}
 	}
 }
@@ -199,9 +199,9 @@ func TestMatMulKernelsAllocateNothing(t *testing.T) {
 			for _, vec := range kernelPaths() {
 				var allocs float64
 				onPath(vec, func() { allocs = testing.AllocsPerRun(20, func() { v.add(c, a, b) }) })
-				t.Logf("%s path, %s %dx%dx%d: %v allocs/call", pathName(vec), v.name, m, n, k, allocs)
+				t.Logf("%s path, %s %dx%dx%d: %v allocs/call", vec, v.name, m, n, k, allocs)
 				if allocs != 0 {
-					t.Errorf("%s path: %s %dx%dx%d allocates %v objects per call, want 0", pathName(vec), v.name, m, n, k, allocs)
+					t.Errorf("%s path: %s %dx%dx%d allocates %v objects per call, want 0", vec, v.name, m, n, k, allocs)
 				}
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -109,9 +110,21 @@ func TestFacadeProfileLoaders(t *testing.T) {
 // TestOneBenchmarkHarness keeps the measuring instrument single: every PR
 // is judged by benchmark/ against its parent commit, so a testing.B function
 // or a committed BENCH_*.json elsewhere would be a second, ungated harness.
+// DESIGN.md and README.md may not name a Benchmark function either: none
+// exists, so such a name sends the reader to a harness that is not there.
 func TestOneBenchmarkHarness(t *testing.T) {
 	if stale, _ := filepath.Glob("BENCH_*.json"); len(stale) > 0 {
 		t.Errorf("%v: baselines live in benchmark/baseline.json (see benchmark/README.md)", stale)
+	}
+	benchName := regexp.MustCompile(`\bBenchmark[A-Z]\w*`)
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if names := benchName.FindAll(src, -1); len(names) > 0 {
+			t.Errorf("%s names %d Benchmark functions (first %s), and the repo has none: point at cmd/experiments or benchmark/ instead", doc, len(names), names[0])
+		}
 	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
