@@ -5,7 +5,13 @@
 //
 // Usage:
 //
-//	go run ./cmd/meshlint ./...
+//	go run ./cmd/meshlint [flags] [packages]
+//
+// It always loads and analyzes the whole module. Package patterns keep
+// only the findings in the named packages' directories, and the go command
+// resolves them as it does go vet's: "./internal/obs" is that package
+// alone, "./internal/obs/..." the tree under it, and a pattern naming no
+// package is an error. With no pattern every finding is kept.
 //
 // Each finding prints as "file:line: [rule] message" — or, with -json, as
 // a canonical JSON report sorted by file, line, rule, and message so two
@@ -24,6 +30,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"meshslice/internal/lint"
@@ -50,6 +57,12 @@ func main() {
 	root, err := filepath.Abs(*dir)
 	if err != nil {
 		fatal(err)
+	}
+	var dirs map[string]bool
+	if flag.NArg() > 0 {
+		if dirs, err = lint.PackageDirs(root, flag.Args()); err != nil {
+			fatal(err)
+		}
 	}
 	m, err := lint.LoadModule(root)
 	if err != nil {
@@ -79,7 +92,9 @@ func main() {
 		fatal(err)
 	}
 	diags := lint.Run(m, analyzers, allow)
-	diags = filterPatterns(root, diags, flag.Args())
+	if dirs != nil {
+		diags = slices.DeleteFunc(diags, func(d lint.Diagnostic) bool { return !dirs[filepath.Dir(d.Pos.Filename)] })
+	}
 	if *jsonOut {
 		if err := writeJSON(os.Stdout, root, analyzers, diags); err != nil {
 			fatal(err)
@@ -128,36 +143,6 @@ func writeJSON(w *os.File, root string, analyzers []*lint.Analyzer, diags []lint
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(report)
-}
-
-// filterPatterns narrows diagnostics to the requested package patterns.
-// "./..." (and no patterns at all) means the whole module; "./internal/mesh"
-// or "internal/mesh/..." select by directory prefix.
-func filterPatterns(root string, diags []lint.Diagnostic, patterns []string) []lint.Diagnostic {
-	var prefixes []string
-	for _, p := range patterns {
-		p = strings.TrimPrefix(p, "./")
-		p = strings.TrimSuffix(p, "...")
-		p = strings.TrimSuffix(p, "/")
-		if p == "" || p == "." {
-			return diags
-		}
-		prefixes = append(prefixes, p)
-	}
-	if len(prefixes) == 0 {
-		return diags
-	}
-	var kept []lint.Diagnostic
-	for _, d := range diags {
-		r := rel(root, d.Pos.Filename)
-		for _, p := range prefixes {
-			if r == p || strings.HasPrefix(r, p+"/") {
-				kept = append(kept, d)
-				break
-			}
-		}
-	}
-	return kept
 }
 
 func rel(root, filename string) string {

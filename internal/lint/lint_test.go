@@ -19,22 +19,22 @@ import (
 // expectation comments, in both directions: every finding must be wanted,
 // and every want must fire.
 func TestAnalyzersGolden(t *testing.T) {
-	fixtures := []struct{ dir, path string }{
-		{"wallclock/netsim", "fixture/netsim"},
-		{"wallclock/clockfree", "fixture/clockfree"},
-		{"seededrand/randuse", "fixture/randuse"},
-		{"floateq/floats", "fixture/floats"},
-		{"goroutine/spmd", "fixture/spmd"},
-		{"panicaudit/panicroot", "fixture/panicroot"},
-		{"bufown/arena", "fixture/arena"},
-		{"hotpath/kernels", "fixture/kernels"},
-		{"maporder/emit", "fixture/emit"},
-		{"maporder/ckptmanifest", "fixture/ckptmanifest"},
+	fixtures := []string{
+		"wallclock/netsim",
+		"wallclock/clockfree",
+		"seededrand/randuse",
+		"floateq/floats",
+		"goroutine/spmd",
+		"panicroot",
+		"bufown/arena",
+		"hotpath/kernels",
+		"maporder/emit",
+		"maporder/ckptmanifest",
 	}
 	for _, fx := range fixtures {
-		t.Run(fx.dir, func(t *testing.T) {
-			dir := filepath.Join("testdata", fx.dir)
-			m, err := LoadPackage(dir, fx.path)
+		t.Run(fx, func(t *testing.T) {
+			dir := filepath.Join("testdata", fx)
+			m, err := LoadPackage(dir)
 			if err != nil {
 				t.Fatalf("LoadPackage(%s): %v", dir, err)
 			}
@@ -196,7 +196,7 @@ func TestPanicInventoryOnRepo(t *testing.T) {
 // to type-check; the loader must take exactly the files go build compiles.
 func TestLoaderHonoursBuildConstraints(t *testing.T) {
 	dir := filepath.Join("testdata", "buildtags", "arch")
-	m, err := LoadPackage(dir, "fixture/arch")
+	m, err := LoadPackage(dir)
 	if err != nil {
 		t.Fatalf("LoadPackage(%s): %v", dir, err)
 	}
@@ -220,6 +220,69 @@ func TestLoaderHonoursBuildConstraints(t *testing.T) {
 	}
 	if !slices.Equal(got, bp.GoFiles) {
 		t.Errorf("loaded %v, go build compiles %v", got, bp.GoFiles)
+	}
+}
+
+// TestLoaderTakesGoTestUnits loads a fixture module whose external test
+// calls a name from its package's export_test.go and imports a second
+// package that imports the package under test. go test compiles the
+// external test against the test variant and recompiles the importer
+// against it too; the loader must do the same, and analyze the importer
+// once, as itself.
+func TestLoaderTakesGoTestUnits(t *testing.T) {
+	m, err := LoadModule(filepath.Join("testdata", "exporthook"))
+	if err != nil {
+		t.Fatalf("LoadModule: %v", err)
+	}
+	var got []string
+	for _, p := range m.Packages {
+		got = append(got, p.Path)
+	}
+	if want := []string{"exporthook/hook", "exporthook/hook.test", "exporthook/user"}; !slices.Equal(got, want) {
+		t.Errorf("analyzed units %v, want %v", got, want)
+	}
+}
+
+// TestEveryFileInOneUnit requires every .go file go list reports for this
+// module to sit in exactly one analyzed unit, so no finding is reported
+// twice: not by a package beside its test variant, nor by an importer that
+// a test recompiles.
+func TestEveryFileInOneUnit(t *testing.T) {
+	m := loadRepo(t)
+	listed, err := goList[struct {
+		Dir                                string
+		GoFiles, TestGoFiles, XTestGoFiles []string
+	}](m.Root, "-json=Dir,GoFiles,TestGoFiles,XTestGoFiles", "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := map[string]int{}
+	for _, p := range m.Packages {
+		for _, f := range p.Files {
+			units[f.Name]++
+		}
+	}
+	for _, lp := range listed {
+		for _, name := range slices.Concat(lp.GoFiles, lp.TestGoFiles, lp.XTestGoFiles) {
+			full := filepath.Join(lp.Dir, name)
+			if units[full] != 1 {
+				t.Errorf("%s is in %d analyzed units, want 1", full, units[full])
+			}
+			delete(units, full)
+		}
+	}
+	for name := range units {
+		t.Errorf("%s is analyzed but go list reports no package holding it", name)
+	}
+}
+
+// TestLoadModuleWithoutModule points LoadModule at a directory outside
+// any module: go list fails, and the error names the directory.
+func TestLoadModuleWithoutModule(t *testing.T) {
+	dir := t.TempDir()
+	_, err := LoadModule(dir)
+	if err == nil || !strings.Contains(err.Error(), dir) {
+		t.Errorf("LoadModule(%s) error = %v, want one naming the directory", dir, err)
 	}
 }
 

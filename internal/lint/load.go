@@ -1,42 +1,47 @@
 package lint
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
+	"os/exec"
 	"path/filepath"
-	"regexp"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
 
-// Module is the unit meshlint analyzes: every package under one go.mod,
-// parsed and type-checked, plus the lint directives found in comments.
+// Module is the unit meshlint analyzes: the packages of one module as
+// `go test` compiles them, parsed and type-checked, plus the lint
+// directives found in comments.
 //
-// The loader is deliberately stdlib-only (go/parser + go/types + the
-// "source" go/importer for standard-library dependencies): the whole point
-// of the lint suite is to guard determinism invariants, so its own
-// behaviour must not depend on tools outside the pinned toolchain.
+// The loader is deliberately stdlib-only: the go command's own
+// `go list -test -deps` says which files form which compilation unit, and
+// go/parser + go/types (with the "source" go/importer for standard-library
+// dependencies) check them. The whole point of the lint suite is to guard
+// determinism invariants, so its own behaviour must not depend on tools
+// outside the pinned toolchain.
 type Module struct {
 	Root     string // absolute directory containing go.mod
-	Path     string // module path from go.mod
+	Path     string // module path
 	Fset     *token.FileSet
-	Packages []*Package // sorted by import path; test units follow their base
+	Packages []*Package // sorted by import path; an external test unit follows its package
 
 	// callGraph caches the cross-package static call graph shared by the
 	// interprocedural analyzers (see Module.CallGraph).
 	callGraph *CallGraph
 }
 
-// Package is one type-checked compilation unit. A directory with in-package
-// _test.go files yields a single unit containing both; an external _test
-// package yields its own unit.
+// Package is one type-checked compilation unit as `go test` compiles it: a
+// package with its in-package _test.go files (its test variant), or an
+// external _test package.
 type Package struct {
 	Path  string // import path ("meshslice/internal/mesh"); external test units get a ".test" suffix
 	Dir   string
@@ -74,39 +79,34 @@ func (f *File) Allows(rule string, line int) bool {
 	return false
 }
 
-var moduleLineRE = regexp.MustCompile(`(?m)^module\s+(\S+)`)
-
-// LoadModule parses and type-checks every package under root (which must
-// contain a go.mod). Type errors abort the load: analyzers must only ever
-// run over code the compiler accepts, otherwise their reports are noise.
+// LoadModule parses and type-checks every package of the module rooted at
+// root, with its tests. Type errors abort the load: analyzers must only
+// ever run over code the compiler accepts, otherwise their reports are
+// noise.
 func LoadModule(root string) (*Module, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
 	}
-	modData, err := os.ReadFile(filepath.Join(abs, "go.mod"))
+	fset := token.NewFileSet()
+	m, err := load(abs, "./...", fset, importer.ForCompiler(fset, "source", nil))
 	if err != nil {
-		return nil, fmt.Errorf("lint: %s is not a module root: %w", abs, err)
-	}
-	match := moduleLineRE.FindSubmatch(modData)
-	if match == nil {
-		return nil, fmt.Errorf("lint: no module line in %s/go.mod", abs)
-	}
-	ld := newLoader(abs, string(match[1]))
-	if err := ld.discover(); err != nil {
 		return nil, err
 	}
-	return ld.check()
+	if m.Root != abs {
+		return nil, fmt.Errorf("lint: go list found no module rooted at %s", abs)
+	}
+	return m, nil
 }
 
-// LoadPackage parses and type-checks the single directory dir as import
-// path path, resolving only standard-library imports. The returned Module
-// has path's parent as its module path, making the loaded package double as
+// LoadPackage parses and type-checks the one package in dir, with its
+// tests, as LoadModule does a module. The returned Module has the
+// package's import path as its module path, making the package double as
 // the API root for root-sensitive analyzers — exactly what the golden-file
 // fixtures under testdata/ need. Every call shares one file set and one
 // standard-library importer, so fixtures that import the same standard
 // packages type-check them once.
-func LoadPackage(dir, path string) (*Module, error) {
+func LoadPackage(dir string) (*Module, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
@@ -117,10 +117,12 @@ func LoadPackage(dir, path string) (*Module, error) {
 		stdShared.fset = token.NewFileSet()
 		stdShared.std = importer.ForCompiler(stdShared.fset, "source", nil)
 	}
-	ld := newLoader(abs, path)
-	ld.fset, ld.std = stdShared.fset, stdShared.std
-	ld.dirs[path] = abs
-	return ld.check()
+	m, err := load(abs, ".", stdShared.fset, stdShared.std)
+	if err != nil {
+		return nil, err
+	}
+	m.Root, m.Path = abs, m.Packages[0].Path
+	return m, nil
 }
 
 // stdShared is what LoadPackage calls share; the importer is not safe for
@@ -131,159 +133,140 @@ var stdShared struct {
 	std  types.Importer
 }
 
-type loader struct {
-	root    string
-	modPath string
-	fset    *token.FileSet
-	dirs    map[string]string // import path -> directory
-	parsed  map[string]*dirFiles
-	checked map[string]*Package // base units by import path
-	inCheck map[string]bool     // cycle guard
-	std     types.Importer
-	errs    []error
-}
-
-type dirFiles struct {
-	base, inTest, extTest []*File // by package-name suffix
-	name                  string  // base package name
-}
-
-func newLoader(root, modPath string) *loader {
-	l := &loader{
-		root:    root,
-		modPath: modPath,
-		fset:    token.NewFileSet(),
-		dirs:    map[string]string{},
-		parsed:  map[string]*dirFiles{},
-		checked: map[string]*Package{},
-		inCheck: map[string]bool{},
+// PackageDirs returns the directories of the packages that patterns name
+// in the module at root, as the go command resolves them: "./x" is that
+// package alone, "./x/..." the tree under it, and a pattern naming no
+// directory is an error.
+func PackageDirs(root string, patterns []string) (map[string]bool, error) {
+	listed, err := goList[listedPackage](root, append([]string{"-json=Dir"}, patterns...)...)
+	if err != nil {
+		return nil, err
 	}
-	l.std = importer.ForCompiler(l.fset, "source", nil)
-	return l
+	dirs := map[string]bool{}
+	for _, lp := range listed {
+		dirs[lp.Dir] = true
+	}
+	return dirs, nil
 }
 
-// discover maps every directory holding .go files to its import path.
-func (l *loader) discover() error {
-	return filepath.WalkDir(l.root, func(p string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
+// listedPackage is what the loader reads of one `go list -json` unit.
+type listedPackage struct {
+	ImportPath string // "p", or "p [q.test]" when q's test recompiles p
+	Dir        string
+	Name       string
+	ForTest    string // q, for the units q's test compiles afresh
+	GoFiles    []string
+	ImportMap  map[string]string // import in source -> ImportPath it resolves to
+	Standard   bool
+	DepOnly    bool // not named by the pattern, or recompiled for another package's test
+	Module     *struct {
+		Path, Dir string
+		Main      bool
+	}
+}
+
+const listFields = "-json=ImportPath,Dir,Name,ForTest,GoFiles,ImportMap,Standard,DepOnly,Module"
+
+// goList runs `go list args...` in dir and decodes its JSON stream.
+func goList[T any](dir string, args ...string) ([]T, error) {
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if exit := (*exec.ExitError)(nil); errors.As(err, &exit) {
+		return nil, fmt.Errorf("lint: go list in %s: %s", dir, bytes.TrimSpace(exit.Stderr))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("lint: go list in %s: %w", dir, err)
+	}
+	var units []T
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var u T
+		if err := dec.Decode(&u); err != nil {
+			return nil, fmt.Errorf("lint: go list in %s: %w", dir, err)
 		}
-		if d.IsDir() {
-			name := d.Name()
-			if p != l.root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-				name == "testdata" || name == "vendor") {
-				return filepath.SkipDir
+		units = append(units, u)
+	}
+	return units, nil
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// load type-checks, in dependency order, the units `go list -test -deps
+// pattern` reports in dir, and keeps the analyzed ones: each package the
+// pattern names, replaced by its test variant when it has one, and each
+// external _test package. The standard library is left to std and go
+// test's generated mains are skipped; importers a test recompiles, and
+// dependencies the pattern does not name, are checked only as
+// dependencies. Each file is parsed once.
+func load(dir, pattern string, fset *token.FileSet, std types.Importer) (*Module, error) {
+	listed, err := goList[listedPackage](dir, listFields, "-test", "-deps", pattern)
+	if err != nil {
+		return nil, err
+	}
+	m := &Module{Fset: fset}
+	parsed := map[string]*File{}
+	checked := map[string]*types.Package{} // by go list ImportPath
+	analyzed := map[string]int{}           // Package.Path -> index in m.Packages
+	for _, lp := range listed {
+		if lp.Standard || lp.Name == "main" && strings.HasSuffix(lp.ImportPath, ".test") {
+			continue
+		}
+		if m.Root == "" && lp.Module != nil && lp.Module.Main {
+			m.Path, m.Root = lp.Module.Path, lp.Module.Dir
+		}
+		path, _, _ := strings.Cut(lp.ImportPath, " ")
+		if lp.ForTest != "" && strings.HasSuffix(lp.Name, "_test") {
+			path = lp.ForTest + ".test"
+		}
+		files := make([]*File, len(lp.GoFiles))
+		for i, name := range lp.GoFiles {
+			full := filepath.Join(lp.Dir, name)
+			if parsed[full] == nil {
+				if parsed[full], err = parseFile(fset, full); err != nil {
+					return nil, err
+				}
 			}
-			return nil
+			files[i] = parsed[full]
 		}
-		if !strings.HasSuffix(p, ".go") {
-			return nil
-		}
-		dir := filepath.Dir(p)
-		rel, err := filepath.Rel(l.root, dir)
+		pkg, err := typeCheck(path, lp, files, fset, importerFunc(func(ip string) (*types.Package, error) {
+			if tp := checked[cmp.Or(lp.ImportMap[ip], ip)]; tp != nil {
+				return tp, nil
+			}
+			return std.Import(ip)
+		}))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		ip := l.modPath
-		if rel != "." {
-			ip = l.modPath + "/" + filepath.ToSlash(rel)
+		checked[lp.ImportPath] = pkg.Types
+		switch i, seen := analyzed[path]; {
+		case lp.DepOnly:
+		case seen && lp.ForTest != "":
+			m.Packages[i] = pkg // the test variant replaces its package
+		case !seen:
+			analyzed[path] = len(m.Packages)
+			m.Packages = append(m.Packages, pkg)
 		}
-		l.dirs[ip] = dir
-		return nil
+	}
+	slices.SortFunc(m.Packages, func(a, b *Package) int {
+		return cmp.Or(cmp.Compare(strings.TrimSuffix(a.Path, ".test"), strings.TrimSuffix(b.Path, ".test")),
+			cmp.Compare(a.Path, b.Path))
 	})
+	return m, nil
 }
 
-// parseDir parses the .go files of ip's directory that go build compiles
-// on this platform, memoized.
-func (l *loader) parseDir(ip string) (*dirFiles, error) {
-	if df, ok := l.parsed[ip]; ok {
-		return df, nil
-	}
-	dir := l.dirs[ip]
-	entries, err := os.ReadDir(dir)
+func parseFile(fset *token.FileSet, name string) (*File, error) {
+	astf, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
 	if err != nil {
 		return nil, err
 	}
-	df := &dirFiles{}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		// Skip what go build skips: a _GOARCH or _GOOS suffix or a
-		// //go:build line that excludes this platform.
-		if ok, err := build.Default.MatchFile(dir, e.Name()); err != nil {
-			return nil, err
-		} else if !ok {
-			continue
-		}
-		full := filepath.Join(dir, e.Name())
-		astf, err := parser.ParseFile(l.fset, full, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		allow, hot := directives(l.fset, astf)
-		f := &File{
-			Name:    full,
-			AST:     astf,
-			Test:    strings.HasSuffix(e.Name(), "_test.go"),
-			allow:   allow,
-			hotpath: hot,
-		}
-		switch {
-		case strings.HasSuffix(astf.Name.Name, "_test"):
-			df.extTest = append(df.extTest, f)
-		case f.Test:
-			df.inTest = append(df.inTest, f)
-		default:
-			df.base = append(df.base, f)
-			df.name = astf.Name.Name
-		}
-	}
-	l.parsed[ip] = df
-	return df, nil
+	allow, hot := directives(fset, astf)
+	return &File{Name: name, AST: astf, Test: strings.HasSuffix(name, "_test.go"), allow: allow, hotpath: hot}, nil
 }
 
-// Import implements types.Importer: module-internal paths recurse into the
-// loader (base unit only, mirroring how go test compiles dependencies
-// without their test files); everything else is delegated to the
-// standard-library source importer.
-func (l *loader) Import(path string) (*types.Package, error) {
-	if path != l.modPath && !strings.HasPrefix(path, l.modPath+"/") {
-		return l.std.Import(path)
-	}
-	pkg, err := l.base(path)
-	if err != nil {
-		return nil, err
-	}
-	return pkg.Types, nil
-}
-
-// base type-checks the import path's non-test files, memoized.
-func (l *loader) base(ip string) (*Package, error) {
-	if pkg, ok := l.checked[ip]; ok {
-		return pkg, nil
-	}
-	if l.inCheck[ip] {
-		return nil, fmt.Errorf("lint: import cycle through %s", ip)
-	}
-	if _, ok := l.dirs[ip]; !ok {
-		return nil, fmt.Errorf("lint: no directory for import path %s", ip)
-	}
-	l.inCheck[ip] = true
-	defer delete(l.inCheck, ip)
-	df, err := l.parseDir(ip)
-	if err != nil {
-		return nil, err
-	}
-	pkg, err := l.typeCheck(ip, df.base)
-	if err != nil {
-		return nil, err
-	}
-	l.checked[ip] = pkg
-	return pkg, nil
-}
-
-func (l *loader) typeCheck(ip string, files []*File) (*Package, error) {
+func typeCheck(path string, lp listedPackage, files []*File, fset *token.FileSet, imp types.Importer) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -292,7 +275,7 @@ func (l *loader) typeCheck(ip string, files []*File) (*Package, error) {
 	}
 	var firstErr error
 	conf := types.Config{
-		Importer: l,
+		Importer: imp,
 		Error: func(err error) {
 			if firstErr == nil {
 				firstErr = err
@@ -303,64 +286,14 @@ func (l *loader) typeCheck(ip string, files []*File) (*Package, error) {
 	for i, f := range files {
 		asts[i] = f.AST
 	}
-	tpkg, err := conf.Check(ip, l.fset, asts, info)
+	tpkg, err := conf.Check(path, fset, asts, info)
 	if firstErr != nil {
 		return nil, firstErr
 	}
 	if err != nil {
 		return nil, err
 	}
-	name := ""
-	if len(files) > 0 {
-		name = files[0].AST.Name.Name
-	}
-	return &Package{Path: ip, Dir: l.dirs[ip], Name: name, Files: files, Types: tpkg, Info: info}, nil
-}
-
-// check assembles the final module: for every discovered directory, the
-// analysis unit is base+in-package-test files type-checked together, plus a
-// separate unit for any external _test package.
-func (l *loader) check() (*Module, error) {
-	paths := make([]string, 0, len(l.dirs))
-	for ip := range l.dirs {
-		paths = append(paths, ip)
-	}
-	sort.Strings(paths)
-
-	m := &Module{Root: l.root, Path: l.modPath, Fset: l.fset}
-	for _, ip := range paths {
-		df, err := l.parseDir(ip)
-		if err != nil {
-			return nil, err
-		}
-		if len(df.base) > 0 {
-			if _, err := l.base(ip); err != nil {
-				return nil, err
-			}
-		}
-		switch {
-		case len(df.inTest) > 0:
-			// Re-check base and in-package tests as one unit so analyzers
-			// see test code with full type information; importers still get
-			// the memoized test-free package.
-			unit, err := l.typeCheck(ip, append(append([]*File{}, df.base...), df.inTest...))
-			if err != nil {
-				return nil, err
-			}
-			m.Packages = append(m.Packages, unit)
-		case len(df.base) > 0:
-			m.Packages = append(m.Packages, l.checked[ip])
-		}
-		if len(df.extTest) > 0 {
-			unit, err := l.typeCheck(ip+".test", df.extTest)
-			if err != nil {
-				return nil, err
-			}
-			unit.Dir = l.dirs[ip]
-			m.Packages = append(m.Packages, unit)
-		}
-	}
-	return m, nil
+	return &Package{Path: path, Dir: lp.Dir, Name: lp.Name, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // directives extracts "lint:" comment directives from a parsed file. A
