@@ -8,7 +8,8 @@
 //	go run ./cmd/meshlint [flags] [packages]
 //
 // It always loads and analyzes the whole module. Package patterns keep
-// only the findings in the named packages' directories, and the go command
+// only the findings (or, with -panics, the panic sites) in the named
+// packages' directories, and the go command
 // resolves them as it does go vet's: "./internal/obs" is that package
 // alone, "./internal/obs/..." the tree under it, and a pattern naming no
 // package is an error. With no pattern every finding is kept.
@@ -70,9 +71,12 @@ func main() {
 	}
 
 	if *panics {
-		inventory := lint.PanicInventory(m)
-		reachable := 0
-		for _, s := range inventory {
+		listed, reachable := 0, 0
+		for _, s := range lint.PanicInventory(m) {
+			if dirs != nil && !dirs[filepath.Dir(s.Pos.Filename)] {
+				continue
+			}
+			listed++
 			mark := " "
 			if s.Reachable {
 				mark = "R"
@@ -83,7 +87,7 @@ func main() {
 			}
 			fmt.Printf("%s:%d: %s %s\n", rel(root, s.Pos.Filename), s.Pos.Line, mark, s.Fn)
 		}
-		fmt.Printf("%d panic sites, %d reachable from the exported API\n", len(inventory), reachable)
+		fmt.Printf("%d panic sites, %d reachable from the exported API\n", listed, reachable)
 		return
 	}
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -33,14 +34,15 @@ func TestMain(m *testing.M) {
 }
 
 // TestPackagePatterns runs meshlint over a module holding a package a and
-// a package a/sub, each with one float-eq finding: package patterns mean
-// what they mean to go vet, and a pattern naming no directory is an error.
+// a package a/sub, each with one float-eq finding and one panic site:
+// package patterns mean what they mean to go vet, for findings and for the
+// -panics inventory alike, and a pattern naming no directory is an error.
 func TestPackagePatterns(t *testing.T) {
 	root := t.TempDir()
 	for name, src := range map[string]string{
 		"go.mod":       "module tiny\n\ngo 1.22\n",
-		"a/a.go":       "package a\n\nfunc Eq(x, y float64) bool { return x == y }\n",
-		"a/sub/sub.go": "package sub\n\nfunc Eq(x, y float64) bool { return x == y }\n",
+		"a/a.go":       "package a\n\nfunc Eq(x, y float64) bool { return x == y }\n\nfunc P() { panic(0) }\n",
+		"a/sub/sub.go": "package sub\n\nfunc Eq(x, y float64) bool { return x == y }\n\nfunc P() { panic(0) }\n",
 	} {
 		path := filepath.Join(root, name)
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -54,7 +56,7 @@ func TestPackagePatterns(t *testing.T) {
 	cases := []struct {
 		patterns []string
 		exit     int
-		files    []string // findings' leading "file:line: [rule]"
+		files    []string // findings' leading "file:line: [rule]", or -panics' output lines
 	}{
 		{nil, 1, both},
 		{[]string{"./..."}, 1, both},
@@ -62,6 +64,7 @@ func TestPackagePatterns(t *testing.T) {
 		{[]string{"./a/..."}, 1, both},
 		{[]string{"./a/sub"}, 1, both[1:]},
 		{[]string{"./nosuch"}, 2, nil},
+		{[]string{"-panics", "./a"}, 0, []string{"a/a.go:5:   tiny/a.P", "1 panic sites, 0 reachable from the exported API"}},
 	}
 	for _, c := range cases {
 		t.Run(cmp.Or(strings.Join(c.patterns, " "), "no pattern"), func(t *testing.T) {
@@ -78,10 +81,13 @@ func TestPackagePatterns(t *testing.T) {
 			if exit != c.exit {
 				t.Errorf("exit %d, want %d; stderr:\n%s", exit, c.exit, stderr.String())
 			}
+			inventory := slices.Contains(c.patterns, "-panics")
 			var got []string
 			for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
 				if head, _, ok := strings.Cut(line, "] "); ok {
 					got = append(got, head+"]")
+				} else if inventory {
+					got = append(got, line)
 				}
 			}
 			if strings.Join(got, "\n") != strings.Join(c.files, "\n") {

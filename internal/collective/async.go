@@ -29,6 +29,9 @@ import (
 // flags a leaked handle, and the runtime drains (and re-raises the panics
 // of) any that slip through.
 
+// Each Start form declares its op's sends to StartAsync: Size−1 ring hops
+// for a gather or a scatter, one message for a shift that moves.
+
 // Handle is an in-flight asynchronous collective (see mesh.Handle).
 type Handle = mesh.Handle
 
@@ -37,7 +40,7 @@ type Handle = mesh.Handle
 // lint:hotpath steady-state issue: must not allocate
 func StartAllGatherRowsInto(cm *mesh.Comm, local, dst *tensor.Matrix) *Handle {
 	checkGather("StartAllGatherRowsInto", cm, local, dst, alongRows)
-	return cm.StartAsync(recorder.OpAllGather, allGatherLoop, local, dst, alongRows)
+	return cm.StartAsync(recorder.OpAllGather, allGatherLoop, local, dst, alongRows, cm.Size-1)
 }
 
 // StartAllGatherColsInto starts AllGatherColsInto(cm, local, dst) on cm's
@@ -45,7 +48,7 @@ func StartAllGatherRowsInto(cm *mesh.Comm, local, dst *tensor.Matrix) *Handle {
 // lint:hotpath steady-state issue: must not allocate
 func StartAllGatherColsInto(cm *mesh.Comm, local, dst *tensor.Matrix) *Handle {
 	checkGather("StartAllGatherColsInto", cm, local, dst, alongCols)
-	return cm.StartAsync(recorder.OpAllGather, allGatherLoop, local, dst, alongCols)
+	return cm.StartAsync(recorder.OpAllGather, allGatherLoop, local, dst, alongCols, cm.Size-1)
 }
 
 // StartReduceScatterRowsInto starts ReduceScatterRowsInto(cm, m, dst) on
@@ -53,7 +56,7 @@ func StartAllGatherColsInto(cm *mesh.Comm, local, dst *tensor.Matrix) *Handle {
 // lint:hotpath steady-state issue: must not allocate
 func StartReduceScatterRowsInto(cm *mesh.Comm, m, dst *tensor.Matrix) *Handle {
 	checkScatter("StartReduceScatterRowsInto", cm, m, dst, alongRows)
-	return cm.StartAsync(recorder.OpReduceScatter, reduceScatterLoop, m, dst, alongRows)
+	return cm.StartAsync(recorder.OpReduceScatter, reduceScatterLoop, m, dst, alongRows, cm.Size-1)
 }
 
 // StartReduceScatterColsInto starts ReduceScatterColsInto(cm, m, dst) on
@@ -61,7 +64,7 @@ func StartReduceScatterRowsInto(cm *mesh.Comm, m, dst *tensor.Matrix) *Handle {
 // lint:hotpath steady-state issue: must not allocate
 func StartReduceScatterColsInto(cm *mesh.Comm, m, dst *tensor.Matrix) *Handle {
 	checkScatter("StartReduceScatterColsInto", cm, m, dst, alongCols)
-	return cm.StartAsync(recorder.OpReduceScatter, reduceScatterLoop, m, dst, alongCols)
+	return cm.StartAsync(recorder.OpReduceScatter, reduceScatterLoop, m, dst, alongCols, cm.Size-1)
 }
 
 // StartShiftInto starts a circular SendRecv on cm's background comm lane:
@@ -75,7 +78,11 @@ func StartShiftInto(cm *mesh.Comm, steps int, m, dst *tensor.Matrix) *Handle {
 	if dst.Rows != m.Rows || dst.Cols != m.Cols {
 		panic(fmt.Sprintf("collective: StartShiftInto dst %dx%d for %dx%d", dst.Rows, dst.Cols, m.Rows, m.Cols)) // lint:invariant shape precondition
 	}
-	return cm.StartAsync(recorder.OpShift, execShift, m, dst, steps)
+	sends := 0
+	if mod(steps, cm.Size) != 0 {
+		sends = 1
+	}
+	return cm.StartAsync(recorder.OpShift, execShift, m, dst, steps, sends)
 }
 
 // execShift is Wang's overlapped SendRecv: it sends a copy of m drawn from

@@ -150,3 +150,44 @@ func barHighest(n int, stat func(*runtime.MemStats) uint64, f func()) (float64, 
 	}
 	return float64(sum) / float64(n-1), counts
 }
+
+// multiplyChipSlack is what a warm gemm.Multiply may allocate per chip
+// beyond its result, its output shards and an idle mesh.
+const multiplyChipSlack = 2 << 10
+
+// TestMultiplyAllocatesOnlyItsResult holds a warm gemm.Multiply, which
+// makes, runs and closes a fresh mesh per call, to the bytes of its result
+// and of its chips' output shards plus what mesh.New and an idle run cost,
+// plus multiplyChipSlack per chip for the run's bookkeeping (chip views,
+// communicators, the headers of carved matrices: 0.7 KB per chip on 4×4
+// and 1.1 KB on 8×8 when the gate was set). The operand shards and every
+// arena buffer are carved from the slab the last closed mesh gave back.
+// The 4×4 and 8×8 calls take turns, so one slab serves both sizes. At 512³
+// on 4×4 a call allocated 14.8 MB before the slab and 4.26 MB after.
+func TestMultiplyAllocatesOnlyItsResult(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on its own; the gate runs without -race")
+	}
+	p := Problem{M: 512, N: 512, K: 512, Dataflow: OS}
+	a, b, _ := makeProblem(p, 7)
+	fn := MeshSlice(OS, MeshSliceConfig{S: 4, Block: 2})
+	tors := []topology.Torus{topology.NewTorus(4, 4), topology.NewTorus(8, 8)}
+	for _, tor := range tors {
+		Multiply(tor, fn, a, b) // the slab grows to the larger mesh's need
+	}
+	result := 8 * p.M * p.N // bytes of the result, and of the output shards
+	for _, tor := range tors {
+		idle, _ := barHighest(5, totalAlloc, func() {
+			m := mesh.New(tor)
+			m.Run(func(*mesh.Chip) {})
+			m.Close()
+		})
+		got, counts := barHighest(5, totalAlloc, func() { Multiply(tor, fn, a, b) })
+		t.Logf("%v: %.0f bytes per gemm.Multiply; result and shards %d, idle mesh %.0f", tor, got, 2*result, idle)
+		slack := multiplyChipSlack * tor.Size()
+		if limit := float64(2*result+slack) + idle; got > limit {
+			t.Errorf("%v: a warm gemm.Multiply allocates %.0f bytes, more than its result and output shards (%d) + an idle mesh (%.0f) + %d (single runs, sorted: %v)",
+				tor, got, 2*result, idle, slack, counts)
+		}
+	}
+}

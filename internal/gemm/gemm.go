@@ -249,20 +249,43 @@ func Run(m *mesh.Mesh, fn ChipFunc, a, b []*tensor.Matrix) []*tensor.Matrix {
 }
 
 // Multiply shards the global operands onto a fresh mesh of the given shape,
-// runs fn SPMD, and assembles the global result.
+// runs fn SPMD, and assembles the global result. It closes the mesh, so
+// the next call carves its buffers from the same memory.
 func Multiply(t topology.Torus, fn ChipFunc, a, b *tensor.Matrix) *tensor.Matrix {
-	return MultiplyOn(mesh.New(t), fn, a, b)
+	m := mesh.New(t)
+	defer m.Close()
+	return MultiplyOn(m, fn, a, b)
 }
 
 // MultiplyOn is Multiply on a caller-provided mesh, so callers can attach
 // instrumentation (a metrics registry, a flight recorder) or fault plans
-// before the run and inspect them after.
+// before the run and inspect them after. Sharding and assembly run on the
+// chips: each copies its blocks of a and b into its scratch arena (as
+// tensor.Partition would cut them) and writes its output shard straight
+// into the result.
 func MultiplyOn(m *mesh.Mesh, fn ChipFunc, a, b *tensor.Matrix) *tensor.Matrix {
 	t := m.Torus
-	as := tensor.Partition(a, t.Rows, t.Cols)
-	bs := tensor.Partition(b, t.Rows, t.Cols)
-	cs := Run(m, fn, as, bs)
-	return tensor.Assemble(cs, t.Rows, t.Cols)
+	for _, x := range []*tensor.Matrix{a, b} {
+		if x.Rows%t.Rows != 0 || x.Cols%t.Cols != 0 {
+			panic(fmt.Sprintf("tensor: Partition %dx%d into %dx%d shards", x.Rows, x.Cols, t.Rows, t.Cols)) // lint:invariant shape precondition, as tensor.Partition's
+		}
+	}
+	var out *tensor.Matrix
+	var once sync.Once
+	m.Run(func(c *mesh.Chip) {
+		i, j := c.Rank/t.Cols, c.Rank%t.Cols
+		aij := c.Scratch(a.Rows/t.Rows, a.Cols/t.Cols)
+		aij.CopySub(a, i*aij.Rows, j*aij.Cols)
+		bij := c.Scratch(b.Rows/t.Rows, b.Cols/t.Cols)
+		bij.CopySub(b, i*bij.Rows, j*bij.Cols)
+		res := fn(c, aij, bij)
+		once.Do(func() { out = tensor.New(t.Rows*res.Rows, t.Cols*res.Cols) })
+		if res.Rows*t.Rows != out.Rows || res.Cols*t.Cols != out.Cols {
+			panic(fmt.Sprintf("tensor: Assemble shard (%d,%d) is %dx%d, want %dx%d", i, j, res.Rows, res.Cols, out.Rows/t.Rows, out.Cols/t.Cols)) // lint:invariant shape precondition, as tensor.Assemble's
+		}
+		out.SetSubMatrix(i*res.Rows, j*res.Cols, res)
+	})
+	return out
 }
 
 // divisible reports whether dim splits evenly by div.

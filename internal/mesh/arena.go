@@ -3,9 +3,57 @@ package mesh
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
+	"meshslice/internal/held"
 	"meshslice/internal/tensor"
 )
+
+// slabs holds the one slab the process's meshes carve their arena buffers
+// from (the scratch lanes' and the pool's misses): mesh.New takes it and
+// Close gives it back, so a mesh made, run and closed per call — what
+// gemm.Multiply does — reuses the last closed mesh's memory instead of
+// allocating and zeroing it afresh. One slab serves every mesh size; a
+// mesh that is never closed keeps the slab it took.
+var slabs held.Store[float64]
+
+// slab is one mesh's share of slabs. Carving is one atomic bump, so the
+// chip goroutines and comm lanes carve concurrently without a lock; used
+// keeps counting past the end, where misses fall back to tensor.New, so
+// Close knows how large a slab the mesh needed.
+type slab struct {
+	buf  []float64
+	used atomic.Int64
+}
+
+// carve returns a rows×cols matrix cut from the slab, or a new one when
+// the slab is full. Its contents are whatever the slab's last user left.
+// lint:allow hotpath-alloc a carve allocates the matrix header; a full slab allocates what tensor.New would
+func (s *slab) carve(rows, cols int) *tensor.Matrix {
+	n := int64(rows) * int64(cols)
+	if end := s.used.Add(n); end <= int64(len(s.buf)) {
+		return &tensor.Matrix{Rows: rows, Cols: cols, Data: s.buf[end-n : end : end]}
+	}
+	return tensor.New(rows, cols)
+}
+
+// Close gives the mesh's slab back to the process-wide store, regrown to
+// what the mesh carved and allocated, and drops every arena buffer, so the
+// next mesh carves the same memory. It must not be called while a run is
+// in flight; Run and RunE panic on a closed mesh, and a second Close does
+// nothing. A mesh that is never closed keeps the slab it took.
+func (m *Mesh) Close() {
+	if m.closed {
+		return
+	}
+	m.closed = true
+	buf := m.slab.buf
+	if n := m.slab.used.Load(); n > int64(len(buf)) {
+		buf = make([]float64, n)
+	}
+	m.slab.buf, m.scratch, m.pool = nil, nil, nil
+	slabs.Give(buf)
+}
 
 // bufPool recycles matrix buffers across collective calls, keyed by shape.
 // Ring collectives acquire one scratch buffer per call, circulate it with
@@ -28,6 +76,8 @@ type bufPool struct {
 	// created it, so a violation's panic can say when the buffer left the
 	// offender's hands.
 	ops uint64
+	// slab is what a miss carves from.
+	slab *slab
 }
 
 type bufTag struct {
@@ -46,16 +96,18 @@ const (
 // can be recycled and the tag would misfire.)
 const maxPooledPerShape = 64
 
-func newBufPool() *bufPool {
+func newBufPool(s *slab) *bufPool {
 	return &bufPool{
 		free: make(map[[2]int][]*tensor.Matrix),
 		tag:  make(map[*tensor.Matrix]bufTag),
+		slab: s,
 	}
 }
 
 // acquire returns a rows×cols matrix with unspecified contents: a recycled
-// buffer when one of that shape is free, a fresh allocation otherwise.
-// lint:allow hotpath-alloc pool miss allocates by design; the steady state is a pool hit
+// buffer when one of that shape is free, one carved from the slab
+// otherwise.
+// lint:allow hotpath-alloc pool miss carves by design; the steady state is a pool hit
 func (p *bufPool) acquire(rows, cols int) *tensor.Matrix {
 	k := [2]int{rows, cols}
 	p.mu.Lock()
@@ -69,7 +121,7 @@ func (p *bufPool) acquire(rows, cols int) *tensor.Matrix {
 		return m
 	}
 	p.mu.Unlock()
-	return tensor.New(rows, cols)
+	return p.slab.carve(rows, cols)
 }
 
 // release returns a buffer to the pool. The caller must hold the only live

@@ -24,28 +24,28 @@ func mustPanic(t *testing.T, want string, fn func()) {
 }
 
 func TestPoolDoubleReleasePanics(t *testing.T) {
-	p := newBufPool()
+	p := newBufPool(new(slab))
 	m := p.acquire(2, 3)
 	p.release(m)
 	mustPanic(t, "double ReleaseBuf", func() { p.release(m) })
 }
 
 func TestPoolReleaseAfterSendPanics(t *testing.T) {
-	p := newBufPool()
+	p := newBufPool(new(slab))
 	m := p.acquire(2, 3)
 	p.noteSend(m)
 	mustPanic(t, "ReleaseBuf of 2x3 buffer after SendOwned", func() { p.release(m) })
 }
 
 func TestPoolSendAfterReleasePanics(t *testing.T) {
-	p := newBufPool()
+	p := newBufPool(new(slab))
 	m := p.acquire(2, 3)
 	p.release(m)
 	mustPanic(t, "SendOwned of 2x3 buffer after ReleaseBuf", func() { p.noteSend(m) })
 }
 
 func TestPoolDoubleSendPanics(t *testing.T) {
-	p := newBufPool()
+	p := newBufPool(new(slab))
 	m := p.acquire(2, 3)
 	p.noteSend(m)
 	mustPanic(t, "already in flight", func() { p.noteSend(m) })
@@ -55,7 +55,7 @@ func TestPoolDoubleSendPanics(t *testing.T) {
 // send, deliver, release, re-acquire — no panics, and the pool recycles
 // the same buffer.
 func TestPoolOwnershipRoundTrip(t *testing.T) {
-	p := newBufPool()
+	p := newBufPool(new(slab))
 	m := p.acquire(4, 4)
 	for i := 0; i < 2; i++ {
 		p.noteSend(m)

@@ -87,6 +87,10 @@ type Handle struct {
 	// the chip's log at Wait.
 	log *recorder.Log
 
+	// sendNext and sendEnd bound the send numbers the op reserved at issue
+	// (see Chip.sendNumber); the worker advances sendNext.
+	sendNext, sendEnd int
+
 	// Guarded by the exchanger mutex.
 	state    hState
 	panicVal any
@@ -113,6 +117,8 @@ type asyncState struct {
 	hfree []*Handle
 	// seq numbers the chip's async ops for the flight recorder.
 	seq int
+	// sends is the number the chip's next send gets (see Chip.sendNumber).
+	sends int
 }
 
 // asyncWorker is one background comm lane: a goroutine executing one
@@ -158,9 +164,11 @@ type asyncWorker struct {
 // until Wait returns; matrices the op only reads (via cloning Send) may be
 // read concurrently, so a and b must be different matrices: an op whose
 // destination is its input panics here. Issue order is execution order per
-// direction.
+// direction. sends is how many messages fn sends: the chip numbers them
+// here, in its issue order, as if the op ran inline (see SetFaults), and an
+// op that sends more panics.
 // lint:hotpath steady-state issue: must not allocate
-func (cm *Comm) StartAsync(op recorder.Op, fn AsyncOp, a, b *tensor.Matrix, arg int) *Handle {
+func (cm *Comm) StartAsync(op recorder.Op, fn AsyncOp, a, b *tensor.Matrix, arg, sends int) *Handle {
 	c := cm.chip
 	if c.isWorker || c.async == nil {
 		panic("mesh: StartAsync requires a chip-goroutine communicator") // lint:invariant async ops issue from chip goroutines only
@@ -174,6 +182,8 @@ func (cm *Comm) StartAsync(op recorder.Op, fn AsyncOp, a, b *tensor.Matrix, arg 
 	h.dir, h.members, h.size, h.pos = cm.dir, cm.members, cm.Size, cm.Pos
 	h.ord = c.async.seq
 	c.async.seq++
+	h.sendNext, h.sendEnd = c.async.sends, c.async.sends+sends
+	c.async.sends = h.sendEnd
 	h.state = hQueued
 	h.panicVal = nil
 	h.issueClock = 0
@@ -385,6 +395,7 @@ func (w *asyncWorker) exec(h *Handle) {
 		h.log.Begin(h.op, h.ord, w.lane, h.issueClock, w.clock)
 		w.wchip.log = h.log
 	}
+	w.wchip.op = h
 	w.comm = Comm{chip: w.wchip, dir: h.dir, members: h.members, Size: h.size, Pos: h.pos}
 	h.fn(&w.comm, h.m1, h.m2, h.arg)
 	if h.log != nil {

@@ -43,16 +43,18 @@ type exchanger struct {
 	// Fault injection (configured by setFaults before a run; read-only
 	// while chips execute). delays is keyed by directed edge and counted
 	// in scheduler yields; drops maps an edge to the 0-based send indices
-	// to discard; chipFails maps a rank to the send count it dies at.
+	// to discard; chipFails maps a rank to the number of the send it dies
+	// at (see Chip.sendNumber).
 	delays    map[pair]int
 	drops     map[pair]map[int]bool
 	chipFails map[int]int
 
 	// Per-run fault progress, cleared by beginRun (nil without a fault
-	// plan): messages sent per edge (for drop matching) and per chip (for
-	// failure matching).
+	// plan): messages sent per edge (for drop matching), and the error of
+	// each chip that fail-stopped, which every later send of that chip
+	// raises again.
 	edgeSends map[pair]int
-	chipSends map[int]int
+	dead      map[int]*ChipFailedError
 
 	// Quiescence detection: alive counts chip goroutines still running,
 	// waiting counts those blocked in recv, awaiting those parked in
@@ -177,7 +179,7 @@ func (e *exchanger) setFaults(f fault.MeshFaults) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.delays, e.drops, e.chipFails = nil, nil, nil
-	e.edgeSends, e.chipSends = nil, nil
+	e.edgeSends, e.dead = nil, nil
 	if f.Empty() {
 		return
 	}
@@ -200,25 +202,25 @@ func (e *exchanger) setFaults(f fault.MeshFaults) {
 		}
 	}
 	e.edgeSends = make(map[pair]int)
-	e.chipSends = make(map[int]int)
+	e.dead = make(map[int]*ChipFailedError)
 }
 
-// beginRun arms the per-run counters for n chip goroutines.
+// beginRun arms the per-run state for n chip goroutines: the quiescence
+// counters, the stall and poison flags and the fault progress.
 func (e *exchanger) beginRun(n int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.alive = n
-	e.waiting = 0
-	e.awaiting = 0
+	e.waiting, e.awaiting = 0, 0
 	e.wlive, e.widle, e.wblocked = 0, 0, 0
 	e.workersClosing = false
-	e.awaitList = nil
-	e.workers = nil
-	e.stalled = false
-	e.stallEdges = nil
+	e.awaitList, e.workers = nil, nil
+	e.parked = e.parked[:0]
+	e.poisoned, e.stalled = false, false
+	e.stallEdges, e.stallWaits = nil, nil
 	clear(e.waitSpans)
 	clear(e.edgeSends)
-	clear(e.chipSends)
+	clear(e.dead)
 }
 
 // chipDone retires a finished (or panicked) chip goroutine: it will never
@@ -330,8 +332,9 @@ func (e *exchanger) unpark(i int) {
 func (e *exchanger) send(c *Chip, to int, m *tensor.Matrix, clock uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	n := c.sendNumber()
 	// setFaults arms every fault map or none.
-	if e.chipFails != nil && e.sendFault(c, to) {
+	if e.chipFails != nil && e.sendFault(c, to, n) {
 		return
 	}
 	ed := &e.edges[c.Rank*e.n+to]
@@ -343,28 +346,30 @@ func (e *exchanger) send(c *Chip, to int, m *tensor.Matrix, clock uint64) {
 	}
 }
 
-// sendFault applies the fault plan to one send: it panics when the sender
-// fail-stops here and reports whether the message is dropped. Callers hold
-// e.mu.
+// sendFault applies the fault plan to send number n: it panics when the
+// sender fail-stops here or already has, and reports whether the message
+// is dropped. Callers hold e.mu.
 // lint:allow hotpath-alloc fault injection is off the fault-free path
-func (e *exchanger) sendFault(c *Chip, to int) bool {
+func (e *exchanger) sendFault(c *Chip, to, n int) bool {
 	from := c.Rank
-	if at, ok := e.chipFails[from]; ok && e.chipSends[from] >= at {
-		sends := e.chipSends[from]
+	if err := e.dead[from]; err != nil {
+		panic(err) // lint:invariant a fail-stopped chip's other lanes stop too, with the same typed error
+	}
+	if at, ok := e.chipFails[from]; ok && n == at {
 		op, step := "", -1
 		if l := c.log; l != nil {
 			// Record in the sender's own log: a background comm worker's
 			// fail-stop lands in its op's log, whose span names the
 			// overlapped op. The fatal send was already recorded by the
 			// Chip method, so the span's send count is one past it.
-			l.ChipFail(sends)
+			l.ChipFail(n)
 			if s := l.Span(); s.Open && s.Op != recorder.OpNone {
 				op, step = s.Op.String(), int(s.Sends)-1
 			}
 		}
-		panic(&ChipFailedError{Chip: from, Sends: sends, Op: op, Step: step}) // lint:invariant injected fail-stop, recovered and typed by RunE
+		e.dead[from] = &ChipFailedError{Chip: from, Sends: n, Op: op, Step: step}
+		panic(e.dead[from]) // lint:invariant injected fail-stop, recovered and typed by RunE
 	}
-	e.chipSends[from]++
 	k := pair{from, to}
 	nth := e.edgeSends[k]
 	e.edgeSends[k]++
@@ -452,27 +457,16 @@ func (e *exchanger) poison() {
 	e.wakeAll()
 }
 
-// reset clears leftover state between SPMD runs on the same mesh: the
-// mailboxes rewind in place, the traffic counters survive so callers can
+// reset rewinds the mailboxes in place once a run is over, dropping what a
+// failed run left undelivered. The traffic counters survive so callers can
 // read them after Run returns, and the fault plan survives so repeated runs
-// replay identical faults.
+// replay identical faults; beginRun clears the rest.
 func (e *exchanger) reset() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for i := range e.edges {
 		e.edges[i].rewind()
 	}
-	e.parked = e.parked[:0]
-	e.poisoned = false
-	e.stalled = false
-	e.stallEdges = nil
-	e.stallWaits = nil
-	e.waiting = 0
-	e.awaiting = 0
-	e.awaitList = nil
-	e.wlive, e.widle, e.wblocked = 0, 0, 0
-	e.workersClosing = false
-	e.workers = nil
 }
 
 // stats snapshots the traffic counters. An edge that carried a message

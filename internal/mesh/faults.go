@@ -52,7 +52,8 @@ func (w EdgeWait) String() string {
 type ChipFailedError struct {
 	// Chip is the failed chip's rank.
 	Chip int
-	// Sends is the number of messages it had sent when it died.
+	// Sends is the number of its fatal send: the sends before it in the
+	// chip's issue order (see SetFaults).
 	Sends int
 	// Op names the collective (or GeMM step) the chip was inside when it
 	// died, and Step the ring step of its fatal send; set only when a
@@ -132,8 +133,30 @@ func (e *RecvStallError) Error() string {
 // The plan persists across runs — drops and chip failures replay
 // identically on every Run because the per-edge and per-chip message
 // counters reset between runs.
+//
+// A chip's sends are numbered in the order its chip goroutine issues them,
+// and an asynchronous op's sends when it is started, as if it ran inline
+// (see Comm.StartAsync), not when a comm lane gets to them. So
+// fault.MeshChipFail{AfterSends: n} always kills the same send, whatever
+// the interleaving: the one numbered n. From then on every send of the
+// chip, on any lane, raises the same *ChipFailedError.
 func (m *Mesh) SetFaults(f fault.MeshFaults) {
 	m.ex.setFaults(f)
+}
+
+// sendNumber returns the number of the send this view is making: the chip
+// goroutine's next, or the next one the running async op reserved.
+// lint:hotpath steady-state send: a counter, no allocation
+func (c *Chip) sendNumber() int {
+	if h := c.op; h != nil {
+		if h.sendNext == h.sendEnd {
+			panic(fmt.Sprintf("mesh: async %s sends more messages than StartAsync declared", h.op)) // lint:invariant an op's declared send count numbers the chip's later sends
+		}
+		h.sendNext++
+		return h.sendNext - 1
+	}
+	c.async.sends++
+	return c.async.sends - 1
 }
 
 // RunE executes fn once per chip like Run, but returns injected-fault and
@@ -145,7 +168,14 @@ func (m *Mesh) SetFaults(f fault.MeshFaults) {
 // guard did not raise — still re-panic with Run's SPMD failure semantics.
 func (m *Mesh) RunE(fn func(c *Chip)) error {
 	panics := m.runAll(fn)
+	// A fail-stop is the root cause even when the dead chip's goroutine
+	// surfaced something else (a comm lane died while it waited elsewhere).
 	var chipFail *ChipFailedError
+	for rank := range panics {
+		if chipFail = m.ex.dead[rank]; chipFail != nil {
+			break
+		}
+	}
 	var stall *RecvStallError
 	var backlog *StreamBacklogError
 	var fallback string
@@ -154,10 +184,7 @@ func (m *Mesh) RunE(fn func(c *Chip)) error {
 			continue
 		}
 		switch v := p.(type) {
-		case *ChipFailedError:
-			if chipFail == nil {
-				chipFail = v
-			}
+		case *ChipFailedError: // in m.ex.dead, read above
 		case *RecvStallError:
 			if stall == nil {
 				stall = v

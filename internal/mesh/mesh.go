@@ -32,6 +32,10 @@ type Mesh struct {
 	// scratch holds every chip's arena lanes, scratchLanes per rank (see
 	// Chip.Scratch).
 	scratch []scratchLane
+	// slab is what the pool's and the lanes' misses carve from, taken
+	// from the process-wide store by New and given back by Close.
+	slab   slab
+	closed bool
 	// rec, when set, records every send/recv/span/buffer/fault event with
 	// Lamport clocks (see SetRecorder).
 	rec *recorder.Recorder
@@ -78,9 +82,14 @@ func (m *Mesh) SetRecorder(r *recorder.Recorder) {
 // Recorder returns the flight recorder attached by SetRecorder, or nil.
 func (m *Mesh) Recorder() *recorder.Recorder { return m.rec }
 
-// New creates a mesh with the given torus shape.
+// New creates a mesh with the given torus shape. It takes the slab the
+// last closed mesh gave back (see Close).
 func New(t topology.Torus) *Mesh {
-	return &Mesh{Torus: t, ex: newExchanger(t), pool: newBufPool(), scratch: make([]scratchLane, t.Size()*scratchLanes)}
+	m := &Mesh{Torus: t, ex: newExchanger(t), scratch: make([]scratchLane, t.Size()*scratchLanes)}
+	buf := slabs.Take(0)
+	m.slab.buf = buf[:cap(buf)]
+	m.pool = newBufPool(&m.slab)
+	return m
 }
 
 // MaxStreamStarts bounds how many ring streams one chip may start without
@@ -120,6 +129,9 @@ type Chip struct {
 	// scratch is the arena lane of the goroutine this view runs on: lane
 	// 0 for the chip goroutine, its comm lane's for a worker view.
 	scratch *scratchLane
+	// op is the handle a worker view is executing (nil on the chip
+	// goroutine): its sends take the numbers it reserved at issue.
+	op *Handle
 }
 
 // WithRings returns a view of the chip whose row and column communicators
@@ -166,6 +178,9 @@ func (m *Mesh) Run(fn func(c *Chip)) {
 // runAll spawns one goroutine per chip, waits for them all, and returns
 // the recovered panic values by rank (the shared engine of Run and RunE).
 func (m *Mesh) runAll(fn func(c *Chip)) []any {
+	if m.closed {
+		panic("mesh: Run on a closed mesh") // lint:invariant use-after-Close guard: the slab belongs to another mesh now
+	}
 	n := m.Torus.Size()
 	m.ex.beginRun(n)
 	var wg sync.WaitGroup

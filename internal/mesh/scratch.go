@@ -15,10 +15,10 @@ import (
 // and each of its background comm lanes. A lane is only ever touched by its
 // own goroutine, so drawing takes no lock. A lane keeps up to scratchSlots
 // matrices, each of one shape, and a draw hands out the first one of the
-// asked shape not yet drawn this run (a miss allocates, and keeps the new
-// matrix while slots are free). Every lane of the mesh lives in one slab
-// that mesh.New allocates, so a fresh mesh pays one object for the arena,
-// and a miss allocates only the matrix tensor.New would have made anyway.
+// asked shape not yet drawn this run (a miss carves one from the mesh's
+// slab, see Mesh.Close, and keeps it while slots are free). Every lane of
+// the mesh lives in one array that mesh.New allocates, so a fresh mesh pays
+// one object for the lanes.
 //
 // A drawn matrix stays drawn until the run ends, when runAll, with every
 // chip goroutine and comm lane joined, reclaims every lane. So a schedule
@@ -45,22 +45,23 @@ type scratchLane struct {
 }
 
 // draw returns a rows×cols matrix no one else holds this run. Its contents
-// are whatever its last user left (zero when just allocated).
+// are whatever its last user left.
 // lint:hotpath steady-state draw: a warm lane allocates nothing
-func (s *scratchLane) draw(rows, cols int) *tensor.Matrix {
+func (s *scratchLane) draw(sl *slab, rows, cols int) *tensor.Matrix {
 	for i, m := range s.bufs[:s.n] {
 		if s.drawn&(1<<i) == 0 && m.Rows == rows && m.Cols == cols {
 			s.drawn |= 1 << i
 			return m
 		}
 	}
-	return s.miss(rows, cols)
+	return s.miss(sl, rows, cols)
 }
 
-// miss allocates a matrix for draw, keeping it drawn while a slot is free.
-// lint:allow hotpath-alloc a lane miss allocates by design: the first run of a shape, then the slot is reused
-func (s *scratchLane) miss(rows, cols int) *tensor.Matrix {
-	m := tensor.New(rows, cols)
+// miss carves a matrix for draw from sl, keeping it drawn while a slot is
+// free.
+// lint:allow hotpath-alloc a lane miss carves by design: the first run of a shape, then the slot is reused
+func (s *scratchLane) miss(sl *slab, rows, cols int) *tensor.Matrix {
+	m := sl.carve(rows, cols)
 	if s.n < scratchSlots {
 		s.bufs[s.n] = m
 		s.drawn |= 1 << s.n
@@ -77,7 +78,7 @@ func (s *scratchLane) miss(rows, cols int) *tensor.Matrix {
 // and needs no release.
 // lint:hotpath steady-state draw: a warm lane allocates nothing
 func (c *Chip) Scratch(rows, cols int) *tensor.Matrix {
-	return c.scratch.draw(rows, cols)
+	return c.scratch.draw(&c.mesh.slab, rows, cols)
 }
 
 // Scratch returns a scratch matrix from the arena lane of the goroutine

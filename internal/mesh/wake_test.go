@@ -72,7 +72,7 @@ func TestTwoReceiversOnOneEdgeEachGetOneMessage(t *testing.T) {
 					return
 				}
 				lane := tensor.New(1, 1)
-				h := ring.StartAsync(recorder.OpShift, recvInto, nil, lane, 0)
+				h := ring.StartAsync(recorder.OpShift, recvInto, nil, lane, 0, 0)
 				chipGot = c.Recv(0).At(0, 0)
 				h.Wait()
 				laneGot = lane.At(0, 0)
@@ -103,7 +103,7 @@ func TestStallWithChipInHandleWait(t *testing.T) {
 					c.Recv(3)
 				case 1:
 					ring := c.CustomComm([]int{0, 1}, topology.InterCol)
-					h := ring.StartAsync(recorder.OpShift, recvInto, nil, tensor.New(1, 1), 0)
+					h := ring.StartAsync(recorder.OpShift, recvInto, nil, tensor.New(1, 1), 0, 0)
 					h.Wait()
 				default:
 					c.Recv(c.Rank - 1)
@@ -146,7 +146,7 @@ func TestPanicWakesEdgesAndHandles(t *testing.T) {
 				switch c.Rank {
 				case 1:
 					ring := c.CustomComm([]int{0, 1}, topology.InterCol)
-					h := ring.StartAsync(recorder.OpShift, recvInto, nil, tensor.New(1, 1), 0)
+					h := ring.StartAsync(recorder.OpShift, recvInto, nil, tensor.New(1, 1), 0, 0)
 					h.Wait()
 				case 3:
 					waitUntil(m.ex, func() bool {

@@ -9,6 +9,7 @@ import (
 	"meshslice/internal/ckpt"
 	"meshslice/internal/collective"
 	"meshslice/internal/fault"
+	"meshslice/internal/held"
 	"meshslice/internal/mesh"
 	"meshslice/internal/obs"
 	"meshslice/internal/obs/recorder"
@@ -44,7 +45,7 @@ import (
 // single ring assembles. That storage lives in one workspace per chip
 // (elasticWorkspace): every step gathers, slices and multiplies into the
 // same buffers, so a step allocates no tensor. The workspaces are carved
-// from one slab the package keeps between runs (takeSlab, giveSlab), so a
+// from one slab the package keeps between runs (workspaceSlab), so a
 // run does not allocate and zero them afresh either: the 2×2 resume of a
 // failed 2×4 run trains in the 2×4 run's memory. Every workspace buffer is
 // overwritten before it is read, so what an earlier run left in the slab
@@ -277,7 +278,7 @@ func TrainElastic(c ElasticConfig, lay ckpt.Layout, steps int, seed int64, opts 
 	finalW1 := make([]*tensor.Matrix, chips)
 	finalW2 := make([]*tensor.Matrix, chips)
 	per := workspaceFloats(c, pr, pc)
-	slab := takeSlab(chips * per)
+	slab := workspaceSlab.Take(chips * per)
 	err := m.RunE(func(ch *mesh.Chip) {
 		r, cc := ch.Coord.Row, ch.Coord.Col
 		// The chip trains its shards in place: decoded records and
@@ -354,7 +355,7 @@ func TrainElastic(c ElasticConfig, lay ckpt.Layout, steps int, seed int64, opts 
 		finalW2[ch.Rank] = w2
 		mu.Unlock()
 	})
-	giveSlab(slab)
+	workspaceSlab.Give(slab)
 
 	res := ElasticResult{Losses: losses, StartStep: start, Steps: steps}
 	for i, recs := range epochRecs {
@@ -534,42 +535,11 @@ func (k *carver) workspace(c ElasticConfig, pr, pc, r int) *elasticWorkspace {
 type gatherBufs struct{ strip, dst *tensor.Matrix }
 
 // workspaceSlab is the slab TrainElastic runs carve their workspaces from,
-// kept between runs so that a run does not allocate and zero them afresh.
-// A run takes it (buf is nil while a run holds it) and gives it back once
-// its mesh has stopped. The package keeps the larger of the slab given
-// back and the one it holds, so the slab grows to the largest run's need
-// and one slab, not one per mesh shape, stays live. It is not a sync.Pool
-// because a pool drops what it holds over two garbage collections, and
-// the checkpoint and resume work between two elastic runs can take that
-// many.
-var workspaceSlab struct {
-	sync.Mutex
-	buf []float64
-}
-
-// takeSlab returns a slab of n elements: the package's, if it holds one
-// that large, or else a new one (a concurrent run holds the slab, or the
-// slab is too small and is dropped).
-func takeSlab(n int) []float64 {
-	workspaceSlab.Lock()
-	buf := workspaceSlab.buf
-	workspaceSlab.buf = nil
-	workspaceSlab.Unlock()
-	if len(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-// giveSlab hands a run's slab back; the package keeps it if it is larger
-// than the slab it holds.
-func giveSlab(buf []float64) {
-	workspaceSlab.Lock()
-	if cap(buf) > len(workspaceSlab.buf) {
-		workspaceSlab.buf = buf[:cap(buf)]
-	}
-	workspaceSlab.Unlock()
-}
+// kept between runs so that a run does not allocate and zero them afresh:
+// a run takes it and gives it back once its mesh has stopped, so the slab
+// grows to the largest run's need and one slab, not one per mesh shape,
+// stays live.
+var workspaceSlab held.Store[float64]
 
 // gather runs step gather i on this chip's block: for a full gather an
 // allgather along the row ring (ring position = mesh column, so blocks land

@@ -18,25 +18,26 @@ import (
 // run carved its workspaces from it.
 func fillHeldSlab(t *testing.T) *float64 {
 	t.Helper()
-	workspaceSlab.Lock()
-	defer workspaceSlab.Unlock()
-	if len(workspaceSlab.buf) == 0 {
+	buf := workspaceSlab.Take(0)
+	defer workspaceSlab.Give(buf)
+	buf = buf[:cap(buf)]
+	if len(buf) == 0 {
 		t.Fatal("no workspace slab held after a run")
 	}
-	for i := range workspaceSlab.buf {
-		workspaceSlab.buf[i] = math.NaN()
+	for i := range buf {
+		buf[i] = math.NaN()
 	}
-	return &workspaceSlab.buf[0]
+	return &buf[0]
 }
 
 // heldSlab returns the held slab's first element's address (nil if none).
 func heldSlab() *float64 {
-	workspaceSlab.Lock()
-	defer workspaceSlab.Unlock()
-	if len(workspaceSlab.buf) == 0 {
+	buf := workspaceSlab.Take(0)
+	defer workspaceSlab.Give(buf)
+	if cap(buf) == 0 {
 		return nil
 	}
-	return &workspaceSlab.buf[0]
+	return &buf[:1][0]
 }
 
 // TestReusedSlabCannotChangeTheBits pins that the workspace slab's past

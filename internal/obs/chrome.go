@@ -7,8 +7,9 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 	"unicode/utf8"
+
+	"meshslice/internal/held"
 )
 
 // ChromeTrace appends one Chrome trace-event JSON array (Perfetto) into a
@@ -47,49 +48,19 @@ type ChromeFields struct {
 // NewChromeTrace returns an empty trace presized for events events of 160
 // bytes, more than a simulator event (two 17-digit floats, one arg) takes.
 func NewChromeTrace(events int) *ChromeTrace {
-	return &ChromeTrace{b: append(take(&held.b, events*160+2), '['), str: make([]byte, 0, 64), at: take(&held.at, events), closed: true}
+	return &ChromeTrace{b: append(heldBuf.Take(events*160 + 2)[:0], '['), str: make([]byte, 0, 64), at: heldAt.Take(events)[:0], closed: true}
 }
 
-// held is the buffer the package's two document writers, ChromeTrace and
-// snapshotJSON, build their bytes in, and ChromeTrace's event index, kept
-// between exports so that an export does not allocate and zero them
-// afresh. A writer takes them when it starts (a field is nil while a
-// writer holds it) and gives them back once its one Write has returned,
-// which io.Writer forbids to retain them. The package keeps the larger of
-// a slice given back and the one it holds, so one buffer, the largest
-// export's, stays live; a concurrent writer allocates its own. It is not
-// a sync.Pool because a pool drops what it holds over two garbage
-// collections, and a process that exports between simulations runs that
-// many between two exports.
-var held struct {
-	sync.Mutex
-	b  []byte
-	at []chromeAt
-}
-
-// take returns *p emptied, if it holds n elements, or else a new slice of
-// capacity n (a concurrent writer holds *p, or it is too small and is
-// dropped).
-func take[T any](p *[]T, n int) []T {
-	held.Lock()
-	s := *p
-	*p = nil
-	held.Unlock()
-	if cap(s) < n {
-		return make([]T, 0, n)
-	}
-	return s[:0]
-}
-
-// give hands s back to *p; the package keeps it if it is larger than the
-// slice it holds.
-func give[T any](p *[]T, s []T) {
-	held.Lock()
-	if cap(s) > cap(*p) {
-		*p = s
-	}
-	held.Unlock()
-}
+// heldBuf is the buffer the package's two document writers, ChromeTrace
+// and snapshotJSON, build their bytes in, and heldAt ChromeTrace's event
+// index, kept between exports so that an export does not allocate and
+// zero them afresh. A writer takes them when it starts and gives them back
+// once its one Write has returned, which io.Writer forbids to retain them;
+// a concurrent writer allocates its own.
+var (
+	heldBuf held.Store[byte]
+	heldAt  held.Store[chromeAt]
+)
 
 // Event opens an event with fields f; Str and Int then compose its name.
 func (c *ChromeTrace) Event(f ChromeFields) *ChromeTrace {
@@ -173,8 +144,8 @@ func (c *ChromeTrace) Encode(w io.Writer) error {
 		c.b = append(c.b, '\n')
 		_, err = w.Write(c.b)
 	}
-	give(&held.b, c.b)
-	give(&held.at, c.at)
+	heldBuf.Give(c.b)
+	heldAt.Give(c.at)
 	c.b, c.at = nil, nil
 	return err
 }

@@ -54,16 +54,18 @@ func heldExports(t *testing.T) []heldExport {
 
 // poisonHeld fills what the package holds with bytes no export writes.
 func poisonHeld() {
-	held.Lock()
-	defer held.Unlock()
-	b := held.b[:cap(held.b)]
+	b := heldBuf.Take(0)
+	b = b[:cap(b)]
 	for i := range b {
 		b[i] = 0xff
 	}
-	at := held.at[:cap(held.at)]
+	heldBuf.Give(b)
+	at := heldAt.Take(0)
+	at = at[:cap(at)]
 	for i := range at {
 		at[i] = chromeAt{start: -1, pid: -1}
 	}
+	heldAt.Give(at)
 }
 
 // runHeld runs each export once, poisoning the held buffer before each, and
@@ -89,7 +91,7 @@ func runHeld(t *testing.T, how string, exports []heldExport) {
 // forwards, backwards and from two goroutines at once, filling the held
 // buffer and event index with 0xff and -1 before every export: whatever an
 // earlier export left there, each export writes exactly its own bytes.
-// Run it with -race after touching take or give.
+// Run it with -race after touching internal/held.
 func TestHeldBufferCannotChangeTheBytes(t *testing.T) {
 	exports := heldExports(t)
 	if !slices.ContainsFunc(exports, func(e heldExport) bool { return e.want == nil }) {
@@ -134,9 +136,8 @@ func TestNonFiniteExportLeavesTheNextExportFresh(t *testing.T) {
 	okReg := NewRegistry()
 	okReg.Gauge("ok").Set(1)
 	var fresh bytes.Buffer
-	held.Lock()
-	held.b, held.at = nil, nil
-	held.Unlock()
+	heldBuf.Take(0) // empty the stores: the next export starts fresh
+	heldAt.Take(0)
 	if err := okReg.WriteJSON(&fresh); err != nil {
 		t.Fatal(err)
 	}

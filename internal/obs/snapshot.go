@@ -171,7 +171,7 @@ type snapshotJSON struct {
 // start takes the package's held buffer, or presizes a new one, so a write
 // allocates a fixed number of objects.
 func (j *snapshotJSON) start(size int) {
-	j.b = take(&held.b, size+16)
+	j.b = heldBuf.Take(size + 16)[:0]
 	j.open('{')
 }
 
@@ -301,6 +301,6 @@ func (j *snapshotJSON) flush(w io.Writer) error {
 		j.b = append(j.b, '\n')
 		_, err = w.Write(j.b)
 	}
-	give(&held.b, j.b)
+	heldBuf.Give(j.b)
 	return err
 }
