@@ -34,15 +34,21 @@ func TestMain(m *testing.M) {
 }
 
 // TestPackagePatterns runs meshlint over a module holding a package a and
-// a package a/sub, each with one float-eq finding and one panic site:
-// package patterns mean what they mean to go vet, for findings and for the
-// -panics inventory alike, and a pattern naming no directory is an error.
+// a package a/sub, each with one float-eq finding and one panic site, and
+// a command that uses their exports but for sub.Dead: package patterns mean
+// what they mean to go vet, for findings and for the -panics inventory
+// alike, and a pattern naming no directory is an error. The unused rule
+// counts uses across the whole module whatever the pattern: ./a reports
+// neither a.Eq nor a.P, which only the command uses, nor sub.Dead, which
+// sits outside it.
 func TestPackagePatterns(t *testing.T) {
 	root := t.TempDir()
 	for name, src := range map[string]string{
 		"go.mod":       "module tiny\n\ngo 1.22\n",
 		"a/a.go":       "package a\n\nfunc Eq(x, y float64) bool { return x == y }\n\nfunc P() { panic(0) }\n",
-		"a/sub/sub.go": "package sub\n\nfunc Eq(x, y float64) bool { return x == y }\n\nfunc P() { panic(0) }\n",
+		"a/sub/sub.go": "package sub\n\nfunc Eq(x, y float64) bool { return x == y }\n\nfunc P() { panic(0) }\n\nfunc Dead() {}\n",
+		"cmd/tool/main.go": "package main\n\nimport (\n\t\"tiny/a\"\n\t\"tiny/a/sub\"\n)\n\n" +
+			"var uses = []any{a.Eq, a.P, sub.Eq, sub.P}\n\nfunc Exported() {}\n\nfunc main() { println(len(uses)) }\n",
 	} {
 		path := filepath.Join(root, name)
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -52,7 +58,7 @@ func TestPackagePatterns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	both := []string{"a/a.go:3: [float-eq]", "a/sub/sub.go:3: [float-eq]"}
+	both := []string{"a/a.go:3: [float-eq]", "a/sub/sub.go:3: [float-eq]", "a/sub/sub.go:7: [unused]"}
 	cases := []struct {
 		patterns []string
 		exit     int
@@ -63,6 +69,7 @@ func TestPackagePatterns(t *testing.T) {
 		{[]string{"./a"}, 1, both[:1]},
 		{[]string{"./a/..."}, 1, both},
 		{[]string{"./a/sub"}, 1, both[1:]},
+		{[]string{"./cmd/tool"}, 0, nil}, // a main package exports to nobody
 		{[]string{"./nosuch"}, 2, nil},
 		{[]string{"-panics", "./a"}, 0, []string{"a/a.go:5:   tiny/a.P", "1 panic sites, 0 reachable from the exported API"}},
 	}

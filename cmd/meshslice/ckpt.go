@@ -30,14 +30,9 @@ func cmdCkpt(args []string) {
 	reshard := fs.String("reshard", "", "resume mesh shape RxC (default: the original shape)")
 	out := fs.String("o", "", "persist snapshots under this directory")
 	fs.Parse(args)
-	if *steps <= 0 {
-		fmt.Fprintf(os.Stderr, "bad -steps %d: want at least 1\n", *steps)
-		os.Exit(2)
-	}
-	if *every < 0 {
-		fmt.Fprintf(os.Stderr, "bad -every %d: want 0 (no snapshots) or more\n", *every)
-		os.Exit(2)
-	}
+	requireInts(1, "at least 1", intFlag{"steps", *steps})
+	requireInts(0, "0 (no snapshots) or more", intFlag{"every", *every})
+	requireInts(0, "a chip rank", intFlag{"fail-chip", *failChip})
 	if *failAt < -1 || *failAt >= *steps {
 		fmt.Fprintf(os.Stderr, "bad -fail-at %d: want -1 (no failure) or a step in [0, %d)\n", *failAt, *steps)
 		os.Exit(2)

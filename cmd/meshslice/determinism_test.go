@@ -144,16 +144,16 @@ func TestCanonicalOutputsDeterministic(t *testing.T) {
 // lint:invariant panic in the library, or ran with a value the header did
 // not print: each must die with exit status 2 and a one-line message, never
 // a goroutine trace. Every float flag of every subcommand gets NaN, +Inf
-// and −Inf (nonFiniteFloatRows); the hand-written rows add the rest.
+// and −Inf (nonFiniteFloatRows), every int flag -1 (negativeIntRows); the
+// hand-written rows add the rest.
 func TestBadFlagsExitTwoWithoutPanic(t *testing.T) {
-	for _, args := range append(nonFiniteFloatRows(t),
+	for _, args := range slices.Concat(nonFiniteFloatRows(t), negativeIntRows(t), []string{
 		"timeline -s 0",
 		"timeline -s -3",
 		"timeline -rows 0",
 		"record -rows 0",
 		"verify -rows 0",
 		"stats -cols 0",
-		"stats -s -1",
 		"faults -factor 0",
 		"faults -scenario stragglers -factor 0.5",
 		"serve -faults col-degrade -factor 0",
@@ -194,10 +194,9 @@ func TestBadFlagsExitTwoWithoutPanic(t *testing.T) {
 		"ckpt -fail-at -2",
 		"ckpt -steps 0",
 		"ckpt -steps -3",
-		"ckpt -every -1",
 		"plan -hbm 0",
 		"plan -hbm -1",
-	) {
+	}) {
 		t.Run(args, func(t *testing.T) {
 			t.Parallel()
 			stderr, exit := runCLI(t, "", strings.Fields(args)...)
@@ -213,11 +212,37 @@ func TestBadFlagsExitTwoWithoutPanic(t *testing.T) {
 }
 
 // nonFiniteFloatRows returns "sub -flag v" for every float flag of every
-// subcommand and v in NaN, +Inf and −Inf, read off the binary itself: the
-// subcommands from its usage line, each one's flags from its -h listing,
-// where a float flag prints as "-name float". A new float flag is swept
-// without a row written by hand.
+// subcommand and v in NaN, +Inf and −Inf.
 func nonFiniteFloatRows(t *testing.T) []string {
+	rows := flagRows(t, "float", nil, "NaN", "+Inf", "-Inf")
+	if !slices.Contains(rows, "plan -hbm NaN") {
+		t.Fatalf("the -h listings gave no row for plan -hbm: %q", rows)
+	}
+	return rows
+}
+
+// negativeIntRows returns "sub -flag -1" for every int flag of every
+// subcommand but those a negative value means something to, listed here
+// with that meaning.
+func negativeIntRows(t *testing.T) []string {
+	takesNegative := map[string]string{
+		"-seed":         "every subcommand's seed is any int64",
+		"ckpt -fail-at": "-1: no failure",
+	}
+	rows := flagRows(t, "int", takesNegative, "-1")
+	if !slices.Contains(rows, "record -m -1") || slices.Contains(rows, "ckpt -fail-at -1") {
+		t.Fatalf("the -h listings gave a wrong int row set: %q", rows)
+	}
+	return rows
+}
+
+// flagRows returns "sub -flag v" for every flag of type typ of every
+// subcommand and every v, read off the binary itself: the subcommands from
+// its usage line, each one's flags from its -h listing, where a flag
+// prints as "-name typ". A new flag is swept without a row written by
+// hand. A flag named in skip, as "-flag" for every subcommand or as
+// "sub -flag", gets no rows.
+func flagRows(t *testing.T, typ string, skip map[string]string, values ...string) []string {
 	t.Helper()
 	usage, _ := runCLI(t, "")
 	open, end := strings.Index(usage, "{"), strings.Index(usage, "}")
@@ -228,15 +253,20 @@ func nonFiniteFloatRows(t *testing.T) []string {
 	for _, sub := range strings.Split(usage[open+1:end], "|") {
 		help, _ := runCLI(t, "", sub, "-h")
 		for _, line := range strings.Split(help, "\n") {
-			if f := strings.Fields(line); len(f) == 2 && strings.HasPrefix(f[0], "-") && f[1] == "float" {
-				for _, v := range []string{"NaN", "+Inf", "-Inf"} {
-					rows = append(rows, sub+" "+f[0]+" "+v)
-				}
+			f := strings.Fields(line)
+			if len(f) != 2 || !strings.HasPrefix(f[0], "-") || f[1] != typ {
+				continue
+			}
+			if _, ok := skip[f[0]]; ok {
+				continue
+			}
+			if _, ok := skip[sub+" "+f[0]]; ok {
+				continue
+			}
+			for _, v := range values {
+				rows = append(rows, sub+" "+f[0]+" "+v)
 			}
 		}
-	}
-	if !slices.Contains(rows, "plan -hbm NaN") {
-		t.Fatalf("the -h listings gave no row for plan -hbm: %q", rows)
 	}
 	return rows
 }

@@ -32,6 +32,8 @@ func cmdFaults(args []string) {
 	out := fs.String("o", "", "also write the comparison as JSON to this path")
 	chrome := fs.String("chrome", "", "also write a faulty-cluster Chrome trace (stale plan, first pass) to this path")
 	fs.Parse(args)
+	requireInts(1, "a positive count", intFlag{"chips", *chips})
+	requireInts(0, "a positive count, or 0 for the weak-scaling batch", intFlag{"tokens", *tokens})
 
 	cfg := modelByName(*modelName)
 	tk := *tokens

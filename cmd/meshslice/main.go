@@ -144,6 +144,25 @@ func torusFromFlags(rows, cols int) topology.Torus {
 	return topology.NewTorus(rows, cols)
 }
 
+// intFlag is an int flag's name and value.
+type intFlag struct {
+	name string
+	v    int
+}
+
+// requireInts exits 2 with a one-line error naming the first flag below
+// min, as torusFromFlags does for a mesh side: the library would otherwise
+// panic on the value, misread it, or quietly default it. want says what
+// the flags take.
+func requireInts(min int, want string, flags ...intFlag) {
+	for _, f := range flags {
+		if f.v < min {
+			fmt.Fprintf(os.Stderr, "bad -%s %d: want %s\n", f.name, f.v, want)
+			os.Exit(2)
+		}
+	}
+}
+
 func algoByName(name string) (train.Algo, bool) {
 	for _, a := range train.Algos {
 		if strings.EqualFold(a.String(), name) {
@@ -160,6 +179,8 @@ func cmdTune(args []string) {
 	tokens := fs.Int("tokens", 0, "tokens per step (default: weak-scaling batch = chips/2)")
 	noOpt := fs.Bool("no-dataflow-opt", false, "skip phase 1 (use Y-stn everywhere)")
 	fs.Parse(args)
+	requireInts(1, "a positive count", intFlag{"chips", *chips})
+	requireInts(0, "a positive count, or 0 for the weak-scaling batch", intFlag{"tokens", *tokens})
 
 	cfg := modelByName(*modelName)
 	tk := *tokens
@@ -198,6 +219,8 @@ func cmdSim(args []string) {
 	bidir := fs.Bool("bidir", false, "drive both ICI directions for AG/RdS collectives")
 	tiled := fs.Bool("tiled", false, "use the tiled chip compute model")
 	fs.Parse(args)
+	requireInts(1, "a positive count", intFlag{"chips", *chips})
+	requireInts(0, "a positive side, or 0 to search", intFlag{"rows", *rows}, intFlag{"cols", *cols})
 	if math.IsNaN(*fabric) || math.IsInf(*fabric, 0) || *fabric < 0 {
 		fmt.Fprintf(os.Stderr, "bad -fabric %g: want a finite factor >= 0 (0 or 1 = physical mesh)\n", *fabric)
 		os.Exit(2)
@@ -250,6 +273,7 @@ func cmdGeMM(args []string) {
 	dataflow := fs.String("dataflow", "os", "dataflow: os, ls, or rs")
 	record := fs.String("record", "", "also replay one algorithm functionally (near-square mesh, use modest M/N/K) and write its flight-recorder JSON here; requires a specific -algo")
 	fs.Parse(args)
+	requireInts(1, "a positive value", intFlag{"m", *m}, intFlag{"n", *n}, intFlag{"k", *k}, intFlag{"chips", *chips})
 
 	df, ok := dataflowByName(*dataflow)
 	if !ok {

@@ -22,6 +22,8 @@ func cmdPlan(args []string) {
 	top := fs.Int("top", 10, "plans to print")
 	hbmGiB := fs.Float64("hbm", 32, "per-chip HBM capacity in GiB")
 	fs.Parse(args)
+	requireInts(1, "a positive count", intFlag{"chips", *chips}, intFlag{"batch", *batch}, intFlag{"top", *top})
+	requireInts(0, "a positive degree, or 0 for no cap", intFlag{"max1dtp", *max1D})
 	// cluster.Options reads a capacity <= 0 as its 32 GiB default, and NaN
 	// fits no plan: either way the run would not be the one the header
 	// prints.

@@ -41,6 +41,8 @@ func cmdRecord(args []string) {
 	drop := fs.String("drop", "", "inject a lost message: from:to:nth (repeatable, comma-separated)")
 	failChip := fs.String("fail", "", "inject a chip fail-stop: chip:afterSends")
 	fs.Parse(args)
+	requireInts(1, "a positive value", intFlag{"m", *m}, intFlag{"n", *n}, intFlag{"k", *k}, intFlag{"s", *s}, intFlag{"block", *block})
+	requireInts(0, "a positive capacity, or 0 for the default", intFlag{"cap", *capacity})
 
 	df, ok := dataflowByName(*dataflow)
 	if !ok {

@@ -49,24 +49,9 @@ func cmdServe(args []string) {
 			os.Exit(2)
 		}
 	}
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"requests", *requests}, {"chips", *chips}} {
-		if f.v <= 0 {
-			fmt.Fprintf(os.Stderr, "bad -%s %d: want a positive count\n", f.name, f.v)
-			os.Exit(2)
-		}
-	}
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"slices", *slices}, {"max-batch", *maxBatch}, {"chunk", *chunk}} {
-		if f.v < 0 {
-			fmt.Fprintf(os.Stderr, "bad -%s %d: want a positive count, or 0 for the default\n", f.name, f.v)
-			os.Exit(2)
-		}
-	}
+	requireInts(1, "a positive count", intFlag{"requests", *requests}, intFlag{"chips", *chips})
+	requireInts(0, "a positive count, or 0 for the default", intFlag{"slices", *slices}, intFlag{"max-batch", *maxBatch}, intFlag{"chunk", *chunk})
+	requireInts(0, "a positive side, or 0 to autotune", intFlag{"rows", *rows}, intFlag{"cols", *cols})
 	// -factor is checked without -faults too: a bad value is a bad flag
 	// whether or not a scenario reads it.
 	if err := checkFactor(*factor); err != nil {

@@ -46,10 +46,8 @@ func cmdStats(args []string) {
 		}
 	}
 	tor := torusFromFlags(*rows, *cols)
-	if *s < 0 {
-		fmt.Fprintf(os.Stderr, "bad -s %d: want >= 1, or 0 to autotune\n", *s)
-		os.Exit(2)
-	}
+	requireInts(1, "a positive value", intFlag{"m", *m}, intFlag{"n", *n}, intFlag{"k", *k})
+	requireInts(0, "a positive count, or 0 to autotune", intFlag{"s", *s})
 	prob := gemm.Problem{M: *m, N: *n, K: *k, Dataflow: gemm.OS}
 	reg := obs.NewRegistry()
 

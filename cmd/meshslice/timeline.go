@@ -30,10 +30,7 @@ func cmdTimeline(args []string) {
 	fs.Parse(args)
 
 	tor := torusFromFlags(*rows, *cols)
-	if *s < 1 {
-		fmt.Fprintf(os.Stderr, "bad -s %d: want >= 1\n", *s)
-		os.Exit(2)
-	}
+	requireInts(1, "a positive value", intFlag{"m", *m}, intFlag{"n", *n}, intFlag{"k", *k}, intFlag{"s", *s}, intFlag{"width", *width})
 	prob := gemm.Problem{M: *m, N: *n, K: *k, Dataflow: gemm.OS}
 	chip := hw.TPUv4()
 

@@ -26,6 +26,7 @@ func cmdVerify(args []string) {
 	seed := fs.Int64("seed", 1, "input seed")
 	record := fs.String("record", "", "write the sweep's canonical flight-recorder JSON here")
 	fs.Parse(args)
+	requireInts(1, "a positive value", intFlag{"m", *m}, intFlag{"n", *n}, intFlag{"k", *k}, intFlag{"s", *s}, intFlag{"block", *block})
 
 	df, ok := dataflowByName(*dataflow)
 	if !ok {

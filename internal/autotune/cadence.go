@@ -6,7 +6,7 @@ import (
 )
 
 // Checkpoint cadence tuning: given the tuned step time, the per-epoch
-// checkpoint stall (netsim.EstimateCheckpoint), and a mean time between
+// checkpoint stall, and a mean time between
 // failures, pick how many steps to run between snapshots. This is the
 // classic Young–Daly trade-off — checkpoint too often and the stalls
 // dominate, too rarely and every failure rewinds half an interval — with
@@ -33,6 +33,7 @@ func cadenceOverhead(k int, stepTime, ckptStall, mtbf float64) float64 {
 // time between failures (all in seconds). The continuous optimum
 // k* = sqrt(2·C·MTBF)/T is rounded to whichever neighbouring integer
 // interval has the lower overhead, and never below one step.
+// lint:allow unused kept with its tests; ROADMAP item 15 lists it among the rows still to decide
 func TuneCadence(stepTime, ckptStall, mtbf float64) (Cadence, error) {
 	switch {
 	case stepTime <= 0:

@@ -21,6 +21,7 @@ import (
 // and returns the best choice. It is exponential in the layer count (L=4
 // for transformers, so 81 combinations) and exists to validate the
 // heuristic, not to replace it.
+// lint:allow unused ROADMAP item 14 runs its choice through the trainer
 func ExhaustiveDataflow(cfg model.Config, tokens int, shape topology.Torus, chip hw.Chip, maxS int) (Choice, bool) {
 	fcs := cfg.FCLayers()
 	options := [...]gemm.Stationary{gemm.YStn, gemm.XStn, gemm.WStn}
@@ -53,17 +54,4 @@ func ExhaustiveDataflow(cfg model.Config, tokens int, shape topology.Torus, chip
 	}
 	recurse(0)
 	return best, found
-}
-
-// HeuristicGap evaluates the paper's heuristic against the exhaustive
-// search on one shape and returns (heuristicTime, exhaustiveTime). Both are
-// cost-model block times; ok is false when the model cannot shard at all.
-func HeuristicGap(cfg model.Config, tokens int, shape topology.Torus, chip hw.Chip) (heuristic, exhaustive float64, ok bool) {
-	t := newPassTable(PlanModel(cfg, tokens, true))
-	h := t.score(shape, chip, 0, make([]passScore, len(t.probs)))
-	e, eOK := ExhaustiveDataflow(cfg, tokens, shape, chip, 0)
-	if !h.ok || !eOK {
-		return 0, 0, false
-	}
-	return h.block, e.BlockTime, true
 }

@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"meshslice/internal/hw"
 	"testing"
 
 	"meshslice/internal/model"
@@ -50,4 +51,17 @@ func TestExhaustiveDataflowReportsFailure(t *testing.T) {
 	if _, ok := ExhaustiveDataflow(cfg, 48, topology.NewTorus(7, 11), testHW, 0); ok {
 		t.Errorf("unshardable model accepted")
 	}
+}
+
+// HeuristicGap evaluates the paper's heuristic against the exhaustive
+// search on one shape and returns (heuristicTime, exhaustiveTime). Both are
+// cost-model block times; ok is false when the model cannot shard at all.
+func HeuristicGap(cfg model.Config, tokens int, shape topology.Torus, chip hw.Chip) (heuristic, exhaustive float64, ok bool) {
+	t := newPassTable(PlanModel(cfg, tokens, true))
+	h := t.score(shape, chip, 0, make([]passScore, len(t.probs)))
+	e, eOK := ExhaustiveDataflow(cfg, tokens, shape, chip, 0)
+	if !h.ok || !eOK {
+		return 0, 0, false
+	}
+	return h.block, e.BlockTime, true
 }

@@ -131,3 +131,14 @@ func TestCeilDiv(t *testing.T) {
 		}
 	}
 }
+
+// EffectiveFLOPS returns the achieved throughput of the tiled model for a
+// GeMM shape: useful FLOPs over modelled time. Large square GeMMs approach
+// the calibrated MAC rate; thin slices fall well below it.
+func (c Core) EffectiveFLOPS(m, n, k int) (float64, error) {
+	r, err := c.GeMM(m, n, k)
+	if err != nil {
+		return 0, err
+	}
+	return 2 * float64(m) * float64(n) * float64(k) / r.Time, nil
+}

@@ -252,11 +252,3 @@ func defaultMicrobatches(replicaBatch, pp int) int {
 	}
 	return best
 }
-
-// BubbleFraction returns the GPipe bubble share (PP-1)/(mb+PP-1).
-func BubbleFraction(pp, microbatches int) float64 {
-	if pp <= 1 {
-		return 0
-	}
-	return float64(pp-1) / float64(microbatches+pp-1)
-}

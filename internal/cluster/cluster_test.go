@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"meshslice/internal/autotune"
@@ -112,12 +113,16 @@ func TestMoreMicrobatchesShrinkBubble(t *testing.T) {
 	}
 }
 
+// TestBubbleFraction: Evaluate's bubble is the GPipe share
+// (PP-1)/(mb+PP-1) of the pipelined work.
 func TestBubbleFraction(t *testing.T) {
-	if BubbleFraction(1, 8) != 0 {
-		t.Errorf("PP=1 has a bubble")
+	plan := Plan{DP: 1, PP: 4, TPShape: topology.NewTorus(4, 4), Microbatches: 12}
+	ev, err := Evaluate(model.GPT3(), plan, 48, testHW, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := BubbleFraction(4, 12); got != 3.0/15.0 {
-		t.Errorf("BubbleFraction(4,12) = %v", got)
+	if got := ev.BubbleTime / (ev.TPTime + ev.BubbleTime); math.Abs(got-3.0/15.0) > 1e-12 {
+		t.Errorf("bubble share at PP=4, mb=12 = %v, want 3/15", got)
 	}
 }
 

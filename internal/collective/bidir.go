@@ -95,12 +95,14 @@ func reduceScatterBidir(cm *mesh.Comm, blocks []*tensor.Matrix) *tensor.Matrix {
 
 // AllGatherRowsBidir gathers with both ring directions and concatenates
 // vertically in ring order.
+// lint:allow unused ROADMAP item 2 decides whether the bidirectional ring model stays
 func AllGatherRowsBidir(cm *mesh.Comm, local *tensor.Matrix) *tensor.Matrix {
 	return tensor.ConcatRows(AllGatherBidir(cm, local))
 }
 
 // ReduceScatterColsBidir reduces a matrix split into vertical strips using
 // both ring directions.
+// lint:allow unused ROADMAP item 2 decides whether the bidirectional ring model stays
 func ReduceScatterColsBidir(cm *mesh.Comm, m *tensor.Matrix) *tensor.Matrix {
 	return ReduceScatterBidir(cm, tensor.SplitCols(m, cm.Size))
 }

@@ -12,16 +12,17 @@
 // exist so correctness of every distributed GeMM can be verified end to end.
 //
 // Each primitive comes in two forms with identical wire behaviour and
-// bit-identical results. The allocating form (AllGather, ReduceScatter,
-// Broadcast, Reduce, AllReduce) returns freshly allocated matrices the
-// caller owns outright — results never alias inputs, on any rank. The
-// buffer-reusing form (AllGatherInto, ReduceScatterInto, ... in into.go)
-// writes into caller-provided storage and recycles one ring buffer through
-// the mesh pool so its steady state allocates nothing. Each ring schedule
-// is one loop: every allocating form but Broadcast calls its *Into form
-// (a non-root rank cannot pre-shape a Broadcast destination), and the Rows
-// and Cols forms, sync and async (Start*, async.go), are entry points to
-// one AllGather loop and one ReduceScatter loop.
+// bit-identical results. The allocating form (AllGatherRows,
+// ReduceScatterCols, Broadcast, Reduce, AllReduce, ...) returns freshly
+// allocated matrices the caller owns outright — results never alias
+// inputs, on any rank. The buffer-reusing form (AllGatherRowsInto,
+// BroadcastInto, ... in into.go) writes into caller-provided storage and
+// recycles one ring buffer through the mesh pool so its steady state
+// allocates nothing. Each ring schedule is one loop: every allocating form
+// but Broadcast calls its *Into form (a non-root rank cannot pre-shape a
+// Broadcast destination), and the Rows and Cols forms, sync and async
+// (Start*, async.go), are entry points to one AllGather loop and one
+// ReduceScatter loop.
 package collective
 
 import (
@@ -29,19 +30,6 @@ import (
 	"meshslice/internal/obs/recorder"
 	"meshslice/internal/tensor"
 )
-
-// AllGather gathers each ring member's local shard and returns all P shards
-// ordered by ring position. It uses the standard P-1 step ring schedule:
-// in step t every chip forwards the shard it received in step t-1 (its own
-// shard in step 0) to its downstream neighbour.
-func AllGather(cm *mesh.Comm, local *tensor.Matrix) []*tensor.Matrix {
-	out := make([]*tensor.Matrix, cm.Size)
-	for i := range out {
-		out[i] = tensor.New(local.Rows, local.Cols)
-	}
-	AllGatherInto(cm, local, out)
-	return out
-}
 
 // AllGatherRows gathers shards and concatenates them vertically in ring
 // order (the layout AG_row/AG_col produce when the gathered dimension is
@@ -57,24 +45,6 @@ func AllGatherRows(cm *mesh.Comm, local *tensor.Matrix) *tensor.Matrix {
 func AllGatherCols(cm *mesh.Comm, local *tensor.Matrix) *tensor.Matrix {
 	dst := tensor.New(local.Rows, cm.Size*local.Cols)
 	AllGatherColsInto(cm, local, dst)
-	return dst
-}
-
-// ReduceScatter reduces element-wise across the ring and scatters: blocks
-// must hold one block per ring position (this chip's contribution to each
-// destination); the return value is the sum over all chips of their block
-// for this chip's position.
-//
-// It follows the classic ring schedule in which the block destined for
-// position d starts at chip d+1 and accumulates contributions as it travels
-// the ring, arriving fully reduced at chip d after P-1 steps.
-func ReduceScatter(cm *mesh.Comm, blocks []*tensor.Matrix) *tensor.Matrix {
-	if err := checkBlocks("reducescatter", blocks, cm.Size); err != nil {
-		panic(err) // lint:invariant block-count precondition, checked before blocks[cm.Pos] is read
-	}
-	mine := blocks[cm.Pos]
-	dst := tensor.New(mine.Rows, mine.Cols)
-	ReduceScatterInto(cm, blocks, dst)
 	return dst
 }
 

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"math/rand"
+	"meshslice/internal/obs/recorder"
 	"strings"
 	"sync"
 	"testing"
@@ -295,3 +296,90 @@ func TestCollectivesOn2DMesh(t *testing.T) {
 
 // ringTopo builds the 1×p torus used by ring-level tests.
 func ringTopo(p int) topology.Torus { return topology.NewTorus(1, p) }
+
+// The list forms below run the textbook ring schedules on one block per
+// ring position. No GeMM uses them; they are the independent reference the
+// Rows/Cols forms (one loop each, into.go) are held to.
+
+// AllGather gathers each ring member's local shard and returns all P shards
+// ordered by ring position. It uses the standard P-1 step ring schedule:
+// in step t every chip forwards the shard it received in step t-1 (its own
+// shard in step 0) to its downstream neighbour.
+func AllGather(cm *mesh.Comm, local *tensor.Matrix) []*tensor.Matrix {
+	out := make([]*tensor.Matrix, cm.Size)
+	for i := range out {
+		out[i] = tensor.New(local.Rows, local.Cols)
+	}
+	AllGatherInto(cm, local, out)
+	return out
+}
+
+// ReduceScatter reduces element-wise across the ring and scatters: blocks
+// must hold one block per ring position (this chip's contribution to each
+// destination); the return value is the sum over all chips of their block
+// for this chip's position.
+//
+// It follows the classic ring schedule in which the block destined for
+// position d starts at chip d+1 and accumulates contributions as it travels
+// the ring, arriving fully reduced at chip d after P-1 steps.
+func ReduceScatter(cm *mesh.Comm, blocks []*tensor.Matrix) *tensor.Matrix {
+	if err := checkBlocks("reducescatter", blocks, cm.Size); err != nil {
+		panic(err) // lint:invariant block-count precondition, checked before blocks[cm.Pos] is read
+	}
+	mine := blocks[cm.Pos]
+	dst := tensor.New(mine.Rows, mine.Cols)
+	ReduceScatterInto(cm, blocks, dst)
+	return dst
+}
+
+// AllGatherInto gathers each ring member's local shard into out, ordered by
+// ring position. out must hold one matrix of local's shape per ring
+// position; every entry is overwritten.
+// lint:hotpath steady-state: must not allocate
+func AllGatherInto(cm *mesh.Comm, local *tensor.Matrix, out []*tensor.Matrix) {
+	if err := checkBlocks("allgather", out, cm.Size); err != nil {
+		panic(err) // lint:invariant block-count precondition, mirrors AllGather's ring contract
+	}
+	cm.SpanStart(recorder.OpAllGather, -1)
+	defer cm.SpanEnd(recorder.OpAllGather)
+	p := cm.Size
+	out[cm.Pos].CopyFrom(local)
+	if p == 1 {
+		return
+	}
+	cur := cm.AcquireBuf(local.Rows, local.Cols)
+	cur.CopyFrom(local)
+	for t := 0; t < p-1; t++ {
+		cm.SendOwnedTo(cm.Pos+1, cur)
+		cur = cm.RecvFrom(cm.Pos - 1)
+		out[mod(cm.Pos-t-1, p)].CopyFrom(cur)
+	}
+	cm.ReleaseBuf(cur)
+}
+
+// ReduceScatterInto reduces element-wise across the ring and scatters into
+// dst: blocks must hold one block per ring position, and dst receives the
+// sum over all chips of their block for this chip's position. The caller's
+// blocks are never mutated.
+// lint:hotpath steady-state: must not allocate
+func ReduceScatterInto(cm *mesh.Comm, blocks []*tensor.Matrix, dst *tensor.Matrix) {
+	if err := checkBlocks("reducescatter", blocks, cm.Size); err != nil {
+		panic(err) // lint:invariant block-count precondition, mirrors ReduceScatter's ring contract
+	}
+	cm.SpanStart(recorder.OpReduceScatter, -1)
+	defer cm.SpanEnd(recorder.OpReduceScatter)
+	p := cm.Size
+	if p == 1 {
+		dst.CopyFrom(blocks[0])
+		return
+	}
+	cur := cm.AcquireBuf(dst.Rows, dst.Cols)
+	cur.CopyFrom(blocks[mod(cm.Pos-1, p)])
+	for t := 0; t < p-1; t++ {
+		cm.SendOwnedTo(cm.Pos+1, cur)
+		cur = cm.RecvFrom(cm.Pos - 1)
+		cur.Add(blocks[mod(cm.Pos-t-2, p)])
+	}
+	dst.CopyFrom(cur)
+	cm.ReleaseBuf(cur)
+}

@@ -8,10 +8,9 @@ import (
 )
 
 // Typed errors for the public API boundary. A block slice whose length does
-// not match the ring is a *RingSizeError: ReduceScatter, ReduceScatterInto,
-// AllGatherInto and ReduceScatterBidir panic with it as the value, and
-// ReduceScatterBidirE returns it, so a caller can handle the mistake
-// without recover.
+// not match the ring is a *RingSizeError: ReduceScatterBidir panics with it
+// as the value, and ReduceScatterBidirE returns it, so a caller can handle
+// the mistake without recover.
 
 // RingSizeError reports a block slice whose length does not match the ring.
 type RingSizeError struct {
@@ -35,6 +34,7 @@ func checkBlocks(op string, blocks []*tensor.Matrix, ring int) error {
 // ReduceScatterBidirE is ReduceScatterBidir returning a *RingSizeError
 // instead of panicking when blocks does not hold one block per ring
 // position.
+// lint:allow unused ROADMAP item 2 decides whether the bidirectional ring model stays
 func ReduceScatterBidirE(cm *mesh.Comm, blocks []*tensor.Matrix) (*tensor.Matrix, error) {
 	if err := checkBlocks("reducescatter-bidir", blocks, cm.Size); err != nil {
 		return nil, err

@@ -24,31 +24,6 @@ import (
 // destinations are fully overwritten, and no internal buffer escapes to the
 // caller. Destinations must be pre-shaped; a shape mismatch panics.
 
-// AllGatherInto gathers each ring member's local shard into out, ordered by
-// ring position. out must hold one matrix of local's shape per ring
-// position; every entry is overwritten.
-// lint:hotpath steady-state: must not allocate
-func AllGatherInto(cm *mesh.Comm, local *tensor.Matrix, out []*tensor.Matrix) {
-	if err := checkBlocks("allgather", out, cm.Size); err != nil {
-		panic(err) // lint:invariant block-count precondition, mirrors AllGather's ring contract
-	}
-	cm.SpanStart(recorder.OpAllGather, -1)
-	defer cm.SpanEnd(recorder.OpAllGather)
-	p := cm.Size
-	out[cm.Pos].CopyFrom(local)
-	if p == 1 {
-		return
-	}
-	cur := cm.AcquireBuf(local.Rows, local.Cols)
-	cur.CopyFrom(local)
-	for t := 0; t < p-1; t++ {
-		cm.SendOwnedTo(cm.Pos+1, cur)
-		cur = cm.RecvFrom(cm.Pos - 1)
-		out[mod(cm.Pos-t-1, p)].CopyFrom(cur)
-	}
-	cm.ReleaseBuf(cur)
-}
-
 // Rows and Cols collectives lay the ring's blocks along one axis of a
 // matrix; the axis only decides where ring block i sits, so one loop serves
 // both and takes the axis as its mesh.AsyncOp arg.
@@ -130,33 +105,6 @@ func allGatherLoop(cm *mesh.Comm, local, dst *tensor.Matrix, axis int) {
 		i := mod(cm.Pos-t-1, p)
 		dst.SetSubMatrix(i*dr, i*dc, cur)
 	}
-	cm.ReleaseBuf(cur)
-}
-
-// ReduceScatterInto reduces element-wise across the ring and scatters into
-// dst: blocks must hold one block per ring position, and dst receives the
-// sum over all chips of their block for this chip's position. The caller's
-// blocks are never mutated.
-// lint:hotpath steady-state: must not allocate
-func ReduceScatterInto(cm *mesh.Comm, blocks []*tensor.Matrix, dst *tensor.Matrix) {
-	if err := checkBlocks("reducescatter", blocks, cm.Size); err != nil {
-		panic(err) // lint:invariant block-count precondition, mirrors ReduceScatter's ring contract
-	}
-	cm.SpanStart(recorder.OpReduceScatter, -1)
-	defer cm.SpanEnd(recorder.OpReduceScatter)
-	p := cm.Size
-	if p == 1 {
-		dst.CopyFrom(blocks[0])
-		return
-	}
-	cur := cm.AcquireBuf(dst.Rows, dst.Cols)
-	cur.CopyFrom(blocks[mod(cm.Pos-1, p)])
-	for t := 0; t < p-1; t++ {
-		cm.SendOwnedTo(cm.Pos+1, cur)
-		cur = cm.RecvFrom(cm.Pos - 1)
-		cur.Add(blocks[mod(cm.Pos-t-2, p)])
-	}
-	dst.CopyFrom(cur)
 	cm.ReleaseBuf(cur)
 }
 

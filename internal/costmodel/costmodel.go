@@ -36,6 +36,7 @@ func RingCollective(c hw.Chip, ringSize int, shardBytes float64) float64 {
 // Current Google Cloud TPU slices only drive one direction (paper §5.3.1),
 // which is why the mainline model uses RingCollective; this variant
 // quantifies the headroom.
+// lint:allow unused ROADMAP item 2 decides whether the bidirectional ring model stays
 func RingCollectiveBidir(c hw.Chip, ringSize int, shardBytes float64) float64 {
 	if ringSize <= 1 {
 		return 0
@@ -165,17 +166,13 @@ func MeshSlice(p gemm.Problem, t topology.Torus, c hw.Chip, S int) Estimate {
 	}
 }
 
-// Collective estimates Collective 2D GeMM: MeshSlice with S=1, where
-// nothing overlaps by construction.
-func Collective(p gemm.Problem, t topology.Torus, c hw.Chip) Estimate {
-	return MeshSlice(p, t, c, 1)
-}
-
 // TrafficCost returns the §2.3.1 shard-transfer time for a mesh where the
 // matrices flowing inter-row and inter-column have the given global byte
 // sizes: the maximum of
 //
 //	(Pr-1)·size(Mr)/(Pr·Pc)/BW_row  and  (Pc-1)·size(Mc)/(Pr·Pc)/BW_col.
+//
+// lint:allow unused ROADMAP item 2's link model decides whether §2.3.1's per-direction formula joins PerChipTraffic2D
 func TrafficCost(t topology.Torus, rowBytes, colBytes, bwRow, bwCol float64) float64 {
 	chips := float64(t.Size())
 	vert := float64(t.Rows-1) * rowBytes / chips / bwRow

@@ -10,7 +10,7 @@
 // one heap entry per instant instead of one per chip. Pops still follow
 // (time, scheduling order) exactly. Scheduling and dispatch allocate
 // nothing once the slab and the heap have reached their high-water
-// capacity. An event is either a func() (Schedule, After) or a shared
+// capacity. An event is either a func() (After) or a shared
 // handler plus an integer argument (AfterCall), which spares a model one
 // closure per event.
 package des
@@ -63,14 +63,6 @@ func New() *Simulator {
 
 // Now returns the current simulated time in seconds.
 func (s *Simulator) Now() float64 { return s.now }
-
-// Schedule enqueues fn to run at absolute simulated time at. Events at the
-// same time run in scheduling order (FIFO), which keeps runs deterministic.
-// Scheduling in the past — or at NaN, which would corrupt the heap order
-// because every comparison against it is false — is a programming error.
-func (s *Simulator) Schedule(at float64, fn func()) {
-	s.push(at, event{fn: fn})
-}
 
 // After enqueues fn to run delay seconds from now.
 func (s *Simulator) After(delay float64, fn func()) {
@@ -212,16 +204,6 @@ func (s *Simulator) Run() float64 {
 	}
 	return s.now
 }
-
-// Pending returns the number of queued events (useful for detecting
-// deadlocked models in tests).
-func (s *Simulator) Pending() int { return s.pending }
-
-// EventsRun returns the number of events executed so far.
-func (s *Simulator) EventsRun() uint64 { return s.eventsRun }
-
-// QueueHighWater returns the maximum pending-queue depth observed.
-func (s *Simulator) QueueHighWater() int { return s.queueHighWater }
 
 // PublishMetrics writes the kernel's statistics into the registry:
 //

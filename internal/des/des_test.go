@@ -374,3 +374,21 @@ func TestDispatchAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// Schedule enqueues fn to run at absolute simulated time at. Events at the
+// same time run in scheduling order (FIFO), which keeps runs deterministic.
+// Scheduling in the past — or at NaN, which would corrupt the heap order
+// because every comparison against it is false — is a programming error.
+func (s *Simulator) Schedule(at float64, fn func()) {
+	s.push(at, event{fn: fn})
+}
+
+// Pending returns the number of queued events (useful for detecting
+// deadlocked models in tests).
+func (s *Simulator) Pending() int { return s.pending }
+
+// EventsRun returns the number of events executed so far.
+func (s *Simulator) EventsRun() uint64 { return s.eventsRun }
+
+// QueueHighWater returns the maximum pending-queue depth observed.
+func (s *Simulator) QueueHighWater() int { return s.queueHighWater }

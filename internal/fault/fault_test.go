@@ -404,55 +404,15 @@ func TestGenerateDefaults(t *testing.T) {
 	}
 }
 
-func TestMeshFaultsTranslation(t *testing.T) {
-	tor := topology.Torus{Rows: 4, Cols: 4}
-	p := &Plan{
-		Degrades:  []LinkDegrade{{Link: Link{Chip: 5, Dir: topology.InterCol}, Factor: 3}},
-		LinkFails: []LinkFail{{Link: Link{Chip: 2, Dir: topology.InterRow}, At: 0}},
-		ChipFails: []ChipFail{{Chip: 9, At: 0}},
-		// Stragglers must be ignored: compute speed has no functional analogue.
-		Stragglers: []Straggler{{Chip: 0, Slowdown: 5}},
-	}
-	mf := p.MeshFaults(tor)
-	if len(mf.Delays) != 4 {
-		t.Fatalf("got %d delay edges, want 4 (both neighbours, both directions)", len(mf.Delays))
-	}
-	for _, d := range mf.Delays {
-		if d.Yields != 3 {
-			t.Fatalf("delay yields = %d, want 3", d.Yields)
-		}
-		if d.From != 5 && d.To != 5 {
-			t.Fatalf("delay edge %v does not touch the degraded chip", d)
-		}
-	}
-	if len(mf.Drops) != 1 {
-		t.Fatalf("got %d drops, want 1", len(mf.Drops))
-	}
-	// Chip 2's next InterRow neighbour on a 4x4 torus (row ring = column
-	// ring of coordinates in the same column... direction semantics are
-	// the torus's); the drop must originate at chip 2.
-	if mf.Drops[0].From != 2 {
-		t.Fatalf("drop edge %v does not originate at the failed link's chip", mf.Drops[0])
-	}
-	if len(mf.ChipFails) != 1 || mf.ChipFails[0].Chip != 9 {
-		t.Fatalf("chip fails = %v, want chip 9", mf.ChipFails)
-	}
-	empty := (&Plan{}).MeshFaults(tor)
-	if !empty.Empty() {
-		t.Fatal("empty plan must translate to empty mesh faults")
-	}
-}
-
 func TestMeshFaultsValidate(t *testing.T) {
 	const chips = 16
-	translated := (&Plan{
-		Degrades:  []LinkDegrade{{Link: Link{Chip: 15, Dir: topology.InterCol}, Factor: 2}},
-		LinkFails: []LinkFail{{Link: Link{Chip: 0, Dir: topology.InterRow}, At: 0}},
-		ChipFails: []ChipFail{{Chip: 9, At: 0}},
-	}).MeshFaults(topology.Torus{Rows: 4, Cols: 4})
 	for _, ok := range []MeshFaults{
 		{},
-		translated,
+		{
+			Delays:    []EdgeDelay{{From: 12, To: 15, Yields: 2}, {From: 15, To: 14, Yields: 2}},
+			Drops:     []EdgeDrop{{From: 0, To: 4}},
+			ChipFails: []MeshChipFail{{Chip: 9}},
+		},
 		// Multi-hop edges are legal: Chip.Send reaches any chip.
 		{Drops: []EdgeDrop{{From: 0, To: 15, Nth: 3}}, Delays: []EdgeDelay{{From: 15, To: 0}}},
 	} {

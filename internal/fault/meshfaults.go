@@ -1,16 +1,11 @@
 package fault
 
-import (
-	"fmt"
-	"sort"
-
-	"meshslice/internal/topology"
-)
+import "fmt"
 
 // The functional SPMD runtime (package mesh) has no simulated clock, so a
-// time-based Plan cannot be applied to it directly. MeshFaults is the
-// runtime-level translation: delays counted in scheduler yields, drops and
-// chip failures counted in messages. Deterministic given a deterministic
+// time-based Plan cannot be applied to it directly. MeshFaults is its own
+// plan, stated on the runtime's directed edges: delays counted in scheduler
+// yields, drops and chip failures counted in messages. Deterministic given a deterministic
 // program, because the counts are per-edge and each edge's messages are
 // produced by exactly one goroutine in program order.
 
@@ -91,73 +86,4 @@ func (f *MeshFaults) Validate(chips int) error {
 		}
 	}
 	return nil
-}
-
-// MeshFaults translates the plan onto a 2D torus's directed edges:
-//
-//   - each LinkDegrade becomes delays on the degraded chip's ring edges
-//     (both neighbours, both directions) with yields proportional to the
-//     degradation factor;
-//   - each LinkFail becomes a drop of the first message the dead chip
-//     sends to its next ring neighbour in the failed direction;
-//   - each ChipFail fail-stops the chip before its first send.
-//
-// Stragglers have no functional-runtime analogue (compute speed does not
-// change numerics) and are ignored. Results are sorted for determinism.
-func (p *Plan) MeshFaults(t topology.Torus) MeshFaults {
-	var mf MeshFaults
-	if p.Empty() {
-		return mf
-	}
-	for _, d := range p.Degrades {
-		c := t.Coord(d.Link.Chip)
-		next := t.Rank(t.Next(c, d.Link.Dir))
-		prev := t.Rank(t.Prev(c, d.Link.Dir))
-		yields := int(d.Factor)
-		if yields < 1 {
-			yields = 1
-		}
-		mf.Delays = append(mf.Delays,
-			EdgeDelay{From: d.Link.Chip, To: next, Yields: yields},
-			EdgeDelay{From: d.Link.Chip, To: prev, Yields: yields},
-			EdgeDelay{From: next, To: d.Link.Chip, Yields: yields},
-			EdgeDelay{From: prev, To: d.Link.Chip, Yields: yields},
-		)
-	}
-	for _, f := range p.LinkFails {
-		c := t.Coord(f.Link.Chip)
-		next := t.Rank(t.Next(c, f.Link.Dir))
-		mf.Drops = append(mf.Drops, EdgeDrop{From: f.Link.Chip, To: next, Nth: 0})
-	}
-	for _, f := range p.ChipFails {
-		mf.ChipFails = append(mf.ChipFails, MeshChipFail{Chip: f.Chip, AfterSends: 0})
-	}
-	sort.Slice(mf.Delays, func(i, j int) bool {
-		a, b := mf.Delays[i], mf.Delays[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.To != b.To {
-			return a.To < b.To
-		}
-		return a.Yields < b.Yields
-	})
-	sort.Slice(mf.Drops, func(i, j int) bool {
-		a, b := mf.Drops[i], mf.Drops[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.To != b.To {
-			return a.To < b.To
-		}
-		return a.Nth < b.Nth
-	})
-	sort.Slice(mf.ChipFails, func(i, j int) bool {
-		a, b := mf.ChipFails[i], mf.ChipFails[j]
-		if a.Chip != b.Chip {
-			return a.Chip < b.Chip
-		}
-		return a.AfterSends < b.AfterSends
-	})
-	return mf
 }

@@ -23,9 +23,13 @@ func TestDelayOnlyFaultsLeaveGeMMNumericsUnchanged(t *testing.T) {
 	b := randomMatrix(64, 64, rng)
 	as := tensor.Partition(a, tor.Rows, tor.Cols)
 	bs := tensor.Partition(b, tor.Rows, tor.Cols)
-	plan := &fault.Plan{Degrades: []fault.LinkDegrade{
-		{Link: fault.Link{Chip: 5, Dir: topology.InterCol}, Factor: 6},
-		{Link: fault.Link{Chip: 10, Dir: topology.InterRow}, Factor: 4},
+	// Chip 5's inter-col edges (to and from chips 4 and 6) and chip 10's
+	// inter-row edges (to and from chips 6 and 14) are degraded.
+	delays := fault.MeshFaults{Delays: []fault.EdgeDelay{
+		{From: 4, To: 5, Yields: 6}, {From: 5, To: 4, Yields: 6},
+		{From: 5, To: 6, Yields: 6}, {From: 6, To: 5, Yields: 6},
+		{From: 6, To: 10, Yields: 4}, {From: 10, To: 6, Yields: 4},
+		{From: 10, To: 14, Yields: 4}, {From: 14, To: 10, Yields: 4},
 	}}
 	opts := AlgOptions{S: 2, Block: 2}
 	for _, alg := range Algorithms() {
@@ -36,7 +40,7 @@ func TestDelayOnlyFaultsLeaveGeMMNumericsUnchanged(t *testing.T) {
 			fn := alg.Build(df, opts)
 			healthy := Run(mesh.New(tor), fn, as, bs)
 			faulty := mesh.New(tor)
-			faulty.SetFaults(plan.MeshFaults(tor))
+			faulty.SetFaults(delays)
 			degraded := Run(faulty, fn, as, bs)
 			for rank := range healthy {
 				if diff := healthy[rank].MaxAbsDiff(degraded[rank]); diff != 0 { // lint:float-exact acceptance criterion: delay-only faults change nothing, bit for bit

@@ -72,6 +72,7 @@ func TwoPointFiveDValidate(m, n, k int, g Grid3D) error {
 // are replicated down the depth rings, each layer runs P/c skewed Cannon
 // steps over its slice of the inner dimension, and the partial outputs are
 // reduced back to the front layer.
+// lint:allow unused the functional 2.5D baseline of PAPER.md's inventory row 7
 func TwoPointFiveD(g Grid3D, a, b *tensor.Matrix) *tensor.Matrix {
 	if err := TwoPointFiveDValidate(a.Rows, b.Cols, a.Cols, g); err != nil {
 		panic(err)

@@ -25,6 +25,7 @@ func Ring(p int) topology.Torus { return topology.NewTorus(1, p) }
 // Note the per-chip input shapes differ from the 2D algorithms: a is the
 // M/P×K sequence shard and b the K×N/P weight shard, so drivers must shard
 // X as P×1 and W as 1×P.
+// lint:allow unused a functional 1D TP and FSDP baseline of PAPER.md's inventory row 7
 func OneDTPAllGather(c *mesh.Chip, xShard, wShard *tensor.Matrix) *tensor.Matrix {
 	ring := c.RowComm()
 	xFull := collective.AllGatherRows(ring, xShard) // M × K
@@ -35,6 +36,7 @@ func OneDTPAllGather(c *mesh.Chip, xShard, wShard *tensor.Matrix) *tensor.Matrix
 // pattern: X (M×K) is sharded by inner columns (K/P per chip), W by inner
 // rows (K/P×N per chip); the partial M×N products are reduce-scattered by
 // rows so each chip ends with the M/P×N sequence shard of Y.
+// lint:allow unused a functional 1D TP and FSDP baseline of PAPER.md's inventory row 7
 func OneDTPReduceScatter(c *mesh.Chip, xShard, wShard *tensor.Matrix) *tensor.Matrix {
 	ring := c.RowComm()
 	partial := tensor.MatMul(xShard, wShard) // M × N, partial over K/P
@@ -45,6 +47,7 @@ func OneDTPReduceScatter(c *mesh.Chip, xShard, wShard *tensor.Matrix) *tensor.Ma
 // a batch shard X_i (M/P×K) and a weight shard W_i (K/P×N); the weights are
 // all-gathered right before the local multiplication, and each chip keeps
 // its own batch rows of the output (M/P×N).
+// lint:allow unused a functional 1D TP and FSDP baseline of PAPER.md's inventory row 7
 func FSDP(c *mesh.Chip, xShard, wShard *tensor.Matrix) *tensor.Matrix {
 	ring := c.RowComm()
 	wFull := collective.AllGatherRows(ring, wShard) // K × N
@@ -53,6 +56,7 @@ func FSDP(c *mesh.Chip, xShard, wShard *tensor.Matrix) *tensor.Matrix {
 
 // OneDValidate reports whether the 1D patterns can shard an M×K · K×N
 // multiplication over p chips.
+// lint:allow unused a functional 1D TP and FSDP baseline of PAPER.md's inventory row 7
 func OneDValidate(m, n, k, p int) error {
 	if p <= 0 {
 		return fmt.Errorf("gemm: 1D ring size %d must be positive", p)
@@ -65,6 +69,7 @@ func OneDValidate(m, n, k, p int) error {
 
 // RunOneD runs a 1D two-operand chip function over a ring of p chips. x and
 // w hold per-chip shards indexed by ring position.
+// lint:allow unused a functional 1D TP and FSDP baseline of PAPER.md's inventory row 7
 func RunOneD(p int, fn ChipFunc, x, w []*tensor.Matrix) []*tensor.Matrix {
 	return Run(mesh.New(Ring(p)), fn, x, w)
 }

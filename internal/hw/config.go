@@ -146,8 +146,3 @@ func (c Chip) RooflineTime(flops, hbmBytes float64) float64 {
 	}
 	return t
 }
-
-// ShardBytes returns the wire size of a shard with the given element count.
-func (c Chip) ShardBytes(elements int64) float64 {
-	return float64(elements) * c.BytesPerElement
-}

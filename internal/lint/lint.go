@@ -50,6 +50,7 @@ func Analyzers() []*Analyzer {
 		analyzeBufOwnership(),
 		analyzeHotpathAlloc(),
 		analyzeMapOrder(),
+		analyzeUnused(),
 	}
 }
 

@@ -3,6 +3,9 @@ package lint
 import (
 	"fmt"
 	"go/build"
+	"go/importer"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -17,7 +20,8 @@ import (
 // TestAnalyzersGolden runs the full rule suite over each testdata fixture
 // and checks the findings against the fixtures' "// want \"regexp\""
 // expectation comments, in both directions: every finding must be wanted,
-// and every want must fire.
+// and every want must fire. A fixture is one package, loaded as its own
+// module root, or a directory holding a go.mod, loaded as a module.
 func TestAnalyzersGolden(t *testing.T) {
 	fixtures := []string{
 		"wallclock/netsim",
@@ -30,13 +34,18 @@ func TestAnalyzersGolden(t *testing.T) {
 		"hotpath/kernels",
 		"maporder/emit",
 		"maporder/ckptmanifest",
+		"unused",
 	}
 	for _, fx := range fixtures {
 		t.Run(fx, func(t *testing.T) {
 			dir := filepath.Join("testdata", fx)
-			m, err := LoadPackage(dir)
+			load := LoadPackage
+			if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+				load = LoadModule
+			}
+			m, err := load(dir)
 			if err != nil {
-				t.Fatalf("LoadPackage(%s): %v", dir, err)
+				t.Fatalf("load %s: %v", dir, err)
 			}
 			diags := Run(m, Analyzers(), nil)
 
@@ -47,14 +56,14 @@ func TestAnalyzersGolden(t *testing.T) {
 			matched := map[*want]bool{}
 		diag:
 			for _, d := range diags {
-				key := fmt.Sprintf("%s:%d", filepath.Base(d.Pos.Filename), d.Pos.Line)
+				key := fmt.Sprintf("%s:%d", m.relPath(d.Pos.Filename), d.Pos.Line)
 				for _, w := range wants[key] {
 					if !matched[w] && w.re.MatchString(d.Msg) {
 						matched[w] = true
 						continue diag
 					}
 				}
-				t.Errorf("unexpected finding %s:%d: [%s] %s", key, d.Pos.Line, d.Rule, d.Msg)
+				t.Errorf("unexpected finding %s: [%s] %s", key, d.Rule, d.Msg)
 			}
 			for key, ws := range wants {
 				for _, w := range ws {
@@ -72,7 +81,7 @@ func TestAnalyzersGolden(t *testing.T) {
 func TestSuiteComposition(t *testing.T) {
 	want := []string{
 		"no-wallclock", "seeded-rand", "float-eq", "goroutine-discipline",
-		"panic-audit", "buf-ownership", "hotpath-alloc", "map-order",
+		"panic-audit", "buf-ownership", "hotpath-alloc", "map-order", "unused",
 	}
 	got := Analyzers()
 	if len(got) != len(want) {
@@ -95,41 +104,43 @@ var (
 	wantStringRE = regexp.MustCompile(`"(?:[^"\\]|\\.)*"`)
 )
 
-// collectWants maps "file.go:line" to the expectations on that line.
+// collectWants maps "file.go:line", the file's slash-separated path
+// relative to dir, to the expectations on that line.
 func collectWants(dir string) (map[string][]*want, error) {
 	wants := map[string][]*want{}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".go") {
-			continue
+	err := filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(path, ".go") {
+			return err
 		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		data, err := os.ReadFile(path)
 		if err != nil {
-			return nil, err
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
 		}
 		for i, line := range strings.Split(string(data), "\n") {
 			m := wantLineRE.FindStringSubmatch(line)
 			if m == nil {
 				continue
 			}
-			key := fmt.Sprintf("%s:%d", e.Name(), i+1)
+			key := fmt.Sprintf("%s:%d", filepath.ToSlash(rel), i+1)
 			for _, q := range wantStringRE.FindAllString(m[1], -1) {
 				pattern, err := strconv.Unquote(q)
 				if err != nil {
-					return nil, fmt.Errorf("%s: bad want string %s: %v", key, q, err)
+					return fmt.Errorf("%s: bad want string %s: %v", key, q, err)
 				}
 				re, err := regexp.Compile(pattern)
 				if err != nil {
-					return nil, fmt.Errorf("%s: bad want regexp %q: %v", key, pattern, err)
+					return fmt.Errorf("%s: bad want regexp %q: %v", key, pattern, err)
 				}
 				wants[key] = append(wants[key], &want{re: re})
 			}
 		}
-	}
-	return wants, nil
+		return nil
+	})
+	return wants, err
 }
 
 var (
@@ -317,4 +328,38 @@ func TestAllowlist(t *testing.T) {
 	if missing, err := LoadAllowlist(filepath.Join(dir, "nope")); err != nil || len(missing.entries) != 0 {
 		t.Errorf("missing allowlist: got %v entries, err %v; want empty, nil", missing, err)
 	}
+}
+
+// LoadPackage parses and type-checks the one package in dir, with its
+// tests, as LoadModule does a module. The returned Module has the
+// package's import path as its module path, making the package double as
+// the API root for root-sensitive analyzers — exactly what the golden-file
+// fixtures under testdata/ need. Every call shares one file set and one
+// standard-library importer, so fixtures that import the same standard
+// packages type-check them once.
+func LoadPackage(dir string) (*Module, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	stdShared.Lock()
+	defer stdShared.Unlock()
+	if stdShared.fset == nil {
+		stdShared.fset = token.NewFileSet()
+		stdShared.std = importer.ForCompiler(stdShared.fset, "source", nil)
+	}
+	m, err := load(abs, ".", stdShared.fset, stdShared.std)
+	if err != nil {
+		return nil, err
+	}
+	m.Root, m.Path = abs, m.Packages[0].Path
+	return m, nil
+}
+
+// stdShared is what LoadPackage calls share; the importer is not safe for
+// concurrent use, so a call holds the lock while it type-checks.
+var stdShared struct {
+	sync.Mutex
+	fset *token.FileSet
+	std  types.Importer
 }

@@ -15,7 +15,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
 )
 
 // Module is the unit meshlint analyzes: the packages of one module as
@@ -97,40 +96,6 @@ func LoadModule(root string) (*Module, error) {
 		return nil, fmt.Errorf("lint: go list found no module rooted at %s", abs)
 	}
 	return m, nil
-}
-
-// LoadPackage parses and type-checks the one package in dir, with its
-// tests, as LoadModule does a module. The returned Module has the
-// package's import path as its module path, making the package double as
-// the API root for root-sensitive analyzers — exactly what the golden-file
-// fixtures under testdata/ need. Every call shares one file set and one
-// standard-library importer, so fixtures that import the same standard
-// packages type-check them once.
-func LoadPackage(dir string) (*Module, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	stdShared.Lock()
-	defer stdShared.Unlock()
-	if stdShared.fset == nil {
-		stdShared.fset = token.NewFileSet()
-		stdShared.std = importer.ForCompiler(stdShared.fset, "source", nil)
-	}
-	m, err := load(abs, ".", stdShared.fset, stdShared.std)
-	if err != nil {
-		return nil, err
-	}
-	m.Root, m.Path = abs, m.Packages[0].Path
-	return m, nil
-}
-
-// stdShared is what LoadPackage calls share; the importer is not safe for
-// concurrent use, so a call holds the lock while it type-checks.
-var stdShared struct {
-	sync.Mutex
-	fset *token.FileSet
-	std  types.Importer
 }
 
 // PackageDirs returns the directories of the packages that patterns name

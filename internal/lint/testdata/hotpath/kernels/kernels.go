@@ -81,7 +81,7 @@ func Cold(n int) []int {
 func (m *Matrix) CopyFrom(o *Matrix) {}
 
 // Comm mimics the mesh communicator so the fixture can shape a ring
-// collective exactly like collective.AllGatherInto.
+// collective exactly like collective.AllGatherRowsInto.
 type Comm struct{ Size, Pos int }
 
 var recvScratch = &Matrix{}

@@ -26,6 +26,7 @@ func Example() {
 		}
 		fmt.Printf("%-10s  %-12s  %-12s  %-12s  %-8s  %s\n",
 			"TP degree", "weights+grad", "optimizer", "activations", "total", "fits 32GiB?")
+		minTP := 0
 		for tp := 4; tp <= 256; tp *= 2 {
 			p := base
 			p.TPDegree = tp
@@ -34,13 +35,15 @@ func Example() {
 				fmt.Println(err)
 				continue
 			}
+			fits := memory.FitsHBM(f, hbmCapacity)
+			if fits && minTP == 0 {
+				minTP = tp
+			}
 			fmt.Printf("%-10d  %-12s  %-12s  %-12s  %-8s  %v\n",
 				tp,
 				gib(f.Weights+f.Gradients), gib(f.OptimizerState),
-				gib(f.Activations), gib(f.Total()),
-				memory.FitsHBM(f, hbmCapacity))
+				gib(f.Activations), gib(f.Total()), fits)
 		}
-		minTP := memory.MinTPDegree(cfg, base, hbmCapacity, 1024)
 		fmt.Printf("minimum TP degree at PP=8: %d-way", minTP)
 		if minTP > 8 {
 			fmt.Printf("  — beyond the 8-way cap of fully-connected 1D TP fabrics; 2D TP territory")

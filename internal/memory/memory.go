@@ -197,25 +197,6 @@ func FitsHBM(f Footprint, capacity float64) bool {
 	return f.Total() <= capacity
 }
 
-// MinTPDegree returns the smallest power-of-two TP degree whose footprint
-// fits the capacity (with the other parameters fixed), or 0 if none up to
-// maxTP fits. This is the calculation behind the paper's §2.2 argument that
-// large models need TP degrees beyond 8-way.
-func MinTPDegree(cfg model.Config, base Params, capacity float64, maxTP int) int {
-	for tp := 1; tp <= maxTP; tp *= 2 {
-		p := base
-		p.TPDegree = tp
-		f, err := Estimate(cfg, p)
-		if err != nil {
-			continue
-		}
-		if FitsHBM(f, capacity) {
-			return tp
-		}
-	}
-	return 0
-}
-
 // DPTrafficPerChip returns the per-chip data-parallel gradient AllReduce
 // bytes for one step: 2·(DP-1)/DP times the chip's weight-gradient shard.
 // The §2.2 argument: a higher TP degree shrinks this linearly.

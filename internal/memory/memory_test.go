@@ -254,3 +254,22 @@ func TestInferenceKVScalesWithTokensAndShardsOverMesh(t *testing.T) {
 		t.Errorf("negative KV tokens must fail validation")
 	}
 }
+
+// MinTPDegree returns the smallest power-of-two TP degree whose footprint
+// fits the capacity (with the other parameters fixed), or 0 if none up to
+// maxTP fits. This is the calculation behind the paper's §2.2 argument that
+// large models need TP degrees beyond 8-way.
+func MinTPDegree(cfg model.Config, base Params, capacity float64, maxTP int) int {
+	for tp := 1; tp <= maxTP; tp *= 2 {
+		p := base
+		p.TPDegree = tp
+		f, err := Estimate(cfg, p)
+		if err != nil {
+			continue
+		}
+		if FitsHBM(f, capacity) {
+			return tp
+		}
+	}
+	return 0
+}

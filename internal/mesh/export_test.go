@@ -1,6 +1,10 @@
 package mesh
 
-import "math"
+import (
+	"math"
+	"meshslice/internal/obs/recorder"
+	"meshslice/internal/topology"
+)
 
 // PoisonHeldSlab fills the slab the process-wide store holds with NaN and
 // returns its length (0 when no closed mesh has given one back), so a test
@@ -15,3 +19,9 @@ func PoisonHeldSlab() int {
 	slabs.Give(buf)
 	return len(buf)
 }
+
+// Recorder returns the flight recorder attached by SetRecorder, or nil.
+func (m *Mesh) Recorder() *recorder.Recorder { return m.rec }
+
+// Direction returns the mesh direction this communicator's traffic uses.
+func (cm *Comm) Direction() topology.Direction { return cm.dir }

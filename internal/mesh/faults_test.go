@@ -45,12 +45,12 @@ func TestDelayOnlyFaultsPreserveResults(t *testing.T) {
 	}
 	healthy := run(New(tor))
 	delayed := New(tor)
-	// Translate a degraded-link plan onto runtime edges: chip 5's inter-col
-	// neighbourhood slows down hard.
-	plan := &fault.Plan{Degrades: []fault.LinkDegrade{
-		{Link: fault.Link{Chip: 5, Dir: topology.InterCol}, Factor: 8},
-	}}
-	delayed.SetFaults(plan.MeshFaults(tor))
+	// Chip 5's inter-col neighbourhood (chips 4 and 6, both directions)
+	// slows down hard.
+	delayed.SetFaults(fault.MeshFaults{Delays: []fault.EdgeDelay{
+		{From: 4, To: 5, Yields: 8}, {From: 5, To: 4, Yields: 8},
+		{From: 5, To: 6, Yields: 8}, {From: 6, To: 5, Yields: 8},
+	}})
 	faulty := run(delayed)
 	for i := range healthy {
 		if healthy[i] != faulty[i] { // lint:float-exact acceptance criterion: delay-only faults leave numerics EXACTLY unchanged
@@ -149,16 +149,12 @@ func TestRunEGenuinePanicStillPanics(t *testing.T) {
 	})
 }
 
-// TestLinkFailTranslationStalls: the plan-level translation path — a dead
-// link becomes a first-message drop on the runtime edge — ends in a typed
-// stall as well.
+// TestLinkFailTranslationStalls: a dead link, translated onto the runtime
+// edge as a drop of the first message chip 0 sends to its inter-col
+// neighbour, ends in a typed stall as well.
 func TestLinkFailTranslationStalls(t *testing.T) {
-	tor := topology.NewTorus(2, 2)
-	m := New(tor)
-	plan := &fault.Plan{LinkFails: []fault.LinkFail{
-		{Link: fault.Link{Chip: 0, Dir: topology.InterCol}, At: 0},
-	}}
-	m.SetFaults(plan.MeshFaults(tor))
+	m := New(topology.NewTorus(2, 2))
+	m.SetFaults(fault.MeshFaults{Drops: []fault.EdgeDrop{{From: 0, To: 1, Nth: 0}}})
 	err := m.RunE(func(c *Chip) { ringShift(c) })
 	var stall *RecvStallError
 	if !errors.As(err, &stall) {

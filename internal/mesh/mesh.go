@@ -79,9 +79,6 @@ func (m *Mesh) SetRecorder(r *recorder.Recorder) {
 	}
 }
 
-// Recorder returns the flight recorder attached by SetRecorder, or nil.
-func (m *Mesh) Recorder() *recorder.Recorder { return m.rec }
-
 // New creates a mesh with the given torus shape. It takes the slab the
 // last closed mesh gave back (see Close).
 func New(t topology.Torus) *Mesh {
@@ -376,9 +373,6 @@ type Comm struct {
 	// Pos is this chip's position within the ring (0-based).
 	Pos int
 }
-
-// Direction returns the mesh direction this communicator's traffic uses.
-func (cm *Comm) Direction() topology.Direction { return cm.dir }
 
 // SpanStart opens a flight-recorder span on this communicator's chip (see
 // Chip.SpanStart). The ring collectives call it on entry.

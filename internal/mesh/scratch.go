@@ -97,6 +97,7 @@ func (m *Mesh) laneOf(rank, lane int) *scratchLane {
 // PoisonScratch fills every matrix the mesh's scratch arena keeps with NaN,
 // so a run that reads a scratch element before writing it shows NaN in its
 // result. It must not be called while a run is in flight.
+// lint:allow unused gemm's arena tests call it, and another package's tests cannot see an export_test.go hook
 func (m *Mesh) PoisonScratch() {
 	for i := range m.scratch {
 		l := &m.scratch[i]

@@ -20,7 +20,7 @@ import (
 // Elastic training: the shape-independent trainer behind the checkpoint/
 // restore subsystem (package ckpt).
 //
-// The MeshSlice trainer (TrainDistributed) matches its serial reference up
+// The MeshSlice trainer (Train) matches its serial reference up
 // to floating-point association: ring ReduceScatter sums block partials in
 // ring-dependent groupings, so the exact bit pattern of a weight depends on
 // the mesh shape. That is fine for a fixed-shape run, but elastic resume —
@@ -99,7 +99,7 @@ func (c ElasticConfig) Validate(l ckpt.Layout) error {
 }
 
 // DataAt generates the deterministic training batch for one global step.
-// Unlike NewData's fixed batch, the elastic stream draws a fresh batch per
+// Unlike a fixed batch, the elastic stream draws a fresh batch per
 // step from (seed, step) alone, so a resumed run regenerates the exact
 // batches the interrupted run would have seen — the snapshot only has to
 // carry the seed and the step counter.

@@ -4,8 +4,8 @@
 // it — the integration proof that the paper's Table 1 dataflow composition
 // works: forward as OS, backward-data as LS, backward-weight as RS, with
 // every tensor in its Table 1 sharding, so no resharding or transposition
-// is ever needed. Its two-layer MLP matches a serial reference up to
-// floating-point association on every layout.
+// is ever needed. The two-layer MLP its tests train through Train matches
+// a serial reference up to floating-point association on every layout.
 package minitrain
 
 import (
@@ -14,7 +14,6 @@ import (
 	"math/rand"
 
 	"meshslice/internal/collective"
-	"meshslice/internal/gemm"
 	"meshslice/internal/mesh"
 	"meshslice/internal/tensor"
 	"meshslice/internal/topology"
@@ -40,34 +39,9 @@ type Config struct {
 	Pipelined bool
 }
 
-// Validate reports whether the configuration can shard onto the torus.
-func (c Config) Validate(t topology.Torus) error {
-	if c.Batch <= 0 || c.In <= 0 || c.Hidden <= 0 || c.Out <= 0 {
-		return fmt.Errorf("minitrain: degenerate dims %+v", c)
-	}
-	if c.LR <= 0 {
-		return fmt.Errorf("minitrain: learning rate %v", c.LR)
-	}
-	// The six GeMMs of one training step: each layer's Table 1 Y-stn row.
-	ms := gemm.MeshSliceConfig{S: c.S, Block: c.Block, Pipelined: c.Pipelined}
-	if err := ms.ValidateLayer(t, c.Batch, c.In, c.Hidden); err != nil {
-		return err
-	}
-	return ms.ValidateLayer(t, c.Batch, c.Hidden, c.Out)
-}
-
 // Data is a fixed training batch.
 type Data struct {
 	X, T *tensor.Matrix
-}
-
-// NewData generates a deterministic synthetic regression task.
-func NewData(c Config, seed int64) Data {
-	rng := rand.New(rand.NewSource(seed))
-	return Data{
-		X: tensor.Random(c.Batch, c.In, rng),
-		T: tensor.Random(c.Batch, c.Out, rng),
-	}
 }
 
 // InitWeights draws the initial parameters deterministically.
@@ -78,46 +52,6 @@ func InitWeights(c Config, seed int64) (w1, w2 *tensor.Matrix) {
 	w1.Scale(1 / math.Sqrt(float64(c.In)))
 	w2.Scale(1 / math.Sqrt(float64(c.Hidden)))
 	return w1, w2
-}
-
-// Result carries the final weights and the per-step losses.
-type Result struct {
-	W1, W2 *tensor.Matrix
-	Losses []float64
-}
-
-// TrainSerial runs `steps` SGD steps on one node — the ground truth.
-func TrainSerial(c Config, data Data, steps int, seed int64) Result {
-	w1, w2 := InitWeights(c, seed)
-	res := Result{}
-	scale := 2 / float64(c.Batch*c.Out)
-	for s := 0; s < steps; s++ {
-		// Forward.
-		h := tensor.MatMul(data.X, w1)
-		hAct := relu(h)
-		y := tensor.MatMul(hAct, w2)
-
-		// MSE loss and gradient.
-		dy := y.Clone()
-		for i := range dy.Data {
-			dy.Data[i] -= data.T.Data[i]
-		}
-		res.Losses = append(res.Losses, sumSquares(dy)/float64(c.Batch*c.Out))
-		dy.Scale(scale)
-
-		// Backward: the serial counterparts of the Table 1 dataflows.
-		dW2 := tensor.MatMulTN(hAct, dy)   // W' = Xᵀ·Y'   (RS)
-		dH := tensor.MatMulNT(dy, w2)      // X' = Y'·Wᵀ   (LS)
-		maskInto(dH, h)                    // ReLU backward
-		dW1 := tensor.MatMulTN(data.X, dH) // W' = Xᵀ·Y'   (RS)
-
-		dW1.Scale(c.LR)
-		dW2.Scale(c.LR)
-		subInto(w1, dW1)
-		subInto(w2, dW2)
-	}
-	res.W1, res.W2 = w1, w2
-	return res
 }
 
 // Parallelism lays a Train run out on the cluster of paper §2.1: DP
@@ -143,24 +77,6 @@ type Layer interface {
 	Backward(tp *mesh.Chip, w []*tensor.Matrix, cache any, dy *tensor.Matrix, wantDX bool) ([]*tensor.Matrix, *tensor.Matrix)
 }
 
-// TrainDistributed runs TrainSerial's steps through Train, the MLP as two
-// layers: dense + ReLU, then dense.
-func TrainDistributed(c Config, t topology.Torus, p Parallelism, data Data, steps int, seed int64) (Result, error) {
-	if err := c.Validate(t); err != nil {
-		return Result{}, err
-	}
-	if err := checkShape("X", data.X, c.Batch, c.In); err != nil {
-		return Result{}, err
-	}
-	w1, w2 := InitWeights(c, seed)
-	ms := gemm.MeshSliceConfig{S: c.S, Block: c.Block, Pipelined: c.Pipelined}
-	ws, losses, err := Train([]Layer{dense{w1, ms, true}, dense{w2, ms, false}}, t, p, data.X, data.T, steps, c.LR)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{W1: ws[0][0], W2: ws[1][0], Losses: losses}, nil
-}
-
 // Train runs steps of SGD at rate lr on the layers against the mean squared
 // error of their output to target, SPMD over DP × PP × Pr×Pc chips; every
 // tensor keeps its Table 1 sharding for the entire run. The loss gradient
@@ -168,6 +84,7 @@ func TrainDistributed(c Config, t topology.Torus, p Parallelism, data Data, step
 // AllReduce over the replicas sums them before each update, so every layout
 // trains exactly full-batch SGD. It returns each layer's final weights,
 // assembled, and the per-step losses.
+// lint:allow unused ROADMAP items 13 and 14 own the one functional trainer
 func Train(layers []Layer, t topology.Torus, p Parallelism, x, target *tensor.Matrix, steps int, lr float64) ([][]*tensor.Matrix, []float64, error) {
 	if p.DP < 0 || p.PP < 0 || p.Micro < 0 || max(p.PP, 1) > len(layers) {
 		return nil, nil, fmt.Errorf("minitrain: parallelism %+v: fields must be non-negative and PP at most %d (one layer per stage)", p, len(layers))
@@ -309,44 +226,6 @@ func Train(layers []Layer, t topology.Torus, p Parallelism, x, target *tensor.Ma
 		}
 	}
 	return out, losses, nil
-}
-
-// dense is one fully connected layer, x·W, with an optional ReLU after it:
-// forward OS, backward-weight RS and backward-data LS, with no transposes
-// and no resharding (Table 1). Its cache is {x, the pre-activation}.
-type dense struct {
-	w    *tensor.Matrix
-	ms   gemm.MeshSliceConfig
-	relu bool
-}
-
-func (d dense) Weights() []*tensor.Matrix { return []*tensor.Matrix{d.w} }
-
-func (d dense) Check(t topology.Torus, rows, cols int) (int, error) {
-	if cols != d.w.Rows {
-		return 0, fmt.Errorf("minitrain: %d input columns for a %dx%d layer", cols, d.w.Rows, d.w.Cols)
-	}
-	return d.w.Cols, d.ms.ValidateLayer(t, rows, d.w.Rows, d.w.Cols)
-}
-
-func (d dense) Forward(tp *mesh.Chip, w []*tensor.Matrix, x *tensor.Matrix) (*tensor.Matrix, any) {
-	h := gemm.MeshSlice(gemm.OS, d.ms)(tp, x, w[0])
-	if !d.relu {
-		return h, [2]*tensor.Matrix{x}
-	}
-	return relu(h), [2]*tensor.Matrix{x, h}
-}
-
-func (d dense) Backward(tp *mesh.Chip, w []*tensor.Matrix, cache any, dy *tensor.Matrix, wantDX bool) ([]*tensor.Matrix, *tensor.Matrix) {
-	c := cache.([2]*tensor.Matrix)
-	if d.relu {
-		maskInto(dy, c[1])
-	}
-	g := []*tensor.Matrix{gemm.MeshSlice(gemm.RS, d.ms)(tp, c[0], dy)}
-	if !wantDX {
-		return g, nil
-	}
-	return g, gemm.MeshSlice(gemm.LS, d.ms)(tp, dy, w[0])
 }
 
 // checkShape reports whether the training tensor m is rows×cols.

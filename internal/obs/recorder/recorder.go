@@ -488,9 +488,6 @@ func New(chips, capacity int) *Recorder {
 // Chips returns the number of chips the recorder covers.
 func (r *Recorder) Chips() int { return len(r.chips) }
 
-// Capacity returns the per-chip event-ring capacity.
-func (r *Recorder) Capacity() int { return r.capacity }
-
 // Chip returns the log of rank chip.
 func (r *Recorder) Chip(chip int) *Log { return r.chips[chip] }
 

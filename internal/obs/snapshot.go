@@ -120,6 +120,7 @@ func locked[T instrument](f func(T)) func(T) {
 // bytes a json.Encoder with SetIndent("", "  ") prints for it, label keys
 // sorted, HTML escaped, a nil slice as null, then a newline. A NaN or
 // infinite value makes it return an error and write nothing.
+// lint:allow unused minitrain's and recorder's golden tests pin snapshot bytes through it
 func (s Snapshot) WriteJSON(w io.Writer) error {
 	var lb [8]Label
 	labels := func(m map[string]string) []Label {

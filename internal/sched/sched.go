@@ -176,30 +176,12 @@ func (p *Program) Validate() error {
 }
 
 // TotalFLOPs sums the compute work of the program (per chip).
+// lint:allow unused netsim's tests check simulated compute against it
 func (p *Program) TotalFLOPs() float64 {
 	var total float64
 	for i := range p.Ops {
 		if op := &p.Ops[i]; op.Kind == Compute {
 			total += op.FLOPs
-		}
-	}
-	return total
-}
-
-// CommBytesOnWire returns the total bytes each chip's links carry in the
-// given direction (the traffic cost numerator of §2.3.1).
-func (p *Program) CommBytesOnWire(d topology.Direction) float64 {
-	var total float64
-	for i := range p.Ops {
-		op := &p.Ops[i]
-		if !op.Kind.IsComm() || op.Dir != d {
-			continue
-		}
-		switch op.Kind {
-		case Broadcast, Reduce:
-			total += op.Bytes * float64(op.Steps) / float64(op.Packets)
-		default:
-			total += op.Bytes * float64(op.Steps)
 		}
 	}
 	return total

@@ -341,3 +341,22 @@ func TestBuildersAllocateTheOpListOnce(t *testing.T) {
 		}
 	}
 }
+
+// CommBytesOnWire returns the total bytes each chip's links carry in the
+// given direction (the traffic cost numerator of §2.3.1).
+func (p *Program) CommBytesOnWire(d topology.Direction) float64 {
+	var total float64
+	for i := range p.Ops {
+		op := &p.Ops[i]
+		if !op.Kind.IsComm() || op.Dir != d {
+			continue
+		}
+		switch op.Kind {
+		case Broadcast, Reduce:
+			total += op.Bytes * float64(op.Steps) / float64(op.Packets)
+		default:
+			total += op.Bytes * float64(op.Steps)
+		}
+	}
+	return total
+}

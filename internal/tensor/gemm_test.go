@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -204,6 +205,21 @@ func TestMatMulKernelsAllocateNothing(t *testing.T) {
 					t.Errorf("%s path: %s %dx%dx%d allocates %v objects per call, want 0", vec, v.name, m, n, k, allocs)
 				}
 			}
+		}
+	}
+}
+
+// OuterProductAdd accumulates C += a·b where a is a column vector (len m)
+// and b is a row vector (len n). Used by the mathematical-description tests
+// of §3.1.1: C_ij equals the sum of K outer products.
+func OuterProductAdd(c *Matrix, a, b []float64) {
+	if c.Rows != len(a) || c.Cols != len(b) {
+		panic(fmt.Sprintf("tensor: OuterProductAdd output %dx%d for %d⊗%d", c.Rows, c.Cols, len(a), len(b)))
+	}
+	for i, av := range a {
+		crow := c.Row(i)
+		for j, bv := range b {
+			crow[j] += av * bv
 		}
 	}
 }

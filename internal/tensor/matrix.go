@@ -54,6 +54,7 @@ func Random(rows, cols int, rng *rand.Rand) *Matrix {
 }
 
 // Identity returns the n×n identity matrix.
+// lint:allow unused collective's and netsim's tests build operands with it
 func Identity(n int) *Matrix {
 	m := New(n, n)
 	for i := 0; i < n; i++ {
@@ -147,6 +148,7 @@ func (e rowRangeError) Error() string {
 }
 
 // T returns the transpose of m as a new matrix.
+// lint:allow unused gemm's tests build transposed oracles with it
 func (m *Matrix) T() *Matrix {
 	out := New(m.Cols, m.Rows)
 	for r := 0; r < m.Rows; r++ {
@@ -178,6 +180,7 @@ func (m *Matrix) Scale(alpha float64) {
 // Equal reports whether m and other have the same shape and every pair of
 // elements differs by at most tol in absolute value, as absDiff measures it:
 // two NaNs agree, and a NaN against anything else never fits a finite tol.
+// lint:allow unused the tests of most packages compare matrices with it
 func (m *Matrix) Equal(other *Matrix, tol float64) bool {
 	if m.Rows != other.Rows || m.Cols != other.Cols {
 		return false

@@ -39,20 +39,6 @@ func (d Direction) String() string {
 	}
 }
 
-// Opposite returns the other in-layer direction. It is meaningful only for
-// the two directions of a 2D mesh; the depth direction is its own
-// opposite.
-func (d Direction) Opposite() Direction {
-	switch d {
-	case InterRow:
-		return InterCol
-	case InterCol:
-		return InterRow
-	default:
-		return d
-	}
-}
-
 // Coord is a chip position in a 2D mesh.
 type Coord struct {
 	Row, Col int
@@ -156,15 +142,6 @@ func (t Torus) Next(c Coord, d Direction) Coord {
 	return Coord{Row: c.Row, Col: (c.Col + 1) % t.Cols}
 }
 
-// Prev returns c's upstream ring neighbour in the given direction.
-func (t Torus) Prev(c Coord, d Direction) Coord {
-	t.check(c)
-	if d == InterRow {
-		return Coord{Row: (c.Row - 1 + t.Rows) % t.Rows, Col: c.Col}
-	}
-	return Coord{Row: c.Row, Col: (c.Col - 1 + t.Cols) % t.Cols}
-}
-
 // IsSquare reports whether the torus has equal dimensions (required by
 // Cannon's algorithm, paper §2.3.2).
 func (t Torus) IsSquare() bool { return t.Rows == t.Cols }
@@ -176,6 +153,7 @@ func (t Torus) String() string { return fmt.Sprintf("%dx%d torus", t.Rows, t.Col
 // searches over (paper §3.2.2). Shapes with Pr==1 or Pc==1 degenerate to
 // rings; they are included because the autotuner may legitimately pick them
 // for extremely skewed matrices, and the 1D baselines use them.
+// lint:allow unused costmodel's tests sweep every shape, rings included, with it
 func MeshShapes(n int) []Torus { return meshShapes(n, 1) }
 
 // MeshShapes2D is MeshShapes restricted to proper 2D shapes (both

@@ -203,9 +203,6 @@ func TestMeshShapesMatchesTrialDivision(t *testing.T) {
 }
 
 func TestDirectionHelpers(t *testing.T) {
-	if InterRow.Opposite() != InterCol || InterCol.Opposite() != InterRow {
-		t.Errorf("Opposite broken")
-	}
 	if InterRow.String() != "inter-row" || InterCol.String() != "inter-col" {
 		t.Errorf("String broken: %q %q", InterRow, InterCol)
 	}
@@ -230,4 +227,13 @@ func TestCoordOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	NewTorus(2, 2).Coord(4)
+}
+
+// Prev returns c's upstream ring neighbour in the given direction.
+func (t Torus) Prev(c Coord, d Direction) Coord {
+	t.check(c)
+	if d == InterRow {
+		return Coord{Row: (c.Row - 1 + t.Rows) % t.Rows, Col: c.Col}
+	}
+	return Coord{Row: c.Row, Col: (c.Col - 1 + t.Cols) % t.Cols}
 }

@@ -154,6 +154,7 @@ func geluBackwardInto(grad, pre *tensor.Matrix) {
 // Gradients runs forward+backward over the mesh: given the upstream
 // gradient dOut (same global shape as the block output), it returns the
 // assembled parameter gradients and input gradient.
+// lint:allow unused ROADMAP item 13 owns the transformer training path
 func Gradients(c Config, t topology.Torus, w Weights, x, dOut *tensor.Matrix) (Weights, *tensor.Matrix, error) {
 	if err := c.check(t, x, c.Tokens(), w); err != nil {
 		return Weights{}, nil, err

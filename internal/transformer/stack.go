@@ -19,6 +19,7 @@ type Stack struct {
 }
 
 // NewStack builds L blocks with deterministic weights.
+// lint:allow unused ROADMAP item 13 owns the transformer training path
 func NewStack(c Config, layers int, seed int64) Stack {
 	s := Stack{Config: c}
 	for l := 0; l < layers; l++ {
@@ -29,6 +30,7 @@ func NewStack(c Config, layers int, seed int64) Stack {
 
 // Layers returns the stack's blocks as minitrain layers, each over its
 // block's weights in Weights order (Wq, Wk, Wv, Wo, W1, W2).
+// lint:allow unused ROADMAP item 13 owns the transformer training path
 func (s Stack) Layers() []minitrain.Layer {
 	ls := make([]minitrain.Layer, len(s.Blocks))
 	for l, w := range s.Blocks {
