@@ -178,6 +178,9 @@ func TestBadFlagsExitTwoWithoutPanic(t *testing.T) {
 		"serve -rows 4 -cols 4 -max-batch -1",
 		"serve -rows 4 -cols 4 -chunk -7",
 		"sim -fabric -2",
+		"sim -chips 16 -rows 3 -cols 3",
+		"sim -chips 16 -rows 4",
+		"serve -chips 16 -rows 3 -cols 3",
 		"gemm -dataflow xs",
 		"verify -dataflow xs",
 		"record -dataflow xs",

@@ -163,6 +163,21 @@ func requireInts(min int, want string, flags ...intFlag) {
 	}
 }
 
+// requireMesh exits 2 with a one-line error unless -rows and -cols are
+// both unset (0: the subcommand then does what unset says) or both set to
+// a mesh of exactly -chips chips.
+func requireMesh(rows, cols, chips int, unset string) {
+	switch {
+	case (rows > 0) != (cols > 0):
+		fmt.Fprintf(os.Stderr, "bad -rows %d -cols %d: set both to fix the mesh, or neither to %s\n", rows, cols, unset)
+	case rows > 0 && rows*cols != chips:
+		fmt.Fprintf(os.Stderr, "bad -rows %d -cols %d: a %dx%d mesh is %d chips, not -chips %d\n", rows, cols, rows, cols, rows*cols, chips)
+	default:
+		return
+	}
+	os.Exit(2)
+}
+
 func algoByName(name string) (train.Algo, bool) {
 	for _, a := range train.Algos {
 		if strings.EqualFold(a.String(), name) {
@@ -221,6 +236,7 @@ func cmdSim(args []string) {
 	fs.Parse(args)
 	requireInts(1, "a positive count", intFlag{"chips", *chips})
 	requireInts(0, "a positive side, or 0 to search", intFlag{"rows", *rows}, intFlag{"cols", *cols})
+	requireMesh(*rows, *cols, *chips, "search")
 	if math.IsNaN(*fabric) || math.IsInf(*fabric, 0) || *fabric < 0 {
 		fmt.Fprintf(os.Stderr, "bad -fabric %g: want a finite factor >= 0 (0 or 1 = physical mesh)\n", *fabric)
 		os.Exit(2)
@@ -234,7 +250,7 @@ func cmdSim(args []string) {
 	opts.Sim.FabricContention = *fabric
 	opts.Sim.BidirectionalRings = *bidir
 	opts.Sim.TiledCompute = *tiled
-	if *rows > 0 && *cols > 0 {
+	if *rows > 0 {
 		opts.Shapes = []topology.Torus{topology.NewTorus(*rows, *cols)}
 	}
 	chip := hw.TPUv4()

@@ -22,7 +22,7 @@ import (
 func cmdServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	modelName := fs.String("model", "gpt3", "LLM: gpt3, megatron, llama3-70b, or a JSON config path")
-	chips := fs.Int("chips", 16, "cluster size (the shape search space when -rows/-cols are unset)")
+	chips := fs.Int("chips", 16, "cluster size: the shape search space, or -rows × -cols when both are set")
 	rows := fs.Int("rows", 0, "fix the mesh rows (0 = autotune the shape and policy)")
 	cols := fs.Int("cols", 0, "fix the mesh cols (0 = autotune the shape and policy)")
 	rate := fs.Float64("rate", 10, "mean request arrival rate (requests/s)")
@@ -58,10 +58,7 @@ func cmdServe(args []string) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if (*rows > 0) != (*cols > 0) {
-		fmt.Fprintf(os.Stderr, "bad -rows %d -cols %d: set both to fix the mesh, or neither to autotune\n", *rows, *cols)
-		os.Exit(2)
-	}
+	requireMesh(*rows, *cols, *chips, "autotune")
 
 	cfg := modelByName(*modelName)
 	chip := hw.TPUv4()
@@ -85,19 +82,14 @@ func cmdServe(args []string) {
 
 	var rep *serve.Report
 	switch {
-	case *rows > 0 && *cols > 0:
+	case *rows > 0:
 		// Fixed deployment: run exactly the requested shape and policy.
-		mesh := topology.Torus{Rows: *rows, Cols: *cols}
-		cluster := *chips
-		if cluster < mesh.Size() {
-			cluster = mesh.Size()
-		}
 		r, err := serve.Run(serve.Config{
-			Model: cfg, Chip: chip, Mesh: mesh,
+			Model: cfg, Chip: chip, Mesh: topology.Torus{Rows: *rows, Cols: *cols},
 			Policy:       serve.Policy{MaxBatch: *maxBatch, ChunkTokens: *chunk, SliceCount: *slices},
 			SLO:          slo,
 			HBMBytes:     hbm,
-			ClusterChips: cluster,
+			ClusterChips: *chips,
 			Faults:       plan,
 		}, wl)
 		if err != nil {

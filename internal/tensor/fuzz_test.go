@@ -83,6 +83,12 @@ func FuzzMatMulKernels(f *testing.F) {
 	f.Add([]byte{5, 34, 0, 18, 0x0f, 60, 3, 250, 4, 31, 129, 8, 222, 17})  // 6×35×19
 	f.Add([]byte{6, 39, 1, 4, 0xf0, 90, 4, 1, 13, 180, 2, 99, 254, 40})    // 7×40×261
 	f.Add([]byte{10, 18, 0, 37, 0x33, 30, 5, 60, 7, 201, 5, 150, 33, 128}) // 11×19×38
+	// The NT kernel's panel edges (ntEdgeShapes): a last B panel of 1 or
+	// 3 real rows, a partial group of C rows, k from 1 to 2·tileK+3.
+	for _, s := range ntEdgeShapes {
+		m, n, k := s[0], s[1], s[2]
+		f.Add([]byte{byte(m - 1), byte(n - 1), byte((k - 1) >> 8), byte(k - 1), 0x5a, 40, 2, 9, 200, 3, 77, 140, 1, 66})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 8 {
 			t.Skip()

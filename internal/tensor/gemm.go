@@ -329,8 +329,13 @@ func MatMulAddNT(c, a, b *Matrix) {
 // matMulAddNTRows accumulates rows [lo, hi) of C += A·Bᵀ.
 // lint:hotpath tile kernel: the per-row inner loops must stay allocation-free
 func matMulAddNTRows(c, a, b *Matrix, lo, hi int) {
-	if vectorKernels != goPath {
-		ntTiles(c, a, b, lo, hi)
+	if vectorKernels != goPath && a.Cols > 0 {
+		if a.Cols > tileK {
+			var part [tileI / 4][4][wideW]float64
+			ntTiles(c, a, b, lo, hi, &part)
+		} else {
+			ntTiles(c, a, b, lo, hi, nil)
+		}
 		return
 	}
 	for jb := 0; jb < b.Rows; jb += tileBR {
@@ -368,50 +373,49 @@ func matMulAddNTRows(c, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// ntTiles is matMulAddNTRows on the vector tiles. For each tileI block of
-// rows and each w rows of B (w from panelWidth), a zeroed 4×w accumulator tile per four rows
-// of C sums a_ik·b_jk over ascending k, one tileK block at a time: the
-// block of those B rows is packed transposed (w values per k) and every
-// tile sweeps it with tile4x16 or tile4x8. The tiles persist across the k
-// blocks and are added to C once, so an element is still a private sum
-// from +0 added to C once. Rows past the block's end and B rows past B's
-// end are padded with copies of the last row; their lanes are never added
-// to C.
+// The NT tiles' modes where k spans several tileK blocks: ntResume starts
+// from the tile's partial sums, not +0; ntSuspend stores them, not C + sum.
+const (
+	ntResume = 1 << iota
+	ntSuspend
+)
+
+// ntTiles is matMulAddNTRows on the vector tiles, for k ≥ 1. Per w rows
+// of B (panelWidth) and tileK block of k, ntPack packs the block
+// transposed with 4×4 vector transposes, and each four rows of C sweep it
+// with ntTile4x16 or ntTile4x8: a private sum per element from +0 over
+// ascending k, in registers, added to C once, C first. The 8-wide tile
+// stores only the nv lanes of real B rows. Where k spans several blocks,
+// each tile's sums wait in part between them; part is nil otherwise.
 // lint:hotpath AVX path of the NT kernel
-func ntTiles(c, a, b *Matrix, lo, hi int) {
+func ntTiles(c, a, b *Matrix, lo, hi int, part *[tileI / 4][4][wideW]float64) {
 	var panel [wideW * tileK]float64
-	var acc [tileI / 4][4][wideW]float64
 	for ib := lo; ib < hi; ib += tileI {
 		ie := min(ib+tileI, hi)
-		tiles := acc[:(ie-ib+3)/4]
 		for jp, w := 0, 0; jp < b.Rows; jp += w {
 			w = panelWidth(jp, b.Rows)
 			nv := min(w, b.Rows-jp)
-			clear(tiles)
 			for kb := 0; kb < a.Cols; kb += tileK {
 				ke := min(kb+tileK, a.Cols)
-				for x := range w {
-					for k, v := range b.Row(jp + min(x, nv-1))[kb:ke] {
-						panel[k*w+x] = v
-					}
+				ntPack(&panel, &b.Row(jp)[kb], b.Cols, w, nv, ke-kb)
+				mode := 0
+				if kb > 0 {
+					mode |= ntResume
 				}
-				for g := range tiles {
-					var ct, at [4]*float64
-					for r := range ct {
-						ct[r], at[r] = &tiles[g][r][0], &a.Row(min(ib+4*g+r, ie-1))[kb]
+				if ke < a.Cols {
+					mode |= ntSuspend
+				}
+				for i := ib; i < ie; i += 4 {
+					var s *[4][wideW]float64
+					if part != nil {
+						s = &part[(i-ib)/4]
 					}
+					cp, ap := &c.Data[i*c.Cols+jp], &a.Data[i*a.Cols+kb]
 					if w == wideW {
-						tile4x16(&ct, &at, &panel[0], w, ke-kb)
+						ntTile4x16(cp, c.Cols, ap, a.Cols, &panel, ke-kb, s, mode, min(4, ie-i))
 					} else {
-						tile4x8(&ct, &at, &panel[0], w, ke-kb)
+						ntTile4x8(cp, c.Cols, ap, a.Cols, &panel, ke-kb, s, mode, min(4, ie-i), nv)
 					}
-				}
-			}
-			for i := ib; i < ie; i++ {
-				sums := &tiles[(i-ib)/4][(i-ib)%4]
-				crow := c.Row(i)[jp : jp+nv]
-				for x := range crow {
-					crow[x] += sums[x]
 				}
 			}
 		}
@@ -553,11 +557,4 @@ func tnTiles(c, a, b *Matrix, lo, hi int) {
 			}
 		}
 	}
-}
-
-// GeMMFLOPs returns the floating point operation count of an M×K by K×N
-// multiplication (2·M·N·K, counting multiply and add separately).
-// lint:allow unused kept with its tests; ROADMAP item 15 lists it among the rows still to decide
-func GeMMFLOPs(m, n, k int64) int64 {
-	return 2 * m * n * k
 }

@@ -85,3 +85,33 @@ func maskTile4x16(c, a *[4]*float64, b *float64, bs, kl int)
 //
 //go:noescape
 func tnTile4x16(c *[4]*float64, pa *[4 * tileK]float64, b *float64, bs, kl int)
+
+// ntTile4x16 sums, for r < nr ≤ 4 and x < 16, s[r][x] = Σ_k
+// a[r][k]·p[16k+x] over k = 0 … kl-1 in ascending order, in registers
+// from +0, or from part[r][x] when mode has ntResume. With ntSuspend it
+// stores the sums to part; otherwise it ends with c[r][x] = c[r][x] +
+// s[r][x], C the first operand. Row r of C starts at c[r*cs] and holds 16
+// values, row r of A starts at a[r*as] and holds kl, and p holds kl
+// packed rows of 16 (ntPack).
+//
+//go:noescape
+func ntTile4x16(c *float64, cs int, a *float64, as int, p *[wideW * tileK]float64, kl int, part *[4][wideW]float64, mode, nr int)
+
+// ntTile4x8 is ntTile4x16 on 8 columns, p holding 8 values per k. Only
+// the first nv lanes of each sum reach C (nv ≤ 8); the rest of the C row
+// is neither read nor written.
+//
+//go:noescape
+func ntTile4x8(c *float64, cs int, a *float64, as int, p *[wideW * tileK]float64, kl int, part *[4][wideW]float64, mode, nr, nv int)
+
+// ntPack packs w rows of B (w a multiple of 4, w·kl ≤ wideW·tileK), bs
+// values apart from b on, transposed into p: p[k*w+x] is row x's value k,
+// for k < kl. Rows x ≥ nv are packed as copies of row nv−1.
+//
+//go:noescape
+func ntPack(p *[wideW * tileK]float64, b *float64, bs, w, nv, kl int)
+
+// addTo sets d[i] = d[i] + s[i] for i < n, d the first operand.
+//
+//go:noescape
+func addTo(d, s *float64, n int)

@@ -153,16 +153,6 @@ func TestOuterProductAddShapePanics(t *testing.T) {
 	OuterProductAdd(New(2, 2), []float64{1, 2, 3}, []float64{1, 2})
 }
 
-func TestGeMMFLOPs(t *testing.T) {
-	if got := GeMMFLOPs(2, 3, 4); got != 48 {
-		t.Errorf("GeMMFLOPs = %d, want 48", got)
-	}
-	// Large shapes must not overflow int64 prematurely.
-	if got := GeMMFLOPs(1<<20, 12288, 49152); got <= 0 {
-		t.Errorf("GeMMFLOPs overflowed: %d", got)
-	}
-}
-
 func TestMatMulParallelMatchesSerial(t *testing.T) {
 	// Above the fan-out threshold the row-partitioned parallel path must
 	// produce bitwise-identical results to the serial kernel.

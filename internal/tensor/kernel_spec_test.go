@@ -16,6 +16,18 @@ import (
 // tiling, packing or register blocking is free to change only what the spec
 // does not pin.
 
+// addFirst is x + y where the first operand is the running value that
+// started from C: when both are NaN it returns x's NaN (quieted), as an
+// x86 add does with its first operand. Go's compiler may swap the operands
+// of a commutative +, so the spec states that order through addFirst
+// instead of leaving it to the register allocator; every kernel keeps it.
+func addFirst(x, y float64) float64 {
+	if math.IsNaN(x) && math.IsNaN(y) {
+		return math.Float64frombits(math.Float64bits(x) | 1<<51)
+	}
+	return x + y
+}
+
 // specNN: start from C, add a_ik·b_kj for ascending k, skipping an exactly
 // zero a_ik.
 func specNN(c, a, b *Matrix) {
@@ -24,7 +36,7 @@ func specNN(c, a, b *Matrix) {
 			s := c.At(i, j)
 			for k := 0; k < a.Cols; k++ {
 				if aik := a.At(i, k); aik != 0 {
-					s += aik * b.At(k, j)
+					s = addFirst(s, aik*b.At(k, j))
 				}
 			}
 			c.Set(i, j, s)
@@ -41,7 +53,7 @@ func specNT(c, a, b *Matrix) {
 			for k := 0; k < a.Cols; k++ {
 				s += a.At(i, k) * b.At(j, k)
 			}
-			c.Set(i, j, c.At(i, j)+s)
+			c.Set(i, j, addFirst(c.At(i, j), s))
 		}
 	}
 }
@@ -62,11 +74,11 @@ func specTN(c, a, b *Matrix) {
 					if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
 						continue
 					}
-					s += v0*b.At(k, j) + v1*b.At(k+1, j) + v2*b.At(k+2, j) + v3*b.At(k+3, j)
+					s = addFirst(s, v0*b.At(k, j)+v1*b.At(k+1, j)+v2*b.At(k+2, j)+v3*b.At(k+3, j))
 				}
 				for ; k < ke; k++ {
 					if v := a.At(k, i); v != 0 {
-						s += v * b.At(k, j)
+						s = addFirst(s, v*b.At(k, j))
 					}
 				}
 			}
@@ -80,11 +92,21 @@ func sameBits(x, y float64) bool {
 	return math.Float64bits(x) == math.Float64bits(y) || math.IsNaN(x) && math.IsNaN(y)
 }
 
+// exactBits is BitEqual on one element: a NaN must keep its payload too.
+func exactBits(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y)
+}
+
 // firstMismatch returns the first element where got and want differ under
 // sameBits, or "" when they agree everywhere.
 func firstMismatch(got, want *Matrix) string {
+	return firstMismatchBy(got, want, sameBits)
+}
+
+// firstMismatchBy is firstMismatch under the element comparison same.
+func firstMismatchBy(got, want *Matrix, same func(x, y float64) bool) string {
 	for idx, v := range got.Data {
-		if !sameBits(v, want.Data[idx]) {
+		if !same(v, want.Data[idx]) {
 			return fmt.Sprintf("(%d,%d): got %v (%#x), want %v (%#x)", idx/got.Cols, idx%got.Cols,
 				v, math.Float64bits(v), want.Data[idx], math.Float64bits(want.Data[idx]))
 		}
@@ -249,10 +271,29 @@ func TestMatMulKernelsMatchSpec(t *testing.T) {
 // of its zeros −0) at k 4…7 while neighbour row 3 has three zeros and a
 // non-zero there; row 0 holds +Inf and the last row NaN. B holds ±Inf and
 // NaN, and C a −0. Widths cross both tile widths: a whole 16-wide panel
-// followed by an 8-wide one, by a column tail, or by both.
+// followed by an 8-wide one, by a column tail, or by both. NT then runs
+// ntEdgeShapes with the same operands, its C the first rows of a matrix
+// whose last row holds sentinels, so a padded lane of the last B panel
+// stored past C's last row fails as well as one stored past any other row.
 func TestKernelPathsAtTileEdges(t *testing.T) {
 	forEachPath(t, testKernelPathsAtTileEdges)
 }
+
+// ntEdgeShapes are the NT kernel's panel edges: B rows 16n+1 (the last
+// panel holds one real row) and 16n+8+3 (a 16-wide panel, then a whole
+// 8-wide one, then 3 real rows of 8), C rows 4n+1 and 4n+3 (a partial
+// group of four), and k from 1 across the pack's quads and tail to past
+// two tileK blocks. Every n is at most 40, so FuzzMatMulKernels seeds them
+// too.
+var ntEdgeShapes = func() [][3]int {
+	var shapes [][3]int
+	for i, n := range []int{wideW + 1, wideW + vecW + 3, 2*wideW + 1} {
+		for j, k := range []int{1, 3, 4, 5, tileK, tileK + 1, 2*tileK + 3} {
+			shapes = append(shapes, [3]int{5 + 2*((i+j)%2), n, k})
+		}
+	}
+	return shapes
+}()
 
 func testKernelPathsAtTileEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
@@ -262,31 +303,59 @@ func testKernelPathsAtTileEdges(t *testing.T) {
 		{9, vecW + 3, tileK - 1}, {5, vecW, tileK}, {10, 4*vecW + 7, 3*tileK + 2},
 		{7, wideW + vecW, tileK + 1}, {6, 2*wideW + 3, 9}, {9, wideW + vecW + 3, 2*tileK + 1},
 	}
+	operands := func(v kernelVariant, m, n, k int) (a, b, c *Matrix) {
+		aR, aC, bR, bC := v.shape(m, n, k)
+		a, b, c = Random(aR, aC, rng), Random(bR, bC, rng), Random(m, n, rng)
+		set := func(i, kk int, x float64) {
+			if v.name == "TN" {
+				a.Set(kk, i, x)
+			} else {
+				a.Set(i, kk, x)
+			}
+		}
+		set(1, k/2, 0)
+		set(4, 0, negZero)
+		for q := 4; q < min(8, k); q++ {
+			set(2, q, 0)
+			set(3, q, 0)
+		}
+		set(2, min(5, k-1), negZero)
+		set(3, min(7, k-1), 1.5)
+		set(0, min(1, k-1), math.Inf(1))
+		set(m-1, k-1, math.NaN())
+		b.Data[0], b.Data[len(b.Data)/2], b.Data[len(b.Data)-1] = math.Inf(1), math.Inf(-1), math.NaN()
+		c.Data[1] = negZero
+		return a, b, c
+	}
 	for _, s := range shapes {
 		m, n, k := s[0], s[1], s[2]
 		for _, v := range kernelVariants {
-			aR, aC, bR, bC := v.shape(m, n, k)
-			a, b, c := Random(aR, aC, rng), Random(bR, bC, rng), Random(m, n, rng)
-			set := func(i, kk int, x float64) {
-				if v.name == "TN" {
-					a.Set(kk, i, x)
-				} else {
-					a.Set(i, kk, x)
-				}
-			}
-			set(1, k/2, 0)
-			set(4, 0, negZero)
-			for q := 4; q < 8; q++ {
-				set(2, q, 0)
-				set(3, q, 0)
-			}
-			set(2, 5, negZero)
-			set(3, 7, 1.5)
-			set(0, 1, math.Inf(1))
-			set(m-1, k-1, math.NaN())
-			b.Data[0], b.Data[len(b.Data)/2], b.Data[len(b.Data)-1] = math.Inf(1), math.Inf(-1), math.NaN()
-			c.Data[1] = negZero
+			a, b, c := operands(v, m, n, k)
 			checkAgainstSpec(t, v, c, a, b, []int{m / 2})
+		}
+	}
+	nt := kernelVariants[slices.IndexFunc(kernelVariants, func(v kernelVariant) bool { return v.name == "NT" })]
+	sentinel := 1234.5 // finite: a stray C + sum store changes it
+	for _, s := range ntEdgeShapes {
+		m, n, k := s[0], s[1], s[2]
+		a, b, c := operands(nt, m, n, k)
+		want := c.Clone()
+		nt.spec(want, a, b)
+		full := New(m+1, n)
+		copy(full.Data, c.Data)
+		for j := range full.Row(m) {
+			full.Row(m)[j] = sentinel
+		}
+		got := FromSlice(m, n, full.Data[:m*n])
+		nt.add(got, a, b)
+		if at := firstMismatch(got, want); at != "" {
+			t.Errorf("NT %dx%dx%d differs from spec at %s", m, n, k, at)
+		}
+		for j, x := range full.Row(m) {
+			if !exactBits(x, sentinel) {
+				t.Errorf("NT %dx%dx%d wrote %v past C's last row, column %d", m, n, k, x, j)
+				break
+			}
 		}
 	}
 }
@@ -505,6 +574,118 @@ func TestNaNFromBKeepsItsBits(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestNaNInCKeepsItsBits holds the vector paths to the spec's exact bits
+// where an element of C is already NaN and the sum that meets it is a NaN
+// with another payload: of two NaNs an x86 add keeps its first operand's,
+// and the spec puts C first (addFirst), so a tile that adds C to its sum,
+// rather than its sum to C, fails here. Every even column of C is NaN,
+// and B holds a NaN of another payload and sign in every column, at a k
+// that moves with the column; A is ReLU-like, so NN meets its dense and
+// masked tiles and TN its quad skips. NN and TN run only widths of whole
+// vector panels, since the columns past the last panel run Go loops; NT's
+// last panels hold 3 or 1 real rows, so its masked store is pinned too.
+// AddSub, C += block, is held to the same order by checkAddSub. The Go
+// path runs the same cases NaN for NaN (nanOrder).
+func TestNaNInCKeepsItsBits(t *testing.T) {
+	cNaN, bNaN := math.Float64frombits(0x7ff8000000000abc), math.Float64frombits(0xfff8000000000def)
+	forEachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5050))
+		shapes := [][3]int{{9, 3 * vecW, 37}, {12, 2 * wideW, tileK + 5}, {7, wideW + vecW, 21}, {5, 2 * wideW, 2*tileK + 3}, {9, wideW + 3, 37}, {5, wideW + 1, 2*tileK + 3}}
+		for _, s := range shapes {
+			m, n, k := s[0], s[1], s[2]
+			for _, v := range kernelVariants {
+				if n%vecW != 0 && v.name != "NT" {
+					continue
+				}
+				aR, aC, bR, bC := v.shape(m, n, k)
+				a, b, c := reluOperand(aR, aC, rng), Random(bR, bC, rng), Random(m, n, rng)
+				for j := range n {
+					if v.name == "NT" {
+						b.Set(j, (5*j)%k, bNaN)
+					} else {
+						b.Set((5*j)%k, j, bNaN)
+					}
+					for i := 0; j%2 == 0 && i < m; i++ {
+						c.Set(i, j, cNaN)
+					}
+				}
+				want := c.Clone()
+				v.spec(want, a, b)
+				got := c.Clone()
+				v.add(got, a, b)
+				if at := firstMismatchBy(got, want, nanOrder()); at != "" {
+					t.Errorf("%s %dx%dx%d: differs from spec at %s", v.name, m, n, k, at)
+				}
+			}
+		}
+		checkAddSub(t, 3, wideW+3, 2, rng)
+	})
+}
+
+// nanOrder is the element comparison that pins which of two NaNs an add
+// keeps: exact bits on a vector path, where assembly does the add, and NaN
+// for NaN on the Go path, where the operand order of a commutative + is
+// the compiler's choice at each site (in some loops it folds the load of C
+// into the add as its second operand, so the sum's payload is kept).
+func nanOrder() func(x, y float64) bool {
+	if vectorKernels == goPath {
+		return sameBits
+	}
+	return exactBits
+}
+
+// TestAddSubMatchesLoop holds AddSub, on every kernel path, to the plain
+// loop at every width 0…17 (each place in the vector add's steps of 16,
+// 4 and 1 values) and nonzero column offsets (checkAddSub).
+func TestAddSubMatchesLoop(t *testing.T) {
+	forEachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5151))
+		for w := 0; w <= 17; w++ {
+			for _, c0 := range []int{1, 2, 5} {
+				checkAddSub(t, 3, w, c0, rng)
+			}
+		}
+	})
+}
+
+// checkAddSub adds the rows×w block of a random source at row 1, column
+// c0 to a random rows×w matrix with AddSub, and requires the bits of the
+// loop d[i] = addFirst(d[i], s[i]) under nanOrder, where NaNs of two
+// payloads sit on both sides (so where both are NaN the destination's
+// payload must stay), and that the values stored right after the matrix
+// keep theirs.
+func checkAddSub(t *testing.T, rows, w, c0 int, rng *rand.Rand) {
+	t.Helper()
+	dNaN, sNaN := math.Float64frombits(0x7ff8000000000abc), math.Float64frombits(0xfff8000000000def)
+	src := Random(rows+2, w+c0+3, rng)
+	buf := Random(rows+1, w, rng).Data
+	for i := range src.Data {
+		if i%3 == 0 {
+			src.Data[i] = sNaN
+		}
+	}
+	for i := range buf {
+		if i%2 == 0 {
+			buf[i] = dNaN
+		}
+	}
+	tail := slices.Clone(buf[rows*w:])
+	got := FromSlice(rows, w, buf[:rows*w])
+	want := got.Clone()
+	for r := range rows {
+		for j := range w {
+			want.Set(r, j, addFirst(want.At(r, j), src.At(1+r, c0+j)))
+		}
+	}
+	got.AddSub(src, 1, c0)
+	if at := firstMismatchBy(got, want, nanOrder()); at != "" {
+		t.Errorf("AddSub %dx%d at column %d: differs from the loop at %s", rows, w, c0, at)
+	}
+	if !slices.EqualFunc(buf[rows*w:], tail, exactBits) {
+		t.Errorf("AddSub %dx%d at column %d wrote past the matrix", rows, w, c0)
+	}
 }
 
 // postReLU draws a rows×cols matrix of ReLU outputs: every negative value

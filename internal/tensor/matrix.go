@@ -112,11 +112,19 @@ func (m *Matrix) AddSub(src *Matrix, r0, c0 int) {
 		panic(fmt.Sprintf("tensor: AddSub (%d,%d)+%dx%d out of range for %dx%d", r0, c0, m.Rows, m.Cols, src.Rows, src.Cols)) // lint:invariant bounds precondition
 	}
 	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		srow := src.Data[(r0+r)*src.Cols+c0 : (r0+r)*src.Cols+c0+m.Cols]
-		for i, v := range srow {
-			row[i] += v
-		}
+		addRow(m.Row(r), src.Data[(r0+r)*src.Cols+c0:][:m.Cols])
+	}
+}
+
+// addRow sets d[i] += s[i] for every i < len(d), on a vector path with
+// addTo; s must hold at least len(d) values.
+func addRow(d, s []float64) {
+	if vectorKernels != goPath && len(d) > 0 {
+		addTo(&d[0], &s[:len(d)][0], len(d))
+		return
+	}
+	for i, v := range s[:len(d)] {
+		d[i] += v
 	}
 }
 
