@@ -1,9 +1,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
+	"io"
 
 	"meshslice/internal/calibrate"
 	"meshslice/internal/hw"
@@ -14,19 +13,16 @@ import (
 // linear model, report the recovered parameters, and optionally write them
 // out as a hardware profile.
 func cmdCalibrate(args []string) {
-	fs := flag.NewFlagSet("calibrate", flag.ExitOnError)
-	hwFile := fs.String("hw", "", "ground-truth calibration profile to measure (default TPUv4)")
-	out := fs.String("o", "", "write the fitted profile to this JSON file")
-	fs.Parse(args)
+	c := newCLI("calibrate")
+	hwFile := c.String("hw", "", "ground-truth calibration profile to measure (default TPUv4)")
+	out := c.output("write the fitted profile to this JSON file", "")
+	c.parse(args)
 
 	truth := hw.TPUv4()
 	if *hwFile != "" {
 		var err error
 		truth, err = hw.LoadProfileFile(*hwFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		die(1, err)
 	}
 
 	// The paper's setup: 2- and 4-chip clusters, shards from 8 KB to 512 MB.
@@ -36,27 +32,15 @@ func cmdCalibrate(args []string) {
 	fmt.Printf("measured %d collective executions (%v-chip rings, 8KB–512MB shards)\n\n", len(samples), rings)
 
 	fit, err := calibrate.Fit(samples)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	die(1, err)
 	fmt.Printf("%-16s  %-14s  %-14s\n", "parameter", "ground truth", "fitted")
 	fmt.Printf("%-16s  %-14s  %-14s\n", "bandwidth", fmt.Sprintf("%.2f GB/s", truth.LinkBandwidth/1e9), fmt.Sprintf("%.2f GB/s", fit.Bandwidth/1e9))
 	fmt.Printf("%-16s  %-14s  %-14s\n", "t_sync", fmt.Sprintf("%.2f µs", truth.SyncLatency*1e6), fmt.Sprintf("%.2f µs", fit.SyncLatency*1e6))
 	fmt.Printf("%-16s  %-14s  %-14s\n", "t_launch", fmt.Sprintf("%.2f µs", truth.LaunchOverhead*1e6), fmt.Sprintf("%.2f µs", fit.LaunchOverhead*1e6))
 	fmt.Printf("max residual: %.3g\n", fit.MaxResidual)
 
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := hw.SaveProfile(f, fit.Apply(truth)); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("fitted profile written to %s\n", *out)
+	if out.o != "" {
+		writeFile(out.o, func(w io.Writer) error { return hw.SaveProfile(w, fit.Apply(truth)) })
+		fmt.Printf("fitted profile written to %s\n", out.o)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -37,20 +38,20 @@ func TestMain(m *testing.M) {
 }
 
 // runCLI runs the binary with args (and GOMAXPROCS=procs when non-empty)
-// and returns its stderr and exit code.
-func runCLI(t *testing.T, procs string, args ...string) (stderr string, exit int) {
+// and returns its stdout, stderr and exit code.
+func runCLI(t *testing.T, procs string, args ...string) (stdout, stderr string, exit int) {
 	t.Helper()
 	cmd := exec.Command(meshsliceBin, args...)
 	if procs != "" {
 		cmd.Env = append(os.Environ(), "GOMAXPROCS="+procs)
 	}
-	var errBuf bytes.Buffer
-	cmd.Stderr = &errBuf
+	var outBuf, errBuf bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &outBuf, &errBuf
 	var exitErr *exec.ExitError
 	if err := cmd.Run(); err != nil && !errors.As(err, &exitErr) {
 		t.Fatalf("meshslice %s: %v", strings.Join(args, " "), err)
 	}
-	return errBuf.String(), cmd.ProcessState.ExitCode()
+	return outBuf.String(), errBuf.String(), cmd.ProcessState.ExitCode()
 }
 
 // readTree returns every file under root (or root itself when it is a
@@ -116,7 +117,7 @@ func TestCanonicalOutputsDeterministic(t *testing.T) {
 			for i, procs := range append([]string{"", ""}, tc.procs...) {
 				out := filepath.Join(dir, fmt.Sprintf("out-%d", i))
 				args := append(strings.Fields(tc.args), outFlag, out)
-				if stderr, exit := runCLI(t, procs, args...); exit != tc.exit {
+				if _, stderr, exit := runCLI(t, procs, args...); exit != tc.exit {
 					t.Fatalf("run %d (GOMAXPROCS=%q) exited %d, want %d: %s", i, procs, exit, tc.exit, stderr)
 				}
 				got := readTree(t, out)
@@ -143,9 +144,9 @@ func TestCanonicalOutputsDeterministic(t *testing.T) {
 // TestBadFlagsExitTwoWithoutPanic pins flag values that used to reach a
 // lint:invariant panic in the library, or ran with a value the header did
 // not print: each must die with exit status 2 and a one-line message, never
-// a goroutine trace. Every float flag of every subcommand gets NaN, +Inf
-// and −Inf (nonFiniteFloatRows), every int flag -1 (negativeIntRows); the
-// hand-written rows add the rest.
+// a goroutine trace, and before it prints anything to stdout. Every float
+// flag of every subcommand gets NaN, +Inf and −Inf (nonFiniteFloatRows),
+// every int flag -1 (negativeIntRows); the hand-written rows add the rest.
 func TestBadFlagsExitTwoWithoutPanic(t *testing.T) {
 	for _, args := range slices.Concat(nonFiniteFloatRows(t), negativeIntRows(t), []string{
 		"timeline -s 0",
@@ -199,12 +200,25 @@ func TestBadFlagsExitTwoWithoutPanic(t *testing.T) {
 		"ckpt -steps -3",
 		"plan -hbm 0",
 		"plan -hbm -1",
+		"ckpt -rows 2 -cols 4 -fail-at 5 -fail-chip 5 -reshard 2x2x9",
+		"ckpt -rows 2 -cols 4 -fail-at 5 -fail-chip 5 -reshard 2x2junk",
+		// Sizes whose matrices or event rings would not fit in memory, or
+		// whose element count overflows int.
+		"record -cap 100000000000000000",
+		"verify -m 100000000000000000",
+		"record -m 100000000000000000",
+		// -record's checks run before gemm prints its table.
+		"gemm -m 4096 -n 4096 -k 4096 -chips 16 -record r.json",
+		"gemm -m 4096 -n 4096 -k 4096 -chips 16 -record r.json -algo 1dtp",
 	}) {
 		t.Run(args, func(t *testing.T) {
 			t.Parallel()
-			stderr, exit := runCLI(t, "", strings.Fields(args)...)
+			stdout, stderr, exit := runCLI(t, "", strings.Fields(args)...)
 			if exit != 2 {
 				t.Errorf("exit %d, want 2", exit)
+			}
+			if stdout != "" {
+				t.Errorf("printed before the flag error:\n%s", stdout)
 			}
 			// A Go panic also exits 2; the trace is what tells them apart.
 			if strings.Contains(stderr, "goroutine ") || strings.Count(stderr, "\n") != 1 {
@@ -240,38 +254,86 @@ func negativeIntRows(t *testing.T) []string {
 }
 
 // flagRows returns "sub -flag v" for every flag of type typ of every
-// subcommand and every v, read off the binary itself: the subcommands from
-// its usage line, each one's flags from its -h listing, where a flag
-// prints as "-name typ". A new flag is swept without a row written by
+// subcommand and every v. A new flag is swept without a row written by
 // hand. A flag named in skip, as "-flag" for every subcommand or as
 // "sub -flag", gets no rows.
 func flagRows(t *testing.T, typ string, skip map[string]string, values ...string) []string {
 	t.Helper()
-	usage, _ := runCLI(t, "")
+	var rows []string
+	for _, f := range cliFlags(t) {
+		if f.typ != typ {
+			continue
+		}
+		if _, ok := skip[f.name]; ok {
+			continue
+		}
+		if _, ok := skip[f.sub+" "+f.name]; ok {
+			continue
+		}
+		for _, v := range values {
+			rows = append(rows, f.sub+" "+f.name+" "+v)
+		}
+	}
+	return rows
+}
+
+// cliFlag is one flag of one subcommand as its -h listing prints it.
+type cliFlag struct {
+	sub, name string
+	typ       string // "" for a bool flag
+	def       string // the listing's "(default …)", "" for a zero default
+}
+
+// cliFlags reads every flag of every subcommand off the binary itself: the
+// subcommands from its usage line, each one's flags from its -h listing,
+// where a flag prints as "  -name typ" and its usage on the next line ends
+// in "(default …)" unless the default is the type's zero value.
+func cliFlags(t *testing.T) []cliFlag {
+	t.Helper()
+	_, usage, _ := runCLI(t, "")
 	open, end := strings.Index(usage, "{"), strings.Index(usage, "}")
 	if open < 0 || end < open {
 		t.Fatalf("no {sub|…} list in the usage line: %q", usage)
 	}
-	var rows []string
+	var flags []cliFlag
 	for _, sub := range strings.Split(usage[open+1:end], "|") {
-		help, _ := runCLI(t, "", sub, "-h")
-		for _, line := range strings.Split(help, "\n") {
+		_, help, _ := runCLI(t, "", sub, "-h")
+		lines := strings.Split(help, "\n")
+		for i, line := range lines {
 			f := strings.Fields(line)
-			if len(f) != 2 || !strings.HasPrefix(f[0], "-") || f[1] != typ {
+			if !strings.HasPrefix(line, "  -") || len(f) > 2 || i+1 == len(lines) {
 				continue
 			}
-			if _, ok := skip[f[0]]; ok {
-				continue
+			flag := cliFlag{sub: sub, name: f[0]}
+			if len(f) == 2 {
+				flag.typ = f[1]
 			}
-			if _, ok := skip[sub+" "+f[0]]; ok {
-				continue
+			if u := lines[i+1]; strings.HasSuffix(u, ")") {
+				if at := strings.LastIndex(u, " (default "); at >= 0 {
+					flag.def = u[at+1:]
+				}
 			}
-			for _, v := range values {
-				rows = append(rows, sub+" "+f[0]+" "+v)
-			}
+			flags = append(flags, flag)
 		}
 	}
-	return rows
+	return flags
+}
+
+// TestFlagSurface pins every subcommand's flags by name, type and default,
+// the usage text aside: a flag group that changes a default, a type or a
+// name fails it. On a deliberate change, check the printed listing and
+// put its digest here.
+func TestFlagSurface(t *testing.T) {
+	const want = 0x4e3c998dccf717ce
+	var listing strings.Builder
+	for _, f := range cliFlags(t) {
+		listing.WriteString(strings.Join(strings.Fields(f.sub+" "+f.name+" "+f.typ+" "+f.def), " ") + "\n")
+	}
+	h := fnv.New64a()
+	h.Write([]byte(listing.String()))
+	if got := h.Sum64(); got != want {
+		t.Errorf("flag surface digest %#x, want %#x; listing:\n%s", got, uint64(want), listing.String())
+	}
 }
 
 // TestBadModelFileNamesTheDecodeError: a -model file that exists but does
@@ -287,7 +349,7 @@ func TestBadModelFileNamesTheDecodeError(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	stderr, exit := runCLI(t, "", "plan", "-model", path)
+	_, stderr, exit := runCLI(t, "", "plan", "-model", path)
 	if exit != 2 {
 		t.Errorf("exit %d, want 2", exit)
 	}

@@ -2,10 +2,9 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
+	"errors"
 	"fmt"
-	"math"
-	"os"
+	"io"
 	"strings"
 
 	"meshslice/internal/autotune"
@@ -21,87 +20,65 @@ import (
 // the autotuner fault-aware (autotune.TuneUnderFaults), and reports both
 // simulated FC block times side by side.
 func cmdFaults(args []string) {
-	fs := flag.NewFlagSet("faults", flag.ExitOnError)
-	modelName := fs.String("model", "gpt3", "LLM: gpt3 or megatron")
-	chips := fs.Int("chips", 64, "cluster size")
-	tokens := fs.Int("tokens", 0, "tokens per step (default: weak-scaling batch = chips/2)")
-	scenario := fs.String("scenario", "col-degrade", "fault scenario: col-degrade, stragglers, or seeded")
-	seed := fs.Int64("seed", 7, "scenario seed (seeded scenario only)")
-	factor := fs.Float64("factor", 6, "degrade/slowdown factor")
-	reroute := fs.Bool("reroute", false, "re-route rings around single dead links instead of halting")
-	out := fs.String("o", "", "also write the comparison as JSON to this path")
-	chrome := fs.String("chrome", "", "also write a faulty-cluster Chrome trace (stale plan, first pass) to this path")
-	fs.Parse(args)
-	requireInts(1, "a positive count", intFlag{"chips", *chips})
-	requireInts(0, "a positive count, or 0 for the weak-scaling batch", intFlag{"tokens", *tokens})
+	c := newCLI("faults")
+	mf := c.model("gpt3", true)
+	cl := c.cluster(64, "cluster size")
+	scenario := c.String("scenario", "col-degrade", "fault scenario: col-degrade, stragglers, or seeded")
+	seed := c.seed(7, "seeded scenario")
+	factor := c.factor("factor", 6, 1, "degrade/slowdown factor")
+	reroute := c.Bool("reroute", false, "re-route rings around single dead links instead of halting")
+	out := c.output("also write the comparison as JSON to this path", "also write a faulty-cluster Chrome trace (stale plan, first pass) to this path")
+	c.parse(args)
 
-	cfg := modelByName(*modelName)
-	tk := *tokens
-	if tk == 0 {
-		tk = cfg.WeakScalingTokens(*chips)
-	}
-	plan, err := faultScenario(*scenario, *chips, *seed, *factor)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	tk := mf.tokensFor(cl.chips)
+	plan, err := faultScenario(*scenario, cl.chips, *seed, *factor)
+	die(2, err)
 	chip := hw.TPUv4()
 	opts := autotune.Options{OptimizeDataflow: true}
-
-	stale, err := autotune.Tune(cfg, tk, *chips, chip, opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	stale, err := autotune.Tune(mf.Config, tk, cl.chips, chip, opts)
+	die(1, err)
 	staleTime, staleFailed := autotune.SimulateChoice(stale, chip, plan, *reroute)
-	aware, err := autotune.TuneUnderFaults(cfg, tk, *chips, chip, plan, *reroute, opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	aware, err := autotune.TuneUnderFaults(mf.Config, tk, cl.chips, chip, plan, *reroute, opts)
+	die(1, err)
 
-	fmt.Printf("model: %s   chips: %d   tokens: %d   scenario: %s\n", cfg.Name, *chips, tk, *scenario)
+	rep := faultsReport{
+		Model: mf.Name, Scenario: *scenario, Chips: cl.chips, Tokens: tk, Reroute: *reroute,
+		Plan:  strings.Split(strings.TrimRight(plan.Canonical(), "\n"), "\n"),
+		Stale: planReport(stale.Shape, staleTime, staleFailed),
+		Aware: planReport(aware.Shape, aware.SimTime, aware.Failed),
+	}
+	if staleFailed == nil && aware.Failed == nil {
+		gain := 100 * (staleTime/aware.SimTime - 1)
+		rep.GainPct = &gain
+	}
+	fmt.Printf("model: %s   chips: %d   tokens: %d   scenario: %s\n", mf.Name, cl.chips, tk, *scenario)
 	fmt.Println("fault plan:")
-	for _, line := range strings.Split(strings.TrimRight(plan.Canonical(), "\n"), "\n") {
+	for _, line := range rep.Plan {
 		fmt.Printf("  %s\n", line)
 	}
 	fmt.Printf("\n%-22s  %-10s  %s\n", "plan", "shape", "simulated FC block time")
-	fmt.Printf("%-22s  %-10v  %s\n", "stale (healthy-tuned)", stale.Shape, simTimeString(staleTime, staleFailed))
-	fmt.Printf("%-22s  %-10v  %s\n", "fault-aware retuned", aware.Shape, simTimeString(aware.SimTime, aware.Failed))
-	if staleFailed == nil && aware.Failed == nil {
-		fmt.Printf("\nretuning gain: %+.1f%%\n", 100*(staleTime/aware.SimTime-1))
+	fmt.Printf("%-22s  %-10s  %v\n", "stale (healthy-tuned)", rep.Stale.Shape, rep.Stale)
+	fmt.Printf("%-22s  %-10s  %v\n", "fault-aware retuned", rep.Aware.Shape, rep.Aware)
+	if rep.GainPct != nil {
+		fmt.Printf("\nretuning gain: %+.1f%%\n", *rep.GainPct)
 	}
 
-	if *out != "" {
-		if err := writeFaultsJSON(*out, cfg.Name, *scenario, *chips, tk, *reroute, plan,
-			stale.Shape, staleTime, staleFailed, aware.Shape, aware.SimTime, aware.Failed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("(json report: %s)\n", *out)
+	if out.o != "" {
+		writeFile(out.o, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(rep)
+		})
+		fmt.Printf("(json report: %s)\n", out.o)
 	}
-	if *chrome != "" {
-		if err := writeFaultsChrome(*chrome, stale, chip, plan, *reroute); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("(chrome trace: %s)\n", *chrome)
+	if out.chrome != "" {
+		writeFaultsChrome(out.chrome, stale, chip, plan, *reroute)
+		fmt.Printf("(chrome trace: %s)\n", out.chrome)
 	}
-}
-
-// checkFactor rejects a -factor that is not a finite factor >= 1.
-func checkFactor(factor float64) error {
-	if math.IsNaN(factor) || math.IsInf(factor, 0) || factor < 1 {
-		return fmt.Errorf("bad -factor %g: want a finite factor >= 1 (a smaller factor would speed the fabric up)", factor)
-	}
-	return nil
 }
 
 // faultScenario builds the named deterministic fault plan.
 func faultScenario(name string, chips int, seed int64, factor float64) (*fault.Plan, error) {
-	if err := checkFactor(factor); err != nil {
-		return nil, err
-	}
 	switch name {
 	case "col-degrade":
 		p := &fault.Plan{}
@@ -138,13 +115,6 @@ func faultScenario(name string, chips int, seed int64, factor float64) (*fault.P
 	return nil, fmt.Errorf("unknown scenario %q (want col-degrade, stragglers, seeded, or chip-fail)", name)
 }
 
-func simTimeString(t float64, failed *netsim.Failure) string {
-	if failed != nil {
-		return "halted: " + failed.Error()
-	}
-	return fmt.Sprintf("%.3fms", t*1e3)
-}
-
 // faultsReport is the deterministic JSON shape of the comparison: two runs
 // with identical flags produce byte-identical files.
 type faultsReport struct {
@@ -165,46 +135,27 @@ type faultsPlanReport struct {
 	Failed  string  `json:",omitempty"`
 }
 
-func writeFaultsJSON(path, modelName, scenario string, chips, tokens int, reroute bool, plan *fault.Plan,
-	staleShape topology.Torus, staleTime float64, staleFailed *netsim.Failure,
-	awareShape topology.Torus, awareTime float64, awareFailed *netsim.Failure) error {
-	rep := faultsReport{
-		Model:    modelName,
-		Scenario: scenario,
-		Chips:    chips,
-		Tokens:   tokens,
-		Reroute:  reroute,
-		Plan:     strings.Split(strings.TrimRight(plan.Canonical(), "\n"), "\n"),
-		Stale:    faultsPlanReport{Shape: staleShape.String()},
-		Aware:    faultsPlanReport{Shape: awareShape.String()},
+func planReport(shape topology.Torus, t float64, failed *netsim.Failure) faultsPlanReport {
+	if failed != nil {
+		return faultsPlanReport{Shape: shape.String(), Failed: failed.Error()}
 	}
-	if staleFailed != nil {
-		rep.Stale.Failed = staleFailed.Error()
-	} else {
-		rep.Stale.SimTime = staleTime
+	return faultsPlanReport{Shape: shape.String(), SimTime: t}
+}
+
+// String is the report's simulated FC block time as the table prints it.
+func (r faultsPlanReport) String() string {
+	if r.Failed != "" {
+		return "halted: " + r.Failed
 	}
-	if awareFailed != nil {
-		rep.Aware.Failed = awareFailed.Error()
-	} else {
-		rep.Aware.SimTime = awareTime
-	}
-	if staleFailed == nil && awareFailed == nil {
-		gain := 100 * (staleTime/awareTime - 1)
-		rep.GainPct = &gain
-	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return fmt.Sprintf("%.3fms", r.SimTime*1e3)
 }
 
 // writeFaultsChrome simulates the stale choice's first pass under the fault
 // plan with all-chip tracing and writes a Perfetto-loadable trace that
 // includes the fault intervals as their own process.
-func writeFaultsChrome(path string, stale autotune.Choice, chip hw.Chip, plan *fault.Plan, reroute bool) error {
+func writeFaultsChrome(path string, stale autotune.Choice, chip hw.Chip, plan *fault.Plan, reroute bool) {
 	if len(stale.Layers) == 0 {
-		return fmt.Errorf("faults: stale choice has no layers to trace")
+		die(1, errors.New("faults: stale choice has no layers to trace"))
 	}
 	pass := stale.Layers[0].Passes[0]
 	prog := sched.MeshSliceProgram(pass.Problem, stale.Shape, chip, pass.S)
@@ -213,11 +164,8 @@ func writeFaultsChrome(path string, stale autotune.Choice, chip hw.Chip, plan *f
 		FaultReroute:  reroute,
 		TraceAllChips: true,
 	})
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	label := fmt.Sprintf("%s under faults", prog.Label)
-	return netsim.WriteFaultyClusterChromeTrace(f, r.Traces, r.FaultSpans, label)
+	writeFile(path, func(w io.Writer) error {
+		return netsim.WriteFaultyClusterChromeTrace(w, r.Traces, r.FaultSpans, label)
+	})
 }

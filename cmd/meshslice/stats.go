@@ -1,7 +1,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"math/rand"
 	"os"
@@ -25,71 +24,40 @@ import (
 // autotuner's slice-count search trajectory. Two runs with the same inputs
 // produce byte-identical output.
 func cmdStats(args []string) {
-	fs := flag.NewFlagSet("stats", flag.ExitOnError)
-	profile := fs.String("profile", "", "chip calibration JSON (default: built-in TPUv4)")
-	m := fs.Int("m", 1<<16, "result rows M")
-	n := fs.Int("n", 12288, "result cols N")
-	k := fs.Int("k", 12288, "inner dimension K")
-	rows := fs.Int("rows", 4, "mesh rows")
-	cols := fs.Int("cols", 4, "mesh cols")
-	s := fs.Int("s", 0, "MeshSlice slice count (0 = autotune it, publishing the search metrics)")
-	out := fs.String("o", "", "write the snapshot to this file (default: stdout)")
-	fs.Parse(args)
+	c := newCLI("stats")
+	profile := c.String("profile", "", "chip calibration JSON (default: built-in TPUv4)")
+	p := c.problem(1<<16, 12288, 12288, false)
+	p.slices(c, 0, "autotune it, publishing the search metrics")
+	tor := c.mesh(4, 4)
+	out := c.output("write the snapshot to this file (default: stdout)", "")
+	c.parse(args)
 
 	chip := hw.TPUv4()
 	if *profile != "" {
 		var err error
 		chip, err = hw.LoadProfileFile(*profile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		die(1, err)
 	}
-	tor := torusFromFlags(*rows, *cols)
-	requireInts(1, "a positive value", intFlag{"m", *m}, intFlag{"n", *n}, intFlag{"k", *k})
-	requireInts(0, "a positive count, or 0 to autotune", intFlag{"s", *s})
-	prob := gemm.Problem{M: *m, N: *n, K: *k, Dataflow: gemm.OS}
 	reg := obs.NewRegistry()
-
-	slices := *s
+	slices := p.opts.S
 	if slices == 0 {
-		choice, ok := autotune.InstrumentedTunePass(prob, tor, chip, 0, reg)
+		choice, ok := autotune.InstrumentedTunePass(p.Problem, tor.Torus, chip, 0, reg)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "no feasible slice count for M=%d on %v\n", *m, tor)
-			os.Exit(1)
+			die(1, fmt.Errorf("no feasible slice count for M=%d on %v", p.M, tor.Torus))
 		}
 		slices = choice.S
 	}
 
-	progs := []*sched.Program{
-		sched.MeshSliceProgram(prob, tor, chip, slices),
-		sched.CollectiveProgram(prob, tor, chip),
-		sched.WangProgram(prob, tor, chip, slices),
-		sched.SUMMAProgram(prob, tor, chip, 0),
-		sched.OneDTPProgram(*m, *n, *k, tor.Size(), chip),
-		sched.FSDPProgram(*m, *n, *k, tor.Size(), chip),
+	for _, prog := range programs(p.Problem, tor.Torus, chip, slices,
+		sched.OneDTPProgram(p.M, p.N, p.K, tor.Size(), chip),
+		sched.FSDPProgram(p.M, p.N, p.K, tor.Size(), chip)) {
+		netsim.Simulate(prog, chip, netsim.Options{CriticalPath: true, Metrics: reg})
 	}
-	if tor.IsSquare() {
-		progs = append(progs, sched.CannonProgram(prob, tor, chip))
-	}
-	for _, p := range progs {
-		netsim.Simulate(p, chip, netsim.Options{CriticalPath: true, Metrics: reg})
-	}
-	publishFunctionalOverlap(reg, tor)
-
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := reg.WriteJSON(w); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	publishFunctionalOverlap(reg, tor.Torus)
+	if out.o != "" {
+		writeFile(out.o, reg.WriteJSON)
+	} else {
+		die(1, reg.WriteJSON(os.Stdout))
 	}
 }
 
@@ -114,8 +82,7 @@ func publishFunctionalOverlap(reg *obs.Registry, tor topology.Torus) {
 	for _, mode := range []string{"serial", "pipelined"} {
 		cfg := gemm.MeshSliceConfig{S: 4, Block: 1, Pipelined: mode == "pipelined"}
 		if err := cfg.Validate(probe, tor); err != nil {
-			fmt.Fprintf(os.Stderr, "overlap probe infeasible on %v: %v\n", tor, err)
-			os.Exit(1)
+			die(1, fmt.Errorf("overlap probe infeasible on %v: %v", tor, err))
 		}
 		mh := mesh.New(tor)
 		rec := recorder.New(tor.Size(), 0)

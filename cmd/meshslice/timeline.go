@@ -1,8 +1,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +11,7 @@ import (
 	"meshslice/internal/hw"
 	"meshslice/internal/netsim"
 	"meshslice/internal/sched"
+	"meshslice/internal/topology"
 )
 
 // cmdTimeline renders the paper's Fig. 4 timelines as ASCII charts: one
@@ -18,67 +19,51 @@ import (
 // GeMM on one mesh shape, so the overlap behaviour of each algorithm is
 // visible directly.
 func cmdTimeline(args []string) {
-	fs := flag.NewFlagSet("timeline", flag.ExitOnError)
-	m := fs.Int("m", 1<<16, "result rows M")
-	n := fs.Int("n", 12288, "result cols N")
-	k := fs.Int("k", 12288, "inner dimension K")
-	rows := fs.Int("rows", 8, "mesh rows")
-	cols := fs.Int("cols", 8, "mesh cols")
-	s := fs.Int("s", 8, "MeshSlice slice count / baseline unroll")
-	width := fs.Int("width", 100, "chart width in characters")
-	chrome := fs.String("chrome", "", "also write whole-cluster Chrome trace-event JSON files to this directory")
-	fs.Parse(args)
-
-	tor := torusFromFlags(*rows, *cols)
-	requireInts(1, "a positive value", intFlag{"m", *m}, intFlag{"n", *n}, intFlag{"k", *k}, intFlag{"s", *s}, intFlag{"width", *width})
-	prob := gemm.Problem{M: *m, N: *n, K: *k, Dataflow: gemm.OS}
+	c := newCLI("timeline")
+	p := c.problem(1<<16, 12288, 12288, false)
+	p.slices(c, 8, "")
+	tor := c.mesh(8, 8)
+	width := c.atLeast("width", 100, 1, "chart width in characters")
+	out := c.output("", "also write whole-cluster Chrome trace-event JSON files to this directory")
+	c.parse(args)
 	chip := hw.TPUv4()
 
-	progs := []*sched.Program{
-		sched.MeshSliceProgram(prob, tor, chip, *s),
-		sched.CollectiveProgram(prob, tor, chip),
-		sched.WangProgram(prob, tor, chip, *s),
-		sched.SUMMAProgram(prob, tor, chip, 0),
-	}
-	if tor.IsSquare() {
-		progs = append(progs, sched.CannonProgram(prob, tor, chip))
-	}
-	fmt.Printf("GeMM M=%d N=%d K=%d on %v (chip-0 traces)\n\n", *m, *n, *k, tor)
-	for _, p := range progs {
+	fmt.Printf("GeMM M=%d N=%d K=%d on %v (chip-0 traces)\n\n", p.M, p.N, p.K, tor.Torus)
+	for _, prog := range programs(p.Problem, tor.Torus, chip, p.opts.S) {
 		// The ASCII chart shows chip 0; the Chrome export covers the
 		// whole cluster, one Perfetto process per chip.
-		r := netsim.Simulate(p, chip, netsim.Options{CollectTrace: true, TraceAllChips: *chrome != ""})
+		r := netsim.Simulate(prog, chip, netsim.Options{CollectTrace: true, TraceAllChips: out.chrome != ""})
 		fmt.Printf("--- %s  (makespan %.3fms, exposed comm %.3fms)\n",
-			p.Label, r.Makespan*1e3, r.ExposedComm*1e3)
+			prog.Label, r.Makespan*1e3, r.ExposedComm*1e3)
 		os.Stdout.WriteString(r.Trace.Timeline(*width))
 		fmt.Println()
-		if *chrome != "" {
-			if err := writeChrome(*chrome, p.Label, r); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+		if out.chrome != "" {
+			writeChrome(out.chrome, prog.Label, r)
 		}
 	}
 }
 
 // writeChrome stores one algorithm's whole-cluster trace as
 // Perfetto-loadable JSON.
-func writeChrome(dir, label string, r netsim.Result) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+func writeChrome(dir, label string, r netsim.Result) {
+	die(1, os.MkdirAll(dir, 0o755))
+	path := filepath.Join(dir, strings.NewReplacer(" ", "_", "/", "_", "=", "_").Replace(label)+".json")
+	fmt.Printf("(chrome trace: %s)\n", path)
+	writeFile(path, func(w io.Writer) error { return netsim.WriteClusterChromeTrace(w, r.Traces, label) })
+}
+
+// programs returns the schedules of the 2D algorithms for p on tor, s
+// slices where an algorithm takes them, then extra, then Cannon's where
+// tor is square.
+func programs(p gemm.Problem, tor topology.Torus, chip hw.Chip, s int, extra ...*sched.Program) []*sched.Program {
+	progs := append([]*sched.Program{
+		sched.MeshSliceProgram(p, tor, chip, s),
+		sched.CollectiveProgram(p, tor, chip),
+		sched.WangProgram(p, tor, chip, s),
+		sched.SUMMAProgram(p, tor, chip, 0),
+	}, extra...)
+	if tor.IsSquare() {
+		progs = append(progs, sched.CannonProgram(p, tor, chip))
 	}
-	name := strings.Map(func(c rune) rune {
-		switch c {
-		case ' ', '/', '=':
-			return '_'
-		}
-		return c
-	}, label)
-	f, err := os.Create(filepath.Join(dir, name+".json"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Printf("(chrome trace: %s)\n", f.Name())
-	return netsim.WriteClusterChromeTrace(f, r.Traces, label)
+	return progs
 }

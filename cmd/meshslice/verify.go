@@ -1,7 +1,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 
@@ -14,39 +13,22 @@ import (
 // over the goroutine mesh — on a user-chosen problem and mesh, and checks
 // each against the single-node reference multiplication.
 func cmdVerify(args []string) {
-	fs := flag.NewFlagSet("verify", flag.ExitOnError)
-	m := fs.Int("m", 64, "result rows M")
-	n := fs.Int("n", 64, "result cols N")
-	k := fs.Int("k", 64, "inner dimension K")
-	rows := fs.Int("rows", 4, "mesh rows")
-	cols := fs.Int("cols", 4, "mesh cols")
-	s := fs.Int("s", 2, "MeshSlice slice count")
-	block := fs.Int("block", 2, "MeshSlice block size")
-	dataflow := fs.String("dataflow", "os", "dataflow: os, ls, or rs")
-	seed := fs.Int64("seed", 1, "input seed")
-	record := fs.String("record", "", "write the sweep's canonical flight-recorder JSON here")
-	fs.Parse(args)
-	requireInts(1, "a positive value", intFlag{"m", *m}, intFlag{"n", *n}, intFlag{"k", *k}, intFlag{"s", *s}, intFlag{"block", *block})
+	c := newCLI("verify")
+	p, tor, seed := c.functional()
+	record := c.String("record", "", "write the sweep's canonical flight-recorder JSON here")
+	c.parse(args)
 
-	df, ok := dataflowByName(*dataflow)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown dataflow %q\n", *dataflow)
-		os.Exit(2)
-	}
-	p := gemm.Problem{M: *m, N: *n, K: *k, Dataflow: df}
-	tor := torusFromFlags(*rows, *cols)
-	opts := gemm.AlgOptions{S: *s, Block: *block}
-	mh := mesh.New(tor)
+	mh := mesh.New(tor.Torus)
 	var rec *recorder.Recorder
 	if *record != "" {
 		rec = recorder.New(tor.Size(), 0)
 		mh.SetRecorder(rec)
 	}
 
-	fmt.Printf("verifying M=%d N=%d K=%d (%v) on %v, S=%d B=%d\n\n", *m, *n, *k, df, tor, *s, *block)
+	fmt.Printf("verifying M=%d N=%d K=%d (%v) on %v, S=%d B=%d\n\n", p.M, p.N, p.K, p.Dataflow, tor.Torus, p.opts.S, p.opts.Block)
 	fmt.Printf("%-11s  %-8s  %s\n", "algorithm", "status", "max |Δ| vs reference")
 	failed := false
-	for _, r := range gemm.VerifyAlgorithmsOn(mh, p, opts, *seed, 1e-9) {
+	for _, r := range gemm.VerifyAlgorithmsOn(mh, p.Problem, p.opts, *seed, 1e-9) {
 		switch {
 		case r.Skipped != "":
 			fmt.Printf("%-11s  %-8s  (%s)\n", r.Algorithm, "skipped", r.Skipped)
@@ -58,16 +40,7 @@ func cmdVerify(args []string) {
 		}
 	}
 	if rec != nil {
-		f, err := os.Create(*record)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := rec.Snapshot().WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f.Close()
+		writeFile(*record, rec.Snapshot().WriteJSON)
 		fmt.Printf("\nflight-recorder JSON → %s\n", *record)
 	}
 	if failed {
